@@ -252,14 +252,17 @@ def cmd_simulate(cfg, out_dir, compare=None):
         "min_v": float(traj.v.min()),
     }
     if do_compare:
+        # paired step by step; compared at the saved levels, whose times are
+        # exactly the comparison's times after the same accepted steps
         w_traj = solve_comparison(cfg.v0, cfg.control, cfg.model, cfg.dt_max,
-                                  times=traj.times)
-        violation = float((traj.v - w_traj.w).max())
+                                  dt_history=traj.dt_history)
+        w_saved = w_traj.w[np.isin(w_traj.times, traj.times)]
+        violation = float((traj.v - w_saved).max())
         summary["comparison_max_violation"] = violation
         summary["comparison_pass"] = bool(violation <= 1e-10)
         np.savetxt(os.path.join(out_dir, "comparison_max_w.csv"),
-                   np.column_stack([w_traj.times,
-                                    w_traj.w.reshape(w_traj.times.size, -1).max(axis=1)]),
+                   np.column_stack([traj.times,
+                                    w_saved.reshape(traj.n_levels, -1).max(axis=1)]),
                    delimiter=",", header="t,max_w", comments="")
     _write_json(os.path.join(out_dir, "audit_summary.json"), summary)
 

@@ -10,6 +10,19 @@ adds nonnegative quantities, so nonnegative right-hand sides produce exactly
 nonnegative solutions in floating point.  The density update is in
 conservative flux form and the diffusion matrix has columns summing to one,
 so the discrete cell mass is conserved to round-off at every step.
+
+The concentration and comparison systems ``(I - dt*Lap + dt*diag(r)) x = b``
+change their diagonal at every step, so they are not factored afresh.  They
+use the regular splitting ``M - N`` with the cached shifted diffusion factor
+``M = (1 + dt*sigma) I - dt*Lap`` and ``N = dt*diag(sigma - r) >= 0`` (sigma
+is 0 when ``r <= 0``, so the u-diffusion factor serves, and otherwise
+``max r`` rounded up to a power of two), iterating
+``x <- M^{-1} (b + N x)`` from ``x = 0``.  Each sweep applies the no-pivot
+M-matrix factor to a sum of nonnegative terms, so every iterate is exactly
+nonnegative and the iterates increase monotonically.  ``M^{-1} N`` contracts
+the infinity norm by ``rho = dt*(sigma - min r) / (1 + dt*sigma)``, which
+gives the stopping rule ``rho/(1-rho) * |dx| <= 1e-14 * |x|``; when
+``rho > 1/2`` the system is assembled and factored directly instead.
 """
 
 from __future__ import annotations
@@ -17,9 +30,11 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+import math
 import os
 import threading
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,25 +265,87 @@ def _factorize(A):
                 options=dict(SymmetricMode=True))
 
 
-def _diffusion_base(grid, dt):
-    with _cache_lock:
-        entry = _grid_cache.setdefault(grid, {})
-        bases = entry.setdefault("base", {})
-        if dt not in bases:
-            L = laplacian_matrix(grid)
-            bases[dt] = (sp.identity(grid.n_cells, format="csc") - dt * L).tocsc()
-        return bases[dt]
+# u-diffusion factors kept per grid, least recently used evicted first
+_DIFFUSION_CACHE_SIZE = 4
+# the splitting is used while its contraction bound stays at most this
+_RHO_MAX = 0.5
+_SPLIT_RTOL = 1e-14
+# at rho <= 1/2 the bound reaches 1e-14 within 48 sweeps; more means round-off
+# stalled the iteration, and the direct solve takes over
+_MAX_SWEEPS = 64
+
+
+def _shifted_diffusion(grid, dt, sigma):
+    identity = sp.identity(grid.n_cells, format="csc")
+    return (1.0 + dt * sigma) * identity - dt * laplacian_matrix(grid)
 
 
 def _diffusion_solver(grid, dt):
+    """Cached factor of ``I - dt*Lap``, the u-diffusion and sigma = 0 matrix."""
     with _cache_lock:
         entry = _grid_cache.setdefault(grid, {})
-        solvers = entry.setdefault("solver", {})
-        if dt not in solvers:
-            L = laplacian_matrix(grid)
-            A = (sp.identity(grid.n_cells, format="csc") - dt * L).tocsc()
-            solvers[dt] = _factorize(A)
+        solvers = entry.setdefault("diffusion", OrderedDict())
+        if dt in solvers:
+            solvers.move_to_end(dt)
+        else:
+            if len(solvers) >= _DIFFUSION_CACHE_SIZE:
+                solvers.popitem(last=False)
+            solvers[dt] = _factorize(_shifted_diffusion(grid, dt, 0.0))
         return solvers[dt]
+
+
+def _contraction(dt, sigma, r_min):
+    """Infinity-norm bound on the splitting's iteration matrix ``M^{-1} N``."""
+    return dt * (sigma - r_min) / (1.0 + dt * sigma)
+
+
+def _splitting_factor(grid, dt, r_max, r_min):
+    """``(sigma, factor of M)`` for the splitting, or None when rho > 1/2.
+
+    Each grid keeps one shifted factor; it is reused while its sigma still
+    covers ``r_max``, its ``dt`` matches exactly and rho stays at most 1/2.
+    """
+    if r_max <= 0.0:
+        if _contraction(dt, 0.0, r_min) > _RHO_MAX:
+            return None
+        return 0.0, _diffusion_solver(grid, dt)
+    with _cache_lock:
+        entry = _grid_cache.setdefault(grid, {})
+        slot = entry.get("shifted")
+        if slot is not None and slot[0] == dt and slot[1] >= r_max \
+                and _contraction(dt, slot[1], r_min) <= _RHO_MAX:
+            return slot[1], slot[2]
+        mantissa, exponent = math.frexp(r_max)
+        sigma = math.ldexp(1.0, exponent - 1 if mantissa == 0.5 else exponent)
+        if _contraction(dt, sigma, r_min) > _RHO_MAX:
+            return None
+        entry.pop("shifted", None)  # free the old factor before the new one fills in
+        lu = _factorize(_shifted_diffusion(grid, dt, sigma))
+        entry["shifted"] = (dt, sigma, lu)
+        return sigma, lu
+
+
+def _implicit_solve(grid, dt, r, b):
+    """Solve ``(I - dt*Lap + dt*diag(r)) x = b`` for flat ``b >= 0``.
+
+    Uses the regular splitting described in the module docstring, and the
+    direct no-pivot factorization when it would contract too slowly.
+    """
+    r_max, r_min = float(r.max()), float(r.min())
+    split = _splitting_factor(grid, dt, r_max, r_min)
+    if split is not None:
+        sigma, lu = split
+        rho = _contraction(dt, sigma, r_min)
+        weight = dt * (sigma - r)
+        x = np.zeros_like(b)
+        for _ in range(_MAX_SWEEPS):
+            x_new = lu.solve(b + weight * x)
+            delta = float(np.abs(x_new - x).max())
+            x = x_new
+            if rho * delta <= (1.0 - rho) * _SPLIT_RTOL * float(x.max()):
+                return x
+    A = sp.diags(1.0 + dt * r) - dt * laplacian_matrix(grid)
+    return _factorize(A).solve(b)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +359,10 @@ def step(state, control_slice, params, dt):
 
         (I - dt*Lap + dt*diag(trunc(u)^s + f_- - f_+)) v_new = v
 
-    which is an M-matrix provided ``dt * max(f_+) < 1`` (checked).  The
+    which is an M-matrix provided ``dt * max(f_+) < 1`` (checked).  It is
+    solved by the regular splitting around the cached shifted diffusion
+    factor (module docstring), whose iterates are exactly nonnegative, or
+    directly when the splitting would contract too slowly.  The
     density then takes the upwind chemotaxis flux built from ``v_new``
     explicitly and diffuses implicitly, which conserves mass to round-off and
     preserves nonnegativity under the reported CFL bound on ``dt``.
@@ -317,8 +397,7 @@ def step(state, control_slice, params, dt):
     mobility = truncate(state.u.values, params.m)
     consumption = mobility**params.s
     react = (consumption + fneg - fpos).ravel()
-    A_v = _diffusion_base(grid, dt) + dt * sp.diags(react, format="csc")
-    v_new = _factorize(A_v).solve(state.v.values.ravel()).reshape(grid.dims)
+    v_new = _implicit_solve(grid, dt, react, state.v.values.ravel()).reshape(grid.dims)
 
     transport, rate = chemotaxis_array(grid, mobility, v_new)
     rate_max = float(rate.max())
@@ -451,17 +530,19 @@ def _comparison_step(grid, w, f_tilde, dt):
             f"dt*max(f~)={dt * f_max:.3g} >= 1 breaks the M-matrix bound",
             admissible_dt=CFL_SAFETY / f_max,
         )
-    A = _diffusion_base(grid, dt) - dt * sp.diags(f_tilde.ravel(), format="csc")
-    return _factorize(A).solve(w.ravel()).reshape(grid.dims)
+    return _implicit_solve(grid, dt, -f_tilde.ravel(), w.ravel()).reshape(grid.dims)
 
 
-def solve_comparison(w0, control, params, dt_max, times=None):
+def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     """Solve the dominating linear problem driven by the positive control part.
 
     The reaction uses ``f~ = max(f, 0)`` sampled like the concentration step,
-    and the same fully implicit scheme.  When ``times`` is given (typically a
-    paired run's saved levels) the solver steps exactly through them, which
-    makes the cellwise domination of the concentration exact up to round-off.
+    and the same fully implicit scheme.  Pairing it with a run of
+    :func:`simulate` makes the cellwise domination of the concentration exact
+    up to round-off: pass the run's accepted step sizes ``dt_history`` (the
+    solver then advances ``t += dt`` exactly as the run did, and returns every
+    step), or its saved levels ``times`` when it saved every step.  Without
+    either, the solver runs its own adaptive stepping.
 
     Returns
     -------
@@ -472,22 +553,31 @@ def solve_comparison(w0, control, params, dt_max, times=None):
         raise ValueError("comparison initial state must be nonnegative")
     if control is not None and not grid.compatible_with(control.grid):
         raise GridMismatchError("control lives on a different grid")
+    if times is not None and dt_history is not None:
+        raise ValueError("give either paired times or a dt history, not both")
 
     def f_tilde_at(t):
         if control is None:
             return np.zeros(grid.dims)
         return np.clip(control.slice_at(t) * grid.control_mask, 0.0, None)
 
-    if times is not None:
-        times = np.asarray(times, dtype=float)
+    if dt_history is not None:
+        dts = np.asarray(dt_history, dtype=float)
+        if dts.ndim != 1 or np.any(~(dts > 0)):
+            raise ValueError("dt history must hold positive step sizes")
+        times = np.concatenate(([0.0], np.cumsum(dts)))  # t += dt, in order
+    elif times is not None:
+        times = np.array(times, dtype=float)
         if times.size < 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError("paired times must increase strictly from 0")
+        dts = np.diff(times)
+    if times is not None:
         w = w0.values.copy()
         ws = [w.copy()]
-        for t0, t1 in zip(times[:-1], times[1:]):
-            w = _comparison_step(grid, w, f_tilde_at(t1), t1 - t0)
+        for t1, dt in zip(times[1:], dts):
+            w = _comparison_step(grid, w, f_tilde_at(t1), dt)
             ws.append(w.copy())
-        return ComparisonTrajectory(grid=grid, times=times.copy(), w=np.stack(ws))
+        return ComparisonTrajectory(grid=grid, times=times, w=np.stack(ws))
 
     holder = {"w": w0.values.copy()}
     out_times = [0.0]
@@ -630,8 +720,9 @@ def trajectory_from_dir(path):
         times = np.asarray(manifest["times"], dtype=float)
         us, vs = [], []
         for name in manifest["state_files"]:
-            u = np.empty(grid.dims)
-            v = np.empty(grid.dims)
+            # NaN marks cells no row filled; a duplicated row leaves one behind
+            u = np.full(grid.dims, np.nan)
+            v = np.full(grid.dims, np.nan)
             with open(os.path.join(path, name), newline="") as fh:
                 reader = csv.reader(fh)
                 header = next(reader)
@@ -641,6 +732,12 @@ def trajectory_from_dir(path):
                     idx = tuple(int(c) for c in row[: grid.ndim])
                     u[idx] = float(row[grid.ndim])
                     v[idx] = float(row[grid.ndim + 1])
+                n_rows = reader.line_num - 1
+            if n_rows != grid.n_cells:
+                raise TrajectoryFormatError(
+                    f"{name}: {n_rows} rows for {grid.n_cells} cells")
+            if np.isnan(u).any() or np.isnan(v).any():
+                raise TrajectoryFormatError(f"{name}: some cells have no value")
             us.append(u)
             vs.append(v)
         if len(us) != times.size:

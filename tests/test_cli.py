@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -101,6 +102,27 @@ class TestSimulate:
         with open(os.path.join(out, "audit_summary.json")) as fh:
             assert json.load(fh)["comparison_max_violation"] <= 1e-10
 
+    def test_compare_pairs_steps_when_saving_sparsely(self, tmp_path):
+        # saved levels three steps apart: the comparison still pairs with the
+        # accepted steps, so domination holds at every saved level
+        cfg = tmp_path / "cmp.json"
+        cfg.write_text(json.dumps({
+            "grid": {"dims": [32, 32], "control_box": [[0.25, 0.75]] * 2},
+            "model": {"s": 1.0, "t_final": 0.1},
+            "initial": {"u": {"preset": "gaussian", "amplitude": 2.0, "width": 0.15},
+                        "v": {"preset": "random", "seed": 7, "low": 0.9,
+                              "high": 1.1}},
+            "control": {"preset": "random", "seed": 11, "amplitude": 1.0,
+                        "times": 5},
+            "sim": {"dt_max": 0.01, "save_every": 3},
+        }))
+        out = str(tmp_path / "cmp")
+        assert run(["compare", str(cfg), "--output", out]) == 0
+        with open(os.path.join(out, "audit_summary.json")) as fh:
+            summary = json.load(fh)
+        assert summary["levels"] < summary["steps"]
+        assert summary["comparison_max_violation"] <= 1e-10
+
 
 @pytest.fixture(scope="module")
 def decay_dir(tmp_path_factory):
@@ -154,6 +176,15 @@ class TestEnergyAudit:
         broken = tmp_path / "broken"
         broken.mkdir()
         (broken / "manifest.json").write_text("{oops")
+        code = run(["energy-audit", cfg_path("simulate_decay.toml"),
+                    "--trajectory", str(broken), "--output", str(tmp_path / "a")])
+        assert code == 3
+
+    def test_truncated_state_csv_is_data_error(self, decay_dir, tmp_path):
+        broken = tmp_path / "trajectory"
+        shutil.copytree(decay_dir, broken)
+        state = broken / "state_00001.csv"
+        state.write_text("".join(state.read_text().splitlines(keepends=True)[:11]))
         code = run(["energy-audit", cfg_path("simulate_decay.toml"),
                     "--trajectory", str(broken), "--output", str(tmp_path / "a")])
         assert code == 3

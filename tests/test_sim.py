@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
+from chemoctrl import sim
 from chemoctrl import (
     Control,
     Field,
@@ -370,6 +375,23 @@ class TestTrajectoryIO:
         with pytest.raises(TrajectoryFormatError):
             trajectory_from_dir(tmp_path / "nope")
 
+    @pytest.mark.parametrize("corrupt", ["truncated", "duplicated"])
+    def test_incomplete_state_csv_rejected(self, tmp_path, corrupt):
+        g = Grid.unit_box((16, 16))
+        traj = simulate(Field.zeros(g), Field.full(g, 1.0), None,
+                        params(t_final=0.04), 0.02)
+        out = tmp_path / "traj"
+        trajectory_to_dir(traj, out)
+        path = out / "state_00001.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        if corrupt == "truncated":
+            lines = lines[:1 + 100]
+        else:
+            lines[5] = lines[6]
+        path.write_text("".join(lines))
+        with pytest.raises(TrajectoryFormatError, match="state_00001"):
+            trajectory_from_dir(out)
+
     def test_index_of_time(self, grid):
         traj = simulate(Field.zeros(grid), Field.full(grid, 1.0), None,
                         params(t_final=0.1), 0.02)
@@ -377,3 +399,102 @@ class TestTrajectoryIO:
         assert traj.index_of_time(float(traj.times[-1])) == traj.n_levels - 1
         with pytest.raises(ValueError, match="not a saved time level"):
             traj.index_of_time(0.0333)
+
+
+class TestFactorCache:
+    def test_diffusion_factors_bounded(self):
+        g = Grid.unit_box((16,))
+        st0 = State(Field.full(g, 1.0), Field.full(g, 1.0), 0.0)
+        for k in range(20):
+            step(st0, Field.zeros(g), params(), 1e-3 * (1.0 + 0.1 * k))
+        solvers = sim._grid_cache[g]["diffusion"]
+        assert len(solvers) == sim._DIFFUSION_CACHE_SIZE
+        assert 1e-3 * (1.0 + 0.1 * 19) in solvers  # the most recent survives
+
+    def test_one_shifted_factor_per_grid(self):
+        g = Grid.unit_box((16,))
+        b = np.ones(g.n_cells)
+        for dt, r in ((0.01, 3.0), (0.01, 2.5), (0.01, 5.0), (0.02, 1.0)):
+            sim._implicit_solve(g, dt, np.full(g.n_cells, r), b)
+        dt, sigma, _ = sim._grid_cache[g]["shifted"]
+        assert (dt, sigma) == (0.02, 1.0)
+
+
+# grids up to 3D, kept small so that each example runs in milliseconds
+grids = st.one_of(
+    st.tuples(st.integers(4, 24)),
+    st.tuples(st.integers(3, 8), st.integers(3, 8)),
+    st.tuples(st.integers(3, 5), st.integers(3, 5), st.integers(3, 5)),
+).map(Grid.unit_box)
+
+
+def cached_factors(grid):
+    entry = sim._grid_cache.get(grid, {})
+    return len(entry.get("diffusion", ())) + ("shifted" in entry)
+
+
+class TestSplittingProperties:
+    @given(grid=grids, dt=st.floats(1e-3, 0.05),
+           regime=st.sampled_from(["mixed", "damping", "growth"]),
+           scale=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_splitting_matches_direct_solve(self, grid, dt, regime, scale, seed):
+        # "mixed" keeps rho <= 0.45 and takes the splitting; "damping" (stiff
+        # consumption, rho >= 0.8) and "growth" (dt*max f+ in (0.55, 0.99),
+        # sigma = 0, rho > 1/2) take the direct fallback
+        rng = np.random.default_rng(seed)
+        n = grid.n_cells
+        if regime == "mixed":
+            r = rng.uniform(-0.15, 0.15, n) * scale / dt
+        elif regime == "damping":
+            r = rng.uniform(0.0, 4.0 + 96.0 * scale, n) / dt
+            r[0], r[-1] = 0.0, (4.0 + 96.0 * scale) / dt
+        else:
+            r = -rng.uniform(0.0, 1.0, n) * (0.55 + 0.44 * scale) / dt
+            r[0] = -(0.55 + 0.44 * scale) / dt
+        b = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.8)
+        x = sim._implicit_solve(grid, dt, r, b)
+        A = sp.identity(n) - dt * sim.laplacian_matrix(grid) + dt * sp.diags(r)
+        ref = spsolve(A.tocsc(), b)
+        assert np.abs(x - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
+        assert x.min() >= 0.0
+        assert cached_factors(grid) == (1 if regime == "mixed" else 0)
+
+    def test_stalled_sweeps_fall_back_to_direct_solve(self, monkeypatch):
+        monkeypatch.setattr(sim, "_SPLIT_RTOL", -1.0)  # the bound is never met
+        factored = []
+        splu = sim.splu
+        monkeypatch.setattr(sim, "splu",
+                            lambda A, **kw: factored.append(A) or splu(A, **kw))
+        g = Grid.unit_box((6, 6))
+        r = np.linspace(0.0, 3.0, g.n_cells)
+        b = np.linspace(1.0, 2.0, g.n_cells)
+        x = sim._implicit_solve(g, 0.01, r, b)
+        assert len(factored) == 2  # the shifted factor, then the direct one
+        A = sp.identity(g.n_cells) - 0.01 * sim.laplacian_matrix(g) + 0.01 * sp.diags(r)
+        assert np.abs(x - spsolve(A.tocsc(), b)).max() <= 1e-12 * b.max()
+        assert x.min() >= 0.0
+
+    @given(grid=grids, dt_max=st.floats(2e-3, 0.02),
+           f_frac=st.floats(0.05, 1.5), slope=st.floats(0.0, 40.0),
+           s=st.sampled_from([1.0, 2.0]), save_every=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_paired_runs_keep_the_guarantees(self, grid, dt_max, f_frac, slope, s,
+                                             save_every, seed):
+        # controls up to 1.5/dt_max press the dt*max f+ < 1 bound and steep
+        # concentration ramps press the chemotaxis CFL bound; both get halved
+        p = params(s=s, t_final=5 * dt_max)
+        ctrl = control_preset(grid, "random", p.t_final, seed=seed % 2**31,
+                              amplitude=f_frac / dt_max, times=3)
+        rng = np.random.default_rng(seed)
+        x = grid.axis_centers(0).reshape((-1,) + (1,) * (grid.ndim - 1))
+        u0 = Field(grid, rng.uniform(0.0, 2.0, grid.dims))
+        v0 = Field(grid, np.broadcast_to(0.5 + slope * x, grid.dims).copy())
+        traj = simulate(u0, v0, ctrl, p, dt_max, save_every=save_every)
+        assert traj.u.min() >= 0.0 and traj.v.min() >= 0.0
+        mass = traj.mass_trace
+        assert np.abs(np.diff(mass)).max() <= 1e-12 * mass[0]
+        w = solve_comparison(v0, ctrl, p, dt_max, dt_history=traj.dt_history)
+        assert w.w.min() >= 0.0
+        assert (traj.v - w.w[np.isin(w.times, traj.times)]).max() <= 1e-10
