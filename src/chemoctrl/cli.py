@@ -9,6 +9,7 @@ variable ``CHEMO_THREADS`` caps the worker count used for gradient probes.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -20,6 +21,7 @@ from .cost import CostParams, check_admissible, evaluate_J
 from .energy import build_energy_report, audit_pairs, audit_pairs_to_csv, \
     energy_inequality_audit
 from .grid import Field, Grid, field_from_csv
+from .io import read_levels, write_levels
 from .model import ModelParams
 from .opt import InfeasibleBaselineError, OptimizerConfig, optimize, \
     ordering_experiment
@@ -119,16 +121,7 @@ def _build_control(grid, section, t_final, base_dir):
         if not os.path.exists(path):
             raise ConfigError(f"control: file not found: {path}")
         times = np.asarray(section.get("times", [0.0, t_final]), dtype=float)
-        vals = np.zeros((times.size,) + grid.dims)
-        import csv as _csv
-        with open(path, newline="") as fh:
-            reader = _csv.reader(fh)
-            next(reader)
-            for row in reader:
-                ti = int(row[0])
-                idx = tuple(int(c) for c in row[1: 1 + grid.ndim])
-                vals[(ti,) + idx] = float(row[1 + grid.ndim])
-        return Control(grid, times, vals)
+        return Control(grid, times, read_levels(path, grid.dims, times.size))
     kw = {k: v for k, v in section.items() if k != "preset"}
     return control_preset(grid, section.get("preset", "zero"), t_final, **kw)
 
@@ -204,7 +197,7 @@ def load_config(path, overrides=None):
         output_dir = str(overrides.get("output_dir", raw.get("output_dir", "out")))
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OSError) as err:
         raise ConfigError(f"invalid config {path}: {err}") from err
     return RunConfig(grid=grid, model=model, u0=u0, v0=v0, control=control,
                      dt_max=dt_max, save_every=save_every, compare=compare,
@@ -286,8 +279,7 @@ def cmd_energy_audit(cfg, traj_dir, beta, K, out_dir, alpha_sweep=None):
     if alpha_sweep:
         from dataclasses import replace
         with open(os.path.join(out_dir, "alpha_sweep.csv"), "w", newline="") as fh:
-            import csv as _csv
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["alpha", "worst_residual"])
             for alpha in alpha_sweep:
                 pa = replace(traj.params, alpha=float(alpha))
@@ -319,14 +311,7 @@ def cmd_optimize(cfg, out_dir, m_sweep=None):
     trace.to_csv(os.path.join(out_dir, "trace.csv"))
 
     cfg.grid.to_json(os.path.join(out_dir, "grid.json"))
-    with open(os.path.join(out_dir, "best_control.csv"), "w", newline="") as fh:
-        import csv as _csv
-        writer = _csv.writer(fh)
-        writer.writerow(["t_index"] + [f"i{k}" for k in range(cfg.grid.ndim)]
-                        + ["value"])
-        for ti in range(ctrl.times.size):
-            for idx in np.ndindex(*cfg.grid.dims):
-                writer.writerow([ti] + list(idx) + [repr(float(ctrl.values[ti][idx]))])
+    write_levels(os.path.join(out_dir, "best_control.csv"), cfg.grid.dims, ctrl.values)
     _write_json(os.path.join(out_dir, "best_control_times.json"),
                 {"times": [float(t) for t in ctrl.times]})
 

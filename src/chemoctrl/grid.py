@@ -9,11 +9,12 @@ the subregion where the bilinear control is allowed to act.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .io import read_cells, write_cells
 
 
 class GridMismatchError(ValueError):
@@ -434,29 +435,10 @@ def interpolation_diagnostic(phi):
 
 def field_to_csv(phi, path):
     """Write one row per cell: index coordinates, then the value."""
-    grid = phi.grid
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"i{k}" for k in range(grid.ndim)] + ["value"])
-        for idx in np.ndindex(*grid.dims):
-            writer.writerow(list(idx) + [repr(float(phi.values[idx]))])
+    write_cells(path, phi.grid.dims, {"value": phi.values})
 
 
 def field_from_csv(grid, path):
     """Read a field written by :func:`field_to_csv` onto the given grid."""
-    vals = np.empty(grid.dims)
-    seen = np.zeros(grid.dims, dtype=bool)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) != grid.ndim + 1:
-            raise ValueError(
-                f"{path}: expected {grid.ndim} index columns plus a value"
-            )
-        for row in reader:
-            idx = tuple(int(c) for c in row[: grid.ndim])
-            vals[idx] = float(row[grid.ndim])
-            seen[idx] = True
-    if not seen.all():
-        raise ValueError(f"{path}: missing rows for some cells")
-    return Field(grid, vals)
+    (values,) = read_cells(path, grid.dims, ("value",))
+    return Field(grid, values)

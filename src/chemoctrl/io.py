@@ -1,0 +1,163 @@
+"""Cell tables: the CSV codec shared by states, controls and fields.
+
+A table has a header row naming its columns, then one row per grid cell (a
+*cell table*: a state or a field) or per time level and cell (a *level
+table*: a control).  A row holds the integer level index (level tables only,
+column ``t_index``), the cell's index coordinates ``i0, i1, ...``, then its
+values.  Writers emit rows in C order, values as the shortest ``repr`` that
+round-trips, and end every line with CRLF, which is the byte stream of
+:func:`csv.writer` row by row.  Readers accept the rows in any order but
+reject a table that does not describe every cell exactly once: wrong header,
+unparsable or non-integer indices, negative or out-of-range indices, missing
+or duplicate rows, and non-finite values all raise :class:`CellTableError`.
+
+Both sides do no per-cell Python work: a writer joins the cached index
+columns and the values' reprs into one string per block of cells, and a
+reader parses with :func:`numpy.loadtxt` and scatters the values by their
+flat index.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+import warnings
+
+import numpy as np
+
+
+_BLOCK = 1024  # cells formatted per write
+
+
+class CellTableError(ValueError):
+    """A cell table on disk is malformed or does not fit its grid."""
+
+
+@functools.lru_cache(maxsize=8)
+def _index_columns(dims):
+    """Per axis, the index text of every cell in C order.
+
+    Equal indices share one string object, so a column costs a pointer per
+    cell.
+    """
+    names = [str(i) for i in range(max(dims))]
+    coords = np.indices(dims).reshape(len(dims), -1).tolist()
+    return tuple(tuple(map(names.__getitem__, c)) for c in coords)
+
+
+def _header(dims, names):
+    return [f"i{k}" for k in range(len(dims))] + list(names)
+
+
+def _write_rows(fh, dims, arrays, lead=()):
+    """Write CRLF-terminated rows: ``lead`` texts, cell index, values' reprs.
+
+    Rows are formatted ``_BLOCK`` cells at a time, so the text held in memory
+    stays small however large the grid.
+    """
+    index = _index_columns(dims)
+    values = [np.asarray(a, dtype=float).ravel() for a in arrays]
+    for start in range(0, math.prod(dims), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        reprs = [map(repr, v[block].tolist()) for v in values]
+        rows = zip(*lead, *(c[block] for c in index), *reprs)
+        fh.write("\r\n".join(map(",".join, rows)))
+        fh.write("\r\n")
+
+
+def write_cells(path, dims, columns):
+    """Write one row per cell: index coordinates, then each column's value.
+
+    ``columns`` maps column names to arrays of shape ``dims``, in order.
+    """
+    dims = tuple(dims)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_header(dims, columns)) + "\r\n")
+        _write_rows(fh, dims, columns.values())
+
+
+def write_levels(path, dims, values):
+    """Write one row per level and cell: ``t_index``, index coordinates, value.
+
+    ``values`` has shape ``(n_levels, *dims)``.
+    """
+    dims = tuple(dims)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["t_index"] + _header(dims, ["value"])) + "\r\n")
+        for t_index, level in enumerate(values):
+            _write_rows(fh, dims, [level], lead=[itertools.repeat(str(t_index))])
+
+
+def _read_table(path, header, key_dims):
+    """Parse a table; return each row's flat C-order key and the value columns.
+
+    The leading ``len(key_dims)`` columns are integer keys into ``key_dims``
+    and every key must occur exactly once; the other columns are finite
+    floats.
+    """
+    n_keys = len(key_dims)
+    dtype = [(f"k{j}", np.int64) for j in range(n_keys)] \
+        + [(f"c{j}", float) for j in range(len(header) - n_keys)]
+    with open(path, newline="") as fh:
+        found = fh.readline().rstrip("\r\n").split(",")
+        if found != header:
+            raise CellTableError(
+                f"{path}: header {','.join(found)!r}, expected {','.join(header)!r}")
+        try:
+            with warnings.catch_warnings():
+                # a table without rows is reported below as missing every cell
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None,
+                                   ndmin=1)
+        except ValueError as err:
+            raise CellTableError(f"{path}: {err}") from err
+
+    keys = [table[f"k{j}"] for j in range(n_keys)]
+    try:
+        flat = np.ravel_multi_index(keys, key_dims)
+    except ValueError:
+        outside = [(k < 0) | (k >= n) for k, n in zip(keys, key_dims)]
+        row = int(np.argmax(np.any(outside, axis=0)))
+        raise CellTableError(
+            f"{path}: data row {row + 1} has index {tuple(int(k[row]) for k in keys)} "
+            f"outside {tuple(key_dims)}") from None
+    counts = np.bincount(flat, minlength=math.prod(key_dims))
+    if counts.max(initial=0) > 1:
+        cell = np.unravel_index(int(np.argmax(counts > 1)), key_dims)
+        raise CellTableError(
+            f"{path}: duplicate rows for index {tuple(int(i) for i in cell)}")
+    if not counts.all():
+        cell = np.unravel_index(int(np.argmin(counts)), key_dims)
+        raise CellTableError(
+            f"{path}: {int((counts == 0).sum())} of {counts.size} rows missing, "
+            f"the first for index {tuple(int(i) for i in cell)}")
+
+    columns = [table[f"c{j}"] for j in range(len(header) - n_keys)]
+    for name, col in zip(header[n_keys:], columns):
+        finite = np.isfinite(col)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise CellTableError(f"{path}: data row {row + 1} has non-finite {name} "
+                                 f"{col[row]!r}")
+    return flat, columns
+
+
+def read_cells(path, dims, names):
+    """Read a table written by :func:`write_cells`; one array per named column."""
+    dims = tuple(dims)
+    flat, columns = _read_table(path, _header(dims, names), dims)
+    out = [np.empty(dims) for _ in names]
+    for dst, col in zip(out, columns):
+        np.put(dst, flat, col)
+    return out
+
+
+def read_levels(path, dims, n_levels):
+    """Read a table written by :func:`write_levels` with ``n_levels`` levels."""
+    dims = tuple(dims)
+    flat, (col,) = _read_table(path, ["t_index"] + _header(dims, ["value"]),
+                               (n_levels,) + dims)
+    out = np.empty((n_levels,) + dims)
+    np.put(out, flat, col)
+    return out

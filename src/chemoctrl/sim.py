@@ -27,7 +27,6 @@ gives the stopping rule ``rho/(1-rho) * |dx| <= 1e-14 * |x|``; when
 
 from __future__ import annotations
 
-import csv
 import datetime
 import json
 import math
@@ -50,6 +49,7 @@ from .grid import (
     h1_seminorm,
     integrate,
 )
+from .io import read_cells, read_levels, write_cells, write_levels
 from .model import ModelParams, truncate
 
 
@@ -660,35 +660,22 @@ def weak_residual(traj, test_series):
 # on-disk trajectory format: CSV per level plus a JSON manifest
 # ---------------------------------------------------------------------------
 
-def _write_state_csv(grid, path, u, v):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"i{k}" for k in range(grid.ndim)] + ["u", "v"])
-        for idx in np.ndindex(*grid.dims):
-            writer.writerow(list(idx) + [repr(float(u[idx])), repr(float(v[idx]))])
-
-
 def trajectory_to_dir(traj, outdir):
     """Write one CSV per saved level plus ``manifest.json``."""
     os.makedirs(outdir, exist_ok=True)
     state_files = []
     for i in range(traj.n_levels):
         name = f"state_{i:05d}.csv"
-        _write_state_csv(traj.grid, os.path.join(outdir, name), traj.u[i], traj.v[i])
+        write_cells(os.path.join(outdir, name), traj.grid.dims,
+                    {"u": traj.u[i], "v": traj.v[i]})
         state_files.append(name)
     control_file = None
     control_times = None
     if traj.control is not None:
         control_file = "control.csv"
         control_times = [float(t) for t in traj.control.times]
-        with open(os.path.join(outdir, control_file), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_index"] + [f"i{k}" for k in range(traj.grid.ndim)]
-                            + ["value"])
-            for ti in range(traj.control.times.size):
-                for idx in np.ndindex(*traj.grid.dims):
-                    writer.writerow([ti] + list(idx)
-                                    + [repr(float(traj.control.values[ti][idx]))])
+        write_levels(os.path.join(outdir, control_file), traj.grid.dims,
+                     traj.control.values)
     p = traj.params
     manifest = {
         "grid": traj.grid.header_dict(),
@@ -718,45 +705,24 @@ def trajectory_from_dir(path):
         params = ModelParams(s=pd["s"], alpha=pd["alpha"], m=pd["m"], q=pd["q"],
                              t_final=pd["t_final"])
         times = np.asarray(manifest["times"], dtype=float)
-        us, vs = [], []
-        for name in manifest["state_files"]:
-            # NaN marks cells no row filled; a duplicated row leaves one behind
-            u = np.full(grid.dims, np.nan)
-            v = np.full(grid.dims, np.nan)
-            with open(os.path.join(path, name), newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader)
-                if header != [f"i{k}" for k in range(grid.ndim)] + ["u", "v"]:
-                    raise TrajectoryFormatError(f"{name}: unexpected columns")
-                for row in reader:
-                    idx = tuple(int(c) for c in row[: grid.ndim])
-                    u[idx] = float(row[grid.ndim])
-                    v[idx] = float(row[grid.ndim + 1])
-                n_rows = reader.line_num - 1
-            if n_rows != grid.n_cells:
-                raise TrajectoryFormatError(
-                    f"{name}: {n_rows} rows for {grid.n_cells} cells")
-            if np.isnan(u).any() or np.isnan(v).any():
-                raise TrajectoryFormatError(f"{name}: some cells have no value")
-            us.append(u)
-            vs.append(v)
-        if len(us) != times.size:
+        state_files = manifest["state_files"]
+        if len(state_files) != times.size:
             raise TrajectoryFormatError("state file count does not match times")
+        u = np.empty((times.size,) + grid.dims)
+        v = np.empty((times.size,) + grid.dims)
+        for i, name in enumerate(state_files):
+            u[i], v[i] = read_cells(os.path.join(path, name), grid.dims, ("u", "v"))
+            if u[i].min() < 0 or v[i].min() < 0:
+                raise TrajectoryFormatError(f"{name}: negative density or concentration")
         control = None
         if manifest.get("control_file"):
             ctimes = np.asarray(manifest["control_times"], dtype=float)
-            cvals = np.zeros((ctimes.size,) + grid.dims)
-            with open(os.path.join(path, manifest["control_file"]), newline="") as fh:
-                reader = csv.reader(fh)
-                next(reader)
-                for row in reader:
-                    ti = int(row[0])
-                    idx = tuple(int(c) for c in row[1: 1 + grid.ndim])
-                    cvals[(ti,) + idx] = float(row[1 + grid.ndim])
+            cvals = read_levels(os.path.join(path, manifest["control_file"]),
+                                grid.dims, ctimes.size)
             control = Control(grid, ctimes, cvals)
         return Trajectory(
             grid=grid, params=params, times=times,
-            u=np.stack(us), v=np.stack(vs), control=control,
+            u=u, v=v, control=control,
             dt_history=np.asarray(manifest.get("dt_history", []), dtype=float),
             events=manifest.get("events", []),
             mass_trace=np.asarray(manifest.get("mass_trace", []), dtype=float),

@@ -11,6 +11,11 @@ from chemoctrl.sim import trajectory_from_dir
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
+# defects every cell table rejects, through whichever loader reads it
+CELL_DEFECTS = ["missing row", "duplicate row", "negative index", "index out of range",
+                "non-integer index", "non-finite value", "infinite value",
+                "wrong header", "short row"]
+
 
 def cfg_path(name):
     return os.path.join(CONFIGS, name)
@@ -66,6 +71,40 @@ class TestConfigErrors:
         }))
         assert run(["optimize", str(cfg)]) == 2
         assert "absent.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", CELL_DEFECTS + ["t_index out of range"])
+    def test_malformed_control_csv(self, tmp_path, capsys, corrupt_csv, kind):
+        from chemoctrl.io import write_levels
+        write_levels(tmp_path / "f.csv", (8,), np.full((3, 8), -0.5))
+        corrupt_csv(tmp_path / "f.csv", kind, 2)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "grid": {"dims": [8]}, "model": {"t_final": 0.1},
+            "control": {"csv": "f.csv", "times": [0.0, 0.05, 0.1]},
+        }))
+        assert run(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        assert "f.csv" in capsys.readouterr().err
+
+    def test_control_csv_that_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "f.csv").mkdir()
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"grid": {"dims": [8]},
+                                   "control": {"csv": "f.csv"}}))
+        assert run(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        assert "f.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", CELL_DEFECTS)
+    def test_malformed_field_csv(self, tmp_path, capsys, corrupt_csv, kind):
+        from chemoctrl import Field, Grid, field_to_csv
+        field_to_csv(Field.full(Grid.unit_box((8,)), 0.5), tmp_path / "u0.csv")
+        corrupt_csv(tmp_path / "u0.csv", kind, 1)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "grid": {"dims": [8]}, "model": {"t_final": 0.1},
+            "initial": {"u": {"csv": "u0.csv"}},
+        }))
+        assert run(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        assert "u0.csv" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -131,6 +170,13 @@ def decay_dir(tmp_path_factory):
     return os.path.join(out, "trajectory")
 
 
+@pytest.fixture(scope="module")
+def controlled_dir(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("exponential"))
+    assert run(["simulate", cfg_path("simulate_exponential.json"), "--output", out]) == 0
+    return os.path.join(out, "trajectory")
+
+
 class TestEnergyAudit:
     def test_dissipative_run_passes(self, decay_dir, tmp_path):
         out = str(tmp_path / "audit")
@@ -188,6 +234,20 @@ class TestEnergyAudit:
         code = run(["energy-audit", cfg_path("simulate_decay.toml"),
                     "--trajectory", str(broken), "--output", str(tmp_path / "a")])
         assert code == 3
+
+    @pytest.mark.parametrize("name, kind", [
+        *[("state_00001.csv", k) for k in CELL_DEFECTS + ["negative value"]],
+        *[("control.csv", k) for k in CELL_DEFECTS + ["t_index out of range"]],
+    ])
+    def test_malformed_trajectory_csv_is_data_error(self, controlled_dir, tmp_path,
+                                                     capsys, corrupt_csv, name, kind):
+        broken = tmp_path / "trajectory"
+        shutil.copytree(controlled_dir, broken)
+        corrupt_csv(broken / name, kind, 2 if name == "control.csv" else 1)
+        code = run(["energy-audit", cfg_path("simulate_exponential.json"),
+                    "--trajectory", str(broken), "--output", str(tmp_path / "a")])
+        assert code == 3
+        assert name in capsys.readouterr().err
 
 
 class TestOptimize:

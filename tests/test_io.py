@@ -1,0 +1,151 @@
+import csv
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from chemoctrl import (
+    Control,
+    Field,
+    Grid,
+    ModelParams,
+    Trajectory,
+    field_to_csv,
+    trajectory_to_dir,
+)
+from chemoctrl.io import CellTableError, read_cells, read_levels, write_cells, \
+    write_levels
+
+
+# the csv.writer row loops the codec replaced, kept as the byte-level reference
+def reference_cells(path, dims, columns):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"i{k}" for k in range(len(dims))] + list(columns))
+        for idx in np.ndindex(*dims):
+            writer.writerow(list(idx)
+                            + [repr(float(a[idx])) for a in columns.values()])
+
+
+def reference_levels(path, dims, values):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t_index"] + [f"i{k}" for k in range(len(dims))]
+                        + ["value"])
+        for ti in range(values.shape[0]):
+            for idx in np.ndindex(*dims):
+                writer.writerow([ti] + list(idx) + [repr(float(values[ti][idx]))])
+
+
+# zero, a subnormal, a huge value, an exact power of two and shortest-repr cases
+SPECIAL = np.array([0.0, 5e-324, 1e300, 0.5, 0.1, 1.0 / 3.0, 2.5e-5, 1e16])
+
+
+def special_values(shape, seed, sign=1.0):
+    rng = np.random.default_rng(seed)
+    vals = rng.random(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    flat = vals.reshape(-1)
+    flat[: SPECIAL.size] = SPECIAL[: flat.size]
+    return sign * vals
+
+
+@pytest.mark.parametrize("dims", [(7,), (4, 3), (3, 2, 4)])
+class TestByteIdentity:
+    def test_trajectory_files(self, tmp_path, dims):
+        grid = Grid.unit_box(dims)
+        times = np.array([0.0, 0.05, 0.1])
+        ctrl_vals = special_values((4,) + dims, 2)
+        ctrl_vals.reshape(-1)[1::2] *= -1.0  # controls may be negative
+        control = Control(grid, np.array([0.0, 0.03, 0.07, 0.1]), ctrl_vals)
+        traj = Trajectory(grid=grid, params=ModelParams(s=1.0, t_final=0.1), times=times,
+                          u=special_values((3,) + dims, 0),
+                          v=special_values((3,) + dims, 1), control=control)
+        out = tmp_path / "traj"
+        trajectory_to_dir(traj, out)
+        for i in range(times.size):
+            ref = tmp_path / f"ref_{i}.csv"
+            reference_cells(ref, dims, {"u": traj.u[i], "v": traj.v[i]})
+            assert (out / f"state_{i:05d}.csv").read_bytes() == ref.read_bytes()
+        ref = tmp_path / "ref_control.csv"
+        reference_levels(ref, dims, control.values)
+        assert (out / "control.csv").read_bytes() == ref.read_bytes()
+
+    def test_field_file(self, tmp_path, dims):
+        phi = Field(Grid.unit_box(dims), special_values(dims, 3, sign=-1.0))
+        field_to_csv(phi, tmp_path / "field.csv")
+        reference_cells(tmp_path / "ref.csv", dims, {"value": phi.values})
+        assert (tmp_path / "field.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+shapes = st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), dims=shapes)
+def test_roundtrip_is_bit_exact(tmp_path_factory, data, dims):
+    tmp = tmp_path_factory.mktemp("io")
+    u = data.draw(arrays(np.float64, dims, elements=finite))
+    v = data.draw(arrays(np.float64, dims, elements=finite))
+    write_cells(tmp / "cells.csv", dims, {"u": u, "v": v})
+    back_u, back_v = read_cells(tmp / "cells.csv", dims, ("u", "v"))
+    assert np.array_equal(bits(back_u), bits(u))
+    assert np.array_equal(bits(back_v), bits(v))
+
+    n_levels = data.draw(st.integers(1, 3))
+    levels = data.draw(arrays(np.float64, (n_levels,) + dims, elements=finite))
+    write_levels(tmp / "levels.csv", dims, levels)
+    back = read_levels(tmp / "levels.csv", dims, n_levels)
+    assert np.array_equal(bits(back), bits(levels))
+
+
+def test_any_row_order_is_read(tmp_path):
+    dims = (3, 4)
+    vals = np.arange(12.0).reshape(dims)
+    path = tmp_path / "f.csv"
+    write_cells(path, dims, {"value": vals})
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + "".join(reversed(lines[1:])))
+    (back,) = read_cells(path, dims, ("value",))
+    assert np.array_equal(back, vals)
+
+
+# defects every cell table rejects; level tables also bound their t_index
+CELL_DEFECTS = ["missing row", "duplicate row", "negative index", "index out of range",
+                "non-integer index", "non-finite value", "infinite value",
+                "wrong header", "short row"]
+LEVEL_DEFECTS = CELL_DEFECTS + ["t_index out of range"]
+
+
+@pytest.mark.parametrize("kind", CELL_DEFECTS)
+def test_malformed_cell_table_rejected(tmp_path, corrupt_csv, kind):
+    dims = (4, 3)
+    path = tmp_path / "cells.csv"
+    write_cells(path, dims, {"u": np.ones(dims), "v": np.ones(dims)})
+    corrupt_csv(path, kind, len(dims))
+    with pytest.raises(CellTableError, match="cells.csv"):
+        read_cells(path, dims, ("u", "v"))
+
+
+@pytest.mark.parametrize("kind", LEVEL_DEFECTS)
+def test_malformed_level_table_rejected(tmp_path, corrupt_csv, kind):
+    dims = (5,)
+    path = tmp_path / "levels.csv"
+    write_levels(path, dims, np.ones((3,) + dims))
+    corrupt_csv(path, kind, 1 + len(dims))
+    with pytest.raises(CellTableError, match="levels.csv"):
+        read_levels(path, dims, 3)
+
+
+def test_header_only_table_reports_missing_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("i0,value\r\n")
+    with pytest.raises(CellTableError, match="4 of 4 rows missing"):
+        read_cells(path, (4,), ("value",))

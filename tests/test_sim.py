@@ -375,7 +375,9 @@ class TestTrajectoryIO:
         with pytest.raises(TrajectoryFormatError):
             trajectory_from_dir(tmp_path / "nope")
 
-    @pytest.mark.parametrize("corrupt", ["truncated", "duplicated"])
+    @pytest.mark.parametrize("corrupt", ["truncated", "duplicated", "negative index",
+                                         "index out of range", "non-integer index",
+                                         "non-finite u", "negative u", "negative v"])
     def test_incomplete_state_csv_rejected(self, tmp_path, corrupt):
         g = Grid.unit_box((16, 16))
         traj = simulate(Field.zeros(g), Field.full(g, 1.0), None,
@@ -386,8 +388,16 @@ class TestTrajectoryIO:
         lines = path.read_text().splitlines(keepends=True)
         if corrupt == "truncated":
             lines = lines[:1 + 100]
-        else:
+        elif corrupt == "duplicated":
             lines[5] = lines[6]
+        else:
+            # the row of cell (0, 4)
+            lines[5] = {"negative index": "0,-4,1.0,1.0\r\n",
+                        "index out of range": "0,16,1.0,1.0\r\n",
+                        "non-integer index": "0,4.5,1.0,1.0\r\n",
+                        "non-finite u": "0,4,inf,1.0\r\n",
+                        "negative u": "0,4,-5.0,1.0\r\n",
+                        "negative v": "0,4,1.0,-1e-300\r\n"}[corrupt]
         path.write_text("".join(lines))
         with pytest.raises(TrajectoryFormatError, match="state_00001"):
             trajectory_from_dir(out)
