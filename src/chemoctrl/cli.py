@@ -2,8 +2,7 @@
 
 One config file (TOML or JSON, picked by extension) describes a run; flags
 only override scalar fields.  Exit codes: 0 success or audit pass, 1 audit
-fail, 2 config error, 3 data error, 4 infeasibility.  The environment
-variable ``CHEMO_THREADS`` caps the worker count used for gradient probes.
+fail, 2 config error, 3 data error, 4 infeasibility.
 """
 
 from __future__ import annotations
@@ -205,14 +204,6 @@ def load_config(path, overrides=None):
                      m_sweep=m_sweep, output_dir=output_dir, base_dir=base_dir)
 
 
-def _workers():
-    raw = os.environ.get("CHEMO_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
@@ -305,9 +296,8 @@ def cmd_optimize(cfg, out_dir, m_sweep=None):
     if cfg.cost is None or cfg.optimizer is None:
         raise ConfigError("optimize needs cost and optimizer config sections")
     os.makedirs(out_dir, exist_ok=True)
-    workers = _workers()
     ctrl, trace = optimize(cfg.optimizer, cfg.cost, cfg.model, cfg.u0, cfg.v0,
-                           cfg.dt_max, workers=workers)
+                           cfg.dt_max)
     trace.to_csv(os.path.join(out_dir, "trace.csv"))
 
     cfg.grid.to_json(os.path.join(out_dir, "grid.json"))
@@ -323,7 +313,7 @@ def cmd_optimize(cfg, out_dir, m_sweep=None):
 
     if m_sweep:
         table = ordering_experiment(m_sweep, cfg.optimizer, cfg.cost, cfg.model,
-                                    cfg.u0, cfg.v0, cfg.dt_max, workers=workers)
+                                    cfg.u0, cfg.v0, cfg.dt_max)
         table.to_csv(os.path.join(out_dir, "m_sweep.csv"))
     return EXIT_OK
 
@@ -337,7 +327,7 @@ def cmd_sweep(cfg, out_dir, m_values=None):
         raise ConfigError("sweep needs at least two M values (config m_sweep)")
     os.makedirs(out_dir, exist_ok=True)
     table = ordering_experiment(values, cfg.optimizer, cfg.cost, cfg.model,
-                                cfg.u0, cfg.v0, cfg.dt_max, workers=_workers())
+                                cfg.u0, cfg.v0, cfg.dt_max)
     table.to_csv(os.path.join(out_dir, "m_sweep.csv"))
     _write_json(os.path.join(out_dir, "m_sweep.json"), {
         "plateau_M": table.plateau_M,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -117,15 +116,14 @@ class OptimizeContext:
     basis: tuple
     control_times: np.ndarray
     fd_epsilon: float = 1e-4
-    workers: int = 1
 
 
-def make_context(config, cost_params, model_params, u0, v0, dt_max, workers=1):
+def make_context(config, cost_params, model_params, u0, v0, dt_max):
     times = np.linspace(0.0, model_params.t_final, config.control_times)
     return OptimizeContext(grid=u0.grid, model_params=model_params,
                            cost_params=cost_params, u0=u0, v0=v0, dt_max=dt_max,
                            basis=tuple(config.basis), control_times=times,
-                           fd_epsilon=config.fd_epsilon, workers=workers)
+                           fd_epsilon=config.fd_epsilon)
 
 
 def _interp_axis(arr, axis, frac):
@@ -186,7 +184,7 @@ def reduced_objective(f_params, ctx):
     return value
 
 
-def finite_difference_gradient(fun, x, epsilon, workers=1):
+def finite_difference_gradient(fun, x, epsilon):
     """Central differences of ``fun`` at ``x``, coordinate by coordinate.
 
     Falls back to a one-sided difference when a probe comes back infeasible
@@ -197,18 +195,12 @@ def finite_difference_gradient(fun, x, epsilon, workers=1):
     (gradient, one_sided) : pair of ndarray
     """
     x = np.asarray(x, dtype=float)
-    probes = []
+    vals = []
     for i in range(x.size):
         for sign in (+1.0, -1.0):
             p = x.copy()
             p[i] += sign * epsilon
-            probes.append(p)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(fun, probes))
-    else:
-        vals = [fun(p) for p in probes]
+            vals.append(fun(p))
 
     center = None
     grad = np.zeros(x.size)
@@ -234,7 +226,7 @@ def fd_gradient(f_params, ctx):
     """Finite-difference gradient of :func:`reduced_objective`."""
     return finite_difference_gradient(lambda p: reduced_objective(p, ctx),
                                       np.asarray(f_params, dtype=float),
-                                      ctx.fd_epsilon, workers=ctx.workers)
+                                      ctx.fd_epsilon)
 
 
 def _descend(coeffs0, J0, bd0, ctrl0, ctx, config, trace, start):
@@ -247,11 +239,9 @@ def _descend(coeffs0, J0, bd0, ctrl0, ctx, config, trace, start):
     """
     coeffs = coeffs0
     J_cur, bd_cur, ctrl_cur = J0, bd0, ctrl0
-    fun = lambda p: reduced_objective(p, ctx)
     step = config.step0
     for it in range(1, config.max_iters + 1):
-        grad, _ = finite_difference_gradient(fun, coeffs, config.fd_epsilon,
-                                             workers=ctx.workers)
+        grad, _ = fd_gradient(coeffs, ctx)
         gmax = float(np.abs(grad).max())
         if gmax == 0.0:
             break
@@ -285,7 +275,7 @@ def _descend(coeffs0, J0, bd0, ctrl0, ctx, config, trace, start):
     return coeffs, J_cur, bd_cur, ctrl_cur
 
 
-def optimize(config, cost_params, model_params, u0, v0, dt_max, workers=1,
+def optimize(config, cost_params, model_params, u0, v0, dt_max,
              initial_coeffs=None):
     """Minimize the objective over the ball by projected descent.
 
@@ -299,8 +289,7 @@ def optimize(config, cost_params, model_params, u0, v0, dt_max, workers=1,
     InfeasibleBaselineError
         If the zero-control run itself fails.
     """
-    ctx = make_context(config, cost_params, model_params, u0, v0, dt_max,
-                       workers=workers)
+    ctx = make_context(config, cost_params, model_params, u0, v0, dt_max)
     trace = OptimizationTrace()
     n_coeffs = int(np.prod(config.basis))
 
@@ -367,7 +356,7 @@ class OrderingTable:
 
 
 def ordering_experiment(m_values, config, cost_params, model_params, u0, v0,
-                        dt_max, workers=1):
+                        dt_max):
     """Optimize per ball radius and tabulate the monotone objective column.
 
     Runs are warm-started with the previous radius' best coefficients, so the
@@ -390,7 +379,7 @@ def ordering_experiment(m_values, config, cost_params, model_params, u0, v0,
         else:
             cp = replace(cost_params, M=M)
             ctrl, trace = optimize(config, cp, model_params, u0, v0, dt_max,
-                                   workers=workers, initial_coeffs=warm)
+                                   initial_coeffs=warm)
             J = trace.best_J
             warm = trace.best_coeffs
             norm = ctrl.lq_norm(cp.q)

@@ -31,7 +31,6 @@ import datetime
 import json
 import math
 import os
-import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -122,8 +121,9 @@ class Control:
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("control needs at least two time levels")
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise ValueError("control times must increase strictly from 0")
+        if times[0] != 0.0 or not np.all(np.isfinite(times)) \
+                or np.any(np.diff(times) <= 0):
+            raise ValueError("control times must be finite and increase strictly from 0")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (times.size,) + self.grid.dims:
             raise ValueError(
@@ -232,7 +232,6 @@ class ComparisonTrajectory:
 # cached sparse operators
 # ---------------------------------------------------------------------------
 
-_cache_lock = threading.RLock()
 _grid_cache = weakref.WeakKeyDictionary()
 
 
@@ -245,18 +244,17 @@ def _neumann_laplacian_1d(n, h):
 
 def laplacian_matrix(grid):
     """Sparse matrix of the mirror-ghost Laplacian on the C-order flat index."""
-    with _cache_lock:
-        entry = _grid_cache.setdefault(grid, {})
-        if "laplacian" not in entry:
-            mats = [_neumann_laplacian_1d(n, h) for n, h in zip(grid.dims, grid.spacing)]
-            total = None
-            for k, mk in enumerate(mats):
-                left = int(np.prod(grid.dims[:k])) if k > 0 else 1
-                right = int(np.prod(grid.dims[k + 1:])) if k < grid.ndim - 1 else 1
-                term = sp.kron(sp.identity(left), sp.kron(mk, sp.identity(right)))
-                total = term if total is None else total + term
-            entry["laplacian"] = total.tocsc()
-        return entry["laplacian"]
+    entry = _grid_cache.setdefault(grid, {})
+    if "laplacian" not in entry:
+        mats = [_neumann_laplacian_1d(n, h) for n, h in zip(grid.dims, grid.spacing)]
+        total = None
+        for k, mk in enumerate(mats):
+            left = int(np.prod(grid.dims[:k])) if k > 0 else 1
+            right = int(np.prod(grid.dims[k + 1:])) if k < grid.ndim - 1 else 1
+            term = sp.kron(sp.identity(left), sp.kron(mk, sp.identity(right)))
+            total = term if total is None else total + term
+        entry["laplacian"] = total.tocsc()
+    return entry["laplacian"]
 
 
 def _factorize(A):
@@ -282,16 +280,15 @@ def _shifted_diffusion(grid, dt, sigma):
 
 def _diffusion_solver(grid, dt):
     """Cached factor of ``I - dt*Lap``, the u-diffusion and sigma = 0 matrix."""
-    with _cache_lock:
-        entry = _grid_cache.setdefault(grid, {})
-        solvers = entry.setdefault("diffusion", OrderedDict())
-        if dt in solvers:
-            solvers.move_to_end(dt)
-        else:
-            if len(solvers) >= _DIFFUSION_CACHE_SIZE:
-                solvers.popitem(last=False)
-            solvers[dt] = _factorize(_shifted_diffusion(grid, dt, 0.0))
-        return solvers[dt]
+    entry = _grid_cache.setdefault(grid, {})
+    solvers = entry.setdefault("diffusion", OrderedDict())
+    if dt in solvers:
+        solvers.move_to_end(dt)
+    else:
+        if len(solvers) >= _DIFFUSION_CACHE_SIZE:
+            solvers.popitem(last=False)
+        solvers[dt] = _factorize(_shifted_diffusion(grid, dt, 0.0))
+    return solvers[dt]
 
 
 def _contraction(dt, sigma, r_min):
@@ -309,20 +306,19 @@ def _splitting_factor(grid, dt, r_max, r_min):
         if _contraction(dt, 0.0, r_min) > _RHO_MAX:
             return None
         return 0.0, _diffusion_solver(grid, dt)
-    with _cache_lock:
-        entry = _grid_cache.setdefault(grid, {})
-        slot = entry.get("shifted")
-        if slot is not None and slot[0] == dt and slot[1] >= r_max \
-                and _contraction(dt, slot[1], r_min) <= _RHO_MAX:
-            return slot[1], slot[2]
-        mantissa, exponent = math.frexp(r_max)
-        sigma = math.ldexp(1.0, exponent - 1 if mantissa == 0.5 else exponent)
-        if _contraction(dt, sigma, r_min) > _RHO_MAX:
-            return None
-        entry.pop("shifted", None)  # free the old factor before the new one fills in
-        lu = _factorize(_shifted_diffusion(grid, dt, sigma))
-        entry["shifted"] = (dt, sigma, lu)
-        return sigma, lu
+    entry = _grid_cache.setdefault(grid, {})
+    slot = entry.get("shifted")
+    if slot is not None and slot[0] == dt and slot[1] >= r_max \
+            and _contraction(dt, slot[1], r_min) <= _RHO_MAX:
+        return slot[1], slot[2]
+    mantissa, exponent = math.frexp(r_max)
+    sigma = math.ldexp(1.0, exponent - 1 if mantissa == 0.5 else exponent)
+    if _contraction(dt, sigma, r_min) > _RHO_MAX:
+        return None
+    entry.pop("shifted", None)  # free the old factor before the new one fills in
+    lu = _factorize(_shifted_diffusion(grid, dt, sigma))
+    entry["shifted"] = (dt, sigma, lu)
+    return sigma, lu
 
 
 def _implicit_solve(grid, dt, r, b):
@@ -421,22 +417,23 @@ def step(state, control_slice, params, dt):
     return State(Field(grid, u_new), Field(grid, v_new), state.t + dt)
 
 
-def _adaptive_loop(advance, t_final, dt_max, on_accept):
-    """Shared halving / re-doubling driver.
+def _adaptive_steps(advance, state, t_final, dt_max, events):
+    """Shared halving / re-doubling driver, yielding ``(t, dt, state)``.
 
-    ``advance(t, dt)`` performs one step and may raise StepSizeError;
-    ``on_accept(t_new, dt)`` records it.  Halves on rejection, re-doubles
-    after 10 clean steps, fails below the underflow floor.
+    ``advance(state, t, dt)`` returns the state one step of size ``dt`` after
+    time ``t``, or raises StepSizeError; each rejection is appended to
+    ``events`` and halves the step.  After 10 clean steps the step doubles
+    again, up to ``dt_max``, and the last step is clipped to ``t_final``.
+    Raises StiffnessError when the step falls below the underflow floor.
     """
     t = 0.0
     dt = dt_max
     clean = 0
     floor = _DT_FLOOR_FACTOR * max(t_final, 1e-300)
-    events = []
     while t < t_final - 1e-14 * max(t_final, 1.0):
         dt_step = min(dt, t_final - t)
         try:
-            advance(t, dt_step)
+            state = advance(state, t, dt_step)
         except StepSizeError as err:
             events.append({
                 "t": t, "dt": dt_step, "reason": str(err),
@@ -449,12 +446,11 @@ def _adaptive_loop(advance, t_final, dt_max, on_accept):
                     f"dt underflow at t={t:.6g}: {err}") from err
             continue
         t += dt_step
-        on_accept(t, dt_step)
+        yield t, dt_step, state
         clean += 1
         if clean >= 10 and dt < dt_max:
             dt = min(2.0 * dt, dt_max)
             clean = 0
-    return events
 
 
 def simulate(u0, v0, control, params, dt_max, save_every=1):
@@ -489,32 +485,30 @@ def simulate(u0, v0, control, params, dt_max, save_every=1):
         if control.t_final < params.t_final - 1e-12 * max(1.0, params.t_final):
             raise ValueError("control time lattice does not cover the horizon")
 
+    def advance(state, t, dt_step):
+        fslice = Field(grid, control.slice_at(t + dt_step)) if control is not None \
+            else Field.zeros(grid)
+        return step(state, fslice, params, dt_step)
+
     times = [0.0]
-    us = [state.u.values.copy()]
-    vs = [state.v.values.copy()]
+    us = [state.u.values]
+    vs = [state.v.values]
     dts = []
     masses = [integrate(state.u)]
-    holder = {"state": state, "since_save": 0}
-
-    def advance(t, dt_step):
-        t_next = t + dt_step
-        fslice = Field(grid, control.slice_at(t_next)) if control is not None \
-            else Field.zeros(grid)
-        holder["new"] = step(holder["state"], fslice, params, dt_step)
-
-    def on_accept(t_new, dt_step):
-        holder["state"] = holder["new"]
+    events = []
+    since_save = 0
+    t_end = params.t_final - 1e-14 * max(params.t_final, 1.0)
+    for t, dt_step, state in _adaptive_steps(advance, state, params.t_final, dt_max,
+                                             events):
         dts.append(dt_step)
-        masses.append(integrate(holder["state"].u))
-        holder["since_save"] += 1
-        at_end = t_new >= params.t_final - 1e-14 * max(params.t_final, 1.0)
-        if holder["since_save"] >= save_every or at_end:
-            times.append(holder["state"].t)
-            us.append(holder["state"].u.values.copy())
-            vs.append(holder["state"].v.values.copy())
-            holder["since_save"] = 0
+        masses.append(integrate(state.u))
+        since_save += 1
+        if since_save >= save_every or t >= t_end:
+            times.append(state.t)
+            us.append(state.u.values)
+            vs.append(state.v.values)
+            since_save = 0
 
-    events = _adaptive_loop(advance, params.t_final, dt_max, on_accept)
     return Trajectory(
         grid=grid, params=params,
         times=np.asarray(times), u=np.stack(us), v=np.stack(vs),
@@ -571,28 +565,24 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
         if times.size < 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError("paired times must increase strictly from 0")
         dts = np.diff(times)
-    if times is not None:
-        w = w0.values.copy()
-        ws = [w.copy()]
+
+    def paired_steps(w):
         for t1, dt in zip(times[1:], dts):
             w = _comparison_step(grid, w, f_tilde_at(t1), dt)
-            ws.append(w.copy())
-        return ComparisonTrajectory(grid=grid, times=times, w=np.stack(ws))
+            yield t1, dt, w
 
-    holder = {"w": w0.values.copy()}
+    def advance(w, t, dt):
+        return _comparison_step(grid, w, f_tilde_at(t + dt), dt)
+
+    if times is None:
+        steps = _adaptive_steps(advance, w0.values, params.t_final, dt_max, [])
+    else:
+        steps = paired_steps(w0.values)
     out_times = [0.0]
-    ws = [holder["w"].copy()]
-
-    def advance(t, dt_step):
-        holder["new"] = _comparison_step(grid, holder["w"], f_tilde_at(t + dt_step),
-                                         dt_step)
-
-    def on_accept(t_new, dt_step):
-        holder["w"] = holder["new"]
-        out_times.append(t_new)
-        ws.append(holder["w"].copy())
-
-    _adaptive_loop(advance, params.t_final, dt_max, on_accept)
+    ws = [w0.values]
+    for t, _, w in steps:
+        out_times.append(t)
+        ws.append(w)
     return ComparisonTrajectory(grid=grid, times=np.asarray(out_times),
                                 w=np.stack(ws))
 
@@ -705,6 +695,21 @@ def trajectory_from_dir(path):
         params = ModelParams(s=pd["s"], alpha=pd["alpha"], m=pd["m"], q=pd["q"],
                              t_final=pd["t_final"])
         times = np.asarray(manifest["times"], dtype=float)
+        if times.ndim != 1 or times.size == 0 or times[0] != 0.0 \
+                or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+            raise TrajectoryFormatError(
+                f"{manifest_path}: times must be finite, start at 0 and increase strictly")
+        dt_history = np.asarray(manifest.get("dt_history", []), dtype=float)
+        if dt_history.ndim != 1 or not np.all(np.isfinite(dt_history)) \
+                or np.any(dt_history <= 0):
+            raise TrajectoryFormatError(
+                f"{manifest_path}: dt_history must hold finite steps > 0")
+        mass_trace = np.asarray(manifest.get("mass_trace", []), dtype=float)
+        if mass_trace.ndim != 1 or not np.all(np.isfinite(mass_trace)) \
+                or mass_trace.size not in (0, dt_history.size + 1):
+            raise TrajectoryFormatError(
+                f"{manifest_path}: mass_trace must be finite, one entry per step "
+                "plus the initial one")
         state_files = manifest["state_files"]
         if len(state_files) != times.size:
             raise TrajectoryFormatError("state file count does not match times")
@@ -723,9 +728,8 @@ def trajectory_from_dir(path):
         return Trajectory(
             grid=grid, params=params, times=times,
             u=u, v=v, control=control,
-            dt_history=np.asarray(manifest.get("dt_history", []), dtype=float),
-            events=manifest.get("events", []),
-            mass_trace=np.asarray(manifest.get("mass_trace", []), dtype=float),
+            dt_history=dt_history, events=manifest.get("events", []),
+            mass_trace=mass_trace,
         )
     except TrajectoryFormatError:
         raise

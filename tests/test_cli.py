@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shutil
 
@@ -15,6 +16,34 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 CELL_DEFECTS = ["missing row", "duplicate row", "negative index", "index out of range",
                 "non-integer index", "non-finite value", "infinite value",
                 "wrong header", "short row"]
+
+# manifest defects a trajectory loader rejects; the first word names the field
+MANIFEST_DEFECTS = ["times reversed", "times repeated", "times nan", "times infinite",
+                    "dt_history zero", "dt_history nan", "mass_trace short",
+                    "mass_trace infinite"]
+
+
+def corrupt_manifest(manifest, kind):
+    """Plant one defect of ``kind`` in a loaded trajectory manifest."""
+    times, dts, masses = manifest["times"], manifest["dt_history"], manifest["mass_trace"]
+    if kind == "times reversed":
+        times.reverse()
+    elif kind == "times repeated":
+        times[2] = times[1]
+    elif kind == "times nan":
+        times[0] = math.nan
+    elif kind == "times infinite":
+        times[-1] = math.inf
+    elif kind == "dt_history zero":
+        dts[0] = 0.0
+    elif kind == "dt_history nan":
+        dts[-1] = math.nan
+    elif kind == "mass_trace short":
+        masses.pop()
+    elif kind == "mass_trace infinite":
+        masses[1] = math.inf
+    else:
+        raise ValueError(kind)
 
 
 def cfg_path(name):
@@ -218,13 +247,24 @@ class TestEnergyAudit:
         assert [float(r["alpha"]) for r in rows] == [0.05, 0.1, 0.2]
         assert all(np.isfinite(float(r["worst_residual"])) for r in rows)
 
-    def test_malformed_trajectory_is_data_error(self, tmp_path):
-        broken = tmp_path / "broken"
-        broken.mkdir()
-        (broken / "manifest.json").write_text("{oops")
-        code = run(["energy-audit", cfg_path("simulate_decay.toml"),
-                    "--trajectory", str(broken), "--output", str(tmp_path / "a")])
-        assert code == 3
+    def test_malformed_trajectory_is_data_error(self, decay_dir, tmp_path, capsys):
+        for kind in ["unparsable", *MANIFEST_DEFECTS]:
+            broken = tmp_path / kind / "trajectory"
+            shutil.copytree(decay_dir, broken)
+            manifest = broken / "manifest.json"
+            if kind == "unparsable":
+                manifest.write_text("{oops")
+            else:
+                content = json.loads(manifest.read_text())
+                corrupt_manifest(content, kind)
+                manifest.write_text(json.dumps(content))
+            out = tmp_path / kind / "audit"
+            code = run(["energy-audit", cfg_path("simulate_decay.toml"),
+                        "--trajectory", str(broken), "--output", str(out)])
+            assert code == 3, kind
+            named = "malformed trajectory" if kind == "unparsable" else kind.split()[0]
+            assert named in capsys.readouterr().err, kind
+            assert not (out / "energy_audit.json").exists(), kind
 
     def test_truncated_state_csv_is_data_error(self, decay_dir, tmp_path):
         broken = tmp_path / "trajectory"

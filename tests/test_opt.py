@@ -172,27 +172,6 @@ class TestFiniteDifferences:
         # one-sided slope of x^2 at 0.5 from the left: (0.25 - 0.16) / 0.1
         assert grad[0] == pytest.approx((0.25 - 0.16) / 0.1, rel=1e-10)
 
-    def test_workers_match_serial(self):
-        fun = lambda x: float((x**2).sum())
-        x0 = np.array([1.0, 2.0, 3.0, 4.0])
-        g1, _ = finite_difference_gradient(fun, x0, 1e-3, workers=1)
-        g4, _ = finite_difference_gradient(fun, x0, 1e-3, workers=4)
-        assert np.array_equal(g1, g4)
-
-    def test_concurrent_simulation_probes_match_serial(self, grid, model_params):
-        # probe evaluations run full simulations; threads must not interact
-        cfg = OptimizerConfig(basis=(2, 2), control_times=5, fd_epsilon=1e-3)
-        coeffs = np.array([0.4, -0.3, 0.2, 0.5])
-        grads = {}
-        for workers in (1, 4):
-            ctx = make_context(cfg, cost_params(), model_params,
-                               Field.zeros(grid), Field.full(grid, 1.0),
-                               dt_max=0.05, workers=workers)
-            fun = lambda c: reduced_objective(c, ctx)
-            grads[workers], _ = finite_difference_gradient(fun, coeffs, 1e-3,
-                                                           workers=workers)
-        assert np.array_equal(grads[1], grads[4])
-
 
 class TestOptimize:
     def test_stays_at_zero_when_baseline_tracks(self, grid, model_params):

@@ -37,6 +37,25 @@ def params(s=1.0, t_final=0.25, **kw):
     return ModelParams(s=s, t_final=t_final, **kw)
 
 
+def assert_step_ladder(dt_history, events, t_final, dt_max):
+    """Replay the halving / re-doubling rules over a run's steps and rejections."""
+    t, dt, clean = 0.0, dt_max, 0
+    pending = list(events)
+    for accepted in dt_history:
+        while pending and pending[0]["t"] == t:
+            event = pending.pop(0)
+            assert event["dt"] == min(dt, t_final - t)
+            assert event["reason"] and 0 < event["admissible_dt"] < event["dt"]
+            dt, clean = 0.5 * event["dt"], 0
+        assert accepted == min(dt, t_final - t)
+        t += accepted
+        clean += 1
+        if clean >= 10 and dt < dt_max:
+            dt, clean = min(2.0 * dt, dt_max), 0
+    assert not pending
+    assert t == pytest.approx(t_final, rel=1e-14)
+
+
 class TestControl:
     def test_mask_is_enforced(self):
         g = Grid.unit_box((8,)).with_mask(np.arange(8) < 4)
@@ -51,6 +70,8 @@ class TestControl:
             Control(g, [0.1, 0.5], np.zeros((2, 4)))
         with pytest.raises(ValueError):
             Control(g, [0.0, 0.5, 0.5], np.zeros((3, 4)))
+        with pytest.raises(ValueError):
+            Control(g, [0.0, np.nan, 1.0], np.zeros((3, 4)))
 
     def test_slice_interpolates_linearly(self):
         g = Grid.unit_box((4,))
@@ -199,6 +220,26 @@ class TestSimulate:
         assert len(traj.events) > 0
         assert traj.times[-1] == pytest.approx(0.05)
         assert traj.u.min() >= 0.0
+        assert_step_ladder(traj.dt_history, traj.events, 0.05, 0.02)
+
+    def test_step_ladder_halves_redoubles_caps_and_clips(self, grid):
+        # dt_max * f = 1.5 breaks the M-matrix bound until the control vanishes
+        values = np.array([30.0, 30.0, 0.0, 0.0])[:, None] * np.ones(grid.dims)
+        ctrl = Control(grid, [0.0, 0.3, 0.31, 2.0], values)
+        p, dt_max = params(t_final=1.43), 0.05
+        v0 = Field.full(grid, 1.0)
+        traj = simulate(Field.zeros(grid), v0, ctrl, p, dt_max)
+        assert_step_ladder(traj.dt_history, traj.events, p.t_final, dt_max)
+        dts = traj.dt_history
+        # rejected at t = 0 and again when re-doubling at t = 0.25
+        assert [(e["t"], e["dt"]) for e in traj.events] == \
+            [(0.0, dt_max), (pytest.approx(0.25), dt_max)]
+        assert np.any(dts[1:] == 2.0 * dts[:-1])  # re-doubled after the control
+        assert dts.max() == dt_max and (dts == dt_max).sum() > 10  # capped
+        assert dts[-1] == pytest.approx(0.03)  # clipped to the horizon
+        # the unpaired comparison rejects the same steps (dt * max f~ >= 1)
+        w = solve_comparison(v0, ctrl, p, dt_max)
+        assert np.array_equal(w.times, traj.times)
 
     def test_stiffness_failure(self, grid):
         huge = Control.constant(grid, 5e12, 1.0)
