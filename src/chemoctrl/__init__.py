@@ -16,7 +16,6 @@ from .cost import (
     check_admissible,
     evaluate_J,
     project_ball,
-    spacetime_lp_norm,
 )
 from .energy import (
     AuditInfeasibleError,
@@ -41,6 +40,7 @@ from .grid import (
     interpolation_diagnostic,
     laplacian_neumann,
     lp_norm,
+    spacetime_lp_norm,
 )
 from .model import (
     ModelParams,

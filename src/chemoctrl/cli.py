@@ -12,13 +12,12 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cost import CostParams, check_admissible, evaluate_J
-from .energy import build_energy_report, audit_pairs, audit_pairs_to_csv, \
-    energy_inequality_audit
+from .cost import CostParams, DesiredState, check_admissible, evaluate_J
+from .energy import audit_pairs_to_csv, build_energy_report, energy_inequality_audit
 from .grid import Field, Grid, field_from_csv
 from .io import read_levels, write_levels
 from .model import ModelParams
@@ -132,7 +131,6 @@ def _build_desired(grid, section, base_dir):
         path = os.path.join(base_dir, section["csv"])
         if not os.path.exists(path):
             raise ConfigError(f"desired state: file not found: {path}")
-        from .cost import DesiredState
         return DesiredState.from_field(field_from_csv(grid, path))
     kw = {k: v for k, v in section.items() if k != "preset"}
     return desired_preset(section.get("preset", "constant"), **kw)
@@ -268,7 +266,6 @@ def cmd_energy_audit(cfg, traj_dir, beta, K, out_dir, alpha_sweep=None):
     os.makedirs(out_dir, exist_ok=True)
     traj = trajectory_from_dir(traj_dir)
     if alpha_sweep:
-        from dataclasses import replace
         with open(os.path.join(out_dir, "alpha_sweep.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["alpha", "worst_residual"])
@@ -278,9 +275,9 @@ def cmd_energy_audit(cfg, traj_dir, beta, K, out_dir, alpha_sweep=None):
                                  repr(energy_inequality_audit(traj, pa, beta, K))])
     report = build_energy_report(traj, traj.params, beta, max(K, 0.0))
     report.to_json(os.path.join(out_dir, "energy_report.json"))
-    rows = audit_pairs(traj, traj.params, beta, K)
-    audit_pairs_to_csv(rows, os.path.join(out_dir, "energy_residual_pairs.csv"))
-    worst = energy_inequality_audit(traj, traj.params, beta, K)
+    audit_pairs_to_csv(report.residual_pairs(K),
+                       os.path.join(out_dir, "energy_residual_pairs.csv"))
+    worst = report.worst_residual(K)
     # a pass tolerates round-off of the energy evaluations themselves
     floor = 1e-12 * max(1.0, float(np.abs(report.energy).max()))
     passed = bool(worst <= floor)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import FittedConstants, energy_inequality_audit
+from .grid import spacetime_lp_norm
 from .sim import weak_residual
 
 
@@ -78,29 +79,6 @@ class CostBreakdown:
     def to_dict(self):
         return {"state_u": self.state_u, "state_v": self.state_v,
                 "control": self.control, "total": self.total}
-
-
-def spacetime_lp_norm(times, series, grid, p):
-    """Discrete ``L^p`` norm on the space-time cylinder, trapezoid in time.
-
-    Parameters
-    ----------
-    times : ndarray of shape (n,)
-    series : ndarray of shape (n, *grid.dims)
-    p : float, at least 1 (``inf`` gives the max norm).
-    """
-    if p < 1:
-        raise ValueError(f"L^p norm requires p >= 1, got {p}")
-    times = np.asarray(times, dtype=float)
-    series = np.asarray(series, dtype=float)
-    if series.shape[0] != times.size:
-        raise ValueError("series and times length mismatch")
-    if np.isinf(p):
-        return float(np.abs(series).max())
-    per_level = (np.abs(series) ** p).reshape(times.size, -1).sum(axis=1) \
-        * grid.cell_volume
-    dt = np.diff(times)
-    return float((dt * 0.5 * (per_level[:-1] + per_level[1:])).sum()) ** (1.0 / p)
 
 
 def evaluate_J(traj, control, cost_params, s):

@@ -13,7 +13,9 @@ control forcing.  The inequality under audit bounds
 by ``E(t1) + K`` for every saved pair ``t1 < t2``; ``beta`` and ``K`` are
 treated as audited parameters since no closed form exists for them, and
 :func:`fit_constants` recovers an empirical ``K`` curve against the control
-norm.
+norm.  :func:`build_energy_report` makes the one pass over the saved levels;
+the audit, its pair residuals, :func:`dissipation_terms` and
+:func:`fit_constants` work from the report's per-interval trapezoid integrals.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .grid import (
     h1_seminorm,
     hessian_frobenius_sq,
     integrate,
+    trapezoid_intervals,
 )
 from .model import g_energy, g_m_energy, z_transform
 
@@ -90,6 +93,27 @@ class EnergyReport:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
 
+    def _accumulator(self):
+        """Cumulative ``E + beta*(entropy + hessian + quartic) + cross/4`` per level."""
+        E, P, C = _audit_pieces(self)
+        return E + self.beta_used * P + 0.25 * C
+
+    def worst_residual(self, K):
+        """Worst signed inequality residual over all saved pairs at constant ``K``.
+
+        ``K`` may differ from ``K_used``: the audit accepts any requested
+        constant, so an adversarial negative one simply fails.
+        """
+        return _max_rise(self._accumulator()) - float(K)
+
+    def residual_pairs(self, K, stride=1):
+        """Rows ``(t1, t2, residual)`` over every ``stride``-th level and the last."""
+        A = self._accumulator()
+        n = self.times.size
+        idx = sorted(set(range(0, n, stride)) | {n - 1})
+        return [(float(self.times[i]), float(self.times[j]), float(A[j] - A[i] - K))
+                for a, i in enumerate(idx) for j in idx[a + 1:]]
+
 
 @dataclass
 class IntervalDissipation:
@@ -117,13 +141,18 @@ class FittedConstants:
         return float(np.interp(norm, self.control_norms, self.K_values))
 
 
+def _energy(grid, entropy_density, z, s):
+    """``s/4 * integral g(u) + 1/2 * integral |grad z|^2`` from cell arrays."""
+    entropy = integrate(Field(grid, entropy_density))
+    return s / 4.0 * entropy + 0.5 * h1_seminorm(Field(grid, z)) ** 2
+
+
 def energy_value(state, params, truncated=False):
     """Energy of one state; ``truncated`` selects the capped entropy density."""
-    g_fun = (lambda u: g_m_energy(u, params.s, params.m)) if truncated \
-        else (lambda u: g_energy(u, params.s))
+    u = state.u.values
+    g = g_m_energy(u, params.s, params.m) if truncated else g_energy(u, params.s)
     z = z_transform(state.v, params.alpha)
-    entropy = integrate(Field(state.grid, g_fun(state.u.values)))
-    return params.s / 4.0 * entropy + 0.5 * h1_seminorm(z) ** 2
+    return _energy(state.grid, g, z.values, params.s)
 
 
 def _face_weighted_cross(grid, density_pow, z):
@@ -143,32 +172,40 @@ def _level_quantities(traj, params):
     """Instantaneous energy and dissipation densities at every saved level."""
     grid = traj.grid
     s = params.s
-    n = traj.n_levels
-    E = np.zeros(n)
-    ent = np.zeros(n)
-    cross = np.zeros(n)
-    hess = np.zeros(n)
-    quart = np.zeros(n)
-    forc = np.zeros(n)
     vol = grid.cell_volume
-    for i in range(n):
+    # rows: energy, entropy, cross, hessian, quartic, control forcing
+    out = np.zeros((6, traj.n_levels))
+    for i in range(traj.n_levels):
         u = traj.u[i]
         z = np.sqrt(traj.v[i] + params.alpha**2)
-        zf = Field(grid, z)
-        E[i] = s / 4.0 * g_energy(u, s).sum() * vol + 0.5 * h1_seminorm(zf) ** 2
-        ent[i] = h1_seminorm(Field(grid, (u + 1.0) ** (s / 2.0))) ** 2
-        cross[i] = _face_weighted_cross(grid, u**s, z)
-        hess[i] = hessian_frobenius_sq(grid, z).sum() * vol
-        quart[i] = (cell_gradient_sq(grid, z) ** 2 / z**2).sum() * vol
         f = traj.control_slice(float(traj.times[i]))
-        forc[i] = (f**2).sum() * vol
-    return E, ent, cross, hess, quart, forc
+        out[:, i] = (
+            _energy(grid, g_energy(u, s), z, s),
+            h1_seminorm(Field(grid, (u + 1.0) ** (s / 2.0))) ** 2,
+            _face_weighted_cross(grid, u**s, z),
+            hessian_frobenius_sq(grid, z).sum() * vol,
+            (cell_gradient_sq(grid, z) ** 2 / z**2).sum() * vol,
+            (f**2).sum() * vol,
+        )
+    return tuple(out)
 
 
-def _interval_trapezoid(times, density, i1, i2):
-    dt = np.diff(times[i1:i2 + 1])
-    mid = 0.5 * (density[i1:i2] + density[i1 + 1:i2 + 1])
-    return float((dt * mid).sum())
+def build_energy_report(traj, params, beta, K):
+    """Energy trace and per-consecutive-interval dissipations of a run.
+
+    The only pass over the saved levels; every audit quantity derives from it.
+    """
+    E, ent, cross, hess, quart, forc = _level_quantities(traj, params)
+    times = traj.times
+    return EnergyReport(
+        times=times.copy(), energy=E,
+        dissipation_entropy=trapezoid_intervals(times, ent),
+        dissipation_cross=trapezoid_intervals(times, cross),
+        dissipation_hessian=trapezoid_intervals(times, hess),
+        dissipation_quartic=trapezoid_intervals(times, quart),
+        control_forcing=trapezoid_intervals(times, forc),
+        beta_used=float(beta), K_used=float(K),
+    )
 
 
 def dissipation_terms(traj, t1, t2, params):
@@ -181,59 +218,37 @@ def dissipation_terms(traj, t1, t2, params):
     i2 = traj.index_of_time(t2)
     if not i1 < i2:
         raise ValueError("t1 must precede t2 on the trajectory time grid")
-    _, ent, cross, hess, quart, forc = _level_quantities(traj, params)
+    report = build_energy_report(traj, params, beta=1.0, K=0.0)  # beta unused
+    window = slice(i1, i2)
     return IntervalDissipation(
         t1=float(t1), t2=float(t2),
-        entropy=_interval_trapezoid(traj.times, ent, i1, i2),
-        cross=_interval_trapezoid(traj.times, cross, i1, i2),
-        hessian=_interval_trapezoid(traj.times, hess, i1, i2),
-        quartic=_interval_trapezoid(traj.times, quart, i1, i2),
-        control_forcing=_interval_trapezoid(traj.times, forc, i1, i2),
+        entropy=float(report.dissipation_entropy[window].sum()),
+        cross=float(report.dissipation_cross[window].sum()),
+        hessian=float(report.dissipation_hessian[window].sum()),
+        quartic=float(report.dissipation_quartic[window].sum()),
+        control_forcing=float(report.control_forcing[window].sum()),
     )
 
 
-def build_energy_report(traj, params, beta, K):
-    """Energy trace and per-consecutive-interval dissipations of a run."""
-    E, ent, cross, hess, quart, forc = _level_quantities(traj, params)
-    dt = np.diff(traj.times)
-
-    def per_interval(density):
-        return dt * 0.5 * (density[:-1] + density[1:])
-
-    return EnergyReport(
-        times=traj.times.copy(), energy=E,
-        dissipation_entropy=per_interval(ent),
-        dissipation_cross=per_interval(cross),
-        dissipation_hessian=per_interval(hess),
-        dissipation_quartic=per_interval(quart),
-        control_forcing=per_interval(forc),
-        beta_used=float(beta), K_used=float(K),
-    )
-
-
-def _cumulative_trapezoid(times, density):
-    dt = np.diff(times)
-    return np.concatenate([[0.0],
-                           np.cumsum(dt * 0.5 * (density[:-1] + density[1:]))])
-
-
-def _audit_pieces(traj, params):
+def _audit_pieces(report):
     """Per-level energy plus cumulative dissipation integrals from t=0.
 
     Returns ``(E, P, C)`` where ``P`` accumulates the beta-weighted trio
     (entropy + hessian + quartic) and ``C`` the density-weighted z-gradient
     term, so the audit accumulator is ``E + beta * P + C / 4`` for any beta.
     """
-    E, ent, cross, hess, quart, _ = _level_quantities(traj, params)
-    P = _cumulative_trapezoid(traj.times, ent + hess + quart)
-    C = _cumulative_trapezoid(traj.times, cross)
-    return E, P, C
+    trio = report.dissipation_entropy + report.dissipation_hessian \
+        + report.dissipation_quartic
+    P = np.concatenate(([0.0], np.cumsum(trio)))
+    C = np.concatenate(([0.0], np.cumsum(report.dissipation_cross)))
+    return report.energy, P, C
 
 
-def _audit_accumulator(traj, params, beta):
-    """Cumulative ``E(t) + beta*(ent+hess+quart) + cross/4`` at saved levels."""
-    E, P, C = _audit_pieces(traj, params)
-    return E + beta * P + 0.25 * C
+def _max_rise(A):
+    """Largest ``A[j] - A[i]`` over saved pairs ``i < j``; 0 without a pair."""
+    if A.size < 2:
+        return 0.0
+    return float(np.max(A[1:] - np.minimum.accumulate(A[:-1])))
 
 
 def energy_inequality_audit(traj, params, beta, K):
@@ -246,27 +261,13 @@ def energy_inequality_audit(traj, params, beta, K):
     with the dissipation integrals taken over ``(t1, t2)``.  A positive
     return value means the inequality fails at this ``(beta, K)``.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    A = _audit_accumulator(traj, params, beta)
-    if A.size < 2:
-        return -float(K)
-    running_min = np.minimum.accumulate(A[:-1])
-    return float(np.max(A[1:] - running_min)) - float(K)
+    return build_energy_report(traj, params, beta, max(K, 0.0)).worst_residual(K)
 
 
 def audit_pairs(traj, params, beta, K, stride=1):
     """Per-pair residual rows ``(t1, t2, residual)`` for plotting."""
-    A = _audit_accumulator(traj, params, beta)
-    idx = list(range(0, traj.n_levels, stride))
-    if idx[-1] != traj.n_levels - 1:
-        idx.append(traj.n_levels - 1)
-    rows = []
-    for a, i in enumerate(idx):
-        for j in idx[a + 1:]:
-            rows.append((float(traj.times[i]), float(traj.times[j]),
-                         float(A[j] - A[i] - K)))
-    return rows
+    report = build_energy_report(traj, params, beta, max(K, 0.0))
+    return report.residual_pairs(K, stride)
 
 
 def audit_pairs_to_csv(rows, path):
@@ -275,14 +276,6 @@ def audit_pairs_to_csv(rows, path):
         writer.writerow(["t1", "t2", "residual"])
         for t1, t2, r in rows:
             writer.writerow([repr(t1), repr(t2), repr(r)])
-
-
-def _minimal_K(A):
-    """Smallest nonnegative K making every pair residual nonpositive."""
-    if A.size < 2:
-        return 0.0
-    running_min = np.minimum.accumulate(A[:-1])
-    return max(0.0, float(np.max(A[1:] - running_min)))
 
 
 def fit_constants(trajs, params, beta_range=(1e-6, 1.0), zero_tol=1e-8,
@@ -313,10 +306,13 @@ def fit_constants(trajs, params, beta_range=(1e-6, 1.0), zero_tol=1e-8,
         t.control.lq_norm(params.q) if t.control is not None else 0.0
         for t in trajs
     ])
-    pieces = [_audit_pieces(t, params) for t in trajs]
+    # the reports' own beta is unused: every candidate reweights the pieces
+    pieces = [_audit_pieces(build_energy_report(t, params, beta=1.0, K=0.0))
+              for t in trajs]
 
     def K_all(beta):
-        return np.array([_minimal_K(E + beta * P + 0.25 * C)
+        # minimal admissible K of each run: its largest pair rise, at least 0
+        return np.array([max(0.0, _max_rise(E + beta * P + 0.25 * C))
                          for E, P, C in pieces])
 
     zero_idx = np.nonzero(norms <= 1e-14)[0]

@@ -1,10 +1,12 @@
 """Uniform cell-centered box grids with zero-flux boundary closure.
 
 The domain is an axis-aligned box in 1, 2 or 3 dimensions, discretized by a
-uniform cell-centered grid.  All differential operators close the boundary
-with mirror ghost cells, so that no flux crosses the boundary and discrete
-integrals of divergence-form terms vanish identically.  A boolean mask marks
-the subregion where the bilinear control is allowed to act.
+uniform cell-centered grid.  Differential operators take face differences
+and close the boundary with zero flux (mirror ghost cells), so discrete
+integrals of divergence-form terms vanish identically; the Laplacian is one
+such per-axis second difference.  A boolean mask marks the subregion where
+the bilinear control is allowed to act.  The discrete norms live here too,
+including the space-time ``L^p`` norm with its trapezoid rule in time.
 """
 
 from __future__ import annotations
@@ -210,22 +212,6 @@ def _require_same_grid(*fields):
 # array-level kernels (shared with the time stepper)
 # ---------------------------------------------------------------------------
 
-def laplacian_array(grid, a):
-    """Second-order cell-centered Laplacian with mirror-ghost closure."""
-    out = np.zeros_like(a)
-    for k in range(grid.ndim):
-        h2 = grid.spacing[k] ** 2
-        pad = [(0, 0)] * grid.ndim
-        pad[k] = (1, 1)
-        ap = np.pad(a, pad, mode="edge")
-        lo = [slice(None)] * grid.ndim
-        hi = [slice(None)] * grid.ndim
-        lo[k] = slice(0, -2)
-        hi[k] = slice(2, None)
-        out += (ap[tuple(hi)] - 2.0 * a + ap[tuple(lo)]) / h2
-    return out
-
-
 def face_gradients(grid, a):
     """Interior-face gradients per axis.
 
@@ -250,6 +236,15 @@ def divergence_from_fluxes(grid, fluxes):
     return out
 
 
+def _second_difference(grid, a, k):
+    """Second difference along axis ``k``: face gradients, zero boundary flux,
+    then their difference, as :func:`divergence_from_fluxes` takes it."""
+    pad = [(0, 0)] * grid.ndim
+    pad[k] = (1, 1)
+    h = grid.spacing[k]
+    return np.diff(np.pad(np.diff(a, axis=k) / h, pad), axis=k) / h
+
+
 def chemotaxis_array(grid, mob, v):
     """Upwind conservative transport term and its per-cell outflow rate.
 
@@ -257,7 +252,9 @@ def chemotaxis_array(grid, mob, v):
     outgoing face-gradient magnitude per unit cell volume.  An explicit Euler
     update ``u + dt * out`` keeps ``u`` nonnegative whenever
     ``dt * rate.max() <= 1``, because each cell can lose at most its own
-    content (the upwind mobility is the donor-cell value).
+    content (the upwind mobility is the donor-cell value).  The rate counts
+    only cells with positive mobility: a cell with zero mobility sends no
+    flux out, so it cannot lose mass and does not bound ``dt``.
     """
     fluxes = []
     rate = np.zeros(grid.dims)
@@ -277,7 +274,7 @@ def chemotaxis_array(grid, mob, v):
         acc[tuple(left)] += out_l
         acc[tuple(right)] += out_r
         rate += acc
-    return -divergence_from_fluxes(grid, fluxes), rate
+    return -divergence_from_fluxes(grid, fluxes), np.where(mob > 0, rate, 0.0)
 
 
 def cell_gradient_sq(grid, a):
@@ -298,21 +295,11 @@ def cell_gradient_sq(grid, a):
 def hessian_frobenius_sq(grid, a):
     """Cellwise squared Frobenius norm of the discrete Hessian.
 
-    Pure second differences on the diagonal, centered cross differences off
-    the diagonal, both closed with mirror ghosts; off-diagonal pairs count
-    twice.
+    Zero-flux second differences (the Laplacian's) on the diagonal, centered
+    cross differences closed with mirror ghosts off the diagonal; off-diagonal
+    pairs count twice.
     """
-    total = np.zeros(grid.dims)
-    for k in range(grid.ndim):
-        h2 = grid.spacing[k] ** 2
-        pad = [(0, 0)] * grid.ndim
-        pad[k] = (1, 1)
-        ap = np.pad(a, pad, mode="edge")
-        lo = [slice(None)] * grid.ndim
-        hi = [slice(None)] * grid.ndim
-        lo[k] = slice(0, -2)
-        hi[k] = slice(2, None)
-        total += ((ap[tuple(hi)] - 2.0 * a + ap[tuple(lo)]) / h2) ** 2
+    total = sum(_second_difference(grid, a, k) ** 2 for k in range(grid.ndim))
     for k in range(grid.ndim):
         for l in range(k + 1, grid.ndim):
             pad = [(0, 0)] * grid.ndim
@@ -340,9 +327,10 @@ def hessian_frobenius_sq(grid, a):
 def laplacian_neumann(phi):
     """Discrete Laplacian of a field with zero-flux boundary closure.
 
-    The stencil is the standard second-order cell-centered one; mirror ghost
-    cells make the boundary flux vanish, so ``integrate(laplacian_neumann(phi))``
-    is zero to round-off.
+    The standard second-order cell-centered stencil, taken as face differences
+    with zero boundary flux, so constants map to exactly zero and
+    ``integrate(laplacian_neumann(phi))`` is zero to round-off.  The stepper
+    factors the same operator assembled, ``sim.laplacian_matrix``.
 
     Parameters
     ----------
@@ -352,7 +340,9 @@ def laplacian_neumann(phi):
     -------
     Field
     """
-    return Field(phi.grid, laplacian_array(phi.grid, phi.values))
+    grid = phi.grid
+    return Field(grid, sum(_second_difference(grid, phi.values, k)
+                           for k in range(grid.ndim)))
 
 
 def chemotaxis_divergence(u_trunc, v):
@@ -401,6 +391,34 @@ def lp_norm(phi, p):
     if np.isinf(p):
         return float(a.max())
     return float((a**p).sum() * phi.grid.cell_volume) ** (1.0 / p)
+
+
+def trapezoid_intervals(times, per_level):
+    """Trapezoid integral of a per-level series over each interval of ``times``;
+    ``np.cumsum`` of the result is the running integral."""
+    return np.diff(times) * 0.5 * (per_level[:-1] + per_level[1:])
+
+
+def spacetime_lp_norm(times, series, grid, p):
+    """Discrete ``L^p`` norm on the space-time cylinder, trapezoid in time.
+
+    Parameters
+    ----------
+    times : ndarray of shape (n,)
+    series : ndarray of shape (n, *grid.dims)
+    p : float, at least 1 (``inf`` gives the max norm).
+    """
+    if p < 1:
+        raise ValueError(f"L^p norm requires p >= 1, got {p}")
+    times = np.asarray(times, dtype=float)
+    series = np.asarray(series, dtype=float)
+    if series.shape[0] != times.size:
+        raise ValueError("series and times length mismatch")
+    if np.isinf(p):
+        return float(np.abs(series).max())
+    per_level = (np.abs(series) ** p).reshape(times.size, -1).sum(axis=1) \
+        * grid.cell_volume
+    return float(trapezoid_intervals(times, per_level).sum()) ** (1.0 / p)
 
 
 def h1_seminorm(phi):

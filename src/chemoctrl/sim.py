@@ -47,6 +47,7 @@ from .grid import (
     face_gradients,
     h1_seminorm,
     integrate,
+    spacetime_lp_norm,
 )
 from .io import read_cells, read_levels, write_cells, write_levels
 from .model import ModelParams, truncate
@@ -109,8 +110,8 @@ class Control:
 
     Values live on the control's own time lattice (at least two levels,
     starting at 0) and are interpolated linearly in time when the stepper
-    samples them.  The discrete space-time L^q norm uses trapezoidal weights
-    on that lattice, matching the cost functional's convention.
+    samples them.  The discrete space-time L^q norm is the cost functional's
+    :func:`~chemoctrl.grid.spacetime_lp_norm` on that lattice.
     """
 
     grid: Grid
@@ -163,22 +164,9 @@ class Control:
     def as_field(self, t):
         return Field(self.grid, self.slice_at(t))
 
-    def _trapezoid_weights(self):
-        w = np.zeros(self.times.size)
-        dt = np.diff(self.times)
-        w[:-1] += 0.5 * dt
-        w[1:] += 0.5 * dt
-        return w
-
     def lq_norm(self, q):
         """Discrete L^q norm over (0, t_final) x domain."""
-        if q < 1:
-            raise ValueError(f"L^q norm requires q >= 1, got {q}")
-        if np.isinf(q):
-            return float(np.abs(self.values).max())
-        w = self._trapezoid_weights()
-        per_level = (np.abs(self.values) ** q).reshape(self.times.size, -1).sum(axis=1)
-        return float((w * per_level).sum() * self.grid.cell_volume) ** (1.0 / q)
+        return spacetime_lp_norm(self.times, self.values, self.grid, q)
 
     def scaled(self, factor):
         return Control(self.grid, self.times.copy(), self.values * factor)
@@ -221,11 +209,16 @@ class Trajectory:
 
 @dataclass
 class ComparisonTrajectory:
-    """Solution levels of the dominating linear problem."""
+    """Solution levels of the dominating linear problem.
+
+    ``events`` lists the step rejections of an adaptive solve, as
+    :attr:`Trajectory.events` does; a paired solve rejects none.
+    """
 
     grid: Grid
     times: np.ndarray
     w: np.ndarray
+    events: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +529,8 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     up to round-off: pass the run's accepted step sizes ``dt_history`` (the
     solver then advances ``t += dt`` exactly as the run did, and returns every
     step), or its saved levels ``times`` when it saved every step.  Without
-    either, the solver runs its own adaptive stepping.
+    either, the solver runs its own adaptive stepping and records its step
+    rejections in ``events``.
 
     Returns
     -------
@@ -574,8 +568,9 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     def advance(w, t, dt):
         return _comparison_step(grid, w, f_tilde_at(t + dt), dt)
 
+    events = []
     if times is None:
-        steps = _adaptive_steps(advance, w0.values, params.t_final, dt_max, [])
+        steps = _adaptive_steps(advance, w0.values, params.t_final, dt_max, events)
     else:
         steps = paired_steps(w0.values)
     out_times = [0.0]
@@ -584,7 +579,7 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
         out_times.append(t)
         ws.append(w)
     return ComparisonTrajectory(grid=grid, times=np.asarray(out_times),
-                                w=np.stack(ws))
+                                w=np.stack(ws), events=events)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from chemoctrl import energy
 from chemoctrl.cli import main
 from chemoctrl.sim import trajectory_from_dir
 
@@ -246,6 +247,26 @@ class TestEnergyAudit:
             rows = list(csv.DictReader(fh))
         assert [float(r["alpha"]) for r in rows] == [0.05, 0.1, 0.2]
         assert all(np.isfinite(float(r["worst_residual"])) for r in rows)
+
+    @pytest.mark.parametrize("sweep", [[], ["0.05", "0.1", "0.2"]])
+    def test_one_level_pass_per_audit(self, decay_dir, tmp_path, monkeypatch, sweep):
+        # one report serves the pairs and the worst residual; each swept
+        # alpha needs one more pass over the saved levels
+        calls = []
+        level_quantities = energy._level_quantities
+
+        def counted(traj, params):
+            calls.append(params.alpha)
+            return level_quantities(traj, params)
+
+        monkeypatch.setattr(energy, "_level_quantities", counted)
+        args = ["energy-audit", cfg_path("simulate_decay.toml"), "--trajectory",
+                decay_dir, "--beta", "0.001", "--K", "0.0",
+                "--output", str(tmp_path / "audit")]
+        if sweep:
+            args += ["--alpha-sweep", *sweep]
+        assert run(args) == 0
+        assert len(calls) == 1 + len(sweep)
 
     def test_malformed_trajectory_is_data_error(self, decay_dir, tmp_path, capsys):
         for kind in ["unparsable", *MANIFEST_DEFECTS]:

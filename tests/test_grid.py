@@ -16,7 +16,8 @@ from chemoctrl import (
     laplacian_neumann,
     lp_norm,
 )
-from chemoctrl.grid import cell_gradient_sq, hessian_frobenius_sq, laplacian_array
+from chemoctrl.grid import cell_gradient_sq, hessian_frobenius_sq
+from chemoctrl.sim import laplacian_matrix
 
 
 def random_field(grid, seed, low=-1.0, high=1.0):
@@ -101,6 +102,15 @@ class TestLaplacian:
             assert abs(lhs - rhs) <= 1e-11 * scale
             quad = (la * a.values).sum()
             assert quad <= 1e-11 * abs(quad + 1.0)
+
+    def test_laplacian_matrix_matches_field_op(self):
+        # the stepper's assembled operator is the same stencil, up to round-off
+        for dims in [(24,), (8, 9), (4, 5, 6)]:
+            g = Grid(dims, tuple(0.3 + 0.2 * k for k in range(len(dims))))
+            phi = random_field(g, 3)
+            lap = laplacian_neumann(phi).values
+            assembled = (laplacian_matrix(g) @ phi.values.ravel()).reshape(dims)
+            assert np.abs(assembled - lap).max() <= 1e-14 * np.abs(lap).max()
 
     def test_second_order_convergence(self):
         # Neumann-compatible smooth profile; observed order >= 1.9
@@ -232,12 +242,6 @@ class TestDerivedQuantities:
         h = hessian_frobenius_sq(g, a)
         # d2/dxdy = 1 counted twice; pure second derivatives vanish
         assert h[1:-1, 1:-1] == pytest.approx(2.0, rel=1e-10)
-
-    def test_laplacian_array_matches_field_op(self):
-        g = Grid.unit_box((8, 8))
-        phi = random_field(g, 3)
-        assert np.allclose(laplacian_array(g, phi.values),
-                           laplacian_neumann(phi).values, atol=1e-14)
 
 
 class TestSerialization:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from chemoctrl import sim
+from chemoctrl.grid import chemotaxis_array
 from chemoctrl import (
     Control,
     Field,
@@ -150,6 +151,18 @@ class TestStep:
         assert dt < 0.01
         assert out.u.values.min() >= 0.0
 
+    def test_zero_density_does_not_bound_dt(self, grid):
+        # cells without mobility send no flux out, so the steep ramp imposes
+        # no CFL limit although dt is far above the bound mobile cells get
+        x = grid.axis_centers(0)
+        st0 = State(Field.zeros(grid), Field(grid, 50.0 * x), 0.0)
+        dt = 0.01
+        out = step(st0, Field.zeros(grid), params(), dt)
+        _, rate = chemotaxis_array(grid, np.ones(grid.dims), out.v.values)
+        assert dt * rate.max() > sim.CFL_SAFETY
+        assert np.abs(out.u.values).max() == 0.0
+        assert out.v.values.min() >= 0.0
+
     def test_mass_conserved_per_step(self, grid):
         rng = np.random.default_rng(5)
         st0 = State(Field(grid, rng.uniform(0.0, 2.0, grid.dims)),
@@ -240,6 +253,11 @@ class TestSimulate:
         # the unpaired comparison rejects the same steps (dt * max f~ >= 1)
         w = solve_comparison(v0, ctrl, p, dt_max)
         assert np.array_equal(w.times, traj.times)
+        assert [(e["t"], e["dt"]) for e in w.events] == \
+            [(e["t"], e["dt"]) for e in traj.events]
+        # replaying the accepted steps rejects none
+        paired = solve_comparison(v0, ctrl, p, dt_max, dt_history=traj.dt_history)
+        assert paired.events == []
 
     def test_stiffness_failure(self, grid):
         huge = Control.constant(grid, 5e12, 1.0)
