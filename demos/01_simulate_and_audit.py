@@ -60,4 +60,5 @@ print(f"  constant test function: {weak_residual(traj, ones):.3e}")
 print(f"  cosine test function:   {weak_residual(traj, mode):.3e}")
 
 trajectory_to_dir(traj, os.path.join(OUT, "trajectory"))
-print(f"trajectory exported to {OUT}/trajectory")
+print(f"trajectory exported to {OUT}/trajectory "
+      "(manifest.json plus u.npy, v.npy and control.npy)")

@@ -1,7 +1,7 @@
-"""Cell tables: the CSV codec shared by states, controls and fields.
+"""The artifact codec: CSV cell tables and binary level stacks.
 
-A table has a header row naming its columns, then one row per grid cell (a
-*cell table*: a state or a field) or per time level and cell (a *level
+A *cell table* is CSV.  It has a header row naming its columns, then one row
+per grid cell (a state or a field) or per time level and cell (a *level
 table*: a control).  A row holds the integer level index (level tables only,
 column ``t_index``), the cell's index coordinates ``i0, i1, ...``, then its
 values.  Writers emit rows in C order, values as the shortest ``repr`` that
@@ -10,11 +10,18 @@ round-trips, and end every line with CRLF, which is the byte stream of
 reject a table that does not describe every cell exactly once: wrong header,
 unparsable or non-integer indices, negative or out-of-range indices, missing
 or duplicate rows, and non-finite values all raise :class:`CellTableError`.
-
 Both sides do no per-cell Python work: a writer joins the cached index
 columns and the values' reprs into one string per block of cells, and a
 reader parses with :func:`numpy.loadtxt` and scatters the values by their
 flat index.
+
+A *level stack* is a ``.npy`` file (format version 1.0) holding one
+little-endian float64 array in C order, of shape ``(n_levels, *dims)``; a
+trajectory stores its density, concentration and control levels this way.
+:func:`load_levels` reads the header with the public
+:mod:`numpy.lib.format` functions, never unpickles, and checks dtype, order,
+shape, the exact file size and finiteness (and, on request, nonnegativity)
+before it returns; any defect raises :class:`LevelStackError`.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -32,6 +40,10 @@ _BLOCK = 1024  # cells formatted per write
 
 class CellTableError(ValueError):
     """A cell table on disk is malformed or does not fit its grid."""
+
+
+class LevelStackError(ValueError):
+    """A level stack on disk is malformed or does not have the expected shape."""
 
 
 @functools.lru_cache(maxsize=8)
@@ -161,3 +173,57 @@ def read_levels(path, dims, n_levels):
     out = np.empty((n_levels,) + dims)
     np.put(out, flat, col)
     return out
+
+
+_STACK_DTYPE = np.dtype("<f8")
+_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def save_levels(path, values):
+    """Write ``values`` as a level stack: a version-1.0 ``.npy`` of ``<f8``.
+
+    The bytes are those of :func:`numpy.save` on the float64 array.
+    """
+    values = np.ascontiguousarray(values, dtype=_STACK_DTYPE)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, values, version=(1, 0), allow_pickle=False)
+
+
+def load_levels(path, shape, nonnegative=False):
+    """Read a level stack that must hold a ``<f8`` C-order array of ``shape``.
+
+    The file must end right after the data, every value must be finite and,
+    with ``nonnegative``, none may be below zero.
+    """
+    shape = tuple(shape)
+    with open(path, "rb") as fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version not in _HEADER_READERS:
+                raise ValueError(f"npy format version {version[0]}.{version[1]} "
+                                 "is not 1.0 or 2.0")
+            found, fortran_order, dtype = _HEADER_READERS[version](fh)
+        except ValueError as err:
+            raise LevelStackError(f"{path}: {err}") from None
+        if dtype != _STACK_DTYPE or fortran_order or found != shape:
+            raise LevelStackError(
+                f"{path}: holds {dtype.str} of shape {found}"
+                f"{' in Fortran order' if fortran_order else ''}, expected "
+                f"{_STACK_DTYPE.str} of shape {shape} in C order")
+        expected = fh.tell() + math.prod(shape) * _STACK_DTYPE.itemsize
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise LevelStackError(f"{path}: {size} bytes, expected {expected}")
+        values = np.empty(shape, dtype=_STACK_DTYPE)
+        fh.readinto(memoryview(values).cast("B"))
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.unravel_index(int(np.argmin(finite)), shape)
+        raise LevelStackError(f"{path}: non-finite value {float(values[bad])!r} at "
+                              f"{tuple(int(i) for i in bad)}")
+    if nonnegative and values.min(initial=0.0) < 0:
+        bad = np.unravel_index(int(np.argmin(values)), shape)
+        raise LevelStackError(f"{path}: negative value {float(values[bad])!r} at "
+                              f"{tuple(int(i) for i in bad)}")
+    return values

@@ -49,7 +49,7 @@ from .grid import (
     integrate,
     spacetime_lp_norm,
 )
-from .io import read_cells, read_levels, write_cells, write_levels
+from .io import load_levels, save_levels
 from .model import ModelParams, truncate
 
 
@@ -256,8 +256,10 @@ def _factorize(A):
                 options=dict(SymmetricMode=True))
 
 
-# u-diffusion factors kept per grid, least recently used evicted first
+# step sizes with a cached u-diffusion or shifted factor, per grid; the least
+# recently used is evicted first
 _DIFFUSION_CACHE_SIZE = 4
+_SHIFTED_CACHE_SIZE = 2
 # the splitting is used while its contraction bound stays at most this
 _RHO_MAX = 0.5
 _SPLIT_RTOL = 1e-14
@@ -292,26 +294,32 @@ def _contraction(dt, sigma, r_min):
 def _splitting_factor(grid, dt, r_max, r_min):
     """``(sigma, factor of M)`` for the splitting, or None when rho > 1/2.
 
-    Each grid keeps one shifted factor; it is reused while its sigma still
-    covers ``r_max``, its ``dt`` matches exactly and rho stays at most 1/2.
+    Each grid keeps one shifted factor per ``dt`` for its last
+    ``_SHIFTED_CACHE_SIZE`` step sizes, so that a full step and a clipped last
+    step can alternate without refactoring.  A factor is reused while its
+    sigma still covers ``r_max`` and rho stays at most 1/2; otherwise it is
+    replaced.
     """
     if r_max <= 0.0:
         if _contraction(dt, 0.0, r_min) > _RHO_MAX:
             return None
         return 0.0, _diffusion_solver(grid, dt)
     entry = _grid_cache.setdefault(grid, {})
-    slot = entry.get("shifted")
-    if slot is not None and slot[0] == dt and slot[1] >= r_max \
-            and _contraction(dt, slot[1], r_min) <= _RHO_MAX:
-        return slot[1], slot[2]
+    factors = entry.setdefault("shifted", OrderedDict())
+    cached = factors.get(dt)
+    if cached is not None and cached[0] >= r_max \
+            and _contraction(dt, cached[0], r_min) <= _RHO_MAX:
+        factors.move_to_end(dt)
+        return cached
     mantissa, exponent = math.frexp(r_max)
     sigma = math.ldexp(1.0, exponent - 1 if mantissa == 0.5 else exponent)
     if _contraction(dt, sigma, r_min) > _RHO_MAX:
         return None
-    entry.pop("shifted", None)  # free the old factor before the new one fills in
-    lu = _factorize(_shifted_diffusion(grid, dt, sigma))
-    entry["shifted"] = (dt, sigma, lu)
-    return sigma, lu
+    # free the replaced or least recently used factor before the new one fills in
+    if factors.pop(dt, None) is None and len(factors) >= _SHIFTED_CACHE_SIZE:
+        factors.popitem(last=False)
+    factors[dt] = sigma, _factorize(_shifted_diffusion(grid, dt, sigma))
+    return factors[dt]
 
 
 def _implicit_solve(grid, dt, r, b):
@@ -642,25 +650,37 @@ def weak_residual(traj, test_series):
 
 
 # ---------------------------------------------------------------------------
-# on-disk trajectory format: CSV per level plus a JSON manifest
+# on-disk trajectory format: one .npy level stack per field plus a JSON manifest
 # ---------------------------------------------------------------------------
 
+_EVENT_KEYS = {"t", "dt", "reason", "admissible_dt"}
+
+
+def _finite(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _valid_event(event):
+    """True for a step rejection as :func:`_adaptive_steps` records it."""
+    return isinstance(event, dict) and event.keys() == _EVENT_KEYS \
+        and _finite(event["t"]) and event["t"] >= 0 \
+        and _finite(event["dt"]) and event["dt"] > 0 \
+        and isinstance(event["reason"], str) and _finite(event["admissible_dt"])
+
+
 def trajectory_to_dir(traj, outdir):
-    """Write one CSV per saved level plus ``manifest.json``."""
+    """Write ``u.npy``, ``v.npy`` and ``control.npy`` plus ``manifest.json``.
+
+    Each ``.npy`` is a level stack (:func:`chemoctrl.io.save_levels`); the
+    control stack is written only when the run has a control.
+    """
     os.makedirs(outdir, exist_ok=True)
-    state_files = []
-    for i in range(traj.n_levels):
-        name = f"state_{i:05d}.csv"
-        write_cells(os.path.join(outdir, name), traj.grid.dims,
-                    {"u": traj.u[i], "v": traj.v[i]})
-        state_files.append(name)
-    control_file = None
+    save_levels(os.path.join(outdir, "u.npy"), traj.u)
+    save_levels(os.path.join(outdir, "v.npy"), traj.v)
     control_times = None
     if traj.control is not None:
-        control_file = "control.csv"
         control_times = [float(t) for t in traj.control.times]
-        write_levels(os.path.join(outdir, control_file), traj.grid.dims,
-                     traj.control.values)
+        save_levels(os.path.join(outdir, "control.npy"), traj.control.values)
     p = traj.params
     manifest = {
         "grid": traj.grid.header_dict(),
@@ -670,8 +690,6 @@ def trajectory_to_dir(traj, outdir):
         "dt_history": [float(d) for d in traj.dt_history],
         "events": traj.events,
         "mass_trace": [float(m) for m in traj.mass_trace],
-        "state_files": state_files,
-        "control_file": control_file,
         "control_times": control_times,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -685,6 +703,10 @@ def trajectory_from_dir(path):
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
+        if "state_files" in manifest:
+            raise TrajectoryFormatError(
+                f"{manifest_path}: lists state_files, a CSV trajectory; CSV "
+                "trajectories are no longer read, only .npy level stacks")
         grid = Grid.from_header(manifest["grid"])
         pd = manifest["params"]
         params = ModelParams(s=pd["s"], alpha=pd["alpha"], m=pd["m"], q=pd["q"],
@@ -705,25 +727,24 @@ def trajectory_from_dir(path):
             raise TrajectoryFormatError(
                 f"{manifest_path}: mass_trace must be finite, one entry per step "
                 "plus the initial one")
-        state_files = manifest["state_files"]
-        if len(state_files) != times.size:
-            raise TrajectoryFormatError("state file count does not match times")
-        u = np.empty((times.size,) + grid.dims)
-        v = np.empty((times.size,) + grid.dims)
-        for i, name in enumerate(state_files):
-            u[i], v[i] = read_cells(os.path.join(path, name), grid.dims, ("u", "v"))
-            if u[i].min() < 0 or v[i].min() < 0:
-                raise TrajectoryFormatError(f"{name}: negative density or concentration")
+        events = manifest.get("events", [])
+        if not isinstance(events, list) or not all(map(_valid_event, events)):
+            raise TrajectoryFormatError(
+                f"{manifest_path}: events must be objects with finite t >= 0, "
+                "finite dt > 0, a string reason and a finite admissible_dt")
+        shape = (times.size,) + grid.dims
+        u = load_levels(os.path.join(path, "u.npy"), shape, nonnegative=True)
+        v = load_levels(os.path.join(path, "v.npy"), shape, nonnegative=True)
         control = None
-        if manifest.get("control_file"):
+        if manifest.get("control_times") is not None:
             ctimes = np.asarray(manifest["control_times"], dtype=float)
-            cvals = read_levels(os.path.join(path, manifest["control_file"]),
-                                grid.dims, ctimes.size)
+            cvals = load_levels(os.path.join(path, "control.npy"),
+                                (ctimes.size,) + grid.dims)
             control = Control(grid, ctimes, cvals)
         return Trajectory(
             grid=grid, params=params, times=times,
             u=u, v=v, control=control,
-            dt_history=dt_history, events=manifest.get("events", []),
+            dt_history=dt_history, events=events,
             mass_trace=mass_trace,
         )
     except TrajectoryFormatError:

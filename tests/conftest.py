@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 
@@ -36,3 +37,41 @@ def corrupt_rows(path, kind, n_keys):
 def corrupt_csv():
     """``corrupt_csv(path, kind, n_keys)`` plants one defect of ``kind``."""
     return corrupt_rows
+
+
+def corrupt_stack(path, kind):
+    """Rewrite a level stack (.npy) with one defect of ``kind``."""
+    data = path.read_bytes()
+    if kind in ("bad magic", "truncated", "trailing byte"):
+        path.write_bytes({"bad magic": data.replace(b"\x93NUMPY", b"\x93NUMPZ", 1),
+                          "truncated": data[:-1],
+                          "trailing byte": data + b"\0"}[kind])
+        return
+    a = np.load(path, allow_pickle=False)
+    if kind == "float32":
+        a = a.astype("<f4")
+    elif kind == "big-endian":
+        a = a.astype(">f8")
+    elif kind == "object":
+        a = a.astype(object)
+    elif kind == "fortran order":
+        a = np.asfortranarray(a)
+    elif kind == "level missing":
+        a = a[:-1]
+    elif kind == "level extra":
+        a = np.concatenate([a, a[-1:]])
+    elif kind == "transposed":
+        a = np.ascontiguousarray(a.T)
+    elif kind in ("nan", "inf", "negative"):
+        a.reshape(-1)[-1] = {"nan": np.nan, "inf": np.inf, "negative": -5e-324}[kind]
+    elif kind != "version 3.0":
+        raise ValueError(kind)
+    version = (3, 0) if kind == "version 3.0" else (1, 0)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, a, version=version, allow_pickle=kind == "object")
+
+
+@pytest.fixture
+def corrupt_npy():
+    """``corrupt_npy(path, kind)`` plants one level-stack defect of ``kind``."""
+    return corrupt_stack

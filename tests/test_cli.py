@@ -24,6 +24,11 @@ MANIFEST_DEFECTS = ["times reversed", "times repeated", "times nan", "times infi
                     "mass_trace infinite"]
 
 
+# a step rejection as the stepper records it
+GOOD_EVENT = {"t": 0.1, "dt": 0.02, "reason": "chemotaxis CFL violated",
+              "admissible_dt": 0.01}
+
+
 def corrupt_manifest(manifest, kind):
     """Plant one defect of ``kind`` in a loaded trajectory manifest."""
     times, dts, masses = manifest["times"], manifest["dt_history"], manifest["mass_trace"]
@@ -138,6 +143,16 @@ class TestConfigErrors:
 
 
 class TestSimulate:
+    def test_byte_identical_level_stacks(self, tmp_path):
+        stacks = []
+        for tag in ("a", "b"):
+            out = tmp_path / tag
+            assert run(["simulate", cfg_path("simulate_exponential.json"),
+                        "--output", str(out)]) == 0
+            stacks.append({name: (out / "trajectory" / name).read_bytes()
+                           for name in ("u.npy", "v.npy", "control.npy")})
+        assert stacks[0] == stacks[1]
+
     def test_equilibrium_audit_clean(self, tmp_path):
         out = str(tmp_path / "eq")
         assert run(["simulate", cfg_path("simulate_equilibrium.json"),
@@ -287,24 +302,96 @@ class TestEnergyAudit:
             assert named in capsys.readouterr().err, kind
             assert not (out / "energy_audit.json").exists(), kind
 
-    def test_truncated_state_csv_is_data_error(self, decay_dir, tmp_path):
+    def test_truncated_state_csv_is_data_error(self, decay_dir, tmp_path, capsys):
         broken = tmp_path / "trajectory"
         shutil.copytree(decay_dir, broken)
-        state = broken / "state_00001.csv"
-        state.write_text("".join(state.read_text().splitlines(keepends=True)[:11]))
+        stack = broken / "u.npy"
+        stack.write_bytes(stack.read_bytes()[:1000])
         code = run(["energy-audit", cfg_path("simulate_decay.toml"),
                     "--trajectory", str(broken), "--output", str(tmp_path / "a")])
         assert code == 3
+        assert "u.npy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, events", [
+        ("mixed", [{"t": "nan?", "dt": -1}, 5]),
+        ("not a list", {"t": 0.1}),
+        ("no reason", [{"t": 0.1, "dt": 0.02, "admissible_dt": 0.01}]),
+        ("extra key", [{**GOOD_EVENT, "note": 1}]),
+        ("negative t", [{**GOOD_EVENT, "t": -0.1}]),
+        ("nan t", [{**GOOD_EVENT, "t": math.nan}]),
+        ("boolean t", [{**GOOD_EVENT, "t": True}]),
+        ("zero dt", [{**GOOD_EVENT, "dt": 0.0}]),
+        ("infinite dt", [{**GOOD_EVENT, "dt": math.inf}]),
+        ("numeric reason", [{**GOOD_EVENT, "reason": 3}]),
+        ("nan admissible_dt", [{**GOOD_EVENT, "admissible_dt": math.nan}]),
+        ("null admissible_dt", [GOOD_EVENT, {**GOOD_EVENT, "admissible_dt": None}]),
+    ])
+    def test_malformed_events_are_data_error(self, decay_dir, tmp_path, capsys, kind,
+                                             events):
+        broken = tmp_path / "trajectory"
+        shutil.copytree(decay_dir, broken)
+        manifest = broken / "manifest.json"
+        content = json.loads(manifest.read_text())
+        content["events"] = events
+        manifest.write_text(json.dumps(content))
+        code = run(["energy-audit", cfg_path("simulate_decay.toml"),
+                    "--trajectory", str(broken), "--output", str(tmp_path / "a")])
+        assert code == 3
+        assert "events must be objects" in capsys.readouterr().err
+
+    def test_valid_events_load(self, decay_dir, tmp_path):
+        broken = tmp_path / "trajectory"
+        shutil.copytree(decay_dir, broken)
+        manifest = broken / "manifest.json"
+        content = json.loads(manifest.read_text())
+        content["events"] = [GOOD_EVENT, {**GOOD_EVENT, "t": 0, "dt": 1}]
+        manifest.write_text(json.dumps(content))
+        assert trajectory_from_dir(broken).events == content["events"]
+
+    def test_csv_trajectory_is_data_error(self, decay_dir, tmp_path, capsys):
+        broken = tmp_path / "trajectory"
+        shutil.copytree(decay_dir, broken)
+        manifest = broken / "manifest.json"
+        content = json.loads(manifest.read_text())
+        content["state_files"] = [f"state_{i:05d}.csv"
+                                  for i in range(len(content["times"]))]
+        manifest.write_text(json.dumps(content))
+        code = run(["energy-audit", cfg_path("simulate_decay.toml"),
+                    "--trajectory", str(broken), "--output", str(tmp_path / "a")])
+        assert code == 3
+        assert "CSV trajectories are no longer read" in capsys.readouterr().err
+
+    # each case id names the CSV file and defect it planted when levels were
+    # CSV rows; it now plants the level-stack defect that stands in for it
     @pytest.mark.parametrize("name, kind", [
-        *[("state_00001.csv", k) for k in CELL_DEFECTS + ["negative value"]],
-        *[("control.csv", k) for k in CELL_DEFECTS + ["t_index out of range"]],
+        pytest.param("u.npy", "level missing", id="state_00001.csv-missing row"),
+        pytest.param("v.npy", "level extra", id="state_00001.csv-duplicate row"),
+        pytest.param("u.npy", "bad magic", id="state_00001.csv-negative index"),
+        pytest.param("v.npy", "transposed", id="state_00001.csv-index out of range"),
+        pytest.param("u.npy", "float32", id="state_00001.csv-non-integer index"),
+        pytest.param("v.npy", "nan", id="state_00001.csv-non-finite value"),
+        pytest.param("u.npy", "inf", id="state_00001.csv-infinite value"),
+        pytest.param("v.npy", "version 3.0", id="state_00001.csv-wrong header"),
+        pytest.param("u.npy", "trailing byte", id="state_00001.csv-short row"),
+        pytest.param("v.npy", "negative", id="state_00001.csv-negative value"),
+        pytest.param("control.npy", "level missing", id="control.csv-missing row"),
+        pytest.param("control.npy", "level extra", id="control.csv-duplicate row"),
+        pytest.param("control.npy", "bad magic", id="control.csv-negative index"),
+        pytest.param("control.npy", "fortran order",
+                     id="control.csv-index out of range"),
+        pytest.param("control.npy", "object", id="control.csv-non-integer index"),
+        pytest.param("control.npy", "nan", id="control.csv-non-finite value"),
+        pytest.param("control.npy", "inf", id="control.csv-infinite value"),
+        pytest.param("control.npy", "big-endian", id="control.csv-wrong header"),
+        pytest.param("control.npy", "truncated", id="control.csv-short row"),
+        pytest.param("control.npy", "trailing byte",
+                     id="control.csv-t_index out of range"),
     ])
     def test_malformed_trajectory_csv_is_data_error(self, controlled_dir, tmp_path,
-                                                     capsys, corrupt_csv, name, kind):
+                                                     capsys, corrupt_npy, name, kind):
         broken = tmp_path / "trajectory"
         shutil.copytree(controlled_dir, broken)
-        corrupt_csv(broken / name, kind, 2 if name == "control.csv" else 1)
+        corrupt_npy(broken / name, kind)
         code = run(["energy-audit", cfg_path("simulate_exponential.json"),
                     "--trajectory", str(broken), "--output", str(tmp_path / "a")])
         assert code == 3

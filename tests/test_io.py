@@ -13,10 +13,11 @@ from chemoctrl import (
     ModelParams,
     Trajectory,
     field_to_csv,
+    trajectory_from_dir,
     trajectory_to_dir,
 )
-from chemoctrl.io import CellTableError, read_cells, read_levels, write_cells, \
-    write_levels
+from chemoctrl.io import CellTableError, LevelStackError, load_levels, read_cells, \
+    read_levels, save_levels, write_cells, write_levels
 
 
 # the csv.writer row loops the codec replaced, kept as the byte-level reference
@@ -64,19 +65,26 @@ class TestByteIdentity:
                           v=special_values((3,) + dims, 1), control=control)
         out = tmp_path / "traj"
         trajectory_to_dir(traj, out)
-        for i in range(times.size):
-            ref = tmp_path / f"ref_{i}.csv"
-            reference_cells(ref, dims, {"u": traj.u[i], "v": traj.v[i]})
-            assert (out / f"state_{i:05d}.csv").read_bytes() == ref.read_bytes()
-        ref = tmp_path / "ref_control.csv"
-        reference_levels(ref, dims, control.values)
-        assert (out / "control.csv").read_bytes() == ref.read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["control.npy", "manifest.json", "u.npy", "v.npy"]
+        for name, values in (("u", traj.u), ("v", traj.v), ("control", control.values)):
+            ref = tmp_path / f"ref_{name}.npy"
+            np.save(ref, values)
+            assert (out / f"{name}.npy").read_bytes() == ref.read_bytes()
 
     def test_field_file(self, tmp_path, dims):
         phi = Field(Grid.unit_box(dims), special_values(dims, 3, sign=-1.0))
         field_to_csv(phi, tmp_path / "field.csv")
         reference_cells(tmp_path / "ref.csv", dims, {"value": phi.values})
         assert (tmp_path / "field.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_level_file(self, tmp_path, dims):
+        values = special_values((4,) + dims, 6)
+        values.reshape(-1)[1::2] *= -1.0  # controls may be negative
+        write_levels(tmp_path / "levels.csv", dims, values)
+        reference_levels(tmp_path / "ref.csv", dims, values)
+        assert (tmp_path / "levels.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
 
 
@@ -149,3 +157,77 @@ def test_header_only_table_reports_missing_rows(tmp_path):
     path.write_text("i0,value\r\n")
     with pytest.raises(CellTableError, match="4 of 4 rows missing"):
         read_cells(path, (4,), ("value",))
+
+
+# defects every level stack rejects; "negative" only where values must be >= 0
+NPY_DEFECTS = ["bad magic", "version 3.0", "truncated", "trailing byte", "float32",
+               "big-endian", "object", "fortran order", "level missing",
+               "level extra", "transposed", "nan", "inf", "negative"]
+
+
+@pytest.mark.parametrize("kind", NPY_DEFECTS)
+def test_malformed_level_stack_rejected(tmp_path, corrupt_npy, kind):
+    path = tmp_path / "levels.npy"
+    save_levels(path, np.random.default_rng(4).random((3, 4, 5)))
+    corrupt_npy(path, kind)
+    if kind == "fortran order":
+        with path.open("rb") as fh:
+            np.lib.format.read_magic(fh)
+            assert np.lib.format.read_array_header_1_0(fh)[1]  # the defect is there
+    if kind == "negative":
+        # only a stack that must be nonnegative rejects a negative value
+        assert load_levels(path, (3, 4, 5)).reshape(-1)[-1] == -5e-324
+        with pytest.raises(LevelStackError, match="levels.npy: negative value"):
+            load_levels(path, (3, 4, 5), nonnegative=True)
+        return
+    with pytest.raises(LevelStackError, match="levels.npy"):
+        load_levels(path, (3, 4, 5))
+
+
+def test_object_stack_is_never_unpickled(tmp_path, monkeypatch):
+    import pickle
+
+    path = tmp_path / "levels.npy"
+    np.save(path, np.ones((2, 3), dtype=object), allow_pickle=True)
+    monkeypatch.setattr(pickle, "load", lambda *a, **k: pytest.fail("unpickled"))
+    monkeypatch.setattr(pickle, "loads", lambda *a, **k: pytest.fail("unpickled"))
+    with pytest.raises(LevelStackError, match=r"\|O of shape \(2, 3\)"):
+        load_levels(path, (2, 3))
+
+
+def test_version_2_header_is_read(tmp_path):
+    path = tmp_path / "levels.npy"
+    values = special_values((2, 3), 5)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, values, version=(2, 0))
+    assert np.array_equal(bits(load_levels(path, (2, 3))), bits(values))
+
+
+nonnegative = st.floats(0.0, 1e300, width=64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), dims=shapes, n_levels=st.integers(1, 4),
+       n_control=st.integers(2, 4))
+def test_trajectory_roundtrip_is_bit_exact(tmp_path_factory, data, dims, n_levels,
+                                           n_control):
+    grid = Grid.unit_box(tuple(max(n, 2) for n in dims))
+    dims = grid.dims
+    gaps = data.draw(arrays(np.float64, n_levels - 1, elements=st.floats(1e-6, 1.0)))
+    times = np.concatenate(([0.0], np.cumsum(gaps)))
+    control = Control(grid, np.arange(float(n_control)),
+                      data.draw(arrays(np.float64, (n_control,) + dims, elements=finite)))
+    traj = Trajectory(grid=grid, params=ModelParams(s=1.0, t_final=1.0), times=times,
+                      u=data.draw(arrays(np.float64, (n_levels,) + dims,
+                                         elements=nonnegative)),
+                      v=data.draw(arrays(np.float64, (n_levels,) + dims,
+                                         elements=nonnegative)),
+                      control=control)
+    out = tmp_path_factory.mktemp("traj")
+    trajectory_to_dir(traj, out)
+    back = trajectory_from_dir(out)
+    assert np.array_equal(bits(back.times), bits(traj.times))
+    assert np.array_equal(bits(back.u), bits(traj.u))
+    assert np.array_equal(bits(back.v), bits(traj.v))
+    assert np.array_equal(bits(back.control.times), bits(control.times))
+    assert np.array_equal(bits(back.control.values), bits(control.values))

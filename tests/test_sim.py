@@ -423,6 +423,26 @@ class TestTrajectoryIO:
         assert np.array_equal(back.control.values, traj.control.values)
         assert back.params == traj.params
 
+    def test_uncontrolled_roundtrip_writes_no_control(self, tmp_path, grid):
+        traj = simulate(Field.full(grid, 0.5), Field.full(grid, 1.0), None,
+                        params(t_final=0.1), 0.02)
+        out = tmp_path / "traj"
+        trajectory_to_dir(traj, out)
+        assert not (out / "control.npy").exists()
+        back = trajectory_from_dir(out)
+        assert back.control is None
+        assert np.array_equal(back.u, traj.u) and np.array_equal(back.v, traj.v)
+
+    def test_negative_control_accepted(self, tmp_path, grid, corrupt_npy):
+        ctrl = control_preset(grid, "constant", 0.1, amplitude=-2.0)
+        traj = simulate(Field.full(grid, 0.5), Field.full(grid, 1.0), ctrl,
+                        params(t_final=0.1), 0.02)
+        out = tmp_path / "traj"
+        trajectory_to_dir(traj, out)
+        assert np.array_equal(trajectory_from_dir(out).control.values, ctrl.values)
+        corrupt_npy(out / "control.npy", "negative")
+        assert trajectory_from_dir(out).control.values.reshape(-1)[-1] == -5e-324
+
     def test_malformed_rejected(self, tmp_path):
         d = tmp_path / "broken"
         d.mkdir()
@@ -434,31 +454,26 @@ class TestTrajectoryIO:
         with pytest.raises(TrajectoryFormatError):
             trajectory_from_dir(tmp_path / "nope")
 
-    @pytest.mark.parametrize("corrupt", ["truncated", "duplicated", "negative index",
-                                         "index out of range", "non-integer index",
-                                         "non-finite u", "negative u", "negative v"])
-    def test_incomplete_state_csv_rejected(self, tmp_path, corrupt):
+    # each case id names the state-file defect it planted when levels were
+    # CSV rows; it now plants the level-stack defect that stands in for it
+    @pytest.mark.parametrize("name, kind", [
+        pytest.param("u.npy", "truncated", id="truncated"),
+        pytest.param("u.npy", "level extra", id="duplicated"),
+        pytest.param("v.npy", "bad magic", id="negative index"),
+        pytest.param("v.npy", "transposed", id="index out of range"),
+        pytest.param("u.npy", "float32", id="non-integer index"),
+        pytest.param("u.npy", "nan", id="non-finite u"),
+        pytest.param("u.npy", "negative", id="negative u"),
+        pytest.param("v.npy", "negative", id="negative v"),
+    ])
+    def test_incomplete_state_csv_rejected(self, tmp_path, corrupt_npy, name, kind):
         g = Grid.unit_box((16, 16))
         traj = simulate(Field.zeros(g), Field.full(g, 1.0), None,
                         params(t_final=0.04), 0.02)
         out = tmp_path / "traj"
         trajectory_to_dir(traj, out)
-        path = out / "state_00001.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        if corrupt == "truncated":
-            lines = lines[:1 + 100]
-        elif corrupt == "duplicated":
-            lines[5] = lines[6]
-        else:
-            # the row of cell (0, 4)
-            lines[5] = {"negative index": "0,-4,1.0,1.0\r\n",
-                        "index out of range": "0,16,1.0,1.0\r\n",
-                        "non-integer index": "0,4.5,1.0,1.0\r\n",
-                        "non-finite u": "0,4,inf,1.0\r\n",
-                        "negative u": "0,4,-5.0,1.0\r\n",
-                        "negative v": "0,4,1.0,-1e-300\r\n"}[corrupt]
-        path.write_text("".join(lines))
-        with pytest.raises(TrajectoryFormatError, match="state_00001"):
+        corrupt_npy(out / name, kind)
+        with pytest.raises(TrajectoryFormatError, match=name):
             trajectory_from_dir(out)
 
     def test_index_of_time(self, grid):
@@ -480,13 +495,28 @@ class TestFactorCache:
         assert len(solvers) == sim._DIFFUSION_CACHE_SIZE
         assert 1e-3 * (1.0 + 0.1 * 19) in solvers  # the most recent survives
 
-    def test_one_shifted_factor_per_grid(self):
+    def test_shifted_factors_bounded(self, monkeypatch):
+        factored = []
+        splu = sim.splu
+        monkeypatch.setattr(sim, "splu",
+                            lambda A, **kw: factored.append(A) or splu(A, **kw))
         g = Grid.unit_box((16,))
         b = np.ones(g.n_cells)
-        for dt, r in ((0.01, 3.0), (0.01, 2.5), (0.01, 5.0), (0.02, 1.0)):
+
+        def solve(dt, r):
             sim._implicit_solve(g, dt, np.full(g.n_cells, r), b)
-        dt, sigma, _ = sim._grid_cache[g]["shifted"]
-        assert (dt, sigma) == (0.02, 1.0)
+            return {k: sigma for k, (sigma, _) in sim._grid_cache[g]["shifted"].items()}
+
+        assert solve(0.01, 3.0) == {0.01: 4.0}
+        assert solve(0.01, 2.5) == {0.01: 4.0}  # sigma 4 still covers r
+        assert solve(0.01, 5.0) == {0.01: 8.0}  # replaced, not kept beside
+        assert solve(0.02, 1.0) == {0.01: 8.0, 0.02: 1.0}
+        assert len(factored) == 3
+        # a full step and a clipped last step alternate without refactoring
+        for dt in (0.02, 0.019999999999999962) * 3:
+            solve(dt, 1.0)
+        assert list(sim._grid_cache[g]["shifted"]) == [0.02, 0.019999999999999962]
+        assert len(factored) == 4
 
 
 # grids up to 3D, kept small so that each example runs in milliseconds
@@ -499,7 +529,7 @@ grids = st.one_of(
 
 def cached_factors(grid):
     entry = sim._grid_cache.get(grid, {})
-    return len(entry.get("diffusion", ())) + ("shifted" in entry)
+    return len(entry.get("diffusion", ())) + len(entry.get("shifted", ()))
 
 
 class TestSplittingProperties:
