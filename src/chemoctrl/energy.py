@@ -158,12 +158,8 @@ def energy_value(state, params, truncated=False):
 def _face_weighted_cross(grid, density_pow, z):
     """Integral of ``u^s |grad z|^2`` with arithmetic face means of ``u^s``."""
     total = 0.0
-    for k, gz in enumerate(face_gradients(grid, z)):
-        lo = [slice(None)] * grid.ndim
-        hi = [slice(None)] * grid.ndim
-        lo[k] = slice(0, -1)
-        hi[k] = slice(1, None)
-        mean_pow = 0.5 * (density_pow[tuple(lo)] + density_pow[tuple(hi)])
+    for gz, (lo, hi, _) in zip(face_gradients(grid, z), grid.face_slices):
+        mean_pow = 0.5 * (density_pow[lo] + density_pow[hi])
         total += (mean_pow * gz**2).sum()
     return total * grid.cell_volume
 

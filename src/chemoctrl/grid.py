@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,21 @@ class Grid:
         axes = [self.axis_centers(k) for k in range(self.ndim)]
         return np.meshgrid(*axes, indexing="ij")
 
+    @cached_property
+    def face_slices(self):
+        """Per axis, the index tuples ``(lo, hi, last)`` that select along it
+        all entries but the last, all but the first, and the last one.
+
+        On an array of shape ``dims`` they are the cells below and above each
+        interior face along the axis, and the last layer of cells.
+        """
+        out = []
+        for k in range(self.ndim):
+            lo, hi, last = ([slice(None)] * self.ndim for _ in range(3))
+            lo[k], hi[k], last[k] = slice(0, -1), slice(1, None), slice(-1, None)
+            out.append((tuple(lo), tuple(hi), tuple(last)))
+        return tuple(out)
+
     def compatible_with(self, other):
         """Whether two grids describe the same discretization (mask included)."""
         return self is other or (
@@ -183,6 +199,15 @@ class Field:
         self.values = vals
 
     @classmethod
+    def _unchecked(cls, grid, values):
+        """Wrap a float64 array of shape ``grid.dims`` that the caller has
+        already found finite, without the checks of ``__post_init__``."""
+        phi = cls.__new__(cls)
+        phi.grid = grid
+        phi.values = values
+        return phi
+
+    @classmethod
     def full(cls, grid, value):
         return cls(grid, np.full(grid.dims, float(value)))
 
@@ -255,40 +280,44 @@ def chemotaxis_array(grid, mob, v):
     content (the upwind mobility is the donor-cell value).  The rate counts
     only cells with positive mobility: a cell with zero mobility sends no
     flux out, so it cannot lose mass and does not bound ``dt``.
+
+    The result equals ``-divergence_from_fluxes`` of the donor-cell face
+    fluxes bit for bit: per axis the flux difference across each cell, then
+    ``/ h``, with the axes summed in order.
     """
-    fluxes = []
+    transport = np.zeros(grid.dims)
     rate = np.zeros(grid.dims)
-    for k in range(grid.ndim):
-        h = grid.spacing[k]
-        dv = np.diff(v, axis=k) / h
-        left = [slice(None)] * grid.ndim
-        right = [slice(None)] * grid.ndim
-        left[k] = slice(0, -1)
-        right[k] = slice(1, None)
-        upwind = np.where(dv > 0, mob[tuple(left)], mob[tuple(right)])
-        fluxes.append(upwind * dv)
+    for h, (lo, hi, last) in zip(grid.spacing, grid.face_slices):
+        dv = v[hi] - v[lo]
+        dv /= h
+        downhill = dv > 0  # mass flows from the lo cell to the hi cell
+        flux = np.where(downhill, mob[lo], mob[hi])
+        flux *= dv
+        # outgoing flux minus incoming, zero flux through the boundary
+        div = np.empty(grid.dims)
+        div[lo] = flux
+        div[last] = 0.0
+        div[hi] -= flux
+        div /= h
+        transport += div
         # outgoing gradient magnitude accumulates at the donor cell
-        out_l = np.where(dv > 0, dv, 0.0) / h
-        out_r = np.where(dv < 0, -dv, 0.0) / h
-        acc = np.zeros(grid.dims)
-        acc[tuple(left)] += out_l
-        acc[tuple(right)] += out_r
+        acc = np.empty(grid.dims)
+        np.divide(np.where(downhill, dv, 0.0), h, out=acc[lo])
+        acc[last] = 0.0
+        acc[hi] += np.where(dv < 0, -dv, 0.0) / h
         rate += acc
-    return -divergence_from_fluxes(grid, fluxes), np.where(mob > 0, rate, 0.0)
+    return np.negative(transport, out=transport), np.where(mob > 0, rate, 0.0)
 
 
 def cell_gradient_sq(grid, a):
     """Cellwise squared gradient magnitude from averaged face gradients."""
     total = np.zeros(grid.dims)
-    for k, g in enumerate(face_gradients(grid, a)):
+    grads = face_gradients(grid, a)
+    for k, (lo, hi, _) in enumerate(grid.face_slices):
         pad = [(0, 0)] * grid.ndim
         pad[k] = (1, 1)
-        gp = np.pad(g, pad, mode="constant")  # boundary faces: zero gradient
-        lo = [slice(None)] * grid.ndim
-        hi = [slice(None)] * grid.ndim
-        lo[k] = slice(0, -1)
-        hi[k] = slice(1, None)
-        total += (0.5 * (gp[tuple(lo)] + gp[tuple(hi)])) ** 2
+        gp = np.pad(grads[k], pad, mode="constant")  # boundary faces: zero gradient
+        total += (0.5 * (gp[lo] + gp[hi])) ** 2
     return total
 
 

@@ -23,6 +23,13 @@ nonnegative and the iterates increase monotonically.  ``M^{-1} N`` contracts
 the infinity norm by ``rho = dt*(sigma - min r) / (1 + dt*sigma)``, which
 gives the stopping rule ``rho/(1-rho) * |dx| <= 1e-14 * |x|``; when
 ``rho > 1/2`` the system is assembled and factored directly instead.
+
+Inputs are validated once, when :func:`simulate` or :func:`solve_comparison`
+is entered (a ``Field``, ``State`` or ``Control`` checks its values when it
+is built).  Every step checks ``dt``, the M-matrix and CFL bounds, and that
+the new ``v`` and ``u`` are finite and exactly nonnegative; the states it
+returns skip the construction checks those make redundant.  Saved levels are
+copied into fixed blocks and stacked once at the end of a run.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import datetime
 import json
 import math
 import os
+import re
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -66,7 +74,8 @@ class StiffnessError(RuntimeError):
 
 
 class PositivityError(RuntimeError):
-    """A computed state came out negative (never clipped, always raised)."""
+    """A computed state came out negative, NaN or infinite (never clipped,
+    always raised)."""
 
 
 class TrajectoryFormatError(ValueError):
@@ -98,6 +107,14 @@ class State:
             bad = tuple(int(i) for i in
                         np.unravel_index(np.argmin(self.v.values), self.v.values.shape))
             raise ValueError(f"negative concentration {self.v.values[bad]} at cell {bad}")
+
+    @classmethod
+    def _unchecked(cls, u, v, t):
+        """A state the stepper has already found finite, nonnegative and on one
+        grid, without the checks of ``__post_init__``."""
+        state = cls.__new__(cls)
+        state.u, state.v, state.t = u, v, t
+        return state
 
     @property
     def grid(self):
@@ -335,12 +352,17 @@ def _implicit_solve(grid, dt, r, b):
         rho = _contraction(dt, sigma, r_min)
         weight = dt * (sigma - r)
         x = np.zeros_like(b)
+        work = np.empty_like(b)
+        rhs = b  # b + weight * x at x = 0
         for _ in range(_MAX_SWEEPS):
-            x_new = lu.solve(b + weight * x)
-            delta = float(np.abs(x_new - x).max())
+            x_new = lu.solve(rhs)
+            np.subtract(x_new, x, out=work)
+            delta = float(np.abs(work, out=work).max())
             x = x_new
             if rho * delta <= (1.0 - rho) * _SPLIT_RTOL * float(x.max()):
                 return x
+            rhs = np.multiply(weight, x, out=work)
+            rhs += b
     A = sp.diags(1.0 + dt * r) - dt * laplacian_matrix(grid)
     return _factorize(A).solve(b)
 
@@ -348,6 +370,16 @@ def _implicit_solve(grid, dt, r, b):
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
+
+def _check_new_level(name, a):
+    """Raise PositivityError unless a new level is finite and exactly
+    nonnegative; written so that a NaN fails as well."""
+    if not (a.min() >= 0 and a.max() < math.inf):
+        ok = (a >= 0) & (a < math.inf)
+        bad = tuple(int(i) for i in np.unravel_index(np.argmin(ok), a.shape))
+        raise PositivityError(f"{name} went negative or non-finite at cell {bad}: "
+                              f"{a[bad]}")
+
 
 def step(state, control_slice, params, dt):
     """Advance one implicit-explicit step of size ``dt``.
@@ -364,24 +396,36 @@ def step(state, control_slice, params, dt):
     explicitly and diffuses implicitly, which conserves mass to round-off and
     preserves nonnegativity under the reported CFL bound on ``dt``.
 
+    ``state`` and ``control_slice`` are trusted as built: a ``State`` or
+    ``Field`` checks its values when it is constructed, and :func:`simulate`
+    validates its inputs once.  Every step checks the grids and ``dt``, the
+    M-matrix and CFL bounds, and that the new ``v`` and ``u`` are finite and
+    exactly nonnegative; the returned state skips the construction checks
+    those make redundant.
+
     Raises
     ------
+    GridMismatchError
+        If the control slice lives on another grid.
+    ValueError
+        If ``dt`` is not positive and finite.
     StepSizeError
         If ``dt`` violates the control M-matrix condition or the chemotaxis
         CFL bound; the error carries the largest admissible ``dt``.
     PositivityError
-        If a computed state is negative despite the checks (this indicates a
-        bug; values are never clipped).
+        If a new ``v`` or ``u`` is negative, NaN or infinite despite the
+        checks (this indicates a bug or an overflow; values are never
+        clipped).
     """
     grid = state.grid
     if not grid.compatible_with(control_slice.grid):
         raise GridMismatchError("control slice lives on a different grid")
-    if not (dt > 0 and np.isfinite(dt)):
+    if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
     f = control_slice.values * grid.control_mask
-    fpos = np.clip(f, 0.0, None)
-    fneg = np.clip(-f, 0.0, None)
+    fpos = np.maximum(f, 0.0)
+    fneg = np.maximum(-f, 0.0)
     fpos_max = float(fpos.max())
     if dt * fpos_max >= 1.0:
         bad = tuple(int(i) for i in np.unravel_index(np.argmax(fpos), fpos.shape))
@@ -391,10 +435,12 @@ def step(state, control_slice, params, dt):
             admissible_dt=CFL_SAFETY / fpos_max,
         )
 
-    mobility = truncate(state.u.values, params.m)
-    consumption = mobility**params.s
-    react = (consumption + fneg - fpos).ravel()
+    u = state.u.values
+    # the truncation is the identity up to m, and u is nonnegative
+    mobility = u if u.max() <= params.m else truncate(u, params.m)
+    react = (mobility**params.s + fneg - fpos).ravel()
     v_new = _implicit_solve(grid, dt, react, state.v.values.ravel()).reshape(grid.dims)
+    _check_new_level("v", v_new)
 
     transport, rate = chemotaxis_array(grid, mobility, v_new)
     rate_max = float(rate.max())
@@ -405,17 +451,45 @@ def step(state, control_slice, params, dt):
             f"{dt * rate_max:.3g} > {CFL_SAFETY}",
             admissible_dt=CFL_SAFETY / rate_max,
         )
-    rhs = (state.u.values + dt * transport).ravel()
+    rhs = (u + dt * transport).ravel()
     u_new = _diffusion_solver(grid, dt).solve(rhs).reshape(grid.dims)
+    _check_new_level("u", u_new)
 
-    if v_new.min() < 0:
-        bad = tuple(int(i) for i in np.unravel_index(np.argmin(v_new), v_new.shape))
-        raise PositivityError(f"v went negative at cell {bad}: {v_new[bad]}")
-    if u_new.min() < 0:
-        bad = tuple(int(i) for i in np.unravel_index(np.argmin(u_new), u_new.shape))
-        raise PositivityError(f"u went negative at cell {bad}: {u_new[bad]}")
+    return State._unchecked(Field._unchecked(grid, u_new),
+                            Field._unchecked(grid, v_new), state.t + dt)
 
-    return State(Field(grid, u_new), Field(grid, v_new), state.t + dt)
+
+# saved levels are copied into blocks of this many.  Kept one by one, a 96^2
+# level (73 KB, below glibc's default 128 KiB mmap threshold) lands on the heap
+# between the per-step temporaries and fragments it; a block is mapped apart
+_BLOCK_LEVELS = 8
+
+
+class _LevelStack:
+    """Levels of one shape, copied one at a time into fixed blocks."""
+
+    def __init__(self, first):
+        self._shape = first.shape
+        self._blocks = []
+        self._count = 0
+        self.append(first)
+
+    def append(self, level):
+        i = self._count % _BLOCK_LEVELS
+        if i == 0:
+            self._blocks.append(np.empty((_BLOCK_LEVELS,) + self._shape))
+        self._blocks[-1][i] = level
+        self._count += 1
+
+    def stack(self):
+        """The ``(n_levels, *shape)`` array; frees each block once it is copied."""
+        out = np.empty((self._count,) + self._shape)
+        blocks, self._blocks = self._blocks, None
+        for j in range(len(blocks)):
+            rows = out[j * _BLOCK_LEVELS:(j + 1) * _BLOCK_LEVELS]
+            rows[...] = blocks[j][:len(rows)]
+            blocks[j] = None
+        return out
 
 
 def _adaptive_steps(advance, state, t_final, dt_max, events):
@@ -486,14 +560,17 @@ def simulate(u0, v0, control, params, dt_max, save_every=1):
         if control.t_final < params.t_final - 1e-12 * max(1.0, params.t_final):
             raise ValueError("control time lattice does not cover the horizon")
 
+    zero = Field.zeros(grid)
+
     def advance(state, t, dt_step):
-        fslice = Field(grid, control.slice_at(t + dt_step)) if control is not None \
-            else Field.zeros(grid)
+        # a slice of the checked control is finite and lives on its grid
+        fslice = zero if control is None \
+            else Field._unchecked(grid, control.slice_at(t + dt_step))
         return step(state, fslice, params, dt_step)
 
     times = [0.0]
-    us = [state.u.values]
-    vs = [state.v.values]
+    us = _LevelStack(state.u.values)
+    vs = _LevelStack(state.v.values)
     dts = []
     masses = [integrate(state.u)]
     events = []
@@ -512,7 +589,7 @@ def simulate(u0, v0, control, params, dt_max, save_every=1):
 
     return Trajectory(
         grid=grid, params=params,
-        times=np.asarray(times), u=np.stack(us), v=np.stack(vs),
+        times=np.asarray(times), u=us.stack(), v=vs.stack(),
         control=control, dt_history=np.asarray(dts), events=events,
         mass_trace=np.asarray(masses),
     )
@@ -582,12 +659,12 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     else:
         steps = paired_steps(w0.values)
     out_times = [0.0]
-    ws = [w0.values]
+    ws = _LevelStack(w0.values)
     for t, _, w in steps:
         out_times.append(t)
         ws.append(w)
     return ComparisonTrajectory(grid=grid, times=np.asarray(out_times),
-                                w=np.stack(ws), events=events)
+                                w=ws.stack(), events=events)
 
 
 # ---------------------------------------------------------------------------
@@ -631,12 +708,8 @@ def weak_residual(traj, test_series):
         gp = face_gradients(grid, pbar)
         diff_term = 0.0
         chem_term = 0.0
-        for k in range(grid.ndim):
-            lo = [slice(None)] * grid.ndim
-            hi = [slice(None)] * grid.ndim
-            lo[k] = slice(0, -1)
-            hi[k] = slice(1, None)
-            mean_u = 0.5 * (ubar[tuple(lo)] + ubar[tuple(hi)])
+        for k, (lo, hi, _) in enumerate(grid.face_slices):
+            mean_u = 0.5 * (ubar[lo] + ubar[hi])
             diff_term += (gu[k] * gp[k]).sum() * vol
             chem_term += (mean_u * gv[k] * gp[k]).sum() * vol
         residual += dt * (diff_term - chem_term)
@@ -668,13 +741,26 @@ def _valid_event(event):
         and isinstance(event["reason"], str) and _finite(event["admissible_dt"])
 
 
+# the per-level files of a CSV trajectory, the format before .npy level stacks
+_CSV_TRAJECTORY_FILE = re.compile(r"state_\d{5,}\.csv|control\.csv")
+
+
 def trajectory_to_dir(traj, outdir):
     """Write ``u.npy``, ``v.npy`` and ``control.npy`` plus ``manifest.json``.
 
     Each ``.npy`` is a level stack (:func:`chemoctrl.io.save_levels`); the
-    control stack is written only when the run has a control.
+    control stack is written only when the run has a control.  Files that an
+    earlier trajectory left in ``outdir`` and this one does not overwrite are
+    removed: ``control.npy`` when this run has no control, and the
+    ``state_#####.csv`` and ``control.csv`` of a CSV trajectory.  No other
+    file is touched.
     """
     os.makedirs(outdir, exist_ok=True)
+    stale = [name for name in os.listdir(outdir)
+             if _CSV_TRAJECTORY_FILE.fullmatch(name)
+             or (name == "control.npy" and traj.control is None)]
+    for name in stale:
+        os.remove(os.path.join(outdir, name))
     save_levels(os.path.join(outdir, "u.npy"), traj.u)
     save_levels(os.path.join(outdir, "v.npy"), traj.v)
     control_times = None

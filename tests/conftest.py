@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,27 @@ def corrupt_stack(path, kind):
 def corrupt_npy():
     """``corrupt_npy(path, kind)`` plants one level-stack defect of ``kind``."""
     return corrupt_stack
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(fn)`` points every name under which a ``chemoctrl.*``
+    module reaches ``fn`` at a counting wrapper, the way the benchmark's
+    tracer rebinds module attributes, and returns the calls per
+    ``"module.attribute"``; a call that bypasses those names counts nowhere."""
+    def install(fn):
+        counts = {}
+        for name, mod in list(sys.modules.items()):
+            if not name.startswith("chemoctrl."):
+                continue
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    key = f"{name.rpartition('.')[2]}.{attr}"
+                    counts[key] = 0
+
+                    def wrapper(*args, _key=key, **kwargs):
+                        counts[_key] += 1
+                        return fn(*args, **kwargs)
+                    monkeypatch.setattr(mod, attr, wrapper)
+        return counts
+    return install

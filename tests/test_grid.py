@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemoctrl import (
     Field,
@@ -16,7 +18,12 @@ from chemoctrl import (
     laplacian_neumann,
     lp_norm,
 )
-from chemoctrl.grid import cell_gradient_sq, hessian_frobenius_sq
+from chemoctrl.grid import (
+    cell_gradient_sq,
+    chemotaxis_array,
+    divergence_from_fluxes,
+    hessian_frobenius_sq,
+)
 from chemoctrl.sim import laplacian_matrix
 
 
@@ -171,6 +178,51 @@ class TestChemotaxisDivergence:
         with pytest.raises(GridMismatchError):
             chemotaxis_divergence(Field.zeros(Grid.unit_box((4,))),
                                   Field.zeros(Grid.unit_box((5,))))
+
+
+def donor_cell_reference(grid, mob, v):
+    """Transport as ``-divergence_from_fluxes`` of the donor-cell face fluxes,
+    and the outflow rate summed axis by axis at each donor cell."""
+    fluxes = []
+    rate = np.zeros(grid.dims)
+    for k, h in enumerate(grid.spacing):
+        lo = [slice(None)] * grid.ndim
+        hi = [slice(None)] * grid.ndim
+        lo[k] = slice(0, -1)
+        hi[k] = slice(1, None)
+        lo, hi = tuple(lo), tuple(hi)
+        dv = np.diff(v, axis=k) / h
+        fluxes.append(np.where(dv > 0, mob[lo], mob[hi]) * dv)
+        acc = np.zeros(grid.dims)
+        acc[lo] += np.where(dv > 0, dv, 0.0) / h
+        acc[hi] += np.where(dv < 0, -dv, 0.0) / h
+        rate += acc
+    return -divergence_from_fluxes(grid, fluxes), np.where(mob > 0, rate, 0.0)
+
+
+class TestChemotaxisArray:
+    @given(dims=st.one_of(
+               st.tuples(st.integers(2, 24)),
+               st.tuples(st.integers(2, 8), st.integers(2, 8)),
+               st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5))),
+           seed=st.integers(0, 2**32 - 1), zero_frac=st.floats(0.0, 1.0),
+           ties=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_donor_cell_reference_bit_for_bit(self, dims, seed, zero_frac,
+                                                      ties):
+        grid = Grid.unit_box(dims)
+        rng = np.random.default_rng(seed)
+        mob = rng.uniform(0.0, 2.0, dims) * (rng.uniform(size=dims) >= zero_frac)
+        v = rng.uniform(0.0, 1.0, dims)
+        if ties:  # equal neighbours give zero face gradients
+            v = np.round(v, 1)
+        transport, rate = chemotaxis_array(grid, mob, v)
+        ref_transport, ref_rate = donor_cell_reference(grid, mob, v)
+        assert np.array_equal(transport, ref_transport)
+        assert np.array_equal(rate, ref_rate)
+        # signed zeros included
+        assert transport.tobytes() == ref_transport.tobytes()
+        assert rate.tobytes() == ref_rate.tobytes()
 
 
 class TestNormsAndIntegrals:

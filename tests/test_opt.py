@@ -17,6 +17,7 @@ from chemoctrl import (
     reduced_objective,
     simulate,
 )
+from chemoctrl import sim
 from chemoctrl.opt import (
     control_from_coefficients,
     make_context,
@@ -188,6 +189,17 @@ class TestOptimize:
                                dt_max=0.05)
         assert trace.best_J == pytest.approx(0.0, abs=1e-12)
         assert np.abs(ctrl.values).max() <= 1e-12
+
+    def test_simulations_go_through_opt_simulate(self, grid, model_params,
+                                                 count_calls):
+        # the benchmark names the optimizer's simulations by this attribute
+        calls = count_calls(sim.simulate)
+        cfg = OptimizerConfig(max_iters=2, basis=(2, 2), control_times=5,
+                              step0=1.0, fd_epsilon=1e-3)
+        optimize(cfg, cost_params(), model_params, Field.zeros(grid),
+                 Field.full(grid, 1.0), dt_max=0.05)
+        assert calls["opt.simulate"] > 0
+        assert sum(calls.values()) == calls["opt.simulate"]
 
     def test_improves_and_respects_ball(self, grid, model_params):
         cfg = OptimizerConfig(max_iters=8, basis=(2, 2), control_times=9,

@@ -176,6 +176,42 @@ class TestStep:
         with pytest.raises(GridMismatchError):
             step(st0, Field.zeros(Grid.unit_box((8,))), params(), 0.01)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
+    def test_rejects_bad_dt(self, grid, dt):
+        st0 = State(Field.full(grid, 1.0), Field.full(grid, 1.0), 0.0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step(st0, Field.zeros(grid), params(), dt)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["u", "v"])
+    def test_non_finite_new_level_raises_positivity_error(self, monkeypatch, grid,
+                                                          name, bad):
+        # the returned state skips the Field checks, so the step itself must
+        # reject a NaN or inf that a solve hands back
+        def poison(x):
+            x[3] = bad
+            return x
+
+        if name == "v":
+            solve = sim._implicit_solve
+            monkeypatch.setattr(sim, "_implicit_solve",
+                                lambda *args: poison(solve(*args)))
+        else:
+            class Poisoned:
+                def __init__(self, lu):
+                    self.lu = lu
+
+                def solve(self, b):
+                    return poison(self.lu.solve(b))
+
+            factor = sim._diffusion_solver
+            monkeypatch.setattr(sim, "_diffusion_solver",
+                                lambda g, dt: Poisoned(factor(g, dt)))
+        st0 = State(Field.full(grid, 1.0), Field.full(grid, 1.0), 0.0)
+        with pytest.raises(sim.PositivityError,
+                           match=f"{name} went negative or non-finite at cell \\(3,\\)"):
+            step(st0, Field.zeros(grid), params(), 0.01)
+
 
 class TestSimulate:
     def test_zero_horizon(self, grid):
@@ -264,6 +300,32 @@ class TestSimulate:
         with pytest.raises(StiffnessError):
             simulate(Field.zeros(grid), Field.full(grid, 1.0), huge,
                      params(t_final=1.0), 0.1)
+
+    @pytest.mark.parametrize("save_every", [1, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_level_blocks_stack_the_saved_states(self, monkeypatch, grid, save_every,
+                                                 offset):
+        # level counts one below, at and one above a block boundary
+        n_levels = sim._BLOCK_LEVELS + offset
+        n_steps = (n_levels - 1) * save_every
+        dt = 1.0 / 64  # exact in binary, so the steps land on the horizon
+        accepted = []
+        real_step = sim.step
+
+        def recording_step(*args):
+            accepted.append(real_step(*args))
+            return accepted[-1]
+
+        monkeypatch.setattr(sim, "step", recording_step)
+        u0 = field_preset(grid, "gaussian", amplitude=1.0, base=0.5, width=0.2)
+        v0 = field_preset(grid, "cosine", base=1.0, amplitude=0.2)
+        traj = simulate(u0, v0, None, params(t_final=n_steps * dt), dt,
+                        save_every=save_every)
+        assert len(accepted) == n_steps and traj.n_levels == n_levels
+        saved = accepted[save_every - 1::save_every]
+        assert np.array_equal(traj.u, np.stack([u0.values] + [x.u.values for x in saved]))
+        assert np.array_equal(traj.v, np.stack([v0.values] + [x.v.values for x in saved]))
+        assert np.array_equal(traj.times, [0.0] + [x.t for x in saved])
 
     def test_save_every(self, grid):
         p = params(t_final=0.1)
@@ -433,6 +495,29 @@ class TestTrajectoryIO:
         assert back.control is None
         assert np.array_equal(back.u, traj.u) and np.array_equal(back.v, traj.v)
 
+    def test_uncontrolled_over_controlled_removes_the_old_control(self, tmp_path, grid):
+        ctrl = control_preset(grid, "random", 0.1, seed=4, amplitude=1.0, times=3)
+        out = tmp_path / "traj"
+        for control in (ctrl, None):
+            traj = simulate(Field.full(grid, 0.5), Field.full(grid, 1.0), control,
+                            params(t_final=0.1), 0.02)
+            trajectory_to_dir(traj, out)
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "u.npy", "v.npy"]
+        assert trajectory_from_dir(out).control is None
+
+    def test_csv_trajectory_files_removed_others_kept(self, tmp_path, grid):
+        out = tmp_path / "traj"
+        out.mkdir()
+        for name in ("state_00000.csv", "state_00012.csv", "control.csv", "notes.txt",
+                     "state_1.csv"):
+            (out / name).write_text("old\n")
+        traj = simulate(Field.full(grid, 0.5), Field.full(grid, 1.0), None,
+                        params(t_final=0.1), 0.02)
+        trajectory_to_dir(traj, out)
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["manifest.json", "notes.txt", "state_1.csv", "u.npy", "v.npy"]
+        assert (out / "notes.txt").read_text() == "old\n"
+
     def test_negative_control_accepted(self, tmp_path, grid, corrupt_npy):
         ctrl = control_preset(grid, "constant", 0.1, amplitude=-2.0)
         traj = simulate(Field.full(grid, 0.5), Field.full(grid, 1.0), ctrl,
@@ -483,6 +568,28 @@ class TestTrajectoryIO:
         assert traj.index_of_time(float(traj.times[-1])) == traj.n_levels - 1
         with pytest.raises(ValueError, match="not a saved time level"):
             traj.index_of_time(0.0333)
+
+
+class TestTracedNames:
+    """The benchmark traces the stepper by rebinding module attributes; a hot
+    path that bypasses them would make its spans read 0 without failing."""
+
+    def test_simulate_steps_and_transports_through_module_names(self, grid,
+                                                                count_calls):
+        steps = count_calls(sim.step)
+        transports = count_calls(chemotaxis_array)
+        # dt_max * f = 1.5 breaks the M-matrix bound until the control vanishes,
+        # and the concentration ramp then breaks the CFL bound
+        values = np.array([30.0, 30.0, 0.0, 0.0])[:, None] * np.ones(grid.dims)
+        ctrl = Control(grid, [0.0, 0.05, 0.06, 0.3], values)
+        x = grid.axis_centers(0)
+        traj = simulate(Field.full(grid, 1.0), Field(grid, 10.0 * x), ctrl,
+                        params(t_final=0.1), 0.05)
+        cfl = sum("CFL" in e["reason"] for e in traj.events)
+        assert 0 < cfl < len(traj.events)  # both kinds of rejection occur
+        assert steps == {"sim.step": len(traj.dt_history) + len(traj.events)}
+        # an M-matrix rejection stops the step before the transport
+        assert sum(transports.values()) == len(traj.dt_history) + cfl
 
 
 class TestFactorCache:
