@@ -57,6 +57,7 @@ from .opt import (
     OptimizationTrace,
     OptimizerConfig,
     OrderingTable,
+    adjoint_gradient,
     fd_gradient,
     finite_difference_gradient,
     optimize,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import FittedConstants, energy_inequality_audit
-from .grid import spacetime_lp_norm
+from .grid import spacetime_lp_norm, trapezoid_weights
 from .sim import weak_residual
 
 
@@ -81,6 +81,20 @@ class CostBreakdown:
                 "control": self.control, "total": self.total}
 
 
+def _misfits(traj, cost_params):
+    """Per saved level, ``u - u_d`` and ``v - v_d``."""
+    grid = traj.grid
+    u_diff = np.stack([
+        traj.u[i] - cost_params.u_d.at(float(t), grid)
+        for i, t in enumerate(traj.times)
+    ])
+    v_diff = np.stack([
+        traj.v[i] - cost_params.v_d.at(float(t), grid)
+        for i, t in enumerate(traj.times)
+    ])
+    return u_diff, v_diff
+
+
 def evaluate_J(traj, control, cost_params, s):
     """Objective value of a run, with the three addends reported separately.
 
@@ -91,14 +105,7 @@ def evaluate_J(traj, control, cost_params, s):
     """
     grid = traj.grid
     pu = 5.0 * s / 3.0
-    u_diff = np.stack([
-        traj.u[i] - cost_params.u_d.at(float(t), grid)
-        for i, t in enumerate(traj.times)
-    ])
-    v_diff = np.stack([
-        traj.v[i] - cost_params.v_d.at(float(t), grid)
-        for i, t in enumerate(traj.times)
-    ])
+    u_diff, v_diff = _misfits(traj, cost_params)
     term_u = 3.0 * cost_params.gamma_u / (5.0 * s) \
         * spacetime_lp_norm(traj.times, u_diff, grid, pu) ** pu
     term_v = cost_params.gamma_v / 2.0 \
@@ -109,6 +116,38 @@ def evaluate_J(traj, control, cost_params, s):
         term_f = cost_params.gamma_f / cost_params.q \
             * control.lq_norm(cost_params.q) ** cost_params.q
     return CostBreakdown(state_u=term_u, state_v=term_v, control=term_f)
+
+
+def _level_weights(times, grid):
+    """Trapezoid-in-time times cell-volume weights, shaped to broadcast
+    against a ``(levels, *dims)`` series."""
+    w = trapezoid_weights(times) * grid.cell_volume
+    return w.reshape((-1,) + (1,) * grid.ndim)
+
+
+def _signed_power(a, p):
+    """``|a|^p * sign(a)``, the derivative of ``|a|^(p+1) / (p+1)``."""
+    return np.abs(a) ** p * np.sign(a)
+
+
+def evaluate_J_gradient(traj, control, cost_params, s):
+    """Partial derivatives of ``evaluate_J(...).total`` with the time levels
+    held fixed.
+
+    Returns ``(u_bar, v_bar, f_bar)``, shaped like ``traj.u``, ``traj.v`` and
+    ``control.values``.  A charge ``c/p * integral |w - w_d|^p`` has the
+    derivative ``c * weight * |w - w_d|^(p-1) * sign(w - w_d)`` per level and
+    cell, with the trapezoid-times-volume weight of its quadrature.
+    """
+    grid = traj.grid
+    pu = 5.0 * s / 3.0
+    u_diff, v_diff = _misfits(traj, cost_params)
+    w = _level_weights(traj.times, grid)
+    u_bar = cost_params.gamma_u * w * _signed_power(u_diff, pu - 1.0)
+    v_bar = cost_params.gamma_v * w * v_diff
+    f_bar = cost_params.gamma_f * _level_weights(control.times, grid) \
+        * _signed_power(control.values, cost_params.q - 1.0)
+    return u_bar, v_bar, f_bar
 
 
 def project_ball(control, M, q):
@@ -123,6 +162,24 @@ def project_ball(control, M, q):
     if norm <= M:
         return control
     return control.scaled(M / norm)
+
+
+def project_ball_transpose(control, M, q, bar):
+    """Transpose of the Jacobian of :func:`project_ball` at ``control``,
+    applied to ``bar`` (shaped like ``control.values``).
+
+    Inside the ball the retraction is the identity.  Outside it is
+    ``g -> M g / |g|``, whose Jacobian transpose sends ``bar`` to
+    ``M/|g| * (bar - sum(bar * g) / |g| * grad|g|)``, where
+    ``grad|g| = |g|^(1-q) * weight * |g|^(q-1) * sign(g)`` cellwise.
+    """
+    norm = control.lq_norm(q)
+    if norm <= M:
+        return bar
+    g = control.values
+    grad_norm = norm ** (1.0 - q) * _level_weights(control.times, control.grid) \
+        * _signed_power(g, q - 1.0)
+    return M / norm * (bar - float((bar * g).sum()) / norm * grad_norm)
 
 
 @dataclass

@@ -309,6 +309,31 @@ def chemotaxis_array(grid, mob, v):
     return np.negative(transport, out=transport), np.where(mob > 0, rate, 0.0)
 
 
+def chemotaxis_transpose(grid, mob, v, bar):
+    """Transpose of the transport term of :func:`chemotaxis_array`.
+
+    The transport is bilinear in ``(mob, v)`` once the donor-cell masks are
+    fixed, and the masks (from the sign of each face gradient of ``v``) are
+    taken as :func:`chemotaxis_array` takes them.  Returns ``(mob_bar, v_bar)``,
+    the gradients of ``sum(bar * transport)`` with respect to ``mob`` and ``v``
+    away from the faces where the gradient of ``v`` changes sign.
+    """
+    mob_bar = np.zeros(grid.dims)
+    v_bar = np.zeros(grid.dims)
+    for h, (lo, hi, _) in zip(grid.spacing, grid.face_slices):
+        dv = v[hi] - v[lo]
+        dv /= h
+        downhill = dv > 0
+        # a face flux leaves its lo cell and enters its hi cell
+        flux_bar = (bar[hi] - bar[lo]) / h
+        mob_bar[lo] += np.where(downhill, flux_bar * dv, 0.0)
+        mob_bar[hi] += np.where(downhill, 0.0, flux_bar * dv)
+        dv_bar = flux_bar * np.where(downhill, mob[lo], mob[hi]) / h
+        v_bar[hi] += dv_bar
+        v_bar[lo] -= dv_bar
+    return mob_bar, v_bar
+
+
 def cell_gradient_sq(grid, a):
     """Cellwise squared gradient magnitude from averaged face gradients."""
     total = np.zeros(grid.dims)
@@ -426,6 +451,16 @@ def trapezoid_intervals(times, per_level):
     """Trapezoid integral of a per-level series over each interval of ``times``;
     ``np.cumsum`` of the result is the running integral."""
     return np.diff(times) * 0.5 * (per_level[:-1] + per_level[1:])
+
+
+def trapezoid_weights(times):
+    """Per-level weights ``w`` with ``w @ per_level`` the trapezoid integral
+    over ``times``, the transpose of ``trapezoid_intervals(...).sum()``."""
+    half = 0.5 * np.diff(times)
+    w = np.zeros(len(times))
+    w[:-1] += half
+    w[1:] += half
+    return w
 
 
 def spacetime_lp_norm(times, series, grid, p):

@@ -3,10 +3,17 @@
 The control is parameterized on a coarse space-time lattice and prolonged
 multilinearly to the fine lattice; every candidate is radially retracted into
 the admissible ball before it is simulated, so all evaluated controls are
-feasible.  Gradients come from central finite differences of the reduced
-objective (no adjoint is available at weak-solution regularity), and the line
-search accepts only strict decreases, so the accepted objective sequence is
-strictly decreasing and the method is deterministic for a fixed seed.
+feasible.  The line search accepts only strict decreases, so the accepted
+objective sequence is strictly decreasing and the method is deterministic for
+a fixed seed.
+
+The continuous problem has no adjoint at weak-solution regularity, but the
+discrete reduced objective is piecewise smooth: prolongation, mask, radial
+retraction, the implicit-explicit steps and the trapezoid space-time norms.
+Descent differentiates that map directly (discretize, then optimize):
+:func:`adjoint_gradient` runs one reverse pass over the run that evaluated
+the current point, so a gradient costs no further simulation.
+:func:`finite_difference_gradient` stays as the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -14,11 +21,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .cost import evaluate_J, project_ball
-from .sim import Control, StiffnessError, simulate
+from .cost import (
+    CostBreakdown,
+    evaluate_J,
+    evaluate_J_gradient,
+    project_ball,
+    project_ball_transpose,
+)
+from .sim import Control, StiffnessError, Trajectory, simulate, simulate_adjoint
 
 
 class InfeasibleBaselineError(RuntimeError):
@@ -31,7 +45,9 @@ class OptimizerConfig:
 
     ``basis`` gives the coarse lattice dims as (time, axis0[, axis1...]);
     ``control_times`` is the fine time-lattice size the coefficients are
-    prolonged to.
+    prolonged to.  Descent takes its gradients from the reverse pass, so
+    ``fd_epsilon`` is only the step of the finite-difference oracle
+    :func:`fd_gradient`.
     """
 
     max_iters: int = 25
@@ -60,8 +76,15 @@ class OptimizerConfig:
             raise ValueError("n_starts must be at least 1")
 
 
+TRACE_COLUMNS = ("start", "iteration", "J", "j_state_u", "j_state_v", "j_control",
+                 "control_norm", "step_length", "accepted", "reason")
+
+
 @dataclass
 class TraceRow:
+    """One evaluated candidate; ``reason`` says why an infeasible one failed
+    and is empty for a feasible one."""
+
     start: int
     iteration: int
     J: float
@@ -71,6 +94,7 @@ class TraceRow:
     control_norm: float
     step_length: float
     accepted: bool
+    reason: str = ""
 
 
 @dataclass
@@ -94,13 +118,12 @@ class OptimizationTrace:
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["start", "iteration", "J", "j_state_u", "j_state_v",
-                             "j_control", "control_norm", "step_length", "accepted"])
+            writer.writerow(TRACE_COLUMNS)
             for r in self.rows:
                 writer.writerow([r.start, r.iteration, repr(r.J), repr(r.j_state_u),
                                  repr(r.j_state_v), repr(r.j_control),
                                  repr(r.control_norm), repr(r.step_length),
-                                 int(r.accepted)])
+                                 int(r.accepted), r.reason])
 
 
 @dataclass
@@ -116,6 +139,19 @@ class OptimizeContext:
     basis: tuple
     control_times: np.ndarray
     fd_epsilon: float = 1e-4
+
+    @cached_property
+    def prolongation(self):
+        """Per lattice axis (time, then space), the fine-by-coarse matrix of
+        the prolongation's linear interpolation, built from unit vectors.
+
+        The prolongation is their tensor product.  Its transpose is applied
+        axis by axis: assembled, it would hold 24M entries for the basis
+        ``(3, 4, 4, 4)`` on 24^3 cells and 9 control times.
+        """
+        return [_interp_axis(np.eye(n), 0, frac)
+                for n, frac in zip(self.basis,
+                                   _lattice_fractions(self.grid, self.control_times))]
 
 
 def make_context(config, cost_params, model_params, u0, v0, dt_max):
@@ -140,6 +176,14 @@ def _interp_axis(arr, axis, frac):
     return np.moveaxis(out, 0, axis)
 
 
+def _lattice_fractions(grid, times):
+    """Fine-lattice positions in [0, 1] per axis: the times, then the cell
+    centers along each space axis."""
+    t_final = times[-1] if times[-1] > 0 else 1.0
+    return [times / t_final] + [grid.axis_centers(k) / grid.lengths[k]
+                                for k in range(grid.ndim)]
+
+
 def prolong_coefficients(coeffs, grid, times):
     """Multilinear prolongation of coarse lattice coefficients.
 
@@ -147,30 +191,64 @@ def prolong_coefficients(coeffs, grid, times):
     the output lives on ``(len(times), *grid.dims)``.
     """
     out = np.asarray(coeffs, dtype=float)
-    t_final = times[-1] if times[-1] > 0 else 1.0
-    out = _interp_axis(out, 0, times / t_final)
-    for k in range(grid.ndim):
-        frac = grid.axis_centers(k) / grid.lengths[k]
-        out = _interp_axis(out, 1 + k, frac)
+    for axis, frac in enumerate(_lattice_fractions(grid, times)):
+        out = _interp_axis(out, axis, frac)
     return out
+
+
+def _prolong_transpose(matrices, fine):
+    """Transpose of the prolongation, applied axis by axis."""
+    out = fine
+    for axis, mat in enumerate(matrices):
+        out = np.moveaxis(np.tensordot(mat, out, axes=([0], [axis])), 0, axis)
+    return out
+
+
+def _masked_control(coeffs, ctx):
+    """The prolonged, masked control before its retraction into the ball."""
+    values = prolong_coefficients(coeffs.reshape(ctx.basis), ctx.grid,
+                                  ctx.control_times)
+    return Control(ctx.grid, ctx.control_times.copy(), values)
 
 
 def control_from_coefficients(coeffs, ctx):
     """Prolong, mask and retract coefficients into a feasible control."""
-    values = prolong_coefficients(coeffs.reshape(ctx.basis), ctx.grid,
-                                  ctx.control_times)
-    ctrl = Control(ctx.grid, ctx.control_times.copy(), values)
-    return project_ball(ctrl, ctx.cost_params.M, ctx.cost_params.q)
+    return project_ball(_masked_control(coeffs, ctx), ctx.cost_params.M,
+                        ctx.cost_params.q)
+
+
+@dataclass
+class _Evaluation:
+    """One evaluated candidate: its objective and the run behind it.
+
+    An infeasible candidate has ``J = inf``, no breakdown and no trajectory,
+    and keeps the message of its ``StiffnessError`` as ``reason``.
+    """
+
+    coeffs: np.ndarray
+    J: float
+    breakdown: CostBreakdown | None
+    control: Control
+    traj: Trajectory | None
+    reason: str = ""
+
+    def row(self, start, iteration, step_length, accepted, q):
+        bd = self.breakdown
+        return TraceRow(start, iteration, self.J,
+                        bd.state_u if bd else math.inf,
+                        bd.state_v if bd else math.inf,
+                        bd.control if bd else math.inf,
+                        self.control.lq_norm(q), step_length, accepted, self.reason)
 
 
 def _evaluate(coeffs, ctx):
     ctrl = control_from_coefficients(coeffs, ctx)
     try:
         traj = simulate(ctx.u0, ctx.v0, ctrl, ctx.model_params, ctx.dt_max)
-    except StiffnessError:
-        return math.inf, None, ctrl
+    except StiffnessError as err:
+        return _Evaluation(coeffs, math.inf, None, ctrl, None, str(err))
     breakdown = evaluate_J(traj, ctrl, ctx.cost_params, ctx.model_params.s)
-    return breakdown.total, breakdown, ctrl
+    return _Evaluation(coeffs, breakdown.total, breakdown, ctrl, traj)
 
 
 def reduced_objective(f_params, ctx):
@@ -179,16 +257,35 @@ def reduced_objective(f_params, ctx):
     Deterministic for fixed inputs; a stiffness failure marks the candidate
     infeasible with value ``inf``.
     """
-    coeffs = np.asarray(f_params, dtype=float)
-    value, _, _ = _evaluate(coeffs, ctx)
-    return value
+    return _evaluate(np.asarray(f_params, dtype=float), ctx).J
+
+
+def adjoint_gradient(coeffs, traj, ctx):
+    """Exact gradient of :func:`reduced_objective` at ``coeffs``, by one
+    reverse pass over ``traj``, the run that evaluated them.
+
+    Chains the objective's partial derivatives through the time steps
+    (:func:`~chemoctrl.sim.simulate_adjoint`), the retraction into the ball,
+    the control mask and the prolongation.  It is the derivative of the
+    discrete map wherever that map is smooth, which is away from the upwind
+    switch, the truncation knee, the ball boundary and a change in the
+    accepted step sizes.
+    """
+    cp = ctx.cost_params
+    u_bar, v_bar, f_bar = evaluate_J_gradient(traj, traj.control, cp,
+                                              ctx.model_params.s)
+    f_bar += simulate_adjoint(traj, u_bar, v_bar)
+    g_bar = project_ball_transpose(_masked_control(coeffs, ctx), cp.M, cp.q, f_bar)
+    return _prolong_transpose(ctx.prolongation, g_bar * ctx.grid.control_mask).ravel()
 
 
 def finite_difference_gradient(fun, x, epsilon):
     """Central differences of ``fun`` at ``x``, coordinate by coordinate.
 
     Falls back to a one-sided difference when a probe comes back infeasible
-    (infinite); the returned mask flags those coordinates.
+    (infinite); the returned mask flags those coordinates.  The optimizer no
+    longer calls it; it is the oracle :func:`adjoint_gradient` is checked
+    against.
 
     Returns
     -------
@@ -229,19 +326,20 @@ def fd_gradient(f_params, ctx):
                                       ctx.fd_epsilon)
 
 
-def _descend(coeffs0, J0, bd0, ctrl0, ctx, config, trace, start):
-    """Backtracking descent from an evaluated starting point.
+def _descend(point, ctx, config, trace, start):
+    """Backtracking descent from an evaluated, feasible starting point.
 
     The trial move is ``step`` times the sup-normalized gradient, so ``step``
     is measured in coefficient units.  A step accepted without backtracking
     grows the next trial by ``1/shrink``; otherwise the next trial reuses the
-    accepted length.  Only strict decreases are accepted.
+    accepted length.  Only strict decreases are accepted, so every point the
+    gradient is taken at is feasible and its run is at hand.
     """
-    coeffs = coeffs0
-    J_cur, bd_cur, ctrl_cur = J0, bd0, ctrl0
+    q = ctx.cost_params.q
+    cur = point
     step = config.step0
     for it in range(1, config.max_iters + 1):
-        grad, _ = fd_gradient(coeffs, ctx)
+        grad = adjoint_gradient(cur.coeffs, cur.traj, ctx)
         gmax = float(np.abs(grad).max())
         if gmax == 0.0:
             break
@@ -249,30 +347,23 @@ def _descend(coeffs0, J0, bd0, ctrl0, ctx, config, trace, start):
         accepted = False
         backtracked = False
         for _ in range(config.max_backtracks):
-            cand = coeffs - step * direction
-            Jc, bdc, cc = _evaluate(cand, ctx)
-            if Jc < J_cur:
+            cand = _evaluate(cur.coeffs - step * direction, ctx)
+            if cand.J < cur.J:
                 accepted = True
                 break
-            trace.append(TraceRow(start, it, Jc,
-                                  bdc.state_u if bdc else math.inf,
-                                  bdc.state_v if bdc else math.inf,
-                                  bdc.control if bdc else math.inf,
-                                  cc.lq_norm(ctx.cost_params.q), step, False))
+            trace.append(cand.row(start, it, step, False, q))
             step *= config.shrink
             backtracked = True
         if not accepted:
             break
-        rel_drop = (J_cur - Jc) / max(J_cur, 1e-300)
-        coeffs, J_cur, bd_cur, ctrl_cur = cand, Jc, bdc, cc
-        trace.append(TraceRow(start, it, J_cur, bd_cur.state_u, bd_cur.state_v,
-                              bd_cur.control, ctrl_cur.lq_norm(ctx.cost_params.q),
-                              step, True))
+        rel_drop = (cur.J - cand.J) / max(cur.J, 1e-300)
+        cur = cand
+        trace.append(cur.row(start, it, step, True, q))
         if not backtracked:
             step /= config.shrink
         if rel_drop < config.stop_tol:
             break
-    return coeffs, J_cur, bd_cur, ctrl_cur
+    return cur
 
 
 def optimize(config, cost_params, model_params, u0, v0, dt_max,
@@ -293,39 +384,34 @@ def optimize(config, cost_params, model_params, u0, v0, dt_max,
     trace = OptimizationTrace()
     n_coeffs = int(np.prod(config.basis))
 
-    zeros = np.zeros(n_coeffs)
-    J0, bd0, ctrl0 = _evaluate(zeros, ctx)
-    if not math.isfinite(J0):
+    zero = _evaluate(np.zeros(n_coeffs), ctx)
+    if not math.isfinite(zero.J):
         raise InfeasibleBaselineError("the zero-control baseline run failed")
 
-    starts = [(zeros, J0, bd0, ctrl0)]
+    starts = [zero]
     if initial_coeffs is not None:
         warm = np.asarray(initial_coeffs, dtype=float).ravel()
         if warm.size != n_coeffs:
             raise ValueError("warm start has the wrong number of coefficients")
-        Jw, bdw, cw = _evaluate(warm, ctx)
-        if Jw < J0:
-            starts = [(warm, Jw, bdw, cw)]
+        warm_start = _evaluate(warm, ctx)
+        if warm_start.J < zero.J:
+            starts = [warm_start]
     rng = np.random.default_rng(config.seed)
     for _ in range(config.n_starts - 1):
-        extra = rng.normal(0.0, config.step0, size=n_coeffs)
-        Je, bde, ce = _evaluate(extra, ctx)
-        if math.isfinite(Je):
-            starts.append((extra, Je, bde, ce))
+        extra = _evaluate(rng.normal(0.0, config.step0, size=n_coeffs), ctx)
+        if math.isfinite(extra.J):
+            starts.append(extra)
 
     best = None
-    for k, (c0, J_s, bd_s, ctrl_s) in enumerate(starts):
-        trace.append(TraceRow(k, 0, J_s, bd_s.state_u, bd_s.state_v, bd_s.control,
-                              ctrl_s.lq_norm(cost_params.q), 0.0, True))
-        coeffs, J_fin, bd_fin, ctrl_fin = _descend(c0, J_s, bd_s, ctrl_s, ctx,
-                                                   config, trace, k)
-        if best is None or J_fin < best[1]:
-            best = (coeffs, J_fin, bd_fin, ctrl_fin)
+    for k, point in enumerate(starts):
+        trace.append(point.row(k, 0, 0.0, True, cost_params.q))
+        final = _descend(point, ctx, config, trace, k)
+        if best is None or final.J < best.J:
+            best = final
 
-    best_coeffs, best_J, _, best_ctrl = best
-    trace.best_J = best_J
-    trace.best_coeffs = best_coeffs
-    return best_ctrl, trace
+    trace.best_J = best.J
+    trace.best_coeffs = best.coeffs
+    return best.control, trace
 
 
 @dataclass

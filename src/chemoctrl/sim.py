@@ -34,6 +34,7 @@ copied into fixed blocks and stacked once at the end of a run.
 
 from __future__ import annotations
 
+import bisect
 import datetime
 import json
 import math
@@ -52,13 +53,14 @@ from .grid import (
     Grid,
     GridMismatchError,
     chemotaxis_array,
+    chemotaxis_transpose,
     face_gradients,
     h1_seminorm,
     integrate,
     spacetime_lp_norm,
 )
 from .io import load_levels, save_levels
-from .model import ModelParams, truncate
+from .model import ModelParams, truncate, truncate_derivative
 
 
 class StepSizeError(RuntimeError):
@@ -167,16 +169,30 @@ class Control:
     def t_final(self):
         return float(self.times[-1])
 
-    def slice_at(self, t):
-        """Control values at time ``t`` (linear in time, clamped at the ends)."""
+    def _bracket(self, t):
+        """Where ``t`` falls on the time lattice, as ``(j, w)``.
+
+        The slice at ``t`` is ``(1 - w) * values[j - 1] + w * values[j]``, or
+        ``values[j]`` alone when ``w`` is None (``t`` clamped to an end).
+        :meth:`slice_at` and the reverse pass of :func:`simulate_adjoint` both
+        read it, so the sampling and its transpose agree.
+        """
         ts = self.times
         if t <= ts[0]:
-            return self.values[0].copy()
+            return 0, None
         if t >= ts[-1]:
-            return self.values[-1].copy()
-        j = int(np.searchsorted(ts, t, side="right"))
-        w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
-        return (1.0 - w) * self.values[j - 1] + w * self.values[j]
+            return ts.size - 1, None
+        j = bisect.bisect_right(ts, t)
+        return j, (t - ts[j - 1]) / (ts[j] - ts[j - 1])
+
+    def slice_at(self, t):
+        """Control values at time ``t`` (linear in time, clamped at the ends)."""
+        j, w = self._bracket(t)
+        if w is None:
+            return self.values[j].copy()
+        out = (1.0 - w) * self.values[j - 1]
+        out += w * self.values[j]
+        return out
 
     def as_field(self, t):
         return Field(self.grid, self.slice_at(t))
@@ -593,6 +609,67 @@ def simulate(u0, v0, control, params, dt_max, save_every=1):
         control=control, dt_history=np.asarray(dts), events=events,
         mass_trace=np.asarray(masses),
     )
+
+
+def simulate_adjoint(traj, u_bar, v_bar):
+    """Reverse pass of :func:`simulate` over one run saved at every step.
+
+    ``u_bar`` and ``v_bar`` hold the derivatives of an objective with respect
+    to the saved levels (shaped like ``traj.u`` and ``traj.v``).  Returns its
+    derivative with respect to ``traj.control.values`` through the discrete
+    map, taken away from its kinks: the upwind switch, the truncation knee
+    and the step-size choice, which are held as the run took them.
+
+    Nothing is taped.  Each step, last first, recomputes its mobility,
+    reaction and control slice from the saved levels and the exact step sizes
+    ``dt_history``, and transposes the step.  Both implicit matrices,
+    ``I - dt*Lap`` and ``I - dt*Lap + dt*diag(r)``, are symmetric, so the
+    transposed solves reuse the forward solvers: the cached diffusion factor,
+    and :func:`_implicit_solve` once per sign of the mixed-sign right-hand
+    side.
+    """
+    grid, params, control = traj.grid, traj.params, traj.control
+    dts = traj.dt_history
+    if control is None or traj.n_levels != dts.size + 1:
+        raise ValueError("the reverse pass needs a controlled run saved at every step")
+    mask = grid.control_mask
+    u_bar = np.array(u_bar, dtype=float)  # accumulated in place, level by level
+    v_bar = np.array(v_bar, dtype=float)
+    f_bar = np.zeros_like(control.values)
+    for n in range(dts.size - 1, -1, -1):
+        dt = float(dts[n])
+        t = float(traj.times[n + 1])  # where the forward step sampled the control
+        u, v_new = traj.u[n], traj.v[n + 1]
+        f = control.slice_at(t) * mask
+        mobility = u if u.max() <= params.m else truncate(u, params.m)
+        react = (mobility**params.s + np.maximum(-f, 0.0) - np.maximum(f, 0.0)).ravel()
+
+        # u_new = (I - dt*Lap)^-1 (u + dt * transport(mobility, v_new))
+        lam_u = _diffusion_solver(grid, dt).solve(u_bar[n + 1].ravel())
+        lam_u = lam_u.reshape(grid.dims)
+        u_bar[n] += lam_u
+        mob_bar, v_new_bar = chemotaxis_transpose(grid, mobility, v_new, dt * lam_u)
+        v_new_bar += v_bar[n + 1]
+
+        # (I - dt*Lap + dt*diag(r)) v_new = v
+        b = v_new_bar.ravel()
+        lam_v = _implicit_solve(grid, dt, react, np.maximum(b, 0.0))
+        lam_v -= _implicit_solve(grid, dt, react, np.maximum(-b, 0.0))
+        lam_v = lam_v.reshape(grid.dims)
+        v_bar[n] += lam_v
+        r_bar = -dt * lam_v * v_new
+
+        # r = trunc(u)^s - f, with f the masked control slice
+        mob_bar += params.s * mobility ** (params.s - 1.0) * r_bar
+        u_bar[n] += truncate_derivative(u, params.m) * mob_bar
+        slice_bar = -r_bar * mask
+        j, w = control._bracket(t)
+        if w is None:
+            f_bar[j] += slice_bar
+        else:
+            f_bar[j - 1] += (1.0 - w) * slice_bar
+            f_bar[j] += w * slice_bar
+    return f_bar
 
 
 def _comparison_step(grid, w, f_tilde, dt):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from chemoctrl import (
     simulate,
     spacetime_lp_norm,
 )
+from chemoctrl.cost import evaluate_J_gradient, project_ball_transpose
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +172,53 @@ class TestProjectBall:
             before = Control(grid, times, a.values - b.values).lq_norm(2.0)
             after = Control(grid, times, pa.values - pb.values).lq_norm(2.0)
             assert after <= before + 1e-12
+
+
+class TestGradients:
+    def test_evaluate_J_gradient_directional(self, grid):
+        # central differences of J along random directions of u, v and f;
+        # J is smooth in each (5s/3 > 1 and q > 1), so they agree closely
+        p = ModelParams(s=1.5, t_final=0.2)
+        rng = np.random.default_rng(12)
+        u0 = Field(grid, rng.uniform(0.2, 1.0, grid.dims))
+        v0 = Field(grid, rng.uniform(0.5, 1.5, grid.dims))
+        ctrl = Control(grid, np.linspace(0, 0.2, 4),
+                       rng.uniform(-1, 1, (4,) + grid.dims))
+        traj = simulate(u0, v0, ctrl, p, dt_max=0.05)
+        cp = cost_params(grid, gamma_u=0.7, gamma_v=1.3, gamma_f=0.4,
+                         u_d=DesiredState.constant(0.5),
+                         v_d=DesiredState.constant(1.0))
+        u_bar, v_bar, f_bar = evaluate_J_gradient(traj, ctrl, cp, p.s)
+        eps = 1e-6
+        for name, bar in (("u", u_bar), ("v", v_bar), ("f", f_bar)):
+            base = ctrl.values if name == "f" else getattr(traj, name)
+            d = rng.normal(size=base.shape)
+
+            def J_at(x):
+                if name == "f":
+                    return evaluate_J(traj, Control(grid, ctrl.times, x), cp, p.s).total
+                return evaluate_J(dataclasses.replace(traj, **{name: x}), ctrl, cp,
+                                  p.s).total
+            fd = (J_at(base + eps * d) - J_at(base - eps * d)) / (2 * eps)
+            assert float((bar * d).sum()) == pytest.approx(fd, rel=1e-7)
+
+    @pytest.mark.parametrize("M", [0.5, 50.0])
+    def test_project_ball_transpose(self, grid, M):
+        rng = np.random.default_rng(13)
+        times = np.linspace(0, 1, 5)
+        g = rng.uniform(-2, 2, (5,) + grid.dims)
+        ctrl = Control(grid, times, g)
+        assert (ctrl.lq_norm(3.0) > M) == (M == 0.5)
+        bar = rng.normal(size=g.shape)
+        got = project_ball_transpose(ctrl, M, 3.0, bar)
+        d = rng.normal(size=g.shape)
+        eps = 1e-6
+
+        def F(x):
+            return project_ball(Control(grid, times, x), M, 3.0).values
+        fd = (F(g + eps * d) - F(g - eps * d)) / (2 * eps)
+        assert float((got * d).sum()) == pytest.approx(float((bar * fd).sum()),
+                                                       rel=1e-7)
 
 
 class TestCheckAdmissible:

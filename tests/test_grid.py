@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chemoctrl import (
@@ -21,8 +21,11 @@ from chemoctrl import (
 from chemoctrl.grid import (
     cell_gradient_sq,
     chemotaxis_array,
+    chemotaxis_transpose,
     divergence_from_fluxes,
     hessian_frobenius_sq,
+    trapezoid_intervals,
+    trapezoid_weights,
 )
 from chemoctrl.sim import laplacian_matrix
 
@@ -223,6 +226,59 @@ class TestChemotaxisArray:
         # signed zeros included
         assert transport.tobytes() == ref_transport.tobytes()
         assert rate.tobytes() == ref_rate.tobytes()
+
+
+class TestChemotaxisTranspose:
+    @given(dims=st.one_of(
+               st.tuples(st.integers(2, 24)),
+               st.tuples(st.integers(2, 8), st.integers(2, 8)),
+               st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5))),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_adjoint_identity(self, dims, seed):
+        # with the donor-cell masks fixed the transport is linear in the
+        # mobility and in v, so <T x, bar> = <x, T^t bar> for each argument
+        grid = Grid.unit_box(dims)
+        rng = np.random.default_rng(seed)
+        mob = rng.uniform(0.0, 2.0, dims)
+        v = rng.uniform(0.0, 1.0, dims)
+        bar = rng.normal(size=dims)
+        mob_bar, v_bar = chemotaxis_transpose(grid, mob, v, bar)
+
+        a = rng.uniform(0.0, 1.0, dims)
+        lhs = float((chemotaxis_array(grid, a, v)[0] * bar).sum())
+        assert lhs == pytest.approx(float((a * mob_bar).sum()), rel=1e-12, abs=1e-12)
+
+        b = rng.normal(size=dims)
+        eps = 1e-7
+        def downhill(w):
+            return [np.diff(w, axis=k) > 0 for k in range(grid.ndim)]
+        assume(all(map(np.array_equal, downhill(v), downhill(v + eps * b))))
+        delta = chemotaxis_array(grid, mob, v + eps * b)[0] \
+            - chemotaxis_array(grid, mob, v)[0]
+        lhs = float((delta * bar).sum()) / eps
+        scale = float(np.abs(b).sum() * np.abs(v_bar).max()) + 1.0
+        assert abs(lhs - float((b * v_bar).sum())) <= 1e-6 * scale
+
+    def test_zero_mobility_passes_no_v_gradient(self):
+        grid = Grid.unit_box((6, 5))
+        rng = np.random.default_rng(3)
+        mob_bar, v_bar = chemotaxis_transpose(grid, np.zeros(grid.dims),
+                                              rng.uniform(size=grid.dims),
+                                              rng.normal(size=grid.dims))
+        assert np.all(v_bar == 0.0)
+        assert np.any(mob_bar != 0.0)
+
+
+class TestTrapezoidWeights:
+    def test_transpose_of_interval_sum(self):
+        rng = np.random.default_rng(4)
+        times = np.cumsum(np.concatenate(([0.0], rng.uniform(0.01, 0.1, 11))))
+        per_level = rng.normal(size=times.size)
+        w = trapezoid_weights(times)
+        assert w @ per_level == pytest.approx(
+            trapezoid_intervals(times, per_level).sum(), rel=1e-13)
+        assert w.sum() == pytest.approx(times[-1], rel=1e-13)
 
 
 class TestNormsAndIntegrals:

@@ -1,7 +1,11 @@
+import csv
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chemoctrl import (
     CostParams,
@@ -11,18 +15,27 @@ from chemoctrl import (
     ModelParams,
     OptimizerConfig,
     evaluate_J,
+    fd_gradient,
     finite_difference_gradient,
     optimize,
     ordering_experiment,
     reduced_objective,
     simulate,
 )
-from chemoctrl import sim
+from chemoctrl import opt, sim
+from chemoctrl.cli import load_config
 from chemoctrl.opt import (
+    _evaluate,
+    _masked_control,
+    _prolong_transpose,
+    adjoint_gradient,
     control_from_coefficients,
     make_context,
     prolong_coefficients,
 )
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+BUNDLED = os.path.join(CONFIGS, "optimize_small.json")
 
 
 @pytest.fixture(scope="module")
@@ -275,3 +288,156 @@ class TestOrdering:
             ordering_experiment([1.0], cfg, cost_params(), model_params,
                                 Field.zeros(grid), Field.full(grid, 1.0),
                                 dt_max=0.05)
+
+
+def gaussian_context(dims=(64,), basis=(3, 4), m=8.0, s=2.0, M=3.0, t_final=0.4,
+                     amplitude=1.0, control_times=9):
+    """An optimize-1d-style instance: a Gaussian density off center, a
+    slightly varying concentration, and control on part of the box."""
+    g = Grid.unit_box(dims)
+    g = g.with_mask(g.box_mask([(0.0, 0.6)] + [(0.2, 1.0)] * (len(dims) - 1)))
+    centers = g.cell_centers()
+    r2 = sum((c - 0.45) ** 2 for c in centers)
+    u0 = Field(g, amplitude * np.exp(-r2 / (2 * 0.15**2)))
+    v0 = Field(g, 1.0 + 0.03 * np.sin(7.0 * centers[0] + 1.0))
+    cfg = OptimizerConfig(basis=basis, control_times=control_times)
+    mp = ModelParams(s=s, alpha=0.1, m=m, q=3.0, t_final=t_final)
+    return make_context(cfg, cost_params(M), mp, u0, v0, dt_max=0.02)
+
+
+def assert_adjoint_matches_fd(ctx, x, eps):
+    """The reverse-pass gradient agrees with central differences to 1e-6
+    relative; returns the evaluated point."""
+    point = _evaluate(x, ctx)
+    got = adjoint_gradient(x, point.traj, ctx)
+    fd, one_sided = finite_difference_gradient(lambda p: reduced_objective(p, ctx),
+                                               x, eps)
+    assert not one_sided.any()
+    assert np.abs(got - fd).max() <= 1e-6 * np.abs(fd).max()
+    return point
+
+
+def raw_norm(x, ctx):
+    """Control norm before the retraction into the ball."""
+    return _masked_control(x, ctx).lq_norm(ctx.cost_params.q)
+
+
+class TestAdjointGradient:
+    # central differences of a smooth map err by O(eps^2) plus round-off
+    # O(1e-16 J / eps); each eps keeps both well below the 1e-6 tolerance
+
+    def test_bundled_config(self):
+        # u0 = 0 stays 0, so only the concentration and control terms act
+        cfg = load_config(BUNDLED)
+        ctx = make_context(cfg.optimizer, cfg.cost, cfg.model, cfg.u0, cfg.v0,
+                           cfg.dt_max)
+        rng = np.random.default_rng(1)
+        for x in (np.zeros(4), rng.normal(size=4)):
+            point = assert_adjoint_matches_fd(ctx, x, 1e-4)
+            assert raw_norm(x, ctx) < ctx.cost_params.M
+            assert point.traj.u.max() == 0.0
+
+    def test_gaussian_density(self):
+        ctx = gaussian_context()
+        x = np.random.default_rng(2).normal(size=12)
+        point = assert_adjoint_matches_fd(ctx, x, 1e-4)
+        assert 0.0 < point.traj.u.max() <= ctx.model_params.m
+
+    def test_two_dimensional_grid(self):
+        ctx = gaussian_context(dims=(12, 10), basis=(2, 3, 2), s=1.5,
+                               t_final=0.2, control_times=5)
+        x = np.random.default_rng(3).normal(size=12)
+        assert_adjoint_matches_fd(ctx, x, 1e-5)
+
+    def test_ball_active(self):
+        ctx = gaussian_context(basis=(2, 2))
+        x = np.array([20.0, -15.0, 18.0, 25.0])
+        assert raw_norm(x, ctx) > 2 * ctx.cost_params.M
+        point = assert_adjoint_matches_fd(ctx, x, 1e-4)
+        assert point.control.lq_norm(3.0) == pytest.approx(ctx.cost_params.M)
+
+    def test_truncation_active(self):
+        ctx = gaussian_context(m=0.5)
+        x = np.random.default_rng(4).normal(size=12)
+        point = assert_adjoint_matches_fd(ctx, x, 1e-5)
+        assert point.traj.u.max() > ctx.model_params.m
+
+    @given(x=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_coefficients_away_from_kinks(self, x):
+        ctx = gaussian_context(dims=(16,), basis=(2, 2), m=0.8, M=1.0,
+                               amplitude=1.0, t_final=0.2)
+        x = np.array(x)
+        eps = 1e-5
+        point = _evaluate(x, ctx)
+        traj = point.traj
+        # the probes must see the same smooth piece: the same accepted steps,
+        # no ball boundary, no truncation knee, no upwind switch within reach
+        assume(abs(raw_norm(x, ctx) - ctx.cost_params.M) > 1e-3)
+        assume(np.abs(traj.u - ctx.model_params.m).min() > 1e-3)
+        assume(np.abs(np.diff(traj.v[1:], axis=1)).min() > 1e-6)
+        steps = []
+
+        def fun(p):
+            probe = _evaluate(p, ctx)
+            steps.append(np.array_equal(probe.traj.dt_history, traj.dt_history))
+            return probe.J
+        fd, _ = finite_difference_gradient(fun, x, eps)
+        assume(all(steps))
+        got = adjoint_gradient(x, traj, ctx)
+        assert np.abs(got - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    def test_prolongation_transpose_3d(self):
+        # the bundled 3D instance: 192 coefficients on 24^3 cells
+        cfg = load_config(os.path.join(CONFIGS, "optimize_3d.json"))
+        assert cfg.grid.dims == (24, 24, 24)
+        assert cfg.optimizer.basis == (3, 4, 4, 4)
+        ctx = make_context(cfg.optimizer, cfg.cost, cfg.model, cfg.u0, cfg.v0,
+                           cfg.dt_max)
+        rng = np.random.default_rng(5)
+        c = rng.normal(size=ctx.basis)
+        y = rng.normal(size=(ctx.control_times.size,) + ctx.grid.dims)
+        fine = prolong_coefficients(c, ctx.grid, ctx.control_times)
+        coarse = _prolong_transpose(ctx.prolongation, y)
+        assert coarse.shape == ctx.basis
+        assert float((fine * y).sum()) == pytest.approx(float((c * coarse).sum()),
+                                                        rel=1e-12)
+
+
+class TestDescentUsesAdjoint:
+    def test_no_finite_difference_probes(self, grid, model_params, count_calls):
+        fd_calls = count_calls(fd_gradient)
+        probe_calls = count_calls(finite_difference_gradient)
+        sim_calls = count_calls(sim.simulate)
+        cfg = OptimizerConfig(max_iters=4, basis=(2, 2), control_times=5,
+                              fd_epsilon=1e-3, stop_tol=0.0)
+        _, trace = optimize(cfg, cost_params(), model_params, Field.zeros(grid),
+                            Field.full(grid, 1.0), dt_max=0.05)
+        assert set(fd_calls.values()) == {0}
+        assert set(probe_calls.values()) == {0}
+        # one simulation per trace row: gradients cost no forward runs
+        assert sim_calls["opt.simulate"] == len(trace.rows)
+        assert trace.accepted_J(start=0).size >= 2
+
+
+class TestInfeasibleReason:
+    def test_stiffness_message_in_trace(self, grid, model_params, monkeypatch,
+                                        tmp_path):
+        # every nonzero control fails; the zero control runs normally
+        def stiff_unless_zero(u0, v0, control, params, dt_max):
+            if np.any(control.values):
+                raise sim.StiffnessError("dt underflow at t=0.125: stiff")
+            return simulate(u0, v0, control, params, dt_max)
+        monkeypatch.setattr(opt, "simulate", stiff_unless_zero)
+        cfg = OptimizerConfig(max_iters=1, basis=(2, 2), control_times=5,
+                              max_backtracks=3)
+        _, trace = optimize(cfg, cost_params(), model_params, Field.zeros(grid),
+                            Field.full(grid, 1.0), dt_max=0.05)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == list(opt.TRACE_COLUMNS)
+        assert [r["reason"] for r in rows] == \
+            [""] + ["dt underflow at t=0.125: stiff"] * 3
+        assert [r["J"] for r in rows[1:]] == ["inf"] * 3

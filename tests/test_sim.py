@@ -82,6 +82,30 @@ class TestControl:
         assert ctrl.slice_at(-1.0) == pytest.approx(0.0)
         assert ctrl.slice_at(2.0) == pytest.approx(2.0)
 
+    @given(n_times=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+           t=st.floats(-0.5, 1.5), on_node=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_slice_matches_searchsorted_reference(self, n_times, seed, t, on_node):
+        # the bisect lookup picks the searchsorted index, and the blend keeps
+        # its arithmetic, so every slice is the same bytes as before
+        g = Grid.unit_box((5,))
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(np.concatenate(([0.0], rng.uniform(0.01, 0.3, n_times - 1))))
+        vals = rng.normal(size=(n_times,) + g.dims)
+        vals[:, 0] = -0.0
+        ctrl = Control(g, times, vals)
+        if on_node:
+            t = float(times[rng.integers(n_times)])
+        if t <= times[0]:
+            ref = ctrl.values[0]
+        elif t >= times[-1]:
+            ref = ctrl.values[-1]
+        else:
+            j = int(np.searchsorted(times, t, side="right"))
+            w = (t - times[j - 1]) / (times[j] - times[j - 1])
+            ref = (1.0 - w) * ctrl.values[j - 1] + w * ctrl.values[j]
+        assert ctrl.slice_at(t).tobytes() == ref.tobytes()
+
     def test_lq_norm_constant(self):
         # |f| = c on the unit space-time cylinder has every L^q norm c
         g = Grid.unit_box((10,))
@@ -393,6 +417,26 @@ class TestSimulate:
         with pytest.raises(ValueError, match="horizon"):
             simulate(Field.zeros(grid), Field.full(grid, 1.0), short,
                      params(t_final=0.5), 0.01)
+
+
+class TestSimulateAdjoint:
+    def test_needs_controlled_run_saved_every_step(self, grid):
+        p = params(t_final=0.1)
+        u0, v0 = Field.full(grid, 0.5), Field.full(grid, 1.0)
+        ctrl = Control.constant(grid, 0.3, 0.1)
+        for traj in (simulate(u0, v0, None, p, 0.01),
+                     simulate(u0, v0, ctrl, p, 0.01, save_every=3)):
+            with pytest.raises(ValueError, match="saved at every step"):
+                sim.simulate_adjoint(traj, np.zeros_like(traj.u),
+                                     np.zeros_like(traj.v))
+
+    def test_zero_seed_gives_zero_gradient(self, grid):
+        p = params(t_final=0.1)
+        ctrl = Control.constant(grid, 0.3, 0.1)
+        traj = simulate(Field.full(grid, 0.5), Field.full(grid, 1.0), ctrl, p, 0.01)
+        f_bar = sim.simulate_adjoint(traj, np.zeros_like(traj.u), np.zeros_like(traj.v))
+        assert f_bar.shape == ctrl.values.shape
+        assert np.all(f_bar == 0.0)
 
 
 class TestComparison:
