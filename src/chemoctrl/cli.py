@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cost import CostParams, DesiredState, check_admissible, evaluate_J
+from .cost import CostParams, DesiredState, check_admissible
 from .energy import audit_pairs_to_csv, build_energy_report, energy_inequality_audit
 from .grid import Field, Grid, field_from_csv
 from .io import read_levels, write_levels
@@ -158,7 +159,11 @@ def load_config(path, overrides=None):
         ssec = raw.get("sim", {})
         dt_max = float(overrides.get("dt_max", ssec.get("dt_max", model.t_final / 50
                                                         if model.t_final > 0 else 1.0)))
+        if not (math.isfinite(dt_max) and dt_max > 0):
+            raise ConfigError(f"dt_max must be finite and positive, got {dt_max}")
         save_every = int(overrides.get("save_every", ssec.get("save_every", 1)))
+        if save_every < 1:
+            raise ConfigError(f"save_every must be at least 1, got {save_every}")
         compare = bool(overrides.get("compare", ssec.get("compare", False)))
 
         cost = None
@@ -173,6 +178,8 @@ def load_config(path, overrides=None):
                 v_d=_build_desired(grid, csec.get("desired_v"), base_dir),
                 M=float(csec.get("M", 1.0)))
 
+        # unknown keys are ignored, so older configs with fd_epsilon, seed or
+        # n_starts still load
         optimizer = None
         osec = raw.get("optimizer")
         if osec is not None:
@@ -180,17 +187,16 @@ def load_config(path, overrides=None):
                 max_iters=int(osec.get("max_iters", 25)),
                 step0=float(osec.get("step0", 1.0)),
                 shrink=float(osec.get("shrink", 0.5)),
-                fd_epsilon=float(osec.get("fd_epsilon", 1e-4)),
                 basis=tuple(int(b) for b in osec.get("basis", [2, 2])),
                 stop_tol=float(osec.get("stop_tol", 1e-6)),
-                seed=int(overrides.get("seed", osec.get("seed", 0))),
-                control_times=int(osec.get("control_times", 9)),
-                n_starts=int(osec.get("n_starts", 1)))
+                control_times=int(osec.get("control_times", 9)))
 
         esec = raw.get("energy", {})
         beta = float(overrides.get("beta", esec.get("beta", 1e-3)))
+        if not beta > 0:
+            raise ConfigError(f"beta must be positive, got {beta}")
         K = float(overrides.get("K", esec.get("K", 0.0)))
-        m_sweep = [float(m) for m in overrides.get("m_sweep", raw.get("m_sweep", []))]
+        m_sweep = _positive_list("m_sweep", raw.get("m_sweep", []))
         output_dir = str(overrides.get("output_dir", raw.get("output_dir", "out")))
     except ConfigError:
         raise
@@ -200,6 +206,15 @@ def load_config(path, overrides=None):
                      dt_max=dt_max, save_every=save_every, compare=compare,
                      cost=cost, optimizer=optimizer, beta=beta, K=K,
                      m_sweep=m_sweep, output_dir=output_dir, base_dir=base_dir)
+
+
+def _positive_list(name, values):
+    """``values`` as floats, each one positive."""
+    values = [float(v) for v in values]
+    bad = [v for v in values if not v > 0]
+    if bad:
+        raise ConfigError(f"{name} values must be positive, got {bad}")
+    return values
 
 
 def _write_json(path, payload):
@@ -263,6 +278,7 @@ def cmd_energy_audit(cfg, traj_dir, beta, K, out_dir, alpha_sweep=None):
     one residual per value (the provable shift threshold is nonconstructive,
     so this stays a diagnostic).
     """
+    alpha_sweep = _positive_list("--alpha-sweep", alpha_sweep or [])
     os.makedirs(out_dir, exist_ok=True)
     traj = trajectory_from_dir(traj_dir)
     if alpha_sweep:
@@ -270,8 +286,8 @@ def cmd_energy_audit(cfg, traj_dir, beta, K, out_dir, alpha_sweep=None):
             writer = csv.writer(fh)
             writer.writerow(["alpha", "worst_residual"])
             for alpha in alpha_sweep:
-                pa = replace(traj.params, alpha=float(alpha))
-                writer.writerow([repr(float(alpha)),
+                pa = replace(traj.params, alpha=alpha)
+                writer.writerow([repr(alpha),
                                  repr(energy_inequality_audit(traj, pa, beta, K))])
     report = build_energy_report(traj, traj.params, beta, max(K, 0.0))
     report.to_json(os.path.join(out_dir, "energy_report.json"))
@@ -288,8 +304,11 @@ def cmd_energy_audit(cfg, traj_dir, beta, K, out_dir, alpha_sweep=None):
     return EXIT_OK if passed else EXIT_AUDIT_FAIL
 
 
-def cmd_optimize(cfg, out_dir, m_sweep=None):
-    """Run the descent, export the best control, trace and admissibility report."""
+def cmd_optimize(cfg, out_dir):
+    """Run the descent, export the best control, trace and admissibility report.
+
+    The report and the cost breakdown reuse the best control's run from descent.
+    """
     if cfg.cost is None or cfg.optimizer is None:
         raise ConfigError("optimize needs cost and optimizer config sections")
     os.makedirs(out_dir, exist_ok=True)
@@ -302,16 +321,10 @@ def cmd_optimize(cfg, out_dir, m_sweep=None):
     _write_json(os.path.join(out_dir, "best_control_times.json"),
                 {"times": [float(t) for t in ctrl.times]})
 
-    traj = simulate(cfg.u0, cfg.v0, ctrl, cfg.model, cfg.dt_max)
-    report = check_admissible(traj, ctrl, cfg.cost, cfg.model, cfg.beta, cfg.K)
+    best = trace.best
+    report = check_admissible(best.traj, ctrl, cfg.cost, cfg.model, cfg.beta, cfg.K)
     report.to_json(os.path.join(out_dir, "admissibility.json"))
-    _write_json(os.path.join(out_dir, "best_objective.json"),
-                evaluate_J(traj, ctrl, cfg.cost, cfg.model.s).to_dict())
-
-    if m_sweep:
-        table = ordering_experiment(m_sweep, cfg.optimizer, cfg.cost, cfg.model,
-                                    cfg.u0, cfg.v0, cfg.dt_max)
-        table.to_csv(os.path.join(out_dir, "m_sweep.csv"))
+    _write_json(os.path.join(out_dir, "best_objective.json"), best.breakdown.to_dict())
     return EXIT_OK
 
 
@@ -319,7 +332,7 @@ def cmd_sweep(cfg, out_dir, m_values=None):
     """Objective-versus-radius table over a sweep of ball radii."""
     if cfg.cost is None or cfg.optimizer is None:
         raise ConfigError("sweep needs cost and optimizer config sections")
-    values = m_values if m_values else cfg.m_sweep
+    values = _positive_list("--m-values", m_values) if m_values else cfg.m_sweep
     if not values or len(values) < 2:
         raise ConfigError("sweep needs at least two M values (config m_sweep)")
     os.makedirs(out_dir, exist_ok=True)
@@ -340,7 +353,6 @@ def _add_common(p):
     p.add_argument("--dt-max", type=float, dest="dt_max")
     p.add_argument("--t-final", type=float, dest="t_final")
     p.add_argument("--save-every", type=int, dest="save_every")
-    p.add_argument("--seed", type=int)
 
 
 def build_parser():
@@ -368,8 +380,6 @@ def build_parser():
 
     p = sub.add_parser("optimize", help="projected descent over the control ball")
     _add_common(p)
-    p.add_argument("--m-sweep", type=float, nargs="+", dest="m_sweep",
-                   help="also emit the objective table over these radii")
 
     p = sub.add_parser("sweep", help="objective table over ball radii")
     _add_common(p)
@@ -383,7 +393,6 @@ def main(argv=None):
         ("dt_max", getattr(args, "dt_max", None)),
         ("t_final", getattr(args, "t_final", None)),
         ("save_every", getattr(args, "save_every", None)),
-        ("seed", getattr(args, "seed", None)),
         ("beta", getattr(args, "beta", None)),
         ("K", getattr(args, "K", None)),
         ("output_dir", getattr(args, "output", None)),
@@ -399,7 +408,7 @@ def main(argv=None):
             return cmd_energy_audit(cfg, args.trajectory, cfg.beta, cfg.K, out_dir,
                                     alpha_sweep=args.alpha_sweep)
         if args.command == "optimize":
-            return cmd_optimize(cfg, out_dir, m_sweep=args.m_sweep)
+            return cmd_optimize(cfg, out_dir)
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir, m_values=args.m_values)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -232,31 +232,31 @@ def _weak_probes(traj):
     return probes
 
 
-def check_admissible(traj, control, cost_params, params, beta, K, tol=None):
+def check_admissible(traj, control, cost_params, params, beta, K):
     """Report the discrete admissibility of a (trajectory, control) pair.
 
     Checks the control-ball membership, the weak residual of the density
     equation against standard probes, and the energy-inequality audit with
     the constant ``K`` (a number, or fitted constants evaluated at ``M``).
-    Report-only: nothing raises on failure.
+    Both residuals pass within one tolerance, scaled by the mean step, the
+    squared spacing and the largest state value.  Report-only: nothing raises
+    on failure.
     """
     norm = control.lq_norm(cost_params.q) if control is not None else 0.0
     in_ball = norm <= cost_params.M * (1.0 + 1e-12) + 1e-12
 
-    weak_tol = tol if tol is not None else _default_weak_tol(traj)
+    tol = _default_weak_tol(traj)
     weak = max(abs(weak_residual(traj, probe)) for probe in _weak_probes(traj))
 
     if isinstance(K, FittedConstants):
         K_val = K.K_of(cost_params.M)
     else:
         K_val = float(K)
-    energy_tol = tol if tol is not None else _default_weak_tol(traj)
     res = energy_inequality_audit(traj, params, beta, K_val)
 
     return AdmissibilityReport(
         control_norm=norm, M=cost_params.M, in_ball=bool(in_ball),
-        weak_res=weak, weak_tol=weak_tol, weak_pass=bool(weak <= weak_tol),
-        energy_residual=res, energy_tol=energy_tol,
-        energy_pass=bool(res <= energy_tol),
+        weak_res=weak, weak_tol=tol, weak_pass=bool(weak <= tol),
+        energy_residual=res, energy_tol=tol, energy_pass=bool(res <= tol),
         K_used=K_val, beta_used=float(beta),
     )

@@ -3,9 +3,9 @@
 The control is parameterized on a coarse space-time lattice and prolonged
 multilinearly to the fine lattice; every candidate is radially retracted into
 the admissible ball before it is simulated, so all evaluated controls are
-feasible.  The line search accepts only strict decreases, so the accepted
-objective sequence is strictly decreasing and the method is deterministic for
-a fixed seed.
+feasible.  Descent runs from one start, the zero control or a better warm
+start.  The line search accepts only strict decreases, so the accepted
+objective sequence is strictly decreasing, and the method is deterministic.
 
 The continuous problem has no adjoint at weak-solution regularity, but the
 discrete reduced objective is piecewise smooth: prolongation, mask, radial
@@ -14,6 +14,8 @@ Descent differentiates that map directly (discretize, then optimize):
 :func:`adjoint_gradient` runs one reverse pass over the run that evaluated
 the current point, so a gradient costs no further simulation.
 :func:`finite_difference_gradient` stays as the oracle it is checked against.
+The trace keeps the best point with its run, so its admissibility and cost
+breakdown need no further simulation either.
 """
 
 from __future__ import annotations
@@ -39,41 +41,39 @@ class InfeasibleBaselineError(RuntimeError):
     """Even the zero control fails to produce a finite objective."""
 
 
+# halvings of the trial step per descent iteration before descent stops
+MAX_BACKTRACKS = 25
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Descent and parameterization knobs.
 
     ``basis`` gives the coarse lattice dims as (time, axis0[, axis1...]);
     ``control_times`` is the fine time-lattice size the coefficients are
-    prolonged to.  Descent takes its gradients from the reverse pass, so
-    ``fd_epsilon`` is only the step of the finite-difference oracle
-    :func:`fd_gradient`.
+    prolonged to.  ``step0`` is the first trial step in coefficient units,
+    ``shrink`` its backtracking factor, and descent stops after
+    ``max_iters`` iterations or a relative drop below ``stop_tol``.
     """
 
     max_iters: int = 25
     step0: float = 1.0
     shrink: float = 0.5
-    fd_epsilon: float = 1e-4
     basis: tuple = (2, 2)
     stop_tol: float = 1e-6
-    seed: int = 0
     control_times: int = 9
-    max_backtracks: int = 25
-    n_starts: int = 1
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not 0 < self.shrink < 1:
             raise ValueError("shrink must lie strictly between 0 and 1")
-        if self.step0 <= 0 or self.fd_epsilon <= 0:
-            raise ValueError("step0 and fd_epsilon must be positive")
+        if self.step0 <= 0:
+            raise ValueError("step0 must be positive")
         if len(self.basis) < 2 or any(b < 1 for b in self.basis):
             raise ValueError("basis needs >= 1 node per dimension, (time, space...)")
         if self.control_times < 2:
             raise ValueError("control_times must be at least 2")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be at least 1")
 
 
 TRACE_COLUMNS = ("start", "iteration", "J", "j_state_u", "j_state_v", "j_control",
@@ -99,9 +99,18 @@ class TraceRow:
 
 @dataclass
 class OptimizationTrace:
+    """Every evaluated candidate, and the best point with the run behind it."""
+
     rows: list = field(default_factory=list)
-    best_J: float = math.inf
-    best_coeffs: np.ndarray = None
+    best: Evaluation | None = None
+
+    @property
+    def best_J(self):
+        return math.inf if self.best is None else self.best.J
+
+    @property
+    def best_coeffs(self):
+        return None if self.best is None else self.best.coeffs
 
     def append(self, row):
         if row.accepted:
@@ -138,7 +147,6 @@ class OptimizeContext:
     dt_max: float
     basis: tuple
     control_times: np.ndarray
-    fd_epsilon: float = 1e-4
 
     @cached_property
     def prolongation(self):
@@ -158,8 +166,7 @@ def make_context(config, cost_params, model_params, u0, v0, dt_max):
     times = np.linspace(0.0, model_params.t_final, config.control_times)
     return OptimizeContext(grid=u0.grid, model_params=model_params,
                            cost_params=cost_params, u0=u0, v0=v0, dt_max=dt_max,
-                           basis=tuple(config.basis), control_times=times,
-                           fd_epsilon=config.fd_epsilon)
+                           basis=tuple(config.basis), control_times=times)
 
 
 def _interp_axis(arr, axis, frac):
@@ -218,7 +225,7 @@ def control_from_coefficients(coeffs, ctx):
 
 
 @dataclass
-class _Evaluation:
+class Evaluation:
     """One evaluated candidate: its objective and the run behind it.
 
     An infeasible candidate has ``J = inf``, no breakdown and no trajectory,
@@ -232,9 +239,10 @@ class _Evaluation:
     traj: Trajectory | None
     reason: str = ""
 
-    def row(self, start, iteration, step_length, accepted, q):
+    def row(self, iteration, step_length, accepted, q):
         bd = self.breakdown
-        return TraceRow(start, iteration, self.J,
+        # descent has one start, numbered 0 in the trace's ``start`` column
+        return TraceRow(0, iteration, self.J,
                         bd.state_u if bd else math.inf,
                         bd.state_v if bd else math.inf,
                         bd.control if bd else math.inf,
@@ -246,9 +254,9 @@ def _evaluate(coeffs, ctx):
     try:
         traj = simulate(ctx.u0, ctx.v0, ctrl, ctx.model_params, ctx.dt_max)
     except StiffnessError as err:
-        return _Evaluation(coeffs, math.inf, None, ctrl, None, str(err))
+        return Evaluation(coeffs, math.inf, None, ctrl, None, str(err))
     breakdown = evaluate_J(traj, ctrl, ctx.cost_params, ctx.model_params.s)
-    return _Evaluation(coeffs, breakdown.total, breakdown, ctrl, traj)
+    return Evaluation(coeffs, breakdown.total, breakdown, ctrl, traj)
 
 
 def reduced_objective(f_params, ctx):
@@ -319,51 +327,10 @@ def finite_difference_gradient(fun, x, epsilon):
     return grad, one_sided
 
 
-def fd_gradient(f_params, ctx):
-    """Finite-difference gradient of :func:`reduced_objective`."""
+def fd_gradient(f_params, ctx, epsilon):
+    """Finite-difference gradient of :func:`reduced_objective`, step ``epsilon``."""
     return finite_difference_gradient(lambda p: reduced_objective(p, ctx),
-                                      np.asarray(f_params, dtype=float),
-                                      ctx.fd_epsilon)
-
-
-def _descend(point, ctx, config, trace, start):
-    """Backtracking descent from an evaluated, feasible starting point.
-
-    The trial move is ``step`` times the sup-normalized gradient, so ``step``
-    is measured in coefficient units.  A step accepted without backtracking
-    grows the next trial by ``1/shrink``; otherwise the next trial reuses the
-    accepted length.  Only strict decreases are accepted, so every point the
-    gradient is taken at is feasible and its run is at hand.
-    """
-    q = ctx.cost_params.q
-    cur = point
-    step = config.step0
-    for it in range(1, config.max_iters + 1):
-        grad = adjoint_gradient(cur.coeffs, cur.traj, ctx)
-        gmax = float(np.abs(grad).max())
-        if gmax == 0.0:
-            break
-        direction = grad / gmax
-        accepted = False
-        backtracked = False
-        for _ in range(config.max_backtracks):
-            cand = _evaluate(cur.coeffs - step * direction, ctx)
-            if cand.J < cur.J:
-                accepted = True
-                break
-            trace.append(cand.row(start, it, step, False, q))
-            step *= config.shrink
-            backtracked = True
-        if not accepted:
-            break
-        rel_drop = (cur.J - cand.J) / max(cur.J, 1e-300)
-        cur = cand
-        trace.append(cur.row(start, it, step, True, q))
-        if not backtracked:
-            step /= config.shrink
-        if rel_drop < config.stop_tol:
-            break
-    return cur
+                                      np.asarray(f_params, dtype=float), epsilon)
 
 
 def optimize(config, cost_params, model_params, u0, v0, dt_max,
@@ -371,9 +338,14 @@ def optimize(config, cost_params, model_params, u0, v0, dt_max,
     """Minimize the objective over the ball by projected descent.
 
     Always evaluates the zero control first (it is feasible by definition);
-    descent starts there, from ``initial_coeffs`` when that warm start is
-    strictly better, and from ``n_starts - 1`` extra seeded random starts.
-    Returns the best control found and the full trace.
+    descent starts there, or from ``initial_coeffs`` when that warm start is
+    strictly better.  The trial move is ``step`` times the sup-normalized
+    gradient, so ``step`` is measured in coefficient units.  A step accepted
+    without backtracking grows the next trial by ``1/shrink``; otherwise the
+    next trial reuses the accepted length.  Only strict decreases are
+    accepted, so every point the gradient is taken at is feasible and its run
+    is at hand.  Returns the best control found and the trace, which holds
+    the best point and its run as ``trace.best``.
 
     Raises
     ------
@@ -383,35 +355,49 @@ def optimize(config, cost_params, model_params, u0, v0, dt_max,
     ctx = make_context(config, cost_params, model_params, u0, v0, dt_max)
     trace = OptimizationTrace()
     n_coeffs = int(np.prod(config.basis))
+    q = cost_params.q
 
-    zero = _evaluate(np.zeros(n_coeffs), ctx)
-    if not math.isfinite(zero.J):
+    cur = _evaluate(np.zeros(n_coeffs), ctx)
+    if not math.isfinite(cur.J):
         raise InfeasibleBaselineError("the zero-control baseline run failed")
-
-    starts = [zero]
     if initial_coeffs is not None:
         warm = np.asarray(initial_coeffs, dtype=float).ravel()
         if warm.size != n_coeffs:
             raise ValueError("warm start has the wrong number of coefficients")
         warm_start = _evaluate(warm, ctx)
-        if warm_start.J < zero.J:
-            starts = [warm_start]
-    rng = np.random.default_rng(config.seed)
-    for _ in range(config.n_starts - 1):
-        extra = _evaluate(rng.normal(0.0, config.step0, size=n_coeffs), ctx)
-        if math.isfinite(extra.J):
-            starts.append(extra)
+        if warm_start.J < cur.J:
+            cur = warm_start
+    trace.append(cur.row(0, 0.0, True, q))
 
-    best = None
-    for k, point in enumerate(starts):
-        trace.append(point.row(k, 0, 0.0, True, cost_params.q))
-        final = _descend(point, ctx, config, trace, k)
-        if best is None or final.J < best.J:
-            best = final
+    step = config.step0
+    for it in range(1, config.max_iters + 1):
+        grad = adjoint_gradient(cur.coeffs, cur.traj, ctx)
+        gmax = float(np.abs(grad).max())
+        if gmax == 0.0:
+            break
+        direction = grad / gmax
+        accepted = False
+        backtracked = False
+        for _ in range(MAX_BACKTRACKS):
+            cand = _evaluate(cur.coeffs - step * direction, ctx)
+            if cand.J < cur.J:
+                accepted = True
+                break
+            trace.append(cand.row(it, step, False, q))
+            step *= config.shrink
+            backtracked = True
+        if not accepted:
+            break
+        rel_drop = (cur.J - cand.J) / max(cur.J, 1e-300)
+        cur = cand
+        trace.append(cur.row(it, step, True, q))
+        if not backtracked:
+            step /= config.shrink
+        if rel_drop < config.stop_tol:
+            break
 
-    trace.best_J = best.J
-    trace.best_coeffs = best.coeffs
-    return best.control, trace
+    trace.best = cur
+    return cur.control, trace
 
 
 @dataclass

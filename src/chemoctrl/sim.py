@@ -397,6 +397,14 @@ def _check_new_level(name, a):
                               f"{a[bad]}")
 
 
+def _mobility_and_reaction(u, fpos, fneg, params):
+    """``trunc(u)`` and the flat reaction ``trunc(u)^s + f_- - f_+``, shared by
+    :func:`step` and its transpose in :func:`simulate_adjoint`."""
+    # the truncation is the identity up to m, and u is nonnegative
+    mobility = u if u.max() <= params.m else truncate(u, params.m)
+    return mobility, (mobility**params.s + fneg - fpos).ravel()
+
+
 def step(state, control_slice, params, dt):
     """Advance one implicit-explicit step of size ``dt``.
 
@@ -452,9 +460,7 @@ def step(state, control_slice, params, dt):
         )
 
     u = state.u.values
-    # the truncation is the identity up to m, and u is nonnegative
-    mobility = u if u.max() <= params.m else truncate(u, params.m)
-    react = (mobility**params.s + fneg - fpos).ravel()
+    mobility, react = _mobility_and_reaction(u, fpos, fneg, params)
     v_new = _implicit_solve(grid, dt, react, state.v.values.ravel()).reshape(grid.dims)
     _check_new_level("v", v_new)
 
@@ -641,8 +647,8 @@ def simulate_adjoint(traj, u_bar, v_bar):
         t = float(traj.times[n + 1])  # where the forward step sampled the control
         u, v_new = traj.u[n], traj.v[n + 1]
         f = control.slice_at(t) * mask
-        mobility = u if u.max() <= params.m else truncate(u, params.m)
-        react = (mobility**params.s + np.maximum(-f, 0.0) - np.maximum(f, 0.0)).ravel()
+        mobility, react = _mobility_and_reaction(u, np.maximum(f, 0.0),
+                                                 np.maximum(-f, 0.0), params)
 
         # u_new = (I - dt*Lap)^-1 (u + dt * transport(mobility, v_new))
         lam_u = _diffusion_solver(grid, dt).solve(u_bar[n + 1].ravel())

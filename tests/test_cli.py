@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from chemoctrl import energy
+from chemoctrl import energy, sim
 from chemoctrl.cli import main
 from chemoctrl.sim import trajectory_from_dir
 
@@ -140,6 +140,43 @@ class TestConfigErrors:
         }))
         assert run(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 2
         assert "u0.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, patch, field", [
+        ("energy-audit", ["--beta", "-1"], {}, "beta"),
+        ("energy-audit", [], {"energy": {"beta": 0.0}}, "beta"),
+        ("energy-audit", ["--alpha-sweep", "0.1", "0"], {}, "--alpha-sweep"),
+        ("simulate", ["--dt-max", "-1"], {}, "dt_max"),
+        ("simulate", ["--dt-max", "nan"], {}, "dt_max"),
+        ("optimize", ["--dt-max", "0"], {}, "dt_max"),
+        ("simulate", [], {"sim": {"dt_max": math.inf}}, "dt_max"),
+        ("simulate", ["--save-every", "0"], {}, "save_every"),
+        ("sweep", ["--m-values", "-1", "1"], {}, "--m-values"),
+        ("sweep", [], {"m_sweep": [0.5, 0.0]}, "m_sweep"),
+    ])
+    def test_bad_numeric_input_is_config_error(self, decay_dir, tmp_path, capsys,
+                                               command, flags, patch, field):
+        with open(cfg_path("optimize_small.json")) as fh:
+            raw = json.load(fh)
+        for key, value in patch.items():
+            raw[key] = {**raw[key], **value} if isinstance(value, dict) else value
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        argv = [command, str(cfg), *flags, "--output", str(out)]
+        if command == "energy-audit":
+            argv += ["--trajectory", decay_dir]
+        assert run(argv) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "simulate_decay.toml", "--seed", "1"],
+        ["optimize", "optimize_small.json", "--m-sweep", "1", "2"],
+    ])
+    def test_removed_flags_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([argv[0], cfg_path(argv[1]), *argv[2:]])
+        assert exc.value.code == 2
 
 
 class TestSimulate:
@@ -415,6 +452,25 @@ class TestOptimize:
         assert adm["in_ball"] is True
         assert adm["passed"] is True
         assert os.path.exists(os.path.join(out, "best_control.csv"))
+
+    def test_best_control_is_not_simulated_again(self, tmp_path, count_calls):
+        # the admissibility report and best_objective.json reuse the run that
+        # evaluated the best control during descent
+        calls = count_calls(sim.simulate)
+        assert run(["optimize", cfg_path("optimize_small.json"),
+                    "--output", str(tmp_path / "o")]) == 0
+        assert calls["opt.simulate"] > 0
+        assert sum(calls.values()) == calls["opt.simulate"]
+
+    def test_best_objective_is_last_accepted_J(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["optimize", cfg_path("optimize_small.json"),
+                    "--output", str(out)]) == 0
+        with open(out / "trace.csv", newline="") as fh:
+            accepted = [r["J"] for r in csv.DictReader(fh) if r["accepted"] == "1"]
+        with open(out / "best_objective.json") as fh:
+            total = json.load(fh)["total"]
+        assert repr(total) == accepted[-1]
 
     def test_infeasible_baseline_exit_code(self, tmp_path):
         # a concentration spike steep enough that even the uncontrolled run

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import json
 import math
 import os
 
@@ -58,7 +60,7 @@ def cost_params(M=3.0):
 
 @pytest.fixture(scope="module")
 def context(grid, model_params):
-    cfg = OptimizerConfig(basis=(2, 2), control_times=9, fd_epsilon=1e-3)
+    cfg = OptimizerConfig(basis=(2, 2), control_times=9)
     u0 = Field.zeros(grid)
     v0 = Field.full(grid, 1.0)
     return make_context(cfg, cost_params(), model_params, u0, v0, dt_max=0.05)
@@ -67,11 +69,23 @@ def context(grid, model_params):
 class TestConfig:
     @pytest.mark.parametrize("kw", [
         dict(max_iters=0), dict(shrink=1.0), dict(step0=0.0),
-        dict(basis=(2,)), dict(control_times=1), dict(n_starts=0),
+        dict(basis=(2,)), dict(control_times=1),
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             OptimizerConfig(**kw)
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(OptimizerConfig)] == \
+            ["max_iters", "step0", "shrink", "basis", "stop_tol", "control_times"]
+
+    def test_removed_keys_are_ignored(self, tmp_path):
+        with open(BUNDLED) as fh:
+            raw = json.load(fh)
+        raw["optimizer"].update(fd_epsilon=1e-3, seed=7, n_starts=4)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        assert load_config(str(path)).optimizer == load_config(BUNDLED).optimizer
 
 
 class TestProlongation:
@@ -130,7 +144,7 @@ class TestReducedObjective:
 
     def test_masked_coordinates_have_zero_gradient(self, grid, model_params):
         # a basis column whose support lies outside the control region
-        cfg = OptimizerConfig(basis=(1, 2), control_times=5, fd_epsilon=1e-2)
+        cfg = OptimizerConfig(basis=(1, 2), control_times=5)
         ctx = make_context(cfg, cost_params(), model_params, Field.zeros(grid),
                            Field.full(grid, 1.0), dt_max=0.05)
         fun = lambda c: reduced_objective(c, ctx)
@@ -146,7 +160,7 @@ class TestFiniteDifferences:
         # |f|^q has zero slope at f = 0 for q > 1, and the central difference
         # cancels the even |eps|^q contribution exactly, so the gradient at
         # the origin reflects the state terms only
-        cfg = OptimizerConfig(basis=(2, 2), control_times=5, fd_epsilon=1e-3)
+        cfg = OptimizerConfig(basis=(2, 2), control_times=5)
         grads = {}
         for gamma_f in (0.1, 100.0):
             cp = CostParams(gamma_u=1.0, gamma_v=1.0, gamma_f=gamma_f, q=3.0,
@@ -162,8 +176,8 @@ class TestFiniteDifferences:
         from chemoctrl import fd_gradient
         coeffs = np.array([0.2, -0.1, 0.3, 0.0])
         fun = lambda c: reduced_objective(c, context)
-        expected, _ = finite_difference_gradient(fun, coeffs, context.fd_epsilon)
-        got, flags = fd_gradient(coeffs, context)
+        expected, _ = finite_difference_gradient(fun, coeffs, 1e-3)
+        got, flags = fd_gradient(coeffs, context, 1e-3)
         assert np.array_equal(got, expected)
         assert not flags.any()
 
@@ -197,7 +211,7 @@ class TestOptimize:
                         u_d=DesiredState.constant(0.0),
                         v_d=DesiredState.constant(1.0), M=2.0)
         cfg = OptimizerConfig(max_iters=3, basis=(2, 2), control_times=5,
-                              step0=0.5, fd_epsilon=1e-3)
+                              step0=0.5)
         ctrl, trace = optimize(cfg, cp, p, Field.zeros(grid), Field.full(grid, 1.0),
                                dt_max=0.05)
         assert trace.best_J == pytest.approx(0.0, abs=1e-12)
@@ -208,7 +222,7 @@ class TestOptimize:
         # the benchmark names the optimizer's simulations by this attribute
         calls = count_calls(sim.simulate)
         cfg = OptimizerConfig(max_iters=2, basis=(2, 2), control_times=5,
-                              step0=1.0, fd_epsilon=1e-3)
+                              step0=1.0)
         optimize(cfg, cost_params(), model_params, Field.zeros(grid),
                  Field.full(grid, 1.0), dt_max=0.05)
         assert calls["opt.simulate"] > 0
@@ -216,7 +230,7 @@ class TestOptimize:
 
     def test_improves_and_respects_ball(self, grid, model_params):
         cfg = OptimizerConfig(max_iters=8, basis=(2, 2), control_times=9,
-                              step0=1.0, fd_epsilon=1e-3, stop_tol=1e-8)
+                              step0=1.0, stop_tol=1e-8)
         cp = cost_params(M=3.0)
         ctrl, trace = optimize(cfg, cp, model_params, Field.zeros(grid),
                                Field.full(grid, 1.0), dt_max=0.05)
@@ -236,7 +250,7 @@ class TestOptimize:
                         u_d=DesiredState.constant(0.2),
                         v_d=DesiredState.constant(1.5), M=3.0)
         cfg = OptimizerConfig(max_iters=6, basis=(2, 2), control_times=9,
-                              fd_epsilon=1e-3, stop_tol=1e-8)
+                              stop_tol=1e-8)
         ctrl, trace = optimize(cfg, cp, model_params, u0, v0, dt_max=0.05)
         accepted = trace.accepted_J(start=0)
         assert trace.best_J < accepted[0]
@@ -246,6 +260,23 @@ class TestOptimize:
         assert bd.state_u > 0.0
         assert bd.total == pytest.approx(trace.best_J, rel=1e-12)
 
+    def test_best_point_keeps_its_run(self, grid, model_params):
+        # the best point's run and breakdown are what a fresh simulation of
+        # the returned control gives, bit for bit
+        cp = cost_params()
+        u0, v0 = Field.zeros(grid), Field.full(grid, 1.0)
+        cfg = OptimizerConfig(max_iters=4, basis=(2, 2), control_times=5)
+        ctrl, trace = optimize(cfg, cp, model_params, u0, v0, dt_max=0.05)
+        best = trace.best
+        assert best.control is ctrl
+        assert best.J == trace.best_J == trace.accepted_J()[-1]
+        assert np.array_equal(best.coeffs, trace.best_coeffs)
+        traj = simulate(u0, v0, ctrl, model_params, 0.05)
+        assert np.array_equal(best.traj.u, traj.u)
+        assert np.array_equal(best.traj.v, traj.v)
+        assert best.breakdown.to_dict() == \
+            evaluate_J(traj, ctrl, cp, model_params.s).to_dict()
+
     def test_trace_rejects_nondecreasing_insert(self):
         from chemoctrl.opt import OptimizationTrace, TraceRow
         trace = OptimizationTrace()
@@ -254,8 +285,7 @@ class TestOptimize:
             trace.append(TraceRow(0, 1, 1.0, 0, 0, 1.0, 0.5, 0.1, True))
 
     def test_deterministic_trace(self, grid, model_params):
-        cfg = OptimizerConfig(max_iters=3, basis=(2, 2), control_times=5,
-                              fd_epsilon=1e-3, seed=7)
+        cfg = OptimizerConfig(max_iters=3, basis=(2, 2), control_times=5)
         args = (cfg, cost_params(), model_params, Field.zeros(grid),
                 Field.full(grid, 1.0))
         c1, t1 = optimize(*args, dt_max=0.05)
@@ -267,7 +297,7 @@ class TestOptimize:
 class TestOrdering:
     def test_warm_started_sweep_monotone(self, grid, model_params):
         cfg = OptimizerConfig(max_iters=5, basis=(2, 2), control_times=9,
-                              fd_epsilon=1e-3, stop_tol=1e-8)
+                              stop_tol=1e-8)
         table = ordering_experiment([0.5, 1.0, 2.0], cfg, cost_params(),
                                     model_params, Field.zeros(grid),
                                     Field.full(grid, 1.0), dt_max=0.05)
@@ -275,8 +305,7 @@ class TestOrdering:
         assert np.all(np.diff(J) <= cfg.stop_tol * np.maximum(J[:-1], 1e-300))
 
     def test_identical_radii_identical_J(self, grid, model_params):
-        cfg = OptimizerConfig(max_iters=3, basis=(2, 2), control_times=5,
-                              fd_epsilon=1e-3)
+        cfg = OptimizerConfig(max_iters=3, basis=(2, 2), control_times=5)
         table = ordering_experiment([1.0, 1.0], cfg, cost_params(),
                                     model_params, Field.zeros(grid),
                                     Field.full(grid, 1.0), dt_max=0.05)
@@ -410,7 +439,7 @@ class TestDescentUsesAdjoint:
         probe_calls = count_calls(finite_difference_gradient)
         sim_calls = count_calls(sim.simulate)
         cfg = OptimizerConfig(max_iters=4, basis=(2, 2), control_times=5,
-                              fd_epsilon=1e-3, stop_tol=0.0)
+                              stop_tol=0.0)
         _, trace = optimize(cfg, cost_params(), model_params, Field.zeros(grid),
                             Field.full(grid, 1.0), dt_max=0.05)
         assert set(fd_calls.values()) == {0}
@@ -429,8 +458,8 @@ class TestInfeasibleReason:
                 raise sim.StiffnessError("dt underflow at t=0.125: stiff")
             return simulate(u0, v0, control, params, dt_max)
         monkeypatch.setattr(opt, "simulate", stiff_unless_zero)
-        cfg = OptimizerConfig(max_iters=1, basis=(2, 2), control_times=5,
-                              max_backtracks=3)
+        monkeypatch.setattr(opt, "MAX_BACKTRACKS", 3)
+        cfg = OptimizerConfig(max_iters=1, basis=(2, 2), control_times=5)
         _, trace = optimize(cfg, cost_params(), model_params, Field.zeros(grid),
                             Field.full(grid, 1.0), dt_max=0.05)
         path = tmp_path / "trace.csv"
