@@ -8,7 +8,6 @@ fail, 2 config error, 3 data error, 4 infeasibility.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -18,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cost import CostParams, DesiredState, check_admissible
-from .energy import audit_pairs_to_csv, build_energy_report, energy_inequality_audit
+from .energy import build_energy_report, energy_inequality_audit
 from .grid import Field, Grid, field_from_csv
-from .io import read_levels, write_levels
+from .io import read_levels, write_csv, write_json, write_levels
 from .model import ModelParams
 from .opt import InfeasibleBaselineError, OptimizerConfig, optimize, \
     ordering_experiment
@@ -82,18 +81,39 @@ class RunConfig:
     base_dir: str
 
 
+def _number(value, name, integral=False):
+    """``value`` as a finite float, or as an int when ``integral``.
+
+    Bools, strings and other non-numbers, NaN, infinities and, with
+    ``integral``, values with a fractional part raise :class:`ConfigError`
+    naming the field ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if integral:
+        if value != int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
+
+
 def _build_grid(section):
     try:
-        dims = [int(n) for n in section["dims"]]
+        dims = [_number(n, "grid.dims", integral=True) for n in section["dims"]]
     except KeyError as err:
         raise ConfigError("grid.dims is required") from err
-    lengths = section.get("lengths", [1.0] * len(dims))
+    lengths = [_number(L, "grid.lengths")
+               for L in section.get("lengths", [1.0] * len(dims))]
     if len(lengths) != len(dims):
         raise ConfigError("grid.lengths must match grid.dims in length")
     spacing = tuple(L / n for L, n in zip(lengths, dims))
     grid = Grid(tuple(dims), spacing)
     if "control_box" in section:
-        grid = grid.with_mask(grid.box_mask(section["control_box"]))
+        box = [[_number(x, "grid.control_box") for x in pair]
+               for pair in section["control_box"]]
+        grid = grid.with_mask(grid.box_mask(box))
     elif "control_mask" in section:
         mask = np.asarray(section["control_mask"], dtype=bool).reshape(grid.dims)
         grid = grid.with_mask(mask)
@@ -119,7 +139,8 @@ def _build_control(grid, section, t_final, base_dir):
         path = os.path.join(base_dir, section["csv"])
         if not os.path.exists(path):
             raise ConfigError(f"control: file not found: {path}")
-        times = np.asarray(section.get("times", [0.0, t_final]), dtype=float)
+        times = np.array([_number(t, "control.times")
+                          for t in section.get("times", [0.0, t_final])])
         return Control(grid, times, read_levels(path, grid.dims, times.size))
     kw = {k: v for k, v in section.items() if k != "preset"}
     return control_preset(grid, section.get("preset", "zero"), t_final, **kw)
@@ -147,36 +168,36 @@ def load_config(path, overrides=None):
         msec = dict(raw.get("model", {}))
         if "t_final" in overrides:
             msec["t_final"] = overrides["t_final"]
-        model = ModelParams(
-            s=float(msec.get("s", 1.0)), alpha=float(msec.get("alpha", 0.1)),
-            m=float(msec.get("m", 8.0)), q=float(msec.get("q", 3.0)),
-            t_final=float(msec.get("t_final", 1.0)))
+        model = ModelParams(**{
+            key: _number(msec.get(key, default), f"model.{key}") for key, default in
+            (("s", 1.0), ("alpha", 0.1), ("m", 8.0), ("q", 3.0), ("t_final", 1.0))})
         init = raw.get("initial", {})
         u0 = _build_field(grid, init.get("u", {"preset": "zero"}), base_dir, "initial.u")
         v0 = _build_field(grid, init.get("v", {"preset": "constant", "value": 1.0}),
                           base_dir, "initial.v")
         control = _build_control(grid, raw.get("control"), model.t_final, base_dir)
         ssec = raw.get("sim", {})
-        dt_max = float(overrides.get("dt_max", ssec.get("dt_max", model.t_final / 50
-                                                        if model.t_final > 0 else 1.0)))
-        if not (math.isfinite(dt_max) and dt_max > 0):
-            raise ConfigError(f"dt_max must be finite and positive, got {dt_max}")
-        save_every = int(overrides.get("save_every", ssec.get("save_every", 1)))
+        dt_max = _number(overrides.get("dt_max", ssec.get(
+            "dt_max", model.t_final / 50 if model.t_final > 0 else 1.0)), "sim.dt_max")
+        if not dt_max > 0:
+            raise ConfigError(f"sim.dt_max must be positive, got {dt_max}")
+        save_every = _number(overrides.get("save_every", ssec.get("save_every", 1)),
+                             "sim.save_every", integral=True)
         if save_every < 1:
-            raise ConfigError(f"save_every must be at least 1, got {save_every}")
-        compare = bool(overrides.get("compare", ssec.get("compare", False)))
+            raise ConfigError(f"sim.save_every must be at least 1, got {save_every}")
+        compare = ssec.get("compare", False)
+        if not isinstance(compare, bool):
+            raise ConfigError(f"sim.compare must be true or false, got {compare!r}")
 
         cost = None
         csec = raw.get("cost")
         if csec is not None:
             cost = CostParams(
-                gamma_u=float(csec.get("gamma_u", 1.0)),
-                gamma_v=float(csec.get("gamma_v", 1.0)),
-                gamma_f=float(csec.get("gamma_f", 1.0)),
                 q=model.q,
                 u_d=_build_desired(grid, csec.get("desired_u"), base_dir),
                 v_d=_build_desired(grid, csec.get("desired_v"), base_dir),
-                M=float(csec.get("M", 1.0)))
+                **{key: _number(csec.get(key, 1.0), f"cost.{key}")
+                   for key in ("gamma_u", "gamma_v", "gamma_f", "M")})
 
         # unknown keys are ignored, so older configs with fd_epsilon, seed or
         # n_starts still load
@@ -184,23 +205,26 @@ def load_config(path, overrides=None):
         osec = raw.get("optimizer")
         if osec is not None:
             optimizer = OptimizerConfig(
-                max_iters=int(osec.get("max_iters", 25)),
-                step0=float(osec.get("step0", 1.0)),
-                shrink=float(osec.get("shrink", 0.5)),
-                basis=tuple(int(b) for b in osec.get("basis", [2, 2])),
-                stop_tol=float(osec.get("stop_tol", 1e-6)),
-                control_times=int(osec.get("control_times", 9)))
+                max_iters=_number(osec.get("max_iters", 25), "optimizer.max_iters",
+                                  integral=True),
+                step0=_number(osec.get("step0", 1.0), "optimizer.step0"),
+                shrink=_number(osec.get("shrink", 0.5), "optimizer.shrink"),
+                basis=tuple(_number(b, "optimizer.basis", integral=True)
+                            for b in osec.get("basis", [2, 2])),
+                stop_tol=_number(osec.get("stop_tol", 1e-6), "optimizer.stop_tol"),
+                control_times=_number(osec.get("control_times", 9),
+                                      "optimizer.control_times", integral=True))
 
         esec = raw.get("energy", {})
-        beta = float(overrides.get("beta", esec.get("beta", 1e-3)))
+        beta = _number(overrides.get("beta", esec.get("beta", 1e-3)), "energy.beta")
         if not beta > 0:
-            raise ConfigError(f"beta must be positive, got {beta}")
-        K = float(overrides.get("K", esec.get("K", 0.0)))
+            raise ConfigError(f"energy.beta must be positive, got {beta}")
+        K = _number(overrides.get("K", esec.get("K", 0.0)), "energy.K")
         m_sweep = _positive_list("m_sweep", raw.get("m_sweep", []))
         output_dir = str(overrides.get("output_dir", raw.get("output_dir", "out")))
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, OSError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError, OSError) as err:
         raise ConfigError(f"invalid config {path}: {err}") from err
     return RunConfig(grid=grid, model=model, u0=u0, v0=v0, control=control,
                      dt_max=dt_max, save_every=save_every, compare=compare,
@@ -209,17 +233,12 @@ def load_config(path, overrides=None):
 
 
 def _positive_list(name, values):
-    """``values`` as floats, each one positive."""
-    values = [float(v) for v in values]
+    """``values`` as finite floats, each one positive."""
+    values = [_number(v, name) for v in values]
     bad = [v for v in values if not v > 0]
     if bad:
         raise ConfigError(f"{name} values must be positive, got {bad}")
     return values
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
 
 
 def cmd_simulate(cfg, out_dir, compare=None):
@@ -257,11 +276,10 @@ def cmd_simulate(cfg, out_dir, compare=None):
         violation = float((traj.v - w_saved).max())
         summary["comparison_max_violation"] = violation
         summary["comparison_pass"] = bool(violation <= 1e-10)
-        np.savetxt(os.path.join(out_dir, "comparison_max_w.csv"),
-                   np.column_stack([traj.times,
-                                    w_saved.reshape(traj.n_levels, -1).max(axis=1)]),
-                   delimiter=",", header="t,max_w", comments="")
-    _write_json(os.path.join(out_dir, "audit_summary.json"), summary)
+        write_csv(os.path.join(out_dir, "comparison_max_w.csv"), ["t", "max_w"],
+                  zip(traj.times.tolist(),
+                      w_saved.reshape(traj.n_levels, -1).max(axis=1).tolist()))
+    write_json(os.path.join(out_dir, "audit_summary.json"), summary)
 
     ok = summary["negative_u_cells"] == 0 and summary["negative_v_cells"] == 0 \
         and summary["mass_step_drift_rel"] <= 1e-12 \
@@ -282,22 +300,19 @@ def cmd_energy_audit(cfg, traj_dir, beta, K, out_dir, alpha_sweep=None):
     os.makedirs(out_dir, exist_ok=True)
     traj = trajectory_from_dir(traj_dir)
     if alpha_sweep:
-        with open(os.path.join(out_dir, "alpha_sweep.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "worst_residual"])
-            for alpha in alpha_sweep:
-                pa = replace(traj.params, alpha=alpha)
-                writer.writerow([repr(alpha),
-                                 repr(energy_inequality_audit(traj, pa, beta, K))])
+        write_csv(os.path.join(out_dir, "alpha_sweep.csv"), ["alpha", "worst_residual"],
+                  [(alpha, energy_inequality_audit(
+                      traj, replace(traj.params, alpha=alpha), beta, K))
+                   for alpha in alpha_sweep])
     report = build_energy_report(traj, traj.params, beta, max(K, 0.0))
     report.to_json(os.path.join(out_dir, "energy_report.json"))
-    audit_pairs_to_csv(report.residual_pairs(K),
-                       os.path.join(out_dir, "energy_residual_pairs.csv"))
+    write_csv(os.path.join(out_dir, "energy_residual_pairs.csv"), ["t1", "t2", "residual"],
+              report.residual_pairs(K))
     worst = report.worst_residual(K)
     # a pass tolerates round-off of the energy evaluations themselves
     floor = 1e-12 * max(1.0, float(np.abs(report.energy).max()))
     passed = bool(worst <= floor)
-    _write_json(os.path.join(out_dir, "energy_audit.json"), {
+    write_json(os.path.join(out_dir, "energy_audit.json"), {
         "beta": beta, "K": K, "worst_residual": worst,
         "passed": passed,
     })
@@ -318,13 +333,13 @@ def cmd_optimize(cfg, out_dir):
 
     cfg.grid.to_json(os.path.join(out_dir, "grid.json"))
     write_levels(os.path.join(out_dir, "best_control.csv"), cfg.grid.dims, ctrl.values)
-    _write_json(os.path.join(out_dir, "best_control_times.json"),
-                {"times": [float(t) for t in ctrl.times]})
+    write_json(os.path.join(out_dir, "best_control_times.json"),
+               {"times": [float(t) for t in ctrl.times]})
 
     best = trace.best
     report = check_admissible(best.traj, ctrl, cfg.cost, cfg.model, cfg.beta, cfg.K)
     report.to_json(os.path.join(out_dir, "admissibility.json"))
-    _write_json(os.path.join(out_dir, "best_objective.json"), best.breakdown.to_dict())
+    write_json(os.path.join(out_dir, "best_objective.json"), best.breakdown.to_dict())
     return EXIT_OK
 
 
@@ -339,7 +354,7 @@ def cmd_sweep(cfg, out_dir, m_values=None):
     table = ordering_experiment(values, cfg.optimizer, cfg.cost, cfg.model,
                                 cfg.u0, cfg.v0, cfg.dt_max)
     table.to_csv(os.path.join(out_dir, "m_sweep.csv"))
-    _write_json(os.path.join(out_dir, "m_sweep.json"), {
+    write_json(os.path.join(out_dir, "m_sweep.json"), {
         "plateau_M": table.plateau_M,
         "J": [r.J for r in table.rows],
         "M": [r.M for r in table.rows],
@@ -347,12 +362,15 @@ def cmd_sweep(cfg, out_dir, m_values=None):
     return EXIT_OK
 
 
-def _add_common(p):
+def _add_common(p, stepping=True, save_every=True):
+    """The config and ``--output``, plus the stepping flags a subcommand reads."""
     p.add_argument("config", help="TOML or JSON run configuration")
     p.add_argument("--output", help="output directory (overrides config)")
-    p.add_argument("--dt-max", type=float, dest="dt_max")
-    p.add_argument("--t-final", type=float, dest="t_final")
-    p.add_argument("--save-every", type=int, dest="save_every")
+    if stepping:
+        p.add_argument("--dt-max", type=float, dest="dt_max")
+        p.add_argument("--t-final", type=float, dest="t_final")
+    if save_every:
+        p.add_argument("--save-every", type=int, dest="save_every")
 
 
 def build_parser():
@@ -371,18 +389,19 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("energy-audit", help="audit a stored trajectory")
-    _add_common(p)
+    _add_common(p, stepping=False, save_every=False)
     p.add_argument("--trajectory", required=True, help="trajectory directory")
     p.add_argument("--beta", type=float)
     p.add_argument("--K", type=float)
     p.add_argument("--alpha-sweep", type=float, nargs="+", dest="alpha_sweep",
                    help="re-audit under these square-root shifts (diagnostic)")
 
+    # descent always simulates with save_every = 1
     p = sub.add_parser("optimize", help="projected descent over the control ball")
-    _add_common(p)
+    _add_common(p, save_every=False)
 
     p = sub.add_parser("sweep", help="objective table over ball radii")
-    _add_common(p)
+    _add_common(p, save_every=False)
     p.add_argument("--m-values", type=float, nargs="+", dest="m_values")
     return parser
 

@@ -10,13 +10,13 @@ closed form for general ``q``, and the optimizer only needs a retraction).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import FittedConstants, energy_inequality_audit
 from .grid import spacetime_lp_norm, trapezoid_weights
+from .io import write_json
 from .sim import weak_residual
 
 
@@ -210,8 +210,7 @@ class AdmissibilityReport:
         return d
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
+        write_json(path, self.to_dict())
 
 
 def _default_weak_tol(traj):

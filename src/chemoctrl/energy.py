@@ -20,8 +20,6 @@ the audit, its pair residuals, :func:`dissipation_terms` and
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +33,7 @@ from .grid import (
     integrate,
     trapezoid_intervals,
 )
+from .io import write_json
 from .model import g_energy, g_m_energy, z_transform
 
 
@@ -90,8 +89,7 @@ class EnergyReport:
         }
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
+        write_json(path, self.to_dict())
 
     def _accumulator(self):
         """Cumulative ``E + beta*(entropy + hessian + quartic) + cross/4`` per level."""
@@ -264,14 +262,6 @@ def audit_pairs(traj, params, beta, K, stride=1):
     """Per-pair residual rows ``(t1, t2, residual)`` for plotting."""
     report = build_energy_report(traj, params, beta, max(K, 0.0))
     return report.residual_pairs(K, stride)
-
-
-def audit_pairs_to_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t1", "t2", "residual"])
-        for t1, t2, r in rows:
-            writer.writerow([repr(t1), repr(t2), repr(r)])
 
 
 def fit_constants(trajs, params, beta_range=(1e-6, 1.0), zero_tol=1e-8,

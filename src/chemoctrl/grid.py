@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .io import read_cells, write_cells
+from .io import read_cells, write_cells, write_json
 
 
 class GridMismatchError(ValueError):
@@ -151,8 +151,7 @@ class Grid:
         }
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.header_dict(), fh, sort_keys=True)
+        write_json(path, self.header_dict())
 
     @classmethod
     def from_header(cls, header):

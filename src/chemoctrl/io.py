@@ -1,19 +1,22 @@
-"""The artifact codec: CSV cell tables and binary level stacks.
+"""The artifact codec: every CSV and JSON file, and binary level stacks.
+
+Every CSV file goes through :func:`write_csv`: a header row, then one row
+per record, each line ended by CRLF, fields quoted only where needed and
+floats written as the shortest ``repr`` that round-trips; this is the
+:func:`csv.writer` dialect.  Every JSON file goes through
+:func:`write_json`: sorted keys, one-space indent and strict JSON, so a NaN
+or an infinity raises instead of reaching the file.
 
 A *cell table* is CSV.  It has a header row naming its columns, then one row
 per grid cell (a state or a field) or per time level and cell (a *level
 table*: a control).  A row holds the integer level index (level tables only,
 column ``t_index``), the cell's index coordinates ``i0, i1, ...``, then its
-values.  Writers emit rows in C order, values as the shortest ``repr`` that
-round-trips, and end every line with CRLF, which is the byte stream of
-:func:`csv.writer` row by row.  Readers accept the rows in any order but
-reject a table that does not describe every cell exactly once: wrong header,
-unparsable or non-integer indices, negative or out-of-range indices, missing
-or duplicate rows, and non-finite values all raise :class:`CellTableError`.
-Both sides do no per-cell Python work: a writer joins the cached index
-columns and the values' reprs into one string per block of cells, and a
-reader parses with :func:`numpy.loadtxt` and scatters the values by their
-flat index.
+values, in C order.  Readers accept the rows in any order but reject a table
+that does not describe every cell exactly once: wrong header, unparsable or
+non-integer indices, negative or out-of-range indices, missing or duplicate
+rows, and non-finite values all raise :class:`CellTableError`.  A reader
+does no per-cell Python work: it parses with :func:`numpy.loadtxt` and
+scatters the values by their flat index.
 
 A *level stack* is a ``.npy`` file (format version 1.0) holding one
 little-endian float64 array in C order, of shape ``(n_levels, *dims)``; a
@@ -26,16 +29,13 @@ before it returns; any defect raises :class:`LevelStackError`.
 
 from __future__ import annotations
 
-import functools
-import itertools
+import csv
+import json
 import math
 import os
 import warnings
 
 import numpy as np
-
-
-_BLOCK = 1024  # cells formatted per write
 
 
 class CellTableError(ValueError):
@@ -46,36 +46,33 @@ class LevelStackError(ValueError):
     """A level stack on disk is malformed or does not have the expected shape."""
 
 
-@functools.lru_cache(maxsize=8)
-def _index_columns(dims):
-    """Per axis, the index text of every cell in C order.
+def write_csv(path, header, rows):
+    """Write the ``header`` row, then every row of ``rows``, in the CSV dialect."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
-    Equal indices share one string object, so a column costs a pointer per
-    cell.
+
+def write_json(path, payload):
+    """Write ``payload`` as strict JSON with sorted keys and a one-space indent.
+
+    A NaN or an infinity raises :class:`ValueError` before the file is opened.
     """
-    names = [str(i) for i in range(max(dims))]
-    coords = np.indices(dims).reshape(len(dims), -1).tolist()
-    return tuple(tuple(map(names.__getitem__, c)) for c in coords)
+    text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _header(dims, names):
     return [f"i{k}" for k in range(len(dims))] + list(names)
 
 
-def _write_rows(fh, dims, arrays, lead=()):
-    """Write CRLF-terminated rows: ``lead`` texts, cell index, values' reprs.
-
-    Rows are formatted ``_BLOCK`` cells at a time, so the text held in memory
-    stays small however large the grid.
-    """
-    index = _index_columns(dims)
-    values = [np.asarray(a, dtype=float).ravel() for a in arrays]
-    for start in range(0, math.prod(dims), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        reprs = [map(repr, v[block].tolist()) for v in values]
-        rows = zip(*lead, *(c[block] for c in index), *reprs)
-        fh.write("\r\n".join(map(",".join, rows)))
-        fh.write("\r\n")
+def _indexed_rows(shape, arrays):
+    """Rows of each cell's C-order index coordinates, then its value per array."""
+    index = np.indices(shape).reshape(len(shape), -1).tolist()
+    values = [np.asarray(a, dtype=float).ravel().tolist() for a in arrays]
+    return zip(*index, *values)
 
 
 def write_cells(path, dims, columns):
@@ -84,9 +81,7 @@ def write_cells(path, dims, columns):
     ``columns`` maps column names to arrays of shape ``dims``, in order.
     """
     dims = tuple(dims)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_header(dims, columns)) + "\r\n")
-        _write_rows(fh, dims, columns.values())
+    write_csv(path, _header(dims, columns), _indexed_rows(dims, columns.values()))
 
 
 def write_levels(path, dims, values):
@@ -95,10 +90,9 @@ def write_levels(path, dims, values):
     ``values`` has shape ``(n_levels, *dims)``.
     """
     dims = tuple(dims)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["t_index"] + _header(dims, ["value"])) + "\r\n")
-        for t_index, level in enumerate(values):
-            _write_rows(fh, dims, [level], lead=[itertools.repeat(str(t_index))])
+    values = np.asarray(values, dtype=float).reshape((-1,) + dims)
+    write_csv(path, ["t_index"] + _header(dims, ["value"]),
+              _indexed_rows(values.shape, [values]))
 
 
 def _read_table(path, header, key_dims):

@@ -20,7 +20,6 @@ breakdown need no further simulation either.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -34,6 +33,7 @@ from .cost import (
     project_ball,
     project_ball_transpose,
 )
+from .io import write_csv
 from .sim import Control, StiffnessError, Trajectory, simulate, simulate_adjoint
 
 
@@ -125,14 +125,10 @@ class OptimizationTrace:
                          and (start is None or r.start == start)])
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for r in self.rows:
-                writer.writerow([r.start, r.iteration, repr(r.J), repr(r.j_state_u),
-                                 repr(r.j_state_v), repr(r.j_control),
-                                 repr(r.control_norm), repr(r.step_length),
-                                 int(r.accepted), r.reason])
+        write_csv(path, TRACE_COLUMNS, (
+            [r.start, r.iteration, r.J, r.j_state_u, r.j_state_v, r.j_control,
+             r.control_norm, r.step_length, int(r.accepted), r.reason]
+            for r in self.rows))
 
 
 @dataclass
@@ -418,13 +414,10 @@ class OrderingTable:
         return np.array([r.J for r in self.rows])
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["M", "J", "control_norm", "threshold_q_over_gamma_f_J",
-                             "threshold_ok"])
-            for r in self.rows:
-                writer.writerow([repr(r.M), repr(r.J), repr(r.control_norm),
-                                 repr(r.threshold), int(r.threshold_ok)])
+        write_csv(path, ["M", "J", "control_norm", "threshold_q_over_gamma_f_J",
+                         "threshold_ok"],
+                  ([r.M, r.J, r.control_norm, r.threshold, int(r.threshold_ok)]
+                   for r in self.rows))
 
 
 def ordering_experiment(m_values, config, cost_params, model_params, u0, v0,

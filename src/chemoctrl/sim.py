@@ -59,7 +59,7 @@ from .grid import (
     integrate,
     spacetime_lp_norm,
 )
-from .io import load_levels, save_levels
+from .io import load_levels, save_levels, write_json
 from .model import ModelParams, truncate, truncate_derivative
 
 
@@ -862,8 +862,7 @@ def trajectory_to_dir(traj, outdir):
         "control_times": control_times,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
+    write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def trajectory_from_dir(path):

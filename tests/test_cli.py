@@ -152,6 +152,21 @@ class TestConfigErrors:
         ("simulate", ["--save-every", "0"], {}, "save_every"),
         ("sweep", ["--m-values", "-1", "1"], {}, "--m-values"),
         ("sweep", [], {"m_sweep": [0.5, 0.0]}, "m_sweep"),
+        ("simulate", [], {"sim": {"save_every": 1.5}}, "sim.save_every"),
+        ("optimize", [], {"optimizer": {"max_iters": 2.7}}, "optimizer.max_iters"),
+        ("optimize", [], {"optimizer": {"control_times": 9.5}}, "optimizer.control_times"),
+        ("optimize", [], {"optimizer": {"basis": [2, 2.5]}}, "optimizer.basis"),
+        ("simulate", [], {"grid": {"dims": [16.5]}}, "grid.dims"),
+        ("simulate", [], {"sim": {"compare": "false"}}, "sim.compare"),
+        ("simulate", [], {"sim": {"save_every": True}}, "sim.save_every"),
+        ("simulate", [], {"model": {"s": math.nan}}, "model.s"),
+        ("simulate", [], {"model": {"alpha": "0.1"}}, "model.alpha"),
+        ("optimize", [], {"cost": {"gamma_u": math.nan}}, "cost.gamma_u"),
+        ("optimize", [], {"optimizer": {"step0": math.inf}}, "optimizer.step0"),
+        ("energy-audit", [], {"energy": {"K": math.nan}}, "energy.K"),
+        ("energy-audit", ["--K", "nan"], {}, "energy.K"),
+        ("simulate", ["--t-final", "inf"], {}, "model.t_final"),
+        ("simulate", ["--t-final", "nan"], {}, "model.t_final"),
     ])
     def test_bad_numeric_input_is_config_error(self, decay_dir, tmp_path, capsys,
                                                command, flags, patch, field):
@@ -172,6 +187,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize("argv", [
         ["simulate", "simulate_decay.toml", "--seed", "1"],
         ["optimize", "optimize_small.json", "--m-sweep", "1", "2"],
+        ["energy-audit", "simulate_decay.toml", "--trajectory", "t", "--dt-max", "0.1"],
+        ["optimize", "optimize_small.json", "--save-every", "2"],
     ])
     def test_removed_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,7 @@
+import ast
 import csv
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,9 @@ from chemoctrl import (
     trajectory_to_dir,
 )
 from chemoctrl.io import CellTableError, LevelStackError, load_levels, read_cells, \
-    read_levels, save_levels, write_cells, write_levels
+    read_levels, save_levels, write_cells, write_json, write_levels
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "chemoctrl"
 
 
 # the csv.writer row loops the codec replaced, kept as the byte-level reference
@@ -231,3 +236,34 @@ def test_trajectory_roundtrip_is_bit_exact(tmp_path_factory, data, dims, n_level
     assert np.array_equal(bits(back.v), bits(traj.v))
     assert np.array_equal(bits(back.control.times), bits(control.times))
     assert np.array_equal(bits(back.control.values), bits(control.values))
+
+
+def file_writes(tree):
+    """``(line, call)`` of each call in ``tree`` that writes a file itself."""
+    writers = {"json.dump", "csv.writer", "np.savetxt", "np.save"}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if not all(isinstance(m, ast.Constant) and not set(m.value) & set("wax+")
+                       for m in modes):
+                yield node.lineno, ast.unparse(node)
+        elif name in writers:
+            yield node.lineno, name
+
+
+def test_codec_is_the_only_writer():
+    hits = [f"{path.name}:{line}: {call}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "io.py"
+            for line, call in file_writes(ast.parse(path.read_text()))]
+    assert hits == []
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_rejects_non_finite(tmp_path, value):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json(path, {"ok": 1.0, "nested": [{"bad": value}]})
+    assert not path.exists()
