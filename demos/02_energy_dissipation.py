@@ -35,7 +35,7 @@ u0 = field_preset(grid, "random", seed=21, low=0.0, high=0.5)
 v0 = field_preset(grid, "random", seed=22, low=0.5, high=1.5)
 traj = simulate(u0, v0, None, params, dt_max=2e-3)
 
-report = build_energy_report(traj, params, beta=1e-3, K=0.0)
+report = build_energy_report(traj, params)
 print(f"  E(0) = {report.energy[0]:.6f}, E(T) = {report.energy[-1]:.6f}")
 print(f"  energy is nonincreasing: {bool(np.all(np.diff(report.energy) <= 0))}")
 report.to_json(os.path.join(OUT, "energy_report.json"))

@@ -58,7 +58,6 @@ from .opt import (
     OptimizerConfig,
     OrderingTable,
     adjoint_gradient,
-    fd_gradient,
     finite_difference_gradient,
     optimize,
     ordering_experiment,

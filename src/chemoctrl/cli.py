@@ -23,7 +23,8 @@ from .io import read_levels, write_csv, write_json, write_levels
 from .model import ModelParams
 from .opt import InfeasibleBaselineError, OptimizerConfig, optimize, \
     ordering_experiment
-from .presets import control_preset, desired_preset, field_preset
+from .presets import CONTROL_PRESETS, DESIRED_PRESETS, FIELD_PRESETS, \
+    control_preset, desired_preset, field_preset
 from .sim import Control, TrajectoryFormatError, simulate, solve_comparison, \
     trajectory_from_dir, trajectory_to_dir
 
@@ -53,8 +54,6 @@ def _load_raw_config(path):
         if ext == ".json":
             with open(path) as fh:
                 return json.load(fh)
-    except ConfigError:
-        raise
     except Exception as err:
         raise ConfigError(f"cannot parse {path}: {err}") from err
     raise ConfigError(f"unsupported config extension {ext!r} (use .toml or .json)")
@@ -71,14 +70,12 @@ class RunConfig:
     control: Control | None
     dt_max: float
     save_every: int
-    compare: bool
     cost: CostParams | None
     optimizer: OptimizerConfig | None
     beta: float
     K: float
     m_sweep: list
     output_dir: str
-    base_dir: str
 
 
 def _number(value, name, integral=False):
@@ -110,14 +107,55 @@ def _build_grid(section):
         raise ConfigError("grid.lengths must match grid.dims in length")
     spacing = tuple(L / n for L, n in zip(lengths, dims))
     grid = Grid(tuple(dims), spacing)
+    if "control_box" in section and "control_mask" in section:
+        raise ConfigError("grid: give either control_box or control_mask, not both")
     if "control_box" in section:
         box = [[_number(x, "grid.control_box") for x in pair]
                for pair in section["control_box"]]
         grid = grid.with_mask(grid.box_mask(box))
     elif "control_mask" in section:
-        mask = np.asarray(section["control_mask"], dtype=bool).reshape(grid.dims)
-        grid = grid.with_mask(mask)
+        # true, false, 0 or 1 per cell, nested in the grid's shape
+        mask = np.array(section["control_mask"], dtype=object)
+        if mask.shape != grid.dims:
+            raise ConfigError(f"grid.control_mask must have the grid's shape "
+                              f"{grid.dims}, got {mask.shape}")
+        for entry in mask.flat:
+            if not (isinstance(entry, bool) or type(entry) is int and entry in (0, 1)):
+                raise ConfigError(f"grid.control_mask entries must be true, false, "
+                                  f"0 or 1, got {entry!r}")
+        grid = grid.with_mask(mask.astype(bool))
     return grid
+
+
+def _preset_parameters(table, name, section, what, ndim):
+    """The parameters of preset ``name`` in a config ``section``, each checked.
+
+    A key the preset does not take, or a value outside its kind, raises
+    :class:`ConfigError` naming ``what.key``.
+    """
+    if name not in table:
+        raise ConfigError(f"{what}.preset must be one of {sorted(table)}, got {name!r}")
+    kw = {}
+    for key, value in section.items():
+        if key == "preset":
+            continue
+        field = f"{what}.{key}"
+        if key not in table[name]:
+            raise ConfigError(f"{field} is not a parameter of the {name!r} preset, "
+                              f"which takes {sorted(table[name])}")
+        if key in ("center", "modes"):
+            if not isinstance(value, list) or len(value) != ndim:
+                raise ConfigError(f"{field} needs one entry per axis ({ndim}), "
+                                  f"got {value!r}")
+            kw[key] = [_number(x, field) for x in value]
+        elif key in ("seed", "times"):
+            kw[key] = _number(value, field, integral=True)
+            least = 2 if key == "times" else 0
+            if kw[key] < least:
+                raise ConfigError(f"{field} must be at least {least}, got {value!r}")
+        else:
+            kw[key] = _number(value, field)
+    return kw
 
 
 def _build_field(grid, section, base_dir, what):
@@ -127,8 +165,9 @@ def _build_field(grid, section, base_dir, what):
             raise ConfigError(f"{what}: file not found: {path}")
         return field_from_csv(grid, path)
     if "preset" in section:
-        kw = {k: v for k, v in section.items() if k != "preset"}
-        return field_preset(grid, section["preset"], **kw)
+        name = section["preset"]
+        return field_preset(grid, name, **_preset_parameters(
+            FIELD_PRESETS, name, section, what, grid.ndim))
     raise ConfigError(f"{what}: give either a preset or a csv path")
 
 
@@ -142,11 +181,12 @@ def _build_control(grid, section, t_final, base_dir):
         times = np.array([_number(t, "control.times")
                           for t in section.get("times", [0.0, t_final])])
         return Control(grid, times, read_levels(path, grid.dims, times.size))
-    kw = {k: v for k, v in section.items() if k != "preset"}
-    return control_preset(grid, section.get("preset", "zero"), t_final, **kw)
+    name = section.get("preset", "zero")
+    return control_preset(grid, name, t_final, **_preset_parameters(
+        CONTROL_PRESETS, name, section, "control", grid.ndim))
 
 
-def _build_desired(grid, section, base_dir):
+def _build_desired(grid, section, base_dir, what):
     if section is None:
         return desired_preset("constant", value=0.0)
     if "csv" in section:
@@ -154,8 +194,9 @@ def _build_desired(grid, section, base_dir):
         if not os.path.exists(path):
             raise ConfigError(f"desired state: file not found: {path}")
         return DesiredState.from_field(field_from_csv(grid, path))
-    kw = {k: v for k, v in section.items() if k != "preset"}
-    return desired_preset(section.get("preset", "constant"), **kw)
+    name = section.get("preset", "constant")
+    return desired_preset(name, **_preset_parameters(
+        DESIRED_PRESETS, name, section, what, grid.ndim))
 
 
 def load_config(path, overrides=None):
@@ -185,17 +226,20 @@ def load_config(path, overrides=None):
                              "sim.save_every", integral=True)
         if save_every < 1:
             raise ConfigError(f"sim.save_every must be at least 1, got {save_every}")
-        compare = ssec.get("compare", False)
-        if not isinstance(compare, bool):
-            raise ConfigError(f"sim.compare must be true or false, got {compare!r}")
+        if "compare" in ssec:
+            # refused, not ignored: it used to turn the comparison on
+            raise ConfigError("sim.compare is no longer read; run the `compare` "
+                              "subcommand for the comparison solve")
 
         cost = None
         csec = raw.get("cost")
         if csec is not None:
             cost = CostParams(
                 q=model.q,
-                u_d=_build_desired(grid, csec.get("desired_u"), base_dir),
-                v_d=_build_desired(grid, csec.get("desired_v"), base_dir),
+                u_d=_build_desired(grid, csec.get("desired_u"), base_dir,
+                                   "cost.desired_u"),
+                v_d=_build_desired(grid, csec.get("desired_v"), base_dir,
+                                   "cost.desired_v"),
                 **{key: _number(csec.get(key, 1.0), f"cost.{key}")
                    for key in ("gamma_u", "gamma_v", "gamma_f", "M")})
 
@@ -227,9 +271,9 @@ def load_config(path, overrides=None):
     except (KeyError, TypeError, ValueError, OverflowError, OSError) as err:
         raise ConfigError(f"invalid config {path}: {err}") from err
     return RunConfig(grid=grid, model=model, u0=u0, v0=v0, control=control,
-                     dt_max=dt_max, save_every=save_every, compare=compare,
-                     cost=cost, optimizer=optimizer, beta=beta, K=K,
-                     m_sweep=m_sweep, output_dir=output_dir, base_dir=base_dir)
+                     dt_max=dt_max, save_every=save_every, cost=cost,
+                     optimizer=optimizer, beta=beta, K=K, m_sweep=m_sweep,
+                     output_dir=output_dir)
 
 
 def _positive_list(name, values):
@@ -241,10 +285,10 @@ def _positive_list(name, values):
     return values
 
 
-def cmd_simulate(cfg, out_dir, compare=None):
-    """Run the stepper, export the trajectory and an audit summary."""
+def cmd_simulate(cfg, out_dir, compare=False):
+    """Run the stepper, export the trajectory and an audit summary; with
+    ``compare``, also the paired comparison solve and its domination check."""
     os.makedirs(out_dir, exist_ok=True)
-    do_compare = cfg.compare if compare is None else compare
     traj = simulate(cfg.u0, cfg.v0, cfg.control, cfg.model, cfg.dt_max,
                     save_every=cfg.save_every)
     trajectory_to_dir(traj, os.path.join(out_dir, "trajectory"))
@@ -267,7 +311,7 @@ def cmd_simulate(cfg, out_dir, compare=None):
         "min_u": float(traj.u.min()),
         "min_v": float(traj.v.min()),
     }
-    if do_compare:
+    if compare:
         # paired step by step; compared at the saved levels, whose times are
         # exactly the comparison's times after the same accepted steps
         w_traj = solve_comparison(cfg.v0, cfg.control, cfg.model, cfg.dt_max,
@@ -287,15 +331,16 @@ def cmd_simulate(cfg, out_dir, compare=None):
     return EXIT_OK if ok else EXIT_AUDIT_FAIL
 
 
-def cmd_energy_audit(cfg, traj_dir, beta, K, out_dir, alpha_sweep=None):
-    """Audit a stored trajectory; exit 0 iff the worst residual is <= 0.
+def cmd_energy_audit(cfg, traj_dir, out_dir, alpha_sweep=None):
+    """Audit a stored trajectory at the config's ``beta`` and ``K``; exit 0 iff
+    the worst residual is <= 0.
 
-    The report stores the (nonnegative) housed constant; the audit itself
-    accepts any requested ``K``, so adversarial negative values simply fail.
+    The audit accepts any ``K``, so adversarial negative values simply fail.
     ``alpha_sweep`` re-audits under alternative square-root shifts and writes
     one residual per value (the provable shift threshold is nonconstructive,
     so this stays a diagnostic).
     """
+    beta, K = cfg.beta, cfg.K
     alpha_sweep = _positive_list("--alpha-sweep", alpha_sweep or [])
     os.makedirs(out_dir, exist_ok=True)
     traj = trajectory_from_dir(traj_dir)
@@ -304,11 +349,11 @@ def cmd_energy_audit(cfg, traj_dir, beta, K, out_dir, alpha_sweep=None):
                   [(alpha, energy_inequality_audit(
                       traj, replace(traj.params, alpha=alpha), beta, K))
                    for alpha in alpha_sweep])
-    report = build_energy_report(traj, traj.params, beta, max(K, 0.0))
+    report = build_energy_report(traj, traj.params)
     report.to_json(os.path.join(out_dir, "energy_report.json"))
     write_csv(os.path.join(out_dir, "energy_residual_pairs.csv"), ["t1", "t2", "residual"],
-              report.residual_pairs(K))
-    worst = report.worst_residual(K)
+              report.residual_pairs(beta, K))
+    worst = report.worst_residual(beta, K)
     # a pass tolerates round-off of the energy evaluations themselves
     floor = 1e-12 * max(1.0, float(np.abs(report.energy).max()))
     passed = bool(worst <= floor)
@@ -382,8 +427,6 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="integrate the controlled system")
     _add_common(p)
-    p.add_argument("--compare", action="store_true", default=None,
-                   help="also solve the dominating linear problem")
 
     p = sub.add_parser("compare", help="integrate plus paired comparison solve")
     _add_common(p)
@@ -420,11 +463,11 @@ def main(argv=None):
         cfg = load_config(args.config, overrides)
         out_dir = cfg.output_dir
         if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, compare=args.compare)
+            return cmd_simulate(cfg, out_dir)
         if args.command == "compare":
             return cmd_simulate(cfg, out_dir, compare=True)
         if args.command == "energy-audit":
-            return cmd_energy_audit(cfg, args.trajectory, cfg.beta, cfg.K, out_dir,
+            return cmd_energy_audit(cfg, args.trajectory, out_dir,
                                     alpha_sweep=args.alpha_sweep)
         if args.command == "optimize":
             return cmd_optimize(cfg, out_dir)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import FittedConstants, energy_inequality_audit
+from .energy import energy_inequality_audit
 from .grid import spacetime_lp_norm, trapezoid_weights
 from .io import write_json
 from .sim import weak_residual
@@ -236,7 +236,7 @@ def check_admissible(traj, control, cost_params, params, beta, K):
 
     Checks the control-ball membership, the weak residual of the density
     equation against standard probes, and the energy-inequality audit with
-    the constant ``K`` (a number, or fitted constants evaluated at ``M``).
+    the constants ``beta`` and ``K``.
     Both residuals pass within one tolerance, scaled by the mean step, the
     squared spacing and the largest state value.  Report-only: nothing raises
     on failure.
@@ -247,15 +247,11 @@ def check_admissible(traj, control, cost_params, params, beta, K):
     tol = _default_weak_tol(traj)
     weak = max(abs(weak_residual(traj, probe)) for probe in _weak_probes(traj))
 
-    if isinstance(K, FittedConstants):
-        K_val = K.K_of(cost_params.M)
-    else:
-        K_val = float(K)
-    res = energy_inequality_audit(traj, params, beta, K_val)
+    res = energy_inequality_audit(traj, params, beta, float(K))
 
     return AdmissibilityReport(
         control_norm=norm, M=cost_params.M, in_ball=bool(in_ball),
         weak_res=weak, weak_tol=tol, weak_pass=bool(weak <= tol),
         energy_residual=res, energy_tol=tol, energy_pass=bool(res <= tol),
-        K_used=K_val, beta_used=float(beta),
+        K_used=float(K), beta_used=float(beta),
     )

@@ -15,7 +15,8 @@ treated as audited parameters since no closed form exists for them, and
 :func:`fit_constants` recovers an empirical ``K`` curve against the control
 norm.  :func:`build_energy_report` makes the one pass over the saved levels;
 the audit, its pair residuals, :func:`dissipation_terms` and
-:func:`fit_constants` work from the report's per-interval trapezoid integrals.
+:func:`fit_constants` work from the report's per-interval trapezoid integrals,
+and ``beta`` and ``K`` enter only there, as arguments of the verdict.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ class AuditInfeasibleError(RuntimeError):
     """No admissible constants make the energy audit pass."""
 
 
+# the per-interval integrals of a report, each one entry per saved interval
+_INTEGRALS = ("dissipation_entropy", "dissipation_cross", "dissipation_hessian",
+              "dissipation_quartic", "control_forcing")
+
+
 @dataclass
 class EnergyReport:
     """Energy trace plus per-interval dissipation integrals of one run.
@@ -56,57 +62,44 @@ class EnergyReport:
     dissipation_hessian: np.ndarray
     dissipation_quartic: np.ndarray
     control_forcing: np.ndarray
-    beta_used: float
-    K_used: float
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("report times must increase strictly")
-        for name in ("dissipation_entropy", "dissipation_cross",
-                     "dissipation_hessian", "dissipation_quartic",
-                     "control_forcing"):
+        for name in _INTEGRALS:
             arr = getattr(self, name)
             if arr.size != self.times.size - 1:
                 raise ValueError(f"{name} must have one entry per interval")
             if np.any(arr < 0):
                 raise ValueError(f"{name} must be nonnegative")
-        if self.beta_used <= 0:
-            raise ValueError("beta must be positive")
-        if self.K_used < 0:
-            raise ValueError("K must be nonnegative")
 
     def to_dict(self):
-        return {
-            "times": [float(t) for t in self.times],
-            "energy": [float(e) for e in self.energy],
-            "dissipation_entropy": [float(x) for x in self.dissipation_entropy],
-            "dissipation_cross": [float(x) for x in self.dissipation_cross],
-            "dissipation_hessian": [float(x) for x in self.dissipation_hessian],
-            "dissipation_quartic": [float(x) for x in self.dissipation_quartic],
-            "control_forcing": [float(x) for x in self.control_forcing],
-            "beta_used": self.beta_used,
-            "K_used": self.K_used,
-        }
+        return {name: [float(x) for x in getattr(self, name)]
+                for name in ("times", "energy") + _INTEGRALS}
 
     def to_json(self, path):
         write_json(path, self.to_dict())
 
-    def _accumulator(self):
+    def _accumulator(self, beta):
         """Cumulative ``E + beta*(entropy + hessian + quartic) + cross/4`` per level."""
-        E, P, C = _audit_pieces(self)
-        return E + self.beta_used * P + 0.25 * C
+        if not beta > 0:
+            raise ValueError(f"beta must be positive, got {beta}")
+        trio = self.dissipation_entropy + self.dissipation_hessian \
+            + self.dissipation_quartic
+        P = np.concatenate(([0.0], np.cumsum(trio)))
+        C = np.concatenate(([0.0], np.cumsum(self.dissipation_cross)))
+        return self.energy + beta * P + 0.25 * C
 
-    def worst_residual(self, K):
-        """Worst signed inequality residual over all saved pairs at constant ``K``.
+    def worst_residual(self, beta, K):
+        """Worst signed inequality residual over all saved pairs at ``(beta, K)``.
 
-        ``K`` may differ from ``K_used``: the audit accepts any requested
-        constant, so an adversarial negative one simply fails.
+        Any ``K`` is accepted, so an adversarial negative one simply fails.
         """
-        return _max_rise(self._accumulator()) - float(K)
+        return _max_rise(self._accumulator(beta)) - float(K)
 
-    def residual_pairs(self, K, stride=1):
+    def residual_pairs(self, beta, K, stride=1):
         """Rows ``(t1, t2, residual)`` over every ``stride``-th level and the last."""
-        A = self._accumulator()
+        A = self._accumulator(beta)
         n = self.times.size
         idx = sorted(set(range(0, n, stride)) | {n - 1})
         return [(float(self.times[i]), float(self.times[j]), float(A[j] - A[i] - K))
@@ -184,7 +177,7 @@ def _level_quantities(traj, params):
     return tuple(out)
 
 
-def build_energy_report(traj, params, beta, K):
+def build_energy_report(traj, params):
     """Energy trace and per-consecutive-interval dissipations of a run.
 
     The only pass over the saved levels; every audit quantity derives from it.
@@ -198,7 +191,6 @@ def build_energy_report(traj, params, beta, K):
         dissipation_hessian=trapezoid_intervals(times, hess),
         dissipation_quartic=trapezoid_intervals(times, quart),
         control_forcing=trapezoid_intervals(times, forc),
-        beta_used=float(beta), K_used=float(K),
     )
 
 
@@ -212,7 +204,7 @@ def dissipation_terms(traj, t1, t2, params):
     i2 = traj.index_of_time(t2)
     if not i1 < i2:
         raise ValueError("t1 must precede t2 on the trajectory time grid")
-    report = build_energy_report(traj, params, beta=1.0, K=0.0)  # beta unused
+    report = build_energy_report(traj, params)
     window = slice(i1, i2)
     return IntervalDissipation(
         t1=float(t1), t2=float(t2),
@@ -222,20 +214,6 @@ def dissipation_terms(traj, t1, t2, params):
         quartic=float(report.dissipation_quartic[window].sum()),
         control_forcing=float(report.control_forcing[window].sum()),
     )
-
-
-def _audit_pieces(report):
-    """Per-level energy plus cumulative dissipation integrals from t=0.
-
-    Returns ``(E, P, C)`` where ``P`` accumulates the beta-weighted trio
-    (entropy + hessian + quartic) and ``C`` the density-weighted z-gradient
-    term, so the audit accumulator is ``E + beta * P + C / 4`` for any beta.
-    """
-    trio = report.dissipation_entropy + report.dissipation_hessian \
-        + report.dissipation_quartic
-    P = np.concatenate(([0.0], np.cumsum(trio)))
-    C = np.concatenate(([0.0], np.cumsum(report.dissipation_cross)))
-    return report.energy, P, C
 
 
 def _max_rise(A):
@@ -255,13 +233,12 @@ def energy_inequality_audit(traj, params, beta, K):
     with the dissipation integrals taken over ``(t1, t2)``.  A positive
     return value means the inequality fails at this ``(beta, K)``.
     """
-    return build_energy_report(traj, params, beta, max(K, 0.0)).worst_residual(K)
+    return build_energy_report(traj, params).worst_residual(beta, K)
 
 
 def audit_pairs(traj, params, beta, K, stride=1):
     """Per-pair residual rows ``(t1, t2, residual)`` for plotting."""
-    report = build_energy_report(traj, params, beta, max(K, 0.0))
-    return report.residual_pairs(K, stride)
+    return build_energy_report(traj, params).residual_pairs(beta, K, stride)
 
 
 def fit_constants(trajs, params, beta_range=(1e-6, 1.0), zero_tol=1e-8,
@@ -292,14 +269,11 @@ def fit_constants(trajs, params, beta_range=(1e-6, 1.0), zero_tol=1e-8,
         t.control.lq_norm(params.q) if t.control is not None else 0.0
         for t in trajs
     ])
-    # the reports' own beta is unused: every candidate reweights the pieces
-    pieces = [_audit_pieces(build_energy_report(t, params, beta=1.0, K=0.0))
-              for t in trajs]
+    reports = [build_energy_report(t, params) for t in trajs]
 
     def K_all(beta):
         # minimal admissible K of each run: its largest pair rise, at least 0
-        return np.array([max(0.0, _max_rise(E + beta * P + 0.25 * C))
-                         for E, P, C in pieces])
+        return np.array([max(0.0, r.worst_residual(beta, 0.0)) for r in reports])
 
     zero_idx = np.nonzero(norms <= 1e-14)[0]
 

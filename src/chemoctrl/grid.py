@@ -516,10 +516,9 @@ def interpolation_diagnostic(phi):
 
 def field_to_csv(phi, path):
     """Write one row per cell: index coordinates, then the value."""
-    write_cells(path, phi.grid.dims, {"value": phi.values})
+    write_cells(path, phi.grid.dims, phi.values)
 
 
 def field_from_csv(grid, path):
     """Read a field written by :func:`field_to_csv` onto the given grid."""
-    (values,) = read_cells(path, grid.dims, ("value",))
-    return Field(grid, values)
+    return Field(grid, read_cells(path, grid.dims))

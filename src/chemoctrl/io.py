@@ -8,10 +8,10 @@ floats written as the shortest ``repr`` that round-trips; this is the
 or an infinity raises instead of reaching the file.
 
 A *cell table* is CSV.  It has a header row naming its columns, then one row
-per grid cell (a state or a field) or per time level and cell (a *level
-table*: a control).  A row holds the integer level index (level tables only,
-column ``t_index``), the cell's index coordinates ``i0, i1, ...``, then its
-values, in C order.  Readers accept the rows in any order but reject a table
+per grid cell (a field) or per time level and cell (a *level table*: a
+control).  A row holds the integer level index (level tables only, column
+``t_index``), the cell's index coordinates ``i0, i1, ...``, then its one
+value, in C order.  Readers accept the rows in any order but reject a table
 that does not describe every cell exactly once: wrong header, unparsable or
 non-integer indices, negative or out-of-range indices, missing or duplicate
 rows, and non-finite values all raise :class:`CellTableError`.  A reader
@@ -64,47 +64,40 @@ def write_json(path, payload):
         fh.write(text)
 
 
-def _header(dims, names):
-    return [f"i{k}" for k in range(len(dims))] + list(names)
+def _index_names(dims):
+    return [f"i{k}" for k in range(len(dims))]
 
 
-def _indexed_rows(shape, arrays):
-    """Rows of each cell's C-order index coordinates, then its value per array."""
-    index = np.indices(shape).reshape(len(shape), -1).tolist()
-    values = [np.asarray(a, dtype=float).ravel().tolist() for a in arrays]
-    return zip(*index, *values)
+def _write_table(path, keys, values):
+    """Write one row per entry of ``values``: its C-order index, then its value.
 
-
-def write_cells(path, dims, columns):
-    """Write one row per cell: index coordinates, then each column's value.
-
-    ``columns`` maps column names to arrays of shape ``dims``, in order.
+    ``keys`` names the index columns, one per axis of ``values``.
     """
-    dims = tuple(dims)
-    write_csv(path, _header(dims, columns), _indexed_rows(dims, columns.values()))
+    index = np.indices(values.shape).reshape(values.ndim, -1).tolist()
+    write_csv(path, keys + ["value"], zip(*index, values.ravel().tolist()))
+
+
+def write_cells(path, dims, values):
+    """Write one row per cell of ``values`` (shape ``dims``): index, then value."""
+    _write_table(path, _index_names(dims),
+                 np.asarray(values, dtype=float).reshape(tuple(dims)))
 
 
 def write_levels(path, dims, values):
-    """Write one row per level and cell: ``t_index``, index coordinates, value.
+    """Write one row per level and cell of ``values`` (shape ``(n_levels,
+    *dims)``): ``t_index``, the cell's index coordinates, then the value."""
+    _write_table(path, ["t_index"] + _index_names(dims),
+                 np.asarray(values, dtype=float).reshape((-1, *dims)))
 
-    ``values`` has shape ``(n_levels, *dims)``.
+
+def _read_table(path, keys, shape):
+    """Read a table written by :func:`_write_table` into an array of ``shape``.
+
+    The ``keys`` columns are integer indices into ``shape`` and every index
+    must occur exactly once; the value column holds finite floats.
     """
-    dims = tuple(dims)
-    values = np.asarray(values, dtype=float).reshape((-1,) + dims)
-    write_csv(path, ["t_index"] + _header(dims, ["value"]),
-              _indexed_rows(values.shape, [values]))
-
-
-def _read_table(path, header, key_dims):
-    """Parse a table; return each row's flat C-order key and the value columns.
-
-    The leading ``len(key_dims)`` columns are integer keys into ``key_dims``
-    and every key must occur exactly once; the other columns are finite
-    floats.
-    """
-    n_keys = len(key_dims)
-    dtype = [(f"k{j}", np.int64) for j in range(n_keys)] \
-        + [(f"c{j}", float) for j in range(len(header) - n_keys)]
+    header = keys + ["value"]
+    dtype = [(f"k{j}", np.int64) for j in range(len(keys))] + [("value", float)]
     with open(path, newline="") as fh:
         found = fh.readline().rstrip("\r\n").split(",")
         if found != header:
@@ -119,54 +112,45 @@ def _read_table(path, header, key_dims):
         except ValueError as err:
             raise CellTableError(f"{path}: {err}") from err
 
-    keys = [table[f"k{j}"] for j in range(n_keys)]
+    index = [table[f"k{j}"] for j in range(len(keys))]
     try:
-        flat = np.ravel_multi_index(keys, key_dims)
+        flat = np.ravel_multi_index(index, shape)
     except ValueError:
-        outside = [(k < 0) | (k >= n) for k, n in zip(keys, key_dims)]
+        outside = [(k < 0) | (k >= n) for k, n in zip(index, shape)]
         row = int(np.argmax(np.any(outside, axis=0)))
         raise CellTableError(
-            f"{path}: data row {row + 1} has index {tuple(int(k[row]) for k in keys)} "
-            f"outside {tuple(key_dims)}") from None
-    counts = np.bincount(flat, minlength=math.prod(key_dims))
+            f"{path}: data row {row + 1} has index {tuple(int(k[row]) for k in index)} "
+            f"outside {shape}") from None
+    counts = np.bincount(flat, minlength=math.prod(shape))
     if counts.max(initial=0) > 1:
-        cell = np.unravel_index(int(np.argmax(counts > 1)), key_dims)
+        cell = np.unravel_index(int(np.argmax(counts > 1)), shape)
         raise CellTableError(
             f"{path}: duplicate rows for index {tuple(int(i) for i in cell)}")
     if not counts.all():
-        cell = np.unravel_index(int(np.argmin(counts)), key_dims)
+        cell = np.unravel_index(int(np.argmin(counts)), shape)
         raise CellTableError(
             f"{path}: {int((counts == 0).sum())} of {counts.size} rows missing, "
             f"the first for index {tuple(int(i) for i in cell)}")
 
-    columns = [table[f"c{j}"] for j in range(len(header) - n_keys)]
-    for name, col in zip(header[n_keys:], columns):
-        finite = np.isfinite(col)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise CellTableError(f"{path}: data row {row + 1} has non-finite {name} "
-                                 f"{col[row]!r}")
-    return flat, columns
-
-
-def read_cells(path, dims, names):
-    """Read a table written by :func:`write_cells`; one array per named column."""
-    dims = tuple(dims)
-    flat, columns = _read_table(path, _header(dims, names), dims)
-    out = [np.empty(dims) for _ in names]
-    for dst, col in zip(out, columns):
-        np.put(dst, flat, col)
+    values = table["value"]
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise CellTableError(f"{path}: data row {row + 1} has non-finite value "
+                             f"{values[row]!r}")
+    out = np.empty(shape)
+    np.put(out, flat, values)
     return out
+
+
+def read_cells(path, dims):
+    """Read a table written by :func:`write_cells`; an array of shape ``dims``."""
+    return _read_table(path, _index_names(dims), tuple(dims))
 
 
 def read_levels(path, dims, n_levels):
     """Read a table written by :func:`write_levels` with ``n_levels`` levels."""
-    dims = tuple(dims)
-    flat, (col,) = _read_table(path, ["t_index"] + _header(dims, ["value"]),
-                               (n_levels,) + dims)
-    out = np.empty((n_levels,) + dims)
-    np.put(out, flat, col)
-    return out
+    return _read_table(path, ["t_index"] + _index_names(dims), (n_levels, *dims))
 
 
 _STACK_DTYPE = np.dtype("<f8")

@@ -323,12 +323,6 @@ def finite_difference_gradient(fun, x, epsilon):
     return grad, one_sided
 
 
-def fd_gradient(f_params, ctx, epsilon):
-    """Finite-difference gradient of :func:`reduced_objective`, step ``epsilon``."""
-    return finite_difference_gradient(lambda p: reduced_objective(p, ctx),
-                                      np.asarray(f_params, dtype=float), epsilon)
-
-
 def optimize(config, cost_params, model_params, u0, v0, dt_max,
              initial_coeffs=None):
     """Minimize the objective over the ball by projected descent.

@@ -766,11 +766,9 @@ def weak_residual(traj, test_series):
     Parameters
     ----------
     traj : Trajectory
-    test_series : ndarray of shape (n_levels, *dims) or list of Field
+    test_series : ndarray of shape (n_levels, *dims)
     """
     grid = traj.grid
-    if isinstance(test_series, (list, tuple)):
-        test_series = np.stack([f.values for f in test_series])
     phi = np.asarray(test_series, dtype=float)
     if phi.shape != (traj.n_levels,) + grid.dims:
         raise ValueError("test series shape does not match the trajectory")

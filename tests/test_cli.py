@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chemoctrl import energy, sim
-from chemoctrl.cli import main
+from chemoctrl.cli import load_config, main
 from chemoctrl.sim import trajectory_from_dir
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -167,13 +167,46 @@ class TestConfigErrors:
         ("energy-audit", ["--K", "nan"], {}, "energy.K"),
         ("simulate", ["--t-final", "inf"], {}, "model.t_final"),
         ("simulate", ["--t-final", "nan"], {}, "model.t_final"),
+        ("simulate", [], {"sim": {"compare": True}}, "compare"),
+        ("simulate", [], {"initial": {"u": {"preset": "gaussian", "amplitud": 3.0}}},
+         "initial.u.amplitud"),
+        ("simulate", [], {"initial": {"u": {"preset": "zero", "value": 1.0}}},
+         "initial.u.value"),
+        ("simulate", [], {"initial": {"u": {"preset": "gauss"}}}, "initial.u.preset"),
+        ("simulate", [], {"initial": {"u": {"preset": "gaussian", "width": "0.1"}}},
+         "initial.u.width"),
+        ("simulate", [], {"initial": {"u": {"preset": "gaussian", "center": [0.5, 0.5]}}},
+         "initial.u.center"),
+        ("simulate", [], {"initial": {"u": {"preset": "gaussian", "center": 0.5}}},
+         "initial.u.center"),
+        ("simulate", [], {"initial": {"v": {"preset": "cosine", "modes": [math.nan]}}},
+         "initial.v.modes"),
+        ("simulate", [], {"initial": {"v": {"preset": "random", "seed": -1}}},
+         "initial.v.seed"),
+        ("simulate", [], {"initial": {"v": {"preset": "random", "seed": 1.5}}},
+         "initial.v.seed"),
+        ("simulate", [], {"initial": {"v": {"preset": "random", "high": True}}},
+         "initial.v.high"),
+        ("simulate", [], {"control": {"preset": "random", "tims": 3}}, "control.tims"),
+        ("simulate", [], {"control": {"preset": "random", "times": 5.5}}, "control.times"),
+        ("simulate", [], {"control": {"preset": "random", "times": 1}}, "control.times"),
+        ("simulate", [], {"control": {"preset": "constant", "amplitude": math.inf}},
+         "control.amplitude"),
+        ("simulate", [], {"control": {"preset": "random", "target_norm": 1.0}},
+         "control.target_norm"),
+        ("simulate", [], {"control": {"preset": "random", "q": 4.0}}, "control.q"),
+        ("optimize", [], {"cost": {"desired_v": {"preset": "constant", "value": "1.5"}}},
+         "cost.desired_v.value"),
+        ("optimize", [], {"cost": {"desired_u": {"preset": "time_decaying", "rat": 2}}},
+         "cost.desired_u.rat"),
     ])
     def test_bad_numeric_input_is_config_error(self, decay_dir, tmp_path, capsys,
                                                command, flags, patch, field):
         with open(cfg_path("optimize_small.json")) as fh:
             raw = json.load(fh)
         for key, value in patch.items():
-            raw[key] = {**raw[key], **value} if isinstance(value, dict) else value
+            raw[key] = {**raw.get(key, {}), **value} if isinstance(value, dict) \
+                else value
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "o"
@@ -189,11 +222,45 @@ class TestConfigErrors:
         ["optimize", "optimize_small.json", "--m-sweep", "1", "2"],
         ["energy-audit", "simulate_decay.toml", "--trajectory", "t", "--dt-max", "0.1"],
         ["optimize", "optimize_small.json", "--save-every", "2"],
+        ["simulate", "simulate_exponential.json", "--compare"],
     ])
     def test_removed_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             run([argv[0], cfg_path(argv[1]), *argv[2:]])
         assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize("grid", [
+        {"control_mask": ["0"] * 32},
+        {"control_mask": [0.5] * 32},
+        {"control_mask": [1.0] * 32},
+        {"control_mask": [2] * 32},
+        {"control_mask": [None] * 32},
+        {"control_mask": [1] * 31},
+        {"control_mask": [[1] * 32]},
+        {"control_mask": 1},
+        {"control_mask": [1] * 32, "control_box": [[0.0, 0.5]]},
+    ])
+    def test_bad_control_mask_is_config_error(self, tmp_path, capsys, grid):
+        with open(cfg_path("simulate_equilibrium.json")) as fh:
+            raw = json.load(fh)
+        raw["grid"].update(grid)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert run(["simulate", str(cfg), "--output", str(out)]) == 2
+        assert "control_mask" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_control_mask_of_bools_and_bits(self, tmp_path):
+        with open(cfg_path("simulate_equilibrium.json")) as fh:
+            raw = json.load(fh)
+        mask = [True] * 8 + [1] * 8 + [False] * 8 + [0] * 8
+        raw["grid"]["control_mask"] = mask
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        assert load_config(str(cfg)).grid.control_mask.tolist() == \
+            [bool(b) for b in mask]
 
 
 class TestSimulate:
@@ -220,7 +287,7 @@ class TestSimulate:
 
     def test_exponential_growth_with_comparison(self, tmp_path):
         out = str(tmp_path / "exp")
-        assert run(["simulate", cfg_path("simulate_exponential.json"),
+        assert run(["compare", cfg_path("simulate_exponential.json"),
                     "--output", out]) == 0
         traj = trajectory_from_dir(os.path.join(out, "trajectory"))
         lam, T = 0.8, float(traj.times[-1])

@@ -93,11 +93,11 @@ class TestDissipationTerms:
         d = dissipation_terms(traj, 0.0, float(traj.times[-1]), p)
         assert d.quartic > 0.0
         assert d.hessian > 0.0
-        report = build_energy_report(traj, p, beta=1e-3, K=0.0)
+        report = build_energy_report(traj, p)
         assert np.all(np.diff(report.energy) < 0.0)
         # a finer-dt reference shows the same strict decay
         ref = simulate(traj.state(0).u, traj.state(0).v, None, p, 5e-4)
-        ref_report = build_energy_report(ref, p, beta=1e-3, K=0.0)
+        ref_report = build_energy_report(ref, p)
         assert np.all(np.diff(ref_report.energy) < 0.0)
 
     def test_off_grid_times_refused(self, grid, decay_run):
@@ -150,19 +150,20 @@ class TestEnergyAudit:
 class TestEnergyReport:
     def test_report_arrays_consistent(self, grid, decay_run):
         p, traj = decay_run
-        report = build_energy_report(traj, p, beta=1e-3, K=0.0)
+        report = build_energy_report(traj, p)
         assert report.times.size == traj.n_levels
         assert report.dissipation_quartic.size == traj.n_levels - 1
         assert np.all(report.dissipation_entropy >= 0.0)
 
     def test_report_json(self, grid, decay_run, tmp_path):
         p, traj = decay_run
-        report = build_energy_report(traj, p, beta=1e-3, K=0.0)
+        report = build_energy_report(traj, p)
         path = tmp_path / "report.json"
         report.to_json(path)
         with open(path) as fh:
             data = json.load(fh)
-        assert data["beta_used"] == 1e-3
+        # the audit constants belong to the verdict, not to the run's integrals
+        assert "beta_used" not in data and "K_used" not in data
         assert len(data["energy"]) == traj.n_levels
 
     def test_report_validation(self):
@@ -172,8 +173,16 @@ class TestEnergyReport:
                          dissipation_cross=np.array([0.0]),
                          dissipation_hessian=np.array([0.0]),
                          dissipation_quartic=np.array([0.0]),
-                         control_forcing=np.array([0.0]),
-                         beta_used=1e-3, K_used=0.0)
+                         control_forcing=np.array([0.0]))
+
+    @pytest.mark.parametrize("beta", [0.0, -1e-3])
+    def test_verdict_rejects_nonpositive_beta(self, grid, decay_run, beta):
+        p, traj = decay_run
+        report = build_energy_report(traj, p)
+        with pytest.raises(ValueError, match="beta"):
+            report.worst_residual(beta, 0.0)
+        with pytest.raises(ValueError, match="beta"):
+            report.residual_pairs(beta, 0.0)
 
 
 @pytest.fixture(scope="module")

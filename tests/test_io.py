@@ -26,13 +26,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "chemoctrl"
 
 
 # the csv.writer row loops the codec replaced, kept as the byte-level reference
-def reference_cells(path, dims, columns):
+def reference_cells(path, dims, values):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"i{k}" for k in range(len(dims))] + list(columns))
+        writer.writerow([f"i{k}" for k in range(len(dims))] + ["value"])
         for idx in np.ndindex(*dims):
-            writer.writerow(list(idx)
-                            + [repr(float(a[idx])) for a in columns.values()])
+            writer.writerow(list(idx) + [repr(float(values[idx]))])
 
 
 def reference_levels(path, dims, values):
@@ -80,7 +79,7 @@ class TestByteIdentity:
     def test_field_file(self, tmp_path, dims):
         phi = Field(Grid.unit_box(dims), special_values(dims, 3, sign=-1.0))
         field_to_csv(phi, tmp_path / "field.csv")
-        reference_cells(tmp_path / "ref.csv", dims, {"value": phi.values})
+        reference_cells(tmp_path / "ref.csv", dims, phi.values)
         assert (tmp_path / "field.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
 
@@ -105,12 +104,10 @@ def bits(a):
 @given(data=st.data(), dims=shapes)
 def test_roundtrip_is_bit_exact(tmp_path_factory, data, dims):
     tmp = tmp_path_factory.mktemp("io")
-    u = data.draw(arrays(np.float64, dims, elements=finite))
-    v = data.draw(arrays(np.float64, dims, elements=finite))
-    write_cells(tmp / "cells.csv", dims, {"u": u, "v": v})
-    back_u, back_v = read_cells(tmp / "cells.csv", dims, ("u", "v"))
-    assert np.array_equal(bits(back_u), bits(u))
-    assert np.array_equal(bits(back_v), bits(v))
+    values = data.draw(arrays(np.float64, dims, elements=finite))
+    write_cells(tmp / "cells.csv", dims, values)
+    back = read_cells(tmp / "cells.csv", dims)
+    assert np.array_equal(bits(back), bits(values))
 
     n_levels = data.draw(st.integers(1, 3))
     levels = data.draw(arrays(np.float64, (n_levels,) + dims, elements=finite))
@@ -123,10 +120,10 @@ def test_any_row_order_is_read(tmp_path):
     dims = (3, 4)
     vals = np.arange(12.0).reshape(dims)
     path = tmp_path / "f.csv"
-    write_cells(path, dims, {"value": vals})
+    write_cells(path, dims, vals)
     lines = path.read_text().splitlines(keepends=True)
     path.write_text(lines[0] + "".join(reversed(lines[1:])))
-    (back,) = read_cells(path, dims, ("value",))
+    back = read_cells(path, dims)
     assert np.array_equal(back, vals)
 
 
@@ -141,10 +138,10 @@ LEVEL_DEFECTS = CELL_DEFECTS + ["t_index out of range"]
 def test_malformed_cell_table_rejected(tmp_path, corrupt_csv, kind):
     dims = (4, 3)
     path = tmp_path / "cells.csv"
-    write_cells(path, dims, {"u": np.ones(dims), "v": np.ones(dims)})
+    write_cells(path, dims, np.ones(dims))
     corrupt_csv(path, kind, len(dims))
     with pytest.raises(CellTableError, match="cells.csv"):
-        read_cells(path, dims, ("u", "v"))
+        read_cells(path, dims)
 
 
 @pytest.mark.parametrize("kind", LEVEL_DEFECTS)
@@ -161,7 +158,7 @@ def test_header_only_table_reports_missing_rows(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("i0,value\r\n")
     with pytest.raises(CellTableError, match="4 of 4 rows missing"):
-        read_cells(path, (4,), ("value",))
+        read_cells(path, (4,))
 
 
 # defects every level stack rejects; "negative" only where values must be >= 0

@@ -17,7 +17,6 @@ from chemoctrl import (
     ModelParams,
     OptimizerConfig,
     evaluate_J,
-    fd_gradient,
     finite_difference_gradient,
     optimize,
     ordering_experiment,
@@ -171,15 +170,6 @@ class TestFiniteDifferences:
             fun = lambda c: reduced_objective(c, ctx)
             grads[gamma_f], _ = finite_difference_gradient(fun, np.zeros(4), 1e-3)
         assert grads[0.1] == pytest.approx(grads[100.0], rel=1e-9)
-
-    def test_fd_gradient_wrapper_matches_generic(self, context):
-        from chemoctrl import fd_gradient
-        coeffs = np.array([0.2, -0.1, 0.3, 0.0])
-        fun = lambda c: reduced_objective(c, context)
-        expected, _ = finite_difference_gradient(fun, coeffs, 1e-3)
-        got, flags = fd_gradient(coeffs, context, 1e-3)
-        assert np.array_equal(got, expected)
-        assert not flags.any()
 
     def test_exact_on_quadratics(self):
         A = np.diag([2.0, 3.0, 0.5])
@@ -435,14 +425,12 @@ class TestAdjointGradient:
 
 class TestDescentUsesAdjoint:
     def test_no_finite_difference_probes(self, grid, model_params, count_calls):
-        fd_calls = count_calls(fd_gradient)
         probe_calls = count_calls(finite_difference_gradient)
         sim_calls = count_calls(sim.simulate)
         cfg = OptimizerConfig(max_iters=4, basis=(2, 2), control_times=5,
                               stop_tol=0.0)
         _, trace = optimize(cfg, cost_params(), model_params, Field.zeros(grid),
                             Field.full(grid, 1.0), dt_max=0.05)
-        assert set(fd_calls.values()) == {0}
         assert set(probe_calls.values()) == {0}
         # one simulation per trace row: gradients cost no forward runs
         assert sim_calls["opt.simulate"] == len(trace.rows)
