@@ -1,6 +1,6 @@
 """Bounded-control optimization on the bundled small instance.
 
-Minimizes the tracking objective by projected descent inside the control
+Minimizes the tracking objective by L-BFGS descent inside the control
 ball, then sweeps the ball radius to exhibit the nonincreasing optimal value
 and the threshold under which the three related problems order.  Artifacts
 land in ``demo_out/optimize/``.
@@ -26,7 +26,7 @@ base = evaluate_J(base_traj, None, cfg.cost, cfg.model.s)
 print(f"  J = {base.total:.6f} "
       f"(state_u {base.state_u:.2e}, state_v {base.state_v:.6f})")
 
-print("projected descent inside the control ball ...")
+print("L-BFGS descent inside the control ball ...")
 ctrl, trace = optimize(cfg.optimizer, cfg.cost, cfg.model, cfg.u0, cfg.v0,
                        cfg.dt_max)
 accepted = trace.accepted_J(start=0)

@@ -96,6 +96,59 @@ def _number(value, name, integral=False):
     return float(value)
 
 
+# the keys each config table reads; any other key is a config error
+CONFIG_KEYS = {
+    "": ("grid", "model", "initial", "control", "sim", "cost", "optimizer",
+         "energy", "m_sweep", "output_dir"),
+    "grid": ("dims", "lengths", "control_box", "control_mask"),
+    "model": ("s", "alpha", "m", "q", "t_final"),
+    "initial": ("u", "v"),
+    "sim": ("dt_max", "save_every"),
+    "cost": ("gamma_u", "gamma_v", "gamma_f", "M", "desired_u", "desired_v"),
+    # fd_epsilon, seed and n_starts are no longer read, but older configs
+    # that set them still load
+    "optimizer": ("max_iters", "step0", "shrink", "basis", "stop_tol",
+                  "control_times", "fd_epsilon", "seed", "n_starts"),
+    "energy": ("beta", "K"),
+}
+
+
+def _require_table(section, what):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{what} must be a table, got {section!r}")
+    return section
+
+
+def _table(raw, name):
+    """Config table ``name`` of ``raw`` (``""`` for the top level), empty
+    when absent.
+
+    A table that is not a mapping, or a key it does not read, raises
+    :class:`ConfigError` naming the key.
+    """
+    what = name or "the config"
+    section = _require_table(raw if name == "" else raw.get(name, {}), what)
+    extra = sorted(set(section) - set(CONFIG_KEYS[name]))
+    if extra:
+        key = f"{name}.{extra[0]}" if name else extra[0]
+        raise ConfigError(f"unknown config key {key}; {what} takes "
+                          f"{sorted(CONFIG_KEYS[name])}")
+    return section
+
+
+def _csv_path(section, base_dir, what, keys=("csv",)):
+    """The file a ``csv`` entry of section ``what`` names, relative to the
+    config's directory.  Beside ``csv`` the section may hold only ``keys``."""
+    extra = sorted(set(section) - set(keys))
+    if extra:
+        raise ConfigError(f"{what}.{extra[0]} is not read beside {what}.csv; "
+                          f"with a csv, {what} takes {sorted(keys)}")
+    path = os.path.join(base_dir, section["csv"])
+    if not os.path.exists(path):
+        raise ConfigError(f"{what}: file not found: {path}")
+    return path
+
+
 def _build_grid(section):
     try:
         dims = [_number(n, "grid.dims", integral=True) for n in section["dims"]]
@@ -159,11 +212,8 @@ def _preset_parameters(table, name, section, what, ndim):
 
 
 def _build_field(grid, section, base_dir, what):
-    if "csv" in section:
-        path = os.path.join(base_dir, section["csv"])
-        if not os.path.exists(path):
-            raise ConfigError(f"{what}: file not found: {path}")
-        return field_from_csv(grid, path)
+    if "csv" in _require_table(section, what):
+        return field_from_csv(grid, _csv_path(section, base_dir, what))
     if "preset" in section:
         name = section["preset"]
         return field_preset(grid, name, **_preset_parameters(
@@ -172,12 +222,16 @@ def _build_field(grid, section, base_dir, what):
 
 
 def _build_control(grid, section, t_final, base_dir):
-    if section is None or section.get("preset") == "none":
+    if section is None:
+        return None
+    if _require_table(section, "control").get("preset") == "none":
+        extra = sorted(set(section) - {"preset"})
+        if extra:
+            raise ConfigError(f"control.{extra[0]} is not a parameter of the "
+                              f"'none' preset, which takes none")
         return None
     if "csv" in section:
-        path = os.path.join(base_dir, section["csv"])
-        if not os.path.exists(path):
-            raise ConfigError(f"control: file not found: {path}")
+        path = _csv_path(section, base_dir, "control", keys=("csv", "times"))
         times = np.array([_number(t, "control.times")
                           for t in section.get("times", [0.0, t_final])])
         return Control(grid, times, read_levels(path, grid.dims, times.size))
@@ -189,11 +243,9 @@ def _build_control(grid, section, t_final, base_dir):
 def _build_desired(grid, section, base_dir, what):
     if section is None:
         return desired_preset("constant", value=0.0)
-    if "csv" in section:
-        path = os.path.join(base_dir, section["csv"])
-        if not os.path.exists(path):
-            raise ConfigError(f"desired state: file not found: {path}")
-        return DesiredState.from_field(field_from_csv(grid, path))
+    if "csv" in _require_table(section, what):
+        return DesiredState.from_field(field_from_csv(
+            grid, _csv_path(section, base_dir, what)))
     name = section.get("preset", "constant")
     return desired_preset(name, **_preset_parameters(
         DESIRED_PRESETS, name, section, what, grid.ndim))
@@ -205,19 +257,20 @@ def load_config(path, overrides=None):
     overrides = overrides or {}
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
-        grid = _build_grid(raw.get("grid", {}))
-        msec = dict(raw.get("model", {}))
+        _table(raw, "")
+        grid = _build_grid(_table(raw, "grid"))
+        msec = dict(_table(raw, "model"))
         if "t_final" in overrides:
             msec["t_final"] = overrides["t_final"]
         model = ModelParams(**{
             key: _number(msec.get(key, default), f"model.{key}") for key, default in
             (("s", 1.0), ("alpha", 0.1), ("m", 8.0), ("q", 3.0), ("t_final", 1.0))})
-        init = raw.get("initial", {})
+        init = _table(raw, "initial")
         u0 = _build_field(grid, init.get("u", {"preset": "zero"}), base_dir, "initial.u")
         v0 = _build_field(grid, init.get("v", {"preset": "constant", "value": 1.0}),
                           base_dir, "initial.v")
         control = _build_control(grid, raw.get("control"), model.t_final, base_dir)
-        ssec = raw.get("sim", {})
+        ssec = _table(raw, "sim")
         dt_max = _number(overrides.get("dt_max", ssec.get(
             "dt_max", model.t_final / 50 if model.t_final > 0 else 1.0)), "sim.dt_max")
         if not dt_max > 0:
@@ -226,14 +279,10 @@ def load_config(path, overrides=None):
                              "sim.save_every", integral=True)
         if save_every < 1:
             raise ConfigError(f"sim.save_every must be at least 1, got {save_every}")
-        if "compare" in ssec:
-            # refused, not ignored: it used to turn the comparison on
-            raise ConfigError("sim.compare is no longer read; run the `compare` "
-                              "subcommand for the comparison solve")
 
         cost = None
-        csec = raw.get("cost")
-        if csec is not None:
+        if raw.get("cost") is not None:
+            csec = _table(raw, "cost")
             cost = CostParams(
                 q=model.q,
                 u_d=_build_desired(grid, csec.get("desired_u"), base_dir,
@@ -243,11 +292,9 @@ def load_config(path, overrides=None):
                 **{key: _number(csec.get(key, 1.0), f"cost.{key}")
                    for key in ("gamma_u", "gamma_v", "gamma_f", "M")})
 
-        # unknown keys are ignored, so older configs with fd_epsilon, seed or
-        # n_starts still load
         optimizer = None
-        osec = raw.get("optimizer")
-        if osec is not None:
+        if raw.get("optimizer") is not None:
+            osec = _table(raw, "optimizer")
             optimizer = OptimizerConfig(
                 max_iters=_number(osec.get("max_iters", 25), "optimizer.max_iters",
                                   integral=True),
@@ -259,7 +306,7 @@ def load_config(path, overrides=None):
                 control_times=_number(osec.get("control_times", 9),
                                       "optimizer.control_times", integral=True))
 
-        esec = raw.get("energy", {})
+        esec = _table(raw, "energy")
         beta = _number(overrides.get("beta", esec.get("beta", 1e-3)), "energy.beta")
         if not beta > 0:
             raise ConfigError(f"energy.beta must be positive, got {beta}")
@@ -440,7 +487,7 @@ def build_parser():
                    help="re-audit under these square-root shifts (diagnostic)")
 
     # descent always simulates with save_every = 1
-    p = sub.add_parser("optimize", help="projected descent over the control ball")
+    p = sub.add_parser("optimize", help="L-BFGS descent over the control ball")
     _add_common(p, save_every=False)
 
     p = sub.add_parser("sweep", help="objective table over ball radii")

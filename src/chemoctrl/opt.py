@@ -1,11 +1,12 @@
-"""Projected descent over bounded controls through the simulation map.
+"""Quasi-Newton descent over bounded controls through the simulation map.
 
 The control is parameterized on a coarse space-time lattice and prolonged
 multilinearly to the fine lattice; every candidate is radially retracted into
 the admissible ball before it is simulated, so all evaluated controls are
-feasible.  Descent runs from one start, the zero control or a better warm
-start.  The line search accepts only strict decreases, so the accepted
-objective sequence is strictly decreasing, and the method is deterministic.
+feasible and the coefficients themselves are unconstrained.  Descent runs
+from one start, the zero control or a better warm start.  The line search
+accepts only strict decreases, so the accepted objective sequence is strictly
+decreasing, and the method is deterministic.
 
 The continuous problem has no adjoint at weak-solution regularity, but the
 discrete reduced objective is piecewise smooth: prolongation, mask, radial
@@ -14,6 +15,10 @@ Descent differentiates that map directly (discretize, then optimize):
 :func:`adjoint_gradient` runs one reverse pass over the run that evaluated
 the current point, so a gradient costs no further simulation.
 :func:`finite_difference_gradient` stays as the oracle it is checked against.
+The search direction is the limited-memory BFGS one (:func:`lbfgs_direction`,
+Liu & Nocedal 1989) built from the last :data:`LBFGS_MEMORY` curvature pairs,
+with the sup-normalized gradient as the fallback where no pair is stored or
+the quasi-Newton direction does not descend.
 The trace keeps the best point with its run, so its admissibility and cost
 breakdown need no further simulation either.
 """
@@ -21,6 +26,7 @@ breakdown need no further simulation either.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -44,6 +50,14 @@ class InfeasibleBaselineError(RuntimeError):
 # halvings of the trial step per descent iteration before descent stops
 MAX_BACKTRACKS = 25
 
+# curvature pairs (s, y) the quasi-Newton direction is built from
+LBFGS_MEMORY = 6
+
+# a pair is kept only when s.y exceeds this multiple of |s| |y|: the ball
+# boundary and the other kinks of the discrete map can bend the secant
+# the wrong way, and such a pair would break the positive definiteness
+CURVATURE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -51,9 +65,11 @@ class OptimizerConfig:
 
     ``basis`` gives the coarse lattice dims as (time, axis0[, axis1...]);
     ``control_times`` is the fine time-lattice size the coefficients are
-    prolonged to.  ``step0`` is the first trial step in coefficient units,
-    ``shrink`` its backtracking factor, and descent stops after
-    ``max_iters`` iterations or a relative drop below ``stop_tol``.
+    prolonged to.  ``step0`` is the first steepest-descent trial step in
+    coefficient units, ``shrink`` the backtracking factor of every trial
+    (quasi-Newton trials start at a unit multiple of their direction), and
+    descent stops after ``max_iters`` iterations or a relative drop below
+    ``stop_tol``.
     """
 
     max_iters: int = 25
@@ -103,6 +119,8 @@ class OptimizationTrace:
 
     rows: list = field(default_factory=list)
     best: Evaluation | None = None
+    # per start, the last finite accepted objective
+    _last_J: dict = field(default_factory=dict, repr=False)
 
     @property
     def best_J(self):
@@ -113,11 +131,10 @@ class OptimizationTrace:
         return None if self.best is None else self.best.coeffs
 
     def append(self, row):
-        if row.accepted:
-            prev = [r.J for r in self.rows
-                    if r.accepted and r.start == row.start and np.isfinite(r.J)]
-            if prev and np.isfinite(row.J) and row.J >= prev[-1]:
+        if row.accepted and math.isfinite(row.J):
+            if row.J >= self._last_J.get(row.start, math.inf):
                 raise ValueError("accepted objective values must decrease strictly")
+            self._last_J[row.start] = row.J
         self.rows.append(row)
 
     def accepted_J(self, start=None):
@@ -323,19 +340,66 @@ def finite_difference_gradient(fun, x, epsilon):
     return grad, one_sided
 
 
+def lbfgs_direction(grad, pairs):
+    """``H @ grad`` for the L-BFGS inverse-Hessian approximation ``H`` of
+    the curvature ``pairs`` (s, y), oldest first, by the two-loop recursion.
+
+    ``H`` starts from the scaled identity ``(s.y / y.y) I`` of the newest
+    pair and satisfies the secant equation ``H y = s`` for it.
+    """
+    q = np.array(grad, dtype=float)
+    alphas = []
+    for s, y in reversed(pairs):
+        a = (s @ q) / (s @ y)
+        q -= a * y
+        alphas.append(a)
+    s, y = pairs[-1]
+    r = (s @ y) / (y @ y) * q
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        r += (a - (y @ r) / (s @ y)) * s
+    return r
+
+
+def _store_pair(pairs, s, y):
+    """Append (s, y) to ``pairs`` when its curvature is safely positive."""
+    if s @ y > CURVATURE_TOL * np.linalg.norm(s) * np.linalg.norm(y):
+        pairs.append((s, y))
+
+
+def _search_direction(grad, pairs, step):
+    """The direction to move against and its first trial multiple.
+
+    The quasi-Newton direction is tried at unit length when it descends
+    (``d.grad > 0``); otherwise, or with no pair stored, the sup-normalized
+    gradient at the steepest-descent ``step``.  Returns ``(d, t, newton)``.
+    """
+    if pairs:
+        d = lbfgs_direction(grad, pairs)
+        if d @ grad > 0:
+            return d, 1.0, True
+    return grad / float(np.abs(grad).max()), step, False
+
+
 def optimize(config, cost_params, model_params, u0, v0, dt_max,
              initial_coeffs=None):
-    """Minimize the objective over the ball by projected descent.
+    """Minimize the objective over the ball by L-BFGS descent on the
+    retracted coefficients.
 
     Always evaluates the zero control first (it is feasible by definition);
     descent starts there, or from ``initial_coeffs`` when that warm start is
-    strictly better.  The trial move is ``step`` times the sup-normalized
-    gradient, so ``step`` is measured in coefficient units.  A step accepted
-    without backtracking grows the next trial by ``1/shrink``; otherwise the
-    next trial reuses the accepted length.  Only strict decreases are
-    accepted, so every point the gradient is taken at is feasible and its run
-    is at hand.  Returns the best control found and the trace, which holds
-    the best point and its run as ``trace.best``.
+    strictly better.  Each iteration takes the gradient at the current point
+    and, with the previous point, forms the curvature pair of the step just
+    taken.  It then moves against the L-BFGS direction, trying a unit
+    multiple first.  The first iteration, and any whose L-BFGS direction does
+    not descend, moves against the sup-normalized gradient by ``step``, in
+    coefficient units; such a move accepted without backtracking grows the
+    next ``step`` by ``1/shrink``, otherwise ``step`` keeps the accepted
+    length.  A rejected trial shrinks by ``shrink``, up to
+    :data:`MAX_BACKTRACKS` times.  Only strict decreases are accepted, so
+    every point the gradient is taken at is feasible and its run is at hand.
+    The trace's ``step_length`` is the sup-norm of each candidate's move.
+    Returns the best control found and the trace, which holds the best point
+    and its run as ``trace.best``.
 
     Raises
     ------
@@ -360,29 +424,30 @@ def optimize(config, cost_params, model_params, u0, v0, dt_max,
     trace.append(cur.row(0, 0.0, True, q))
 
     step = config.step0
+    pairs = deque(maxlen=LBFGS_MEMORY)
+    prev = None
     for it in range(1, config.max_iters + 1):
         grad = adjoint_gradient(cur.coeffs, cur.traj, ctx)
-        gmax = float(np.abs(grad).max())
-        if gmax == 0.0:
+        if prev is not None:
+            _store_pair(pairs, cur.coeffs - prev[0], grad - prev[1])
+        prev = (cur.coeffs, grad)
+        if not np.abs(grad).max() > 0.0:
             break
-        direction = grad / gmax
-        accepted = False
-        backtracked = False
-        for _ in range(MAX_BACKTRACKS):
-            cand = _evaluate(cur.coeffs - step * direction, ctx)
+        direction, t, newton = _search_direction(grad, pairs, step)
+        d_max = float(np.abs(direction).max())
+        for backtracks in range(MAX_BACKTRACKS):
+            cand = _evaluate(cur.coeffs - t * direction, ctx)
             if cand.J < cur.J:
-                accepted = True
                 break
-            trace.append(cand.row(it, step, False, q))
-            step *= config.shrink
-            backtracked = True
-        if not accepted:
+            trace.append(cand.row(it, t * d_max, False, q))
+            t *= config.shrink
+        else:
             break
         rel_drop = (cur.J - cand.J) / max(cur.J, 1e-300)
         cur = cand
-        trace.append(cur.row(it, step, True, q))
-        if not backtracked:
-            step /= config.shrink
+        trace.append(cur.row(it, t * d_max, True, q))
+        if not newton:
+            step = t if backtracks else t / config.shrink
         if rel_drop < config.stop_tol:
             break
 

@@ -199,6 +199,22 @@ class TestConfigErrors:
          "cost.desired_v.value"),
         ("optimize", [], {"cost": {"desired_u": {"preset": "time_decaying", "rat": 2}}},
          "cost.desired_u.rat"),
+        # a misspelt key is refused in every table, not taken as its default
+        ("simulate", [], {"modle": {"t_final": 5.0}}, "modle"),
+        ("simulate", [], {"grid": {"length": [2.0]}}, "grid.length"),
+        ("simulate", [], {"model": {"t_fnal": 5.0}}, "model.t_fnal"),
+        ("simulate", [], {"initial": {"w": {"preset": "zero"}}}, "initial.w"),
+        ("simulate", [], {"sim": {"dt_mx": 0.001}}, "sim.dt_mx"),
+        ("optimize", [], {"cost": {"gamma_w": 1.0}}, "cost.gamma_w"),
+        ("optimize", [], {"optimizer": {"n_start": 4}}, "optimizer.n_start"),
+        ("energy-audit", [], {"energy": {"k": 1.0}}, "energy.k"),
+        ("simulate", [], {"sim": 0.001}, "sim must be a table"),
+        ("simulate", [], {"control": {"preset": "none", "amplitude": 1.0}},
+         "control.amplitude"),
+        ("simulate", [], {"initial": {"u": "u0.csv"}}, "initial.u must be a table"),
+        ("simulate", [], {"control": "f.csv"}, "control must be a table"),
+        ("optimize", [], {"cost": {"desired_v": 1.5}},
+         "cost.desired_v must be a table"),
     ])
     def test_bad_numeric_input_is_config_error(self, decay_dir, tmp_path, capsys,
                                                command, flags, patch, field):
@@ -216,6 +232,45 @@ class TestConfigErrors:
         assert run(argv) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_must_be_a_table(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[1, 2]")
+        assert run(["simulate", str(cfg)]) == 2
+        assert "must be a table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("builder, section, extra, field", [
+        ("field", ["initial", "u"], {"preset": "zero"}, "initial.u.preset"),
+        ("control", ["control"], {"preset": "zero"}, "control.preset"),
+        ("control", ["control"], {"tims": [0.0, 0.05, 0.1]}, "control.tims"),
+        ("desired", ["cost", "desired_v"], {"value": 1.5}, "cost.desired_v.value"),
+    ])
+    def test_csv_section_takes_only_what_it_reads(self, tmp_path, capsys, builder,
+                                                  section, extra, field):
+        # beside csv, only a control's times are read; any other key exits 2
+        from chemoctrl import Field, Grid, field_to_csv
+        from chemoctrl.io import write_levels
+        if builder == "control":
+            write_levels(tmp_path / "t.csv", (8,), np.full((3, 8), 0.5))
+            entry = {"csv": "t.csv", "times": [0.0, 0.05, 0.1]}
+        else:
+            field_to_csv(Field.full(Grid.unit_box((8,)), 0.5), tmp_path / "t.csv")
+            entry = {"csv": "t.csv"}
+        raw = {"grid": {"dims": [8]}, "model": {"t_final": 0.1}}
+        table = raw
+        for key in section[:-1]:
+            table = table.setdefault(key, {})
+        table[section[-1]] = entry
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        load_config(str(cfg))
+        if "times" in extra:
+            del entry["times"]
+        entry.update(extra)
+        cfg.write_text(json.dumps(raw))
+        assert run(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "simulate_decay.toml", "--seed", "1"],

@@ -29,8 +29,11 @@ from chemoctrl.opt import (
     _evaluate,
     _masked_control,
     _prolong_transpose,
+    _search_direction,
+    _store_pair,
     adjoint_gradient,
     control_from_coefficients,
+    lbfgs_direction,
     make_context,
     prolong_coefficients,
 )
@@ -435,6 +438,67 @@ class TestDescentUsesAdjoint:
         # one simulation per trace row: gradients cost no forward runs
         assert sim_calls["opt.simulate"] == len(trace.rows)
         assert trace.accepted_J(start=0).size >= 2
+
+
+class TestLBFGSDirection:
+    def test_secant_identity(self):
+        rng = np.random.default_rng(6)
+        s = rng.normal(size=12)
+        y = s + 0.3 * rng.normal(size=12)
+        assert s @ y > 0
+        got = lbfgs_direction(y, [(s, y)])
+        assert np.abs(got - s).max() <= 1e-12 * np.abs(s).max()
+
+    @pytest.mark.parametrize("sy, kept", [(-1.0, False), (0.0, False),
+                                          (1e-12, False), (1e-3, True)])
+    def test_pair_kept_only_with_positive_curvature(self, sy, kept):
+        # s.y = sy for unit s and y
+        s = np.array([1.0, 0.0])
+        y = np.array([sy, math.sqrt(1.0 - sy * sy)])
+        pairs = []
+        _store_pair(pairs, s, y)
+        assert len(pairs) == int(kept)
+
+    def test_non_descent_direction_falls_back_to_gradient(self):
+        # a pair of negative curvature, as _store_pair would never keep, maps
+        # y to s with s.y < 0: not a descent direction for the gradient y
+        s, y = np.array([1.0, 0.0]), np.array([-1.0, 2.0])
+        direction, t, newton = _search_direction(y, [(s, y)], 0.25)
+        assert not newton
+        assert t == 0.25
+        assert np.array_equal(direction, y / 2.0)
+
+    def test_descent_direction_tried_at_unit_length(self):
+        s, y = np.array([1.0, 0.5]), np.array([2.0, 0.5])
+        direction, t, newton = _search_direction(y, [(s, y)], 0.25)
+        assert newton and t == 1.0
+        assert direction == pytest.approx(s, rel=1e-12)
+
+    def test_fewer_forward_runs_on_bundled_config(self, count_calls):
+        # steepest descent took 23 forward runs on this instance
+        calls = count_calls(sim.simulate)
+        cfg = load_config(BUNDLED)
+        _, trace = optimize(cfg.optimizer, cfg.cost, cfg.model, cfg.u0, cfg.v0,
+                            cfg.dt_max)
+        assert calls["opt.simulate"] == len(trace.rows) == 14
+
+    def test_step_length_is_sup_norm_of_the_move(self, monkeypatch):
+        seen = []
+
+        def recording(coeffs, ctx):
+            seen.append(coeffs.copy())
+            return _evaluate(coeffs, ctx)
+        monkeypatch.setattr(opt, "_evaluate", recording)
+        cfg = load_config(BUNDLED)
+        _, trace = optimize(cfg.optimizer, cfg.cost, cfg.model, cfg.u0, cfg.v0,
+                            cfg.dt_max)
+        assert len(seen) == len(trace.rows)
+        cur = seen[0]
+        for x, row in zip(seen[1:], trace.rows[1:]):
+            assert row.step_length == pytest.approx(np.abs(x - cur).max(),
+                                                    rel=1e-12, abs=1e-15)
+            if row.accepted:
+                cur = x
 
 
 class TestInfeasibleReason:
