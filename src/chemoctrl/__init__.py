@@ -4,8 +4,8 @@ A finite-volume solver for the bilinearly controlled chemotaxis-consumption
 system with a smooth density truncation, plus the machinery to audit its
 structural guarantees (mass conservation, nonnegativity, cellwise domination
 by a linear comparison solution, energy dissipation) and to minimize a
-tracking objective over controls of bounded space-time norm by projected
-descent.
+tracking objective over controls of bounded space-time norm by L-BFGS
+descent on retracted coefficients.
 """
 
 from .cost import (

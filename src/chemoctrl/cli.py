@@ -1,8 +1,9 @@
 """Command line front end: declarative configs, subcommands and exports.
 
-One config file (TOML or JSON, picked by extension) describes a run; flags
-only override scalar fields.  Exit codes: 0 success or audit pass, 1 audit
-fail, 2 config error, 3 data error, 4 infeasibility.
+One config file (TOML or JSON, picked by extension) describes a run; the
+command line names only files, plus ``energy-audit``'s diagnostic
+``--alpha-sweep``.  Exit codes: 0 success or audit pass, 1 audit fail,
+2 config error, 3 data error, 4 infeasible run.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .opt import InfeasibleBaselineError, OptimizerConfig, optimize, \
     ordering_experiment
 from .presets import CONTROL_PRESETS, DESIRED_PRESETS, FIELD_PRESETS, \
     control_preset, desired_preset, field_preset
-from .sim import Control, TrajectoryFormatError, simulate, solve_comparison, \
-    trajectory_from_dir, trajectory_to_dir
+from .sim import Control, StiffnessError, TrajectoryFormatError, simulate, \
+    solve_comparison, trajectory_from_dir, trajectory_to_dir
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -75,7 +76,6 @@ class RunConfig:
     beta: float
     K: float
     m_sweep: list
-    output_dir: str
 
 
 def _number(value, name, integral=False):
@@ -99,7 +99,7 @@ def _number(value, name, integral=False):
 # the keys each config table reads; any other key is a config error
 CONFIG_KEYS = {
     "": ("grid", "model", "initial", "control", "sim", "cost", "optimizer",
-         "energy", "m_sweep", "output_dir"),
+         "energy", "m_sweep"),
     "grid": ("dims", "lengths", "control_box", "control_mask"),
     "model": ("s", "alpha", "m", "q", "t_final"),
     "initial": ("u", "v"),
@@ -251,17 +251,14 @@ def _build_desired(grid, section, base_dir, what):
         DESIRED_PRESETS, name, section, what, grid.ndim))
 
 
-def load_config(path, overrides=None):
+def load_config(path):
     """Parse and validate a config file into constructed objects."""
     raw = _load_raw_config(path)
-    overrides = overrides or {}
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
         _table(raw, "")
         grid = _build_grid(_table(raw, "grid"))
-        msec = dict(_table(raw, "model"))
-        if "t_final" in overrides:
-            msec["t_final"] = overrides["t_final"]
+        msec = _table(raw, "model")
         model = ModelParams(**{
             key: _number(msec.get(key, default), f"model.{key}") for key, default in
             (("s", 1.0), ("alpha", 0.1), ("m", 8.0), ("q", 3.0), ("t_final", 1.0))})
@@ -271,12 +268,11 @@ def load_config(path, overrides=None):
                           base_dir, "initial.v")
         control = _build_control(grid, raw.get("control"), model.t_final, base_dir)
         ssec = _table(raw, "sim")
-        dt_max = _number(overrides.get("dt_max", ssec.get(
-            "dt_max", model.t_final / 50 if model.t_final > 0 else 1.0)), "sim.dt_max")
+        dt_max = _number(ssec.get(
+            "dt_max", model.t_final / 50 if model.t_final > 0 else 1.0), "sim.dt_max")
         if not dt_max > 0:
             raise ConfigError(f"sim.dt_max must be positive, got {dt_max}")
-        save_every = _number(overrides.get("save_every", ssec.get("save_every", 1)),
-                             "sim.save_every", integral=True)
+        save_every = _number(ssec.get("save_every", 1), "sim.save_every", integral=True)
         if save_every < 1:
             raise ConfigError(f"sim.save_every must be at least 1, got {save_every}")
 
@@ -307,20 +303,18 @@ def load_config(path, overrides=None):
                                       "optimizer.control_times", integral=True))
 
         esec = _table(raw, "energy")
-        beta = _number(overrides.get("beta", esec.get("beta", 1e-3)), "energy.beta")
+        beta = _number(esec.get("beta", 1e-3), "energy.beta")
         if not beta > 0:
             raise ConfigError(f"energy.beta must be positive, got {beta}")
-        K = _number(overrides.get("K", esec.get("K", 0.0)), "energy.K")
+        K = _number(esec.get("K", 0.0), "energy.K")
         m_sweep = _positive_list("m_sweep", raw.get("m_sweep", []))
-        output_dir = str(overrides.get("output_dir", raw.get("output_dir", "out")))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError, OSError) as err:
         raise ConfigError(f"invalid config {path}: {err}") from err
     return RunConfig(grid=grid, model=model, u0=u0, v0=v0, control=control,
                      dt_max=dt_max, save_every=save_every, cost=cost,
-                     optimizer=optimizer, beta=beta, K=K, m_sweep=m_sweep,
-                     output_dir=output_dir)
+                     optimizer=optimizer, beta=beta, K=K, m_sweep=m_sweep)
 
 
 def _positive_list(name, values):
@@ -334,10 +328,19 @@ def _positive_list(name, values):
 
 def cmd_simulate(cfg, out_dir, compare=False):
     """Run the stepper, export the trajectory and an audit summary; with
-    ``compare``, also the paired comparison solve and its domination check."""
-    os.makedirs(out_dir, exist_ok=True)
+    ``compare``, also the paired comparison solve and its domination check.
+
+    Both solves run before the output directory is made, so a run that fails
+    writes nothing.
+    """
     traj = simulate(cfg.u0, cfg.v0, cfg.control, cfg.model, cfg.dt_max,
                     save_every=cfg.save_every)
+    if compare:
+        # paired step by step; compared at the saved levels, whose times are
+        # exactly the comparison's times after the same accepted steps
+        w_traj = solve_comparison(cfg.v0, cfg.control, cfg.model, cfg.dt_max,
+                                  dt_history=traj.dt_history)
+    os.makedirs(out_dir, exist_ok=True)
     trajectory_to_dir(traj, os.path.join(out_dir, "trajectory"))
 
     mass = traj.mass_trace
@@ -359,10 +362,6 @@ def cmd_simulate(cfg, out_dir, compare=False):
         "min_v": float(traj.v.min()),
     }
     if compare:
-        # paired step by step; compared at the saved levels, whose times are
-        # exactly the comparison's times after the same accepted steps
-        w_traj = solve_comparison(cfg.v0, cfg.control, cfg.model, cfg.dt_max,
-                                  dt_history=traj.dt_history)
         w_saved = w_traj.w[np.isin(w_traj.times, traj.times)]
         violation = float((traj.v - w_saved).max())
         summary["comparison_max_violation"] = violation
@@ -418,9 +417,9 @@ def cmd_optimize(cfg, out_dir):
     """
     if cfg.cost is None or cfg.optimizer is None:
         raise ConfigError("optimize needs cost and optimizer config sections")
-    os.makedirs(out_dir, exist_ok=True)
     ctrl, trace = optimize(cfg.optimizer, cfg.cost, cfg.model, cfg.u0, cfg.v0,
                            cfg.dt_max)
+    os.makedirs(out_dir, exist_ok=True)
     trace.to_csv(os.path.join(out_dir, "trace.csv"))
 
     cfg.grid.to_json(os.path.join(out_dir, "grid.json"))
@@ -435,16 +434,15 @@ def cmd_optimize(cfg, out_dir):
     return EXIT_OK
 
 
-def cmd_sweep(cfg, out_dir, m_values=None):
-    """Objective-versus-radius table over a sweep of ball radii."""
+def cmd_sweep(cfg, out_dir):
+    """Objective-versus-radius table over the config's ``m_sweep`` radii."""
     if cfg.cost is None or cfg.optimizer is None:
         raise ConfigError("sweep needs cost and optimizer config sections")
-    values = _positive_list("--m-values", m_values) if m_values else cfg.m_sweep
-    if not values or len(values) < 2:
+    if len(cfg.m_sweep) < 2:
         raise ConfigError("sweep needs at least two M values (config m_sweep)")
-    os.makedirs(out_dir, exist_ok=True)
-    table = ordering_experiment(values, cfg.optimizer, cfg.cost, cfg.model,
+    table = ordering_experiment(cfg.m_sweep, cfg.optimizer, cfg.cost, cfg.model,
                                 cfg.u0, cfg.v0, cfg.dt_max)
+    os.makedirs(out_dir, exist_ok=True)
     table.to_csv(os.path.join(out_dir, "m_sweep.csv"))
     write_json(os.path.join(out_dir, "m_sweep.json"), {
         "plateau_M": table.plateau_M,
@@ -454,80 +452,47 @@ def cmd_sweep(cfg, out_dir, m_values=None):
     return EXIT_OK
 
 
-def _add_common(p, stepping=True, save_every=True):
-    """The config and ``--output``, plus the stepping flags a subcommand reads."""
-    p.add_argument("config", help="TOML or JSON run configuration")
-    p.add_argument("--output", help="output directory (overrides config)")
-    if stepping:
-        p.add_argument("--dt-max", type=float, dest="dt_max")
-        p.add_argument("--t-final", type=float, dest="t_final")
-    if save_every:
-        p.add_argument("--save-every", type=int, dest="save_every")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="chemoctrl",
         description="Simulate, audit and optimally control the "
                     "chemotaxis-consumption system.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="integrate the controlled system")
-    _add_common(p)
-
-    p = sub.add_parser("compare", help="integrate plus paired comparison solve")
-    _add_common(p)
-
-    p = sub.add_parser("energy-audit", help="audit a stored trajectory")
-    _add_common(p, stepping=False, save_every=False)
-    p.add_argument("--trajectory", required=True, help="trajectory directory")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--K", type=float)
-    p.add_argument("--alpha-sweep", type=float, nargs="+", dest="alpha_sweep",
-                   help="re-audit under these square-root shifts (diagnostic)")
-
-    # descent always simulates with save_every = 1
-    p = sub.add_parser("optimize", help="L-BFGS descent over the control ball")
-    _add_common(p, save_every=False)
-
-    p = sub.add_parser("sweep", help="objective table over ball radii")
-    _add_common(p, save_every=False)
-    p.add_argument("--m-values", type=float, nargs="+", dest="m_values")
+    for name, what in (
+            ("simulate", "integrate the controlled system"),
+            ("compare", "integrate plus paired comparison solve"),
+            ("energy-audit", "audit a stored trajectory"),
+            ("optimize", "L-BFGS descent over the control ball"),
+            ("sweep", "objective table over ball radii")):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("config", help="TOML or JSON run configuration")
+        p.add_argument("--output", default="out", help="output directory")
+        if name == "energy-audit":
+            p.add_argument("--trajectory", required=True, help="trajectory directory")
+            p.add_argument("--alpha-sweep", type=float, nargs="+", dest="alpha_sweep",
+                           help="re-audit under these square-root shifts (diagnostic)")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    overrides = {k: v for k, v in (
-        ("dt_max", getattr(args, "dt_max", None)),
-        ("t_final", getattr(args, "t_final", None)),
-        ("save_every", getattr(args, "save_every", None)),
-        ("beta", getattr(args, "beta", None)),
-        ("K", getattr(args, "K", None)),
-        ("output_dir", getattr(args, "output", None)),
-    ) if v is not None}
     try:
-        cfg = load_config(args.config, overrides)
-        out_dir = cfg.output_dir
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        if args.command == "compare":
-            return cmd_simulate(cfg, out_dir, compare=True)
+        cfg = load_config(args.config)
+        if args.command in ("simulate", "compare"):
+            return cmd_simulate(cfg, args.output, compare=args.command == "compare")
         if args.command == "energy-audit":
-            return cmd_energy_audit(cfg, args.trajectory, out_dir,
+            return cmd_energy_audit(cfg, args.trajectory, args.output,
                                     alpha_sweep=args.alpha_sweep)
         if args.command == "optimize":
-            return cmd_optimize(cfg, out_dir)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, m_values=args.m_values)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_optimize(cfg, args.output)
+        return cmd_sweep(cfg, args.output)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except TrajectoryFormatError as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except InfeasibleBaselineError as err:
+    except (InfeasibleBaselineError, StiffnessError) as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -407,16 +407,26 @@ def optimize(config, cost_params, model_params, u0, v0, dt_max,
         If the zero-control run itself fails.
     """
     ctx = make_context(config, cost_params, model_params, u0, v0, dt_max)
-    trace = OptimizationTrace()
-    n_coeffs = int(np.prod(config.basis))
-    q = cost_params.q
+    return _descend(config, ctx, _baseline(ctx), initial_coeffs)
 
-    cur = _evaluate(np.zeros(n_coeffs), ctx)
-    if not math.isfinite(cur.J):
+
+def _baseline(ctx):
+    """The zero control's evaluation.  It does not depend on the ball radius:
+    the zero control lies inside every ball."""
+    zero = _evaluate(np.zeros(int(np.prod(ctx.basis))), ctx)
+    if not math.isfinite(zero.J):
         raise InfeasibleBaselineError("the zero-control baseline run failed")
+    return zero
+
+
+def _descend(config, ctx, zero, initial_coeffs):
+    """:func:`optimize` from the evaluated zero control ``zero``."""
+    trace = OptimizationTrace()
+    q = ctx.cost_params.q
+    cur = zero
     if initial_coeffs is not None:
         warm = np.asarray(initial_coeffs, dtype=float).ravel()
-        if warm.size != n_coeffs:
+        if warm.size != zero.coeffs.size:
             raise ValueError("warm start has the wrong number of coefficients")
         warm_start = _evaluate(warm, ctx)
         if warm_start.J < cur.J:
@@ -484,8 +494,9 @@ def ordering_experiment(m_values, config, cost_params, model_params, u0, v0,
     """Optimize per ball radius and tabulate the monotone objective column.
 
     Runs are warm-started with the previous radius' best coefficients, so the
-    objective column is nonincreasing along increasing radii.  Each row also
-    checks the threshold ``M >= (q / gamma_f) * J(M)`` under which the
+    objective column is nonincreasing along increasing radii.  The zero
+    control, every run's baseline, is simulated once for all radii.  Each row
+    also checks the threshold ``M >= (q / gamma_f) * J(M)`` under which the
     ordering between the three related minimization problems applies, and the
     table reports the smallest radius whose doubling no longer improves the
     objective beyond ``stop_tol`` (relative).
@@ -494,7 +505,7 @@ def ordering_experiment(m_values, config, cost_params, model_params, u0, v0,
     if len(m_values) < 2:
         raise ValueError("need at least two ball radii")
     rows = []
-    warm = None
+    warm = zero = None
     results = {}
     cached = {}
     for M in m_values:
@@ -502,8 +513,10 @@ def ordering_experiment(m_values, config, cost_params, model_params, u0, v0,
             J, norm, warm = cached[M]
         else:
             cp = replace(cost_params, M=M)
-            ctrl, trace = optimize(config, cp, model_params, u0, v0, dt_max,
-                                   initial_coeffs=warm)
+            ctx = make_context(config, cp, model_params, u0, v0, dt_max)
+            if zero is None:
+                zero = _baseline(ctx)
+            ctrl, trace = _descend(config, ctx, zero, warm)
             J = trace.best_J
             warm = trace.best_coeffs
             norm = ctrl.lq_norm(cp.q)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chemoctrl import energy, sim
-from chemoctrl.cli import load_config, main
+from chemoctrl.cli import build_parser, load_config, main
 from chemoctrl.sim import trajectory_from_dir
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -54,6 +54,18 @@ def corrupt_manifest(manifest, kind):
 
 def cfg_path(name):
     return os.path.join(CONFIGS, name)
+
+
+def patched_config(tmp_path, name, patch):
+    """A copy of bundled config ``name`` in ``tmp_path`` with the tables of
+    ``patch`` merged in and its other keys replaced; returns its path."""
+    with open(cfg_path(name)) as fh:
+        raw = json.load(fh)
+    for key, value in patch.items():
+        raw[key] = {**raw.get(key, {}), **value} if isinstance(value, dict) else value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    return cfg
 
 
 def run(args):
@@ -141,16 +153,17 @@ class TestConfigErrors:
         assert run(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 2
         assert "u0.csv" in capsys.readouterr().err
 
+    # a case's id carries its position in this list: add new cases at the end
     @pytest.mark.parametrize("command, flags, patch, field", [
-        ("energy-audit", ["--beta", "-1"], {}, "beta"),
+        ("energy-audit", [], {"energy": {"beta": -1.0}}, "beta"),
         ("energy-audit", [], {"energy": {"beta": 0.0}}, "beta"),
         ("energy-audit", ["--alpha-sweep", "0.1", "0"], {}, "--alpha-sweep"),
-        ("simulate", ["--dt-max", "-1"], {}, "dt_max"),
-        ("simulate", ["--dt-max", "nan"], {}, "dt_max"),
-        ("optimize", ["--dt-max", "0"], {}, "dt_max"),
+        ("simulate", [], {"sim": {"dt_max": -1.0}}, "dt_max"),
+        ("simulate", [], {"sim": {"dt_max": math.nan}}, "dt_max"),
+        ("optimize", [], {"sim": {"dt_max": 0.0}}, "dt_max"),
         ("simulate", [], {"sim": {"dt_max": math.inf}}, "dt_max"),
-        ("simulate", ["--save-every", "0"], {}, "save_every"),
-        ("sweep", ["--m-values", "-1", "1"], {}, "--m-values"),
+        ("simulate", [], {"sim": {"save_every": 0}}, "save_every"),
+        ("sweep", [], {"m_sweep": [-1.0, 1.0]}, "m_sweep"),
         ("sweep", [], {"m_sweep": [0.5, 0.0]}, "m_sweep"),
         ("simulate", [], {"sim": {"save_every": 1.5}}, "sim.save_every"),
         ("optimize", [], {"optimizer": {"max_iters": 2.7}}, "optimizer.max_iters"),
@@ -164,9 +177,9 @@ class TestConfigErrors:
         ("optimize", [], {"cost": {"gamma_u": math.nan}}, "cost.gamma_u"),
         ("optimize", [], {"optimizer": {"step0": math.inf}}, "optimizer.step0"),
         ("energy-audit", [], {"energy": {"K": math.nan}}, "energy.K"),
-        ("energy-audit", ["--K", "nan"], {}, "energy.K"),
-        ("simulate", ["--t-final", "inf"], {}, "model.t_final"),
-        ("simulate", ["--t-final", "nan"], {}, "model.t_final"),
+        ("energy-audit", [], {"energy": {"K": math.inf}}, "energy.K"),
+        ("simulate", [], {"model": {"t_final": math.inf}}, "model.t_final"),
+        ("simulate", [], {"model": {"t_final": math.nan}}, "model.t_final"),
         ("simulate", [], {"sim": {"compare": True}}, "compare"),
         ("simulate", [], {"initial": {"u": {"preset": "gaussian", "amplitud": 3.0}}},
          "initial.u.amplitud"),
@@ -215,16 +228,12 @@ class TestConfigErrors:
         ("simulate", [], {"control": "f.csv"}, "control must be a table"),
         ("optimize", [], {"cost": {"desired_v": 1.5}},
          "cost.desired_v must be a table"),
+        # --output names the output directory; the config has no key for it
+        ("simulate", [], {"output_dir": "out"}, "output_dir"),
     ])
     def test_bad_numeric_input_is_config_error(self, decay_dir, tmp_path, capsys,
                                                command, flags, patch, field):
-        with open(cfg_path("optimize_small.json")) as fh:
-            raw = json.load(fh)
-        for key, value in patch.items():
-            raw[key] = {**raw.get(key, {}), **value} if isinstance(value, dict) \
-                else value
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(raw))
+        cfg = patched_config(tmp_path, "optimize_small.json", patch)
         out = tmp_path / "o"
         argv = [command, str(cfg), *flags, "--output", str(out)]
         if command == "energy-audit":
@@ -278,11 +287,27 @@ class TestConfigErrors:
         ["energy-audit", "simulate_decay.toml", "--trajectory", "t", "--dt-max", "0.1"],
         ["optimize", "optimize_small.json", "--save-every", "2"],
         ["simulate", "simulate_exponential.json", "--compare"],
+        # the config sets these values; the command line does not
+        ["simulate", "simulate_decay.toml", "--dt-max", "0.1"],
+        ["simulate", "simulate_decay.toml", "--t-final", "0.1"],
+        ["simulate", "simulate_decay.toml", "--save-every", "2"],
+        ["compare", "simulate_exponential.json", "--dt-max", "0.1"],
+        ["compare", "simulate_exponential.json", "--t-final", "0.1"],
+        ["compare", "simulate_exponential.json", "--save-every", "2"],
+        ["energy-audit", "simulate_decay.toml", "--trajectory", "t", "--beta", "0.001"],
+        ["energy-audit", "simulate_decay.toml", "--trajectory", "t", "--K", "0.0"],
+        ["optimize", "optimize_small.json", "--dt-max", "0.1"],
+        ["optimize", "optimize_small.json", "--t-final", "0.1"],
+        ["sweep", "optimize_small.json", "--dt-max", "0.1"],
+        ["sweep", "optimize_small.json", "--t-final", "0.1"],
+        ["sweep", "optimize_small.json", "--m-values", "0.5", "1"],
     ])
-    def test_removed_flags_are_rejected(self, argv):
+    def test_removed_flags_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             run([argv[0], cfg_path(argv[1]), *argv[2:]])
         assert exc.value.code == 2
+        removed = [a for a in argv if a.startswith("--")][-1]
+        assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("grid", [
@@ -316,6 +341,25 @@ class TestConfigErrors:
         cfg.write_text(json.dumps(raw))
         assert load_config(str(cfg)).grid.control_mask.tolist() == \
             [bool(b) for b in mask]
+
+
+class TestParser:
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate", ["--output"]),
+        ("compare", ["--output"]),
+        ("energy-audit", ["--output", "--trajectory", "--alpha-sweep"]),
+        ("optimize", ["--output"]),
+        ("sweep", ["--output"]),
+    ])
+    def test_each_subcommand_takes_exactly_these_flags(self, command, flags):
+        # the config sets every value; flags name files, and --alpha-sweep
+        # lists diagnostic shifts that have no config field
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.choices and command in a.choices)
+        actions = sub.choices[command]._actions
+        assert [a.dest for a in actions if not a.option_strings] == ["config"]
+        assert [s for a in actions for s in a.option_strings
+                if s not in ("-h", "--help")] == flags
 
 
 class TestSimulate:
@@ -383,6 +427,21 @@ class TestSimulate:
         assert summary["levels"] < summary["steps"]
         assert summary["comparison_max_violation"] <= 1e-10
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_stiff_run_is_infeasible(self, tmp_path, capsys, command):
+        # a control this strong drives the adaptive step below its floor
+        cfg = tmp_path / "stiff.json"
+        cfg.write_text(json.dumps({
+            "grid": {"dims": [16]},
+            "control": {"preset": "constant", "amplitude": 5e12},
+            "sim": {"dt_max": 0.1},
+        }))
+        out = tmp_path / "o"
+        assert run([command, str(cfg), "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def decay_dir(tmp_path_factory):
@@ -402,8 +461,7 @@ class TestEnergyAudit:
     def test_dissipative_run_passes(self, decay_dir, tmp_path):
         out = str(tmp_path / "audit")
         code = run(["energy-audit", cfg_path("simulate_decay.toml"),
-                    "--trajectory", decay_dir, "--beta", "0.001", "--K", "0.0",
-                    "--output", out])
+                    "--trajectory", decay_dir, "--output", out])
         assert code == 0
         assert os.path.exists(os.path.join(out, "energy_residual_pairs.csv"))
         with open(os.path.join(out, "energy_audit.json")) as fh:
@@ -415,7 +473,7 @@ class TestEnergyAudit:
         out = str(tmp_path / "audit")
         code = run(["energy-audit", cfg_path("simulate_equilibrium.json"),
                     "--trajectory", os.path.join(sim_out, "trajectory"),
-                    "--K", "0.0", "--output", out])
+                    "--output", out])
         assert code == 0
         with open(os.path.join(out, "energy_audit.json")) as fh:
             assert abs(json.load(fh)["worst_residual"]) <= 1e-12
@@ -423,9 +481,11 @@ class TestEnergyAudit:
     def test_adversarial_negative_K_fails(self, tmp_path):
         sim_out = str(tmp_path / "eq")
         run(["simulate", cfg_path("simulate_equilibrium.json"), "--output", sim_out])
-        code = run(["energy-audit", cfg_path("simulate_equilibrium.json"),
+        cfg = patched_config(tmp_path, "simulate_equilibrium.json",
+                             {"energy": {"K": -1.0}})
+        code = run(["energy-audit", str(cfg),
                     "--trajectory", os.path.join(sim_out, "trajectory"),
-                    "--K", "-1.0", "--output", str(tmp_path / "audit")])
+                    "--output", str(tmp_path / "audit")])
         assert code == 1
 
     def test_alpha_sweep_diagnostic(self, decay_dir, tmp_path):
@@ -452,8 +512,7 @@ class TestEnergyAudit:
 
         monkeypatch.setattr(energy, "_level_quantities", counted)
         args = ["energy-audit", cfg_path("simulate_decay.toml"), "--trajectory",
-                decay_dir, "--beta", "0.001", "--K", "0.0",
-                "--output", str(tmp_path / "audit")]
+                decay_dir, "--output", str(tmp_path / "audit")]
         if sweep:
             args += ["--alpha-sweep", *sweep]
         assert run(args) == 0
@@ -626,6 +685,7 @@ class TestOptimize:
             "optimizer": {"max_iters": 1, "basis": [1, 1], "control_times": 2},
         }))
         assert run(["optimize", str(cfg), "--output", str(tmp_path / "o")]) == 4
+        assert not (tmp_path / "o").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
@@ -645,8 +705,9 @@ class TestOptimize:
 class TestSweep:
     def test_table_monotone(self, tmp_path):
         out = str(tmp_path / "sweep")
-        assert run(["sweep", cfg_path("optimize_small.json"),
-                    "--m-values", "0.5", "1.0", "2.0", "--output", out]) == 0
+        cfg = patched_config(tmp_path, "optimize_small.json",
+                             {"m_sweep": [0.5, 1.0, 2.0]})
+        assert run(["sweep", str(cfg), "--output", out]) == 0
         with open(os.path.join(out, "m_sweep.csv")) as fh:
             rows = list(csv.DictReader(fh))
         J = np.array([float(r["J"]) for r in rows])

@@ -304,6 +304,24 @@ class TestOrdering:
                                     Field.full(grid, 1.0), dt_max=0.05)
         assert table.rows[0].J == table.rows[1].J
 
+    def test_zero_control_simulated_once_per_sweep(self, monkeypatch, count_calls):
+        # the zero control's run does not depend on the radius, so the sweep
+        # simulates it once; each warm start beats it, so every forward run
+        # is one trace row
+        calls = count_calls(sim.simulate)
+        rows = []
+
+        def recording(*args):
+            ctrl, trace = descend(*args)
+            rows.extend(trace.rows)
+            return ctrl, trace
+        descend = opt._descend
+        monkeypatch.setattr(opt, "_descend", recording)
+        cfg = load_config(BUNDLED)
+        ordering_experiment(cfg.m_sweep, cfg.optimizer, cfg.cost, cfg.model,
+                            cfg.u0, cfg.v0, cfg.dt_max)
+        assert calls["opt.simulate"] == len(rows) == 50
+
     def test_needs_two_radii(self, grid, model_params):
         cfg = OptimizerConfig()
         with pytest.raises(ValueError):
