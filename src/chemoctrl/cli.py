@@ -26,8 +26,8 @@ from .opt import InfeasibleBaselineError, OptimizerConfig, optimize, \
     ordering_experiment
 from .presets import CONTROL_PRESETS, DESIRED_PRESETS, FIELD_PRESETS, \
     control_preset, desired_preset, field_preset
-from .sim import Control, StiffnessError, TrajectoryFormatError, simulate, \
-    solve_comparison, trajectory_from_dir, trajectory_to_dir
+from .sim import Control, PositivityError, StiffnessError, TrajectoryFormatError, \
+    simulate, solve_comparison, trajectory_from_dir, trajectory_to_dir
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -365,7 +365,8 @@ def cmd_simulate(cfg, out_dir, compare=False):
         w_saved = w_traj.w[np.isin(w_traj.times, traj.times)]
         violation = float((traj.v - w_saved).max())
         summary["comparison_max_violation"] = violation
-        summary["comparison_pass"] = bool(violation <= 1e-10)
+        # the split scheme keeps v <= w exactly, with no round-off allowance
+        summary["comparison_pass"] = bool(violation <= 0.0)
         write_csv(os.path.join(out_dir, "comparison_max_w.csv"), ["t", "max_w"],
                   zip(traj.times.tolist(),
                       w_saved.reshape(traj.n_levels, -1).max(axis=1).tolist()))
@@ -382,14 +383,16 @@ def cmd_energy_audit(cfg, traj_dir, out_dir, alpha_sweep=None):
     the worst residual is <= 0.
 
     The audit accepts any ``K``, so adversarial negative values simply fail.
+    The trajectory is read before the output directory is made, so a data
+    error writes nothing.
     ``alpha_sweep`` re-audits under alternative square-root shifts and writes
     one residual per value (the provable shift threshold is nonconstructive,
     so this stays a diagnostic).
     """
     beta, K = cfg.beta, cfg.K
     alpha_sweep = _positive_list("--alpha-sweep", alpha_sweep or [])
-    os.makedirs(out_dir, exist_ok=True)
     traj = trajectory_from_dir(traj_dir)
+    os.makedirs(out_dir, exist_ok=True)
     if alpha_sweep:
         write_csv(os.path.join(out_dir, "alpha_sweep.csv"), ["alpha", "worst_residual"],
                   [(alpha, energy_inequality_audit(
@@ -492,7 +495,8 @@ def main(argv=None):
     except TrajectoryFormatError as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except (InfeasibleBaselineError, StiffnessError) as err:
+    # a state that overflows ends its run in a PositivityError
+    except (InfeasibleBaselineError, StiffnessError, PositivityError) as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -1,28 +1,22 @@
 """Time integration of the controlled truncated system and its comparison problem.
 
-One step treats the chemical concentration implicitly (diffusion, consumption
-damping and the bilinear control all land on the matrix diagonal) and then
-transports the cell density with an explicit upwind flux driven by the fresh
-concentration, under implicit diffusion.  Both implicit matrices are
-M-matrices whenever ``dt * max(f_+) < 1``, and they are factored without
-pivoting: every arithmetic operation in the forward and backward solves then
-adds nonnegative quantities, so nonnegative right-hand sides produce exactly
-nonnegative solutions in floating point.  The density update is in
-conservative flux form and the diffusion matrix has columns summing to one,
-so the discrete cell mass is conserved to round-off at every step.
-
-The concentration and comparison systems ``(I - dt*Lap + dt*diag(r)) x = b``
-change their diagonal at every step, so they are not factored afresh.  They
-use the regular splitting ``M - N`` with the cached shifted diffusion factor
-``M = (1 + dt*sigma) I - dt*Lap`` and ``N = dt*diag(sigma - r) >= 0`` (sigma
-is 0 when ``r <= 0``, so the u-diffusion factor serves, and otherwise
-``max r`` rounded up to a power of two), iterating
-``x <- M^{-1} (b + N x)`` from ``x = 0``.  Each sweep applies the no-pivot
-M-matrix factor to a sum of nonnegative terms, so every iterate is exactly
-nonnegative and the iterates increase monotonically.  ``M^{-1} N`` contracts
-the infinity norm by ``rho = dt*(sigma - min r) / (1 + dt*sigma)``, which
-gives the stopping rule ``rho/(1-rho) * |dx| <= 1e-14 * |x|``; when
-``rho > 1/2`` the system is assembled and factored directly instead.
+One step first advances the chemical concentration by sequential operator
+splitting: the reaction (consumption damping and the bilinear control) acts
+cell by cell, ``v* = v / (1 + dt*r)``, and then ``v*`` diffuses implicitly.
+The cell density is then transported with an explicit upwind flux driven by
+the fresh concentration, under implicit diffusion.  Both diffusions use one
+matrix, ``I - dt*Lap``, cached per step size and factored without pivoting.
+It is an M-matrix, so every arithmetic operation in the forward and backward
+solves adds nonnegative quantities: a nonnegative right-hand side produces an
+exactly nonnegative solution in floating point, and the solve is monotone in
+its right-hand side.  Every reaction divisor is at least
+``1 - dt*max(f_+)``, which is positive whenever ``dt * max(f_+) < 1``
+(checked).  The comparison problem takes the same two stages with the
+divisor ``1 - dt*f_+``, never larger than the concentration's, so a paired
+comparison solution dominates the concentration exactly, not up to
+round-off.  The density update is in conservative flux form and the
+diffusion matrix has columns summing to one, so the discrete cell mass is
+conserved to round-off at every step.
 
 Inputs are validated once, when :func:`simulate` or :func:`solve_comparison`
 is entered (a ``Field``, ``State`` or ``Control`` checks its values when it
@@ -289,25 +283,13 @@ def _factorize(A):
                 options=dict(SymmetricMode=True))
 
 
-# step sizes with a cached u-diffusion or shifted factor, per grid; the least
-# recently used is evicted first
+# step sizes with a cached diffusion factor, per grid; the least recently used
+# is evicted first
 _DIFFUSION_CACHE_SIZE = 4
-_SHIFTED_CACHE_SIZE = 2
-# the splitting is used while its contraction bound stays at most this
-_RHO_MAX = 0.5
-_SPLIT_RTOL = 1e-14
-# at rho <= 1/2 the bound reaches 1e-14 within 48 sweeps; more means round-off
-# stalled the iteration, and the direct solve takes over
-_MAX_SWEEPS = 64
-
-
-def _shifted_diffusion(grid, dt, sigma):
-    identity = sp.identity(grid.n_cells, format="csc")
-    return (1.0 + dt * sigma) * identity - dt * laplacian_matrix(grid)
 
 
 def _diffusion_solver(grid, dt):
-    """Cached factor of ``I - dt*Lap``, the u-diffusion and sigma = 0 matrix."""
+    """Cached factor of ``I - dt*Lap``, the one matrix both diffusions solve."""
     entry = _grid_cache.setdefault(grid, {})
     solvers = entry.setdefault("diffusion", OrderedDict())
     if dt in solvers:
@@ -315,72 +297,9 @@ def _diffusion_solver(grid, dt):
     else:
         if len(solvers) >= _DIFFUSION_CACHE_SIZE:
             solvers.popitem(last=False)
-        solvers[dt] = _factorize(_shifted_diffusion(grid, dt, 0.0))
+        identity = sp.identity(grid.n_cells, format="csc")
+        solvers[dt] = _factorize(identity - dt * laplacian_matrix(grid))
     return solvers[dt]
-
-
-def _contraction(dt, sigma, r_min):
-    """Infinity-norm bound on the splitting's iteration matrix ``M^{-1} N``."""
-    return dt * (sigma - r_min) / (1.0 + dt * sigma)
-
-
-def _splitting_factor(grid, dt, r_max, r_min):
-    """``(sigma, factor of M)`` for the splitting, or None when rho > 1/2.
-
-    Each grid keeps one shifted factor per ``dt`` for its last
-    ``_SHIFTED_CACHE_SIZE`` step sizes, so that a full step and a clipped last
-    step can alternate without refactoring.  A factor is reused while its
-    sigma still covers ``r_max`` and rho stays at most 1/2; otherwise it is
-    replaced.
-    """
-    if r_max <= 0.0:
-        if _contraction(dt, 0.0, r_min) > _RHO_MAX:
-            return None
-        return 0.0, _diffusion_solver(grid, dt)
-    entry = _grid_cache.setdefault(grid, {})
-    factors = entry.setdefault("shifted", OrderedDict())
-    cached = factors.get(dt)
-    if cached is not None and cached[0] >= r_max \
-            and _contraction(dt, cached[0], r_min) <= _RHO_MAX:
-        factors.move_to_end(dt)
-        return cached
-    mantissa, exponent = math.frexp(r_max)
-    sigma = math.ldexp(1.0, exponent - 1 if mantissa == 0.5 else exponent)
-    if _contraction(dt, sigma, r_min) > _RHO_MAX:
-        return None
-    # free the replaced or least recently used factor before the new one fills in
-    if factors.pop(dt, None) is None and len(factors) >= _SHIFTED_CACHE_SIZE:
-        factors.popitem(last=False)
-    factors[dt] = sigma, _factorize(_shifted_diffusion(grid, dt, sigma))
-    return factors[dt]
-
-
-def _implicit_solve(grid, dt, r, b):
-    """Solve ``(I - dt*Lap + dt*diag(r)) x = b`` for flat ``b >= 0``.
-
-    Uses the regular splitting described in the module docstring, and the
-    direct no-pivot factorization when it would contract too slowly.
-    """
-    r_max, r_min = float(r.max()), float(r.min())
-    split = _splitting_factor(grid, dt, r_max, r_min)
-    if split is not None:
-        sigma, lu = split
-        rho = _contraction(dt, sigma, r_min)
-        weight = dt * (sigma - r)
-        x = np.zeros_like(b)
-        work = np.empty_like(b)
-        rhs = b  # b + weight * x at x = 0
-        for _ in range(_MAX_SWEEPS):
-            x_new = lu.solve(rhs)
-            np.subtract(x_new, x, out=work)
-            delta = float(np.abs(work, out=work).max())
-            x = x_new
-            if rho * delta <= (1.0 - rho) * _SPLIT_RTOL * float(x.max()):
-                return x
-            rhs = np.multiply(weight, x, out=work)
-            rhs += b
-    A = sp.diags(1.0 + dt * r) - dt * laplacian_matrix(grid)
-    return _factorize(A).solve(b)
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +327,18 @@ def _mobility_and_reaction(u, fpos, fneg, params):
 def step(state, control_slice, params, dt):
     """Advance one implicit-explicit step of size ``dt``.
 
-    The concentration is solved first from the fully implicit system
+    The concentration goes first, split into its cellwise reaction and its
+    diffusion:
 
-        (I - dt*Lap + dt*diag(trunc(u)^s + f_- - f_+)) v_new = v
+        v* = v / (1 + dt*(trunc(u)^s + f_- - f_+)),   (I - dt*Lap) v_new = v*
 
-    which is an M-matrix provided ``dt * max(f_+) < 1`` (checked).  It is
-    solved by the regular splitting around the cached shifted diffusion
-    factor (module docstring), whose iterates are exactly nonnegative, or
-    directly when the splitting would contract too slowly.  The
+    Every divisor is at least ``1 - dt*max(f_+)``, positive provided
+    ``dt * max(f_+) < 1`` (checked), and the cached no-pivot factor of the
+    M-matrix ``I - dt*Lap`` keeps ``v_new`` exactly nonnegative.  The
     density then takes the upwind chemotaxis flux built from ``v_new``
-    explicitly and diffuses implicitly, which conserves mass to round-off and
-    preserves nonnegativity under the reported CFL bound on ``dt``.
+    explicitly and diffuses implicitly through the same factor, which
+    conserves mass to round-off and preserves nonnegativity under the
+    reported CFL bound on ``dt``.
 
     ``state`` and ``control_slice`` are trusted as built: a ``State`` or
     ``Field`` checks its values when it is constructed, and :func:`simulate`
@@ -434,7 +354,7 @@ def step(state, control_slice, params, dt):
     ValueError
         If ``dt`` is not positive and finite.
     StepSizeError
-        If ``dt`` violates the control M-matrix condition or the chemotaxis
+        If ``dt`` violates the reaction divisor condition or the chemotaxis
         CFL bound; the error carries the largest admissible ``dt``.
     PositivityError
         If a new ``v`` or ``u`` is negative, NaN or infinite despite the
@@ -461,7 +381,8 @@ def step(state, control_slice, params, dt):
 
     u = state.u.values
     mobility, react = _mobility_and_reaction(u, fpos, fneg, params)
-    v_new = _implicit_solve(grid, dt, react, state.v.values.ravel()).reshape(grid.dims)
+    lu = _diffusion_solver(grid, dt)
+    v_new = lu.solve(state.v.values.ravel() / (1.0 + dt * react)).reshape(grid.dims)
     _check_new_level("v", v_new)
 
     transport, rate = chemotaxis_array(grid, mobility, v_new)
@@ -474,7 +395,7 @@ def step(state, control_slice, params, dt):
             admissible_dt=CFL_SAFETY / rate_max,
         )
     rhs = (u + dt * transport).ravel()
-    u_new = _diffusion_solver(grid, dt).solve(rhs).reshape(grid.dims)
+    u_new = lu.solve(rhs).reshape(grid.dims)
     _check_new_level("u", u_new)
 
     return State._unchecked(Field._unchecked(grid, u_new),
@@ -628,11 +549,11 @@ def simulate_adjoint(traj, u_bar, v_bar):
 
     Nothing is taped.  Each step, last first, recomputes its mobility,
     reaction and control slice from the saved levels and the exact step sizes
-    ``dt_history``, and transposes the step.  Both implicit matrices,
-    ``I - dt*Lap`` and ``I - dt*Lap + dt*diag(r)``, are symmetric, so the
-    transposed solves reuse the forward solvers: the cached diffusion factor,
-    and :func:`_implicit_solve` once per sign of the mixed-sign right-hand
-    side.
+    ``dt_history``, and transposes the step.  The one implicit matrix,
+    ``I - dt*Lap``, is symmetric, so each transposed diffusion reuses the
+    cached forward factor; the reaction divisor ``d = 1 + dt*r`` is
+    transposed cell by cell.  That is two solves per step, one for each
+    diffusion.
     """
     grid, params, control = traj.grid, traj.params, traj.control
     dts = traj.dt_history
@@ -645,25 +566,23 @@ def simulate_adjoint(traj, u_bar, v_bar):
     for n in range(dts.size - 1, -1, -1):
         dt = float(dts[n])
         t = float(traj.times[n + 1])  # where the forward step sampled the control
-        u, v_new = traj.u[n], traj.v[n + 1]
+        u, v, v_new = traj.u[n], traj.v[n], traj.v[n + 1]
         f = control.slice_at(t) * mask
         mobility, react = _mobility_and_reaction(u, np.maximum(f, 0.0),
                                                  np.maximum(-f, 0.0), params)
+        lu = _diffusion_solver(grid, dt)
 
         # u_new = (I - dt*Lap)^-1 (u + dt * transport(mobility, v_new))
-        lam_u = _diffusion_solver(grid, dt).solve(u_bar[n + 1].ravel())
-        lam_u = lam_u.reshape(grid.dims)
+        lam_u = lu.solve(u_bar[n + 1].ravel()).reshape(grid.dims)
         u_bar[n] += lam_u
         mob_bar, v_new_bar = chemotaxis_transpose(grid, mobility, v_new, dt * lam_u)
         v_new_bar += v_bar[n + 1]
 
-        # (I - dt*Lap + dt*diag(r)) v_new = v
-        b = v_new_bar.ravel()
-        lam_v = _implicit_solve(grid, dt, react, np.maximum(b, 0.0))
-        lam_v -= _implicit_solve(grid, dt, react, np.maximum(-b, 0.0))
-        lam_v = lam_v.reshape(grid.dims)
-        v_bar[n] += lam_v
-        r_bar = -dt * lam_v * v_new
+        # v_new = (I - dt*Lap)^-1 (v / d), d = 1 + dt*r
+        mu = lu.solve(v_new_bar.ravel()).reshape(grid.dims)
+        d = (1.0 + dt * react).reshape(grid.dims)
+        v_bar[n] += mu / d
+        r_bar = -dt * mu * v / (d * d)
 
         # r = trunc(u)^s - f, with f the masked control slice
         mob_bar += params.s * mobility ** (params.s - 1.0) * r_bar
@@ -685,16 +604,20 @@ def _comparison_step(grid, w, f_tilde, dt):
             f"dt*max(f~)={dt * f_max:.3g} >= 1 breaks the M-matrix bound",
             admissible_dt=CFL_SAFETY / f_max,
         )
-    return _implicit_solve(grid, dt, -f_tilde.ravel(), w.ravel()).reshape(grid.dims)
+    w_star = w / (1.0 - dt * f_tilde)
+    return _diffusion_solver(grid, dt).solve(w_star.ravel()).reshape(grid.dims)
 
 
 def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     """Solve the dominating linear problem driven by the positive control part.
 
     The reaction uses ``f~ = max(f, 0)`` sampled like the concentration step,
-    and the same fully implicit scheme.  Pairing it with a run of
-    :func:`simulate` makes the cellwise domination of the concentration exact
-    up to round-off: pass the run's accepted step sizes ``dt_history`` (the
+    and the same split scheme: ``w* = w / (1 - dt*f~)``, then
+    ``(I - dt*Lap) w_new = w*`` on the same cached factor.  Pairing it with a
+    run of :func:`simulate` makes the cellwise domination of the
+    concentration exact in floating point: each step's divisor is never
+    larger than the concentration's, and division and the no-pivot solve are
+    both monotone.  Pass the run's accepted step sizes ``dt_history`` (the
     solver then advances ``t += dt`` exactly as the run did, and returns every
     step), or its saved levels ``times`` when it saved every step.  Without
     either, the solver runs its own adaptive stepping and records its step

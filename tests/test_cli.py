@@ -404,7 +404,7 @@ class TestSimulate:
         assert run(["compare", cfg_path("simulate_equilibrium.json"),
                     "--output", out]) == 0
         with open(os.path.join(out, "audit_summary.json")) as fh:
-            assert json.load(fh)["comparison_max_violation"] <= 1e-10
+            assert json.load(fh)["comparison_max_violation"] <= 0.0
 
     def test_compare_pairs_steps_when_saving_sparsely(self, tmp_path):
         # saved levels three steps apart: the comparison still pairs with the
@@ -425,7 +425,7 @@ class TestSimulate:
         with open(os.path.join(out, "audit_summary.json")) as fh:
             summary = json.load(fh)
         assert summary["levels"] < summary["steps"]
-        assert summary["comparison_max_violation"] <= 1e-10
+        assert summary["comparison_max_violation"] <= 0.0
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_stiff_run_is_infeasible(self, tmp_path, capsys, command):
@@ -440,6 +440,26 @@ class TestSimulate:
         assert run([command, str(cfg), "--output", str(out)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("infeasible: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_overflowing_run_is_infeasible(self, tmp_path, capsys, command):
+        # dt*f = 0.9 passes every step bound, and v grows tenfold per step
+        # until it overflows
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps({
+            "grid": {"dims": [16]},
+            "model": {"t_final": 20.0},
+            "initial": {"u": {"preset": "zero"},
+                        "v": {"preset": "constant", "value": 1.0}},
+            "control": {"preset": "constant", "amplitude": 45.0},
+            "sim": {"dt_max": 0.02},
+        }))
+        out = tmp_path / "o"
+        assert run([command, str(cfg), "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: v went negative or non-finite") \
+            and err.count("\n") == 1
         assert not out.exists()
 
 
@@ -536,6 +556,14 @@ class TestEnergyAudit:
             named = "malformed trajectory" if kind == "unparsable" else kind.split()[0]
             assert named in capsys.readouterr().err, kind
             assert not (out / "energy_audit.json").exists(), kind
+
+    def test_missing_trajectory_makes_no_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "audit"
+        code = run(["energy-audit", cfg_path("simulate_decay.toml"),
+                    "--trajectory", str(tmp_path / "missing"), "--output", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()
 
     def test_truncated_state_csv_is_data_error(self, decay_dir, tmp_path, capsys):
         broken = tmp_path / "trajectory"

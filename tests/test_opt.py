@@ -320,7 +320,8 @@ class TestOrdering:
         cfg = load_config(BUNDLED)
         ordering_experiment(cfg.m_sweep, cfg.optimizer, cfg.cost, cfg.model,
                             cfg.u0, cfg.v0, cfg.dt_max)
-        assert calls["opt.simulate"] == len(rows) == 50
+        # 11 + 12 + 11 + 12 rows over the 4 radii
+        assert calls["opt.simulate"] == len(rows) == 46
 
     def test_needs_two_radii(self, grid, model_params):
         cfg = OptimizerConfig()

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import spsolve
 
 from chemoctrl import sim
 from chemoctrl.grid import chemotaxis_array
@@ -211,26 +209,24 @@ class TestStep:
     def test_non_finite_new_level_raises_positivity_error(self, monkeypatch, grid,
                                                           name, bad):
         # the returned state skips the Field checks, so the step itself must
-        # reject a NaN or inf that a solve hands back
-        def poison(x):
-            x[3] = bad
-            return x
+        # reject a NaN or inf that a solve hands back.  One factor serves both
+        # diffusions: v's solve comes first, then u's
+        solves = []
 
-        if name == "v":
-            solve = sim._implicit_solve
-            monkeypatch.setattr(sim, "_implicit_solve",
-                                lambda *args: poison(solve(*args)))
-        else:
-            class Poisoned:
-                def __init__(self, lu):
-                    self.lu = lu
+        class Poisoned:
+            def __init__(self, lu):
+                self.lu = lu
 
-                def solve(self, b):
-                    return poison(self.lu.solve(b))
+            def solve(self, b):
+                x = self.lu.solve(b)
+                solves.append(b)
+                if len(solves) == ("v", "u").index(name) + 1:
+                    x[3] = bad
+                return x
 
-            factor = sim._diffusion_solver
-            monkeypatch.setattr(sim, "_diffusion_solver",
-                                lambda g, dt: Poisoned(factor(g, dt)))
+        factor = sim._diffusion_solver
+        monkeypatch.setattr(sim, "_diffusion_solver",
+                            lambda g, dt: Poisoned(factor(g, dt)))
         st0 = State(Field.full(grid, 1.0), Field.full(grid, 1.0), 0.0)
         with pytest.raises(sim.PositivityError,
                            match=f"{name} went negative or non-finite at cell \\(3,\\)"):
@@ -646,28 +642,25 @@ class TestFactorCache:
         assert len(solvers) == sim._DIFFUSION_CACHE_SIZE
         assert 1e-3 * (1.0 + 0.1 * 19) in solvers  # the most recent survives
 
-    def test_shifted_factors_bounded(self, monkeypatch):
+    @pytest.mark.parametrize("u_level, s", [(1.0, 1.0), (30.0, 2.0)])
+    def test_one_factorization_per_step_size(self, monkeypatch, u_level, s):
+        # (30, 2) is stiff consumption: dt * max u^s reaches 27, where the
+        # coupled v-matrix was refactored at every step
         factored = []
         splu = sim.splu
         monkeypatch.setattr(sim, "splu",
                             lambda A, **kw: factored.append(A) or splu(A, **kw))
-        g = Grid.unit_box((16,))
-        b = np.ones(g.n_cells)
-
-        def solve(dt, r):
-            sim._implicit_solve(g, dt, np.full(g.n_cells, r), b)
-            return {k: sigma for k, (sigma, _) in sim._grid_cache[g]["shifted"].items()}
-
-        assert solve(0.01, 3.0) == {0.01: 4.0}
-        assert solve(0.01, 2.5) == {0.01: 4.0}  # sigma 4 still covers r
-        assert solve(0.01, 5.0) == {0.01: 8.0}  # replaced, not kept beside
-        assert solve(0.02, 1.0) == {0.01: 8.0, 0.02: 1.0}
-        assert len(factored) == 3
-        # a full step and a clipped last step alternate without refactoring
-        for dt in (0.02, 0.019999999999999962) * 3:
-            solve(dt, 1.0)
-        assert list(sim._grid_cache[g]["shifted"]) == [0.02, 0.019999999999999962]
-        assert len(factored) == 4
+        g = Grid.unit_box((6, 6))
+        p = params(s=s, m=40.0, t_final=0.1)
+        ctrl = Control.constant(g, 5.0, p.t_final)
+        u0 = Field(g, u_level * np.random.default_rng(3).uniform(0.5, 1.0, g.dims))
+        traj = simulate(u0, Field.full(g, 1.0), ctrl, p, 0.03)
+        assert not traj.events
+        sizes = len(set(traj.dt_history.tolist()))
+        assert sizes == 2 and len(factored) == sizes
+        # the comparison's reaction is cellwise too, so it reuses those factors
+        solve_comparison(Field.full(g, 1.0), ctrl, p, 0.03, dt_history=traj.dt_history)
+        assert len(factored) == sizes
 
 
 # grids up to 3D, kept small so that each example runs in milliseconds
@@ -678,53 +671,7 @@ grids = st.one_of(
 ).map(Grid.unit_box)
 
 
-def cached_factors(grid):
-    entry = sim._grid_cache.get(grid, {})
-    return len(entry.get("diffusion", ())) + len(entry.get("shifted", ()))
-
-
 class TestSplittingProperties:
-    @given(grid=grids, dt=st.floats(1e-3, 0.05),
-           regime=st.sampled_from(["mixed", "damping", "growth"]),
-           scale=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_splitting_matches_direct_solve(self, grid, dt, regime, scale, seed):
-        # "mixed" keeps rho <= 0.45 and takes the splitting; "damping" (stiff
-        # consumption, rho >= 0.8) and "growth" (dt*max f+ in (0.55, 0.99),
-        # sigma = 0, rho > 1/2) take the direct fallback
-        rng = np.random.default_rng(seed)
-        n = grid.n_cells
-        if regime == "mixed":
-            r = rng.uniform(-0.15, 0.15, n) * scale / dt
-        elif regime == "damping":
-            r = rng.uniform(0.0, 4.0 + 96.0 * scale, n) / dt
-            r[0], r[-1] = 0.0, (4.0 + 96.0 * scale) / dt
-        else:
-            r = -rng.uniform(0.0, 1.0, n) * (0.55 + 0.44 * scale) / dt
-            r[0] = -(0.55 + 0.44 * scale) / dt
-        b = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.8)
-        x = sim._implicit_solve(grid, dt, r, b)
-        A = sp.identity(n) - dt * sim.laplacian_matrix(grid) + dt * sp.diags(r)
-        ref = spsolve(A.tocsc(), b)
-        assert np.abs(x - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
-        assert x.min() >= 0.0
-        assert cached_factors(grid) == (1 if regime == "mixed" else 0)
-
-    def test_stalled_sweeps_fall_back_to_direct_solve(self, monkeypatch):
-        monkeypatch.setattr(sim, "_SPLIT_RTOL", -1.0)  # the bound is never met
-        factored = []
-        splu = sim.splu
-        monkeypatch.setattr(sim, "splu",
-                            lambda A, **kw: factored.append(A) or splu(A, **kw))
-        g = Grid.unit_box((6, 6))
-        r = np.linspace(0.0, 3.0, g.n_cells)
-        b = np.linspace(1.0, 2.0, g.n_cells)
-        x = sim._implicit_solve(g, 0.01, r, b)
-        assert len(factored) == 2  # the shifted factor, then the direct one
-        A = sp.identity(g.n_cells) - 0.01 * sim.laplacian_matrix(g) + 0.01 * sp.diags(r)
-        assert np.abs(x - spsolve(A.tocsc(), b)).max() <= 1e-12 * b.max()
-        assert x.min() >= 0.0
-
     @given(grid=grids, dt_max=st.floats(2e-3, 0.02),
            f_frac=st.floats(0.05, 1.5), slope=st.floats(0.0, 40.0),
            s=st.sampled_from([1.0, 2.0]), save_every=st.integers(1, 3),
@@ -747,4 +694,24 @@ class TestSplittingProperties:
         assert np.abs(np.diff(mass)).max() <= 1e-12 * mass[0]
         w = solve_comparison(v0, ctrl, p, dt_max, dt_history=traj.dt_history)
         assert w.w.min() >= 0.0
-        assert (traj.v - w.w[np.isin(w.times, traj.times)]).max() <= 1e-10
+        # exact, not within round-off: division and the no-pivot solve are
+        # monotone, and each comparison divisor is at most the concentration's
+        assert (traj.v - w.w[np.isin(w.times, traj.times)]).max() <= 0.0
+
+    @given(grid=grids, dt_max=st.floats(2e-3, 0.02), f_frac=st.floats(0.05, 0.99),
+           u_max=st.floats(0.0, 40.0), s=st.sampled_from([1.0, 2.0, 3.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_paired_domination_is_exact(self, grid, dt_max, f_frac, u_max, s, seed):
+        # consumption up to dt * 40^3 = 1280 per step, and mixed-sign controls
+        # up to 0.99/dt_max; paired on the run's saved times
+        p = params(s=s, m=40.0, t_final=8 * dt_max)
+        ctrl = control_preset(grid, "random", p.t_final, seed=seed % 2**31,
+                              amplitude=f_frac / dt_max, times=4)
+        rng = np.random.default_rng(seed)
+        u0 = Field(grid, rng.uniform(0.0, u_max, grid.dims))
+        v0 = Field(grid, rng.uniform(0.0, 3.0, grid.dims))
+        traj = simulate(u0, v0, ctrl, p, dt_max)
+        w = solve_comparison(v0, ctrl, p, dt_max, times=traj.times)
+        assert np.array_equal(w.times, traj.times)
+        assert (traj.v - w.w).max() <= 0.0
