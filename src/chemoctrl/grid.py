@@ -382,8 +382,9 @@ def laplacian_neumann(phi):
 
     The standard second-order cell-centered stencil, taken as face differences
     with zero boundary flux, so constants map to exactly zero and
-    ``integrate(laplacian_neumann(phi))`` is zero to round-off.  The stepper
-    factors the same operator assembled, ``sim.laplacian_matrix``.
+    ``integrate(laplacian_neumann(phi))`` is zero to round-off.  It is the
+    sum over axes of the one-dimensional second differences whose implicit
+    steps the stepper solves one axis at a time.
 
     Parameters
     ----------

@@ -40,7 +40,8 @@ from .cost import (
     project_ball_transpose,
 )
 from .io import write_csv
-from .sim import Control, StiffnessError, Trajectory, simulate, simulate_adjoint
+from .sim import (Control, PositivityError, StiffnessError, Trajectory, simulate,
+                  simulate_adjoint)
 
 
 class InfeasibleBaselineError(RuntimeError):
@@ -242,7 +243,8 @@ class Evaluation:
     """One evaluated candidate: its objective and the run behind it.
 
     An infeasible candidate has ``J = inf``, no breakdown and no trajectory,
-    and keeps the message of its ``StiffnessError`` as ``reason``.
+    and keeps the message of its ``StiffnessError`` or ``PositivityError``
+    (a state that overflowed) as ``reason``.
     """
 
     coeffs: np.ndarray
@@ -266,7 +268,7 @@ def _evaluate(coeffs, ctx):
     ctrl = control_from_coefficients(coeffs, ctx)
     try:
         traj = simulate(ctx.u0, ctx.v0, ctrl, ctx.model_params, ctx.dt_max)
-    except StiffnessError as err:
+    except (StiffnessError, PositivityError) as err:
         return Evaluation(coeffs, math.inf, None, ctrl, None, str(err))
     breakdown = evaluate_J(traj, ctrl, ctx.cost_params, ctx.model_params.s)
     return Evaluation(coeffs, breakdown.total, breakdown, ctrl, traj)
@@ -275,8 +277,8 @@ def _evaluate(coeffs, ctx):
 def reduced_objective(f_params, ctx):
     """Objective of the coefficients after prolongation, retraction and solve.
 
-    Deterministic for fixed inputs; a stiffness failure marks the candidate
-    infeasible with value ``inf``.
+    Deterministic for fixed inputs; a stiffness failure or an overflowing
+    state marks the candidate infeasible with value ``inf``.
     """
     return _evaluate(np.asarray(f_params, dtype=float), ctx).J
 
@@ -415,7 +417,8 @@ def _baseline(ctx):
     the zero control lies inside every ball."""
     zero = _evaluate(np.zeros(int(np.prod(ctx.basis))), ctx)
     if not math.isfinite(zero.J):
-        raise InfeasibleBaselineError("the zero-control baseline run failed")
+        raise InfeasibleBaselineError(
+            f"the zero-control baseline run failed: {zero.reason}")
     return zero
 
 

@@ -5,18 +5,22 @@ splitting: the reaction (consumption damping and the bilinear control) acts
 cell by cell, ``v* = v / (1 + dt*r)``, and then ``v*`` diffuses implicitly.
 The cell density is then transported with an explicit upwind flux driven by
 the fresh concentration, under implicit diffusion.  Both diffusions use one
-matrix, ``I - dt*Lap``, cached per step size and factored without pivoting.
-It is an M-matrix, so every arithmetic operation in the forward and backward
-solves adds nonnegative quantities: a nonnegative right-hand side produces an
-exactly nonnegative solution in floating point, and the solve is monotone in
-its right-hand side.  Every reaction divisor is at least
-``1 - dt*max(f_+)``, which is positive whenever ``dt * max(f_+) < 1``
-(checked).  The comparison problem takes the same two stages with the
-divisor ``1 - dt*f_+``, never larger than the concentration's, so a paired
-comparison solution dominates the concentration exactly, not up to
-round-off.  The density update is in conservative flux form and the
-diffusion matrix has columns summing to one, so the discrete cell mass is
-conserved to round-off at every step.
+operator, cached per step size.  On the tensor grid the Laplacian is the sum
+of one-dimensional second differences ``L_k``, and the implicit diffusion is
+split by axis (locally one-dimensional): ``prod_k (I - dt*L_k)`` replaces
+``I - dt*Lap``, up to a term of order ``dt^2``.  Each axis factor is a
+tridiagonal symmetric M-matrix with an LDL^T factorization whose
+multipliers are negative, so every arithmetic operation of its solve adds
+nonnegative quantities: a nonnegative right-hand side produces an exactly
+nonnegative solution in floating point, and the solve is monotone in its
+right-hand side.  Every reaction divisor is at least ``1 - dt*max(f_+)``,
+which is positive whenever ``dt * max(f_+) < 1`` (checked).  The comparison
+problem takes the same two stages with the divisor ``1 - dt*f_+``, never
+larger than the concentration's, so a paired comparison solution dominates
+the concentration exactly, not up to round-off.  The density update is in
+conservative flux form and each axis factor has columns summing to one, so
+the discrete cell mass is conserved to round-off at every step.  The scheme
+is first order in time, like backward Euler.
 
 Inputs are validated once, when :func:`simulate` or :func:`solve_comparison`
 is entered (a ``Field``, ``State`` or ``Control`` checks its values when it
@@ -39,8 +43,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.sparse.linalg import splu  # only the benchmark's tracer reads this name
 
 from .grid import (
     Field,
@@ -249,38 +253,52 @@ class ComparisonTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# cached sparse operators
+# cached diffusion factors
 # ---------------------------------------------------------------------------
 
 _grid_cache = weakref.WeakKeyDictionary()
 
 
-def _neumann_laplacian_1d(n, h):
-    main = np.full(n, -2.0)
-    main[0] = main[-1] = -1.0
-    off = np.ones(n - 1)
-    return sp.diags([off, main, off], [-1, 0, 1]) / (h * h)
+class _SplitDiffusion:
+    """``(I - dt*L_1)^-1 ... (I - dt*L_d)^-1``, one tridiagonal solve per axis.
 
+    On the tensor grid the mirror-ghost Laplacian is the sum of commuting
+    one-dimensional operators ``L_k``, and each factor ``I - dt*L_k`` is a
+    symmetric M-matrix held as its LDL^T (LAPACK ``dpttrf``).  Its
+    multipliers are negative, so the substitutions of ``dpttrs`` only add
+    nonnegative terms: a nonnegative right-hand side gives an exactly
+    nonnegative solution, and the solve is monotone.  Each factor has unit
+    column sums, so the solve conserves the cell sum to round-off.  The
+    factors act on different axes, so their product is symmetric and its
+    transpose is the same solve.
+    """
 
-def laplacian_matrix(grid):
-    """Sparse matrix of the mirror-ghost Laplacian on the C-order flat index."""
-    entry = _grid_cache.setdefault(grid, {})
-    if "laplacian" not in entry:
-        mats = [_neumann_laplacian_1d(n, h) for n, h in zip(grid.dims, grid.spacing)]
-        total = None
-        for k, mk in enumerate(mats):
-            left = int(np.prod(grid.dims[:k])) if k > 0 else 1
-            right = int(np.prod(grid.dims[k + 1:])) if k < grid.ndim - 1 else 1
-            term = sp.kron(sp.identity(left), sp.kron(mk, sp.identity(right)))
-            total = term if total is None else total + term
-        entry["laplacian"] = total.tocsc()
-    return entry["laplacian"]
+    def __init__(self, grid, dt):
+        self._dims = grid.dims
+        self._factors = []
+        for n, h in zip(grid.dims, grid.spacing):
+            r = dt / (h * h)
+            main = np.full(n, 1.0 + 2.0 * r)
+            main[0] = main[-1] = 1.0 + r
+            d, e, info = dpttrf(main, np.full(n - 1, -r))
+            if info != 0:
+                raise ArithmeticError(f"dpttrf failed with info={info}")
+            self._factors.append((d, e))
 
-
-def _factorize(A):
-    """No-pivot LU tuned for symmetric M-matrices (keeps sign structure)."""
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True))
+    def solve(self, b):
+        """The solution for the flat right-hand side ``b``."""
+        if len(self._dims) == 1:
+            d, e = self._factors[0]
+            return dpttrs(d, e, b)[0]
+        x = b.reshape(self._dims)
+        for k, (d, e) in enumerate(self._factors):
+            # axis k down the columns, one column per line of cells along it;
+            # the solve overwrites its columns unless they are b's memory
+            lines = np.moveaxis(x, k, -1)
+            cols = lines.reshape(-1, lines.shape[-1]).T
+            out = dpttrs(d, e, cols, overwrite_b=not np.may_share_memory(cols, b))[0]
+            x = np.moveaxis(out.T.reshape(lines.shape), -1, k)
+        return x.reshape(b.shape)
 
 
 # step sizes with a cached diffusion factor, per grid; the least recently used
@@ -289,7 +307,8 @@ _DIFFUSION_CACHE_SIZE = 4
 
 
 def _diffusion_solver(grid, dt):
-    """Cached factor of ``I - dt*Lap``, the one matrix both diffusions solve."""
+    """Cached axis factors of the split ``I - dt*Lap``, the one operator both
+    diffusions solve."""
     entry = _grid_cache.setdefault(grid, {})
     solvers = entry.setdefault("diffusion", OrderedDict())
     if dt in solvers:
@@ -297,8 +316,7 @@ def _diffusion_solver(grid, dt):
     else:
         if len(solvers) >= _DIFFUSION_CACHE_SIZE:
             solvers.popitem(last=False)
-        identity = sp.identity(grid.n_cells, format="csc")
-        solvers[dt] = _factorize(identity - dt * laplacian_matrix(grid))
+        solvers[dt] = _SplitDiffusion(grid, dt)
     return solvers[dt]
 
 
@@ -332,13 +350,14 @@ def step(state, control_slice, params, dt):
 
         v* = v / (1 + dt*(trunc(u)^s + f_- - f_+)),   (I - dt*Lap) v_new = v*
 
-    Every divisor is at least ``1 - dt*max(f_+)``, positive provided
-    ``dt * max(f_+) < 1`` (checked), and the cached no-pivot factor of the
-    M-matrix ``I - dt*Lap`` keeps ``v_new`` exactly nonnegative.  The
-    density then takes the upwind chemotaxis flux built from ``v_new``
-    explicitly and diffuses implicitly through the same factor, which
-    conserves mass to round-off and preserves nonnegativity under the
-    reported CFL bound on ``dt``.
+    where ``I - dt*Lap`` stands for its split by axis, ``prod_k (I -
+    dt*L_k)``.  Every divisor is at least ``1 - dt*max(f_+)``, positive
+    provided ``dt * max(f_+) < 1`` (checked), and the cached tridiagonal
+    M-matrix factors keep ``v_new`` exactly nonnegative.  The density then
+    takes the upwind chemotaxis flux built from ``v_new`` explicitly and
+    diffuses implicitly through the same factors, which conserves mass to
+    round-off and preserves nonnegativity under the reported CFL bound on
+    ``dt``.
 
     ``state`` and ``control_slice`` are trusted as built: a ``State`` or
     ``Field`` checks its values when it is constructed, and :func:`simulate`
@@ -381,8 +400,9 @@ def step(state, control_slice, params, dt):
 
     u = state.u.values
     mobility, react = _mobility_and_reaction(u, fpos, fneg, params)
-    lu = _diffusion_solver(grid, dt)
-    v_new = lu.solve(state.v.values.ravel() / (1.0 + dt * react)).reshape(grid.dims)
+    diffusion = _diffusion_solver(grid, dt)
+    v_star = state.v.values.ravel() / (1.0 + dt * react)
+    v_new = diffusion.solve(v_star).reshape(grid.dims)
     _check_new_level("v", v_new)
 
     transport, rate = chemotaxis_array(grid, mobility, v_new)
@@ -395,7 +415,7 @@ def step(state, control_slice, params, dt):
             admissible_dt=CFL_SAFETY / rate_max,
         )
     rhs = (u + dt * transport).ravel()
-    u_new = lu.solve(rhs).reshape(grid.dims)
+    u_new = diffusion.solve(rhs).reshape(grid.dims)
     _check_new_level("u", u_new)
 
     return State._unchecked(Field._unchecked(grid, u_new),
@@ -549,11 +569,11 @@ def simulate_adjoint(traj, u_bar, v_bar):
 
     Nothing is taped.  Each step, last first, recomputes its mobility,
     reaction and control slice from the saved levels and the exact step sizes
-    ``dt_history``, and transposes the step.  The one implicit matrix,
-    ``I - dt*Lap``, is symmetric, so each transposed diffusion reuses the
-    cached forward factor; the reaction divisor ``d = 1 + dt*r`` is
-    transposed cell by cell.  That is two solves per step, one for each
-    diffusion.
+    ``dt_history``, and transposes the step.  The one implicit operator, the
+    product of the commuting axis factors ``I - dt*L_k``, is symmetric, so
+    each transposed diffusion reuses the cached forward solve; the reaction
+    divisor ``d = 1 + dt*r`` is transposed cell by cell.  That is two solves
+    per step, one for each diffusion.
     """
     grid, params, control = traj.grid, traj.params, traj.control
     dts = traj.dt_history
@@ -570,16 +590,16 @@ def simulate_adjoint(traj, u_bar, v_bar):
         f = control.slice_at(t) * mask
         mobility, react = _mobility_and_reaction(u, np.maximum(f, 0.0),
                                                  np.maximum(-f, 0.0), params)
-        lu = _diffusion_solver(grid, dt)
+        diffusion = _diffusion_solver(grid, dt)
 
         # u_new = (I - dt*Lap)^-1 (u + dt * transport(mobility, v_new))
-        lam_u = lu.solve(u_bar[n + 1].ravel()).reshape(grid.dims)
+        lam_u = diffusion.solve(u_bar[n + 1].ravel()).reshape(grid.dims)
         u_bar[n] += lam_u
         mob_bar, v_new_bar = chemotaxis_transpose(grid, mobility, v_new, dt * lam_u)
         v_new_bar += v_bar[n + 1]
 
-        # v_new = (I - dt*Lap)^-1 (v / d), d = 1 + dt*r
-        mu = lu.solve(v_new_bar.ravel()).reshape(grid.dims)
+        # v_new = (I - dt*Lap)^-1 (v / d), d = 1 + dt*r, with Lap split by axis
+        mu = diffusion.solve(v_new_bar.ravel()).reshape(grid.dims)
         d = (1.0 + dt * react).reshape(grid.dims)
         v_bar[n] += mu / d
         r_bar = -dt * mu * v / (d * d)
@@ -613,11 +633,11 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
 
     The reaction uses ``f~ = max(f, 0)`` sampled like the concentration step,
     and the same split scheme: ``w* = w / (1 - dt*f~)``, then
-    ``(I - dt*Lap) w_new = w*`` on the same cached factor.  Pairing it with a
-    run of :func:`simulate` makes the cellwise domination of the
+    ``prod_k (I - dt*L_k) w_new = w*`` on the same cached factors.  Pairing
+    it with a run of :func:`simulate` makes the cellwise domination of the
     concentration exact in floating point: each step's divisor is never
-    larger than the concentration's, and division and the no-pivot solve are
-    both monotone.  Pass the run's accepted step sizes ``dt_history`` (the
+    larger than the concentration's, and division and the tridiagonal
+    solves are all monotone.  Pass the run's accepted step sizes ``dt_history`` (the
     solver then advances ``t += dt`` exactly as the run did, and returns every
     step), or its saved levels ``times`` when it saved every step.  Without
     either, the solver runs its own adaptive stepping and records its step

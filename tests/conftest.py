@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 
 def corrupt_rows(path, kind, n_keys):
@@ -101,3 +102,19 @@ def count_calls(monkeypatch):
                     monkeypatch.setattr(mod, attr, wrapper)
         return counts
     return install
+
+
+def axis_laplacians(grid):
+    """The mirror-ghost second differences ``L_k``, one sparse matrix per axis
+    on the C-order flat index; their sum is the assembled Laplacian.  The
+    oracle for the stencil and for the stepper's diffusion solve."""
+    mats = []
+    for k, (n, h) in enumerate(zip(grid.dims, grid.spacing)):
+        main = np.full(n, -2.0)
+        main[0] = main[-1] = -1.0
+        off = np.ones(n - 1)
+        lk = sp.diags([off, main, off], [-1, 0, 1]) / (h * h)
+        left = int(np.prod(grid.dims[:k]))
+        right = int(np.prod(grid.dims[k + 1:]))
+        mats.append(sp.kron(sp.identity(left), sp.kron(lk, sp.identity(right))).tocsr())
+    return mats

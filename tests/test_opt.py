@@ -541,3 +541,16 @@ class TestInfeasibleReason:
         assert [r["reason"] for r in rows] == \
             [""] + ["dt underflow at t=0.125: stiff"] * 3
         assert [r["J"] for r in rows[1:]] == ["inf"] * 3
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_state_is_infeasible(self, grid):
+        # a control of 45 on half the box grows v like exp(45 t), past the
+        # floating-point range long before t_final = 20
+        mp = ModelParams(s=2.0, alpha=0.1, m=8.0, q=3.0, t_final=20.0)
+        cfg = OptimizerConfig(basis=(1, 1), control_times=9)
+        ctx = make_context(cfg, cost_params(M=1000.0), mp, Field.zeros(grid),
+                           Field.full(grid, 1.0), dt_max=0.02)
+        point = _evaluate(np.array([45.0]), ctx)
+        assert isinstance(point, opt.Evaluation)
+        assert point.J == math.inf and point.traj is None
+        assert point.reason.startswith("v went negative or non-finite")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import axis_laplacians
 
 from chemoctrl import sim
 from chemoctrl.grid import chemotaxis_array
@@ -643,24 +646,67 @@ class TestFactorCache:
         assert 1e-3 * (1.0 + 0.1 * 19) in solvers  # the most recent survives
 
     @pytest.mark.parametrize("u_level, s", [(1.0, 1.0), (30.0, 2.0)])
-    def test_one_factorization_per_step_size(self, monkeypatch, u_level, s):
+    def test_one_factor_per_axis_and_step_size(self, monkeypatch, u_level, s):
         # (30, 2) is stiff consumption: dt * max u^s reaches 27, where the
         # coupled v-matrix was refactored at every step
         factored = []
-        splu = sim.splu
-        monkeypatch.setattr(sim, "splu",
-                            lambda A, **kw: factored.append(A) or splu(A, **kw))
-        g = Grid.unit_box((6, 6))
+        dpttrf = sim.dpttrf
+        monkeypatch.setattr(sim, "dpttrf",
+                            lambda d, e: factored.append(d.size) or dpttrf(d, e))
+        g = Grid.unit_box((6, 7))
         p = params(s=s, m=40.0, t_final=0.1)
         ctrl = Control.constant(g, 5.0, p.t_final)
         u0 = Field(g, u_level * np.random.default_rng(3).uniform(0.5, 1.0, g.dims))
         traj = simulate(u0, Field.full(g, 1.0), ctrl, p, 0.03)
         assert not traj.events
         sizes = len(set(traj.dt_history.tolist()))
-        assert sizes == 2 and len(factored) == sizes
+        assert sizes == 2 and factored == [6, 7] * sizes
         # the comparison's reaction is cellwise too, so it reuses those factors
         solve_comparison(Field.full(g, 1.0), ctrl, p, 0.03, dt_history=traj.dt_history)
-        assert len(factored) == sizes
+        assert factored == [6, 7] * sizes
+
+
+def split_diffusion_matrix(grid, dt):
+    """``prod_k (I - dt*L_k)``, assembled from the test's own stencil."""
+    out = sp.identity(grid.n_cells, format="csr")
+    for lk in axis_laplacians(grid):
+        out = out @ (sp.identity(grid.n_cells, format="csr") - dt * lk)
+    return out
+
+
+class TestSplitDiffusion:
+    @given(dims=st.one_of(st.tuples(st.integers(2, 30)),
+                          st.tuples(st.integers(2, 9), st.integers(2, 9)),
+                          st.tuples(st.integers(2, 6), st.integers(2, 6),
+                                    st.integers(2, 6))),
+           data=st.data(), dt=st.floats(1e-4, 10.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_inverts_the_product_of_axis_factors(self, dims, data, dt, seed):
+        spacing = tuple(data.draw(st.floats(0.01, 2.0)) for _ in dims)
+        g = Grid(dims, spacing)
+        b = np.random.default_rng(seed).uniform(-1.0, 1.0, g.n_cells)
+        a = split_diffusion_matrix(g, dt)
+        x = sim._diffusion_solver(g, dt).solve(b)
+        # backward error: the residual against the size of A and x
+        norm_a = abs(a).sum(axis=1).max()
+        assert np.abs(a @ x - b).max() <= 1e-12 * norm_a * np.abs(x).max()
+
+    @pytest.mark.parametrize("rhs", ["point source", "sparse with a zero region"])
+    def test_nonnegative_and_conservative_on_24_cubed(self, rhs):
+        # the right-hand sides on which a DCT solve gave 1070 negative cells
+        g = Grid.unit_box((24, 24, 24))
+        rng = np.random.default_rng(5)
+        b = np.zeros(g.dims)
+        if rhs == "point source":
+            b[3, 17, 11] = 1.0
+        else:
+            b[:12] = rng.uniform(0.0, 1.0, (12, 24, 24)) * (rng.random((12, 24, 24)) < 0.05)
+        x = sim._diffusion_solver(g, 0.01).solve(b.ravel())
+        assert x.min() >= 0.0
+        assert abs(x.sum() - b.sum()) <= 1e-14 * b.sum()
+        # constants stay constant, as under the Neumann diffusion itself
+        ones = sim._diffusion_solver(g, 0.01).solve(np.ones(g.n_cells))
+        assert np.abs(ones - 1.0).max() <= 1e-14
 
 
 # grids up to 3D, kept small so that each example runs in milliseconds
