@@ -25,31 +25,24 @@ from .energy import (
     build_energy_report,
     dissipation_terms,
     energy_inequality_audit,
-    energy_value,
     fit_constants,
 )
 from .grid import (
     Field,
     Grid,
     GridMismatchError,
-    chemotaxis_divergence,
     field_from_csv,
     field_to_csv,
     h1_seminorm,
     integrate,
-    interpolation_diagnostic,
-    laplacian_neumann,
-    lp_norm,
     spacetime_lp_norm,
 )
 from .model import (
     ModelParams,
     g_energy,
-    g_m_energy,
     power_difference_bound_holds,
     truncate,
     truncate_derivative,
-    z_inverse,
     z_transform,
 )
 from .opt import (

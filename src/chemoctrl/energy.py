@@ -35,7 +35,7 @@ from .grid import (
     trapezoid_intervals,
 )
 from .io import write_json
-from .model import g_energy, g_m_energy, z_transform
+from .model import g_energy
 
 
 class AuditInfeasibleError(RuntimeError):
@@ -127,24 +127,6 @@ class FittedConstants:
     control_norms: np.ndarray
     K_values: np.ndarray
 
-    def K_of(self, norm):
-        """K at a given control norm (piecewise linear, clamped at the ends)."""
-        return float(np.interp(norm, self.control_norms, self.K_values))
-
-
-def _energy(grid, entropy_density, z, s):
-    """``s/4 * integral g(u) + 1/2 * integral |grad z|^2`` from cell arrays."""
-    entropy = integrate(Field(grid, entropy_density))
-    return s / 4.0 * entropy + 0.5 * h1_seminorm(Field(grid, z)) ** 2
-
-
-def energy_value(state, params, truncated=False):
-    """Energy of one state; ``truncated`` selects the capped entropy density."""
-    u = state.u.values
-    g = g_m_energy(u, params.s, params.m) if truncated else g_energy(u, params.s)
-    z = z_transform(state.v, params.alpha)
-    return _energy(state.grid, g, z.values, params.s)
-
 
 def _face_weighted_cross(grid, density_pow, z):
     """Integral of ``u^s |grad z|^2`` with arithmetic face means of ``u^s``."""
@@ -156,7 +138,8 @@ def _face_weighted_cross(grid, density_pow, z):
 
 
 def _level_quantities(traj, params):
-    """Instantaneous energy and dissipation densities at every saved level."""
+    """Instantaneous energy and dissipation densities at every saved level;
+    the energy is ``s/4 * integral g(u) + 1/2 * integral |grad z|^2``."""
     grid = traj.grid
     s = params.s
     vol = grid.cell_volume
@@ -167,7 +150,8 @@ def _level_quantities(traj, params):
         z = np.sqrt(traj.v[i] + params.alpha**2)
         f = traj.control_slice(float(traj.times[i]))
         out[:, i] = (
-            _energy(grid, g_energy(u, s), z, s),
+            s / 4.0 * integrate(Field(grid, g_energy(u, s)))
+            + 0.5 * h1_seminorm(Field(grid, z)) ** 2,
             h1_seminorm(Field(grid, (u + 1.0) ** (s / 2.0))) ** 2,
             _face_weighted_cross(grid, u**s, z),
             hessian_frobenius_sq(grid, z).sum() * vol,

@@ -1,17 +1,18 @@
 """Uniform cell-centered box grids with zero-flux boundary closure.
 
 The domain is an axis-aligned box in 1, 2 or 3 dimensions, discretized by a
-uniform cell-centered grid.  Differential operators take face differences
-and close the boundary with zero flux (mirror ghost cells), so discrete
-integrals of divergence-form terms vanish identically; the Laplacian is one
-such per-axis second difference.  A boolean mask marks the subregion where
-the bilinear control is allowed to act.  The discrete norms live here too,
-including the space-time ``L^p`` norm with its trapezoid rule in time.
+uniform cell-centered grid.  The operators act on plain cell arrays: they
+take face differences and close the boundary with zero flux (mirror ghost
+cells), so discrete integrals of divergence-form terms vanish identically.
+The Laplacian is the sum over the axes of one such second difference, and
+the upwind transport is one more divergence of face fluxes.  A boolean mask
+marks the subregion where the bilinear control is allowed to act.  The
+discrete norms live here too, including the space-time ``L^p`` norm with its
+trapezoid rule in time.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -160,11 +161,6 @@ class Grid:
         return cls(dims, tuple(header["spacing"]), control_mask=mask)
 
     @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_header(json.load(fh))
-
-    @classmethod
     def unit_box(cls, dims, control_mask=None):
         """Grid on the unit box [0,1]^d with the given cell counts."""
         dims = tuple(dims)
@@ -224,14 +220,6 @@ class Field:
         return float(self.values.max())
 
 
-def _require_same_grid(*fields):
-    g = fields[0].grid
-    for f in fields[1:]:
-        if not g.compatible_with(f.grid):
-            raise GridMismatchError("fields live on different grids")
-    return g
-
-
 # ---------------------------------------------------------------------------
 # array-level kernels (shared with the time stepper)
 # ---------------------------------------------------------------------------
@@ -249,20 +237,10 @@ def face_gradients(grid, a):
     return grads
 
 
-def divergence_from_fluxes(grid, fluxes):
-    """Cell divergence of interior-face fluxes, zero flux at the boundary."""
-    out = np.zeros(grid.dims)
-    for k, fl in enumerate(fluxes):
-        pad = [(0, 0)] * grid.ndim
-        pad[k] = (1, 1)
-        fp = np.pad(fl, pad, mode="constant")
-        out += np.diff(fp, axis=k) / grid.spacing[k]
-    return out
-
-
 def _second_difference(grid, a, k):
     """Second difference along axis ``k``: face gradients, zero boundary flux,
-    then their difference, as :func:`divergence_from_fluxes` takes it."""
+    then their difference.  Summed over the axes it is the discrete Laplacian,
+    which maps a constant to exactly 0."""
     pad = [(0, 0)] * grid.ndim
     pad[k] = (1, 1)
     h = grid.spacing[k]
@@ -280,9 +258,9 @@ def chemotaxis_array(grid, mob, v):
     only cells with positive mobility: a cell with zero mobility sends no
     flux out, so it cannot lose mass and does not bound ``dt``.
 
-    The result equals ``-divergence_from_fluxes`` of the donor-cell face
-    fluxes bit for bit: per axis the flux difference across each cell, then
-    ``/ h``, with the axes summed in order.
+    The result equals minus the divergence of the donor-cell face fluxes,
+    closed with zero boundary flux, bit for bit: per axis the flux difference
+    across each cell, then ``/ h``, with the axes summed in order.
     """
     transport = np.zeros(grid.dims)
     rate = np.zeros(grid.dims)
@@ -373,78 +351,9 @@ def hessian_frobenius_sq(grid, a):
     return total
 
 
-# ---------------------------------------------------------------------------
-# public field operations
-# ---------------------------------------------------------------------------
-
-def laplacian_neumann(phi):
-    """Discrete Laplacian of a field with zero-flux boundary closure.
-
-    The standard second-order cell-centered stencil, taken as face differences
-    with zero boundary flux, so constants map to exactly zero and
-    ``integrate(laplacian_neumann(phi))`` is zero to round-off.  It is the
-    sum over axes of the one-dimensional second differences whose implicit
-    steps the stepper solves one axis at a time.
-
-    Parameters
-    ----------
-    phi : Field
-
-    Returns
-    -------
-    Field
-    """
-    grid = phi.grid
-    return Field(grid, sum(_second_difference(grid, phi.values, k)
-                           for k in range(grid.ndim)))
-
-
-def chemotaxis_divergence(u_trunc, v):
-    """Discrete ``-div(u_trunc * grad v)`` in conservative upwind flux form.
-
-    The face flux is the face gradient of ``v`` times the mobility taken from
-    the donor cell (the cell mass flows out of).  Fluxes telescope and vanish
-    on the boundary, so the discrete integral of the result is zero to
-    round-off.
-
-    Parameters
-    ----------
-    u_trunc : Field
-        Nonnegative mobility (typically a truncated density).
-    v : Field
-        Chemical concentration whose gradient drives the transport.
-
-    Returns
-    -------
-    Field
-    """
-    grid = _require_same_grid(u_trunc, v)
-    if u_trunc.values.min() < 0:
-        raise ValueError("mobility must be nonnegative")
-    out, _ = chemotaxis_array(grid, u_trunc.values, v.values)
-    return Field(grid, out)
-
-
 def integrate(phi):
     """Cell-volume-weighted sum of a field (the discrete domain integral)."""
     return float(phi.values.sum()) * phi.grid.cell_volume
-
-
-def lp_norm(phi, p):
-    """Discrete L^p norm over the domain; ``p = inf`` gives the max norm.
-
-    Parameters
-    ----------
-    phi : Field
-    p : float
-        Exponent, at least 1 (may be ``np.inf``).
-    """
-    if p < 1:
-        raise ValueError(f"L^p norm requires p >= 1, got p={p}")
-    a = np.abs(phi.values)
-    if np.isinf(p):
-        return float(a.max())
-    return float((a**p).sum() * phi.grid.cell_volume) ** (1.0 / p)
 
 
 def trapezoid_intervals(times, per_level):
@@ -496,19 +405,6 @@ def h1_seminorm(phi):
     for g in face_gradients(grid, phi.values):
         total += (g**2).sum()
     return float(np.sqrt(total * grid.cell_volume))
-
-
-def interpolation_diagnostic(phi):
-    """Ratio ``|phi|_{L^{10/3}} / (|phi|_{L^2}^{2/5} |phi|_{H^1}^{3/5})``.
-
-    The continuous interpolation estimate bounds this by an unknown constant,
-    so the ratio is reported as a diagnostic, never asserted.
-    """
-    l2 = lp_norm(phi, 2.0)
-    if l2 == 0.0:
-        return 0.0
-    h1 = np.sqrt(l2**2 + h1_seminorm(phi) ** 2)
-    return lp_norm(phi, 10.0 / 3.0) / (l2**0.4 * h1**0.6)
 
 
 # ---------------------------------------------------------------------------

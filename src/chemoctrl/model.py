@@ -1,15 +1,13 @@
-"""Truncation operator, entropy densities and scalar inequality utilities.
+"""Truncation operator, entropy density and scalar inequality utilities.
 
 The truncation caps a nonnegative density smoothly at a configurable level:
 it is the identity below the level ``m`` and approaches ``m + 1``
 exponentially above it, so it stays C^1, nondecreasing and 1-Lipschitz.  The
-entropy density ``g`` has two regimes in the consumption exponent ``s``:
+entropy density ``g`` of the energy has two regimes in the consumption
+exponent ``s``:
 
     g(u) = (u + 1) ln(u + 1) - u          for s = 1,
-    g(u) = u^s / (s (s - 1))              for s > 1,
-
-and its truncated counterpart integrates ``ln(trunc + 1)`` respectively
-``trunc^{s-1} / (s - 1)``.
+    g(u) = u^s / (s (s - 1))              for s > 1.
 """
 
 from __future__ import annotations
@@ -107,52 +105,6 @@ def g_energy(u, s):
     return _like_input(out, u)
 
 
-def _g_prime_trunc(theta, s, m):
-    """Integrand of the truncated entropy density."""
-    tm = truncate(theta, m)
-    if s == 1:
-        return np.log1p(tm)
-    return np.asarray(tm) ** (s - 1.0) / (s - 1.0)
-
-
-def g_m_energy(u, s, m, tol=1e-12):
-    """Truncated entropy density ``integral of g_m' from 0 to u``.
-
-    Below the truncation level the integrand equals the untruncated one, so
-    the closed form of :func:`g_energy` applies.  The tail above the level is
-    integrated by Gauss-Legendre quadrature, doubling nodes until successive
-    values agree within ``tol`` (absolute).  Always at most :func:`g_energy`.
-    """
-    if s < 1:
-        raise ValueError(f"g_m requires s >= 1, got s={s}")
-    if m <= 0:
-        raise ValueError(f"truncation level must be positive, got {m}")
-    arr = _as_nonneg(u, "entropy argument")
-    head = g_energy(np.minimum(arr, m), s)
-    width = np.clip(arr - m, 0.0, None)
-    if not np.any(width > 0):
-        return _like_input(head, u)
-
-    def tail(nodes, weights):
-        # map [-1, 1] nodes onto [m, u] per entry; width 0 rows contribute 0
-        theta = m + 0.5 * width[..., None] * (nodes + 1.0)
-        vals = _g_prime_trunc(theta, s, m)
-        return 0.5 * width * (vals * weights).sum(axis=-1)
-
-    n = 32
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    est = tail(nodes, weights)
-    for _ in range(4):
-        n *= 2
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        new = tail(nodes, weights)
-        if np.max(np.abs(new - est)) < tol:
-            est = new
-            break
-        est = new
-    return _like_input(head + est, u)
-
-
 def z_transform(v, alpha):
     """Cellwise ``sqrt(v + alpha^2)`` of a nonnegative field."""
     if alpha <= 0:
@@ -162,19 +114,6 @@ def z_transform(v, alpha):
         bad = tuple(int(i) for i in np.unravel_index(np.argmin(vals), vals.shape))
         raise ValueError(f"negative concentration {vals[bad]} at cell {bad}")
     return Field(v.grid, np.sqrt(vals + alpha * alpha))
-
-
-def z_inverse(z, alpha):
-    """Cellwise ``z^2 - alpha^2``, inverse of :func:`z_transform`."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    vals = z.values
-    if vals.min() < alpha:
-        bad = tuple(int(i) for i in np.unravel_index(np.argmin(vals), vals.shape))
-        raise ValueError(
-            f"value {vals[bad]} below the floor alpha={alpha} at cell {bad}"
-        )
-    return Field(z.grid, vals * vals - alpha * alpha)
 
 
 def power_difference_bound_holds(w1, w2, s, slack=1e-12):

@@ -192,9 +192,6 @@ class Control:
         out += w * self.values[j]
         return out
 
-    def as_field(self, t):
-        return Field(self.grid, self.slice_at(t))
-
     def lq_norm(self, q):
         """Discrete L^q norm over (0, t_final) x domain."""
         return spacetime_lp_norm(self.times, self.values, self.grid, q)
@@ -220,10 +217,6 @@ class Trajectory:
     @property
     def n_levels(self):
         return int(self.times.size)
-
-    def state(self, i):
-        return State(Field(self.grid, self.u[i]), Field(self.grid, self.v[i]),
-                     float(self.times[i]))
 
     def index_of_time(self, t):
         tol = 1e-12 * max(1.0, abs(float(self.times[-1])))
@@ -255,9 +248,6 @@ class ComparisonTrajectory:
 # ---------------------------------------------------------------------------
 # cached diffusion factors
 # ---------------------------------------------------------------------------
-
-_grid_cache = weakref.WeakKeyDictionary()
-
 
 class _SplitDiffusion:
     """``(I - dt*L_1)^-1 ... (I - dt*L_d)^-1``, one tridiagonal solve per axis.
@@ -301,16 +291,16 @@ class _SplitDiffusion:
         return x.reshape(b.shape)
 
 
-# step sizes with a cached diffusion factor, per grid; the least recently used
-# is evicted first
+# per grid, the step sizes with a cached diffusion factor; the least recently
+# used is evicted first
+_grid_cache = weakref.WeakKeyDictionary()
 _DIFFUSION_CACHE_SIZE = 4
 
 
 def _diffusion_solver(grid, dt):
     """Cached axis factors of the split ``I - dt*Lap``, the one operator both
     diffusions solve."""
-    entry = _grid_cache.setdefault(grid, {})
-    solvers = entry.setdefault("diffusion", OrderedDict())
+    solvers = _grid_cache.setdefault(grid, OrderedDict())
     if dt in solvers:
         solvers.move_to_end(dt)
     else:
@@ -342,6 +332,12 @@ def _mobility_and_reaction(u, fpos, fneg, params):
     return mobility, (mobility**params.s + fneg - fpos).ravel()
 
 
+# an overflow in a step's arithmetic shows as a non-finite level, which
+# _check_new_level raises as PositivityError, so numpy need not warn about it
+_QUIET = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
+@_QUIET
 def step(state, control_slice, params, dt):
     """Advance one implicit-explicit step of size ``dt``.
 
@@ -617,6 +613,7 @@ def simulate_adjoint(traj, u_bar, v_bar):
     return f_bar
 
 
+@_QUIET
 def _comparison_step(grid, w, f_tilde, dt):
     f_max = float(f_tilde.max()) if f_tilde.size else 0.0
     if dt * f_max >= 1.0:

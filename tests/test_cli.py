@@ -442,13 +442,20 @@ class TestSimulate:
         assert err.startswith("infeasible: ") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "compare"])
-    def test_overflowing_run_is_infeasible(self, tmp_path, capsys, command):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, grid", [
+        pytest.param("simulate", {"dims": [16]}, id="simulate"),
+        pytest.param("compare", {"dims": [16]}, id="compare"),
+        # on half the box the overflowing v has overflowing gradients too
+        pytest.param("compare", {"dims": [16], "control_box": [[0.0, 0.5]]},
+                     id="compare-control_box"),
+    ])
+    def test_overflowing_run_is_infeasible(self, tmp_path, capsys, command, grid):
         # dt*f = 0.9 passes every step bound, and v grows tenfold per step
-        # until it overflows
+        # until it overflows; numpy must not warn on the way
         cfg = tmp_path / "overflow.json"
         cfg.write_text(json.dumps({
-            "grid": {"dims": [16]},
+            "grid": grid,
             "model": {"t_final": 20.0},
             "initial": {"u": {"preset": "zero"},
                         "v": {"preset": "constant", "value": 1.0}},

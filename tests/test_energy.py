@@ -9,12 +9,10 @@ from chemoctrl import (
     Field,
     Grid,
     ModelParams,
-    State,
     build_energy_report,
     control_preset,
     dissipation_terms,
     energy_inequality_audit,
-    energy_value,
     field_preset,
     fit_constants,
     simulate,
@@ -39,36 +37,30 @@ def decay_run(grid):
     return p, simulate(Field.zeros(grid), v0, None, p, 2e-3)
 
 
+def energy_value(u, v, s=1.0):
+    """Energy of one state, the only level of a zero-horizon run."""
+    p = params(s=s, t_final=0.0)
+    traj = simulate(u, v, None, p, 1.0)
+    assert traj.n_levels == 1
+    return float(build_energy_report(traj, p).energy[0])
+
+
 class TestEnergyValue:
     def test_equilibrium_energy_is_zero(self, grid):
-        st = State(Field.zeros(grid), Field.full(grid, 4.0), 0.0)
-        assert energy_value(st, params()) == 0.0
+        assert energy_value(Field.zeros(grid), Field.full(grid, 4.0)) == 0.0
 
     def test_constant_density_quadratic_branch(self, grid):
         # s/4 * g(2) * |domain| = (2/4) * 2 * 1 on the unit box
-        st = State(Field.full(grid, 2.0), Field.full(grid, 1.0), 0.0)
-        assert energy_value(st, params(s=2.0)) == pytest.approx(1.0, rel=1e-12)
-
-    def test_truncated_matches_when_inactive(self, grid):
-        rng = np.random.default_rng(0)
-        st = State(Field(grid, rng.uniform(0.0, 3.0, grid.dims)),
-                   Field(grid, rng.uniform(0.0, 2.0, grid.dims)), 0.0)
-        p = params(s=2.0, m=10.0)
-        assert energy_value(st, p, truncated=True) == pytest.approx(
-            energy_value(st, p, truncated=False), rel=1e-10)
-
-    def test_truncated_never_exceeds_plain(self, grid):
-        st = State(Field.full(grid, 12.0), Field.full(grid, 1.0), 0.0)
-        p = params(s=2.0, m=4.0)
-        assert energy_value(st, p, truncated=True) < energy_value(st, p)
+        assert energy_value(Field.full(grid, 2.0), Field.full(grid, 1.0), s=2.0) \
+            == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
     def test_nonnegative(self, grid, s):
         rng = np.random.default_rng(int(10 * s))
         for _ in range(5):
-            st = State(Field(grid, rng.uniform(0.0, 5.0, grid.dims)),
-                       Field(grid, rng.uniform(0.0, 3.0, grid.dims)), 0.0)
-            assert energy_value(st, params(s=s)) >= 0.0
+            u = Field(grid, rng.uniform(0.0, 5.0, grid.dims))
+            v = Field(grid, rng.uniform(0.0, 3.0, grid.dims))
+            assert energy_value(u, v, s=s) >= 0.0
 
 
 class TestDissipationTerms:
@@ -96,7 +88,7 @@ class TestDissipationTerms:
         report = build_energy_report(traj, p)
         assert np.all(np.diff(report.energy) < 0.0)
         # a finer-dt reference shows the same strict decay
-        ref = simulate(traj.state(0).u, traj.state(0).v, None, p, 5e-4)
+        ref = simulate(Field(grid, traj.u[0]), Field(grid, traj.v[0]), None, p, 5e-4)
         ref_report = build_energy_report(ref, p)
         assert np.all(np.diff(ref_report.energy) < 0.0)
 
@@ -217,14 +209,6 @@ class TestFitConstants:
         p, trajs = sweep
         fitted = fit_constants([trajs[1], trajs[3]], p)
         assert fitted.K_values[0] <= fitted.K_values[1] + 1e-8
-
-    def test_K_of_interpolates(self, grid, sweep):
-        p, trajs = sweep
-        fitted = fit_constants(trajs, p)
-        mid = 0.5 * (fitted.control_norms[1] + fitted.control_norms[2])
-        val = fitted.K_of(mid)
-        assert fitted.K_values[1] <= val + 1e-12
-        assert val <= fitted.K_values[2] + 1e-12
 
     def test_infeasible_raises(self, grid, decay_run):
         p, traj = decay_run

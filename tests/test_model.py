@@ -8,11 +8,9 @@ from chemoctrl import (
     Grid,
     ModelParams,
     g_energy,
-    g_m_energy,
     power_difference_bound_holds,
     truncate,
     truncate_derivative,
-    z_inverse,
     z_transform,
 )
 
@@ -113,51 +111,6 @@ class TestEntropyDensity:
         assert np.all(mid <= avg + 1e-12 * np.maximum(avg, 1.0))
 
 
-class TestTruncatedEntropy:
-    def test_vanishes_at_zero(self):
-        assert g_m_energy(0.0, 2.0, 5.0) == 0.0
-
-    @pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
-    def test_matches_untruncated_below_level(self, s):
-        for u in (0.5, 2.0, 5.0):
-            assert g_m_energy(u, s, 5.0) == pytest.approx(g_energy(u, s), rel=1e-13)
-
-    def test_tail_against_simpson_oracle(self):
-        # independent composite-Simpson quadrature of the capped integrand
-        s, m, u = 2.0, 5.0, 7.0
-        theta = np.linspace(m, u, 2001)
-        integrand = np.minimum(theta, m + 1.0 - np.exp(-(theta - m))) ** (s - 1.0) \
-            / (s - 1.0)
-        h = theta[1] - theta[0]
-        simpson = h / 3.0 * (integrand[0] + integrand[-1]
-                             + 4.0 * integrand[1:-1:2].sum()
-                             + 2.0 * integrand[2:-1:2].sum())
-        expected = g_energy(m, s) + simpson
-        assert g_m_energy(u, s, m) == pytest.approx(expected, abs=1e-10)
-
-    def test_closed_form_s2(self):
-        # for s = 2 the tail integrates exactly: (m+1)x + e^{-x} - 1 over x in (0, 2]
-        val = g_m_energy(7.0, 2.0, 5.0)
-        assert val == pytest.approx(12.5 + 11.0 + np.exp(-2.0), rel=1e-12)
-
-    @pytest.mark.parametrize("s", [1.0, 2.0])
-    def test_monotone_in_level_toward_untruncated(self, s):
-        u = 6.0
-        prev = -np.inf
-        for m in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
-            val = g_m_energy(u, s, m)
-            assert val >= prev - 1e-12
-            assert val <= g_energy(u, s) + 1e-12
-            prev = val
-        assert prev == pytest.approx(g_energy(u, s), rel=1e-12)
-
-    def test_vectorized_matches_scalar(self):
-        u = np.array([0.0, 3.0, 7.0, 20.0])
-        vec = g_m_energy(u, 2.0, 5.0)
-        for ui, vi in zip(u, vec):
-            assert vi == pytest.approx(g_m_energy(float(ui), 2.0, 5.0), rel=1e-12)
-
-
 class TestZTransform:
     def test_floor_at_alpha(self):
         g = Grid.unit_box((4,))
@@ -170,19 +123,18 @@ class TestZTransform:
         assert z.values == pytest.approx(2.0)
 
     def test_roundtrip(self):
+        # z^2 - alpha^2 gives v back
         g = Grid.unit_box((32,))
         rng = np.random.default_rng(3)
         v = Field(g, rng.uniform(0.0, 5.0, size=g.dims))
-        back = z_inverse(z_transform(v, 0.3), 0.3)
-        assert np.abs(back.values - v.values).max() < 1e-14
+        z = z_transform(v, 0.3).values
+        assert np.abs(z * z - 0.3 * 0.3 - v.values).max() < 1e-14
 
     def test_errors_name_cell(self):
         g = Grid.unit_box((4,))
         vals = np.array([0.0, 1.0, -0.5, 0.0])
         with pytest.raises(ValueError, match=r"\(2,\)"):
             z_transform(Field(g, vals), 0.1)
-        with pytest.raises(ValueError, match="below the floor"):
-            z_inverse(Field(g, [1.0, 0.05, 1.0, 1.0]), 0.1)
 
 
 class TestPowerDifferenceBound:

@@ -542,7 +542,7 @@ class TestInfeasibleReason:
             [""] + ["dt underflow at t=0.125: stiff"] * 3
         assert [r["J"] for r in rows[1:]] == ["inf"] * 3
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_state_is_infeasible(self, grid):
         # a control of 45 on half the box grows v like exp(45 t), past the
         # floating-point range long before t_final = 20

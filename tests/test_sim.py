@@ -120,14 +120,6 @@ class TestControl:
         ctrl = Control.constant(g, 2.0, 1.0)
         assert ctrl.scaled(0.5).lq_norm(3.0) == pytest.approx(1.0, rel=1e-12)
 
-    def test_as_field(self):
-        g = Grid.unit_box((8,)).with_mask(np.arange(8) < 4)
-        ctrl = Control.constant(g, 2.0, 1.0)
-        f = ctrl.as_field(0.5)
-        assert isinstance(f, Field)
-        assert f.values[:4] == pytest.approx(2.0)
-        assert np.all(f.values[4:] == 0.0)
-
 
 class TestStep:
     def test_empty_domain_equilibrium(self, grid):
@@ -641,7 +633,7 @@ class TestFactorCache:
         st0 = State(Field.full(g, 1.0), Field.full(g, 1.0), 0.0)
         for k in range(20):
             step(st0, Field.zeros(g), params(), 1e-3 * (1.0 + 0.1 * k))
-        solvers = sim._grid_cache[g]["diffusion"]
+        solvers = sim._grid_cache[g]
         assert len(solvers) == sim._DIFFUSION_CACHE_SIZE
         assert 1e-3 * (1.0 + 0.1 * 19) in solvers  # the most recent survives
 
