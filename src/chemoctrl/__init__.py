@@ -43,7 +43,6 @@ from .model import (
     power_difference_bound_holds,
     truncate,
     truncate_derivative,
-    z_transform,
 )
 from .opt import (
     InfeasibleBaselineError,
@@ -61,7 +60,6 @@ from .sim import (
     ComparisonTrajectory,
     Control,
     PositivityError,
-    State,
     StepSizeError,
     StiffnessError,
     Trajectory,

@@ -27,7 +27,8 @@ from .opt import InfeasibleBaselineError, OptimizerConfig, optimize, \
 from .presets import CONTROL_PRESETS, DESIRED_PRESETS, FIELD_PRESETS, \
     control_preset, desired_preset, field_preset
 from .sim import Control, PositivityError, StiffnessError, TrajectoryFormatError, \
-    simulate, solve_comparison, trajectory_from_dir, trajectory_to_dir
+    check_nonnegative, simulate, solve_comparison, trajectory_from_dir, \
+    trajectory_to_dir
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -266,6 +267,8 @@ def load_config(path):
         u0 = _build_field(grid, init.get("u", {"preset": "zero"}), base_dir, "initial.u")
         v0 = _build_field(grid, init.get("v", {"preset": "constant", "value": 1.0}),
                           base_dir, "initial.v")
+        check_nonnegative("initial.u", u0.values)
+        check_nonnegative("initial.v", v0.values)
         control = _build_control(grid, raw.get("control"), model.t_final, base_dir)
         ssec = _table(raw, "sim")
         dt_max = _number(ssec.get(

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    Field,
     cell_gradient_sq,
     face_gradients,
     h1_seminorm,
@@ -150,9 +149,9 @@ def _level_quantities(traj, params):
         z = np.sqrt(traj.v[i] + params.alpha**2)
         f = traj.control_slice(float(traj.times[i]))
         out[:, i] = (
-            s / 4.0 * integrate(Field(grid, g_energy(u, s)))
-            + 0.5 * h1_seminorm(Field(grid, z)) ** 2,
-            h1_seminorm(Field(grid, (u + 1.0) ** (s / 2.0))) ** 2,
+            s / 4.0 * integrate(grid, g_energy(u, s))
+            + 0.5 * h1_seminorm(grid, z) ** 2,
+            h1_seminorm(grid, (u + 1.0) ** (s / 2.0)) ** 2,
             _face_weighted_cross(grid, u**s, z),
             hessian_frobenius_sq(grid, z).sum() * vol,
             (cell_gradient_sq(grid, z) ** 2 / z**2).sum() * vol,

@@ -170,10 +170,10 @@ class Grid:
 
 @dataclass
 class Field:
-    """Scalar cell values on a grid.
+    """Scalar cell values on a grid, the validated input of a run.
 
     Entries must be finite; the array is stored as float64 with shape
-    ``grid.dims``.
+    ``grid.dims``.  The stepper and the operators work on plain arrays.
     """
 
     grid: Grid
@@ -194,30 +194,12 @@ class Field:
         self.values = vals
 
     @classmethod
-    def _unchecked(cls, grid, values):
-        """Wrap a float64 array of shape ``grid.dims`` that the caller has
-        already found finite, without the checks of ``__post_init__``."""
-        phi = cls.__new__(cls)
-        phi.grid = grid
-        phi.values = values
-        return phi
-
-    @classmethod
     def full(cls, grid, value):
         return cls(grid, np.full(grid.dims, float(value)))
 
     @classmethod
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.dims))
-
-    def copy(self):
-        return Field(self.grid, self.values.copy())
-
-    def min(self):
-        return float(self.values.min())
-
-    def max(self):
-        return float(self.values.max())
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +333,9 @@ def hessian_frobenius_sq(grid, a):
     return total
 
 
-def integrate(phi):
-    """Cell-volume-weighted sum of a field (the discrete domain integral)."""
-    return float(phi.values.sum()) * phi.grid.cell_volume
+def integrate(grid, a):
+    """Cell-volume-weighted sum of a cell array (the discrete domain integral)."""
+    return float(a.sum()) * grid.cell_volume
 
 
 def trapezoid_intervals(times, per_level):
@@ -394,15 +376,15 @@ def spacetime_lp_norm(times, series, grid, p):
     return float(trapezoid_intervals(times, per_level).sum()) ** (1.0 / p)
 
 
-def h1_seminorm(phi):
-    """L^2 norm of the face-difference gradient with Neumann closure.
+def h1_seminorm(grid, a):
+    """L^2 norm of the face-difference gradient of a cell array, with Neumann
+    closure.
 
     Each interior face contributes its squared gradient weighted by one cell
     volume; boundary faces carry zero gradient.
     """
-    grid = phi.grid
     total = 0.0
-    for g in face_gradients(grid, phi.values):
+    for g in face_gradients(grid, a):
         total += (g**2).sum()
     return float(np.sqrt(total * grid.cell_volume))
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -103,17 +101,6 @@ def g_energy(u, s):
     else:
         out = arr**s / (s * (s - 1.0))
     return _like_input(out, u)
-
-
-def z_transform(v, alpha):
-    """Cellwise ``sqrt(v + alpha^2)`` of a nonnegative field."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    vals = v.values
-    if vals.min() < 0:
-        bad = tuple(int(i) for i in np.unravel_index(np.argmin(vals), vals.shape))
-        raise ValueError(f"negative concentration {vals[bad]} at cell {bad}")
-    return Field(v.grid, np.sqrt(vals + alpha * alpha))
 
 
 def power_difference_bound_holds(w1, w2, s, slack=1e-12):

@@ -22,11 +22,11 @@ conservative flux form and each axis factor has columns summing to one, so
 the discrete cell mass is conserved to round-off at every step.  The scheme
 is first order in time, like backward Euler.
 
-Inputs are validated once, when :func:`simulate` or :func:`solve_comparison`
-is entered (a ``Field``, ``State`` or ``Control`` checks its values when it
-is built).  Every step checks ``dt``, the M-matrix and CFL bounds, and that
-the new ``v`` and ``u`` are finite and exactly nonnegative; the states it
-returns skip the construction checks those make redundant.  Saved levels are
+The stepper works on plain cell arrays.  Inputs are validated once, when
+:func:`simulate` or :func:`solve_comparison` is entered: a ``Field`` or
+``Control`` checks its values when it is built, and the entry checks add the
+grids and the signs.  Every step checks ``dt``, the M-matrix and CFL bounds,
+and that each new level is finite and exactly nonnegative.  Saved levels are
 copied into fixed blocks and stacked once at the end of a run.
 """
 
@@ -47,7 +47,6 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import splu  # only the benchmark's tracer reads this name
 
 from .grid import (
-    Field,
     Grid,
     GridMismatchError,
     chemotaxis_array,
@@ -86,39 +85,6 @@ class TrajectoryFormatError(ValueError):
 CFL_SAFETY = 0.9
 
 _DT_FLOOR_FACTOR = 1e-12
-
-
-@dataclass
-class State:
-    """Density and concentration at one time level."""
-
-    u: Field
-    v: Field
-    t: float
-
-    def __post_init__(self):
-        if not self.u.grid.compatible_with(self.v.grid):
-            raise GridMismatchError("u and v live on different grids")
-        if self.u.values.min() < 0:
-            bad = tuple(int(i) for i in
-                        np.unravel_index(np.argmin(self.u.values), self.u.values.shape))
-            raise ValueError(f"negative density {self.u.values[bad]} at cell {bad}")
-        if self.v.values.min() < 0:
-            bad = tuple(int(i) for i in
-                        np.unravel_index(np.argmin(self.v.values), self.v.values.shape))
-            raise ValueError(f"negative concentration {self.v.values[bad]} at cell {bad}")
-
-    @classmethod
-    def _unchecked(cls, u, v, t):
-        """A state the stepper has already found finite, nonnegative and on one
-        grid, without the checks of ``__post_init__``."""
-        state = cls.__new__(cls)
-        state.u, state.v, state.t = u, v, t
-        return state
-
-    @property
-    def grid(self):
-        return self.u.grid
 
 
 @dataclass
@@ -314,6 +280,13 @@ def _diffusion_solver(grid, dt):
 # stepping
 # ---------------------------------------------------------------------------
 
+def check_nonnegative(name, a):
+    """Raise ValueError naming the most negative cell unless ``a >= 0``."""
+    if a.min() < 0:
+        bad = tuple(int(i) for i in np.unravel_index(np.argmin(a), a.shape))
+        raise ValueError(f"{name} must be nonnegative, got {a[bad]} at cell {bad}")
+
+
 def _check_new_level(name, a):
     """Raise PositivityError unless a new level is finite and exactly
     nonnegative; written so that a NaN fails as well."""
@@ -338,8 +311,9 @@ _QUIET = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 @_QUIET
-def step(state, control_slice, params, dt):
-    """Advance one implicit-explicit step of size ``dt``.
+def step(grid, u, v, f, params, dt):
+    """Advance the cell arrays ``(u, v)`` by one implicit-explicit step of
+    size ``dt`` under the control slice ``f``; returns ``(u_new, v_new)``.
 
     The concentration goes first, split into its cellwise reaction and its
     diffusion:
@@ -355,17 +329,13 @@ def step(state, control_slice, params, dt):
     round-off and preserves nonnegativity under the reported CFL bound on
     ``dt``.
 
-    ``state`` and ``control_slice`` are trusted as built: a ``State`` or
-    ``Field`` checks its values when it is constructed, and :func:`simulate`
-    validates its inputs once.  Every step checks the grids and ``dt``, the
-    M-matrix and CFL bounds, and that the new ``v`` and ``u`` are finite and
-    exactly nonnegative; the returned state skips the construction checks
-    those make redundant.
+    The arrays are trusted to have shape ``grid.dims`` and to be finite and
+    nonnegative: :func:`simulate` checks its inputs once, and each step checks
+    ``dt``, the M-matrix and CFL bounds, and that the new ``v`` and ``u`` are
+    finite and exactly nonnegative.  ``f`` is masked to the control region.
 
     Raises
     ------
-    GridMismatchError
-        If the control slice lives on another grid.
     ValueError
         If ``dt`` is not positive and finite.
     StepSizeError
@@ -376,13 +346,10 @@ def step(state, control_slice, params, dt):
         checks (this indicates a bug or an overflow; values are never
         clipped).
     """
-    grid = state.grid
-    if not grid.compatible_with(control_slice.grid):
-        raise GridMismatchError("control slice lives on a different grid")
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
-    f = control_slice.values * grid.control_mask
+    f = f * grid.control_mask
     fpos = np.maximum(f, 0.0)
     fneg = np.maximum(-f, 0.0)
     fpos_max = float(fpos.max())
@@ -394,10 +361,9 @@ def step(state, control_slice, params, dt):
             admissible_dt=CFL_SAFETY / fpos_max,
         )
 
-    u = state.u.values
     mobility, react = _mobility_and_reaction(u, fpos, fneg, params)
     diffusion = _diffusion_solver(grid, dt)
-    v_star = state.v.values.ravel() / (1.0 + dt * react)
+    v_star = v.ravel() / (1.0 + dt * react)
     v_new = diffusion.solve(v_star).reshape(grid.dims)
     _check_new_level("v", v_new)
 
@@ -413,9 +379,7 @@ def step(state, control_slice, params, dt):
     rhs = (u + dt * transport).ravel()
     u_new = diffusion.solve(rhs).reshape(grid.dims)
     _check_new_level("u", u_new)
-
-    return State._unchecked(Field._unchecked(grid, u_new),
-                            Field._unchecked(grid, v_new), state.t + dt)
+    return u_new, v_new
 
 
 # saved levels are copied into blocks of this many.  Kept one by one, a 96^2
@@ -490,6 +454,11 @@ def _adaptive_steps(advance, state, t_final, dt_max, events):
 def simulate(u0, v0, control, params, dt_max, save_every=1):
     """Integrate the controlled system from ``(u0, v0)`` up to the horizon.
 
+    The inputs are checked once, on entry: a ``GridMismatchError`` unless
+    ``u0``, ``v0`` and the control share one grid, a ``ValueError`` naming the
+    cell if ``u0`` or ``v0`` has a negative one.  The steps then run on their
+    cell arrays, which are read and never written.
+
     Parameters
     ----------
     u0, v0 : Field
@@ -512,38 +481,39 @@ def simulate(u0, v0, control, params, dt_max, save_every=1):
     if save_every < 1:
         raise ValueError("save_every must be at least 1")
     grid = u0.grid
-    state = State(u0.copy(), v0.copy(), 0.0)  # validates shapes and signs
+    if not grid.compatible_with(v0.grid):
+        raise GridMismatchError("u0 and v0 live on different grids")
+    check_nonnegative("u0", u0.values)
+    check_nonnegative("v0", v0.values)
     if control is not None:
         if not grid.compatible_with(control.grid):
             raise GridMismatchError("control lives on a different grid")
         if control.t_final < params.t_final - 1e-12 * max(1.0, params.t_final):
             raise ValueError("control time lattice does not cover the horizon")
 
-    zero = Field.zeros(grid)
+    zero = np.zeros(grid.dims)
 
     def advance(state, t, dt_step):
-        # a slice of the checked control is finite and lives on its grid
-        fslice = zero if control is None \
-            else Field._unchecked(grid, control.slice_at(t + dt_step))
-        return step(state, fslice, params, dt_step)
+        f = zero if control is None else control.slice_at(t + dt_step)
+        return step(grid, *state, f, params, dt_step)
 
     times = [0.0]
-    us = _LevelStack(state.u.values)
-    vs = _LevelStack(state.v.values)
+    us = _LevelStack(u0.values)
+    vs = _LevelStack(v0.values)
     dts = []
-    masses = [integrate(state.u)]
+    masses = [integrate(grid, u0.values)]
     events = []
     since_save = 0
     t_end = params.t_final - 1e-14 * max(params.t_final, 1.0)
-    for t, dt_step, state in _adaptive_steps(advance, state, params.t_final, dt_max,
-                                             events):
+    for t, dt_step, (u, v) in _adaptive_steps(advance, (u0.values, v0.values),
+                                              params.t_final, dt_max, events):
         dts.append(dt_step)
-        masses.append(integrate(state.u))
+        masses.append(integrate(grid, u))
         since_save += 1
         if since_save >= save_every or t >= t_end:
-            times.append(state.t)
-            us.append(state.u.values)
-            vs.append(state.v.values)
+            times.append(t)
+            us.append(u)
+            vs.append(v)
             since_save = 0
 
     return Trajectory(
@@ -622,7 +592,9 @@ def _comparison_step(grid, w, f_tilde, dt):
             admissible_dt=CFL_SAFETY / f_max,
         )
     w_star = w / (1.0 - dt * f_tilde)
-    return _diffusion_solver(grid, dt).solve(w_star.ravel()).reshape(grid.dims)
+    w_new = _diffusion_solver(grid, dt).solve(w_star.ravel()).reshape(grid.dims)
+    _check_new_level("w", w_new)
+    return w_new
 
 
 def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
@@ -645,8 +617,7 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     ComparisonTrajectory
     """
     grid = w0.grid
-    if w0.values.min() < 0:
-        raise ValueError("comparison initial state must be nonnegative")
+    check_nonnegative("w0", w0.values)
     if control is not None and not grid.compatible_with(control.grid):
         raise GridMismatchError("control lives on a different grid")
     if times is not None and dt_history is not None:
@@ -735,8 +706,7 @@ def weak_residual(traj, test_series):
             chem_term += (mean_u * gv[k] * gp[k]).sum() * vol
         residual += dt * (diff_term - chem_term)
 
-        pf = Field(grid, pbar)
-        norm_sq += dt * ((pbar**2).sum() * vol + h1_seminorm(pf) ** 2)
+        norm_sq += dt * ((pbar**2).sum() * vol + h1_seminorm(grid, pbar) ** 2)
 
     if norm_sq == 0.0:
         return 0.0

@@ -230,6 +230,12 @@ class TestConfigErrors:
          "cost.desired_v must be a table"),
         # --output names the output directory; the config has no key for it
         ("simulate", [], {"output_dir": "out"}, "output_dir"),
+        # an initial state must be nonnegative, checked when the config loads
+        ("simulate", [], {"initial": {"u": {"preset": "constant", "value": -1.0}}},
+         "initial.u must be nonnegative, got -1.0 at cell (0,)"),
+        ("optimize", [], {"initial": {"v": {"preset": "random", "low": -0.5,
+                                            "high": 1.0, "seed": 3}}},
+         "initial.v must be nonnegative"),
     ])
     def test_bad_numeric_input_is_config_error(self, decay_dir, tmp_path, capsys,
                                                command, flags, patch, field):
@@ -443,21 +449,25 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("command, grid", [
-        pytest.param("simulate", {"dims": [16]}, id="simulate"),
-        pytest.param("compare", {"dims": [16]}, id="compare"),
+    @pytest.mark.parametrize("command, grid, model, u0, state", [
+        pytest.param("simulate", {"dims": [16]}, {}, 0.0, "v", id="simulate"),
+        pytest.param("compare", {"dims": [16]}, {}, 0.0, "v", id="compare"),
         # on half the box the overflowing v has overflowing gradients too
-        pytest.param("compare", {"dims": [16], "control_box": [[0.0, 0.5]]},
-                     id="compare-control_box"),
+        pytest.param("compare", {"dims": [16], "control_box": [[0.0, 0.5]]}, {}, 0.0,
+                     "v", id="compare-control_box"),
+        # consumption keeps v bounded, while the comparison w overflows
+        pytest.param("compare", {"dims": [16]}, {"s": 1.0, "m": 100.0}, 50.0, "w",
+                     id="compare-comparison"),
     ])
-    def test_overflowing_run_is_infeasible(self, tmp_path, capsys, command, grid):
-        # dt*f = 0.9 passes every step bound, and v grows tenfold per step
-        # until it overflows; numpy must not warn on the way
+    def test_overflowing_run_is_infeasible(self, tmp_path, capsys, command, grid,
+                                           model, u0, state):
+        # dt*f = 0.9 passes every step bound, and the state grows tenfold per
+        # step until it overflows; numpy must not warn on the way
         cfg = tmp_path / "overflow.json"
         cfg.write_text(json.dumps({
             "grid": grid,
-            "model": {"t_final": 20.0},
-            "initial": {"u": {"preset": "zero"},
+            "model": {**model, "t_final": 20.0},
+            "initial": {"u": {"preset": "constant", "value": u0},
                         "v": {"preset": "constant", "value": 1.0}},
             "control": {"preset": "constant", "amplitude": 45.0},
             "sim": {"dt_max": 0.02},
@@ -465,7 +475,7 @@ class TestSimulate:
         out = tmp_path / "o"
         assert run([command, str(cfg), "--output", str(out)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("infeasible: v went negative or non-finite") \
+        assert err.startswith(f"infeasible: {state} went negative or non-finite") \
             and err.count("\n") == 1
         assert not out.exists()
 

@@ -4,14 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemoctrl import (
-    Field,
-    Grid,
     ModelParams,
     g_energy,
     power_difference_bound_holds,
     truncate,
     truncate_derivative,
-    z_transform,
 )
 
 nonneg = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
@@ -109,32 +106,6 @@ class TestEntropyDensity:
         mid = g_energy(u.mean(axis=1), s)
         avg = 0.5 * (g_energy(u[:, 0], s) + g_energy(u[:, 1], s))
         assert np.all(mid <= avg + 1e-12 * np.maximum(avg, 1.0))
-
-
-class TestZTransform:
-    def test_floor_at_alpha(self):
-        g = Grid.unit_box((4,))
-        z = z_transform(Field.zeros(g), 0.1)
-        assert z.values == pytest.approx(0.1)
-
-    def test_perfect_square(self):
-        g = Grid.unit_box((4,))
-        z = z_transform(Field.full(g, 3.0), 1.0)
-        assert z.values == pytest.approx(2.0)
-
-    def test_roundtrip(self):
-        # z^2 - alpha^2 gives v back
-        g = Grid.unit_box((32,))
-        rng = np.random.default_rng(3)
-        v = Field(g, rng.uniform(0.0, 5.0, size=g.dims))
-        z = z_transform(v, 0.3).values
-        assert np.abs(z * z - 0.3 * 0.3 - v.values).max() < 1e-14
-
-    def test_errors_name_cell(self):
-        g = Grid.unit_box((4,))
-        vals = np.array([0.0, 1.0, -0.5, 0.0])
-        with pytest.raises(ValueError, match=r"\(2,\)"):
-            z_transform(Field(g, vals), 0.1)
 
 
 class TestPowerDifferenceBound:

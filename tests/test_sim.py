@@ -14,7 +14,6 @@ from chemoctrl import (
     Grid,
     GridMismatchError,
     ModelParams,
-    State,
     StepSizeError,
     StiffnessError,
     TrajectoryFormatError,
@@ -121,89 +120,86 @@ class TestControl:
         assert ctrl.scaled(0.5).lq_norm(3.0) == pytest.approx(1.0, rel=1e-12)
 
 
+def full(grid, value):
+    return np.full(grid.dims, float(value))
+
+
 class TestStep:
     def test_empty_domain_equilibrium(self, grid):
         # no cells: constant concentration is a fixed point without control
-        st0 = State(Field.zeros(grid), Field.full(grid, 2.0), 0.0)
-        out = step(st0, Field.zeros(grid), params(), 0.01)
-        assert np.abs(out.u.values).max() == 0.0
-        assert out.v.values == pytest.approx(2.0, rel=1e-13)
+        u, v = step(grid, full(grid, 0.0), full(grid, 2.0), full(grid, 0.0),
+                    params(), 0.01)
+        assert np.abs(u).max() == 0.0
+        assert v == pytest.approx(2.0, rel=1e-13)
 
     def test_zero_concentration_freezes_everything(self, grid):
-        st0 = State(Field.full(grid, 1.5), Field.zeros(grid), 0.0)
-        out = step(st0, Field.full(grid, 4.0), params(), 0.01)
-        assert np.abs(out.v.values).max() == 0.0
-        assert out.u.values == pytest.approx(1.5, rel=1e-13)
+        u, v = step(grid, full(grid, 1.5), full(grid, 0.0), full(grid, 4.0),
+                    params(), 0.01)
+        assert np.abs(v).max() == 0.0
+        assert u == pytest.approx(1.5, rel=1e-13)
 
     def test_backward_euler_growth_factor(self, grid):
         # u = 0, f = lam everywhere: one step multiplies v by 1/(1 - dt*lam)
         lam, dt = 0.8, 0.01
-        st0 = State(Field.zeros(grid), Field.full(grid, 1.0), 0.0)
-        out = step(st0, Field.full(grid, lam), params(), dt)
-        assert out.v.values == pytest.approx(1.0 / (1.0 - dt * lam), rel=1e-12)
+        _, v = step(grid, full(grid, 0.0), full(grid, 1.0), full(grid, lam),
+                    params(), dt)
+        assert v == pytest.approx(1.0 / (1.0 - dt * lam), rel=1e-12)
 
     def test_m_matrix_guard(self, grid):
-        st0 = State(Field.zeros(grid), Field.full(grid, 1.0), 0.0)
         with pytest.raises(StepSizeError) as err:
-            step(st0, Field.full(grid, 200.0), params(), 0.01)
+            step(grid, full(grid, 0.0), full(grid, 1.0), full(grid, 200.0),
+                 params(), 0.01)
         assert err.value.admissible_dt < 0.01
 
     def test_cfl_guard_reports_admissible_dt(self, grid):
         # steep v ramp with mobile cells forces a tiny transport step
         x = grid.axis_centers(0)
-        st0 = State(Field.full(grid, 1.0), Field(grid, 50.0 * x), 0.0)
+        u0, v0, f = full(grid, 1.0), 50.0 * x, full(grid, 0.0)
         with pytest.raises(StepSizeError, match="CFL") as err:
-            step(st0, Field.zeros(grid), params(), 0.01)
+            step(grid, u0, v0, f, params(), 0.01)
         assert 0 < err.value.admissible_dt < 0.01
         # the halving policy recovers (the estimate shifts with the implicit v)
         dt = err.value.admissible_dt
         for _ in range(20):
             try:
-                out = step(st0, Field.zeros(grid), params(), dt)
+                u, _ = step(grid, u0, v0, f, params(), dt)
                 break
             except StepSizeError:
                 dt *= 0.5
         else:
             pytest.fail("no admissible step found by halving")
         assert dt < 0.01
-        assert out.u.values.min() >= 0.0
+        assert u.min() >= 0.0
 
     def test_zero_density_does_not_bound_dt(self, grid):
         # cells without mobility send no flux out, so the steep ramp imposes
         # no CFL limit although dt is far above the bound mobile cells get
         x = grid.axis_centers(0)
-        st0 = State(Field.zeros(grid), Field(grid, 50.0 * x), 0.0)
         dt = 0.01
-        out = step(st0, Field.zeros(grid), params(), dt)
-        _, rate = chemotaxis_array(grid, np.ones(grid.dims), out.v.values)
+        u, v = step(grid, full(grid, 0.0), 50.0 * x, full(grid, 0.0), params(), dt)
+        _, rate = chemotaxis_array(grid, np.ones(grid.dims), v)
         assert dt * rate.max() > sim.CFL_SAFETY
-        assert np.abs(out.u.values).max() == 0.0
-        assert out.v.values.min() >= 0.0
+        assert np.abs(u).max() == 0.0
+        assert v.min() >= 0.0
 
     def test_mass_conserved_per_step(self, grid):
         rng = np.random.default_rng(5)
-        st0 = State(Field(grid, rng.uniform(0.0, 2.0, grid.dims)),
-                    Field(grid, rng.uniform(0.0, 1.0, grid.dims)), 0.0)
-        out = step(st0, Field.full(grid, 0.5), params(s=2.0), 0.002)
-        m0, m1 = integrate(st0.u), integrate(out.u)
+        u0 = rng.uniform(0.0, 2.0, grid.dims)
+        u, _ = step(grid, u0, rng.uniform(0.0, 1.0, grid.dims), full(grid, 0.5),
+                    params(s=2.0), 0.002)
+        m0, m1 = integrate(grid, u0), integrate(grid, u)
         assert abs(m1 - m0) <= 1e-12 * abs(m0)
-
-    def test_grid_mismatch(self, grid):
-        st0 = State(Field.zeros(grid), Field.zeros(grid), 0.0)
-        with pytest.raises(GridMismatchError):
-            step(st0, Field.zeros(Grid.unit_box((8,))), params(), 0.01)
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
     def test_rejects_bad_dt(self, grid, dt):
-        st0 = State(Field.full(grid, 1.0), Field.full(grid, 1.0), 0.0)
         with pytest.raises(ValueError, match="dt must be positive"):
-            step(st0, Field.zeros(grid), params(), dt)
+            step(grid, full(grid, 1.0), full(grid, 1.0), full(grid, 0.0), params(), dt)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["u", "v"])
     def test_non_finite_new_level_raises_positivity_error(self, monkeypatch, grid,
                                                           name, bad):
-        # the returned state skips the Field checks, so the step itself must
+        # the returned arrays are not checked again, so the step itself must
         # reject a NaN or inf that a solve hands back.  One factor serves both
         # diffusions: v's solve comes first, then u's
         solves = []
@@ -222,13 +218,41 @@ class TestStep:
         factor = sim._diffusion_solver
         monkeypatch.setattr(sim, "_diffusion_solver",
                             lambda g, dt: Poisoned(factor(g, dt)))
-        st0 = State(Field.full(grid, 1.0), Field.full(grid, 1.0), 0.0)
         with pytest.raises(sim.PositivityError,
                            match=f"{name} went negative or non-finite at cell \\(3,\\)"):
-            step(st0, Field.zeros(grid), params(), 0.01)
+            step(grid, full(grid, 1.0), full(grid, 1.0), full(grid, 0.0), params(), 0.01)
 
 
 class TestSimulate:
+    def test_grid_mismatch(self, grid):
+        other = Grid.unit_box((8,))
+        with pytest.raises(GridMismatchError, match="u0 and v0"):
+            simulate(Field.zeros(grid), Field.zeros(other), None, params(), 0.01)
+        with pytest.raises(GridMismatchError, match="control"):
+            simulate(Field.zeros(grid), Field.zeros(grid),
+                     Control.zero(other, 1.0), params(), 0.01)
+
+    def test_negative_initial_state_names_the_cell(self, grid):
+        u0 = np.ones(grid.dims)
+        u0[5] = -0.5
+        with pytest.raises(ValueError, match=r"u0 must be nonnegative, got -0.5 "
+                                             r"at cell \(5,\)"):
+            simulate(Field(grid, u0), Field.zeros(grid), None, params(), 0.01)
+
+    @pytest.mark.parametrize("dims", [(16,), (8, 6), (5, 4, 6)])
+    def test_initial_fields_are_left_unchanged(self, dims):
+        # the steps read the initial arrays in place, with no copy to guard them
+        g = Grid.unit_box(dims)
+        rng = np.random.default_rng(4)
+        u0 = Field(g, rng.uniform(0.0, 2.0, dims))
+        v0 = Field(g, rng.uniform(0.2, 1.0, dims))
+        before = u0.values.copy(), v0.values.copy()
+        traj = simulate(u0, v0, Control.constant(g, 2.0, 0.05),
+                        params(t_final=0.05), 0.01)
+        assert traj.dt_history.size >= 5
+        assert u0.values.tobytes() == before[0].tobytes()
+        assert v0.values.tobytes() == before[1].tobytes()
+
     def test_zero_horizon(self, grid):
         p = params(t_final=0.0)
         traj = simulate(Field.full(grid, 1.0), Field.full(grid, 1.0), None, p, 0.1)
@@ -328,8 +352,9 @@ class TestSimulate:
         real_step = sim.step
 
         def recording_step(*args):
-            accepted.append(real_step(*args))
-            return accepted[-1]
+            out = real_step(*args)
+            accepted.append((out, args[-1]))  # the new levels and their dt
+            return out
 
         monkeypatch.setattr(sim, "step", recording_step)
         u0 = field_preset(grid, "gaussian", amplitude=1.0, base=0.5, width=0.2)
@@ -338,9 +363,10 @@ class TestSimulate:
                         save_every=save_every)
         assert len(accepted) == n_steps and traj.n_levels == n_levels
         saved = accepted[save_every - 1::save_every]
-        assert np.array_equal(traj.u, np.stack([u0.values] + [x.u.values for x in saved]))
-        assert np.array_equal(traj.v, np.stack([v0.values] + [x.v.values for x in saved]))
-        assert np.array_equal(traj.times, [0.0] + [x.t for x in saved])
+        times = np.cumsum([dt for _, dt in accepted])[save_every - 1::save_every]
+        assert np.array_equal(traj.u, np.stack([u0.values] + [x[0] for x, _ in saved]))
+        assert np.array_equal(traj.v, np.stack([v0.values] + [x[1] for x, _ in saved]))
+        assert np.array_equal(traj.times, np.concatenate(([0.0], times)))
 
     def test_save_every(self, grid):
         p = params(t_final=0.1)
@@ -630,9 +656,9 @@ class TestTracedNames:
 class TestFactorCache:
     def test_diffusion_factors_bounded(self):
         g = Grid.unit_box((16,))
-        st0 = State(Field.full(g, 1.0), Field.full(g, 1.0), 0.0)
         for k in range(20):
-            step(st0, Field.zeros(g), params(), 1e-3 * (1.0 + 0.1 * k))
+            step(g, full(g, 1.0), full(g, 1.0), full(g, 0.0), params(),
+                 1e-3 * (1.0 + 0.1 * k))
         solvers = sim._grid_cache[g]
         assert len(solvers) == sim._DIFFUSION_CACHE_SIZE
         assert 1e-3 * (1.0 + 0.1 * 19) in solvers  # the most recent survives
