@@ -3,10 +3,13 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chemoctrl
 from chemoctrl import energy, sim
 from chemoctrl.cli import build_parser, load_config, main
 from chemoctrl.sim import trajectory_from_dir
@@ -757,3 +760,52 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         J = np.array([float(r["J"]) for r in rows])
         assert np.all(np.diff(J) <= 1e-7 * np.maximum(J[:-1], 1e-300))
+
+
+# runs the four subcommands in a fresh interpreter whose importer refuses
+# every scipy module; prints their exit codes and the scipy modules loaded
+WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+from chemoctrl.cli import main
+
+cfg, out = sys.argv[1], sys.argv[2]
+codes = [main(["simulate", cfg, "--output", f"{out}/sim"]),
+         main(["compare", cfg, "--output", f"{out}/cmp"]),
+         main(["energy-audit", cfg, "--trajectory", f"{out}/sim/trajectory",
+               "--output", f"{out}/audit"]),
+         main(["optimize", cfg, "--output", f"{out}/opt"])]
+print(codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+class TestRuntimeWithoutScipy:
+    def test_every_subcommand_runs_with_scipy_refused(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "grid": {"dims": [8, 6], "lengths": [1.0, 1.0],
+                     "control_box": [[0.0, 0.5], [0.0, 1.0]]},
+            "model": {"s": 2.0, "alpha": 0.1, "m": 8.0, "q": 3.0, "t_final": 0.2},
+            "initial": {"u": {"preset": "gaussian", "amplitude": 2.0, "width": 0.2},
+                        "v": {"preset": "constant", "value": 1.0}},
+            "control": {"preset": "random", "seed": 4, "amplitude": 1.0, "times": 3},
+            "sim": {"dt_max": 0.05},
+            "cost": {"gamma_u": 1.0, "gamma_v": 1.0, "gamma_f": 0.1, "M": 3.0,
+                     "desired_u": {"preset": "constant", "value": 0.0},
+                     "desired_v": {"preset": "constant", "value": 1.5}},
+            "optimizer": {"max_iters": 3, "basis": [2, 2, 2], "control_times": 5},
+        }))
+        src = os.path.dirname(os.path.dirname(chemoctrl.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY, str(cfg), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0] []"

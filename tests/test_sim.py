@@ -668,9 +668,9 @@ class TestFactorCache:
         # (30, 2) is stiff consumption: dt * max u^s reaches 27, where the
         # coupled v-matrix was refactored at every step
         factored = []
-        dpttrf = sim.dpttrf
-        monkeypatch.setattr(sim, "dpttrf",
-                            lambda d, e: factored.append(d.size) or dpttrf(d, e))
+        axis_inverse = sim._axis_inverse
+        monkeypatch.setattr(sim, "_axis_inverse",
+                            lambda n, r: factored.append(n) or axis_inverse(n, r))
         g = Grid.unit_box((6, 7))
         p = params(s=s, m=40.0, t_final=0.1)
         ctrl = Control.constant(g, 5.0, p.t_final)
@@ -708,6 +708,30 @@ class TestSplitDiffusion:
         # backward error: the residual against the size of A and x
         norm_a = abs(a).sum(axis=1).max()
         assert np.abs(a @ x - b).max() <= 1e-12 * norm_a * np.abs(x).max()
+
+    @given(dims=st.one_of(st.tuples(st.integers(2, 30)),
+                          st.tuples(st.integers(2, 9), st.integers(2, 9)),
+                          st.tuples(st.integers(2, 6), st.integers(2, 6),
+                                    st.integers(2, 6))),
+           data=st.data(), dt=st.floats(1e-4, 10.0),
+           rise=st.sampled_from([1.0, 1e-15]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_axis_inverses_are_exact_and_the_solve_monotone(self, dims, data, dt, rise,
+                                                            seed):
+        spacing = tuple(data.draw(st.floats(0.01, 2.0)) for _ in dims)
+        g = Grid(dims, spacing)
+        for n, h in zip(dims, spacing):
+            x = sim._axis_inverse(n, dt / (h * h))
+            assert x.min() >= 0.0
+            assert np.array_equal(x, x.T)
+            assert np.abs(x.sum(axis=0) - 1.0).max() <= n * np.finfo(float).eps
+        # b <= b' cellwise, equal on about half the cells and zero on a quarter;
+        # a rise of 1e-15 moves b' by a few ulps
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(0.0, 1.0, g.n_cells) * (rng.random(g.n_cells) < 0.75)
+        b_up = b + rise * rng.uniform(0.0, 1.0, g.n_cells) * (rng.random(g.n_cells) < 0.5)
+        solver = sim._diffusion_solver(g, dt)
+        assert (solver.solve(b) <= solver.solve(b_up)).all()
 
     @pytest.mark.parametrize("rhs", ["point source", "sparse with a zero region"])
     def test_nonnegative_and_conservative_on_24_cubed(self, rhs):
@@ -758,7 +782,7 @@ class TestSplittingProperties:
         assert np.abs(np.diff(mass)).max() <= 1e-12 * mass[0]
         w = solve_comparison(v0, ctrl, p, dt_max, dt_history=traj.dt_history)
         assert w.w.min() >= 0.0
-        # exact, not within round-off: division and the no-pivot solve are
+        # exact, not within round-off: division and the nonnegative solve are
         # monotone, and each comparison divisor is at most the concentration's
         assert (traj.v - w.w[np.isin(w.times, traj.times)]).max() <= 0.0
 
