@@ -31,8 +31,6 @@ from .grid import (
     Field,
     Grid,
     GridMismatchError,
-    field_from_csv,
-    field_to_csv,
     h1_seminorm,
     integrate,
     spacetime_lp_norm,

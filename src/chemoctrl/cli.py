@@ -19,8 +19,8 @@ import numpy as np
 
 from .cost import CostParams, DesiredState, check_admissible
 from .energy import build_energy_report, energy_inequality_audit
-from .grid import Field, Grid, field_from_csv
-from .io import read_levels, write_csv, write_json, write_levels
+from .grid import Field, Grid
+from .io import load_levels, save_levels, write_csv, write_json
 from .model import ModelParams
 from .opt import InfeasibleBaselineError, OptimizerConfig, optimize, \
     ordering_experiment
@@ -137,14 +137,14 @@ def _table(raw, name):
     return section
 
 
-def _csv_path(section, base_dir, what, keys=("csv",)):
-    """The file a ``csv`` entry of section ``what`` names, relative to the
-    config's directory.  Beside ``csv`` the section may hold only ``keys``."""
+def _npy_path(section, base_dir, what, keys=("npy",)):
+    """The file an ``npy`` entry of section ``what`` names, relative to the
+    config's directory.  Beside ``npy`` the section may hold only ``keys``."""
     extra = sorted(set(section) - set(keys))
     if extra:
-        raise ConfigError(f"{what}.{extra[0]} is not read beside {what}.csv; "
-                          f"with a csv, {what} takes {sorted(keys)}")
-    path = os.path.join(base_dir, section["csv"])
+        raise ConfigError(f"{what}.{extra[0]} is not read beside {what}.npy; "
+                          f"with an npy, {what} takes {sorted(keys)}")
+    path = os.path.join(base_dir, section["npy"])
     if not os.path.exists(path):
         raise ConfigError(f"{what}: file not found: {path}")
     return path
@@ -213,13 +213,15 @@ def _preset_parameters(table, name, section, what, ndim):
 
 
 def _build_field(grid, section, base_dir, what):
-    if "csv" in _require_table(section, what):
-        return field_from_csv(grid, _csv_path(section, base_dir, what))
+    if "npy" in _require_table(section, what):
+        return Field(grid, load_levels(_npy_path(section, base_dir, what), grid.dims))
     if "preset" in section:
         name = section["preset"]
         return field_preset(grid, name, **_preset_parameters(
             FIELD_PRESETS, name, section, what, grid.ndim))
-    raise ConfigError(f"{what}: give either a preset or a csv path")
+    keys = ", ".join(f"{what}.{key}" for key in sorted(section))
+    raise ConfigError(f"{what}: give either a preset or an npy path"
+                      + (f", not {keys}" if keys else ""))
 
 
 def _build_control(grid, section, t_final, base_dir):
@@ -231,11 +233,16 @@ def _build_control(grid, section, t_final, base_dir):
             raise ConfigError(f"control.{extra[0]} is not a parameter of the "
                               f"'none' preset, which takes none")
         return None
-    if "csv" in section:
-        path = _csv_path(section, base_dir, "control", keys=("csv", "times"))
+    if "npy" in section:
+        path = _npy_path(section, base_dir, "control", keys=("npy", "times"))
         times = np.array([_number(t, "control.times")
                           for t in section.get("times", [0.0, t_final])])
-        return Control(grid, times, read_levels(path, grid.dims, times.size))
+        control = Control(grid, times, load_levels(path, (times.size, *grid.dims)))
+        # the tolerance simulate allows
+        if control.t_final < t_final - 1e-12 * max(1.0, t_final):
+            raise ConfigError(f"control.times end at {control.t_final!r}, before "
+                              f"model.t_final {t_final!r}")
+        return control
     name = section.get("preset", "zero")
     return control_preset(grid, name, t_final, **_preset_parameters(
         CONTROL_PRESETS, name, section, "control", grid.ndim))
@@ -244,9 +251,9 @@ def _build_control(grid, section, t_final, base_dir):
 def _build_desired(grid, section, base_dir, what):
     if section is None:
         return desired_preset("constant", value=0.0)
-    if "csv" in _require_table(section, what):
-        return DesiredState.from_field(field_from_csv(
-            grid, _csv_path(section, base_dir, what)))
+    if "npy" in _require_table(section, what):
+        return DesiredState.from_field(Field(
+            grid, load_levels(_npy_path(section, base_dir, what), grid.dims)))
     name = section.get("preset", "constant")
     return desired_preset(name, **_preset_parameters(
         DESIRED_PRESETS, name, section, what, grid.ndim))
@@ -294,13 +301,18 @@ def load_config(path):
         optimizer = None
         if raw.get("optimizer") is not None:
             osec = _table(raw, "optimizer")
+            # node counts for time, then one per grid axis
+            basis = tuple(_number(b, "optimizer.basis", integral=True)
+                          for b in osec.get("basis", [2] * (grid.ndim + 1)))
+            if len(basis) != grid.ndim + 1:
+                raise ConfigError(f"optimizer.basis needs {grid.ndim + 1} entries "
+                                  f"(time, then one per grid axis), got {list(basis)}")
             optimizer = OptimizerConfig(
                 max_iters=_number(osec.get("max_iters", 25), "optimizer.max_iters",
                                   integral=True),
                 step0=_number(osec.get("step0", 1.0), "optimizer.step0"),
                 shrink=_number(osec.get("shrink", 0.5), "optimizer.shrink"),
-                basis=tuple(_number(b, "optimizer.basis", integral=True)
-                            for b in osec.get("basis", [2, 2])),
+                basis=basis,
                 stop_tol=_number(osec.get("stop_tol", 1e-6), "optimizer.stop_tol"),
                 control_times=_number(osec.get("control_times", 9),
                                       "optimizer.control_times", integral=True))
@@ -429,7 +441,7 @@ def cmd_optimize(cfg, out_dir):
     trace.to_csv(os.path.join(out_dir, "trace.csv"))
 
     cfg.grid.to_json(os.path.join(out_dir, "grid.json"))
-    write_levels(os.path.join(out_dir, "best_control.csv"), cfg.grid.dims, ctrl.values)
+    save_levels(os.path.join(out_dir, "best_control.npy"), ctrl.values)
     write_json(os.path.join(out_dir, "best_control_times.json"),
                {"times": [float(t) for t in ctrl.times]})
 

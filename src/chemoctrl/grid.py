@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .io import read_cells, write_cells, write_json
+from .io import write_json
 
 
 class GridMismatchError(ValueError):
@@ -388,16 +388,3 @@ def h1_seminorm(grid, a):
         total += (g**2).sum()
     return float(np.sqrt(total * grid.cell_volume))
 
-
-# ---------------------------------------------------------------------------
-# serialization: CSV per cell plus a JSON header for the grid
-# ---------------------------------------------------------------------------
-
-def field_to_csv(phi, path):
-    """Write one row per cell: index coordinates, then the value."""
-    write_cells(path, phi.grid.dims, phi.values)
-
-
-def field_from_csv(grid, path):
-    """Read a field written by :func:`field_to_csv` onto the given grid."""
-    return Field(grid, read_cells(path, grid.dims))

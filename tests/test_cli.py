@@ -9,17 +9,20 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import TABLE_DEFECT_STAND_INS
+
 import chemoctrl
 from chemoctrl import energy, sim
 from chemoctrl.cli import build_parser, load_config, main
+from chemoctrl.cost import evaluate_J
+from chemoctrl.io import save_levels
 from chemoctrl.sim import trajectory_from_dir
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
-# defects every cell table rejects, through whichever loader reads it
-CELL_DEFECTS = ["missing row", "duplicate row", "negative index", "index out of range",
-                "non-integer index", "non-finite value", "infinite value",
-                "wrong header", "short row"]
+# level-stack defects with no counterpart among the CSV cell-table defects
+# that the ids of TABLE_DEFECT_STAND_INS name
+STACK_ONLY_DEFECTS = ["big-endian", "object", "fortran order"]
 
 # manifest defects a trajectory loader rejects; the first word names the field
 MANIFEST_DEFECTS = ["times reversed", "times repeated", "times nan", "times infinite",
@@ -83,11 +86,11 @@ class TestConfigErrors:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({
             "grid": {"dims": [8]},
-            "initial": {"u": {"csv": "missing_u0.csv"},
+            "initial": {"u": {"npy": "missing_u0.npy"},
                         "v": {"preset": "constant", "value": 1.0}},
         }))
         assert run(["simulate", str(cfg)]) == 2
-        assert "missing_u0.csv" in capsys.readouterr().err
+        assert "missing_u0.npy" in capsys.readouterr().err
 
     def test_bad_extension(self, tmp_path):
         cfg = tmp_path / "conf.yaml"
@@ -100,14 +103,13 @@ class TestConfigErrors:
         assert run(["sweep", str(cfg)]) == 2
 
     def test_desired_state_from_csv(self, tmp_path):
-        from chemoctrl import Field, Grid, field_to_csv
-        from chemoctrl.cli import load_config
+        from chemoctrl import Grid
         g = Grid.unit_box((8,))
-        field_to_csv(Field.full(g, 1.25), tmp_path / "vd.csv")
+        save_levels(tmp_path / "vd.npy", np.full(8, 1.25))
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "grid": {"dims": [8]},
-            "cost": {"M": 1.0, "desired_v": {"csv": "vd.csv"}},
+            "cost": {"M": 1.0, "desired_v": {"npy": "vd.npy"}},
         }))
         loaded = load_config(str(cfg))
         assert loaded.cost.v_d.at(0.7, g) == pytest.approx(1.25)
@@ -116,45 +118,68 @@ class TestConfigErrors:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "grid": {"dims": [8]},
-            "cost": {"M": 1.0, "desired_v": {"csv": "absent.csv"}},
+            "cost": {"M": 1.0, "desired_v": {"npy": "absent.npy"}},
             "optimizer": {"max_iters": 1},
         }))
         assert run(["optimize", str(cfg)]) == 2
-        assert "absent.csv" in capsys.readouterr().err
+        assert "absent.npy" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", CELL_DEFECTS + ["t_index out of range"])
-    def test_malformed_control_csv(self, tmp_path, capsys, corrupt_csv, kind):
-        from chemoctrl.io import write_levels
-        write_levels(tmp_path / "f.csv", (8,), np.full((3, 8), -0.5))
-        corrupt_csv(tmp_path / "f.csv", kind, 2)
+    # the names of the three malformed-input tests below are those of the CSV
+    # inputs they tested; they now read the config's .npy files
+    @pytest.mark.parametrize("kind", TABLE_DEFECT_STAND_INS + [
+        pytest.param("trailing byte", id="t_index out of range")] + STACK_ONLY_DEFECTS)
+    def test_malformed_control_csv(self, tmp_path, capsys, corrupt_npy, kind):
+        save_levels(tmp_path / "f.npy", np.full((3, 8), -0.5))
+        corrupt_npy(tmp_path / "f.npy", kind)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "grid": {"dims": [8]}, "model": {"t_final": 0.1},
-            "control": {"csv": "f.csv", "times": [0.0, 0.05, 0.1]},
+            "control": {"npy": "f.npy", "times": [0.0, 0.05, 0.1]},
         }))
         assert run(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 2
-        assert "f.csv" in capsys.readouterr().err
+        assert "f.npy" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_control_csv_that_is_a_directory(self, tmp_path, capsys):
-        (tmp_path / "f.csv").mkdir()
+        (tmp_path / "f.npy").mkdir()
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"grid": {"dims": [8]},
-                                   "control": {"csv": "f.csv"}}))
+                                   "control": {"npy": "f.npy"}}))
         assert run(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 2
-        assert "f.csv" in capsys.readouterr().err
+        assert "f.npy" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", CELL_DEFECTS)
-    def test_malformed_field_csv(self, tmp_path, capsys, corrupt_csv, kind):
-        from chemoctrl import Field, Grid, field_to_csv
-        field_to_csv(Field.full(Grid.unit_box((8,)), 0.5), tmp_path / "u0.csv")
-        corrupt_csv(tmp_path / "u0.csv", kind, 1)
+    @pytest.mark.parametrize("kind", TABLE_DEFECT_STAND_INS + ["trailing byte"]
+                             + STACK_ONLY_DEFECTS + ["negative"])
+    def test_malformed_field_csv(self, tmp_path, capsys, corrupt_npy, kind):
+        # a 2D grid, so that a transposed stack has the wrong shape
+        save_levels(tmp_path / "u0.npy", np.full((4, 3), 0.5))
+        corrupt_npy(tmp_path / "u0.npy", kind)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
-            "grid": {"dims": [8]}, "model": {"t_final": 0.1},
-            "initial": {"u": {"csv": "u0.csv"}},
+            "grid": {"dims": [4, 3]}, "model": {"t_final": 0.1},
+            "initial": {"u": {"npy": "u0.npy"}},
         }))
         assert run(["simulate", str(cfg), "--output", str(tmp_path / "o")]) == 2
-        assert "u0.csv" in capsys.readouterr().err
+        # a negative cell is refused like a negative preset, naming the cell
+        assert ("initial.u must be nonnegative, got -5e-324 at cell (3, 2)"
+                if kind == "negative" else "u0.npy") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, field", [
+        ({"initial": {"u": {"csv": "u0.csv"}}}, "initial.u.csv"),
+        ({"control": {"csv": "f.csv", "times": [0.0, 0.4]}}, "control.csv"),
+        ({"cost": {"desired_v": {"csv": "vd.csv"}}}, "cost.desired_v.csv"),
+    ])
+    def test_csv_input_key_is_refused(self, tmp_path, capsys, section, field):
+        # cell data is read from .npy files only; a section that still names
+        # a CSV file exits 2 and names the key, whether or not the file exists
+        for name in ("u0.csv", "f.csv", "vd.csv"):
+            (tmp_path / name).write_text("i0,value\r\n")
+        cfg = patched_config(tmp_path, "optimize_small.json", section)
+        out = tmp_path / "o"
+        assert run(["optimize", str(cfg), "--output", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     # a case's id carries its position in this list: add new cases at the end
     @pytest.mark.parametrize("command, flags, patch, field", [
@@ -251,6 +276,46 @@ class TestConfigErrors:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("times, code", [
+        ([0.0, 0.05], 2),
+        ([0.0, 0.4], 0),
+        # the horizon simulate allows: t_final less 1e-12 * max(1, t_final)
+        ([0.0, 0.4 - 5e-13], 0),
+        ([0.0, 0.4 - 2e-12], 2),
+    ])
+    def test_control_times_must_reach_the_horizon(self, tmp_path, capsys, times, code):
+        # optimize_small.json runs to model.t_final 0.4
+        save_levels(tmp_path / "f.npy", np.full((2, 16), 0.5))
+        cfg = patched_config(tmp_path, "optimize_small.json",
+                             {"control": {"npy": "f.npy", "times": times}})
+        out = tmp_path / "o"
+        assert run(["simulate", str(cfg), "--output", str(out)]) == code
+        if code == 2:
+            assert "control.times" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("basis, code", [
+        ([2, 2], 2), ([2, 2, 2, 2], 2), ([2, 3, 2], 0), (None, 0)])
+    def test_basis_has_one_entry_for_time_and_each_axis(self, tmp_path, capsys,
+                                                        basis, code):
+        # without a basis, each of the 8x6 grid's three lattice axes gets 2 nodes
+        with open(cfg_path("optimize_small.json")) as fh:
+            raw = json.load(fh)
+        raw["grid"] = {"dims": [8, 6], "control_box": [[0.0, 0.5], [0.0, 1.0]]}
+        raw["optimizer"]["max_iters"] = 2
+        del raw["optimizer"]["basis"]
+        if basis is not None:
+            raw["optimizer"]["basis"] = basis
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert run(["optimize", str(cfg), "--output", str(out)]) == code
+        if code == 2:
+            assert "optimizer.basis needs 3 entries" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert load_config(str(cfg)).optimizer.basis == tuple(basis or (2, 2, 2))
+
     def test_config_must_be_a_table(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text("[1, 2]")
@@ -265,15 +330,13 @@ class TestConfigErrors:
     ])
     def test_csv_section_takes_only_what_it_reads(self, tmp_path, capsys, builder,
                                                   section, extra, field):
-        # beside csv, only a control's times are read; any other key exits 2
-        from chemoctrl import Field, Grid, field_to_csv
-        from chemoctrl.io import write_levels
+        # beside npy, only a control's times are read; any other key exits 2
         if builder == "control":
-            write_levels(tmp_path / "t.csv", (8,), np.full((3, 8), 0.5))
-            entry = {"csv": "t.csv", "times": [0.0, 0.05, 0.1]}
+            save_levels(tmp_path / "t.npy", np.full((3, 8), 0.5))
+            entry = {"npy": "t.npy", "times": [0.0, 0.05, 0.1]}
         else:
-            field_to_csv(Field.full(Grid.unit_box((8,)), 0.5), tmp_path / "t.csv")
-            entry = {"csv": "t.csv"}
+            save_levels(tmp_path / "t.npy", np.full(8, 0.5))
+            entry = {"npy": "t.npy"}
         raw = {"grid": {"dims": [8]}, "model": {"t_final": 0.1}}
         table = raw
         for key in section[:-1]:
@@ -697,7 +760,7 @@ class TestOptimize:
             adm = json.load(fh)
         assert adm["in_ball"] is True
         assert adm["passed"] is True
-        assert os.path.exists(os.path.join(out, "best_control.csv"))
+        assert os.path.exists(os.path.join(out, "best_control.npy"))
 
     def test_best_control_is_not_simulated_again(self, tmp_path, count_calls):
         # the admissibility report and best_objective.json reuse the run that
@@ -717,6 +780,24 @@ class TestOptimize:
         with open(out / "best_objective.json") as fh:
             total = json.load(fh)["total"]
         assert repr(total) == accepted[-1]
+
+    def test_best_control_feeds_back_as_a_control(self, tmp_path):
+        # best_control.npy and best_control_times.json, given back as a
+        # config's control, rerun the best control's run bit for bit
+        opt = tmp_path / "opt"
+        assert run(["optimize", cfg_path("optimize_small.json"),
+                    "--output", str(opt)]) == 0
+        with open(opt / "best_control_times.json") as fh:
+            times = json.load(fh)["times"]
+        cfg = patched_config(tmp_path, "optimize_small.json", {
+            "control": {"npy": str(opt / "best_control.npy"), "times": times}})
+        out = tmp_path / "sim"
+        assert run(["simulate", str(cfg), "--output", str(out)]) == 0
+        loaded = load_config(str(cfg))
+        traj = trajectory_from_dir(out / "trajectory")
+        total = evaluate_J(traj, traj.control, loaded.cost, loaded.model.s).total
+        with open(opt / "best_objective.json") as fh:
+            assert total == json.load(fh)["total"]
 
     def test_infeasible_baseline_exit_code(self, tmp_path):
         # a concentration spike steep enough that even the uncontrolled run
@@ -742,7 +823,7 @@ class TestOptimize:
             assert run(["optimize", cfg_path("optimize_small.json"),
                         "--output", out]) == 0
             outs.append(out)
-        for name in ("trace.csv", "best_control.csv", "best_objective.json"):
+        for name in ("trace.csv", "best_control.npy", "best_objective.json"):
             with open(os.path.join(outs[0], name), "rb") as fh:
                 first = fh.read()
             with open(os.path.join(outs[1], name), "rb") as fh:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chemoctrl import Field, Grid, field_from_csv, field_to_csv, h1_seminorm, integrate
+from chemoctrl import Field, Grid, h1_seminorm, integrate
 from chemoctrl.grid import (
     _second_difference,
     cell_gradient_sq,
@@ -324,14 +324,6 @@ class TestDerivedQuantities:
 
 
 class TestSerialization:
-    def test_field_csv_roundtrip(self, tmp_path):
-        g = Grid.unit_box((5, 4))
-        phi = random_field(g, 7)
-        path = tmp_path / "field.csv"
-        field_to_csv(phi, path)
-        back = field_from_csv(g, path)
-        assert np.array_equal(back.values, phi.values)
-
     def test_grid_json_roundtrip(self, tmp_path):
         mask = np.zeros((6,), dtype=bool)
         mask[2:4] = True

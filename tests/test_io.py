@@ -1,5 +1,4 @@
 import ast
-import csv
 import math
 from pathlib import Path
 
@@ -9,39 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import TABLE_DEFECT_STAND_INS
+
 from chemoctrl import (
     Control,
-    Field,
     Grid,
     ModelParams,
     Trajectory,
-    field_to_csv,
     trajectory_from_dir,
     trajectory_to_dir,
 )
-from chemoctrl.io import CellTableError, LevelStackError, load_levels, read_cells, \
-    read_levels, save_levels, write_cells, write_json, write_levels
+from chemoctrl.io import LevelStackError, load_levels, save_levels, write_json
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chemoctrl"
-
-
-# the csv.writer row loops the codec replaced, kept as the byte-level reference
-def reference_cells(path, dims, values):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"i{k}" for k in range(len(dims))] + ["value"])
-        for idx in np.ndindex(*dims):
-            writer.writerow(list(idx) + [repr(float(values[idx]))])
-
-
-def reference_levels(path, dims, values):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_index"] + [f"i{k}" for k in range(len(dims))]
-                        + ["value"])
-        for ti in range(values.shape[0]):
-            for idx in np.ndindex(*dims):
-                writer.writerow([ti] + list(idx) + [repr(float(values[ti][idx]))])
 
 
 # zero, a subnormal, a huge value, an exact power of two and shortest-repr cases
@@ -76,20 +55,22 @@ class TestByteIdentity:
             np.save(ref, values)
             assert (out / f"{name}.npy").read_bytes() == ref.read_bytes()
 
+    # a field a config names is a stack of shape dims, with no level axis
     def test_field_file(self, tmp_path, dims):
-        phi = Field(Grid.unit_box(dims), special_values(dims, 3, sign=-1.0))
-        field_to_csv(phi, tmp_path / "field.csv")
-        reference_cells(tmp_path / "ref.csv", dims, phi.values)
-        assert (tmp_path / "field.csv").read_bytes() == \
-            (tmp_path / "ref.csv").read_bytes()
+        values = special_values(dims, 3, sign=-1.0)
+        save_levels(tmp_path / "field.npy", values)
+        np.save(tmp_path / "ref.npy", values)
+        assert (tmp_path / "field.npy").read_bytes() == \
+            (tmp_path / "ref.npy").read_bytes()
 
+    # the format of best_control.npy and of a control a config names
     def test_level_file(self, tmp_path, dims):
         values = special_values((4,) + dims, 6)
         values.reshape(-1)[1::2] *= -1.0  # controls may be negative
-        write_levels(tmp_path / "levels.csv", dims, values)
-        reference_levels(tmp_path / "ref.csv", dims, values)
-        assert (tmp_path / "levels.csv").read_bytes() == \
-            (tmp_path / "ref.csv").read_bytes()
+        save_levels(tmp_path / "levels.npy", values)
+        np.save(tmp_path / "ref.npy", values)
+        assert (tmp_path / "levels.npy").read_bytes() == \
+            (tmp_path / "ref.npy").read_bytes()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -103,62 +84,55 @@ def bits(a):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), dims=shapes)
 def test_roundtrip_is_bit_exact(tmp_path_factory, data, dims):
+    # a field stack and a level stack, negative values, zeros and
+    # subnormals included
     tmp = tmp_path_factory.mktemp("io")
     values = data.draw(arrays(np.float64, dims, elements=finite))
-    write_cells(tmp / "cells.csv", dims, values)
-    back = read_cells(tmp / "cells.csv", dims)
+    save_levels(tmp / "field.npy", values)
+    back = load_levels(tmp / "field.npy", dims)
     assert np.array_equal(bits(back), bits(values))
 
     n_levels = data.draw(st.integers(1, 3))
     levels = data.draw(arrays(np.float64, (n_levels,) + dims, elements=finite))
-    write_levels(tmp / "levels.csv", dims, levels)
-    back = read_levels(tmp / "levels.csv", dims, n_levels)
+    save_levels(tmp / "levels.npy", levels)
+    back = load_levels(tmp / "levels.npy", (n_levels,) + dims)
     assert np.array_equal(bits(back), bits(levels))
 
 
-def test_any_row_order_is_read(tmp_path):
-    dims = (3, 4)
-    vals = np.arange(12.0).reshape(dims)
-    path = tmp_path / "f.csv"
-    write_cells(path, dims, vals)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text(lines[0] + "".join(reversed(lines[1:])))
-    back = read_cells(path, dims)
-    assert np.array_equal(back, vals)
-
-
-# defects every cell table rejects; level tables also bound their t_index
-CELL_DEFECTS = ["missing row", "duplicate row", "negative index", "index out of range",
-                "non-integer index", "non-finite value", "infinite value",
-                "wrong header", "short row"]
-LEVEL_DEFECTS = CELL_DEFECTS + ["t_index out of range"]
-
-
-@pytest.mark.parametrize("kind", CELL_DEFECTS)
-def test_malformed_cell_table_rejected(tmp_path, corrupt_csv, kind):
+# each case id names the cell-table defect it planted when fields and controls
+# were CSV tables; it now plants the level-stack defect that stands in for it
+@pytest.mark.parametrize("kind", TABLE_DEFECT_STAND_INS)
+def test_malformed_cell_table_rejected(tmp_path, corrupt_npy, kind):
+    # a field stack: shape dims, as a config's initial field or desired state
     dims = (4, 3)
-    path = tmp_path / "cells.csv"
-    write_cells(path, dims, np.ones(dims))
-    corrupt_csv(path, kind, len(dims))
-    with pytest.raises(CellTableError, match="cells.csv"):
-        read_cells(path, dims)
+    path = tmp_path / "cells.npy"
+    save_levels(path, np.ones(dims))
+    corrupt_npy(path, kind)
+    with pytest.raises(LevelStackError, match="cells.npy"):
+        load_levels(path, dims)
 
 
-@pytest.mark.parametrize("kind", LEVEL_DEFECTS)
-def test_malformed_level_table_rejected(tmp_path, corrupt_csv, kind):
+@pytest.mark.parametrize("kind", TABLE_DEFECT_STAND_INS + [
+    pytest.param("trailing byte", id="t_index out of range")])
+def test_malformed_level_table_rejected(tmp_path, corrupt_npy, kind):
+    # a control stack on a 1D grid: three control times of five cells
     dims = (5,)
-    path = tmp_path / "levels.csv"
-    write_levels(path, dims, np.ones((3,) + dims))
-    corrupt_csv(path, kind, 1 + len(dims))
-    with pytest.raises(CellTableError, match="levels.csv"):
-        read_levels(path, dims, 3)
+    path = tmp_path / "levels.npy"
+    save_levels(path, np.ones((3,) + dims))
+    corrupt_npy(path, kind)
+    with pytest.raises(LevelStackError, match="levels.npy"):
+        load_levels(path, (3,) + dims)
 
 
 def test_header_only_table_reports_missing_rows(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("i0,value\r\n")
-    with pytest.raises(CellTableError, match="4 of 4 rows missing"):
-        read_cells(path, (4,))
+    # a valid header for four cells and no data: the size check names both
+    path = tmp_path / "empty.npy"
+    save_levels(path, np.ones(4))
+    header = path.stat().st_size - 4 * 8
+    path.write_bytes(path.read_bytes()[:header])
+    with pytest.raises(LevelStackError, match=f"empty.npy: {header} bytes, "
+                                              f"expected {header + 32}"):
+        load_levels(path, (4,))
 
 
 # defects every level stack rejects; "negative" only where values must be >= 0
