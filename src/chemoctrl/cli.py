@@ -22,8 +22,8 @@ from .energy import build_energy_report, energy_inequality_audit
 from .grid import Field, Grid
 from .io import load_levels, save_levels, write_csv, write_json
 from .model import ModelParams
-from .opt import InfeasibleBaselineError, OptimizerConfig, optimize, \
-    ordering_experiment
+from .opt import SHRINK, STEP0, InfeasibleBaselineError, OptimizerConfig, \
+    optimize, ordering_experiment
 from .presets import CONTROL_PRESETS, DESIRED_PRESETS, FIELD_PRESETS, \
     control_preset, desired_preset, field_preset
 from .sim import Control, PositivityError, StiffnessError, TrajectoryFormatError, \
@@ -71,7 +71,6 @@ class RunConfig:
     v0: Field
     control: Control | None
     dt_max: float
-    save_every: int
     cost: CostParams | None
     optimizer: OptimizerConfig | None
     beta: float
@@ -104,14 +103,18 @@ CONFIG_KEYS = {
     "grid": ("dims", "lengths", "control_box", "control_mask"),
     "model": ("s", "alpha", "m", "q", "t_final"),
     "initial": ("u", "v"),
-    "sim": ("dt_max", "save_every"),
+    "sim": ("dt_max",),
     "cost": ("gamma_u", "gamma_v", "gamma_f", "M", "desired_u", "desired_v"),
     # fd_epsilon, seed and n_starts are no longer read, but older configs
     # that set them still load
-    "optimizer": ("max_iters", "step0", "shrink", "basis", "stop_tol",
-                  "control_times", "fd_epsilon", "seed", "n_starts"),
+    "optimizer": ("max_iters", "basis", "stop_tol", "control_times",
+                  "fd_epsilon", "seed", "n_starts"),
     "energy": ("beta", "K"),
 }
+
+# keys whose settings are now constants, still accepted at their fixed value
+# only because the benchmark's generated configs name them (ROADMAP item 1)
+FIXED_KEYS = {"sim": {"save_every": 1}, "optimizer": {"step0": STEP0, "shrink": SHRINK}}
 
 
 def _require_table(section, what):
@@ -129,11 +132,15 @@ def _table(raw, name):
     """
     what = name or "the config"
     section = _require_table(raw if name == "" else raw.get(name, {}), what)
-    extra = sorted(set(section) - set(CONFIG_KEYS[name]))
+    fixed = FIXED_KEYS.get(name, {})
+    extra = sorted(set(section) - set(CONFIG_KEYS[name]) - set(fixed))
     if extra:
         key = f"{name}.{extra[0]}" if name else extra[0]
         raise ConfigError(f"unknown config key {key}; {what} takes "
                           f"{sorted(CONFIG_KEYS[name])}")
+    for key, value in fixed.items():
+        if key in section and _number(section[key], f"{name}.{key}") != value:
+            raise ConfigError(f"{name}.{key} is fixed at {value}, got {section[key]!r}")
     return section
 
 
@@ -282,9 +289,6 @@ def load_config(path):
             "dt_max", model.t_final / 50 if model.t_final > 0 else 1.0), "sim.dt_max")
         if not dt_max > 0:
             raise ConfigError(f"sim.dt_max must be positive, got {dt_max}")
-        save_every = _number(ssec.get("save_every", 1), "sim.save_every", integral=True)
-        if save_every < 1:
-            raise ConfigError(f"sim.save_every must be at least 1, got {save_every}")
 
         cost = None
         if raw.get("cost") is not None:
@@ -301,17 +305,16 @@ def load_config(path):
         optimizer = None
         if raw.get("optimizer") is not None:
             osec = _table(raw, "optimizer")
-            # node counts for time, then one per grid axis
-            basis = tuple(_number(b, "optimizer.basis", integral=True)
-                          for b in osec.get("basis", [2] * (grid.ndim + 1)))
-            if len(basis) != grid.ndim + 1:
-                raise ConfigError(f"optimizer.basis needs {grid.ndim + 1} entries "
-                                  f"(time, then one per grid axis), got {list(basis)}")
+            basis = None
+            if "basis" in osec:  # node counts for time, then one per grid axis
+                basis = tuple(_number(b, "optimizer.basis", integral=True)
+                              for b in osec["basis"])
+                if len(basis) != grid.ndim + 1:
+                    raise ConfigError(f"optimizer.basis needs {grid.ndim + 1} entries "
+                                      f"(time, then one per grid axis), got {list(basis)}")
             optimizer = OptimizerConfig(
                 max_iters=_number(osec.get("max_iters", 25), "optimizer.max_iters",
                                   integral=True),
-                step0=_number(osec.get("step0", 1.0), "optimizer.step0"),
-                shrink=_number(osec.get("shrink", 0.5), "optimizer.shrink"),
                 basis=basis,
                 stop_tol=_number(osec.get("stop_tol", 1e-6), "optimizer.stop_tol"),
                 control_times=_number(osec.get("control_times", 9),
@@ -328,8 +331,8 @@ def load_config(path):
     except (KeyError, TypeError, ValueError, OverflowError, OSError) as err:
         raise ConfigError(f"invalid config {path}: {err}") from err
     return RunConfig(grid=grid, model=model, u0=u0, v0=v0, control=control,
-                     dt_max=dt_max, save_every=save_every, cost=cost,
-                     optimizer=optimizer, beta=beta, K=K, m_sweep=m_sweep)
+                     dt_max=dt_max, cost=cost, optimizer=optimizer, beta=beta, K=K,
+                     m_sweep=m_sweep)
 
 
 def _positive_list(name, values):
@@ -348,11 +351,8 @@ def cmd_simulate(cfg, out_dir, compare=False):
     Both solves run before the output directory is made, so a run that fails
     writes nothing.
     """
-    traj = simulate(cfg.u0, cfg.v0, cfg.control, cfg.model, cfg.dt_max,
-                    save_every=cfg.save_every)
+    traj = simulate(cfg.u0, cfg.v0, cfg.control, cfg.model, cfg.dt_max)
     if compare:
-        # paired step by step; compared at the saved levels, whose times are
-        # exactly the comparison's times after the same accepted steps
         w_traj = solve_comparison(cfg.v0, cfg.control, cfg.model, cfg.dt_max,
                                   dt_history=traj.dt_history)
     os.makedirs(out_dir, exist_ok=True)
@@ -377,14 +377,13 @@ def cmd_simulate(cfg, out_dir, compare=False):
         "min_v": float(traj.v.min()),
     }
     if compare:
-        w_saved = w_traj.w[np.isin(w_traj.times, traj.times)]
-        violation = float((traj.v - w_saved).max())
+        violation = float((traj.v - w_traj.w).max())
         summary["comparison_max_violation"] = violation
         # the split scheme keeps v <= w exactly, with no round-off allowance
         summary["comparison_pass"] = bool(violation <= 0.0)
         write_csv(os.path.join(out_dir, "comparison_max_w.csv"), ["t", "max_w"],
                   zip(traj.times.tolist(),
-                      w_saved.reshape(traj.n_levels, -1).max(axis=1).tolist()))
+                      w_traj.w.reshape(traj.n_levels, -1).max(axis=1).tolist()))
     write_json(os.path.join(out_dir, "audit_summary.json"), summary)
 
     ok = summary["negative_u_cells"] == 0 and summary["negative_v_cells"] == 0 \

@@ -96,13 +96,11 @@ class EnergyReport:
         """
         return _max_rise(self._accumulator(beta)) - float(K)
 
-    def residual_pairs(self, beta, K, stride=1):
-        """Rows ``(t1, t2, residual)`` over every ``stride``-th level and the last."""
-        A = self._accumulator(beta)
-        n = self.times.size
-        idx = sorted(set(range(0, n, stride)) | {n - 1})
-        return [(float(self.times[i]), float(self.times[j]), float(A[j] - A[i] - K))
-                for a, i in enumerate(idx) for j in idx[a + 1:]]
+    def residual_pairs(self, beta, K):
+        """Rows ``(t1, t2, residual)`` over every pair of saved levels."""
+        A, t = self._accumulator(beta), self.times
+        return [(float(t[i]), float(t[j]), float(A[j] - A[i] - K))
+                for i in range(t.size) for j in range(i + 1, t.size)]
 
 
 @dataclass
@@ -219,20 +217,25 @@ def energy_inequality_audit(traj, params, beta, K):
     return build_energy_report(traj, params).worst_residual(beta, K)
 
 
-def audit_pairs(traj, params, beta, K, stride=1):
+def audit_pairs(traj, params, beta, K):
     """Per-pair residual rows ``(t1, t2, residual)`` for plotting."""
-    return build_energy_report(traj, params).residual_pairs(beta, K, stride)
+    return build_energy_report(traj, params).residual_pairs(beta, K)
 
 
-def fit_constants(trajs, params, beta_range=(1e-6, 1.0), zero_tol=1e-8,
-                  mono_tol=1e-8, bisection_steps=60):
+# the tolerances of :func:`fit_constants` and the steps of its beta bisection
+ZERO_TOL = 1e-8
+MONO_TOL = 1e-8
+BISECTION_STEPS = 60
+
+
+def fit_constants(trajs, params, beta_range=(1e-6, 1.0)):
     """Fit the audit constants over a family of runs.
 
     Searches for the largest ``beta`` in ``beta_range`` such that every
     uncontrolled run in the family is purely dissipative (its minimal K stays
-    below ``zero_tol``), then reports the minimal admissible K of every run
+    below ``ZERO_TOL``), then reports the minimal admissible K of every run
     at that ``beta``.  The resulting K curve against the control norm must be
-    nondecreasing within ``mono_tol``; a violation, or an infeasible lower
+    nondecreasing within ``MONO_TOL``; a violation, or an infeasible lower
     end of the beta range, raises :class:`AuditInfeasibleError`.
 
     Parameters
@@ -263,7 +266,7 @@ def fit_constants(trajs, params, beta_range=(1e-6, 1.0), zero_tol=1e-8,
     def passes(beta):
         if zero_idx.size == 0:
             return True
-        return bool(np.all(K_all(beta)[zero_idx] <= zero_tol))
+        return bool(np.all(K_all(beta)[zero_idx] <= ZERO_TOL))
 
     lo, hi = beta_range
     if passes(hi):
@@ -272,7 +275,7 @@ def fit_constants(trajs, params, beta_range=(1e-6, 1.0), zero_tol=1e-8,
         raise AuditInfeasibleError(
             f"uncontrolled runs fail the dissipation audit even at beta={lo}")
     else:
-        for _ in range(bisection_steps):
+        for _ in range(BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             if passes(mid):
                 lo = mid
@@ -285,7 +288,7 @@ def fit_constants(trajs, params, beta_range=(1e-6, 1.0), zero_tol=1e-8,
     norms_sorted = norms[order]
     K_sorted = K[order]
     drops = K_sorted[:-1] - K_sorted[1:]
-    if drops.size and float(drops.max()) > mono_tol:
+    if drops.size and float(drops.max()) > MONO_TOL:
         k = int(np.argmax(drops))
         raise AuditInfeasibleError(
             f"fitted K is not nondecreasing: K({norms_sorted[k]:.4g})="

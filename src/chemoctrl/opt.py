@@ -48,7 +48,11 @@ class InfeasibleBaselineError(RuntimeError):
     """Even the zero control fails to produce a finite objective."""
 
 
-# halvings of the trial step per descent iteration before descent stops
+# the line search: the first steepest-descent trial step, in coefficient
+# units, the factor each rejected trial step is multiplied by, and the
+# rejections per descent iteration before descent stops
+STEP0 = 1.0
+SHRINK = 0.5
 MAX_BACKTRACKS = 25
 
 # curvature pairs (s, y) the quasi-Newton direction is built from
@@ -64,30 +68,22 @@ CURVATURE_TOL = 1e-10
 class OptimizerConfig:
     """Descent and parameterization knobs.
 
-    ``basis`` gives the coarse lattice dims as (time, axis0[, axis1...]);
-    ``control_times`` is the fine time-lattice size the coefficients are
-    prolonged to.  ``step0`` is the first steepest-descent trial step in
-    coefficient units, ``shrink`` the backtracking factor of every trial
-    (quasi-Newton trials start at a unit multiple of their direction), and
-    descent stops after ``max_iters`` iterations or a relative drop below
-    ``stop_tol``.
+    ``basis`` gives the coarse lattice dims as (time, axis0[, axis1...]), 2
+    nodes each when None; ``control_times`` is the fine time-lattice size the
+    coefficients are prolonged to.  Descent stops after ``max_iters``
+    iterations or a relative drop below ``stop_tol``.
     """
 
     max_iters: int = 25
-    step0: float = 1.0
-    shrink: float = 0.5
-    basis: tuple = (2, 2)
+    basis: tuple | None = None
     stop_tol: float = 1e-6
     control_times: int = 9
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink must lie strictly between 0 and 1")
-        if self.step0 <= 0:
-            raise ValueError("step0 must be positive")
-        if len(self.basis) < 2 or any(b < 1 for b in self.basis):
+        if self.basis is not None and (len(self.basis) < 2
+                                       or any(b < 1 for b in self.basis)):
             raise ValueError("basis needs >= 1 node per dimension, (time, space...)")
         if self.control_times < 2:
             raise ValueError("control_times must be at least 2")
@@ -177,10 +173,13 @@ class OptimizeContext:
 
 
 def make_context(config, cost_params, model_params, u0, v0, dt_max):
+    basis = tuple(config.basis or (2,) * (u0.grid.ndim + 1))  # time, then each axis
+    if len(basis) != u0.grid.ndim + 1:
+        raise ValueError(f"basis needs {u0.grid.ndim + 1} entries, got {basis}")
     times = np.linspace(0.0, model_params.t_final, config.control_times)
     return OptimizeContext(grid=u0.grid, model_params=model_params,
                            cost_params=cost_params, u0=u0, v0=v0, dt_max=dt_max,
-                           basis=tuple(config.basis), control_times=times)
+                           basis=basis, control_times=times)
 
 
 def _interp_axis(arr, axis, frac):
@@ -394,10 +393,10 @@ def optimize(config, cost_params, model_params, u0, v0, dt_max,
     taken.  It then moves against the L-BFGS direction, trying a unit
     multiple first.  The first iteration, and any whose L-BFGS direction does
     not descend, moves against the sup-normalized gradient by ``step``, in
-    coefficient units; such a move accepted without backtracking grows the
-    next ``step`` by ``1/shrink``, otherwise ``step`` keeps the accepted
-    length.  A rejected trial shrinks by ``shrink``, up to
-    :data:`MAX_BACKTRACKS` times.  Only strict decreases are accepted, so
+    coefficient units, first :data:`STEP0`; such a move accepted without
+    backtracking grows the next ``step`` by ``1/SHRINK``, otherwise ``step``
+    keeps the accepted length.  A rejected trial is scaled by :data:`SHRINK`,
+    up to :data:`MAX_BACKTRACKS` times.  Only strict decreases are accepted, so
     every point the gradient is taken at is feasible and its run is at hand.
     The trace's ``step_length`` is the sup-norm of each candidate's move.
     Returns the best control found and the trace, which holds the best point
@@ -405,6 +404,8 @@ def optimize(config, cost_params, model_params, u0, v0, dt_max,
 
     Raises
     ------
+    ValueError
+        If ``config.basis`` does not have ``grid.ndim + 1`` entries.
     InfeasibleBaselineError
         If the zero-control run itself fails.
     """
@@ -436,7 +437,7 @@ def _descend(config, ctx, zero, initial_coeffs):
             cur = warm_start
     trace.append(cur.row(0, 0.0, True, q))
 
-    step = config.step0
+    step = STEP0
     pairs = deque(maxlen=LBFGS_MEMORY)
     prev = None
     for it in range(1, config.max_iters + 1):
@@ -453,14 +454,14 @@ def _descend(config, ctx, zero, initial_coeffs):
             if cand.J < cur.J:
                 break
             trace.append(cand.row(it, t * d_max, False, q))
-            t *= config.shrink
+            t *= SHRINK
         else:
             break
         rel_drop = (cur.J - cand.J) / max(cur.J, 1e-300)
         cur = cand
         trace.append(cur.row(it, t * d_max, True, q))
         if not newton:
-            step = t if backtracks else t / config.shrink
+            step = t if backtracks else t / SHRINK
         if rel_drop < config.stop_tol:
             break
 

@@ -40,7 +40,6 @@ import datetime
 import json
 import math
 import os
-import re
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -504,8 +503,8 @@ def _adaptive_steps(advance, state, t_final, dt_max, events):
             clean = 0
 
 
-def simulate(u0, v0, control, params, dt_max, save_every=1):
-    """Integrate the controlled system from ``(u0, v0)`` up to the horizon.
+def simulate(u0, v0, control, params, dt_max):
+    """Integrate the controlled system up to the horizon, saving every step.
 
     The inputs are checked once, on entry: a ``GridMismatchError`` unless
     ``u0``, ``v0`` and the control share one grid, a ``ValueError`` naming the
@@ -521,9 +520,6 @@ def simulate(u0, v0, control, params, dt_max, save_every=1):
     params : ModelParams
     dt_max : float
         Upper bound for the adaptive step.
-    save_every : int
-        Keep every k-th accepted state (the initial and final states are
-        always kept).
 
     Returns
     -------
@@ -531,8 +527,6 @@ def simulate(u0, v0, control, params, dt_max, save_every=1):
     """
     if not (dt_max > 0 and np.isfinite(dt_max)):
         raise ValueError(f"dt_max must be positive, got {dt_max}")
-    if save_every < 1:
-        raise ValueError("save_every must be at least 1")
     grid = u0.grid
     if not grid.compatible_with(v0.grid):
         raise GridMismatchError("u0 and v0 live on different grids")
@@ -556,18 +550,13 @@ def simulate(u0, v0, control, params, dt_max, save_every=1):
     dts = []
     masses = [integrate(grid, u0.values)]
     events = []
-    since_save = 0
-    t_end = params.t_final - 1e-14 * max(params.t_final, 1.0)
     for t, dt_step, (u, v) in _adaptive_steps(advance, (u0.values, v0.values),
                                               params.t_final, dt_max, events):
+        times.append(t)
+        us.append(u)
+        vs.append(v)
         dts.append(dt_step)
         masses.append(integrate(grid, u))
-        since_save += 1
-        if since_save >= save_every or t >= t_end:
-            times.append(t)
-            us.append(u)
-            vs.append(v)
-            since_save = 0
 
     return Trajectory(
         grid=grid, params=params,
@@ -578,7 +567,7 @@ def simulate(u0, v0, control, params, dt_max, save_every=1):
 
 
 def simulate_adjoint(traj, u_bar, v_bar):
-    """Reverse pass of :func:`simulate` over one run saved at every step.
+    """Reverse pass of :func:`simulate` over one of its controlled runs.
 
     ``u_bar`` and ``v_bar`` hold the derivatives of an objective with respect
     to the saved levels (shaped like ``traj.u`` and ``traj.v``).  Returns its
@@ -592,7 +581,8 @@ def simulate_adjoint(traj, u_bar, v_bar):
     product of the commuting axis factors ``I - dt*L_k``, is symmetric, so
     each transposed diffusion reuses the cached forward solve; the reaction
     divisor ``d = 1 + dt*r`` is transposed cell by cell.  That is two solves
-    per step, one for each diffusion.
+    per step, one for each diffusion.  A trajectory that an older version
+    saved at fewer levels than steps is refused.
     """
     grid, params, control = traj.grid, traj.params, traj.control
     dts = traj.dt_history
@@ -661,9 +651,9 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     larger than the concentration's, and division and the products with
     the nonnegative axis inverses are all monotone.  Pass the run's accepted
     step sizes ``dt_history`` (the solver then advances ``t += dt`` exactly
-    as the run did, and returns every step), or its saved levels ``times``
-    when it saved every step.  Without either, the solver runs its own
-    adaptive stepping and records its step rejections in ``events``.
+    as the run did, and returns every step), or the ``times`` of its saved
+    levels.  Without either, the solver runs its own adaptive stepping and
+    records its step rejections in ``events``.
 
     Returns
     -------
@@ -785,26 +775,17 @@ def _valid_event(event):
         and isinstance(event["reason"], str) and _finite(event["admissible_dt"])
 
 
-# the per-level files of a CSV trajectory, the format before .npy level stacks
-_CSV_TRAJECTORY_FILE = re.compile(r"state_\d{5,}\.csv|control\.csv")
-
-
 def trajectory_to_dir(traj, outdir):
     """Write ``u.npy``, ``v.npy`` and ``control.npy`` plus ``manifest.json``.
 
     Each ``.npy`` is a level stack (:func:`chemoctrl.io.save_levels`); the
-    control stack is written only when the run has a control.  Files that an
-    earlier trajectory left in ``outdir`` and this one does not overwrite are
-    removed: ``control.npy`` when this run has no control, and the
-    ``state_#####.csv`` and ``control.csv`` of a CSV trajectory.  No other
-    file is touched.
+    control stack is written only when the run has a control, and a
+    ``control.npy`` that an earlier trajectory left in ``outdir`` is removed
+    when it has none.  No other file is touched.
     """
     os.makedirs(outdir, exist_ok=True)
-    stale = [name for name in os.listdir(outdir)
-             if _CSV_TRAJECTORY_FILE.fullmatch(name)
-             or (name == "control.npy" and traj.control is None)]
-    for name in stale:
-        os.remove(os.path.join(outdir, name))
+    if traj.control is None and "control.npy" in os.listdir(outdir):
+        os.remove(os.path.join(outdir, "control.npy"))
     save_levels(os.path.join(outdir, "u.npy"), traj.u)
     save_levels(os.path.join(outdir, "v.npy"), traj.v)
     control_times = None
@@ -832,10 +813,6 @@ def trajectory_from_dir(path):
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        if "state_files" in manifest:
-            raise TrajectoryFormatError(
-                f"{manifest_path}: lists state_files, a CSV trajectory; CSV "
-                "trajectories are no longer read, only .npy level stacks")
         grid = Grid.from_header(manifest["grid"])
         pd = manifest["params"]
         params = ModelParams(s=pd["s"], alpha=pd["alpha"], m=pd["m"], q=pd["q"],

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,12 +15,14 @@ from conftest import TABLE_DEFECT_STAND_INS
 
 import chemoctrl
 from chemoctrl import energy, sim
-from chemoctrl.cli import build_parser, load_config, main
-from chemoctrl.cost import evaluate_J
+from chemoctrl.cli import FIXED_KEYS, build_parser, load_config, main
+from chemoctrl.cost import DesiredState, evaluate_J
 from chemoctrl.io import save_levels
+from chemoctrl.opt import make_context
 from chemoctrl.sim import trajectory_from_dir
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 # level-stack defects with no counterpart among the CSV cell-table defects
 # that the ids of TABLE_DEFECT_STAND_INS name
@@ -76,6 +80,21 @@ def patched_config(tmp_path, name, patch):
 
 def run(args):
     return main(args)
+
+
+def config_values(cfg):
+    """A loaded config as nested plain values, for comparing two loads:
+    dataclasses by field, arrays as lists, and a desired state by its values
+    on the grid at the start and the end of the horizon."""
+    def plain(x):
+        if isinstance(x, DesiredState):
+            return [x.at(t, cfg.grid).tolist() for t in (0.0, cfg.model.t_final)]
+        if dataclasses.is_dataclass(x):
+            return {f.name: plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+        if isinstance(x, np.ndarray):
+            return x.tolist()
+        return x
+    return plain(cfg)
 
 
 class TestConfigErrors:
@@ -264,6 +283,11 @@ class TestConfigErrors:
         ("optimize", [], {"initial": {"v": {"preset": "random", "low": -0.5,
                                             "high": 1.0, "seed": 3}}},
          "initial.v must be nonnegative"),
+        # a retired key still loads at its fixed value, and only there
+        ("simulate", [], {"sim": {"save_every": 3}}, "sim.save_every is fixed at 1,"),
+        ("optimize", [], {"optimizer": {"step0": 2.0}}, "optimizer.step0 is fixed at 1.0,"),
+        ("optimize", [], {"optimizer": {"shrink": 0.25}},
+         "optimizer.shrink is fixed at 0.5,"),
     ])
     def test_bad_numeric_input_is_config_error(self, decay_dir, tmp_path, capsys,
                                                command, flags, patch, field):
@@ -314,7 +338,34 @@ class TestConfigErrors:
             assert "optimizer.basis needs 3 entries" in capsys.readouterr().err
             assert not out.exists()
         else:
-            assert load_config(str(cfg)).optimizer.basis == tuple(basis or (2, 2, 2))
+            loaded = load_config(str(cfg))
+            assert loaded.optimizer.basis == (basis and tuple(basis))
+            ctx = make_context(loaded.optimizer, loaded.cost, loaded.model, loaded.u0,
+                               loaded.v0, loaded.dt_max)
+            assert ctx.basis == tuple(basis or (2, 2, 2))
+
+    def test_fixed_keys_at_their_value_load_as_without_them(self, tmp_path):
+        named = patched_config(tmp_path, "optimize_small.json", {
+            "sim": {"save_every": 1}, "optimizer": {"step0": 1.0, "shrink": 0.5}})
+        with open(named) as fh:
+            raw = json.load(fh)
+        assert all(key in raw[table] for table in FIXED_KEYS for key in FIXED_KEYS[table])
+        assert config_values(load_config(str(named))) == \
+            config_values(load_config(cfg_path("optimize_small.json")))
+
+    def test_readme_config_sketch_loads(self, tmp_path):
+        # the sketch is JSON once its // comments are stripped; it names no
+        # key that is fixed now or that is still read only to be ignored
+        with open(README) as fh:
+            sketch = re.search(r"### Config sketch\n\n```jsonc\n(.*?)```", fh.read(),
+                               re.S).group(1)
+        raw = json.loads(re.sub(r"//.*", "", sketch))
+        cfg = tmp_path / "sketch.json"
+        cfg.write_text(json.dumps(raw))
+        assert load_config(str(cfg)).optimizer is not None
+        for table, keys in FIXED_KEYS.items():
+            assert not set(raw[table]) & set(keys)
+        assert not set(raw["optimizer"]) & {"fd_epsilon", "seed", "n_starts"}
 
     def test_config_must_be_a_table(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -477,27 +528,6 @@ class TestSimulate:
                     "--output", out]) == 0
         with open(os.path.join(out, "audit_summary.json")) as fh:
             assert json.load(fh)["comparison_max_violation"] <= 0.0
-
-    def test_compare_pairs_steps_when_saving_sparsely(self, tmp_path):
-        # saved levels three steps apart: the comparison still pairs with the
-        # accepted steps, so domination holds at every saved level
-        cfg = tmp_path / "cmp.json"
-        cfg.write_text(json.dumps({
-            "grid": {"dims": [32, 32], "control_box": [[0.25, 0.75]] * 2},
-            "model": {"s": 1.0, "t_final": 0.1},
-            "initial": {"u": {"preset": "gaussian", "amplitude": 2.0, "width": 0.15},
-                        "v": {"preset": "random", "seed": 7, "low": 0.9,
-                              "high": 1.1}},
-            "control": {"preset": "random", "seed": 11, "amplitude": 1.0,
-                        "times": 5},
-            "sim": {"dt_max": 0.01, "save_every": 3},
-        }))
-        out = str(tmp_path / "cmp")
-        assert run(["compare", str(cfg), "--output", out]) == 0
-        with open(os.path.join(out, "audit_summary.json")) as fh:
-            summary = json.load(fh)
-        assert summary["levels"] < summary["steps"]
-        assert summary["comparison_max_violation"] <= 0.0
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_stiff_run_is_infeasible(self, tmp_path, capsys, command):
@@ -695,8 +725,12 @@ class TestEnergyAudit:
         assert trajectory_from_dir(broken).events == content["events"]
 
     def test_csv_trajectory_is_data_error(self, decay_dir, tmp_path, capsys):
+        # a CSV trajectory, the format before .npy level stacks, lists its
+        # state files in the manifest and holds no u.npy
         broken = tmp_path / "trajectory"
         shutil.copytree(decay_dir, broken)
+        for stack in broken.glob("*.npy"):
+            stack.unlink()
         manifest = broken / "manifest.json"
         content = json.loads(manifest.read_text())
         content["state_files"] = [f"state_{i:05d}.csv"
@@ -705,7 +739,7 @@ class TestEnergyAudit:
         code = run(["energy-audit", cfg_path("simulate_decay.toml"),
                     "--trajectory", str(broken), "--output", str(tmp_path / "a")])
         assert code == 3
-        assert "CSV trajectories are no longer read" in capsys.readouterr().err
+        assert "u.npy" in capsys.readouterr().err
 
     # each case id names the CSV file and defect it planted when levels were
     # CSV rows; it now plants the level-stack defect that stands in for it

@@ -134,7 +134,7 @@ class TestEnergyAudit:
 
     def test_audit_pairs_match_worst(self, grid, decay_run):
         p, traj = decay_run
-        rows = audit_pairs(traj, p, 1e-3, 0.0, stride=5)
+        rows = audit_pairs(traj, p, 1e-3, 0.0)
         worst = energy_inequality_audit(traj, p, 1e-3, 0.0)
         assert max(r[2] for r in rows) <= worst + 1e-15
 

@@ -70,7 +70,7 @@ def context(grid, model_params):
 
 class TestConfig:
     @pytest.mark.parametrize("kw", [
-        dict(max_iters=0), dict(shrink=1.0), dict(step0=0.0),
+        dict(max_iters=0), dict(basis=(2, 0)), dict(basis=()),
         dict(basis=(2,)), dict(control_times=1),
     ])
     def test_validation(self, kw):
@@ -79,7 +79,7 @@ class TestConfig:
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(OptimizerConfig)] == \
-            ["max_iters", "step0", "shrink", "basis", "stop_tol", "control_times"]
+            ["max_iters", "basis", "stop_tol", "control_times"]
 
     def test_removed_keys_are_ignored(self, tmp_path):
         with open(BUNDLED) as fh:
@@ -203,8 +203,7 @@ class TestOptimize:
         cp = CostParams(gamma_u=1.0, gamma_v=1.0, gamma_f=1.0, q=3.0,
                         u_d=DesiredState.constant(0.0),
                         v_d=DesiredState.constant(1.0), M=2.0)
-        cfg = OptimizerConfig(max_iters=3, basis=(2, 2), control_times=5,
-                              step0=0.5)
+        cfg = OptimizerConfig(max_iters=3, basis=(2, 2), control_times=5)
         ctrl, trace = optimize(cfg, cp, p, Field.zeros(grid), Field.full(grid, 1.0),
                                dt_max=0.05)
         assert trace.best_J == pytest.approx(0.0, abs=1e-12)
@@ -214,8 +213,7 @@ class TestOptimize:
                                                  count_calls):
         # the benchmark names the optimizer's simulations by this attribute
         calls = count_calls(sim.simulate)
-        cfg = OptimizerConfig(max_iters=2, basis=(2, 2), control_times=5,
-                              step0=1.0)
+        cfg = OptimizerConfig(max_iters=2, basis=(2, 2), control_times=5)
         optimize(cfg, cost_params(), model_params, Field.zeros(grid),
                  Field.full(grid, 1.0), dt_max=0.05)
         assert calls["opt.simulate"] > 0
@@ -223,7 +221,7 @@ class TestOptimize:
 
     def test_improves_and_respects_ball(self, grid, model_params):
         cfg = OptimizerConfig(max_iters=8, basis=(2, 2), control_times=9,
-                              step0=1.0, stop_tol=1e-8)
+                              stop_tol=1e-8)
         cp = cost_params(M=3.0)
         ctrl, trace = optimize(cfg, cp, model_params, Field.zeros(grid),
                                Field.full(grid, 1.0), dt_max=0.05)
@@ -234,6 +232,17 @@ class TestOptimize:
         for row in trace.rows:
             assert row.control_norm <= cp.M + 1e-12
         assert ctrl.lq_norm(cp.q) <= cp.M + 1e-12
+
+    def test_default_basis_fits_the_grid(self, model_params):
+        # without a basis, time and each of the two grid axes get 2 nodes; a
+        # basis of the wrong length is refused before any run
+        g = Grid.unit_box((8, 6))
+        g = g.with_mask(g.box_mask([(0.0, 0.5), (0.0, 1.0)]))
+        args = (cost_params(), model_params, Field.zeros(g), Field.full(g, 1.0), 0.05)
+        ctrl, trace = optimize(OptimizerConfig(max_iters=1), *args)
+        assert trace.best.coeffs.size == 8 and ctrl.values.shape == (9, 8, 6)
+        with pytest.raises(ValueError, match="basis needs 3 entries"):
+            optimize(OptimizerConfig(max_iters=1, basis=(2, 2)), *args)
 
     def test_descent_with_active_density_term(self, grid, model_params):
         # nonzero cells make the density misfit participate in the objective

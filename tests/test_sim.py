@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -340,13 +342,11 @@ class TestSimulate:
             simulate(Field.zeros(grid), Field.full(grid, 1.0), huge,
                      params(t_final=1.0), 0.1)
 
-    @pytest.mark.parametrize("save_every", [1, 3])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_level_blocks_stack_the_saved_states(self, monkeypatch, grid, save_every,
-                                                 offset):
+    def test_level_blocks_stack_the_saved_states(self, monkeypatch, grid, offset):
         # level counts one below, at and one above a block boundary
         n_levels = sim._BLOCK_LEVELS + offset
-        n_steps = (n_levels - 1) * save_every
+        n_steps = n_levels - 1
         dt = 1.0 / 64  # exact in binary, so the steps land on the horizon
         accepted = []
         real_step = sim.step
@@ -359,21 +359,12 @@ class TestSimulate:
         monkeypatch.setattr(sim, "step", recording_step)
         u0 = field_preset(grid, "gaussian", amplitude=1.0, base=0.5, width=0.2)
         v0 = field_preset(grid, "cosine", base=1.0, amplitude=0.2)
-        traj = simulate(u0, v0, None, params(t_final=n_steps * dt), dt,
-                        save_every=save_every)
+        traj = simulate(u0, v0, None, params(t_final=n_steps * dt), dt)
         assert len(accepted) == n_steps and traj.n_levels == n_levels
-        saved = accepted[save_every - 1::save_every]
-        times = np.cumsum([dt for _, dt in accepted])[save_every - 1::save_every]
-        assert np.array_equal(traj.u, np.stack([u0.values] + [x[0] for x, _ in saved]))
-        assert np.array_equal(traj.v, np.stack([v0.values] + [x[1] for x, _ in saved]))
+        times = np.cumsum([dt for _, dt in accepted])
+        assert np.array_equal(traj.u, np.stack([u0.values] + [x[0] for x, _ in accepted]))
+        assert np.array_equal(traj.v, np.stack([v0.values] + [x[1] for x, _ in accepted]))
         assert np.array_equal(traj.times, np.concatenate(([0.0], times)))
-
-    def test_save_every(self, grid):
-        p = params(t_final=0.1)
-        traj = simulate(Field.zeros(grid), Field.full(grid, 1.0), None, p, 0.01,
-                        save_every=5)
-        assert traj.n_levels == 3  # t = 0, 0.05, 0.1
-        assert traj.dt_history.size == 10
 
     def test_m_stabilization(self, grid):
         # truncation never activates when the density stays below the level
@@ -441,8 +432,11 @@ class TestSimulateAdjoint:
         p = params(t_final=0.1)
         u0, v0 = Field.full(grid, 0.5), Field.full(grid, 1.0)
         ctrl = Control.constant(grid, 0.3, 0.1)
-        for traj in (simulate(u0, v0, None, p, 0.01),
-                     simulate(u0, v0, ctrl, p, 0.01, save_every=3)):
+        full = simulate(u0, v0, ctrl, p, 0.01)
+        # a trajectory saved every third step, as an older version wrote it
+        sparse = dataclasses.replace(full, times=full.times[::3], u=full.u[::3],
+                                     v=full.v[::3])
+        for traj in (simulate(u0, v0, None, p, 0.01), sparse):
             with pytest.raises(ValueError, match="saved at every step"):
                 sim.simulate_adjoint(traj, np.zeros_like(traj.u),
                                      np.zeros_like(traj.v))
@@ -566,17 +560,16 @@ class TestTrajectoryIO:
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "u.npy", "v.npy"]
         assert trajectory_from_dir(out).control is None
 
-    def test_csv_trajectory_files_removed_others_kept(self, tmp_path, grid):
+    def test_files_it_does_not_write_are_kept(self, tmp_path, grid):
         out = tmp_path / "traj"
         out.mkdir()
-        for name in ("state_00000.csv", "state_00012.csv", "control.csv", "notes.txt",
-                     "state_1.csv"):
+        for name in ("notes.txt", "w.npy"):
             (out / name).write_text("old\n")
         traj = simulate(Field.full(grid, 0.5), Field.full(grid, 1.0), None,
                         params(t_final=0.1), 0.02)
         trajectory_to_dir(traj, out)
         assert sorted(p.name for p in out.iterdir()) == \
-            ["manifest.json", "notes.txt", "state_1.csv", "u.npy", "v.npy"]
+            ["manifest.json", "notes.txt", "u.npy", "v.npy", "w.npy"]
         assert (out / "notes.txt").read_text() == "old\n"
 
     def test_negative_control_accepted(self, tmp_path, grid, corrupt_npy):
@@ -762,11 +755,10 @@ grids = st.one_of(
 class TestSplittingProperties:
     @given(grid=grids, dt_max=st.floats(2e-3, 0.02),
            f_frac=st.floats(0.05, 1.5), slope=st.floats(0.0, 40.0),
-           s=st.sampled_from([1.0, 2.0]), save_every=st.integers(1, 3),
-           seed=st.integers(0, 2**32 - 1))
+           s=st.sampled_from([1.0, 2.0]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_paired_runs_keep_the_guarantees(self, grid, dt_max, f_frac, slope, s,
-                                             save_every, seed):
+                                             seed):
         # controls up to 1.5/dt_max press the dt*max f+ < 1 bound and steep
         # concentration ramps press the chemotaxis CFL bound; both get halved
         p = params(s=s, t_final=5 * dt_max)
@@ -776,7 +768,7 @@ class TestSplittingProperties:
         x = grid.axis_centers(0).reshape((-1,) + (1,) * (grid.ndim - 1))
         u0 = Field(grid, rng.uniform(0.0, 2.0, grid.dims))
         v0 = Field(grid, np.broadcast_to(0.5 + slope * x, grid.dims).copy())
-        traj = simulate(u0, v0, ctrl, p, dt_max, save_every=save_every)
+        traj = simulate(u0, v0, ctrl, p, dt_max)
         assert traj.u.min() >= 0.0 and traj.v.min() >= 0.0
         mass = traj.mass_trace
         assert np.abs(np.diff(mass)).max() <= 1e-12 * mass[0]
@@ -784,7 +776,7 @@ class TestSplittingProperties:
         assert w.w.min() >= 0.0
         # exact, not within round-off: division and the nonnegative solve are
         # monotone, and each comparison divisor is at most the concentration's
-        assert (traj.v - w.w[np.isin(w.times, traj.times)]).max() <= 0.0
+        assert (traj.v - w.w).max() <= 0.0
 
     @given(grid=grids, dt_max=st.floats(2e-3, 0.02), f_frac=st.floats(0.05, 0.99),
            u_max=st.floats(0.0, 40.0), s=st.sampled_from([1.0, 2.0, 3.0]),
