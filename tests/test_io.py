@@ -39,6 +39,7 @@ def special_values(shape, seed, sign=1.0):
 class TestByteIdentity:
     def test_trajectory_files(self, tmp_path, dims):
         grid = Grid.unit_box(dims)
+        grid = grid.with_mask(special_values(dims, 4) > 1e-3)
         times = np.array([0.0, 0.05, 0.1])
         ctrl_vals = special_values((4,) + dims, 2)
         ctrl_vals.reshape(-1)[1::2] *= -1.0  # controls may be negative
@@ -49,8 +50,9 @@ class TestByteIdentity:
         out = tmp_path / "traj"
         trajectory_to_dir(traj, out)
         assert sorted(p.name for p in out.iterdir()) == \
-            ["control.npy", "manifest.json", "u.npy", "v.npy"]
-        for name, values in (("u", traj.u), ("v", traj.v), ("control", control.values)):
+            ["control.npy", "control_mask.npy", "manifest.json", "u.npy", "v.npy"]
+        for name, values in (("u", traj.u), ("v", traj.v), ("control", control.values),
+                             ("control_mask", grid.control_mask.astype(float))):
             ref = tmp_path / f"ref_{name}.npy"
             np.save(ref, values)
             assert (out / f"{name}.npy").read_bytes() == ref.read_bytes()

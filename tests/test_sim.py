@@ -557,7 +557,8 @@ class TestTrajectoryIO:
             traj = simulate(Field.full(grid, 0.5), Field.full(grid, 1.0), control,
                             params(t_final=0.1), 0.02)
             trajectory_to_dir(traj, out)
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "u.npy", "v.npy"]
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["control_mask.npy", "manifest.json", "u.npy", "v.npy"]
         assert trajectory_from_dir(out).control is None
 
     def test_files_it_does_not_write_are_kept(self, tmp_path, grid):
@@ -569,8 +570,26 @@ class TestTrajectoryIO:
                         params(t_final=0.1), 0.02)
         trajectory_to_dir(traj, out)
         assert sorted(p.name for p in out.iterdir()) == \
-            ["manifest.json", "notes.txt", "u.npy", "v.npy", "w.npy"]
+            ["control_mask.npy", "manifest.json", "notes.txt", "u.npy", "v.npy", "w.npy"]
         assert (out / "notes.txt").read_text() == "old\n"
+
+    @pytest.mark.parametrize("dims, bounds", [
+        ((12,), [(0.2, 0.6)]),
+        ((8, 6), [(0.0, 0.5), (0.3, 1.0)]),
+        ((6, 5, 4), [(0.2, 0.8), (0.0, 0.5), (0.5, 1.0)]),
+    ])
+    def test_control_mask_roundtrip(self, tmp_path, dims, bounds):
+        g = Grid.unit_box(dims)
+        g = g.with_mask(g.box_mask(bounds))
+        assert 0 < g.control_mask.sum() < g.n_cells
+        ctrl = control_preset(g, "random", 0.04, seed=2, amplitude=1.0, times=3)
+        traj = simulate(Field.full(g, 0.5), Field.full(g, 1.0), ctrl,
+                        params(t_final=0.04), 0.02)
+        out = tmp_path / "traj"
+        trajectory_to_dir(traj, out)
+        back = trajectory_from_dir(out)
+        assert back.grid.compatible_with(g)
+        assert np.array_equal(back.control.values, traj.control.values)
 
     def test_negative_control_accepted(self, tmp_path, grid, corrupt_npy):
         ctrl = control_preset(grid, "constant", 0.1, amplitude=-2.0)
