@@ -47,8 +47,8 @@ print(f"  worst per-step relative drift: "
 print(f"  minimum density:       {traj.u.min():.3e}")
 print(f"  minimum concentration: {traj.v.min():.3e}")
 
-print("solving the dominating linear problem on the same time levels ...")
-w = solve_comparison(v0, control, params, 5e-3, times=traj.times)
+print("solving the dominating linear problem with the same step sizes ...")
+w = solve_comparison(v0, control, params, 5e-3, dt_history=traj.dt_history)
 print(f"  max(v - w) over the whole run: {(traj.v - w.w).max():.3e} "
       "(nonpositive means the bound holds)")
 

@@ -157,7 +157,7 @@ def _npy_path(section, base_dir, what, keys=("npy",)):
     return path
 
 
-def _build_grid(section):
+def _build_grid(section, base_dir):
     try:
         dims = [_number(n, "grid.dims", integral=True) for n in section["dims"]]
     except KeyError as err:
@@ -169,22 +169,24 @@ def _build_grid(section):
     spacing = tuple(L / n for L, n in zip(lengths, dims))
     grid = Grid(tuple(dims), spacing)
     if "control_box" in section and "control_mask" in section:
-        raise ConfigError("grid: give either control_box or control_mask, not both")
+        raise ConfigError("give either grid.control_box or grid.control_mask, not both")
     if "control_box" in section:
         box = [[_number(x, "grid.control_box") for x in pair]
                for pair in section["control_box"]]
         grid = grid.with_mask(grid.box_mask(box))
     elif "control_mask" in section:
-        # true, false, 0 or 1 per cell, nested in the grid's shape
-        mask = np.array(section["control_mask"], dtype=object)
-        if mask.shape != grid.dims:
-            raise ConfigError(f"grid.control_mask must have the grid's shape "
-                              f"{grid.dims}, got {mask.shape}")
-        for entry in mask.flat:
-            if not (isinstance(entry, bool) or type(entry) is int and entry in (0, 1)):
-                raise ConfigError(f"grid.control_mask entries must be true, false, "
-                                  f"0 or 1, got {entry!r}")
-        grid = grid.with_mask(mask.astype(bool))
+        mask = section["control_mask"]
+        if not (isinstance(mask, dict) and "npy" in mask):
+            found = f"keys {sorted(mask)}" if isinstance(mask, dict) \
+                else f"a {type(mask).__name__}"
+            raise ConfigError('grid.control_mask must be a table {"npy": "mask.npy"} '
+                              f"naming a level stack, got {found}")
+        path = _npy_path(mask, base_dir, "grid.control_mask")
+        mask = load_levels(path, grid.dims)  # a defect here names the file
+        try:
+            grid = grid.with_mask(mask)
+        except ValueError as err:
+            raise ConfigError(f"grid.control_mask: {path}: {err}") from None
     return grid
 
 
@@ -272,7 +274,7 @@ def load_config(path):
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
         _table(raw, "")
-        grid = _build_grid(_table(raw, "grid"))
+        grid = _build_grid(_table(raw, "grid"), base_dir)
         msec = _table(raw, "model")
         model = ModelParams(**{
             key: _number(msec.get(key, default), f"model.{key}") for key, default in

@@ -10,7 +10,7 @@ closed form for general ``q``, and the optimizer only needs a retraction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,10 +39,6 @@ class DesiredState:
     @classmethod
     def from_field(cls, field):
         return cls(fn=lambda t, grid: field.values)
-
-    @classmethod
-    def from_callable(cls, fn):
-        return cls(fn=fn)
 
 
 @dataclass
@@ -203,11 +199,7 @@ class AdmissibilityReport:
         return self.in_ball and self.weak_pass and self.energy_pass
 
     def to_dict(self):
-        d = {k: getattr(self, k) for k in (
-            "control_norm", "M", "in_ball", "weak_res", "weak_tol", "weak_pass",
-            "energy_residual", "energy_tol", "energy_pass", "K_used", "beta_used")}
-        d["passed"] = self.passed
-        return d
+        return {**asdict(self), "passed": self.passed}
 
     def to_json(self, path):
         write_json(path, self.to_dict())

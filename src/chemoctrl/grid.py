@@ -35,9 +35,10 @@ class Grid:
         Cell counts per axis; every axis needs at least 2 cells.
     spacing : tuple of float
         Cell width per axis, strictly positive.
-    control_mask : ndarray of bool, optional
+    control_mask : array of 0/1 entries, optional
         Marks the cells where the control acts.  Defaults to the whole
-        domain.  Shape must equal ``dims``.
+        domain.  Shape must equal ``dims``, and every entry must be a bool
+        or a number equal to 0 or 1; it is stored as a read-only bool array.
     """
 
     dims: tuple
@@ -55,16 +56,18 @@ class Grid:
             raise ValueError(f"every axis needs at least 2 cells, got dims={dims}")
         if any(not np.isfinite(h) or h <= 0 for h in spacing):
             raise ValueError(f"spacing must be positive, got {spacing}")
-        mask = self.control_mask
-        if mask is None:
-            mask = np.ones(dims, dtype=bool)
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != dims:
-                raise ValueError(
-                    f"control_mask shape {mask.shape} does not match dims {dims}"
-                )
-        mask = mask.copy()
+        mask = np.ones(dims, dtype=bool) if self.control_mask is None \
+            else np.asarray(self.control_mask)
+        if mask.dtype.kind in "SU":  # one text entry makes text of them all
+            mask = np.asarray(self.control_mask, dtype=object)
+        if mask.shape != dims:
+            raise ValueError(f"control_mask shape {mask.shape} does not match dims {dims}")
+        off = (mask != 0) & (mask != 1)
+        if off.any():
+            cell = tuple(int(i) for i in np.argwhere(off)[0])
+            raise ValueError(f"control_mask value {mask.item(cell)!r} at {cell} "
+                             "is neither 0 nor 1")
+        mask = mask.astype(bool)
         mask.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
@@ -164,8 +167,8 @@ class Grid:
 class Field:
     """Scalar cell values on a grid, the validated input of a run.
 
-    Entries must be finite; the array is stored as float64 with shape
-    ``grid.dims``.  The stepper and the operators work on plain arrays.
+    The values must have shape ``grid.dims`` and finite entries; they are
+    stored as float64.  The stepper and the operators work on plain arrays.
     """
 
     grid: Grid
@@ -174,12 +177,8 @@ class Field:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.grid.dims:
-            if vals.size == self.grid.n_cells:
-                vals = vals.reshape(self.grid.dims)
-            else:
-                raise ValueError(
-                    f"field has {vals.size} values, grid has {self.grid.n_cells} cells"
-                )
+            raise ValueError(f"field values have shape {vals.shape}, "
+                             f"the grid has dims {self.grid.dims}")
         if not np.all(np.isfinite(vals)):
             bad = tuple(int(i) for i in np.argwhere(~np.isfinite(vals))[0])
             raise ValueError(f"non-finite field value at cell {bad}")

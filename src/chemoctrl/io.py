@@ -12,11 +12,12 @@ version 1.0) holding one little-endian float64 array in C order, of shape
 ``(n_levels, *dims)``, or ``dims`` for a single field.  A trajectory stores
 its density, concentration and control levels and its control mask (1.0 in
 the control region, 0.0 elsewhere) this way, ``optimize`` its best control
-and the mask, and a config names its initial fields, desired states and
-controls as such files.  :func:`load_levels` reads the header with the public
-:mod:`numpy.lib.format` functions, never unpickles, and checks dtype, order,
-shape, the exact file size and finiteness (and, on request, nonnegativity)
-before it returns; any defect raises :class:`LevelStackError`.
+and the mask, and a config names its initial fields, desired states,
+controls and control mask as such files.  :func:`load_levels` reads the
+header with the public :mod:`numpy.lib.format` functions, never unpickles,
+and checks dtype, order, shape, the exact file size and finiteness (and, on
+request, nonnegativity) before it returns; any defect raises
+:class:`LevelStackError`.
 """
 
 from __future__ import annotations

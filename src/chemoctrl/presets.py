@@ -87,12 +87,12 @@ def desired_preset(name, **kw):
     if name == "constant":
         return DesiredState.constant(kw["value"])
     if name == "gaussian_bump":
-        return DesiredState.from_callable(lambda t, grid: _gaussian_values(grid, **kw))
+        return DesiredState(lambda t, grid: _gaussian_values(grid, **kw))
     rate, base = kw.pop("rate"), kw.pop("base")
 
     def profile(t, grid):
         return base + np.exp(-rate * t) * _gaussian_values(grid, base=0.0, **kw)
-    return DesiredState.from_callable(profile)
+    return DesiredState(profile)
 
 
 def control_preset(grid, name, t_final, **kw):

@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import bisect
 import datetime
+import functools
 import json
 import math
 import os
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -309,23 +308,15 @@ class _SplitDiffusion:
         return np.dot(x.reshape(-1, self._last.shape[0]), self._last).reshape(b.shape)
 
 
-# per grid, the step sizes with a cached diffusion factor; the least recently
-# used is evicted first
-_grid_cache = weakref.WeakKeyDictionary()
 _DIFFUSION_CACHE_SIZE = 4
 
 
+@functools.lru_cache(maxsize=_DIFFUSION_CACHE_SIZE)
 def _diffusion_solver(grid, dt):
     """Cached axis inverses of the split ``I - dt*Lap``, the one operator
-    both diffusions solve; built once per grid and step size."""
-    solvers = _grid_cache.setdefault(grid, OrderedDict())
-    if dt in solvers:
-        solvers.move_to_end(dt)
-    else:
-        if len(solvers) >= _DIFFUSION_CACHE_SIZE:
-            solvers.popitem(last=False)
-        solvers[dt] = _SplitDiffusion(grid, dt)
-    return solvers[dt]
+    both diffusions solve; built once per (grid, step size) pair, and the
+    least recently used pair is evicted first.  A grid hashes by identity."""
+    return _SplitDiffusion(grid, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +641,13 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     concentration exact in floating point: each step's divisor is never
     larger than the concentration's, and division and the products with
     the nonnegative axis inverses are all monotone.  Pass the run's accepted
-    step sizes ``dt_history`` (the solver then advances ``t += dt`` exactly
-    as the run did, and returns every step), or the ``times`` of its saved
-    levels.  Without either, the solver runs its own adaptive stepping and
-    records its step rejections in ``events``.
+    step sizes ``dt_history``: the solver then advances ``t += dt`` exactly
+    as the run did, and returns every step.  The ``times`` of its saved
+    levels pair the steps only up to round-off, since ``np.diff(times)``
+    need not reproduce the step sizes bit for bit, so the domination then
+    holds to round-off and each shifted step size builds its own inverses.
+    Without either, the solver runs its own adaptive stepping and records
+    its step rejections in ``events``.
 
     Returns
     -------
@@ -823,9 +817,10 @@ def trajectory_from_dir(path):
     """Load a trajectory written by :func:`trajectory_to_dir`.
 
     Every number in the manifest must be a finite JSON number, ``grid.dims``
-    integers, and every entry of ``control_mask.npy`` exactly 0 or 1.  A
-    manifest whose ``grid`` still holds the mask as a list, the format before
-    ``control_mask.npy``, is refused.
+    integers, and every entry of ``control_mask.npy`` exactly 0 or 1, as
+    :class:`~chemoctrl.grid.Grid` checks.  A manifest whose ``grid`` still
+    holds the mask as a list, the format before ``control_mask.npy``, is
+    refused.
     """
     manifest_path = os.path.join(path, "manifest.json")
     try:
@@ -868,14 +863,13 @@ def trajectory_from_dir(path):
         shape = (times.size, *dims)
         u = load_levels(os.path.join(path, "u.npy"), shape, nonnegative=True)
         v = load_levels(os.path.join(path, "v.npy"), shape, nonnegative=True)
+        grid = Grid(tuple(dims), tuple(spacing))
         mask_path = os.path.join(path, "control_mask.npy")
-        mask = load_levels(mask_path, dims)
-        off = (mask != 0) & (mask != 1)
-        if off.any():
-            cell = tuple(int(i) for i in np.argwhere(off)[0])
-            raise TrajectoryFormatError(
-                f"{mask_path}: value {float(mask[cell])!r} at {cell} is neither 0 nor 1")
-        grid = Grid(tuple(dims), tuple(spacing), control_mask=mask)
+        mask = load_levels(mask_path, grid.dims)
+        try:
+            grid = grid.with_mask(mask)
+        except ValueError as err:
+            raise TrajectoryFormatError(f"{mask_path}: {err}") from None
         control = None
         if manifest.get("control_times") is not None:
             ctimes = _numbers(manifest_path, "control_times", manifest["control_times"])

@@ -456,34 +456,53 @@ class TestConfigErrors:
 
 
     @pytest.mark.parametrize("grid", [
-        {"control_mask": ["0"] * 32},
-        {"control_mask": [0.5] * 32},
-        {"control_mask": [1.0] * 32},
-        {"control_mask": [2] * 32},
-        {"control_mask": [None] * 32},
-        {"control_mask": [1] * 31},
+        {"control_mask": [1] * 32},  # a JSON list, the format before level stacks
+        {"control_mask": [True] * 32},
         {"control_mask": [[1] * 32]},
         {"control_mask": 1},
-        {"control_mask": [1] * 32, "control_box": [[0.0, 0.5]]},
+        {"control_mask": {"preset": "box"}},
+        {"control_mask": {"npy": "half.npy"}},
+        {"control_mask": {"npy": "absent.npy"}},
+        {"control_mask": {"npy": "bits.npy", "times": [0.0, 0.25]}},
+        {"control_mask": {"npy": "bits.npy"}, "control_box": [[0.0, 0.5]]},
     ])
     def test_bad_control_mask_is_config_error(self, tmp_path, capsys, grid):
-        with open(cfg_path("simulate_equilibrium.json")) as fh:
-            raw = json.load(fh)
-        raw["grid"].update(grid)
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(raw))
+        mask = np.ones(32)
+        save_levels(tmp_path / "bits.npy", mask)
+        mask[3] = 0.5
+        save_levels(tmp_path / "half.npy", mask)
+        cfg = patched_config(tmp_path, "simulate_equilibrium.json", {"grid": grid})
         out = tmp_path / "o"
         assert run(["simulate", str(cfg), "--output", str(out)]) == 2
-        assert "control_mask" in capsys.readouterr().err
+        assert "grid.control_mask" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, shape, named", [
+        (0.5, (32,), "value 0.5 at (3,)"),
+        (2.0, (32,), "value 2.0 at (3,)"),
+        (-1.0, (32,), "value -1.0 at (3,)"),
+        (1.0, (31,), "holds <f8 of shape (31,)"),
+        (1.0, (1, 32), "holds <f8 of shape (1, 32)"),
+    ])
+    def test_control_mask_npy_defect_is_named(self, tmp_path, capsys, value, shape,
+                                              named):
+        mask = np.ones(shape)
+        mask.flat[3] = value
+        save_levels(tmp_path / "m.npy", mask)
+        cfg = patched_config(tmp_path, "simulate_equilibrium.json",
+                             {"grid": {"control_mask": {"npy": "m.npy"}}})
+        out = tmp_path / "o"
+        assert run(["simulate", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "m.npy: " in err and named in err
         assert not out.exists()
 
     def test_control_mask_of_bools_and_bits(self, tmp_path):
-        with open(cfg_path("simulate_equilibrium.json")) as fh:
-            raw = json.load(fh)
-        mask = [True] * 8 + [1] * 8 + [False] * 8 + [0] * 8
-        raw["grid"]["control_mask"] = mask
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(raw))
+        # a level stack holds 1.0 and 0.0; the grid keeps them as bools
+        mask = np.repeat([1.0, 0.0, 1.0, 0.0], 8)
+        save_levels(tmp_path / "m.npy", mask)
+        cfg = patched_config(tmp_path, "simulate_equilibrium.json",
+                             {"grid": {"control_mask": {"npy": "m.npy"}}})
         assert load_config(str(cfg)).grid.control_mask.tolist() == \
             [bool(b) for b in mask]
 
@@ -866,6 +885,19 @@ class TestOptimize:
         with open(out / "grid.json") as fh:
             assert json.load(fh) == {"dims": list(grid.dims),
                                      "spacing": list(grid.spacing)}
+
+    def test_control_mask_feeds_back_into_a_config(self, tmp_path):
+        # control_mask.npy stands in for the control_box it came from
+        out = tmp_path / "o"
+        assert run(["optimize", cfg_path("optimize_small.json"),
+                    "--output", str(out)]) == 0
+        with open(cfg_path("optimize_small.json")) as fh:
+            raw = json.load(fh)
+        del raw["grid"]["control_box"]
+        raw["grid"]["control_mask"] = {"npy": "control_mask.npy"}
+        (out / "c.json").write_text(json.dumps(raw))
+        grid = load_config(str(out / "c.json")).grid
+        assert grid.compatible_with(load_config(cfg_path("optimize_small.json")).grid)
 
     def test_best_objective_is_last_accepted_J(self, tmp_path):
         out = tmp_path / "o"

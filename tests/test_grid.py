@@ -41,6 +41,15 @@ class TestGridConstruction:
         with pytest.raises(ValueError, match="control_mask"):
             Grid((4,), (0.25,), control_mask=np.ones(5, dtype=bool))
 
+    @pytest.mark.parametrize("entry", [0.5, 2.0, -1.0, np.nan, "0", None])
+    def test_mask_entries_must_be_0_or_1(self, entry):
+        # bools and numbers equal to 0 or 1 pass and are stored as bools
+        for good in (True, 1.0, 0):
+            mask = Grid((4,), (0.25,), control_mask=[1.0, False, good, 1]).control_mask
+            assert mask.dtype == bool and mask.tolist() == [True, False, bool(good), True]
+        with pytest.raises(ValueError, match=rf"control_mask value {entry!r} at \(2,\)"):
+            Grid((4,), (0.25,), control_mask=[1.0, False, entry, 1])
+
     def test_default_mask_covers_domain(self):
         g = Grid.unit_box((8, 8))
         assert g.control_mask.all()
@@ -56,6 +65,11 @@ class TestGridConstruction:
         g = Grid.unit_box((4,))
         with pytest.raises(ValueError, match="values"):
             Field(g, np.zeros(5))
+
+    def test_field_rejects_flat_values(self):
+        g = Grid.unit_box((4, 8))
+        with pytest.raises(ValueError, match=r"values have shape \(32,\)"):
+            Field(g, np.arange(32.0))
 
     def test_field_rejects_nan(self):
         g = Grid.unit_box((4,))

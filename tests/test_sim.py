@@ -671,9 +671,10 @@ class TestFactorCache:
         for k in range(20):
             step(g, full(g, 1.0), full(g, 1.0), full(g, 0.0), params(),
                  1e-3 * (1.0 + 0.1 * k))
-        solvers = sim._grid_cache[g]
-        assert len(solvers) == sim._DIFFUSION_CACHE_SIZE
-        assert 1e-3 * (1.0 + 0.1 * 19) in solvers  # the most recent survives
+        info = sim._diffusion_solver.cache_info()
+        assert info.currsize == info.maxsize == sim._DIFFUSION_CACHE_SIZE
+        sim._diffusion_solver(g, 1e-3 * (1.0 + 0.1 * 19))  # the most recent survives
+        assert sim._diffusion_solver.cache_info().hits == info.hits + 1
 
     @pytest.mark.parametrize("u_level, s", [(1.0, 1.0), (30.0, 2.0)])
     def test_one_factor_per_axis_and_step_size(self, monkeypatch, u_level, s):
