@@ -9,6 +9,7 @@ command line names only files, plus ``energy-audit``'s diagnostic
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,7 +21,7 @@ import numpy as np
 from .cost import CostParams, DesiredState, check_admissible
 from .energy import build_energy_report, energy_inequality_audit
 from .grid import Field, Grid
-from .io import load_levels, save_levels, write_csv, write_json
+from .io import LevelStackError, load_levels, save_levels, write_csv, write_json
 from .model import ModelParams
 from .opt import SHRINK, STEP0, InfeasibleBaselineError, OptimizerConfig, \
     optimize, ordering_experiment
@@ -157,6 +158,17 @@ def _npy_path(section, base_dir, what, keys=("npy",)):
     return path
 
 
+def _npy_levels(section, base_dir, what, shape, keys=("npy",)):
+    """The level stack of ``shape`` that the ``npy`` entry of section ``what``
+    names.  A missing file, or a stack of the wrong shape, dtype or size,
+    raises :class:`ConfigError` that starts with ``what`` and names the file."""
+    path = _npy_path(section, base_dir, what, keys)
+    try:
+        return load_levels(path, shape)
+    except LevelStackError as err:
+        raise ConfigError(f"{what}: {err}") from None
+
+
 def _build_grid(section, base_dir):
     try:
         dims = [_number(n, "grid.dims", integral=True) for n in section["dims"]]
@@ -181,11 +193,11 @@ def _build_grid(section, base_dir):
                 else f"a {type(mask).__name__}"
             raise ConfigError('grid.control_mask must be a table {"npy": "mask.npy"} '
                               f"naming a level stack, got {found}")
-        path = _npy_path(mask, base_dir, "grid.control_mask")
-        mask = load_levels(path, grid.dims)  # a defect here names the file
+        values = _npy_levels(mask, base_dir, "grid.control_mask", grid.dims)
         try:
-            grid = grid.with_mask(mask)
+            grid = grid.with_mask(values)
         except ValueError as err:
+            path = os.path.join(base_dir, mask["npy"])
             raise ConfigError(f"grid.control_mask: {path}: {err}") from None
     return grid
 
@@ -223,7 +235,7 @@ def _preset_parameters(table, name, section, what, ndim):
 
 def _build_field(grid, section, base_dir, what):
     if "npy" in _require_table(section, what):
-        return Field(grid, load_levels(_npy_path(section, base_dir, what), grid.dims))
+        return Field(grid, _npy_levels(section, base_dir, what, grid.dims))
     if "preset" in section:
         name = section["preset"]
         return field_preset(grid, name, **_preset_parameters(
@@ -243,10 +255,10 @@ def _build_control(grid, section, t_final, base_dir):
                               f"'none' preset, which takes none")
         return None
     if "npy" in section:
-        path = _npy_path(section, base_dir, "control", keys=("npy", "times"))
         times = np.array([_number(t, "control.times")
                           for t in section.get("times", [0.0, t_final])])
-        control = Control(grid, times, load_levels(path, (times.size, *grid.dims)))
+        control = Control(grid, times, _npy_levels(
+            section, base_dir, "control", (times.size, *grid.dims), keys=("npy", "times")))
         # the tolerance simulate allows
         if control.t_final < t_final - 1e-12 * max(1.0, t_final):
             raise ConfigError(f"control.times end at {control.t_final!r}, before "
@@ -262,7 +274,7 @@ def _build_desired(grid, section, base_dir, what):
         return desired_preset("constant", value=0.0)
     if "npy" in _require_table(section, what):
         return DesiredState.from_field(Field(
-            grid, load_levels(_npy_path(section, base_dir, what), grid.dims)))
+            grid, _npy_levels(section, base_dir, what, grid.dims)))
     name = section.get("preset", "constant")
     return desired_preset(name, **_preset_parameters(
         DESIRED_PRESETS, name, section, what, grid.ndim))
@@ -472,6 +484,7 @@ def cmd_sweep(cfg, out_dir):
     return EXIT_OK
 
 
+@functools.cache  # built on first use, not at import, then shared
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="chemoctrl",

@@ -202,22 +202,36 @@ def face_gradients(grid, a):
 
     The list entry for axis ``k`` has shape ``dims`` with ``dims[k]-1`` along
     that axis.  Boundary faces carry zero gradient by the Neumann closure and
-    are not stored.
+    are not stored.  ``a[hi] - a[lo]`` is the subtraction ``np.diff`` makes,
+    so the result equals ``np.diff(a, axis=k) / h`` bit for bit.
     """
     grads = []
-    for k in range(grid.ndim):
-        grads.append(np.diff(a, axis=k) / grid.spacing[k])
+    for h, (lo, hi, _) in zip(grid.spacing, grid.face_slices):
+        g = a[hi] - a[lo]
+        g /= h
+        grads.append(g)
     return grads
 
 
 def _second_difference(grid, a, k):
     """Second difference along axis ``k``: face gradients, zero boundary flux,
     then their difference.  Summed over the axes it is the discrete Laplacian,
-    which maps a constant to exactly 0."""
-    pad = [(0, 0)] * grid.ndim
-    pad[k] = (1, 1)
+    which maps a constant to exactly 0.
+
+    Writing the gradients into the low cells and subtracting them from the
+    high cells makes the subtractions of ``np.diff`` of the zero-padded
+    gradients, so the result equals that bit for bit, without the padded copy.
+    """
+    lo, hi, last = grid.face_slices[k]
     h = grid.spacing[k]
-    return np.diff(np.pad(np.diff(a, axis=k) / h, pad), axis=k) / h
+    g = a[hi] - a[lo]
+    g /= h
+    out = np.empty(grid.dims)
+    out[lo] = g
+    out[last] = 0.0
+    out[hi] -= g
+    out /= h
+    return out
 
 
 def chemotaxis_array(grid, mob, v):
@@ -234,28 +248,38 @@ def chemotaxis_array(grid, mob, v):
     The result equals minus the divergence of the donor-cell face fluxes,
     closed with zero boundary flux, bit for bit: per axis the flux difference
     across each cell, then ``/ h``, with the axes summed in order.
+
+    The donor flux is ``max(dv, 0) * mob[lo] + min(dv, 0) * mob[hi]`` rather
+    than a per-face select: for finite ``mob`` the non-donor product is a
+    zero and ``x + 0 == x``, so only the sign of a zero can differ from the
+    select, and the accumulators start at +0, which a signed zero added to
+    them leaves as it is.  The outflow rate ``max(dv, 0) / h`` at the lo cell
+    and ``-min(dv, 0) / h`` at the hi cell is exact the same way.  The final
+    mobility mask stays a select, since ``rate * (mob > 0)`` would turn an
+    infinite rate into NaN and hide a CFL violation.
     """
     transport = np.zeros(grid.dims)
     rate = np.zeros(grid.dims)
+    acc = np.empty(grid.dims)
     for h, (lo, hi, last) in zip(grid.spacing, grid.face_slices):
         dv = v[hi] - v[lo]
         dv /= h
-        downhill = dv > 0  # mass flows from the lo cell to the hi cell
-        flux = np.where(downhill, mob[lo], mob[hi])
-        flux *= dv
-        # outgoing flux minus incoming, zero flux through the boundary
-        div = np.empty(grid.dims)
-        div[lo] = flux
-        div[last] = 0.0
-        div[hi] -= flux
-        div /= h
-        transport += div
+        to_hi = np.maximum(dv, 0.0)  # nonzero where mass flows from lo to hi
+        to_lo = np.minimum(dv, 0.0, out=dv)  # nonzero where it flows from hi to lo
         # outgoing gradient magnitude accumulates at the donor cell
-        acc = np.empty(grid.dims)
-        np.divide(np.where(downhill, dv, 0.0), h, out=acc[lo])
+        np.divide(to_hi, h, out=acc[lo])
         acc[last] = 0.0
-        acc[hi] += np.where(dv < 0, -dv, 0.0) / h
+        acc[hi] -= to_lo / h
         rate += acc
+        # the donor-cell flux
+        flux = np.multiply(to_hi, mob[lo], out=to_hi)
+        flux += np.multiply(to_lo, mob[hi], out=to_lo)
+        # outgoing flux minus incoming, zero flux through the boundary
+        acc[lo] = flux
+        acc[last] = 0.0
+        acc[hi] -= flux
+        acc /= h
+        transport += acc
     return np.negative(transport, out=transport), np.where(mob > 0, rate, 0.0)
 
 
@@ -267,32 +291,48 @@ def chemotaxis_transpose(grid, mob, v, bar):
     taken as :func:`chemotaxis_array` takes them.  Returns ``(mob_bar, v_bar)``,
     the gradients of ``sum(bar * transport)`` with respect to ``mob`` and ``v``
     away from the faces where the gradient of ``v`` changes sign.
+
+    The mobility gradients add ``flux_bar * max(dv, 0)`` to the lo cells and
+    ``flux_bar * min(dv, 0)`` to the hi cells; for a finite ``flux_bar`` the
+    non-donor term is a zero, so the sums equal those of a per-face select
+    bit for bit, as in :func:`chemotaxis_array`.  The donor mobility in the
+    gradient with respect to ``v`` has no such exact product form and stays
+    a select.
     """
     mob_bar = np.zeros(grid.dims)
     v_bar = np.zeros(grid.dims)
     for h, (lo, hi, _) in zip(grid.spacing, grid.face_slices):
         dv = v[hi] - v[lo]
         dv /= h
-        downhill = dv > 0
         # a face flux leaves its lo cell and enters its hi cell
-        flux_bar = (bar[hi] - bar[lo]) / h
-        mob_bar[lo] += np.where(downhill, flux_bar * dv, 0.0)
-        mob_bar[hi] += np.where(downhill, 0.0, flux_bar * dv)
-        dv_bar = flux_bar * np.where(downhill, mob[lo], mob[hi]) / h
+        flux_bar = bar[hi] - bar[lo]
+        flux_bar /= h
+        mob_bar[lo] += flux_bar * np.maximum(dv, 0.0)
+        donor = np.where(dv > 0, mob[lo], mob[hi])
+        mob_bar[hi] += flux_bar * np.minimum(dv, 0.0, out=dv)
+        dv_bar = np.multiply(flux_bar, donor, out=donor)
+        dv_bar /= h
         v_bar[hi] += dv_bar
         v_bar[lo] -= dv_bar
     return mob_bar, v_bar
 
 
 def cell_gradient_sq(grid, a):
-    """Cellwise squared gradient magnitude from averaged face gradients."""
+    """Cellwise squared gradient magnitude from averaged face gradients.
+
+    Each cell averages its two face gradients per axis, a boundary face
+    counting as zero.  The face sums are formed in place of a zero-padded
+    copy; the additions are those of the padded form, so the result equals
+    it bit for bit.
+    """
     total = np.zeros(grid.dims)
-    grads = face_gradients(grid, a)
-    for k, (lo, hi, _) in enumerate(grid.face_slices):
-        pad = [(0, 0)] * grid.ndim
-        pad[k] = (1, 1)
-        gp = np.pad(grads[k], pad, mode="constant")  # boundary faces: zero gradient
-        total += (0.5 * (gp[lo] + gp[hi])) ** 2
+    face_sum = np.empty(grid.dims)
+    for g, (lo, hi, last) in zip(face_gradients(grid, a), grid.face_slices):
+        face_sum[lo] = g
+        face_sum[last] = 0.0
+        face_sum[hi] += g
+        face_sum *= 0.5
+        total += np.square(face_sum, out=face_sum)
     return total
 
 
@@ -301,15 +341,19 @@ def hessian_frobenius_sq(grid, a):
 
     Zero-flux second differences (the Laplacian's) on the diagonal, centered
     cross differences closed with mirror ghosts off the diagonal; off-diagonal
-    pairs count twice.
+    pairs count twice.  The mirror ghosts of a cross difference are one
+    edge-padded copy of ``a`` filled by slice copies, which holds what
+    ``np.pad(a, mode="edge")`` holds; the arithmetic runs in the same order on
+    the same values, so the result is the same bit for bit.
     """
-    total = sum(_second_difference(grid, a, k) ** 2 for k in range(grid.ndim))
+    total = _second_difference(grid, a, 0)
+    np.square(total, out=total)
+    for k in range(1, grid.ndim):
+        diag = _second_difference(grid, a, k)
+        total += np.square(diag, out=diag)
     for k in range(grid.ndim):
         for l in range(k + 1, grid.ndim):
-            pad = [(0, 0)] * grid.ndim
-            pad[k] = (1, 1)
-            pad[l] = (1, 1)
-            ap = np.pad(a, pad, mode="edge")
+            ap = _edge_padded(a, (k, l))
             sl = {}
             for sk in (-1, 1):
                 for sl_ in (-1, 1):
@@ -317,11 +361,34 @@ def hessian_frobenius_sq(grid, a):
                     idx[k] = slice(1 + sk, (-1 + sk) or None)
                     idx[l] = slice(1 + sl_, (-1 + sl_) or None)
                     sl[(sk, sl_)] = ap[tuple(idx)]
-            cross = (sl[(1, 1)] - sl[(1, -1)] - sl[(-1, 1)] + sl[(-1, -1)]) / (
-                4.0 * grid.spacing[k] * grid.spacing[l]
-            )
-            total += 2.0 * cross**2
+            cross = sl[(1, 1)] - sl[(1, -1)]
+            cross -= sl[(-1, 1)]
+            cross += sl[(-1, -1)]
+            cross /= 4.0 * grid.spacing[k] * grid.spacing[l]
+            np.square(cross, out=cross)
+            cross *= 2.0
+            total += cross
     return total
+
+
+def _edge_padded(a, axes):
+    """``a`` with one ghost layer on both ends of each axis in ``axes``, each
+    a copy of the layer next to it (corners included), as
+    ``np.pad(mode="edge")`` pads."""
+    shape = list(a.shape)
+    inner = [slice(None)] * a.ndim
+    for k in axes:
+        shape[k] += 2
+        inner[k] = slice(1, -1)
+    out = np.empty(shape)
+    out[tuple(inner)] = a
+    for k in axes:
+        for ghost, source in ((0, 1), (-1, -2)):
+            dst, src = list(inner), list(inner)
+            dst[k], src[k] = ghost, source
+            out[tuple(dst)] = out[tuple(src)]
+        inner[k] = slice(None)  # the next axis copies these ghosts into its corners
+    return out
 
 
 def integrate(grid, a):

@@ -494,7 +494,31 @@ class TestConfigErrors:
         out = tmp_path / "o"
         assert run(["simulate", str(cfg), "--output", str(out)]) == 2
         err = capsys.readouterr().err
+        assert err.startswith("config error: grid.control_mask: ")
         assert "m.npy: " in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, patch, shape", [
+        ("initial.u", {"initial": {"u": {"npy": "x.npy"}}}, (32,)),
+        ("cost.desired_v", {"cost": {"desired_v": {"npy": "x.npy"}}}, (32,)),
+        ("control", {"control": {"npy": "x.npy"}}, (2, 32)),
+    ], ids=["initial.u", "cost.desired_v", "control"])
+    @pytest.mark.parametrize("defect", ["shape", "dtype"])
+    def test_npy_defect_names_the_key(self, tmp_path, capsys, key, patch, shape,
+                                      defect):
+        # a level stack of the wrong shape or dtype is refused with the key
+        # that names it first, then the file
+        values = np.ones(shape)
+        if defect == "shape":
+            values = values[..., :-1]
+        with open(tmp_path / "x.npy", "wb") as fh:
+            np.lib.format.write_array(
+                fh, values.astype("<f4" if defect == "dtype" else "<f8"))
+        cfg = patched_config(tmp_path, "simulate_equilibrium.json", patch)
+        out = tmp_path / "o"
+        assert run(["simulate", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: {tmp_path / 'x.npy'}: holds ")
         assert not out.exists()
 
     def test_control_mask_of_bools_and_bits(self, tmp_path):

@@ -11,11 +11,20 @@ from chemoctrl.grid import (
     cell_gradient_sq,
     chemotaxis_array,
     chemotaxis_transpose,
+    face_gradients,
     hessian_frobenius_sq,
     trapezoid_intervals,
     trapezoid_weights,
 )
-from conftest import axis_laplacians
+from conftest import (
+    axis_laplacians,
+    cell_gradient_sq_oracle,
+    chemotaxis_array_oracle,
+    chemotaxis_transpose_oracle,
+    face_gradients_oracle,
+    hessian_frobenius_sq_oracle,
+    second_difference_oracle,
+)
 
 
 def random_field(grid, seed, low=-1.0, high=1.0):
@@ -275,6 +284,64 @@ class TestChemotaxisTranspose:
                                               rng.normal(size=grid.dims))
         assert np.all(v_bar == 0.0)
         assert np.any(mob_bar != 0.0)
+
+
+def kernel_inputs(dims, seed, scale):
+    """A grid of uneven spacing and the arrays ``mob, v, bar, a`` on it.
+
+    ``mob`` is zero in about a third of the cells, and ``v`` and ``a`` repeat
+    their first layer along axis 0, so some face gradients are exactly zero.
+    Every array is scaled by ``scale``, or cell by cell by one of 1, 1e-300,
+    1e-160 and 1e150 when ``scale`` is ``"mixed"``: near 1e-300 products
+    underflow, near 1e-160 squares land among the subnormals, and near 1e150
+    squares of second differences reach about 1e300.
+    """
+    rng = np.random.default_rng(seed)
+    grid = Grid(dims, tuple(rng.uniform(0.05, 1.5, len(dims))))
+    factor = rng.choice([1.0, 1e-300, 1e-160, 1e150], size=dims) if scale == "mixed" \
+        else scale
+    mob = rng.uniform(0.0, 2.0, dims) * factor
+    mob[rng.uniform(size=dims) < 0.3] = 0.0
+    v = np.round(rng.uniform(0.0, 3.0, dims)) * factor
+    v[1] = v[0]
+    a = rng.normal(size=dims) * factor
+    a[1] = a[0]
+    bar = rng.normal(size=dims) * factor
+    return grid, mob, v, bar, a
+
+
+# each kernel with its oracle, as a function of the kernel_inputs arrays
+KERNEL_CASES = {
+    "chemotaxis_array": (lambda k, g, mob, v, bar, a: k(g, mob, v),
+                         chemotaxis_array, chemotaxis_array_oracle),
+    "chemotaxis_transpose": (lambda k, g, mob, v, bar, a: k(g, mob, v, bar),
+                             chemotaxis_transpose, chemotaxis_transpose_oracle),
+    "face_gradients": (lambda k, g, mob, v, bar, a: k(g, a),
+                       face_gradients, face_gradients_oracle),
+    "second_difference": (lambda k, g, mob, v, bar, a:
+                          [k(g, a, axis) for axis in range(g.ndim)],
+                          _second_difference, second_difference_oracle),
+    "cell_gradient_sq": (lambda k, g, mob, v, bar, a: [k(g, a)],
+                         cell_gradient_sq, cell_gradient_sq_oracle),
+    "hessian_frobenius_sq": (lambda k, g, mob, v, bar, a: [k(g, a)],
+                             hessian_frobenius_sq, hessian_frobenius_sq_oracle),
+}
+
+
+class TestKernelsMatchOracles:
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-160, 1e150, "mixed"])
+    @pytest.mark.parametrize("dims", [(2,), (17,), (2, 2), (9, 6), (3, 2, 4), (5, 4, 3)])
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_CASES))
+    def test_byte_identical(self, kernel, dims, scale):
+        # signed zeros and subnormals included
+        call, fn, oracle = KERNEL_CASES[kernel]
+        inputs = kernel_inputs(dims, len(dims) * 100 + dims[0], scale)
+        with np.errstate(over="ignore", under="ignore"):
+            got, want = call(fn, *inputs), call(oracle, *inputs)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.dtype == y.dtype
+            assert x.tobytes() == y.tobytes()
 
 
 class TestTrapezoidWeights:

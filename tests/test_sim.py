@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import axis_laplacians
+from conftest import axis_laplacians, chemotaxis_array_oracle
 
 from chemoctrl import sim
 from chemoctrl.grid import chemotaxis_array
@@ -183,6 +183,22 @@ class TestStep:
         assert dt * rate.max() > sim.CFL_SAFETY
         assert np.abs(u).max() == 0.0
         assert v.min() >= 0.0
+
+    @pytest.mark.parametrize("kernel", [chemotaxis_array, chemotaxis_array_oracle])
+    def test_overflowing_face_gradient_rejects_dt(self, grid, monkeypatch, kernel):
+        # v near the largest double: the face gradients on both sides of cell
+        # 3 overflow to +-inf.  The immobile donor (cell 2) must not turn its
+        # infinite rate into a NaN that hides the mobile donor's (cell 4)
+        v = np.zeros(grid.dims)
+        v[3] = 1e308
+        u = np.zeros(grid.dims)
+        u[4] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, rate = kernel(grid, u, v)
+        assert rate[2] == 0.0 and rate[4] == np.inf and not np.isnan(rate).any()
+        monkeypatch.setattr(sim, "chemotaxis_array", kernel)
+        with pytest.raises(StepSizeError, match="CFL"):
+            step(grid, u, v, full(grid, 0.0), params(), 1e-6)
 
     def test_mass_conserved_per_step(self, grid):
         rng = np.random.default_rng(5)
