@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
+    Workspace,
     cell_gradient_sq,
     face_gradients,
     h1_seminorm,
@@ -142,10 +143,11 @@ def _level_quantities(traj, params):
     vol = grid.cell_volume
     # rows: energy, entropy, cross, hessian, quartic, control forcing
     out = np.zeros((6, traj.n_levels))
+    ws = Workspace(grid)  # holds the control slice of one level at a time
     for i in range(traj.n_levels):
         u = traj.u[i]
         z = np.sqrt(traj.v[i] + params.alpha**2)
-        f = traj.control_slice(float(traj.times[i]))
+        f = traj.control_slice(float(traj.times[i]), ws)
         out[:, i] = (
             s / 4.0 * integrate(grid, g_energy(u, s))
             + 0.5 * h1_seminorm(grid, z) ** 2,

@@ -13,6 +13,7 @@ trapezoid rule in time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -79,7 +80,7 @@ class Grid:
 
     @property
     def n_cells(self):
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def cell_volume(self):
@@ -234,7 +235,54 @@ def _second_difference(grid, a, k):
     return out
 
 
-def chemotaxis_array(grid, mob, v):
+class Workspace:
+    """Scratch arrays for one level of cells on ``grid``, reused step after step.
+
+    ``flat`` holds six float arrays of ``grid.n_cells`` entries, ``cells``
+    the same six arrays shaped ``grid.dims``, and ``mask`` one bool array of
+    ``grid.n_cells`` entries.  A run builds one workspace and passes it to
+    every kernel of every step, so that a step allocates no array as large as
+    a level; a kernel called without one builds a fresh workspace and runs
+    the same code.  Each kernel that takes a workspace says which of its
+    arrays it writes.  A result it returns there is overwritten by the next
+    kernel given the same workspace.
+    """
+
+    def __init__(self, grid):
+        n = grid.n_cells
+        self.grid = grid
+        self.flat = tuple(np.empty(n) for _ in range(6))
+        self.cells = tuple(a.reshape(grid.dims) for a in self.flat)
+        self.mask = np.empty(n, dtype=bool)
+
+    @cached_property
+    def faces(self):
+        """Per axis ``k``, the views of ``flat`` that :func:`chemotaxis_array`
+        works on, built once per workspace.
+
+        On the flat C-order arrays the cell above cell ``i`` along axis ``k``
+        is ``i + s``, with the stride ``s = prod(dims[k+1:])``, so the face
+        differences of the axis are ``a[s:] - a[:-s]``.  Of those ``N - s``
+        pairs, the ones whose low cell is in the last layer of the axis wrap
+        from one line of cells to the next; ``wrap`` views them (None on axis
+        0, where no pair wraps).  The entry per axis is ``(s, h, wrap, dv,
+        up, down, acc_lo, acc_last, acc_hi)``: the difference, upward and
+        downward parts of length ``N - s``, and the accumulator ``flat[3]``
+        below, at and above its last ``s`` cells.
+        """
+        dims = self.grid.dims
+        diff, up, down, acc = self.flat[:4]
+        out = []
+        for k, h in enumerate(self.grid.spacing):
+            s = math.prod(dims[k + 1:])
+            m = diff.size - s
+            wrap = diff.reshape(math.prod(dims[:k]), dims[k], s)[:, -1] if k else None
+            out.append((s, h, wrap, diff[:m], up[:m], down[:m],
+                        acc[:m], acc[m:], acc[s:]))
+        return tuple(out)
+
+
+def chemotaxis_array(grid, mob, v, ws=None):
     """Upwind conservative transport term and its per-cell outflow rate.
 
     Returns ``(-div(mob * grad v), rate)`` where ``rate[i]`` is the total
@@ -247,7 +295,10 @@ def chemotaxis_array(grid, mob, v):
 
     The result equals minus the divergence of the donor-cell face fluxes,
     closed with zero boundary flux, bit for bit: per axis the flux difference
-    across each cell, then ``/ h``, with the axes summed in order.
+    across each cell, then ``/ h``, with the axes summed in order.  Both
+    results are the ``cells[4]`` and ``cells[5]`` of the workspace ``ws``
+    (:class:`Workspace`; a fresh one when None), and the kernel writes all
+    six of its arrays and its mask.
 
     The donor flux is ``max(dv, 0) * mob[lo] + min(dv, 0) * mob[hi]`` rather
     than a per-face select: for finite ``mob`` the non-donor product is a
@@ -257,30 +308,47 @@ def chemotaxis_array(grid, mob, v):
     and ``-min(dv, 0) / h`` at the hi cell is exact the same way.  The final
     mobility mask stays a select, since ``rate * (mob > 0)`` would turn an
     infinite rate into NaN and hide a CFL violation.
+
+    Every pass runs on the flat arrays, shifted by the stride of the axis
+    (:attr:`Workspace.faces`), so every operation is contiguous.  The
+    differences that wrap from one line of cells to the next are set to +0
+    first.  Their fluxes and rates are then zeros for finite ``mob``: at the
+    low cell they stand where the per-axis slices write a zero, and at the
+    high cell they are added to a term that the slices leave alone, which
+    changes at most the sign of a zero term.  The accumulators start at +0
+    and drop such signs, so the results equal the per-axis slices' bit for
+    bit.
     """
-    transport = np.zeros(grid.dims)
-    rate = np.zeros(grid.dims)
-    acc = np.empty(grid.dims)
-    for h, (lo, hi, last) in zip(grid.spacing, grid.face_slices):
-        dv = v[hi] - v[lo]
+    if ws is None:
+        ws = Workspace(grid)
+    mob, v = mob.ravel(), v.ravel()
+    acc, transport, rate = ws.flat[3:]
+    for k, (s, h, wrap, dv, to_hi, down, acc_lo, acc_last, acc_hi) in enumerate(ws.faces):
+        np.subtract(v[s:], v[:-s], out=dv)
+        if wrap is not None:
+            wrap[...] = 0.0
         dv /= h
-        to_hi = np.maximum(dv, 0.0)  # nonzero where mass flows from lo to hi
+        np.maximum(dv, 0.0, out=to_hi)  # nonzero where mass flows from lo to hi
         to_lo = np.minimum(dv, 0.0, out=dv)  # nonzero where it flows from hi to lo
         # outgoing gradient magnitude accumulates at the donor cell
-        np.divide(to_hi, h, out=acc[lo])
-        acc[last] = 0.0
-        acc[hi] -= to_lo / h
-        rate += acc
+        np.divide(to_hi, h, out=acc_lo)
+        acc_last[...] = 0.0
+        acc_hi -= np.divide(to_lo, h, out=down)
+        # the first axis starts the accumulator at +0, as 0 + acc would
+        np.add(acc, rate if k else 0.0, out=rate)
         # the donor-cell flux
-        flux = np.multiply(to_hi, mob[lo], out=to_hi)
-        flux += np.multiply(to_lo, mob[hi], out=to_lo)
+        flux = np.multiply(to_hi, mob[:-s], out=to_hi)
+        flux += np.multiply(to_lo, mob[s:], out=to_lo)
         # outgoing flux minus incoming, zero flux through the boundary
-        acc[lo] = flux
-        acc[last] = 0.0
-        acc[hi] -= flux
+        acc_lo[...] = flux
+        acc_last[...] = 0.0
+        acc_hi -= flux
         acc /= h
-        transport += acc
-    return np.negative(transport, out=transport), np.where(mob > 0, rate, 0.0)
+        np.add(acc, transport if k else 0.0, out=transport)
+    np.negative(transport, out=transport)
+    immobile = np.logical_not(np.greater(mob, 0.0, out=ws.mask), out=ws.mask)
+    np.copyto(rate, 0.0, where=immobile)
+    return ws.cells[4], ws.cells[5]
 
 
 def chemotaxis_transpose(grid, mob, v, bar):

@@ -29,8 +29,12 @@ The stepper works on plain cell arrays.  Inputs are validated once, when
 :func:`simulate` or :func:`solve_comparison` is entered: a ``Field`` or
 ``Control`` checks its values when it is built, and the entry checks add the
 grids and the signs.  Every step checks ``dt``, the M-matrix and CFL bounds,
-and that each new level is finite and exactly nonnegative.  Saved levels are
-copied into fixed blocks and stacked once at the end of a run.
+and that each new level is finite and exactly nonnegative.  A run builds one
+:class:`~chemoctrl.grid.Workspace` of scratch arrays for a level and hands it
+to every kernel, so a step allocates no array as large as a level; the two
+diffusion solves write each new level straight into its row of the run's
+level stack, which holds the levels of a run without rejections from the
+start and grows only when rejections add steps.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import numpy as np
 from .grid import (
     Grid,
     GridMismatchError,
+    Workspace,
     chemotaxis_array,
     chemotaxis_transpose,
     face_gradients,
@@ -159,13 +164,21 @@ class Control:
         j = bisect.bisect_right(ts, t)
         return j, (t - ts[j - 1]) / (ts[j] - ts[j - 1])
 
-    def slice_at(self, t):
-        """Control values at time ``t`` (linear in time, clamped at the ends)."""
+    def slice_at(self, t, ws=None):
+        """Control values at time ``t`` (linear in time, clamped at the ends).
+
+        They are written into ``cells[4]`` of the workspace ``ws``, with
+        ``cells[5]`` as scratch (a fresh workspace when None).
+        """
+        if ws is None:
+            ws = Workspace(self.grid)
+        out = ws.cells[4]
         j, w = self._bracket(t)
         if w is None:
-            return self.values[j].copy()
-        out = (1.0 - w) * self.values[j - 1]
-        out += w * self.values[j]
+            out[...] = self.values[j]
+            return out
+        np.multiply(self.values[j - 1], 1.0 - w, out=out)
+        out += np.multiply(self.values[j], w, out=ws.cells[5])
         return out
 
     def lq_norm(self, q):
@@ -201,10 +214,12 @@ class Trajectory:
             raise ValueError(f"t={t} is not a saved time level")
         return int(hits[0])
 
-    def control_slice(self, t):
+    def control_slice(self, t, ws=None):
+        """The control at ``t`` (zeros without one), as :meth:`Control.slice_at`
+        writes it into ``ws``."""
         if self.control is None:
             return np.zeros(self.grid.dims)
-        return self.control.slice_at(t)
+        return self.control.slice_at(t, ws)
 
 
 @dataclass
@@ -288,24 +303,41 @@ class _SplitDiffusion:
 
     def __init__(self, grid, dt):
         dims = grid.dims
-        self._inverses = [_axis_inverse(n, dt / (h * h))
-                          for n, h in zip(dims, grid.spacing)]
+        self._grid = grid
+        # axes of equal cell count and width share one inverse
+        built = {}
+        for n, h in zip(dims, grid.spacing):
+            if (n, h) not in built:
+                built[n, h] = _axis_inverse(n, dt / (h * h))
+        self._inverses = [built[n, h] for n, h in zip(dims, grid.spacing)]
         # every axis but the last as (cells before it, n_k, cells after it)
         self._shapes = [(math.prod(dims[:k]), dims[k], -1)
                         for k in range(len(dims) - 1)]
         self._last = self._inverses[-1]
 
-    def solve(self, b):
-        """The solution for the flat right-hand side ``b``."""
+    def solve(self, b, out=None, ws=None):
+        """The solution for the flat right-hand side ``b``, written into the
+        flat array ``out`` (a new one when None) and returned.
+
+        In 2D and 3D the product along each axis but the last goes to
+        ``flat[0]``, then ``flat[1]``, of the workspace ``ws`` (a fresh one
+        when None), so ``b`` must be neither; ``out`` may be ``b`` there.
+        """
         # the last axis runs along rows, and X is symmetric, so each row
         # times X is the solve of that row; np.dot calls BLAS with less
         # overhead than the matmul operator, which a 1D solve notices
         if not self._shapes:
-            return np.dot(b, self._last)
+            return np.dot(b, self._last, out=out)
+        if ws is None:
+            ws = Workspace(self._grid)
+        if out is None:
+            out = np.empty(b.shape)
         x = b
-        for inv, shape in zip(self._inverses, self._shapes):
-            x = np.matmul(inv, x.reshape(shape))
-        return np.dot(x.reshape(-1, self._last.shape[0]), self._last).reshape(b.shape)
+        for inv, shape, buf in zip(self._inverses, self._shapes, ws.flat):
+            x = np.matmul(inv, x.reshape(shape), out=buf.reshape(shape))
+        n = self._last.shape[0]
+        np.dot(x.reshape(-1, n), self._last, out=out.reshape(-1, n))
+        return out
 
 
 _DIFFUSION_CACHE_SIZE = 4
@@ -340,12 +372,16 @@ def _check_new_level(name, a):
                               f"{a[bad]}")
 
 
-def _mobility_and_reaction(u, fpos, fneg, params):
-    """``trunc(u)`` and the flat reaction ``trunc(u)^s + f_- - f_+``, shared by
-    :func:`step` and its transpose in :func:`simulate_adjoint`."""
+def _mobility_and_reaction(u, fpos, fneg, params, out=None):
+    """``trunc(u)`` and the reaction ``trunc(u)^s + f_- - f_+``, written into
+    ``out`` (a new array when None); shared by :func:`step` and its transpose
+    in :func:`simulate_adjoint`."""
     # the truncation is the identity up to m, and u is nonnegative
     mobility = u if u.max() <= params.m else truncate(u, params.m)
-    return mobility, (mobility**params.s + fneg - fpos).ravel()
+    react = np.power(mobility, params.s, out=out)
+    react += fneg
+    react -= fpos
+    return mobility, react
 
 
 # an overflow in a step's arithmetic shows as a non-finite level, which
@@ -354,7 +390,7 @@ _QUIET = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 @_QUIET
-def step(grid, u, v, f, params, dt):
+def step(grid, u, v, f, params, dt, ws=None, out=None):
     """Advance the cell arrays ``(u, v)`` by one implicit-explicit step of
     size ``dt`` under the control slice ``f``; returns ``(u_new, v_new)``.
 
@@ -377,6 +413,12 @@ def step(grid, u, v, f, params, dt):
     ``dt``, the M-matrix and CFL bounds, and that the new ``v`` and ``u`` are
     finite and exactly nonnegative.  ``f`` is masked to the control region.
 
+    ``ws`` is the run's :class:`~chemoctrl.grid.Workspace`, whose arrays the
+    step overwrites, and ``out`` the pair of C-contiguous arrays of shape
+    ``grid.dims`` that receive ``(u_new, v_new)`` and are returned; neither
+    may hold ``u``, ``v`` or ``f``.  Without them the step builds a fresh
+    workspace and new arrays.
+
     Raises
     ------
     ValueError
@@ -391,10 +433,13 @@ def step(grid, u, v, f, params, dt):
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    if ws is None:
+        ws = Workspace(grid)
+    u_new, v_new = (np.empty(grid.dims), np.empty(grid.dims)) if out is None else out
 
-    f = f * grid.control_mask
-    fpos = np.maximum(f, 0.0)
-    fneg = np.maximum(-f, 0.0)
+    fneg = np.multiply(f, grid.control_mask, out=ws.cells[2])
+    fpos = np.maximum(fneg, 0.0, out=ws.cells[3])
+    np.maximum(np.negative(fneg, out=fneg), 0.0, out=fneg)
     fpos_max = float(fpos.max())
     if dt * fpos_max >= 1.0:
         bad = tuple(int(i) for i in np.unravel_index(np.argmax(fpos), fpos.shape))
@@ -404,13 +449,15 @@ def step(grid, u, v, f, params, dt):
             admissible_dt=CFL_SAFETY / fpos_max,
         )
 
-    mobility, react = _mobility_and_reaction(u, fpos, fneg, params)
+    mobility, react = _mobility_and_reaction(u, fpos, fneg, params, out=ws.cells[4])
     diffusion = _diffusion_solver(grid, dt)
-    v_star = v.ravel() / (1.0 + dt * react)
-    v_new = diffusion.solve(v_star).reshape(grid.dims)
+    react *= dt
+    react += 1.0
+    v_star = np.divide(v, react, out=react)
+    diffusion.solve(v_star.ravel(), v_new.ravel(), ws)
     _check_new_level("v", v_new)
 
-    transport, rate = chemotaxis_array(grid, mobility, v_new)
+    transport, rate = chemotaxis_array(grid, mobility, v_new, ws)
     rate_max = float(rate.max())
     if dt * rate_max > CFL_SAFETY:
         bad = tuple(int(i) for i in np.unravel_index(np.argmax(rate), rate.shape))
@@ -419,43 +466,49 @@ def step(grid, u, v, f, params, dt):
             f"{dt * rate_max:.3g} > {CFL_SAFETY}",
             admissible_dt=CFL_SAFETY / rate_max,
         )
-    rhs = (u + dt * transport).ravel()
-    u_new = diffusion.solve(rhs).reshape(grid.dims)
+    rhs = np.multiply(transport, dt, out=transport)
+    rhs += u
+    diffusion.solve(rhs.ravel(), u_new.ravel(), ws)
     _check_new_level("u", u_new)
     return u_new, v_new
 
 
-# saved levels are copied into blocks of this many.  Kept one by one, a 96^2
-# level (73 KB, below glibc's default 128 KiB mmap threshold) lands on the heap
-# between the per-step temporaries and fragments it; a block is mapped apart
-_BLOCK_LEVELS = 8
-
-
 class _LevelStack:
-    """Levels of one shape, copied one at a time into fixed blocks."""
+    """The levels of one run, each written in place into its row of one array.
 
-    def __init__(self, first):
-        self._shape = first.shape
-        self._blocks = []
-        self._count = 0
-        self.append(first)
+    The array starts with ``rows`` rows, as many as the levels of a run that
+    rejects no step, so such a run copies no level but the first.  Rejections
+    add steps; when the rows run out the array doubles, and only then are
+    the levels copied.
+    """
 
-    def append(self, level):
-        i = self._count % _BLOCK_LEVELS
-        if i == 0:
-            self._blocks.append(np.empty((_BLOCK_LEVELS,) + self._shape))
-        self._blocks[-1][i] = level
+    def __init__(self, first, rows):
+        self._levels = np.empty((rows,) + first.shape)
+        self._levels[0] = first
+        self._count = 1
+
+    def next_row(self):
+        """The row the next level is written into; it joins the stack at
+        :meth:`commit`, and until then the next call returns it again."""
+        if self._count == len(self._levels):
+            grown = np.empty((2 * self._count,) + self._levels.shape[1:])
+            grown[:self._count] = self._levels
+            self._levels = grown
+        return self._levels[self._count]
+
+    def commit(self):
         self._count += 1
 
     def stack(self):
-        """The ``(n_levels, *shape)`` array; frees each block once it is copied."""
-        out = np.empty((self._count,) + self._shape)
-        blocks, self._blocks = self._blocks, None
-        for j in range(len(blocks)):
-            rows = out[j * _BLOCK_LEVELS:(j + 1) * _BLOCK_LEVELS]
-            rows[...] = blocks[j][:len(rows)]
-            blocks[j] = None
-        return out
+        """The ``(n_levels, *shape)`` array of the committed levels."""
+        return self._levels[:self._count]
+
+
+def _rows_without_rejections(t_final, dt_max):
+    """``1 + ceil(t_final / dt_max)``, the levels of a run that rejects no
+    step; one when the ratio is not finite and no such run exists."""
+    ratio = t_final / dt_max
+    return 1 + math.ceil(ratio) if math.isfinite(ratio) else 1
 
 
 def _adaptive_steps(advance, state, t_final, dt_max, events):
@@ -529,23 +582,25 @@ def simulate(u0, v0, control, params, dt_max):
         if control.t_final < params.t_final - 1e-12 * max(1.0, params.t_final):
             raise ValueError("control time lattice does not cover the horizon")
 
+    ws = Workspace(grid)
+    rows = _rows_without_rejections(params.t_final, dt_max)
+    us = _LevelStack(u0.values, rows)
+    vs = _LevelStack(v0.values, rows)
     zero = np.zeros(grid.dims)
 
     def advance(state, t, dt_step):
-        f = zero if control is None else control.slice_at(t + dt_step)
-        return step(grid, *state, f, params, dt_step)
+        f = zero if control is None else control.slice_at(t + dt_step, ws)
+        return step(grid, *state, f, params, dt_step, ws, (us.next_row(), vs.next_row()))
 
     times = [0.0]
-    us = _LevelStack(u0.values)
-    vs = _LevelStack(v0.values)
     dts = []
     masses = [integrate(grid, u0.values)]
     events = []
     for t, dt_step, (u, v) in _adaptive_steps(advance, (u0.values, v0.values),
                                               params.t_final, dt_max, events):
         times.append(t)
-        us.append(u)
-        vs.append(v)
+        us.commit()
+        vs.commit()
         dts.append(dt_step)
         masses.append(integrate(grid, u))
 
@@ -580,6 +635,7 @@ def simulate_adjoint(traj, u_bar, v_bar):
     if control is None or traj.n_levels != dts.size + 1:
         raise ValueError("the reverse pass needs a controlled run saved at every step")
     mask = grid.control_mask
+    ws = Workspace(grid)
     u_bar = np.array(u_bar, dtype=float)  # accumulated in place, level by level
     v_bar = np.array(v_bar, dtype=float)
     f_bar = np.zeros_like(control.values)
@@ -587,20 +643,20 @@ def simulate_adjoint(traj, u_bar, v_bar):
         dt = float(dts[n])
         t = float(traj.times[n + 1])  # where the forward step sampled the control
         u, v, v_new = traj.u[n], traj.v[n], traj.v[n + 1]
-        f = control.slice_at(t) * mask
+        f = control.slice_at(t, ws) * mask
         mobility, react = _mobility_and_reaction(u, np.maximum(f, 0.0),
                                                  np.maximum(-f, 0.0), params)
         diffusion = _diffusion_solver(grid, dt)
 
         # u_new = (I - dt*Lap)^-1 (u + dt * transport(mobility, v_new))
-        lam_u = diffusion.solve(u_bar[n + 1].ravel()).reshape(grid.dims)
+        lam_u = diffusion.solve(u_bar[n + 1].ravel(), ws=ws).reshape(grid.dims)
         u_bar[n] += lam_u
         mob_bar, v_new_bar = chemotaxis_transpose(grid, mobility, v_new, dt * lam_u)
         v_new_bar += v_bar[n + 1]
 
         # v_new = (I - dt*Lap)^-1 (v / d), d = 1 + dt*r, with Lap split by axis
-        mu = diffusion.solve(v_new_bar.ravel()).reshape(grid.dims)
-        d = (1.0 + dt * react).reshape(grid.dims)
+        mu = diffusion.solve(v_new_bar.ravel(), ws=ws).reshape(grid.dims)
+        d = 1.0 + dt * react
         v_bar[n] += mu / d
         r_bar = -dt * mu * v / (d * d)
 
@@ -618,15 +674,23 @@ def simulate_adjoint(traj, u_bar, v_bar):
 
 
 @_QUIET
-def _comparison_step(grid, w, f_tilde, dt):
+def _comparison_step(grid, w, f_tilde, dt, ws=None, out=None):
+    """``w`` one comparison step of size ``dt`` later, written into ``out``
+    (a new array when None) and returned; the workspace ``ws`` and ``out``
+    follow the rules of :func:`step`."""
     f_max = float(f_tilde.max()) if f_tilde.size else 0.0
     if dt * f_max >= 1.0:
         raise StepSizeError(
             f"dt*max(f~)={dt * f_max:.3g} >= 1 breaks the M-matrix bound",
             admissible_dt=CFL_SAFETY / f_max,
         )
-    w_star = w / (1.0 - dt * f_tilde)
-    w_new = _diffusion_solver(grid, dt).solve(w_star.ravel()).reshape(grid.dims)
+    if ws is None:
+        ws = Workspace(grid)
+    w_new = np.empty(grid.dims) if out is None else out
+    w_star = np.multiply(f_tilde, dt, out=ws.cells[2])
+    np.subtract(1.0, w_star, out=w_star)
+    np.divide(w, w_star, out=w_star)
+    _diffusion_solver(grid, dt).solve(w_star.ravel(), w_new.ravel(), ws)
     _check_new_level("w", w_new)
     return w_new
 
@@ -660,10 +724,15 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     if times is not None and dt_history is not None:
         raise ValueError("give either paired times or a dt history, not both")
 
+    ws = Workspace(grid)
+    zero = np.zeros(grid.dims)
+
     def f_tilde_at(t):
         if control is None:
-            return np.zeros(grid.dims)
-        return np.clip(control.slice_at(t) * grid.control_mask, 0.0, None)
+            return zero
+        f = control.slice_at(t, ws)
+        np.multiply(f, grid.control_mask, out=f)
+        return np.clip(f, 0.0, None, out=f)
 
     if dt_history is not None:
         dts = np.asarray(dt_history, dtype=float)
@@ -678,24 +747,27 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
 
     def paired_steps(w):
         for t1, dt in zip(times[1:], dts):
-            w = _comparison_step(grid, w, f_tilde_at(t1), dt)
+            w = _comparison_step(grid, w, f_tilde_at(t1), dt, ws, levels.next_row())
             yield t1, dt, w
 
     def advance(w, t, dt):
-        return _comparison_step(grid, w, f_tilde_at(t + dt), dt)
+        return _comparison_step(grid, w, f_tilde_at(t + dt), dt, ws, levels.next_row())
 
     events = []
     if times is None:
+        if not (dt_max > 0 and math.isfinite(dt_max)):
+            raise ValueError(f"dt_max must be positive, got {dt_max}")
+        levels = _LevelStack(w0.values, _rows_without_rejections(params.t_final, dt_max))
         steps = _adaptive_steps(advance, w0.values, params.t_final, dt_max, events)
     else:
+        levels = _LevelStack(w0.values, times.size)
         steps = paired_steps(w0.values)
     out_times = [0.0]
-    ws = _LevelStack(w0.values)
     for t, _, w in steps:
         out_times.append(t)
-        ws.append(w)
+        levels.commit()
     return ComparisonTrajectory(grid=grid, times=np.asarray(out_times),
-                                w=ws.stack(), events=events)
+                                w=levels.stack(), events=events)
 
 
 # ---------------------------------------------------------------------------

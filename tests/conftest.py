@@ -113,7 +113,8 @@ def second_difference_oracle(grid, a, k):
     return np.diff(np.pad(np.diff(a, axis=k) / h, pad), axis=k) / h
 
 
-def chemotaxis_array_oracle(grid, mob, v):
+def chemotaxis_array_oracle(grid, mob, v, ws=None):
+    # ws: the workspace the stepper passes, unused here
     transport = np.zeros(grid.dims)
     rate = np.zeros(grid.dims)
     for h, (lo, hi, last) in zip(grid.spacing, grid.face_slices):

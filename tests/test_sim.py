@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import axis_laplacians, chemotaxis_array_oracle
 
 from chemoctrl import sim
-from chemoctrl.grid import chemotaxis_array
+from chemoctrl.grid import Workspace, chemotaxis_array
 from chemoctrl import (
     Control,
     Field,
@@ -226,8 +227,8 @@ class TestStep:
             def __init__(self, lu):
                 self.lu = lu
 
-            def solve(self, b):
-                x = self.lu.solve(b)
+            def solve(self, b, out=None, ws=None):
+                x = self.lu.solve(b, out, ws)
                 solves.append(b)
                 if len(solves) == ("v", "u").index(name) + 1:
                     x[3] = bad
@@ -239,6 +240,58 @@ class TestStep:
         with pytest.raises(sim.PositivityError,
                            match=f"{name} went negative or non-finite at cell \\(3,\\)"):
             step(grid, full(grid, 1.0), full(grid, 1.0), full(grid, 0.0), params(), 0.01)
+
+
+class TestWorkspace:
+    """One workspace per run, and new levels solved straight into their rows."""
+
+    @pytest.mark.parametrize("dims", [(16,), (8, 6), (5, 4, 6)])
+    def test_out_rows_are_returned_with_the_bits_of_a_fresh_step(self, dims):
+        g = Grid.unit_box(dims)
+        g = g.with_mask(g.box_mask([(0.0, 0.6)] * len(dims)))
+        rng = np.random.default_rng(len(dims))
+        u, v = rng.uniform(0.0, 2.0, dims), rng.uniform(0.5, 1.5, dims)
+        f = rng.uniform(-3.0, 3.0, dims)
+        p, dt = params(s=2.0), 2e-3
+        ref_u, ref_v = step(g, u, v, f, p, dt)
+        ref_w = sim._comparison_step(g, v, np.maximum(f, 0.0), dt)
+        ws = Workspace(g)
+        out = (np.empty(dims), np.empty(dims))
+        w_out = np.empty(dims)
+        for _ in range(2):  # the second pass finds the first one's data in ws
+            got = step(g, u, v, f, p, dt, ws, out)
+            assert got[0] is out[0] and got[1] is out[1]
+            assert out[0].tobytes() == ref_u.tobytes()
+            assert out[1].tobytes() == ref_v.tobytes()
+            assert sim._comparison_step(g, v, np.maximum(f, 0.0), dt, ws, w_out) is w_out
+            assert w_out.tobytes() == ref_w.tobytes()
+
+    @pytest.mark.parametrize("dims", [(24, 24, 24), (96, 96)])
+    def test_steps_allocate_no_level_sized_array(self, dims):
+        g = Grid.unit_box(dims)
+        g = g.with_mask(g.box_mask([(0.25, 0.75)] * len(dims)))
+        rng = np.random.default_rng(7)
+        u, v = rng.uniform(0.5, 2.0, dims), rng.uniform(0.9, 1.1, dims)
+        ctrl = Control(g, [0.0, 1.0], rng.uniform(-1.0, 1.0, (2,) + dims))
+        p, dt = params(), 1e-3
+        ws = Workspace(g)
+        out = (np.empty(dims), np.empty(dims))
+        w_out = np.empty(dims)
+
+        def steps():
+            step(g, u, v, ctrl.slice_at(0.5, ws), p, dt, ws, out)
+            f_tilde = np.maximum(ctrl.slice_at(0.5, ws), 0.0, out=ws.cells[4])
+            sim._comparison_step(g, v, f_tilde, dt, ws, w_out)
+
+        steps()  # warm-up: the cached axis inverses and the workspace's views
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            steps()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < g.n_cells * 8
 
 
 class TestSimulate:
@@ -358,25 +411,32 @@ class TestSimulate:
             simulate(Field.zeros(grid), Field.full(grid, 1.0), huge,
                      params(t_final=1.0), 0.1)
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_level_blocks_stack_the_saved_states(self, monkeypatch, grid, offset):
-        # level counts one below, at and one above a block boundary
-        n_levels = sim._BLOCK_LEVELS + offset
-        n_steps = n_levels - 1
+    @pytest.mark.parametrize("case", ["below", "at", "above"])
+    def test_level_stack_holds_the_levels_each_step_returned(self, monkeypatch, grid,
+                                                             case):
+        # the stack starts with 1 + ceil(t_final / dt_max) rows.  A horizon a
+        # hair past 8 steps leaves one of them unfilled and 8 steps fill them
+        # all; a control that breaks the M-matrix bound at dt_max halves the
+        # step, and the 16 half steps overflow the rows
         dt = 1.0 / 64  # exact in binary, so the steps land on the horizon
+        t_final = 8 * dt * (1.0 + 1e-15 if case == "below" else 1.0)
+        rows = sim._rows_without_rejections(t_final, dt)
         accepted = []
         real_step = sim.step
 
         def recording_step(*args):
             out = real_step(*args)
-            accepted.append((out, args[-1]))  # the new levels and their dt
+            accepted.append(([a.copy() for a in out], args[5]))  # levels, dt
             return out
 
         monkeypatch.setattr(sim, "step", recording_step)
         u0 = field_preset(grid, "gaussian", amplitude=1.0, base=0.5, width=0.2)
         v0 = field_preset(grid, "cosine", base=1.0, amplitude=0.2)
-        traj = simulate(u0, v0, None, params(t_final=n_steps * dt), dt)
-        assert len(accepted) == n_steps and traj.n_levels == n_levels
+        ctrl = Control.constant(grid, 100.0, t_final) if case == "above" else None
+        traj = simulate(u0, v0, ctrl, params(t_final=t_final), dt)
+        assert (traj.n_levels > rows) == bool(traj.events) == (case == "above")
+        assert (traj.n_levels < rows) == (case == "below")
+        assert len(accepted) == traj.n_levels - 1
         times = np.cumsum([dt for _, dt in accepted])
         assert np.array_equal(traj.u, np.stack([u0.values] + [x[0] for x, _ in accepted]))
         assert np.array_equal(traj.v, np.stack([v0.values] + [x[1] for x, _ in accepted]))
@@ -498,6 +558,11 @@ class TestComparison:
         with pytest.raises(ValueError, match="nonnegative"):
             solve_comparison(Field(grid, np.full(grid.dims, -1.0)), None,
                              params(), 0.01)
+
+    @pytest.mark.parametrize("dt_max", [0.0, -0.01, np.nan, np.inf])
+    def test_adaptive_solve_rejects_bad_dt_max(self, grid, dt_max):
+        with pytest.raises(ValueError, match="dt_max must be positive"):
+            solve_comparison(Field.full(grid, 1.0), None, params(), dt_max)
 
 
 class TestWeakResidual:
@@ -711,6 +776,24 @@ class TestFactorCache:
         # the comparison's reaction is cellwise too, so it reuses those factors
         solve_comparison(Field.full(g, 1.0), ctrl, p, 0.03, dt_history=traj.dt_history)
         assert factored == [6, 7] * sizes
+
+    @pytest.mark.parametrize("dims", [(24, 24, 24), (96, 96), (6, 7)])
+    def test_equal_axes_share_one_inverse(self, monkeypatch, dims):
+        factored = []
+        axis_inverse = sim._axis_inverse
+        monkeypatch.setattr(sim, "_axis_inverse",
+                            lambda n, r: factored.append(n) or axis_inverse(n, r))
+        g, dt = Grid.unit_box(dims), 0.01
+        solver = sim._SplitDiffusion(g, dt)
+        assert factored == sorted(set(dims))
+        first = solver._inverses[0]
+        assert all((x is first) == (n == dims[0]) for x, n in zip(solver._inverses, dims))
+        # the same solve as with one inverse built per axis
+        apart = sim._SplitDiffusion(g, dt)
+        apart._inverses = [axis_inverse(n, dt / (h * h)) for n, h in zip(dims, g.spacing)]
+        apart._last = apart._inverses[-1]
+        b = np.random.default_rng(2).uniform(0.0, 1.0, g.n_cells)
+        assert solver.solve(b).tobytes() == apart.solve(b).tobytes()
 
 
 def split_diffusion_matrix(grid, dt):
