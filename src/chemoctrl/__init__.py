@@ -21,9 +21,7 @@ from .energy import (
     AuditInfeasibleError,
     EnergyReport,
     FittedConstants,
-    IntervalDissipation,
     build_energy_report,
-    dissipation_terms,
     energy_inequality_audit,
     fit_constants,
 )

@@ -213,13 +213,13 @@ def _default_weak_tol(traj):
 
 
 def _weak_probes(traj):
-    """Constant-in-time test functions: 1 and the first cosine mode per axis."""
+    """Cell arrays of the constant-in-time test functions: 1 and the first
+    cosine mode per axis."""
     grid = traj.grid
-    probes = [np.ones((traj.n_levels,) + grid.dims)]
+    probes = [np.ones(grid.dims)]
     centers = grid.cell_centers()
     for k in range(grid.ndim):
-        mode = np.cos(np.pi * centers[k] / grid.lengths[k])
-        probes.append(np.broadcast_to(mode, (traj.n_levels,) + grid.dims).copy())
+        probes.append(np.cos(np.pi * centers[k] / grid.lengths[k]))
     return probes
 
 
@@ -227,8 +227,9 @@ def check_admissible(traj, control, cost_params, params, beta, K):
     """Report the discrete admissibility of a (trajectory, control) pair.
 
     Checks the control-ball membership, the weak residual of the density
-    equation against standard probes, and the energy-inequality audit with
-    the constants ``beta`` and ``K``.
+    equation against each constant probe of :func:`_weak_probes` (the worst
+    one counts), and the energy-inequality audit with the constants ``beta``
+    and ``K``.
     Both residuals pass within one tolerance, scaled by the mean step, the
     squared spacing and the largest state value.  Report-only: nothing raises
     on failure.

@@ -13,10 +13,12 @@ control forcing.  The inequality under audit bounds
 by ``E(t1) + K`` for every saved pair ``t1 < t2``; ``beta`` and ``K`` are
 treated as audited parameters since no closed form exists for them, and
 :func:`fit_constants` recovers an empirical ``K`` curve against the control
-norm.  :func:`build_energy_report` makes the one pass over the saved levels;
-the audit, its pair residuals, :func:`dissipation_terms` and
-:func:`fit_constants` work from the report's per-interval trapezoid integrals,
-and ``beta`` and ``K`` enter only there, as arguments of the verdict.
+norm.  :func:`build_energy_report` makes the one pass over the saved levels,
+and its :class:`EnergyReport` is the one way to the dissipation integrals:
+one trapezoid integral per saved interval, so the integral over a window of
+saved levels is the sum of its entries.  The audit, its pair residuals and
+:func:`fit_constants` work from the report, and ``beta`` and ``K`` enter
+only there, as arguments of the verdict.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ class EnergyReport:
     """Energy trace plus per-interval dissipation integrals of one run.
 
     The dissipation arrays hold one entry per consecutive saved interval
-    (``len(times) - 1``); all of them are nonnegative by construction.
+    (``len(times) - 1``); all of them are nonnegative by construction.  The
+    integral from saved level ``i`` to saved level ``j`` is ``arr[i:j].sum()``.
     """
 
     times: np.ndarray
@@ -102,19 +105,6 @@ class EnergyReport:
         A, t = self._accumulator(beta), self.times
         return [(float(t[i]), float(t[j]), float(A[j] - A[i] - K))
                 for i in range(t.size) for j in range(i + 1, t.size)]
-
-
-@dataclass
-class IntervalDissipation:
-    """Dissipation integrals accumulated over one time window."""
-
-    t1: float
-    t2: float
-    entropy: float
-    cross: float
-    hessian: float
-    quartic: float
-    control_forcing: float
 
 
 @dataclass
@@ -174,28 +164,6 @@ def build_energy_report(traj, params):
         dissipation_hessian=trapezoid_intervals(times, hess),
         dissipation_quartic=trapezoid_intervals(times, quart),
         control_forcing=trapezoid_intervals(times, forc),
-    )
-
-
-def dissipation_terms(traj, t1, t2, params):
-    """Trapezoidal dissipation integrals over ``[t1, t2]``.
-
-    Both endpoints must be saved time levels of the trajectory; anything else
-    is refused rather than interpolated.
-    """
-    i1 = traj.index_of_time(t1)
-    i2 = traj.index_of_time(t2)
-    if not i1 < i2:
-        raise ValueError("t1 must precede t2 on the trajectory time grid")
-    report = build_energy_report(traj, params)
-    window = slice(i1, i2)
-    return IntervalDissipation(
-        t1=float(t1), t2=float(t2),
-        entropy=float(report.dissipation_entropy[window].sum()),
-        cross=float(report.dissipation_cross[window].sum()),
-        hessian=float(report.dissipation_hessian[window].sum()),
-        quartic=float(report.dissipation_quartic[window].sum()),
-        control_forcing=float(report.control_forcing[window].sum()),
     )
 
 

@@ -207,13 +207,6 @@ class Trajectory:
     def n_levels(self):
         return int(self.times.size)
 
-    def index_of_time(self, t):
-        tol = 1e-12 * max(1.0, abs(float(self.times[-1])))
-        hits = np.nonzero(np.abs(self.times - t) <= tol)[0]
-        if hits.size == 0:
-            raise ValueError(f"t={t} is not a saved time level")
-        return int(hits[0])
-
     def control_slice(self, t, ws=None):
         """The control at ``t`` (zeros without one), as :meth:`Control.slice_at`
         writes it into ``ws``."""
@@ -774,39 +767,41 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
 # weak-form residual
 # ---------------------------------------------------------------------------
 
-def weak_residual(traj, test_series):
-    """Space-time residual of the density equation against a test function.
+def weak_residual(traj, probe):
+    """Space-time residual of the density equation against a constant probe.
 
-    Quadrature is independent of the stepper: trapezoid in time with level
-    midpoints and centered (arithmetic-mean) face mobilities, so trajectories
-    from :func:`simulate` leave a first-order-in-dt footprint instead of an
-    identically zero one.  The result is normalized by the space-time H^1
-    norm of the test function.
+    The test function is ``probe`` at every time.  Quadrature is independent
+    of the stepper: trapezoid in time with level midpoints and centered
+    (arithmetic-mean) face mobilities, so trajectories from :func:`simulate`
+    leave a first-order-in-dt footprint instead of an identically zero one.
+    The result is normalized by the space-time H^1 norm of the test function.
 
     Parameters
     ----------
     traj : Trajectory
-    test_series : ndarray of shape (n_levels, *dims)
+    probe : ndarray of shape ``dims``
+        One cell array; any other shape, a level series included, is refused.
     """
     grid = traj.grid
-    phi = np.asarray(test_series, dtype=float)
-    if phi.shape != (traj.n_levels,) + grid.dims:
-        raise ValueError("test series shape does not match the trajectory")
+    phi = np.asarray(probe, dtype=float)
+    if phi.shape != grid.dims:
+        raise ValueError(f"probe shape {phi.shape} does not match the grid's {grid.dims}")
 
     vol = grid.cell_volume
+    gp = face_gradients(grid, phi)
+    # the probe's squared L^2 + H^1 norm, its space-time weight per unit time
+    size = (phi**2).sum() * vol + h1_seminorm(grid, phi) ** 2
     residual = 0.0
     norm_sq = 0.0
     for n in range(traj.n_levels - 1):
         dt = float(traj.times[n + 1] - traj.times[n])
         ubar = 0.5 * (traj.u[n] + traj.u[n + 1])
         vbar = 0.5 * (traj.v[n] + traj.v[n + 1])
-        pbar = 0.5 * (phi[n] + phi[n + 1])
         du = traj.u[n + 1] - traj.u[n]
-        residual += (du * pbar).sum() * vol
+        residual += (du * phi).sum() * vol
 
         gu = face_gradients(grid, ubar)
         gv = face_gradients(grid, vbar)
-        gp = face_gradients(grid, pbar)
         diff_term = 0.0
         chem_term = 0.0
         for k, (lo, hi, _) in enumerate(grid.face_slices):
@@ -815,7 +810,7 @@ def weak_residual(traj, test_series):
             chem_term += (mean_u * gv[k] * gp[k]).sum() * vol
         residual += dt * (diff_term - chem_term)
 
-        norm_sq += dt * ((pbar**2).sum() * vol + h1_seminorm(grid, pbar) ** 2)
+        norm_sq += dt * size  # per step, not size * T: the sums differ in the last bit
 
     if norm_sq == 0.0:
         return 0.0
@@ -890,9 +885,10 @@ def trajectory_from_dir(path):
 
     Every number in the manifest must be a finite JSON number, ``grid.dims``
     integers, and every entry of ``control_mask.npy`` exactly 0 or 1, as
-    :class:`~chemoctrl.grid.Grid` checks.  A manifest whose ``grid`` still
-    holds the mask as a list, the format before ``control_mask.npy``, is
-    refused.
+    :class:`~chemoctrl.grid.Grid` checks.  ``dt_history`` must hold one step
+    per saved interval and ``mass_trace`` one entry per saved level.  A
+    manifest whose ``grid`` still holds the mask as a list, the format before
+    ``control_mask.npy``, is refused.
     """
     manifest_path = os.path.join(path, "manifest.json")
     try:
@@ -920,13 +916,17 @@ def trajectory_from_dir(path):
             raise TrajectoryFormatError(
                 f"{manifest_path}: times must start at 0 and increase strictly")
         dt_history = _numbers(manifest_path, "dt_history", manifest.get("dt_history", []))
+        if dt_history.size != times.size - 1:
+            raise TrajectoryFormatError(
+                f"{manifest_path}: dt_history must hold one step per saved interval "
+                f"({times.size - 1}), found {dt_history.size}")
         if np.any(dt_history <= 0):
             raise TrajectoryFormatError(f"{manifest_path}: dt_history must hold steps > 0")
         mass_trace = _numbers(manifest_path, "mass_trace", manifest.get("mass_trace", []))
-        if mass_trace.size not in (0, dt_history.size + 1):
+        if mass_trace.size != times.size:
             raise TrajectoryFormatError(
-                f"{manifest_path}: mass_trace must hold one entry per step plus the "
-                "initial one")
+                f"{manifest_path}: mass_trace must hold one entry per saved level "
+                f"({times.size}), found {mass_trace.size}")
         events = manifest.get("events", [])
         if not isinstance(events, list) or not all(map(_valid_event, events)):
             raise TrajectoryFormatError(

@@ -184,3 +184,41 @@ def hessian_frobenius_sq_oracle(grid, a):
             )
             total += 2.0 * cross**2
     return total
+
+
+def weak_residual_oracle(traj, test_series):
+    """The weak residual against a test function given at every saved level,
+    shape ``(n_levels, *dims)``, as first written: the oracle the one-probe
+    ``sim.weak_residual`` must equal bit for bit on a constant series."""
+    from chemoctrl.grid import face_gradients, h1_seminorm
+
+    grid = traj.grid
+    phi = np.asarray(test_series, dtype=float)
+    assert phi.shape == (traj.n_levels,) + grid.dims
+    vol = grid.cell_volume
+    residual = 0.0
+    norm_sq = 0.0
+    for n in range(traj.n_levels - 1):
+        dt = float(traj.times[n + 1] - traj.times[n])
+        ubar = 0.5 * (traj.u[n] + traj.u[n + 1])
+        vbar = 0.5 * (traj.v[n] + traj.v[n + 1])
+        pbar = 0.5 * (phi[n] + phi[n + 1])
+        du = traj.u[n + 1] - traj.u[n]
+        residual += (du * pbar).sum() * vol
+
+        gu = face_gradients(grid, ubar)
+        gv = face_gradients(grid, vbar)
+        gp = face_gradients(grid, pbar)
+        diff_term = 0.0
+        chem_term = 0.0
+        for k, (lo, hi, _) in enumerate(grid.face_slices):
+            mean_u = 0.5 * (ubar[lo] + ubar[hi])
+            diff_term += (gu[k] * gp[k]).sum() * vol
+            chem_term += (mean_u * gv[k] * gp[k]).sum() * vol
+        residual += dt * (diff_term - chem_term)
+
+        norm_sq += dt * ((pbar**2).sum() * vol + h1_seminorm(grid, pbar) ** 2)
+
+    if norm_sq == 0.0:
+        return 0.0
+    return float(residual / np.sqrt(norm_sq))

@@ -30,8 +30,9 @@ STACK_ONLY_DEFECTS = ["big-endian", "object", "fortran order"]
 
 # manifest defects a trajectory loader rejects; the first word names the field
 MANIFEST_DEFECTS = ["times reversed", "times repeated", "times nan", "times infinite",
-                    "times string", "dt_history zero", "dt_history nan",
-                    "mass_trace short", "mass_trace infinite", "control_times string",
+                    "times string", "dt_history zero", "dt_history nan", "dt_history short",
+                    "mass_trace short", "mass_trace long", "mass_trace infinite",
+                    "control_times string",
                     "params.s string", "params.s bool", "params.t_final null",
                     "grid list", "grid.spacing string", "grid.dims fractional",
                     "control_mask in grid"]
@@ -57,8 +58,13 @@ def corrupt_manifest(manifest, kind):
         dts[0] = 0.0
     elif kind == "dt_history nan":
         dts[-1] = math.nan
+    elif kind == "dt_history short":
+        # the step and mass records agree with each other, not with times
+        del dts[2:], masses[3:]
     elif kind == "mass_trace short":
         masses.pop()
+    elif kind == "mass_trace long":
+        masses.append(masses[-1])
     elif kind == "mass_trace infinite":
         masses[1] = math.inf
     elif kind == "times string":

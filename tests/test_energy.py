@@ -11,7 +11,6 @@ from chemoctrl import (
     ModelParams,
     build_energy_report,
     control_preset,
-    dissipation_terms,
     energy_inequality_audit,
     field_preset,
     fit_constants,
@@ -67,9 +66,10 @@ class TestDissipationTerms:
     def test_equilibrium_all_zero(self, grid):
         p = params(t_final=0.1)
         traj = simulate(Field.zeros(grid), Field.full(grid, 2.0), None, p, 0.02)
-        d = dissipation_terms(traj, 0.0, float(traj.times[-1]), p)
-        for term in (d.entropy, d.cross, d.hessian, d.quartic, d.control_forcing):
-            assert abs(term) <= 1e-20  # round-off of the implicit solves
+        r = build_energy_report(traj, p)
+        for term in (r.dissipation_entropy, r.dissipation_cross, r.dissipation_hessian,
+                     r.dissipation_quartic, r.control_forcing):
+            assert abs(term.sum()) <= 1e-20  # round-off of the implicit solves
 
     def test_constant_control_forcing(self, grid):
         # f = lam on the whole unit cylinder: integral of |f|_L2^2 dt = lam^2
@@ -77,27 +77,19 @@ class TestDissipationTerms:
         p = params(t_final=1.0)
         ctrl = Control.constant(grid, lam, 1.0)
         traj = simulate(Field.zeros(grid), Field.full(grid, 1e-9), ctrl, p, 0.05)
-        d = dissipation_terms(traj, 0.0, float(traj.times[-1]), p)
-        assert d.control_forcing == pytest.approx(lam**2, rel=1e-12)
+        forcing = build_energy_report(traj, p).control_forcing.sum()
+        assert forcing == pytest.approx(lam**2, rel=1e-12)
 
     def test_heat_decay_dissipates(self, grid, decay_run):
         p, traj = decay_run
-        d = dissipation_terms(traj, 0.0, float(traj.times[-1]), p)
-        assert d.quartic > 0.0
-        assert d.hessian > 0.0
         report = build_energy_report(traj, p)
+        assert report.dissipation_quartic.sum() > 0.0
+        assert report.dissipation_hessian.sum() > 0.0
         assert np.all(np.diff(report.energy) < 0.0)
         # a finer-dt reference shows the same strict decay
         ref = simulate(Field(grid, traj.u[0]), Field(grid, traj.v[0]), None, p, 5e-4)
         ref_report = build_energy_report(ref, p)
         assert np.all(np.diff(ref_report.energy) < 0.0)
-
-    def test_off_grid_times_refused(self, grid, decay_run):
-        p, traj = decay_run
-        with pytest.raises(ValueError, match="not a saved time level"):
-            dissipation_terms(traj, 0.0, 0.1234567, p)
-        with pytest.raises(ValueError, match="precede"):
-            dissipation_terms(traj, float(traj.times[-1]), 0.0, p)
 
 
 class TestEnergyAudit:

@@ -200,7 +200,7 @@ def test_trajectory_roundtrip_is_bit_exact(tmp_path_factory, data, dims, n_level
                                          elements=nonnegative)),
                       v=data.draw(arrays(np.float64, (n_levels,) + dims,
                                          elements=nonnegative)),
-                      control=control)
+                      control=control, dt_history=gaps, mass_trace=np.ones(n_levels))
     out = tmp_path_factory.mktemp("traj")
     trajectory_to_dir(traj, out)
     back = trajectory_from_dir(out)

@@ -7,9 +7,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import axis_laplacians, chemotaxis_array_oracle
+from conftest import axis_laplacians, chemotaxis_array_oracle, weak_residual_oracle
 
 from chemoctrl import sim
+from chemoctrl.cost import _weak_probes
 from chemoctrl.grid import Workspace, chemotaxis_array
 from chemoctrl import (
     Control,
@@ -569,7 +570,7 @@ class TestWeakResidual:
     def test_equilibrium_is_exact(self, grid):
         traj = simulate(Field.zeros(grid), Field.full(grid, 2.0), None,
                         params(t_final=0.2), 0.02)
-        phi = np.random.default_rng(0).uniform(-1, 1, (traj.n_levels,) + grid.dims)
+        phi = np.random.default_rng(0).uniform(-1, 1, grid.dims)
         assert abs(weak_residual(traj, phi)) <= 1e-13
 
     def test_constant_test_function_sees_mass_drift(self, grid):
@@ -577,8 +578,7 @@ class TestWeakResidual:
         u0 = Field(grid, rng.uniform(0.0, 2.0, grid.dims))
         v0 = Field(grid, rng.uniform(0.1, 1.0, grid.dims))
         traj = simulate(u0, v0, None, params(s=2.0), 5e-3)
-        ones = np.ones((traj.n_levels,) + grid.dims)
-        assert abs(weak_residual(traj, ones)) <= 1e-12
+        assert abs(weak_residual(traj, np.ones(grid.dims))) <= 1e-12
 
     def test_first_order_under_joint_refinement(self):
         # the footprint is O(dt) in time plus O(h) from the upwind mobility,
@@ -591,8 +591,7 @@ class TestWeakResidual:
             v0 = field_preset(g, "cosine", base=1.0, amplitude=0.2)
             traj = simulate(u0, v0, None, p, dt)
             assert not traj.events  # the ladder must use the nominal steps
-            x = g.axis_centers(0)
-            phi = np.broadcast_to(np.cos(np.pi * x), (traj.n_levels,) + g.dims)
+            phi = np.cos(np.pi * g.axis_centers(0))
             residuals.append(abs(weak_residual(traj, phi)))
         assert residuals[0] > residuals[1] > residuals[2]
         orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
@@ -602,8 +601,27 @@ class TestWeakResidual:
     def test_shape_mismatch(self, grid):
         traj = simulate(Field.zeros(grid), Field.full(grid, 1.0), None,
                         params(t_final=0.1), 0.02)
+        # a level series is refused, not broadcast: the probe is one cell array
         with pytest.raises(ValueError, match="shape"):
-            weak_residual(traj, np.ones((2,) + grid.dims))
+            weak_residual(traj, np.ones((traj.n_levels,) + grid.dims))
+
+    @pytest.mark.parametrize("dims", [(24,), (12, 10), (8, 6, 5)])
+    def test_matches_series_oracle_bit_for_bit(self, dims):
+        # a controlled run off the box's symmetry, so no probe is vacuous
+        g = Grid.unit_box(dims)
+        g = g.with_mask(g.box_mask([(0.0, 0.5)] * len(dims)))
+        p = params(s=2.0, t_final=0.05)
+        u0 = field_preset(g, "gaussian", amplitude=1.5, base=0.2, width=0.2,
+                          center=[0.3] * len(dims))
+        v0 = field_preset(g, "cosine", base=1.0, amplitude=0.4)
+        ctrl = control_preset(g, "random", p.t_final, seed=5, amplitude=2.0, times=4)
+        traj = simulate(u0, v0, ctrl, p, 0.01)
+        residuals = []
+        for probe in _weak_probes(traj):
+            series = np.broadcast_to(probe, (traj.n_levels,) + g.dims)
+            residuals.append(weak_residual(traj, probe))
+            assert residuals[-1].hex() == weak_residual_oracle(traj, series).hex()
+        assert min(abs(r) for r in residuals[1:]) > 1e-12
 
 
 class TestTrajectoryIO:
@@ -714,14 +732,6 @@ class TestTrajectoryIO:
         corrupt_npy(out / name, kind)
         with pytest.raises(TrajectoryFormatError, match=name):
             trajectory_from_dir(out)
-
-    def test_index_of_time(self, grid):
-        traj = simulate(Field.zeros(grid), Field.full(grid, 1.0), None,
-                        params(t_final=0.1), 0.02)
-        assert traj.index_of_time(0.0) == 0
-        assert traj.index_of_time(float(traj.times[-1])) == traj.n_levels - 1
-        with pytest.raises(ValueError, match="not a saved time level"):
-            traj.index_of_time(0.0333)
 
 
 class TestTracedNames:
