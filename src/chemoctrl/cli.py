@@ -106,10 +106,10 @@ CONFIG_KEYS = {
     "initial": ("u", "v"),
     "sim": ("dt_max",),
     "cost": ("gamma_u", "gamma_v", "gamma_f", "M", "desired_u", "desired_v"),
-    # fd_epsilon, seed and n_starts are no longer read, but older configs
-    # that set them still load
+    # fd_epsilon and seed are no longer read, but the benchmark's generated
+    # optimize config still names them (ROADMAP item 1)
     "optimizer": ("max_iters", "basis", "stop_tol", "control_times",
-                  "fd_epsilon", "seed", "n_starts"),
+                  "fd_epsilon", "seed"),
     "energy": ("beta", "K"),
 }
 

@@ -29,7 +29,8 @@ class DesiredState:
     def at(self, t, grid):
         vals = np.asarray(self.fn(t, grid), dtype=float)
         if vals.shape != grid.dims:
-            vals = np.broadcast_to(vals, grid.dims).copy()
+            raise ValueError(f"desired state at t={t} has shape {vals.shape}, "
+                             f"not the grid's {grid.dims}")
         return vals
 
     @classmethod

@@ -134,10 +134,11 @@ def _level_quantities(traj, params):
     # rows: energy, entropy, cross, hessian, quartic, control forcing
     out = np.zeros((6, traj.n_levels))
     ws = Workspace(grid)  # holds the control slice of one level at a time
+    zero, control = np.zeros(grid.dims), traj.control
     for i in range(traj.n_levels):
         u = traj.u[i]
         z = np.sqrt(traj.v[i] + params.alpha**2)
-        f = traj.control_slice(float(traj.times[i]), ws)
+        f = zero if control is None else control.slice_at(float(traj.times[i]), ws)
         out[:, i] = (
             s / 4.0 * integrate(grid, g_energy(u, s))
             + 0.5 * h1_seminorm(grid, z) ** 2,

@@ -17,13 +17,15 @@ inverse, so every output is a sum of nonnegative products: a nonnegative
 right-hand side produces an exactly nonnegative solution in floating point,
 and the solve is monotone in its right-hand side.  Only numpy is needed.
 Every reaction divisor is at least ``1 - dt*max(f_+)``, which is positive
-whenever ``dt * max(f_+) < 1`` (checked).  The comparison
-problem takes the same two stages with the divisor ``1 - dt*f_+``, never
+whenever ``dt * max(f_+) < 1`` (checked).  The comparison problem runs the
+same concentration stage with the reaction ``-f_+``, whose divisor is never
 larger than the concentration's, so a paired comparison solution dominates
-the concentration exactly, not up to round-off.  The density update is in
-conservative flux form and each axis factor has columns summing to one, so
-the discrete cell mass is conserved to round-off at every step.  The scheme
-is first order in time, like backward Euler.
+the concentration exactly, not up to round-off.  The one sampling rule is
+the pair :meth:`Control.sample` (the slice a step sees) and its transpose
+:meth:`Control.scatter`.  The density update is in conservative flux form
+and each axis factor has columns summing to one, so the discrete cell mass
+is conserved to round-off at every step.  The scheme is first order in
+time, like backward Euler.
 
 The stepper works on plain cell arrays.  Inputs are validated once, when
 :func:`simulate` or :func:`solve_comparison` is entered: a ``Field`` or
@@ -107,9 +109,10 @@ class Control:
     """Space-time control on the grid, zero outside the control region.
 
     Values live on the control's own time lattice (at least two levels,
-    starting at 0) and are interpolated linearly in time when the stepper
-    samples them.  The discrete space-time L^q norm is the cost functional's
-    :func:`~chemoctrl.grid.spacetime_lp_norm` on that lattice.
+    starting at 0), masked to the control region when built.  The one
+    sampling rule is :meth:`sample` and its transpose :meth:`scatter`, the
+    only pair the steppers and the reverse pass call.  The discrete space-time
+    L^q norm is :func:`~chemoctrl.grid.spacetime_lp_norm` on that lattice.
     """
 
     grid: Grid
@@ -153,8 +156,6 @@ class Control:
 
         The slice at ``t`` is ``(1 - w) * values[j - 1] + w * values[j]``, or
         ``values[j]`` alone when ``w`` is None (``t`` clamped to an end).
-        :meth:`slice_at` and the reverse pass of :func:`simulate_adjoint` both
-        read it, so the sampling and its transpose agree.
         """
         ts = self.times
         if t <= ts[0]:
@@ -181,6 +182,25 @@ class Control:
         out += np.multiply(self.values[j], w, out=ws.cells[5])
         return out
 
+    def sample(self, t0, t1, ws=None):
+        """The slice a step from ``t0`` to ``t1`` sees: :meth:`slice_at` of
+        its end ``t1``.  Both ends are passed so that the rule can change here
+        alone, and ``t0 + dt`` need not be ``t1`` bit for bit."""
+        return self.slice_at(t1, ws)
+
+    def scatter(self, t0, t1, bar, out):
+        """Add :meth:`sample`'s transpose of the slice gradient ``bar`` onto
+        ``out``, shaped like :attr:`values`, in the control region only (the
+        values are masked there when built); returns ``out``."""
+        bar = bar * self.grid.control_mask
+        j, w = self._bracket(t1)
+        if w is None:
+            out[j] += bar
+        else:
+            out[j - 1] += (1.0 - w) * bar
+            out[j] += w * bar
+        return out
+
     def lq_norm(self, q):
         """Discrete L^q norm over (0, t_final) x domain."""
         return spacetime_lp_norm(self.times, self.values, self.grid, q)
@@ -191,28 +211,29 @@ class Control:
 
 @dataclass
 class Trajectory:
-    """Saved states of one run plus the control and stepping metadata."""
+    """Saved states of one run plus the control and stepping metadata: one
+    step per saved interval and one mass per saved level, checked."""
 
     grid: Grid
     params: ModelParams
     times: np.ndarray
     u: np.ndarray
     v: np.ndarray
+    dt_history: np.ndarray
+    mass_trace: np.ndarray
     control: Control | None = None
-    dt_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
     events: list = field(default_factory=list)
-    mass_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def __post_init__(self):
+        n = np.size(self.times)
+        for name, size, what in (("dt_history", n - 1, "step per saved interval"),
+                                 ("mass_trace", n, "entry per saved level")):
+            if (shape := np.shape(getattr(self, name))) != (size,):
+                raise ValueError(f"{name} must hold one {what} ({size}), found {shape}")
 
     @property
     def n_levels(self):
         return int(self.times.size)
-
-    def control_slice(self, t, ws=None):
-        """The control at ``t`` (zeros without one), as :meth:`Control.slice_at`
-        writes it into ``ws``."""
-        if self.control is None:
-            return np.zeros(self.grid.dims)
-        return self.control.slice_at(t, ws)
 
 
 @dataclass
@@ -365,6 +386,14 @@ def _check_new_level(name, a):
                               f"{a[bad]}")
 
 
+def _split(f, ws):
+    """``(f_+, f_-)`` of the control slice ``f``, written into ``ws.cells[3]``
+    and ``ws.cells[2]``; the steppers and the reverse pass all split here."""
+    fpos = np.maximum(f, 0.0, out=ws.cells[3])
+    fneg = np.negative(f, out=ws.cells[2])
+    return fpos, np.maximum(fneg, 0.0, out=fneg)
+
+
 def _mobility_and_reaction(u, fpos, fneg, params, out=None):
     """``trunc(u)`` and the reaction ``trunc(u)^s + f_- - f_+``, written into
     ``out`` (a new array when None); shared by :func:`step` and its transpose
@@ -380,6 +409,23 @@ def _mobility_and_reaction(u, fpos, fneg, params, out=None):
 # an overflow in a step's arithmetic shows as a non-finite level, which
 # _check_new_level raises as PositivityError, so numpy need not warn about it
 _QUIET = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
+def _concentration_stage(grid, name, v, react, fpos, dt, ws, out):
+    """``(I - dt*Lap)^-1 (v / (1 + dt*react))`` solved into ``out``, checked
+    and returned; ``react`` is overwritten.  ``dt * max(fpos) < 1`` is checked
+    before any inverse is built, so every divisor is positive."""
+    fpos_max = float(fpos.max())
+    if dt * fpos_max >= 1.0:
+        bad = tuple(int(i) for i in np.unravel_index(np.argmax(fpos), fpos.shape))
+        raise StepSizeError(f"dt*max(f+)={dt * fpos_max:.3g} >= 1 at cell {bad} breaks "
+                            "the M-matrix bound", admissible_dt=CFL_SAFETY / fpos_max)
+    react *= dt
+    react += 1.0
+    v_star = np.divide(v, react, out=react)
+    _diffusion_solver(grid, dt).solve(v_star.ravel(), out.ravel(), ws)
+    _check_new_level(name, out)
+    return out
 
 
 @_QUIET
@@ -404,7 +450,8 @@ def step(grid, u, v, f, params, dt, ws=None, out=None):
     The arrays are trusted to have shape ``grid.dims`` and to be finite and
     nonnegative: :func:`simulate` checks its inputs once, and each step checks
     ``dt``, the M-matrix and CFL bounds, and that the new ``v`` and ``u`` are
-    finite and exactly nonnegative.  ``f`` is masked to the control region.
+    finite and exactly nonnegative.  ``f`` is a :meth:`Control.sample`
+    slice, zero outside the control region.
 
     ``ws`` is the run's :class:`~chemoctrl.grid.Workspace`, whose arrays the
     step overwrites, and ``out`` the pair of C-contiguous arrays of shape
@@ -426,29 +473,12 @@ def step(grid, u, v, f, params, dt, ws=None, out=None):
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if ws is None:
-        ws = Workspace(grid)
+    ws = Workspace(grid) if ws is None else ws
     u_new, v_new = (np.empty(grid.dims), np.empty(grid.dims)) if out is None else out
 
-    fneg = np.multiply(f, grid.control_mask, out=ws.cells[2])
-    fpos = np.maximum(fneg, 0.0, out=ws.cells[3])
-    np.maximum(np.negative(fneg, out=fneg), 0.0, out=fneg)
-    fpos_max = float(fpos.max())
-    if dt * fpos_max >= 1.0:
-        bad = tuple(int(i) for i in np.unravel_index(np.argmax(fpos), fpos.shape))
-        raise StepSizeError(
-            f"dt*max(f+)={dt * fpos_max:.3g} >= 1 at cell {bad} breaks the "
-            "M-matrix bound",
-            admissible_dt=CFL_SAFETY / fpos_max,
-        )
-
+    fpos, fneg = _split(f, ws)
     mobility, react = _mobility_and_reaction(u, fpos, fneg, params, out=ws.cells[4])
-    diffusion = _diffusion_solver(grid, dt)
-    react *= dt
-    react += 1.0
-    v_star = np.divide(v, react, out=react)
-    diffusion.solve(v_star.ravel(), v_new.ravel(), ws)
-    _check_new_level("v", v_new)
+    _concentration_stage(grid, "v", v, react, fpos, dt, ws, v_new)
 
     transport, rate = chemotaxis_array(grid, mobility, v_new, ws)
     rate_max = float(rate.max())
@@ -461,7 +491,7 @@ def step(grid, u, v, f, params, dt, ws=None, out=None):
         )
     rhs = np.multiply(transport, dt, out=transport)
     rhs += u
-    diffusion.solve(rhs.ravel(), u_new.ravel(), ws)
+    _diffusion_solver(grid, dt).solve(rhs.ravel(), u_new.ravel(), ws)
     _check_new_level("u", u_new)
     return u_new, v_new
 
@@ -582,7 +612,7 @@ def simulate(u0, v0, control, params, dt_max):
     zero = np.zeros(grid.dims)
 
     def advance(state, t, dt_step):
-        f = zero if control is None else control.slice_at(t + dt_step, ws)
+        f = zero if control is None else control.sample(t, t + dt_step, ws)
         return step(grid, *state, f, params, dt_step, ws, (us.next_row(), vs.next_row()))
 
     times = [0.0]
@@ -616,29 +646,26 @@ def simulate_adjoint(traj, u_bar, v_bar):
 
     Nothing is taped.  Each step, last first, recomputes its mobility,
     reaction and control slice from the saved levels and the exact step sizes
-    ``dt_history``, and transposes the step.  The one implicit operator, the
+    ``dt_history``, and transposes the step; the slice comes from the one
+    sampling rule :meth:`Control.sample` and its gradient goes back through
+    its transpose :meth:`Control.scatter`.  The one implicit operator, the
     product of the commuting axis factors ``I - dt*L_k``, is symmetric, so
     each transposed diffusion reuses the cached forward solve; the reaction
-    divisor ``d = 1 + dt*r`` is transposed cell by cell.  That is two solves
-    per step, one for each diffusion.  A trajectory that an older version
-    saved at fewer levels than steps is refused.
+    divisor ``d = 1 + dt*r`` is transposed cell by cell: two solves a step.
     """
-    grid, params, control = traj.grid, traj.params, traj.control
-    dts = traj.dt_history
-    if control is None or traj.n_levels != dts.size + 1:
-        raise ValueError("the reverse pass needs a controlled run saved at every step")
-    mask = grid.control_mask
+    grid, params, control, dts = traj.grid, traj.params, traj.control, traj.dt_history
+    if control is None:
+        raise ValueError("the reverse pass needs a controlled run")
     ws = Workspace(grid)
     u_bar = np.array(u_bar, dtype=float)  # accumulated in place, level by level
     v_bar = np.array(v_bar, dtype=float)
     f_bar = np.zeros_like(control.values)
     for n in range(dts.size - 1, -1, -1):
         dt = float(dts[n])
-        t = float(traj.times[n + 1])  # where the forward step sampled the control
+        t0, t1 = float(traj.times[n]), float(traj.times[n + 1])
         u, v, v_new = traj.u[n], traj.v[n], traj.v[n + 1]
-        f = control.slice_at(t, ws) * mask
-        mobility, react = _mobility_and_reaction(u, np.maximum(f, 0.0),
-                                                 np.maximum(-f, 0.0), params)
+        fpos, fneg = _split(control.sample(t0, t1, ws), ws)
+        mobility, react = _mobility_and_reaction(u, fpos, fneg, params)
         diffusion = _diffusion_solver(grid, dt)
 
         # u_new = (I - dt*Lap)^-1 (u + dt * transport(mobility, v_new))
@@ -653,47 +680,31 @@ def simulate_adjoint(traj, u_bar, v_bar):
         v_bar[n] += mu / d
         r_bar = -dt * mu * v / (d * d)
 
-        # r = trunc(u)^s - f, with f the masked control slice
+        # r = trunc(u)^s - f, with f the control slice
         mob_bar += params.s * mobility ** (params.s - 1.0) * r_bar
         u_bar[n] += truncate_derivative(u, params.m) * mob_bar
-        slice_bar = -r_bar * mask
-        j, w = control._bracket(t)
-        if w is None:
-            f_bar[j] += slice_bar
-        else:
-            f_bar[j - 1] += (1.0 - w) * slice_bar
-            f_bar[j] += w * slice_bar
+        control.scatter(t0, t1, -r_bar, f_bar)
     return f_bar
 
 
 @_QUIET
 def _comparison_step(grid, w, f_tilde, dt, ws=None, out=None):
-    """``w`` one comparison step of size ``dt`` later, written into ``out``
-    (a new array when None) and returned; the workspace ``ws`` and ``out``
-    follow the rules of :func:`step`."""
-    f_max = float(f_tilde.max()) if f_tilde.size else 0.0
-    if dt * f_max >= 1.0:
-        raise StepSizeError(
-            f"dt*max(f~)={dt * f_max:.3g} >= 1 breaks the M-matrix bound",
-            admissible_dt=CFL_SAFETY / f_max,
-        )
-    if ws is None:
-        ws = Workspace(grid)
-    w_new = np.empty(grid.dims) if out is None else out
-    w_star = np.multiply(f_tilde, dt, out=ws.cells[2])
-    np.subtract(1.0, w_star, out=w_star)
-    np.divide(w, w_star, out=w_star)
-    _diffusion_solver(grid, dt).solve(w_star.ravel(), w_new.ravel(), ws)
-    _check_new_level("w", w_new)
-    return w_new
+    """``w`` one comparison step of size ``dt`` later, in ``out`` (a new array
+    when None): :func:`step`'s concentration stage with ``r = -f~``, since
+    ``1 + dt*(-f~)`` is exactly ``1 - dt*f~``.  ``ws`` and ``out`` follow the
+    rules of :func:`step`, and ``f_tilde`` is not ``ws.cells[2]``."""
+    ws = Workspace(grid) if ws is None else ws
+    react = np.negative(f_tilde, out=ws.cells[2])
+    out = np.empty(grid.dims) if out is None else out
+    return _concentration_stage(grid, "w", w, react, f_tilde, dt, ws, out)
 
 
 def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     """Solve the dominating linear problem driven by the positive control part.
 
-    The reaction uses ``f~ = max(f, 0)`` sampled like the concentration step,
-    and the same split scheme: ``w* = w / (1 - dt*f~)``, then
-    ``prod_k (I - dt*L_k) w_new = w*`` on the same cached inverses.  Pairing
+    The reaction uses ``f~ = max(f, 0)`` of the slice :meth:`Control.sample`
+    gives each step, and the same split scheme: ``w* = w / (1 - dt*f~)``,
+    then ``prod_k (I - dt*L_k) w_new = w*`` on the same cached inverses.  Pairing
     it with a run of :func:`simulate` makes the cellwise domination of the
     concentration exact in floating point: each step's divisor is never
     larger than the concentration's, and division and the products with
@@ -720,12 +731,9 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     ws = Workspace(grid)
     zero = np.zeros(grid.dims)
 
-    def f_tilde_at(t):
-        if control is None:
-            return zero
-        f = control.slice_at(t, ws)
-        np.multiply(f, grid.control_mask, out=f)
-        return np.clip(f, 0.0, None, out=f)
+    def comparison_step(w, t0, t1, dt):
+        f_tilde = zero if control is None else _split(control.sample(t0, t1, ws), ws)[0]
+        return _comparison_step(grid, w, f_tilde, dt, ws, levels.next_row())
 
     if dt_history is not None:
         dts = np.asarray(dt_history, dtype=float)
@@ -739,19 +747,17 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
         dts = np.diff(times)
 
     def paired_steps(w):
-        for t1, dt in zip(times[1:], dts):
-            w = _comparison_step(grid, w, f_tilde_at(t1), dt, ws, levels.next_row())
+        for t0, t1, dt in zip(times, times[1:], dts):
+            w = comparison_step(w, t0, t1, dt)
             yield t1, dt, w
-
-    def advance(w, t, dt):
-        return _comparison_step(grid, w, f_tilde_at(t + dt), dt, ws, levels.next_row())
 
     events = []
     if times is None:
         if not (dt_max > 0 and math.isfinite(dt_max)):
             raise ValueError(f"dt_max must be positive, got {dt_max}")
         levels = _LevelStack(w0.values, _rows_without_rejections(params.t_final, dt_max))
-        steps = _adaptive_steps(advance, w0.values, params.t_final, dt_max, events)
+        steps = _adaptive_steps(lambda w, t, dt: comparison_step(w, t, t + dt, dt),
+                                w0.values, params.t_final, dt_max, events)
     else:
         levels = _LevelStack(w0.values, times.size)
         steps = paired_steps(w0.values)
@@ -885,10 +891,10 @@ def trajectory_from_dir(path):
 
     Every number in the manifest must be a finite JSON number, ``grid.dims``
     integers, and every entry of ``control_mask.npy`` exactly 0 or 1, as
-    :class:`~chemoctrl.grid.Grid` checks.  ``dt_history`` must hold one step
-    per saved interval and ``mass_trace`` one entry per saved level.  A
-    manifest whose ``grid`` still holds the mask as a list, the format before
-    ``control_mask.npy``, is refused.
+    :class:`~chemoctrl.grid.Grid` checks; the step and mass records must fit
+    the levels, as :class:`Trajectory` checks.  A manifest whose ``grid``
+    still holds the mask as a list, the format before ``control_mask.npy``,
+    is refused.
     """
     manifest_path = os.path.join(path, "manifest.json")
     try:
@@ -916,17 +922,9 @@ def trajectory_from_dir(path):
             raise TrajectoryFormatError(
                 f"{manifest_path}: times must start at 0 and increase strictly")
         dt_history = _numbers(manifest_path, "dt_history", manifest.get("dt_history", []))
-        if dt_history.size != times.size - 1:
-            raise TrajectoryFormatError(
-                f"{manifest_path}: dt_history must hold one step per saved interval "
-                f"({times.size - 1}), found {dt_history.size}")
         if np.any(dt_history <= 0):
             raise TrajectoryFormatError(f"{manifest_path}: dt_history must hold steps > 0")
         mass_trace = _numbers(manifest_path, "mass_trace", manifest.get("mass_trace", []))
-        if mass_trace.size != times.size:
-            raise TrajectoryFormatError(
-                f"{manifest_path}: mass_trace must hold one entry per saved level "
-                f"({times.size}), found {mass_trace.size}")
         events = manifest.get("events", [])
         if not isinstance(events, list) or not all(map(_valid_event, events)):
             raise TrajectoryFormatError(

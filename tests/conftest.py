@@ -186,6 +186,31 @@ def hessian_frobenius_sq_oracle(grid, a):
     return total
 
 
+def comparison_step_oracle(grid, w, f_tilde, dt, ws=None, out=None):
+    """``sim._comparison_step`` as it was before it ran the concentration
+    stage of ``sim.step`` with the reaction ``-f~``: the oracle that stage
+    must equal bit for bit."""
+    from chemoctrl.grid import Workspace
+    from chemoctrl.sim import CFL_SAFETY, StepSizeError, _check_new_level, \
+        _diffusion_solver
+
+    f_max = float(f_tilde.max()) if f_tilde.size else 0.0
+    if dt * f_max >= 1.0:
+        raise StepSizeError(
+            f"dt*max(f~)={dt * f_max:.3g} >= 1 breaks the M-matrix bound",
+            admissible_dt=CFL_SAFETY / f_max,
+        )
+    if ws is None:
+        ws = Workspace(grid)
+    w_new = np.empty(grid.dims) if out is None else out
+    w_star = np.multiply(f_tilde, dt, out=ws.cells[2])
+    np.subtract(1.0, w_star, out=w_star)
+    np.divide(w, w_star, out=w_star)
+    _diffusion_solver(grid, dt).solve(w_star.ravel(), w_new.ravel(), ws)
+    _check_new_level("w", w_new)
+    return w_new
+
+
 def weak_residual_oracle(traj, test_series):
     """The weak residual against a test function given at every saved level,
     shape ``(n_levels, *dims)``, as first written: the oracle the one-probe

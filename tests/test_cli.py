@@ -316,6 +316,8 @@ class TestConfigErrors:
         ("optimize", [], {"optimizer": {"step0": 2.0}}, "optimizer.step0 is fixed at 1.0,"),
         ("optimize", [], {"optimizer": {"shrink": 0.25}},
          "optimizer.shrink is fixed at 0.5,"),
+        # a retired key that no config still names is refused like a typo
+        ("optimize", [], {"optimizer": {"n_starts": 4}}, "optimizer.n_starts"),
     ])
     def test_bad_numeric_input_is_config_error(self, decay_dir, tmp_path, capsys,
                                                command, flags, patch, field):
@@ -393,7 +395,7 @@ class TestConfigErrors:
         assert load_config(str(cfg)).optimizer is not None
         for table, keys in FIXED_KEYS.items():
             assert not set(raw[table]) & set(keys)
-        assert not set(raw["optimizer"]) & {"fd_epsilon", "seed", "n_starts"}
+        assert not set(raw["optimizer"]) & {"fd_epsilon", "seed"}
 
     def test_config_must_be_a_table(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -278,3 +278,14 @@ class TestDesiredPresets:
         f = field_preset(grid, "random", seed=1)
         d = DesiredState.from_field(f)
         assert np.array_equal(d.at(9.9, grid), f.values)
+
+    @pytest.mark.parametrize("value", [2.0, [1.0, 2.0, 3.0], "flat"])
+    def test_value_of_another_shape_is_refused(self, value):
+        # a scalar, a row or the flat cells: none is broadcast to the grid
+        grid = Grid.unit_box((4, 3))
+        flat = np.ones(grid.n_cells)
+        d = DesiredState(lambda t, g: flat if value == "flat" else value)
+        shape = flat.shape if value == "flat" else np.shape(value)
+        with pytest.raises(ValueError) as err:
+            d.at(0.1, grid)
+        assert str(shape) in str(err.value) and str(grid.dims) in str(err.value)

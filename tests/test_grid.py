@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chemoctrl import Field, Grid, h1_seminorm, integrate
+from chemoctrl import Field, Grid, h1_seminorm, integrate, sim
 from chemoctrl.grid import (
     _second_difference,
     cell_gradient_sq,
@@ -21,6 +21,7 @@ from conftest import (
     cell_gradient_sq_oracle,
     chemotaxis_array_oracle,
     chemotaxis_transpose_oracle,
+    comparison_step_oracle,
     face_gradients_oracle,
     hessian_frobenius_sq_oracle,
     second_difference_oracle,
@@ -310,8 +311,17 @@ def kernel_inputs(dims, seed, scale):
     return grid, mob, v, bar, a
 
 
+def comparison_rate(a, dt):
+    """A positive control part from the signed ``a``: ``-0.0`` where ``a`` is
+    not positive, scaled so that ``dt * max`` is about 1/2."""
+    return np.where(a > 0, a * (0.5 / (dt * np.abs(a).max())), -0.0)
+
+
 # each kernel with its oracle, as a function of the kernel_inputs arrays
 KERNEL_CASES = {
+    "comparison_step": (lambda k, g, mob, v, bar, a: [k(g, v, comparison_rate(a, 0.01),
+                                                        0.01)],
+                        sim._comparison_step, comparison_step_oracle),
     "chemotaxis_array": (lambda k, g, mob, v, bar, a: k(g, mob, v),
                          chemotaxis_array, chemotaxis_array_oracle),
     "chemotaxis_transpose": (lambda k, g, mob, v, bar, a: k(g, mob, v, bar),

@@ -46,7 +46,8 @@ class TestByteIdentity:
         control = Control(grid, np.array([0.0, 0.03, 0.07, 0.1]), ctrl_vals)
         traj = Trajectory(grid=grid, params=ModelParams(s=1.0, t_final=0.1), times=times,
                           u=special_values((3,) + dims, 0),
-                          v=special_values((3,) + dims, 1), control=control)
+                          v=special_values((3,) + dims, 1), control=control,
+                          dt_history=np.diff(times), mass_trace=np.ones(3))
         out = tmp_path / "traj"
         trajectory_to_dir(traj, out)
         assert sorted(p.name for p in out.iterdir()) == \

@@ -84,7 +84,7 @@ class TestConfig:
     def test_removed_keys_are_ignored(self, tmp_path):
         with open(BUNDLED) as fh:
             raw = json.load(fh)
-        raw["optimizer"].update(fd_epsilon=1e-3, seed=7, n_starts=4)
+        raw["optimizer"].update(fd_epsilon=1e-3, seed=7)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(raw))
         assert load_config(str(path)).optimizer == load_config(BUNDLED).optimizer

@@ -110,6 +110,27 @@ class TestControl:
             ref = (1.0 - w) * ctrl.values[j - 1] + w * ctrl.values[j]
         assert ctrl.slice_at(t).tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("dims", [(7,), (5, 4), (3, 4, 2)])
+    def test_scatter_is_the_transpose_of_sample(self, dims):
+        # sum(slice * bar) == sum(values * scatter(bar)) for steps that start
+        # and end inside the lattice, on its nodes and past either end
+        g = Grid.unit_box(dims)
+        g = g.with_mask(g.box_mask([(0.0, 0.6)] * len(dims)))
+        rng = np.random.default_rng(len(dims))
+        times = np.cumsum(np.concatenate(([0.0], rng.uniform(0.05, 0.3, 5))))
+        ctrl = Control(g, times, rng.normal(size=(times.size,) + dims))
+        ends = np.concatenate((rng.uniform(-0.5, times[-1] + 0.5, 30), times))
+        outside = g.control_mask == 0.0
+        for _ in range(60):
+            t0, t1 = np.sort(rng.choice(ends, 2, replace=False))
+            bar = rng.normal(size=dims)
+            sampled = ctrl.sample(t0, t1)
+            assert sampled.tobytes() == ctrl.slice_at(t1).tobytes()
+            levels_bar = ctrl.scatter(t0, t1, bar, np.zeros_like(ctrl.values))
+            assert not levels_bar[:, outside].any()
+            assert np.sum(sampled * bar) == \
+                pytest.approx(np.sum(ctrl.values * levels_bar), rel=1e-12, abs=1e-12)
+
     def test_lq_norm_constant(self):
         # |f| = c on the unit space-time cylinder has every L^q norm c
         g = Grid.unit_box((10,))
@@ -510,13 +531,14 @@ class TestSimulateAdjoint:
         u0, v0 = Field.full(grid, 0.5), Field.full(grid, 1.0)
         ctrl = Control.constant(grid, 0.3, 0.1)
         full = simulate(u0, v0, ctrl, p, 0.01)
-        # a trajectory saved every third step, as an older version wrote it
-        sparse = dataclasses.replace(full, times=full.times[::3], u=full.u[::3],
-                                     v=full.v[::3])
-        for traj in (simulate(u0, v0, None, p, 0.01), sparse):
-            with pytest.raises(ValueError, match="saved at every step"):
-                sim.simulate_adjoint(traj, np.zeros_like(traj.u),
-                                     np.zeros_like(traj.v))
+        # a trajectory saved every third step, as an older version wrote it,
+        # is refused when it is built: it has more steps than intervals
+        with pytest.raises(ValueError, match="dt_history must hold one step per saved"):
+            dataclasses.replace(full, times=full.times[::3], u=full.u[::3],
+                                v=full.v[::3])
+        traj = simulate(u0, v0, None, p, 0.01)
+        with pytest.raises(ValueError, match="needs a controlled run"):
+            sim.simulate_adjoint(traj, np.zeros_like(traj.u), np.zeros_like(traj.v))
 
     def test_zero_seed_gives_zero_gradient(self, grid):
         p = params(t_final=0.1)
