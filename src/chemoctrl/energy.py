@@ -19,6 +19,19 @@ one trapezoid integral per saved interval, so the integral over a window of
 saved levels is the sum of its entries.  The audit, its pair residuals and
 :func:`fit_constants` work from the report, and ``beta`` and ``K`` enter
 only there, as arguments of the verdict.
+
+The pass reuses one workspace at every saved level (:class:`_LevelWorkspace`),
+so after the first level it allocates no array as large as a level.  The
+workspace holds ``z``, ``z``'s face gradients and their squares, one scratch
+array per face shape and a grid :class:`Workspace` for the control slice and
+the level-sized products.  The gradients and squares are computed once per
+level: the squares serve the energy and the cross term, the gradients the
+quartic term's cell gradient and the Hessian's diagonal.  Every other
+product is written in place.  Each rewrite makes the IEEE operations of
+the expression it replaces in their order, or a commutative product of
+them, and every sum reduces a C-contiguous array of the shape it had, so
+the six per-level series are the same bit for bit as with fresh
+temporaries (:func:`_level_quantities` says why, term by term).
 """
 
 from __future__ import annotations
@@ -101,10 +114,11 @@ class EnergyReport:
         return _max_rise(self._accumulator(beta)) - float(K)
 
     def residual_pairs(self, beta, K):
-        """Rows ``(t1, t2, residual)`` over every pair of saved levels."""
+        """Rows ``(t1, t2, residual)`` over every pair of saved levels, ``t1``
+        ascending, then ``t2``."""
         A, t = self._accumulator(beta), self.times
-        return [(float(t[i]), float(t[j]), float(A[j] - A[i] - K))
-                for i in range(t.size) for j in range(i + 1, t.size)]
+        i, j = np.triu_indices(t.size, 1)
+        return list(zip(t[i].tolist(), t[j].tolist(), (A[j] - A[i] - K).tolist()))
 
 
 @dataclass
@@ -116,38 +130,95 @@ class FittedConstants:
     K_values: np.ndarray
 
 
-def _face_weighted_cross(grid, density_pow, z):
-    """Integral of ``u^s |grad z|^2`` with arithmetic face means of ``u^s``."""
+def _face_weighted_cross(grid, density_pow, grads_sq, faces):
+    """Integral of ``u^s |grad z|^2`` with arithmetic face means of ``u^s``;
+    ``grads_sq`` are the squared face gradients of ``z``, and ``faces`` one
+    scratch array of each face shape."""
     total = 0.0
-    for gz, (lo, hi, _) in zip(face_gradients(grid, z), grid.face_slices):
-        mean_pow = 0.5 * (density_pow[lo] + density_pow[hi])
-        total += (mean_pow * gz**2).sum()
+    for g_sq, mean_pow, (lo, hi, _) in zip(grads_sq, faces, grid.face_slices):
+        np.add(density_pow[lo], density_pow[hi], out=mean_pow)
+        mean_pow *= 0.5
+        total += np.multiply(mean_pow, g_sq, out=mean_pow).sum()
     return total * grid.cell_volume
+
+
+class _LevelWorkspace:
+    """The arrays one report reuses at every saved level (what they hold and
+    why the results are exact: :func:`_level_quantities`); called with a
+    level, it returns that level's six quantities."""
+
+    def __init__(self, grid, params, control):
+        self.grid, self.params, self.control = grid, params, control
+        self.ws = Workspace(grid)
+        self.z = np.empty(grid.dims)
+        shapes = [tuple(n - (j == k) for j, n in enumerate(grid.dims))
+                  for k in range(grid.ndim)]
+        self.gz, self.gz_sq, self.faces = ([np.empty(shape) for shape in shapes]
+                                           for _ in range(3))
+
+    def __call__(self, u, v, t):
+        """``(energy, entropy, cross, hessian, quartic, control forcing)``
+        of the level ``(u, v)`` at time ``t``."""
+        grid, s, ws = self.grid, self.params.s, self.ws
+        vol = grid.cell_volume
+        cells = ws.cells
+        # first, while cells[4] and cells[5] are free for the slice
+        forcing = 0.0 if self.control is None else \
+            np.square(self.control.slice_at(t, ws), out=cells[5]).sum() * vol
+        z = np.add(v, self.params.alpha**2, out=self.z)
+        np.sqrt(z, out=z)
+        gz = face_gradients(grid, z, self.gz)
+        gz_sq = [np.square(g, out=g_sq) for g, g_sq in zip(gz, self.gz_sq)]
+        # g_energy refuses a negative u before any power of it is taken
+        energy = s / 4.0 * integrate(grid, g_energy(u, s, cells[0], cells[1])) \
+            + 0.5 * h1_seminorm(grid, z, gz_sq) ** 2
+        root = np.add(u, 1.0, out=cells[0])
+        root **= s / 2.0
+        entropy = h1_seminorm(grid, root, [np.square(g, out=g) for g in
+                                           face_gradients(grid, root, self.faces)]) ** 2
+        density_pow = u  # u**1 is a copy of u
+        if s != 1:
+            density_pow = cells[0]
+            density_pow[...] = u
+            density_pow **= s  # numpy's shortcuts for s = 2 included, as u**s
+        cross = _face_weighted_cross(grid, density_pow, gz_sq, self.faces)
+        hessian = hessian_frobenius_sq(grid, z, gz, ws).sum() * vol
+        quartic = cell_gradient_sq(grid, z, gz, ws)
+        np.square(quartic, out=quartic)
+        quartic /= np.square(z, out=cells[2])
+        return energy, entropy, cross, hessian, quartic.sum() * vol, forcing
 
 
 def _level_quantities(traj, params):
     """Instantaneous energy and dissipation densities at every saved level;
-    the energy is ``s/4 * integral g(u) + 1/2 * integral |grad z|^2``."""
-    grid = traj.grid
-    s = params.s
-    vol = grid.cell_volume
+    the energy is ``s/4 * integral g(u) + 1/2 * integral |grad z|^2``.
+
+    One :class:`_LevelWorkspace` serves every level, so after the first level
+    no array as large as a level is allocated; it holds ``z``, ``z``'s face
+    gradients and their squares, one scratch array per face shape and a
+    :class:`Workspace` for the control slice and the level-sized products.
+    Each quantity is the same bit for bit as its expression evaluated with
+    fresh temporaries, term by term:
+
+    - ``np.sqrt(v + alpha**2)``, ``g(u)``, ``(u + 1) ** (s/2)``, ``u**s``,
+      ``cell_gradient_sq(z) ** 2 / z**2`` and ``f**2`` are the same
+      operations in the same order written into reused arrays; ``a **= p``
+      dispatches as ``a ** p`` does, and ``u**1`` is ``u`` itself.
+    - The shared face gradients of ``z`` are what ``h1_seminorm``,
+      ``cell_gradient_sq`` and the Hessian's second differences would
+      compute, and their squares are the ``g**2`` of ``h1_seminorm`` and of
+      the cross term.
+    - The cross term's ``mean * gz**2`` and face means ``0.5 * (lo + hi)``
+      are commutative products.
+    - Each face array is a C-contiguous array of the face shape, as a
+      subtraction returns, and each level-sized one C-contiguous of shape
+      ``dims``, so every ``.sum()`` reduces in the same pairwise order.
+    """
     # rows: energy, entropy, cross, hessian, quartic, control forcing
     out = np.zeros((6, traj.n_levels))
-    ws = Workspace(grid)  # holds the control slice of one level at a time
-    zero, control = np.zeros(grid.dims), traj.control
+    level = _LevelWorkspace(traj.grid, params, traj.control)
     for i in range(traj.n_levels):
-        u = traj.u[i]
-        z = np.sqrt(traj.v[i] + params.alpha**2)
-        f = zero if control is None else control.slice_at(float(traj.times[i]), ws)
-        out[:, i] = (
-            s / 4.0 * integrate(grid, g_energy(u, s))
-            + 0.5 * h1_seminorm(grid, z) ** 2,
-            h1_seminorm(grid, (u + 1.0) ** (s / 2.0)) ** 2,
-            _face_weighted_cross(grid, u**s, z),
-            hessian_frobenius_sq(grid, z).sum() * vol,
-            (cell_gradient_sq(grid, z) ** 2 / z**2).sum() * vol,
-            (f**2).sum() * vol,
-        )
+        out[:, i] = level(traj.u[i], traj.v[i], float(traj.times[i]))
     return tuple(out)
 
 

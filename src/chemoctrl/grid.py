@@ -13,6 +13,7 @@ trapezoid rule in time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -82,7 +83,7 @@ class Grid:
     def n_cells(self):
         return math.prod(self.dims)
 
-    @property
+    @cached_property
     def cell_volume(self):
         return float(np.prod(self.spacing))
 
@@ -198,23 +199,29 @@ class Field:
 # array-level kernels (shared with the time stepper)
 # ---------------------------------------------------------------------------
 
-def face_gradients(grid, a):
+def face_gradients(grid, a, out=None):
     """Interior-face gradients per axis.
 
     The list entry for axis ``k`` has shape ``dims`` with ``dims[k]-1`` along
     that axis.  Boundary faces carry zero gradient by the Neumann closure and
     are not stored.  ``a[hi] - a[lo]`` is the subtraction ``np.diff`` makes,
-    so the result equals ``np.diff(a, axis=k) / h`` bit for bit.
+    so the result equals ``np.diff(a, axis=k) / h`` bit for bit.  With
+    ``out``, one C-contiguous array of that shape per axis, the gradients are
+    written there and ``out``'s arrays are returned.
     """
-    grads = []
-    for h, (lo, hi, _) in zip(grid.spacing, grid.face_slices):
-        g = a[hi] - a[lo]
-        g /= h
-        grads.append(g)
-    return grads
+    return [_face_gradient(grid, a, k, None if out is None else out[k])
+            for k in range(grid.ndim)]
 
 
-def _second_difference(grid, a, k):
+def _face_gradient(grid, a, k, out=None):
+    """The interior-face gradients of :func:`face_gradients` along axis ``k``."""
+    lo, hi, _ = grid.face_slices[k]
+    g = np.subtract(a[hi], a[lo], out=out)
+    g /= grid.spacing[k]
+    return g
+
+
+def _second_difference(grid, a, k, grad=None, out=None):
     """Second difference along axis ``k``: face gradients, zero boundary flux,
     then their difference.  Summed over the axes it is the discrete Laplacian,
     which maps a constant to exactly 0.
@@ -222,16 +229,19 @@ def _second_difference(grid, a, k):
     Writing the gradients into the low cells and subtracting them from the
     high cells makes the subtractions of ``np.diff`` of the zero-padded
     gradients, so the result equals that bit for bit, without the padded copy.
+    ``grad`` is ``a``'s face gradient along the axis when already at hand
+    (:func:`face_gradients`' entry ``k``, which is what would be computed);
+    the result goes into ``out`` (a new array when None), which must not
+    be ``a`` or ``grad``.
     """
     lo, hi, last = grid.face_slices[k]
-    h = grid.spacing[k]
-    g = a[hi] - a[lo]
-    g /= h
-    out = np.empty(grid.dims)
-    out[lo] = g
+    if grad is None:
+        grad = _face_gradient(grid, a, k)
+    out = np.empty(grid.dims) if out is None else out
+    out[lo] = grad
     out[last] = 0.0
-    out[hi] -= g
-    out /= h
+    out[hi] -= grad
+    out /= grid.spacing[k]
     return out
 
 
@@ -240,7 +250,9 @@ class Workspace:
 
     ``flat`` holds six float arrays of ``grid.n_cells`` entries, ``cells``
     the same six arrays shaped ``grid.dims``, and ``mask`` one bool array of
-    ``grid.n_cells`` entries.  A run builds one workspace and passes it to
+    ``grid.n_cells`` entries; :attr:`faces` (views of ``flat``) and
+    :attr:`cross_pairs` (views of one more array) are built on first use.
+    A run builds one workspace and passes it to
     every kernel of every step, so that a step allocates no array as large as
     a level; a kernel called without one builds a fresh workspace and runs
     the same code.  Each kernel that takes a workspace says which of its
@@ -254,6 +266,30 @@ class Workspace:
         self.flat = tuple(np.empty(n) for _ in range(6))
         self.cells = tuple(a.reshape(grid.dims) for a in self.flat)
         self.mask = np.empty(n, dtype=bool)
+
+    @cached_property
+    def cross_pairs(self):
+        """Per axis pair ``k < l``, the edge-padded level that
+        :func:`hessian_frobenius_sq`'s cross difference reads and the four
+        views of it shifted by ``(+-1, +-1)`` along ``(k, l)``, built once per
+        workspace: ``(k, l, padded, ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        views)``.  The pairs take turns in one flat array as large as the
+        largest of them (on a cube the three 3D pairs have one size)."""
+        dims = self.grid.dims
+        pairs = list(itertools.combinations(range(len(dims)), 2))
+        shapes = [_padded_shape(dims, pair) for pair in pairs]
+        flat = np.empty(max(map(math.prod, shapes), default=0))
+        out = []
+        for (k, l), shape in zip(pairs, shapes):
+            padded = flat[:math.prod(shape)].reshape(shape)
+            views = []
+            for sk, sl in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                idx = [slice(None)] * len(dims)
+                idx[k] = slice(1 + sk, (-1 + sk) or None)
+                idx[l] = slice(1 + sl, (-1 + sl) or None)
+                views.append(padded[tuple(idx)])
+            out.append((k, l, padded, tuple(views)))
+        return tuple(out)
 
     @cached_property
     def faces(self):
@@ -385,17 +421,25 @@ def chemotaxis_transpose(grid, mob, v, bar):
     return mob_bar, v_bar
 
 
-def cell_gradient_sq(grid, a):
+def cell_gradient_sq(grid, a, grads=None, ws=None):
     """Cellwise squared gradient magnitude from averaged face gradients.
 
     Each cell averages its two face gradients per axis, a boundary face
     counting as zero.  The face sums are formed in place of a zero-padded
     copy; the additions are those of the padded form, so the result equals
-    it bit for bit.
+    it bit for bit.  ``grads`` are ``a``'s :func:`face_gradients` when
+    already at hand, which is what would be computed.  The result is
+    ``cells[0]`` of the workspace ``ws`` (:class:`Workspace`; a fresh one
+    when None), with ``cells[1]`` as scratch; neither may hold ``a`` or
+    ``grads``.
     """
-    total = np.zeros(grid.dims)
-    face_sum = np.empty(grid.dims)
-    for g, (lo, hi, last) in zip(face_gradients(grid, a), grid.face_slices):
+    if ws is None:
+        ws = Workspace(grid)
+    if grads is None:
+        grads = face_gradients(grid, a)
+    total, face_sum = ws.cells[:2]
+    total[...] = 0.0
+    for g, (lo, hi, last) in zip(grads, grid.face_slices):
         face_sum[lo] = g
         face_sum[last] = 0.0
         face_sum[hi] += g
@@ -404,7 +448,7 @@ def cell_gradient_sq(grid, a):
     return total
 
 
-def hessian_frobenius_sq(grid, a):
+def hessian_frobenius_sq(grid, a, grads=None, ws=None):
     """Cellwise squared Frobenius norm of the discrete Hessian.
 
     Zero-flux second differences (the Laplacian's) on the diagonal, centered
@@ -413,42 +457,49 @@ def hessian_frobenius_sq(grid, a):
     edge-padded copy of ``a`` filled by slice copies, which holds what
     ``np.pad(a, mode="edge")`` holds; the arithmetic runs in the same order on
     the same values, so the result is the same bit for bit.
+
+    ``grads`` are ``a``'s :func:`face_gradients` when already at hand: the
+    diagonal second differences start from them, which is what they would
+    compute.  The result is ``cells[0]`` of the workspace ``ws``
+    (:class:`Workspace`; a fresh one when None), with ``cells[1]``,
+    ``cells[2]`` and the padded levels of :attr:`Workspace.cross_pairs` as
+    scratch; none of them may hold ``a`` or ``grads``.
     """
-    total = _second_difference(grid, a, 0)
+    if ws is None:
+        ws = Workspace(grid)
+    total, diag, cross = ws.cells[:3]
+    grads = [None] * grid.ndim if grads is None else grads
+    _second_difference(grid, a, 0, grads[0], total)
     np.square(total, out=total)
     for k in range(1, grid.ndim):
-        diag = _second_difference(grid, a, k)
+        _second_difference(grid, a, k, grads[k], diag)
         total += np.square(diag, out=diag)
-    for k in range(grid.ndim):
-        for l in range(k + 1, grid.ndim):
-            ap = _edge_padded(a, (k, l))
-            sl = {}
-            for sk in (-1, 1):
-                for sl_ in (-1, 1):
-                    idx = [slice(None)] * grid.ndim
-                    idx[k] = slice(1 + sk, (-1 + sk) or None)
-                    idx[l] = slice(1 + sl_, (-1 + sl_) or None)
-                    sl[(sk, sl_)] = ap[tuple(idx)]
-            cross = sl[(1, 1)] - sl[(1, -1)]
-            cross -= sl[(-1, 1)]
-            cross += sl[(-1, -1)]
-            cross /= 4.0 * grid.spacing[k] * grid.spacing[l]
-            np.square(cross, out=cross)
-            cross *= 2.0
-            total += cross
+    for k, l, padded, (pp, pm, mp, mm) in ws.cross_pairs:
+        _edge_padded(a, (k, l), padded)
+        np.subtract(pp, pm, out=cross)
+        cross -= mp
+        cross += mm
+        cross /= 4.0 * grid.spacing[k] * grid.spacing[l]
+        np.square(cross, out=cross)
+        cross *= 2.0
+        total += cross
     return total
 
 
-def _edge_padded(a, axes):
+def _padded_shape(shape, axes):
+    """``shape`` with two more entries along each axis in ``axes``."""
+    return tuple(n + 2 * (j in axes) for j, n in enumerate(shape))
+
+
+def _edge_padded(a, axes, out=None):
     """``a`` with one ghost layer on both ends of each axis in ``axes``, each
     a copy of the layer next to it (corners included), as
-    ``np.pad(mode="edge")`` pads."""
-    shape = list(a.shape)
+    ``np.pad(mode="edge")`` pads; in ``out`` when given, an array of the
+    padded shape."""
     inner = [slice(None)] * a.ndim
     for k in axes:
-        shape[k] += 2
         inner[k] = slice(1, -1)
-    out = np.empty(shape)
+    out = np.empty(_padded_shape(a.shape, axes)) if out is None else out
     out[tuple(inner)] = a
     for k in axes:
         for ghost, source in ((0, 1), (-1, -2)):
@@ -502,15 +553,18 @@ def spacetime_lp_norm(times, series, grid, p):
     return float(trapezoid_intervals(times, per_level).sum()) ** (1.0 / p)
 
 
-def h1_seminorm(grid, a):
+def h1_seminorm(grid, a, grads_sq=None):
     """L^2 norm of the face-difference gradient of a cell array, with Neumann
     closure.
 
     Each interior face contributes its squared gradient weighted by one cell
-    volume; boundary faces carry zero gradient.
+    volume; boundary faces carry zero gradient.  ``grads_sq`` are the squares
+    of ``a``'s :func:`face_gradients` when already at hand (``a`` is then not
+    read); each is summed as it would be when computed here.
     """
+    if grads_sq is None:
+        grads_sq = (np.square(g, out=g) for g in face_gradients(grid, a))
     total = 0.0
-    for g in face_gradients(grid, a):
-        total += (g**2).sum()
+    for g_sq in grads_sq:
+        total += g_sq.sum()
     return float(np.sqrt(total * grid.cell_volume))
-

@@ -57,13 +57,13 @@ class ModelParams:
 
 def _as_nonneg(r, name):
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError(f"{name} must be nonnegative")
     return arr
 
 
 def _like_input(out, r):
-    return float(out) if np.isscalar(r) or np.ndim(r) == 0 else out
+    return out if np.ndim(r) else float(out)
 
 
 def truncate(r, m):
@@ -91,15 +91,30 @@ def truncate_derivative(r, m):
     return _like_input(out, r)
 
 
-def g_energy(u, s):
-    """Entropy density, branch selected by the consumption exponent."""
+def g_energy(u, s, out=None, scratch=None):
+    """Entropy density, branch selected by the consumption exponent.
+
+    With ``out`` (and, for ``s == 1``, ``scratch``), arrays shaped like
+    ``u``, the density is written into ``out`` and no temporary as large as
+    ``u`` is made.  The in-place steps make the operations of
+    ``(u + 1) * log1p(u) - u`` and ``u**s / (s (s - 1))`` in their order, and
+    ``out **= s`` dispatches as ``u**s`` does, so the result is the same bit
+    for bit.
+    """
     if s < 1:
         raise ValueError(f"g requires s >= 1, got s={s}")
     arr = _as_nonneg(u, "entropy argument")
     if s == 1:
-        out = (arr + 1.0) * np.log1p(arr) - arr
+        out = np.add(arr, 1.0, out=out)
+        out *= np.log1p(arr, out=scratch)
+        out -= arr
     else:
-        out = arr**s / (s * (s - 1.0))
+        if out is None:
+            out = arr**s
+        else:
+            out[...] = arr
+            out **= s
+        out /= s * (s - 1.0)
     return _like_input(out, u)
 
 

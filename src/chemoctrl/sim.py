@@ -570,13 +570,24 @@ def _adaptive_steps(advance, state, t_final, dt_max, events):
             clean = 0
 
 
-def simulate(u0, v0, control, params, dt_max):
+def _workspace_on(grid, ws):
+    """``ws``, or a fresh workspace when None; a ``GridMismatchError`` if it
+    was built for another grid, whose spacing its views would carry."""
+    if ws is None:
+        return Workspace(grid)
+    if not grid.compatible_with(ws.grid):
+        raise GridMismatchError("workspace lives on a different grid")
+    return ws
+
+
+def simulate(u0, v0, control, params, dt_max, ws=None):
     """Integrate the controlled system up to the horizon, saving every step.
 
     The inputs are checked once, on entry: a ``GridMismatchError`` unless
-    ``u0``, ``v0`` and the control share one grid, a ``ValueError`` naming the
-    cell if ``u0`` or ``v0`` has a negative one.  The steps then run on their
-    cell arrays, which are read and never written.
+    ``u0``, ``v0``, the control and the workspace share one grid, a
+    ``ValueError`` naming the cell if ``u0`` or ``v0`` has a negative one.
+    The steps then run on their cell arrays, which are read and never
+    written.
 
     Parameters
     ----------
@@ -587,6 +598,9 @@ def simulate(u0, v0, control, params, dt_max):
     params : ModelParams
     dt_max : float
         Upper bound for the adaptive step.
+    ws : Workspace, optional
+        The scratch arrays every step is given; a fresh one when None.  A
+        caller that runs several solves in turn may pass them one.
 
     Returns
     -------
@@ -604,8 +618,8 @@ def simulate(u0, v0, control, params, dt_max):
             raise GridMismatchError("control lives on a different grid")
         if control.t_final < params.t_final - 1e-12 * max(1.0, params.t_final):
             raise ValueError("control time lattice does not cover the horizon")
+    ws = _workspace_on(grid, ws)
 
-    ws = Workspace(grid)
     rows = _rows_without_rejections(params.t_final, dt_max)
     us = _LevelStack(u0.values, rows)
     vs = _LevelStack(v0.values, rows)
@@ -699,7 +713,8 @@ def _comparison_step(grid, w, f_tilde, dt, ws=None, out=None):
     return _concentration_stage(grid, "w", w, react, f_tilde, dt, ws, out)
 
 
-def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
+def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None,
+                     ws=None):
     """Solve the dominating linear problem driven by the positive control part.
 
     The reaction uses ``f~ = max(f, 0)`` of the slice :meth:`Control.sample`
@@ -715,7 +730,8 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     need not reproduce the step sizes bit for bit, so the domination then
     holds to round-off and each shifted step size builds its own inverses.
     Without either, the solver runs its own adaptive stepping and records
-    its step rejections in ``events``.
+    its step rejections in ``events``.  ``ws`` is the workspace every step
+    is given, as in :func:`simulate`.
 
     Returns
     -------
@@ -727,8 +743,7 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
         raise GridMismatchError("control lives on a different grid")
     if times is not None and dt_history is not None:
         raise ValueError("give either paired times or a dt history, not both")
-
-    ws = Workspace(grid)
+    ws = _workspace_on(grid, ws)
     zero = np.zeros(grid.dims)
 
     def comparison_step(w, t0, t1, dt):

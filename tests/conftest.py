@@ -247,3 +247,46 @@ def weak_residual_oracle(traj, test_series):
     if norm_sq == 0.0:
         return 0.0
     return float(residual / np.sqrt(norm_sq))
+
+
+def face_weighted_cross_oracle(grid, density_pow, z):
+    """``energy._face_weighted_cross`` as it was before the report reused one
+    workspace for every level, verbatim."""
+    from chemoctrl.grid import face_gradients
+
+    total = 0.0
+    for gz, (lo, hi, _) in zip(face_gradients(grid, z), grid.face_slices):
+        mean_pow = 0.5 * (density_pow[lo] + density_pow[hi])
+        total += (mean_pow * gz**2).sum()
+    return total * grid.cell_volume
+
+
+def level_quantities_oracle(traj, params):
+    """``energy._level_quantities`` as it was before the report reused one
+    workspace for every level, verbatim, with fresh temporaries for every
+    product: the oracle its six series must equal bit for bit."""
+    from chemoctrl.grid import Workspace, cell_gradient_sq, h1_seminorm, \
+        hessian_frobenius_sq, integrate
+    from chemoctrl.model import g_energy
+
+    grid = traj.grid
+    s = params.s
+    vol = grid.cell_volume
+    # rows: energy, entropy, cross, hessian, quartic, control forcing
+    out = np.zeros((6, traj.n_levels))
+    ws = Workspace(grid)  # holds the control slice of one level at a time
+    zero, control = np.zeros(grid.dims), traj.control
+    for i in range(traj.n_levels):
+        u = traj.u[i]
+        z = np.sqrt(traj.v[i] + params.alpha**2)
+        f = zero if control is None else control.slice_at(float(traj.times[i]), ws)
+        out[:, i] = (
+            s / 4.0 * integrate(grid, g_energy(u, s))
+            + 0.5 * h1_seminorm(grid, z) ** 2,
+            h1_seminorm(grid, (u + 1.0) ** (s / 2.0)) ** 2,
+            face_weighted_cross_oracle(grid, u**s, z),
+            hessian_frobenius_sq(grid, z).sum() * vol,
+            (cell_gradient_sq(grid, z) ** 2 / z**2).sum() * vol,
+            (f**2).sum() * vol,
+        )
+    return tuple(out)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from chemoctrl import (
     fit_constants,
     simulate,
 )
+from chemoctrl import energy
 from chemoctrl.energy import EnergyReport, audit_pairs
+from chemoctrl.sim import Trajectory
+from conftest import level_quantities_oracle
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +134,22 @@ class TestEnergyAudit:
         worst = energy_inequality_audit(traj, p, 1e-3, 0.0)
         assert max(r[2] for r in rows) <= worst + 1e-15
 
+    @pytest.mark.parametrize("K", [0.0, -2.5, 1e-4])
+    def test_residual_pairs_are_the_pairwise_rises(self, grid, decay_run, K):
+        # every pair i < j in loop order, each residual A[j] - A[i] - K
+        p, traj = decay_run
+        report = build_energy_report(traj, p)
+        A, t = report._accumulator(0.3), report.times
+        want = [(float(t[i]), float(t[j]), float(A[j] - A[i] - K))
+                for i in range(t.size) for j in range(i + 1, t.size)]
+        got = report.residual_pairs(0.3, K)
+        assert [tuple(map(type, row)) for row in got] == [(float,) * 3] * len(want)
+        assert [tuple(map(float.hex, row)) for row in got] \
+            == [tuple(map(float.hex, row)) for row in want]
+        p0 = params(t_final=0.0)  # one saved level, no pair
+        one = simulate(Field.zeros(grid), Field.full(grid, 1.0), None, p0, 1.0)
+        assert build_energy_report(one, p0).residual_pairs(0.3, K) == []
+
 
 class TestEnergyReport:
     def test_report_arrays_consistent(self, grid, decay_run):
@@ -167,6 +187,76 @@ class TestEnergyReport:
             report.worst_residual(beta, 0.0)
         with pytest.raises(ValueError, match="beta"):
             report.residual_pairs(beta, 0.0)
+
+
+def random_levels(dims, s, controlled, seed=5):
+    """A hand-built trajectory of four random levels on a grid of uneven
+    spacing, off every symmetry.  ``u`` holds exact zeros of both signs in
+    every level and ``v`` exact zeros; the control is sampled between the
+    points of its own time lattice."""
+    rng = np.random.default_rng(seed)
+    g = Grid(dims, tuple(rng.uniform(0.05, 1.5, len(dims))))
+    g = g.with_mask(rng.uniform(size=dims) < 0.6)
+    times = np.array([0.0, 0.1, 0.25, 0.4])
+    u = rng.uniform(0.0, 3.0, (times.size,) + dims)
+    u[rng.uniform(size=u.shape) < 0.2] = 0.0
+    u[rng.uniform(size=u.shape) < 0.1] = -0.0
+    v = rng.uniform(0.0, 2.0, u.shape)
+    v[rng.uniform(size=v.shape) < 0.1] = 0.0
+    ctrl = Control(g, [0.0, 0.15, 0.5], rng.uniform(-2.0, 2.0, (3,) + dims)) \
+        if controlled else None
+    p = params(s=s, t_final=0.4)
+    return p, Trajectory(grid=g, params=p, times=times, u=u, v=v,
+                         dt_history=np.diff(times), mass_trace=np.zeros(times.size),
+                         control=ctrl)
+
+
+class TestLevelQuantities:
+    @pytest.mark.parametrize("controlled", [False, True])
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("dims", [(17,), (9, 6), (5, 4, 3)])
+    def test_match_oracle_bit_for_bit(self, dims, s, controlled):
+        # the one-workspace pass against fresh temporaries for every product
+        p, traj = random_levels(dims, s, controlled)
+        got, want = energy._level_quantities(traj, p), level_quantities_oracle(traj, p)
+        assert len(got) == len(want) == 6
+        for x, y in zip(got, want):
+            assert x.shape == y.shape == (traj.n_levels,)
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("s", [1.0, 1.5])
+    def test_negative_density_is_refused(self, s):
+        p, traj = random_levels((9, 6), s, True)
+        traj.u[2, 3, 1] = -5e-324
+        with pytest.raises(ValueError) as want:
+            level_quantities_oracle(traj, p)
+        with pytest.raises(ValueError, match="entropy argument must be nonnegative") as got:
+            build_energy_report(traj, p)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("s", [1.0, 1.5])
+    @pytest.mark.parametrize("dims", [(96, 96), (24, 24, 24)])
+    def test_level_allocates_no_level_sized_array(self, dims, s):
+        g = Grid.unit_box(dims)
+        g = g.with_mask(g.box_mask([(0.25, 0.75)] * len(dims)))
+        rng = np.random.default_rng(3)
+        u, v = rng.uniform(0.0, 2.0, dims), rng.uniform(0.9, 1.1, dims)
+        ctrl = Control(g, [0.0, 1.0], rng.uniform(-1.0, 1.0, (2,) + dims))
+        level = energy._LevelWorkspace(g, params(s=s), ctrl)
+        level(u, v, 0.5)  # warm-up: the workspace's cached views
+        # numpy's iterator takes a scratch buffer of getbufsize() elements
+        # (64 KiB) per strided operand, fixed in size and numpy's own; shrunk
+        # here so that the peak shows the report's own temporaries
+        bufsize = np.setbufsize(256)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            level(u, v, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert peak - before < g.n_cells * 8
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chemoctrl import Field, Grid, h1_seminorm, integrate, sim
 from chemoctrl.grid import (
+    Workspace,
     _second_difference,
     cell_gradient_sq,
     chemotaxis_array,
@@ -317,7 +318,25 @@ def comparison_rate(a, dt):
     return np.where(a > 0, a * (0.5 / (dt * np.abs(a).max())), -0.0)
 
 
-# each kernel with its oracle, as a function of the kernel_inputs arrays
+def dirty_workspace(grid):
+    """A workspace whose arrays all hold NaN, so that a result which reads
+    what a workspace held before shows."""
+    ws = Workspace(grid)
+    for a in ws.flat:
+        a.fill(np.nan)
+    for _, _, padded, _ in ws.cross_pairs:
+        padded.fill(np.nan)
+    return ws
+
+
+def nan_faces(grid):
+    """One NaN-filled C-contiguous array of each face shape."""
+    return [np.full(g.shape, np.nan) for g in face_gradients(grid, np.zeros(grid.dims))]
+
+
+# each kernel with its oracle, as a function of the kernel_inputs arrays; the
+# entries named after arguments pass the kernel its precomputed face
+# gradients, a NaN-filled workspace or NaN-filled output arrays
 KERNEL_CASES = {
     "comparison_step": (lambda k, g, mob, v, bar, a: [k(g, v, comparison_rate(a, 0.01),
                                                         0.01)],
@@ -335,6 +354,28 @@ KERNEL_CASES = {
                          cell_gradient_sq, cell_gradient_sq_oracle),
     "hessian_frobenius_sq": (lambda k, g, mob, v, bar, a: [k(g, a)],
                              hessian_frobenius_sq, hessian_frobenius_sq_oracle),
+    "face_gradients_out": (lambda k, g, mob, v, bar, a: k(g, a),
+                           lambda g, a: face_gradients(g, a, nan_faces(g)),
+                           face_gradients_oracle),
+    "second_difference_grad_out": (
+        lambda k, g, mob, v, bar, a: [k(g, a, axis) for axis in range(g.ndim)],
+        lambda g, a, k: _second_difference(g, a, k, face_gradients(g, a)[k],
+                                           np.full(g.dims, np.nan)),
+        second_difference_oracle),
+    "cell_gradient_sq_ws": (lambda k, g, mob, v, bar, a: [k(g, a)],
+                            lambda g, a: cell_gradient_sq(g, a, ws=dirty_workspace(g)),
+                            cell_gradient_sq_oracle),
+    "cell_gradient_sq_grads_ws": (
+        lambda k, g, mob, v, bar, a: [k(g, a)],
+        lambda g, a: cell_gradient_sq(g, a, face_gradients(g, a), dirty_workspace(g)),
+        cell_gradient_sq_oracle),
+    "hessian_frobenius_sq_ws": (lambda k, g, mob, v, bar, a: [k(g, a)],
+                                lambda g, a: hessian_frobenius_sq(g, a, ws=dirty_workspace(g)),
+                                hessian_frobenius_sq_oracle),
+    "hessian_frobenius_sq_grads_ws": (
+        lambda k, g, mob, v, bar, a: [k(g, a)],
+        lambda g, a: hessian_frobenius_sq(g, a, face_gradients(g, a), dirty_workspace(g)),
+        hessian_frobenius_sq_oracle),
 }
 
 

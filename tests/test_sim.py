@@ -315,6 +315,33 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peak - before < g.n_cells * 8
 
+    @pytest.mark.parametrize("dims", [(16,), (8, 6), (5, 4, 6)])
+    def test_one_workspace_serves_a_run_and_its_comparison(self, dims):
+        # as compare runs them: the comparison finds the run's data in ws
+        g = Grid.unit_box(dims)
+        g = g.with_mask(g.box_mask([(0.0, 0.6)] * len(dims)))
+        p = params(s=2.0, t_final=0.05)
+        ctrl = control_preset(g, "random", p.t_final, seed=3, amplitude=4.0, times=4)
+        u0 = field_preset(g, "random", seed=4, low=0.0, high=2.0)
+        v0 = field_preset(g, "random", seed=5, low=0.0, high=1.5)
+        ref = simulate(u0, v0, ctrl, p, 0.01)
+        ref_w = solve_comparison(v0, ctrl, p, 0.01, dt_history=ref.dt_history)
+        ws = Workspace(g)
+        traj = simulate(u0, v0, ctrl, p, 0.01, ws)
+        w = solve_comparison(v0, ctrl, p, 0.01, dt_history=traj.dt_history, ws=ws)
+        assert traj.u.tobytes() == ref.u.tobytes()
+        assert traj.v.tobytes() == ref.v.tobytes()
+        assert w.w.tobytes() == ref_w.w.tobytes()
+
+    def test_workspace_of_another_grid_is_refused(self, grid):
+        # its views carry the other grid's spacing
+        other = Workspace(Grid((32,), (0.5,)))
+        with pytest.raises(GridMismatchError, match="workspace"):
+            simulate(Field.zeros(grid), Field.full(grid, 1.0), None, params(), 0.01,
+                     other)
+        with pytest.raises(GridMismatchError, match="workspace"):
+            solve_comparison(Field.full(grid, 1.0), None, params(), 0.01, ws=other)
+
 
 class TestSimulate:
     def test_grid_mismatch(self, grid):
