@@ -20,7 +20,7 @@ import numpy as np
 
 from .cost import CostParams, DesiredState, check_admissible
 from .energy import build_energy_report, energy_inequality_audit
-from .grid import Field, Grid, Workspace
+from .grid import Field, Grid
 from .io import LevelStackError, load_levels, save_levels, write_csv, write_json
 from .model import ModelParams
 from .opt import SHRINK, STEP0, InfeasibleBaselineError, OptimizerConfig, \
@@ -363,13 +363,12 @@ def cmd_simulate(cfg, out_dir, compare=False):
     ``compare``, also the paired comparison solve and its domination check.
 
     Both solves run before the output directory is made, so a run that fails
-    writes nothing.  They run one after the other on one workspace.
+    writes nothing.
     """
-    ws = Workspace(cfg.grid)
-    traj = simulate(cfg.u0, cfg.v0, cfg.control, cfg.model, cfg.dt_max, ws)
+    traj = simulate(cfg.u0, cfg.v0, cfg.control, cfg.model, cfg.dt_max)
     if compare:
         w_traj = solve_comparison(cfg.v0, cfg.control, cfg.model, cfg.dt_max,
-                                  dt_history=traj.dt_history, ws=ws)
+                                  dt_history=traj.dt_history)
     os.makedirs(out_dir, exist_ok=True)
     trajectory_to_dir(traj, os.path.join(out_dir, "trajectory"))
 

@@ -183,7 +183,7 @@ class _LevelWorkspace:
             density_pow **= s  # numpy's shortcuts for s = 2 included, as u**s
         cross = _face_weighted_cross(grid, density_pow, gz_sq, self.faces)
         hessian = hessian_frobenius_sq(grid, z, gz, ws).sum() * vol
-        quartic = cell_gradient_sq(grid, z, gz, ws)
+        quartic = cell_gradient_sq(grid, gz, ws)
         np.square(quartic, out=quartic)
         quartic /= np.square(z, out=cells[2])
         return energy, entropy, cross, hessian, quartic.sum() * vol, forcing
@@ -204,10 +204,10 @@ def _level_quantities(traj, params):
       ``cell_gradient_sq(z) ** 2 / z**2`` and ``f**2`` are the same
       operations in the same order written into reused arrays; ``a **= p``
       dispatches as ``a ** p`` does, and ``u**1`` is ``u`` itself.
-    - The shared face gradients of ``z`` are what ``h1_seminorm``,
-      ``cell_gradient_sq`` and the Hessian's second differences would
-      compute, and their squares are the ``g**2`` of ``h1_seminorm`` and of
-      the cross term.
+    - The shared face gradients of ``z`` are what ``h1_seminorm`` would
+      compute and what ``face_gradients`` of ``z`` gives
+      ``cell_gradient_sq`` and the Hessian, and their squares are the
+      ``g**2`` of ``h1_seminorm`` and of the cross term.
     - The cross term's ``mean * gz**2`` and face means ``0.5 * (lo + hi)``
       are commutative products.
     - Each face array is a C-contiguous array of the face shape, as a

@@ -213,31 +213,28 @@ def face_gradients(grid, a, out=None):
             for k in range(grid.ndim)]
 
 
-def _face_gradient(grid, a, k, out=None):
-    """The interior-face gradients of :func:`face_gradients` along axis ``k``."""
+def _face_gradient(grid, a, k, out):
+    """The interior-face gradients of :func:`face_gradients` along axis ``k``,
+    in ``out`` (a new array when None)."""
     lo, hi, _ = grid.face_slices[k]
     g = np.subtract(a[hi], a[lo], out=out)
     g /= grid.spacing[k]
     return g
 
 
-def _second_difference(grid, a, k, grad=None, out=None):
-    """Second difference along axis ``k``: face gradients, zero boundary flux,
-    then their difference.  Summed over the axes it is the discrete Laplacian,
-    which maps a constant to exactly 0.
+def _second_difference(grid, k, grad, out):
+    """Second difference along axis ``k`` of the array whose face gradient
+    along the axis is ``grad`` (:func:`face_gradients`' entry ``k``): zero
+    boundary flux, then the difference of the gradients.  Summed over the
+    axes it is the discrete Laplacian, which maps a constant to exactly 0.
 
     Writing the gradients into the low cells and subtracting them from the
     high cells makes the subtractions of ``np.diff`` of the zero-padded
     gradients, so the result equals that bit for bit, without the padded copy.
-    ``grad`` is ``a``'s face gradient along the axis when already at hand
-    (:func:`face_gradients`' entry ``k``, which is what would be computed);
-    the result goes into ``out`` (a new array when None), which must not
-    be ``a`` or ``grad``.
+    The result goes into ``out``, an array of shape ``dims`` that must not be
+    ``grad``, and is returned.
     """
     lo, hi, last = grid.face_slices[k]
-    if grad is None:
-        grad = _face_gradient(grid, a, k)
-    out = np.empty(grid.dims) if out is None else out
     out[lo] = grad
     out[last] = 0.0
     out[hi] -= grad
@@ -254,10 +251,9 @@ class Workspace:
     :attr:`cross_pairs` (views of one more array) are built on first use.
     A run builds one workspace and passes it to
     every kernel of every step, so that a step allocates no array as large as
-    a level; a kernel called without one builds a fresh workspace and runs
-    the same code.  Each kernel that takes a workspace says which of its
-    arrays it writes.  A result it returns there is overwritten by the next
-    kernel given the same workspace.
+    a level; every kernel that works in one requires it.  Each kernel says
+    which of its arrays it writes.  A result it returns there is overwritten
+    by the next kernel given the same workspace.
     """
 
     def __init__(self, grid):
@@ -318,7 +314,7 @@ class Workspace:
         return tuple(out)
 
 
-def chemotaxis_array(grid, mob, v, ws=None):
+def chemotaxis_array(grid, mob, v, ws):
     """Upwind conservative transport term and its per-cell outflow rate.
 
     Returns ``(-div(mob * grad v), rate)`` where ``rate[i]`` is the total
@@ -333,8 +329,8 @@ def chemotaxis_array(grid, mob, v, ws=None):
     closed with zero boundary flux, bit for bit: per axis the flux difference
     across each cell, then ``/ h``, with the axes summed in order.  Both
     results are the ``cells[4]`` and ``cells[5]`` of the workspace ``ws``
-    (:class:`Workspace`; a fresh one when None), and the kernel writes all
-    six of its arrays and its mask.
+    (:class:`Workspace`), and the kernel writes all six of its arrays and its
+    mask.
 
     The donor flux is ``max(dv, 0) * mob[lo] + min(dv, 0) * mob[hi]`` rather
     than a per-face select: for finite ``mob`` the non-donor product is a
@@ -355,8 +351,6 @@ def chemotaxis_array(grid, mob, v, ws=None):
     and drop such signs, so the results equal the per-axis slices' bit for
     bit.
     """
-    if ws is None:
-        ws = Workspace(grid)
     mob, v = mob.ravel(), v.ravel()
     acc, transport, rate = ws.flat[3:]
     for k, (s, h, wrap, dv, to_hi, down, acc_lo, acc_last, acc_hi) in enumerate(ws.faces):
@@ -421,22 +415,16 @@ def chemotaxis_transpose(grid, mob, v, bar):
     return mob_bar, v_bar
 
 
-def cell_gradient_sq(grid, a, grads=None, ws=None):
+def cell_gradient_sq(grid, grads, ws):
     """Cellwise squared gradient magnitude from averaged face gradients.
 
     Each cell averages its two face gradients per axis, a boundary face
-    counting as zero.  The face sums are formed in place of a zero-padded
-    copy; the additions are those of the padded form, so the result equals
-    it bit for bit.  ``grads`` are ``a``'s :func:`face_gradients` when
-    already at hand, which is what would be computed.  The result is
-    ``cells[0]`` of the workspace ``ws`` (:class:`Workspace`; a fresh one
-    when None), with ``cells[1]`` as scratch; neither may hold ``a`` or
-    ``grads``.
+    counting as zero; ``grads`` are the array's :func:`face_gradients`.  The
+    face sums are formed in place of a zero-padded copy; the additions are
+    those of the padded form, so the result equals it bit for bit.  The
+    result is ``cells[0]`` of the workspace ``ws`` (:class:`Workspace`), with
+    ``cells[1]`` as scratch; neither may hold ``grads``.
     """
-    if ws is None:
-        ws = Workspace(grid)
-    if grads is None:
-        grads = face_gradients(grid, a)
     total, face_sum = ws.cells[:2]
     total[...] = 0.0
     for g, (lo, hi, last) in zip(grads, grid.face_slices):
@@ -448,7 +436,7 @@ def cell_gradient_sq(grid, a, grads=None, ws=None):
     return total
 
 
-def hessian_frobenius_sq(grid, a, grads=None, ws=None):
+def hessian_frobenius_sq(grid, a, grads, ws):
     """Cellwise squared Frobenius norm of the discrete Hessian.
 
     Zero-flux second differences (the Laplacian's) on the diagonal, centered
@@ -458,21 +446,17 @@ def hessian_frobenius_sq(grid, a, grads=None, ws=None):
     ``np.pad(a, mode="edge")`` holds; the arithmetic runs in the same order on
     the same values, so the result is the same bit for bit.
 
-    ``grads`` are ``a``'s :func:`face_gradients` when already at hand: the
-    diagonal second differences start from them, which is what they would
-    compute.  The result is ``cells[0]`` of the workspace ``ws``
-    (:class:`Workspace`; a fresh one when None), with ``cells[1]``,
-    ``cells[2]`` and the padded levels of :attr:`Workspace.cross_pairs` as
-    scratch; none of them may hold ``a`` or ``grads``.
+    ``grads`` are ``a``'s :func:`face_gradients`, from which the diagonal
+    second differences start.  The result is ``cells[0]`` of the workspace
+    ``ws`` (:class:`Workspace`), with ``cells[1]``, ``cells[2]`` and the
+    padded levels of :attr:`Workspace.cross_pairs` as scratch; none of them
+    may hold ``a`` or ``grads``.
     """
-    if ws is None:
-        ws = Workspace(grid)
     total, diag, cross = ws.cells[:3]
-    grads = [None] * grid.ndim if grads is None else grads
-    _second_difference(grid, a, 0, grads[0], total)
+    _second_difference(grid, 0, grads[0], total)
     np.square(total, out=total)
     for k in range(1, grid.ndim):
-        _second_difference(grid, a, k, grads[k], diag)
+        _second_difference(grid, k, grads[k], diag)
         total += np.square(diag, out=diag)
     for k, l, padded, (pp, pm, mp, mm) in ws.cross_pairs:
         _edge_padded(a, (k, l), padded)
@@ -491,15 +475,14 @@ def _padded_shape(shape, axes):
     return tuple(n + 2 * (j in axes) for j, n in enumerate(shape))
 
 
-def _edge_padded(a, axes, out=None):
+def _edge_padded(a, axes, out):
     """``a`` with one ghost layer on both ends of each axis in ``axes``, each
     a copy of the layer next to it (corners included), as
-    ``np.pad(mode="edge")`` pads; in ``out`` when given, an array of the
+    ``np.pad(mode="edge")`` pads, written into ``out``, an array of the
     padded shape."""
     inner = [slice(None)] * a.ndim
     for k in axes:
         inner[k] = slice(1, -1)
-    out = np.empty(_padded_shape(a.shape, axes)) if out is None else out
     out[tuple(inner)] = a
     for k in axes:
         for ghost, source in ((0, 1), (-1, -2)):

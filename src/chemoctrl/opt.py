@@ -381,14 +381,12 @@ def _search_direction(grad, pairs, step):
     return grad / float(np.abs(grad).max()), step, False
 
 
-def optimize(config, cost_params, model_params, u0, v0, dt_max,
-             initial_coeffs=None):
+def optimize(config, cost_params, model_params, u0, v0, dt_max):
     """Minimize the objective over the ball by L-BFGS descent on the
     retracted coefficients.
 
     Always evaluates the zero control first (it is feasible by definition);
-    descent starts there, or from ``initial_coeffs`` when that warm start is
-    strictly better.  Each iteration takes the gradient at the current point
+    descent starts there.  Each iteration takes the gradient at the current point
     and, with the previous point, forms the curvature pair of the step just
     taken.  It then moves against the L-BFGS direction, trying a unit
     multiple first.  The first iteration, and any whose L-BFGS direction does
@@ -410,7 +408,7 @@ def optimize(config, cost_params, model_params, u0, v0, dt_max,
         If the zero-control run itself fails.
     """
     ctx = make_context(config, cost_params, model_params, u0, v0, dt_max)
-    return _descend(config, ctx, _baseline(ctx), initial_coeffs)
+    return _descend(config, ctx, _baseline(ctx), None)
 
 
 def _baseline(ctx):
@@ -423,15 +421,14 @@ def _baseline(ctx):
     return zero
 
 
-def _descend(config, ctx, zero, initial_coeffs):
-    """:func:`optimize` from the evaluated zero control ``zero``."""
+def _descend(config, ctx, zero, warm):
+    """:func:`optimize` from the evaluated zero control ``zero``, or from the
+    coefficients ``warm`` of :func:`ordering_experiment`'s previous radius
+    when that warm start is strictly better (None: no warm start)."""
     trace = OptimizationTrace()
     q = ctx.cost_params.q
     cur = zero
-    if initial_coeffs is not None:
-        warm = np.asarray(initial_coeffs, dtype=float).ravel()
-        if warm.size != zero.coeffs.size:
-            raise ValueError("warm start has the wrong number of coefficients")
+    if warm is not None:
         warm_start = _evaluate(warm, ctx)
         if warm_start.J < cur.J:
             cur = warm_start

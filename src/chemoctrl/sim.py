@@ -165,14 +165,12 @@ class Control:
         j = bisect.bisect_right(ts, t)
         return j, (t - ts[j - 1]) / (ts[j] - ts[j - 1])
 
-    def slice_at(self, t, ws=None):
+    def slice_at(self, t, ws):
         """Control values at time ``t`` (linear in time, clamped at the ends).
 
         They are written into ``cells[4]`` of the workspace ``ws``, with
-        ``cells[5]`` as scratch (a fresh workspace when None).
+        ``cells[5]`` as scratch.
         """
-        if ws is None:
-            ws = Workspace(self.grid)
         out = ws.cells[4]
         j, w = self._bracket(t)
         if w is None:
@@ -182,7 +180,7 @@ class Control:
         out += np.multiply(self.values[j], w, out=ws.cells[5])
         return out
 
-    def sample(self, t0, t1, ws=None):
+    def sample(self, t0, t1, ws):
         """The slice a step from ``t0`` to ``t1`` sees: :meth:`slice_at` of
         its end ``t1``.  Both ends are passed so that the rule can change here
         alone, and ``t0 + dt`` need not be ``t1`` bit for bit."""
@@ -317,7 +315,6 @@ class _SplitDiffusion:
 
     def __init__(self, grid, dt):
         dims = grid.dims
-        self._grid = grid
         # axes of equal cell count and width share one inverse
         built = {}
         for n, h in zip(dims, grid.spacing):
@@ -329,21 +326,19 @@ class _SplitDiffusion:
                         for k in range(len(dims) - 1)]
         self._last = self._inverses[-1]
 
-    def solve(self, b, out=None, ws=None):
+    def solve(self, b, ws, out=None):
         """The solution for the flat right-hand side ``b``, written into the
         flat array ``out`` (a new one when None) and returned.
 
         In 2D and 3D the product along each axis but the last goes to
-        ``flat[0]``, then ``flat[1]``, of the workspace ``ws`` (a fresh one
-        when None), so ``b`` must be neither; ``out`` may be ``b`` there.
+        ``flat[0]``, then ``flat[1]``, of the workspace ``ws``, so ``b`` must
+        be neither; ``out`` may be ``b`` there.
         """
         # the last axis runs along rows, and X is symmetric, so each row
         # times X is the solve of that row; np.dot calls BLAS with less
         # overhead than the matmul operator, which a 1D solve notices
         if not self._shapes:
             return np.dot(b, self._last, out=out)
-        if ws is None:
-            ws = Workspace(self._grid)
         if out is None:
             out = np.empty(b.shape)
         x = b
@@ -423,13 +418,13 @@ def _concentration_stage(grid, name, v, react, fpos, dt, ws, out):
     react *= dt
     react += 1.0
     v_star = np.divide(v, react, out=react)
-    _diffusion_solver(grid, dt).solve(v_star.ravel(), out.ravel(), ws)
+    _diffusion_solver(grid, dt).solve(v_star.ravel(), ws, out.ravel())
     _check_new_level(name, out)
     return out
 
 
 @_QUIET
-def step(grid, u, v, f, params, dt, ws=None, out=None):
+def step(grid, u, v, f, params, dt, ws, out):
     """Advance the cell arrays ``(u, v)`` by one implicit-explicit step of
     size ``dt`` under the control slice ``f``; returns ``(u_new, v_new)``.
 
@@ -456,8 +451,7 @@ def step(grid, u, v, f, params, dt, ws=None, out=None):
     ``ws`` is the run's :class:`~chemoctrl.grid.Workspace`, whose arrays the
     step overwrites, and ``out`` the pair of C-contiguous arrays of shape
     ``grid.dims`` that receive ``(u_new, v_new)`` and are returned; neither
-    may hold ``u``, ``v`` or ``f``.  Without them the step builds a fresh
-    workspace and new arrays.
+    may hold ``u``, ``v`` or ``f``.
 
     Raises
     ------
@@ -473,8 +467,7 @@ def step(grid, u, v, f, params, dt, ws=None, out=None):
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    ws = Workspace(grid) if ws is None else ws
-    u_new, v_new = (np.empty(grid.dims), np.empty(grid.dims)) if out is None else out
+    u_new, v_new = out
 
     fpos, fneg = _split(f, ws)
     mobility, react = _mobility_and_reaction(u, fpos, fneg, params, out=ws.cells[4])
@@ -491,7 +484,7 @@ def step(grid, u, v, f, params, dt, ws=None, out=None):
         )
     rhs = np.multiply(transport, dt, out=transport)
     rhs += u
-    _diffusion_solver(grid, dt).solve(rhs.ravel(), u_new.ravel(), ws)
+    _diffusion_solver(grid, dt).solve(rhs.ravel(), ws, u_new.ravel())
     _check_new_level("u", u_new)
     return u_new, v_new
 
@@ -570,24 +563,27 @@ def _adaptive_steps(advance, state, t_final, dt_max, events):
             clean = 0
 
 
-def _workspace_on(grid, ws):
-    """``ws``, or a fresh workspace when None; a ``GridMismatchError`` if it
-    was built for another grid, whose spacing its views would carry."""
-    if ws is None:
-        return Workspace(grid)
-    if not grid.compatible_with(ws.grid):
-        raise GridMismatchError("workspace lives on a different grid")
-    return ws
+def _check_control(grid, control, horizon):
+    """The entry checks of a control (None passes): a ``GridMismatchError``
+    unless it lives on ``grid``, a ``ValueError`` unless its time lattice
+    reaches ``horizon``, to a relative ``1e-12``."""
+    if control is None:
+        return
+    if not grid.compatible_with(control.grid):
+        raise GridMismatchError("control lives on a different grid")
+    if control.t_final < horizon - 1e-12 * max(1.0, horizon):
+        raise ValueError("control time lattice does not cover the horizon")
 
 
-def simulate(u0, v0, control, params, dt_max, ws=None):
+def simulate(u0, v0, control, params, dt_max):
     """Integrate the controlled system up to the horizon, saving every step.
 
     The inputs are checked once, on entry: a ``GridMismatchError`` unless
-    ``u0``, ``v0``, the control and the workspace share one grid, a
-    ``ValueError`` naming the cell if ``u0`` or ``v0`` has a negative one.
-    The steps then run on their cell arrays, which are read and never
-    written.
+    ``u0``, ``v0`` and the control share one grid, a ``ValueError`` if the
+    control ends before ``params.t_final`` or naming the cell if ``u0`` or
+    ``v0`` has a negative one.  The run builds its own
+    :class:`~chemoctrl.grid.Workspace`, which every step is given.  The
+    steps then run on their cell arrays, which are read and never written.
 
     Parameters
     ----------
@@ -598,9 +594,6 @@ def simulate(u0, v0, control, params, dt_max, ws=None):
     params : ModelParams
     dt_max : float
         Upper bound for the adaptive step.
-    ws : Workspace, optional
-        The scratch arrays every step is given; a fresh one when None.  A
-        caller that runs several solves in turn may pass them one.
 
     Returns
     -------
@@ -613,12 +606,8 @@ def simulate(u0, v0, control, params, dt_max, ws=None):
         raise GridMismatchError("u0 and v0 live on different grids")
     check_nonnegative("u0", u0.values)
     check_nonnegative("v0", v0.values)
-    if control is not None:
-        if not grid.compatible_with(control.grid):
-            raise GridMismatchError("control lives on a different grid")
-        if control.t_final < params.t_final - 1e-12 * max(1.0, params.t_final):
-            raise ValueError("control time lattice does not cover the horizon")
-    ws = _workspace_on(grid, ws)
+    _check_control(grid, control, params.t_final)
+    ws = Workspace(grid)
 
     rows = _rows_without_rejections(params.t_final, dt_max)
     us = _LevelStack(u0.values, rows)
@@ -683,13 +672,13 @@ def simulate_adjoint(traj, u_bar, v_bar):
         diffusion = _diffusion_solver(grid, dt)
 
         # u_new = (I - dt*Lap)^-1 (u + dt * transport(mobility, v_new))
-        lam_u = diffusion.solve(u_bar[n + 1].ravel(), ws=ws).reshape(grid.dims)
+        lam_u = diffusion.solve(u_bar[n + 1].ravel(), ws).reshape(grid.dims)
         u_bar[n] += lam_u
         mob_bar, v_new_bar = chemotaxis_transpose(grid, mobility, v_new, dt * lam_u)
         v_new_bar += v_bar[n + 1]
 
         # v_new = (I - dt*Lap)^-1 (v / d), d = 1 + dt*r, with Lap split by axis
-        mu = diffusion.solve(v_new_bar.ravel(), ws=ws).reshape(grid.dims)
+        mu = diffusion.solve(v_new_bar.ravel(), ws).reshape(grid.dims)
         d = 1.0 + dt * react
         v_bar[n] += mu / d
         r_bar = -dt * mu * v / (d * d)
@@ -702,19 +691,17 @@ def simulate_adjoint(traj, u_bar, v_bar):
 
 
 @_QUIET
-def _comparison_step(grid, w, f_tilde, dt, ws=None, out=None):
-    """``w`` one comparison step of size ``dt`` later, in ``out`` (a new array
-    when None): :func:`step`'s concentration stage with ``r = -f~``, since
-    ``1 + dt*(-f~)`` is exactly ``1 - dt*f~``.  ``ws`` and ``out`` follow the
-    rules of :func:`step`, and ``f_tilde`` is not ``ws.cells[2]``."""
-    ws = Workspace(grid) if ws is None else ws
+def _comparison_step(grid, w, f_tilde, dt, ws, out):
+    """``w`` one comparison step of size ``dt`` later, in ``out``:
+    :func:`step`'s concentration stage with ``r = -f~``, since
+    ``1 + dt*(-f~)`` is exactly ``1 - dt*f~``.  ``ws`` and ``out`` (one
+    array) follow the rules of :func:`step`, and ``f_tilde`` is not
+    ``ws.cells[2]``."""
     react = np.negative(f_tilde, out=ws.cells[2])
-    out = np.empty(grid.dims) if out is None else out
     return _concentration_stage(grid, "w", w, react, f_tilde, dt, ws, out)
 
 
-def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None,
-                     ws=None):
+def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     """Solve the dominating linear problem driven by the positive control part.
 
     The reaction uses ``f~ = max(f, 0)`` of the slice :meth:`Control.sample`
@@ -729,9 +716,11 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None,
     levels pair the steps only up to round-off, since ``np.diff(times)``
     need not reproduce the step sizes bit for bit, so the domination then
     holds to round-off and each shifted step size builds its own inverses.
-    Without either, the solver runs its own adaptive stepping and records
-    its step rejections in ``events``.  ``ws`` is the workspace every step
-    is given, as in :func:`simulate`.
+    Without either, the solver runs its own adaptive stepping to
+    ``params.t_final`` and records its step rejections in ``events``.  The
+    control must live on ``w0``'s grid and reach the horizon, the last
+    paired time or ``params.t_final``, as :func:`simulate` checks it.  The
+    solve builds its own workspace, as :func:`simulate` does.
 
     Returns
     -------
@@ -739,11 +728,9 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None,
     """
     grid = w0.grid
     check_nonnegative("w0", w0.values)
-    if control is not None and not grid.compatible_with(control.grid):
-        raise GridMismatchError("control lives on a different grid")
     if times is not None and dt_history is not None:
         raise ValueError("give either paired times or a dt history, not both")
-    ws = _workspace_on(grid, ws)
+    ws = Workspace(grid)
     zero = np.zeros(grid.dims)
 
     def comparison_step(w, t0, t1, dt):
@@ -760,6 +747,7 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None,
         if times.size < 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError("paired times must increase strictly from 0")
         dts = np.diff(times)
+    _check_control(grid, control, params.t_final if times is None else float(times[-1]))
 
     def paired_steps(w):
         for t0, t1, dt in zip(times, times[1:], dts):
@@ -844,6 +832,8 @@ def weak_residual(traj, probe):
 
 _EVENT_KEYS = {"t", "dt", "reason", "admissible_dt"}
 _PARAM_KEYS = ("s", "alpha", "m", "q", "t_final")
+_MANIFEST_KEYS = ("grid", "params", "times", "dt_history", "events", "mass_trace",
+                  "control_times", "created_at")
 
 
 def _finite(x):
@@ -904,17 +894,23 @@ def trajectory_to_dir(traj, outdir):
 def trajectory_from_dir(path):
     """Load a trajectory written by :func:`trajectory_to_dir`.
 
-    Every number in the manifest must be a finite JSON number, ``grid.dims``
+    The manifest must hold exactly the keys :func:`trajectory_to_dir` writes.
+    Every number in it must be a finite JSON number, ``grid.dims``
     integers, and every entry of ``control_mask.npy`` exactly 0 or 1, as
     :class:`~chemoctrl.grid.Grid` checks; the step and mass records must fit
     the levels, as :class:`Trajectory` checks.  A manifest whose ``grid``
     still holds the mask as a list, the format before ``control_mask.npy``,
-    is refused.
+    is refused, and so is ``control_times: null`` beside a ``control.npy``.
     """
     manifest_path = os.path.join(path, "manifest.json")
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
+        keys = manifest.keys() if isinstance(manifest, dict) else set()
+        if keys != set(_MANIFEST_KEYS):
+            raise TrajectoryFormatError(f"{manifest_path}: " + ", ".join(
+                [f"missing key {key!r}" for key in _MANIFEST_KEYS if key not in keys]
+                + [f"unknown key {key!r}" for key in sorted(keys - set(_MANIFEST_KEYS))]))
         header = manifest["grid"]
         if not isinstance(header, dict) or header.keys() != {"dims", "spacing"}:
             found = sorted(header) if isinstance(header, dict) else type(header).__name__
@@ -936,11 +932,11 @@ def trajectory_from_dir(path):
         if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise TrajectoryFormatError(
                 f"{manifest_path}: times must start at 0 and increase strictly")
-        dt_history = _numbers(manifest_path, "dt_history", manifest.get("dt_history", []))
+        dt_history = _numbers(manifest_path, "dt_history", manifest["dt_history"])
         if np.any(dt_history <= 0):
             raise TrajectoryFormatError(f"{manifest_path}: dt_history must hold steps > 0")
-        mass_trace = _numbers(manifest_path, "mass_trace", manifest.get("mass_trace", []))
-        events = manifest.get("events", [])
+        mass_trace = _numbers(manifest_path, "mass_trace", manifest["mass_trace"])
+        events = manifest["events"]
         if not isinstance(events, list) or not all(map(_valid_event, events)):
             raise TrajectoryFormatError(
                 f"{manifest_path}: events must be objects with finite t >= 0, "
@@ -956,11 +952,14 @@ def trajectory_from_dir(path):
         except ValueError as err:
             raise TrajectoryFormatError(f"{mask_path}: {err}") from None
         control = None
-        if manifest.get("control_times") is not None:
+        control_path = os.path.join(path, "control.npy")
+        if manifest["control_times"] is not None:
             ctimes = _numbers(manifest_path, "control_times", manifest["control_times"])
-            cvals = load_levels(os.path.join(path, "control.npy"),
-                                (ctimes.size,) + grid.dims)
+            cvals = load_levels(control_path, (ctimes.size,) + grid.dims)
             control = Control(grid, ctimes, cvals)
+        elif os.path.exists(control_path):
+            raise TrajectoryFormatError(
+                f"{manifest_path}: control_times is null beside {control_path}")
         return Trajectory(
             grid=grid, params=params, times=times,
             u=u, v=v, control=control,

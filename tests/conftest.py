@@ -206,7 +206,7 @@ def comparison_step_oracle(grid, w, f_tilde, dt, ws=None, out=None):
     w_star = np.multiply(f_tilde, dt, out=ws.cells[2])
     np.subtract(1.0, w_star, out=w_star)
     np.divide(w, w_star, out=w_star)
-    _diffusion_solver(grid, dt).solve(w_star.ravel(), w_new.ravel(), ws)
+    _diffusion_solver(grid, dt).solve(w_star.ravel(), ws, w_new.ravel())
     _check_new_level("w", w_new)
     return w_new
 
@@ -263,10 +263,11 @@ def face_weighted_cross_oracle(grid, density_pow, z):
 
 def level_quantities_oracle(traj, params):
     """``energy._level_quantities`` as it was before the report reused one
-    workspace for every level, verbatim, with fresh temporaries for every
-    product: the oracle its six series must equal bit for bit."""
-    from chemoctrl.grid import Workspace, cell_gradient_sq, h1_seminorm, \
-        hessian_frobenius_sq, integrate
+    workspace for every level, with fresh temporaries for every product: the
+    oracle its six series must equal bit for bit.  The grid kernels are
+    given ``z``'s face gradients and a fresh workspace each."""
+    from chemoctrl.grid import Workspace, cell_gradient_sq, face_gradients, \
+        h1_seminorm, hessian_frobenius_sq, integrate
     from chemoctrl.model import g_energy
 
     grid = traj.grid
@@ -285,8 +286,10 @@ def level_quantities_oracle(traj, params):
             + 0.5 * h1_seminorm(grid, z) ** 2,
             h1_seminorm(grid, (u + 1.0) ** (s / 2.0)) ** 2,
             face_weighted_cross_oracle(grid, u**s, z),
-            hessian_frobenius_sq(grid, z).sum() * vol,
-            (cell_gradient_sq(grid, z) ** 2 / z**2).sum() * vol,
+            hessian_frobenius_sq(grid, z, face_gradients(grid, z), Workspace(grid)).sum()
+            * vol,
+            (cell_gradient_sq(grid, face_gradients(grid, z), Workspace(grid)) ** 2
+             / z**2).sum() * vol,
             (f**2).sum() * vol,
         )
     return tuple(out)

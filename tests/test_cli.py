@@ -827,7 +827,8 @@ class TestEnergyAudit:
 
     def test_csv_trajectory_is_data_error(self, decay_dir, tmp_path, capsys):
         # a CSV trajectory, the format before .npy level stacks, lists its
-        # state files in the manifest and holds no u.npy
+        # state files in the manifest and holds no u.npy; the manifest key
+        # that no trajectory_to_dir writes is refused first
         broken = tmp_path / "trajectory"
         shutil.copytree(decay_dir, broken)
         for stack in broken.glob("*.npy"):
@@ -840,7 +841,7 @@ class TestEnergyAudit:
         code = run(["energy-audit", cfg_path("simulate_decay.toml"),
                     "--trajectory", str(broken), "--output", str(tmp_path / "a")])
         assert code == 3
-        assert "u.npy" in capsys.readouterr().err
+        assert "unknown key 'state_files'" in capsys.readouterr().err
 
     # each case id names the CSV file and defect it planted when levels were
     # CSV rows; it now plants the level-stack defect that stands in for it

@@ -36,7 +36,8 @@ def random_field(grid, seed, low=-1.0, high=1.0):
 
 def laplacian(grid, a):
     """The discrete Laplacian: the second differences summed over the axes."""
-    return sum(_second_difference(grid, a, k) for k in range(grid.ndim))
+    return sum(_second_difference(grid, k, g, np.empty(grid.dims))
+               for k, g in enumerate(face_gradients(grid, a)))
 
 
 class TestGridConstruction:
@@ -166,18 +167,19 @@ class TestChemotaxisDivergence:
     def test_constant_v_gives_zero(self):
         g = Grid.unit_box((12,))
         mob = random_field(g, 0, 0.0, 2.0).values
-        out = chemotaxis_array(g, mob, np.full(g.dims, 4.2))[0]
+        out = chemotaxis_array(g, mob, np.full(g.dims, 4.2), Workspace(g))[0]
         assert np.abs(out).max() == 0.0
 
     def test_zero_mobility_gives_zero(self):
         g = Grid.unit_box((12,))
-        out = chemotaxis_array(g, np.zeros(g.dims), random_field(g, 1).values)[0]
+        out = chemotaxis_array(g, np.zeros(g.dims), random_field(g, 1).values,
+                               Workspace(g))[0]
         assert np.abs(out).max() == 0.0
 
     def test_hand_fluxes_three_cells(self):
         # uphill v: donor cells are on the left, fluxes 1 at both inner faces
         g = Grid((3,), (1.0,))
-        out = chemotaxis_array(g, np.ones(3), np.array([0.0, 1.0, 2.0]))[0]
+        out = chemotaxis_array(g, np.ones(3), np.array([0.0, 1.0, 2.0]), Workspace(g))[0]
         assert out == pytest.approx([-1.0, 0.0, 1.0], abs=1e-14)
 
     @pytest.mark.parametrize("dims", [(32,), (9, 7)])
@@ -185,7 +187,7 @@ class TestChemotaxisDivergence:
         g = Grid.unit_box(dims)
         u = random_field(g, 5, 0.0, 3.0).values
         v = random_field(g, 6, 0.0, 1.0).values
-        out = chemotaxis_array(g, u, v)[0]
+        out = chemotaxis_array(g, u, v, Workspace(g))[0]
         scale = max(np.abs(out).max() * g.volume, 1.0)
         assert abs(integrate(g, out)) <= 1e-12 * scale
 
@@ -237,7 +239,7 @@ class TestChemotaxisArray:
         v = rng.uniform(0.0, 1.0, dims)
         if ties:  # equal neighbours give zero face gradients
             v = np.round(v, 1)
-        transport, rate = chemotaxis_array(grid, mob, v)
+        transport, rate = chemotaxis_array(grid, mob, v, Workspace(grid))
         ref_transport, ref_rate = donor_cell_reference(grid, mob, v)
         assert np.array_equal(transport, ref_transport)
         assert np.array_equal(rate, ref_rate)
@@ -264,7 +266,7 @@ class TestChemotaxisTranspose:
         mob_bar, v_bar = chemotaxis_transpose(grid, mob, v, bar)
 
         a = rng.uniform(0.0, 1.0, dims)
-        lhs = float((chemotaxis_array(grid, a, v)[0] * bar).sum())
+        lhs = float((chemotaxis_array(grid, a, v, Workspace(grid))[0] * bar).sum())
         assert lhs == pytest.approx(float((a * mob_bar).sum()), rel=1e-12, abs=1e-12)
 
         b = rng.normal(size=dims)
@@ -272,8 +274,8 @@ class TestChemotaxisTranspose:
         def downhill(w):
             return [np.diff(w, axis=k) > 0 for k in range(grid.ndim)]
         assume(all(map(np.array_equal, downhill(v), downhill(v + eps * b))))
-        delta = chemotaxis_array(grid, mob, v + eps * b)[0] \
-            - chemotaxis_array(grid, mob, v)[0]
+        delta = chemotaxis_array(grid, mob, v + eps * b, Workspace(grid))[0] \
+            - chemotaxis_array(grid, mob, v, Workspace(grid))[0]
         lhs = float((delta * bar).sum()) / eps
         scale = float(np.abs(b).sum() * np.abs(v_bar).max()) + 1.0
         assert abs(lhs - float((b * v_bar).sum())) <= 1e-6 * scale
@@ -319,11 +321,12 @@ def comparison_rate(a, dt):
 
 
 def dirty_workspace(grid):
-    """A workspace whose arrays all hold NaN, so that a result which reads
-    what a workspace held before shows."""
+    """A workspace whose float arrays all hold NaN and whose mask is all True,
+    so that a result which reads what a workspace held before shows."""
     ws = Workspace(grid)
     for a in ws.flat:
         a.fill(np.nan)
+    ws.mask.fill(True)
     for _, _, padded, _ in ws.cross_pairs:
         padded.fill(np.nan)
     return ws
@@ -334,48 +337,81 @@ def nan_faces(grid):
     return [np.full(g.shape, np.nan) for g in face_gradients(grid, np.zeros(grid.dims))]
 
 
-# each kernel with its oracle, as a function of the kernel_inputs arrays; the
-# entries named after arguments pass the kernel its precomputed face
-# gradients, a NaN-filled workspace or NaN-filled output arrays
+def workspace_case(kernel, oracle, kept=(), written=()):
+    """The :data:`KERNEL_CASES` entry of ``kernel(g, a, grads, ws)``, called
+    with the face gradients ``grads`` of ``a`` and a :func:`dirty_workspace`
+    ``ws``, against ``oracle(g, a)``; both return lists of arrays.
+
+    After the results come, as the call left them, the arrays that ``kept``
+    names, which the kernel must leave as they were: ``"ws"``, the workspace
+    arrays other than the ``cells`` whose indices ``written`` holds (and the
+    cross-pair levels unless it holds ``"pairs"``), and ``"grads"``, ``a``
+    and its gradients.  The oracle leaves them all alone.
+    """
+    def run(fn, g, a):
+        ws, a = dirty_workspace(g), a.copy()
+        grads = face_gradients(g, a)
+        out = fn(g, a, grads, ws)
+        if "ws" in kept:
+            out += [c for i, c in enumerate(ws.cells) if i not in written] + [ws.mask]
+            if "pairs" not in written:
+                out += [padded for _, _, padded, _ in ws.cross_pairs]
+        if "grads" in kept:
+            out += [a, *grads]
+        return out
+    return (lambda k, g, mob, v, bar, a: run(k, g, a), kernel,
+            lambda g, a, grads, ws: oracle(g, a))
+
+
+def second_differences(g, a, grads, ws):
+    return [_second_difference(g, k, grad, np.full(g.dims, np.nan))
+            for k, grad in enumerate(grads)]
+
+
+def second_differences_oracle(g, a):
+    return [second_difference_oracle(g, a, k) for k in range(g.ndim)]
+
+
+def cell_gradient_sq_case(kept=(), written=()):
+    return workspace_case(lambda g, a, grads, ws: [cell_gradient_sq(g, grads, ws)],
+                          lambda g, a: [cell_gradient_sq_oracle(g, a)], kept, written)
+
+
+def hessian_frobenius_sq_case(kept=(), written=()):
+    return workspace_case(lambda g, a, grads, ws: [hessian_frobenius_sq(g, a, grads, ws)],
+                          lambda g, a: [hessian_frobenius_sq_oracle(g, a)], kept, written)
+
+
+# each kernel with its oracle, as a function of the kernel_inputs arrays.  A
+# kernel that works in a workspace is given a NaN-filled one, NaN-filled
+# outputs and precomputed face gradients.  The entries named after a
+# workspace or gradients also check that the kernel writes no array of the
+# workspace that its docstring does not name, and leaves its input and the
+# gradients it reads as they were (the energy report hands one level's
+# gradients to several kernels in turn)
 KERNEL_CASES = {
-    "comparison_step": (lambda k, g, mob, v, bar, a: [k(g, v, comparison_rate(a, 0.01),
-                                                        0.01)],
-                        sim._comparison_step, comparison_step_oracle),
-    "chemotaxis_array": (lambda k, g, mob, v, bar, a: k(g, mob, v),
+    "comparison_step": (
+        lambda k, g, mob, v, bar, a: [k(g, v, comparison_rate(a, 0.01), 0.01,
+                                        dirty_workspace(g), np.full(g.dims, np.nan))],
+        sim._comparison_step, comparison_step_oracle),
+    "chemotaxis_array": (lambda k, g, mob, v, bar, a: k(g, mob, v, dirty_workspace(g)),
                          chemotaxis_array, chemotaxis_array_oracle),
     "chemotaxis_transpose": (lambda k, g, mob, v, bar, a: k(g, mob, v, bar),
                              chemotaxis_transpose, chemotaxis_transpose_oracle),
     "face_gradients": (lambda k, g, mob, v, bar, a: k(g, a),
                        face_gradients, face_gradients_oracle),
-    "second_difference": (lambda k, g, mob, v, bar, a:
-                          [k(g, a, axis) for axis in range(g.ndim)],
-                          _second_difference, second_difference_oracle),
-    "cell_gradient_sq": (lambda k, g, mob, v, bar, a: [k(g, a)],
-                         cell_gradient_sq, cell_gradient_sq_oracle),
-    "hessian_frobenius_sq": (lambda k, g, mob, v, bar, a: [k(g, a)],
-                             hessian_frobenius_sq, hessian_frobenius_sq_oracle),
     "face_gradients_out": (lambda k, g, mob, v, bar, a: k(g, a),
                            lambda g, a: face_gradients(g, a, nan_faces(g)),
                            face_gradients_oracle),
-    "second_difference_grad_out": (
-        lambda k, g, mob, v, bar, a: [k(g, a, axis) for axis in range(g.ndim)],
-        lambda g, a, k: _second_difference(g, a, k, face_gradients(g, a)[k],
-                                           np.full(g.dims, np.nan)),
-        second_difference_oracle),
-    "cell_gradient_sq_ws": (lambda k, g, mob, v, bar, a: [k(g, a)],
-                            lambda g, a: cell_gradient_sq(g, a, ws=dirty_workspace(g)),
-                            cell_gradient_sq_oracle),
-    "cell_gradient_sq_grads_ws": (
-        lambda k, g, mob, v, bar, a: [k(g, a)],
-        lambda g, a: cell_gradient_sq(g, a, face_gradients(g, a), dirty_workspace(g)),
-        cell_gradient_sq_oracle),
-    "hessian_frobenius_sq_ws": (lambda k, g, mob, v, bar, a: [k(g, a)],
-                                lambda g, a: hessian_frobenius_sq(g, a, ws=dirty_workspace(g)),
-                                hessian_frobenius_sq_oracle),
-    "hessian_frobenius_sq_grads_ws": (
-        lambda k, g, mob, v, bar, a: [k(g, a)],
-        lambda g, a: hessian_frobenius_sq(g, a, face_gradients(g, a), dirty_workspace(g)),
-        hessian_frobenius_sq_oracle),
+    "second_difference": workspace_case(second_differences, second_differences_oracle),
+    "second_difference_grad_out": workspace_case(second_differences,
+                                                 second_differences_oracle, ["grads"]),
+    "cell_gradient_sq": cell_gradient_sq_case(),
+    "cell_gradient_sq_ws": cell_gradient_sq_case(["ws"], {0, 1}),
+    "cell_gradient_sq_grads_ws": cell_gradient_sq_case(["grads"]),
+    "hessian_frobenius_sq": hessian_frobenius_sq_case(),
+    "hessian_frobenius_sq_ws": hessian_frobenius_sq_case(["ws"], {0, 1, 2, "pairs"}),
+    "hessian_frobenius_sq_grads_ws": hessian_frobenius_sq_case(["grads"]),
 }
 
 
@@ -436,21 +472,21 @@ class TestDerivedQuantities:
     def test_cell_gradient_matches_ramp(self):
         g = Grid.unit_box((64,))
         a = 3.0 * g.axis_centers(0)
-        gsq = cell_gradient_sq(g, a)
+        gsq = cell_gradient_sq(g, face_gradients(g, a), Workspace(g))
         # interior cells see the exact slope; boundary cells the half-stencil
         assert gsq[1:-1] == pytest.approx(9.0, rel=1e-12)
 
     def test_hessian_of_quadratic(self):
         g = Grid.unit_box((64,))
         x = g.axis_centers(0)
-        h = hessian_frobenius_sq(g, x**2)
+        h = hessian_frobenius_sq(g, x**2, face_gradients(g, x**2), Workspace(g))
         assert h[1:-1] == pytest.approx(4.0, rel=1e-10)
 
     def test_hessian_cross_term_2d(self):
         g = Grid.unit_box((32, 32))
         cx, cy = g.cell_centers()
         a = cx * cy
-        h = hessian_frobenius_sq(g, a)
+        h = hessian_frobenius_sq(g, a, face_gradients(g, a), Workspace(g))
         # d2/dxdy = 1 counted twice; pure second derivatives vanish
         assert h[1:-1, 1:-1] == pytest.approx(2.0, rel=1e-10)
 

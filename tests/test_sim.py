@@ -1,4 +1,6 @@
 import dataclasses
+import inspect
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import axis_laplacians, chemotaxis_array_oracle, weak_residual_oracle
 
-from chemoctrl import sim
+from chemoctrl import energy, grid as grid_module, sim
 from chemoctrl.cost import _weak_probes
 from chemoctrl.grid import Workspace, chemotaxis_array
 from chemoctrl import (
@@ -82,9 +84,8 @@ class TestControl:
         g = Grid.unit_box((4,))
         vals = np.stack([np.zeros(4), np.full(4, 2.0)])
         ctrl = Control(g, [0.0, 1.0], vals)
-        assert ctrl.slice_at(0.5) == pytest.approx(1.0)
-        assert ctrl.slice_at(-1.0) == pytest.approx(0.0)
-        assert ctrl.slice_at(2.0) == pytest.approx(2.0)
+        for t, value in ((0.5, 1.0), (-1.0, 0.0), (2.0, 2.0)):
+            assert ctrl.slice_at(t, Workspace(g)) == pytest.approx(value)
 
     @given(n_times=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
            t=st.floats(-0.5, 1.5), on_node=st.booleans())
@@ -108,7 +109,7 @@ class TestControl:
             j = int(np.searchsorted(times, t, side="right"))
             w = (t - times[j - 1]) / (times[j] - times[j - 1])
             ref = (1.0 - w) * ctrl.values[j - 1] + w * ctrl.values[j]
-        assert ctrl.slice_at(t).tobytes() == ref.tobytes()
+        assert ctrl.slice_at(t, Workspace(g)).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("dims", [(7,), (5, 4), (3, 4, 2)])
     def test_scatter_is_the_transpose_of_sample(self, dims):
@@ -124,8 +125,8 @@ class TestControl:
         for _ in range(60):
             t0, t1 = np.sort(rng.choice(ends, 2, replace=False))
             bar = rng.normal(size=dims)
-            sampled = ctrl.sample(t0, t1)
-            assert sampled.tobytes() == ctrl.slice_at(t1).tobytes()
+            sampled = ctrl.sample(t0, t1, Workspace(g))
+            assert sampled.tobytes() == ctrl.slice_at(t1, Workspace(g)).tobytes()
             levels_bar = ctrl.scatter(t0, t1, bar, np.zeros_like(ctrl.values))
             assert not levels_bar[:, outside].any()
             assert np.sum(sampled * bar) == \
@@ -149,31 +150,37 @@ def full(grid, value):
     return np.full(grid.dims, float(value))
 
 
+def fresh_step(grid, u, v, f, p, dt):
+    """One :func:`step` in a fresh workspace, into new arrays."""
+    return step(grid, u, v, f, p, dt, Workspace(grid),
+                (np.empty(grid.dims), np.empty(grid.dims)))
+
+
 class TestStep:
     def test_empty_domain_equilibrium(self, grid):
         # no cells: constant concentration is a fixed point without control
-        u, v = step(grid, full(grid, 0.0), full(grid, 2.0), full(grid, 0.0),
-                    params(), 0.01)
+        u, v = fresh_step(grid, full(grid, 0.0), full(grid, 2.0), full(grid, 0.0),
+                          params(), 0.01)
         assert np.abs(u).max() == 0.0
         assert v == pytest.approx(2.0, rel=1e-13)
 
     def test_zero_concentration_freezes_everything(self, grid):
-        u, v = step(grid, full(grid, 1.5), full(grid, 0.0), full(grid, 4.0),
-                    params(), 0.01)
+        u, v = fresh_step(grid, full(grid, 1.5), full(grid, 0.0), full(grid, 4.0),
+                          params(), 0.01)
         assert np.abs(v).max() == 0.0
         assert u == pytest.approx(1.5, rel=1e-13)
 
     def test_backward_euler_growth_factor(self, grid):
         # u = 0, f = lam everywhere: one step multiplies v by 1/(1 - dt*lam)
         lam, dt = 0.8, 0.01
-        _, v = step(grid, full(grid, 0.0), full(grid, 1.0), full(grid, lam),
-                    params(), dt)
+        _, v = fresh_step(grid, full(grid, 0.0), full(grid, 1.0), full(grid, lam),
+                          params(), dt)
         assert v == pytest.approx(1.0 / (1.0 - dt * lam), rel=1e-12)
 
     def test_m_matrix_guard(self, grid):
         with pytest.raises(StepSizeError) as err:
-            step(grid, full(grid, 0.0), full(grid, 1.0), full(grid, 200.0),
-                 params(), 0.01)
+            fresh_step(grid, full(grid, 0.0), full(grid, 1.0), full(grid, 200.0),
+                       params(), 0.01)
         assert err.value.admissible_dt < 0.01
 
     def test_cfl_guard_reports_admissible_dt(self, grid):
@@ -181,13 +188,13 @@ class TestStep:
         x = grid.axis_centers(0)
         u0, v0, f = full(grid, 1.0), 50.0 * x, full(grid, 0.0)
         with pytest.raises(StepSizeError, match="CFL") as err:
-            step(grid, u0, v0, f, params(), 0.01)
+            fresh_step(grid, u0, v0, f, params(), 0.01)
         assert 0 < err.value.admissible_dt < 0.01
         # the halving policy recovers (the estimate shifts with the implicit v)
         dt = err.value.admissible_dt
         for _ in range(20):
             try:
-                u, _ = step(grid, u0, v0, f, params(), dt)
+                u, _ = fresh_step(grid, u0, v0, f, params(), dt)
                 break
             except StepSizeError:
                 dt *= 0.5
@@ -201,8 +208,8 @@ class TestStep:
         # no CFL limit although dt is far above the bound mobile cells get
         x = grid.axis_centers(0)
         dt = 0.01
-        u, v = step(grid, full(grid, 0.0), 50.0 * x, full(grid, 0.0), params(), dt)
-        _, rate = chemotaxis_array(grid, np.ones(grid.dims), v)
+        u, v = fresh_step(grid, full(grid, 0.0), 50.0 * x, full(grid, 0.0), params(), dt)
+        _, rate = chemotaxis_array(grid, np.ones(grid.dims), v, Workspace(grid))
         assert dt * rate.max() > sim.CFL_SAFETY
         assert np.abs(u).max() == 0.0
         assert v.min() >= 0.0
@@ -217,24 +224,25 @@ class TestStep:
         u = np.zeros(grid.dims)
         u[4] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            _, rate = kernel(grid, u, v)
+            _, rate = kernel(grid, u, v, Workspace(grid))
         assert rate[2] == 0.0 and rate[4] == np.inf and not np.isnan(rate).any()
         monkeypatch.setattr(sim, "chemotaxis_array", kernel)
         with pytest.raises(StepSizeError, match="CFL"):
-            step(grid, u, v, full(grid, 0.0), params(), 1e-6)
+            fresh_step(grid, u, v, full(grid, 0.0), params(), 1e-6)
 
     def test_mass_conserved_per_step(self, grid):
         rng = np.random.default_rng(5)
         u0 = rng.uniform(0.0, 2.0, grid.dims)
-        u, _ = step(grid, u0, rng.uniform(0.0, 1.0, grid.dims), full(grid, 0.5),
-                    params(s=2.0), 0.002)
+        u, _ = fresh_step(grid, u0, rng.uniform(0.0, 1.0, grid.dims), full(grid, 0.5),
+                          params(s=2.0), 0.002)
         m0, m1 = integrate(grid, u0), integrate(grid, u)
         assert abs(m1 - m0) <= 1e-12 * abs(m0)
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
     def test_rejects_bad_dt(self, grid, dt):
         with pytest.raises(ValueError, match="dt must be positive"):
-            step(grid, full(grid, 1.0), full(grid, 1.0), full(grid, 0.0), params(), dt)
+            fresh_step(grid, full(grid, 1.0), full(grid, 1.0), full(grid, 0.0), params(),
+                       dt)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["u", "v"])
@@ -249,8 +257,8 @@ class TestStep:
             def __init__(self, lu):
                 self.lu = lu
 
-            def solve(self, b, out=None, ws=None):
-                x = self.lu.solve(b, out, ws)
+            def solve(self, b, ws, out=None):
+                x = self.lu.solve(b, ws, out)
                 solves.append(b)
                 if len(solves) == ("v", "u").index(name) + 1:
                     x[3] = bad
@@ -261,7 +269,8 @@ class TestStep:
                             lambda g, dt: Poisoned(factor(g, dt)))
         with pytest.raises(sim.PositivityError,
                            match=f"{name} went negative or non-finite at cell \\(3,\\)"):
-            step(grid, full(grid, 1.0), full(grid, 1.0), full(grid, 0.0), params(), 0.01)
+            fresh_step(grid, full(grid, 1.0), full(grid, 1.0), full(grid, 0.0), params(),
+                       0.01)
 
 
 class TestWorkspace:
@@ -275,8 +284,9 @@ class TestWorkspace:
         u, v = rng.uniform(0.0, 2.0, dims), rng.uniform(0.5, 1.5, dims)
         f = rng.uniform(-3.0, 3.0, dims)
         p, dt = params(s=2.0), 2e-3
-        ref_u, ref_v = step(g, u, v, f, p, dt)
-        ref_w = sim._comparison_step(g, v, np.maximum(f, 0.0), dt)
+        ref_u, ref_v = fresh_step(g, u, v, f, p, dt)
+        ref_w = sim._comparison_step(g, v, np.maximum(f, 0.0), dt, Workspace(g),
+                                     np.empty(dims))
         ws = Workspace(g)
         out = (np.empty(dims), np.empty(dims))
         w_out = np.empty(dims)
@@ -315,32 +325,25 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peak - before < g.n_cells * 8
 
-    @pytest.mark.parametrize("dims", [(16,), (8, 6), (5, 4, 6)])
-    def test_one_workspace_serves_a_run_and_its_comparison(self, dims):
-        # as compare runs them: the comparison finds the run's data in ws
-        g = Grid.unit_box(dims)
-        g = g.with_mask(g.box_mask([(0.0, 0.6)] * len(dims)))
-        p = params(s=2.0, t_final=0.05)
-        ctrl = control_preset(g, "random", p.t_final, seed=3, amplitude=4.0, times=4)
-        u0 = field_preset(g, "random", seed=4, low=0.0, high=2.0)
-        v0 = field_preset(g, "random", seed=5, low=0.0, high=1.5)
-        ref = simulate(u0, v0, ctrl, p, 0.01)
-        ref_w = solve_comparison(v0, ctrl, p, 0.01, dt_history=ref.dt_history)
-        ws = Workspace(g)
-        traj = simulate(u0, v0, ctrl, p, 0.01, ws)
-        w = solve_comparison(v0, ctrl, p, 0.01, dt_history=traj.dt_history, ws=ws)
-        assert traj.u.tobytes() == ref.u.tobytes()
-        assert traj.v.tobytes() == ref.v.tobytes()
-        assert w.w.tobytes() == ref_w.w.tobytes()
-
-    def test_workspace_of_another_grid_is_refused(self, grid):
-        # its views carry the other grid's spacing
-        other = Workspace(Grid((32,), (0.5,)))
-        with pytest.raises(GridMismatchError, match="workspace"):
-            simulate(Field.zeros(grid), Field.full(grid, 1.0), None, params(), 0.01,
-                     other)
-        with pytest.raises(GridMismatchError, match="workspace"):
-            solve_comparison(Field.full(grid, 1.0), None, params(), 0.01, ws=other)
+    def test_kernels_require_their_workspace(self):
+        # a forgotten workspace is a TypeError, not a fresh level-sized one,
+        # and the solvers build their own
+        takers = []
+        for module in (grid_module, sim, energy):
+            for obj in vars(module).values():
+                members = [obj, *vars(obj).values()] if inspect.isclass(obj) else [obj]
+                for fn in members:
+                    if not (inspect.isfunction(fn) and fn.__module__ == module.__name__):
+                        continue
+                    ws = inspect.signature(fn).parameters.get("ws")
+                    if ws is not None:
+                        takers.append(fn.__qualname__)
+                        assert ws.default is inspect.Parameter.empty, fn.__qualname__
+        assert {"chemotaxis_array", "cell_gradient_sq", "hessian_frobenius_sq",
+                "Control.slice_at", "Control.sample", "_SplitDiffusion.solve", "step",
+                "_comparison_step"} <= set(takers)
+        for solver in (simulate, solve_comparison):
+            assert "ws" not in inspect.signature(solver).parameters
 
 
 class TestSimulate:
@@ -614,6 +617,23 @@ class TestComparison:
         with pytest.raises(ValueError, match="dt_max must be positive"):
             solve_comparison(Field.full(grid, 1.0), None, params(), dt_max)
 
+    @pytest.mark.parametrize("pairing", [{}, {"times": np.linspace(0.0, 1.0, 11)},
+                                         {"dt_history": np.full(10, 0.1)}],
+                             ids=["adaptive", "times", "dt_history"])
+    def test_control_must_cover_horizon(self, grid, pairing):
+        # the horizon is t_final = 1 when adaptive, else the last paired time
+        short = Control.constant(grid, 0.5, 0.5)
+        w0, p = Field.full(grid, 1.0), params(t_final=1.0)
+        with pytest.raises(ValueError, match="horizon"):
+            solve_comparison(w0, short, p, 0.1, **pairing)
+        with pytest.raises(GridMismatchError, match="control"):
+            solve_comparison(w0, Control.zero(Grid.unit_box((8,)), 1.0), p, 0.1,
+                             **pairing)
+        if pairing:  # six levels, the last at 0.5, where the control ends
+            paired = {key: value[:6 - (key == "dt_history")]
+                      for key, value in pairing.items()}
+            assert solve_comparison(w0, short, p, 0.1, **paired).times.size == 6
+
 
 class TestWeakResidual:
     def test_equilibrium_is_exact(self, grid):
@@ -749,6 +769,36 @@ class TestTrajectoryIO:
         corrupt_npy(out / "control.npy", "negative")
         assert trajectory_from_dir(out).control.values.reshape(-1)[-1] == -5e-324
 
+    @pytest.mark.parametrize("key", [*sim._MANIFEST_KEYS, "note"])
+    def test_manifest_holds_exactly_the_keys_written(self, tmp_path, grid, key):
+        # a manifest without control_times once loaded as an uncontrolled run
+        ctrl = control_preset(grid, "constant", 0.1, amplitude=2.0)
+        traj = simulate(Field.full(grid, 0.5), Field.full(grid, 1.0), ctrl,
+                        params(t_final=0.1), 0.02)
+        out = tmp_path / "traj"
+        trajectory_to_dir(traj, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        if key in manifest:
+            del manifest[key]
+        else:
+            manifest[key] = 1
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        what = "missing" if key in sim._MANIFEST_KEYS else "unknown"
+        with pytest.raises(TrajectoryFormatError, match=f"{what} key '{key}'"):
+            trajectory_from_dir(out)
+
+    def test_null_control_times_beside_a_control_is_refused(self, tmp_path, grid):
+        ctrl = control_preset(grid, "constant", 0.1, amplitude=2.0)
+        traj = simulate(Field.full(grid, 0.5), Field.full(grid, 1.0), ctrl,
+                        params(t_final=0.1), 0.02)
+        out = tmp_path / "traj"
+        trajectory_to_dir(traj, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["control_times"] = None
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(TrajectoryFormatError, match="control_times is null beside"):
+            trajectory_from_dir(out)
+
     def test_malformed_rejected(self, tmp_path):
         d = tmp_path / "broken"
         d.mkdir()
@@ -809,8 +859,8 @@ class TestFactorCache:
     def test_diffusion_factors_bounded(self):
         g = Grid.unit_box((16,))
         for k in range(20):
-            step(g, full(g, 1.0), full(g, 1.0), full(g, 0.0), params(),
-                 1e-3 * (1.0 + 0.1 * k))
+            fresh_step(g, full(g, 1.0), full(g, 1.0), full(g, 0.0), params(),
+                       1e-3 * (1.0 + 0.1 * k))
         info = sim._diffusion_solver.cache_info()
         assert info.currsize == info.maxsize == sim._DIFFUSION_CACHE_SIZE
         sim._diffusion_solver(g, 1e-3 * (1.0 + 0.1 * 19))  # the most recent survives
@@ -852,7 +902,8 @@ class TestFactorCache:
         apart._inverses = [axis_inverse(n, dt / (h * h)) for n, h in zip(dims, g.spacing)]
         apart._last = apart._inverses[-1]
         b = np.random.default_rng(2).uniform(0.0, 1.0, g.n_cells)
-        assert solver.solve(b).tobytes() == apart.solve(b).tobytes()
+        ws = Workspace(g)
+        assert solver.solve(b, ws).tobytes() == apart.solve(b, ws).tobytes()
 
 
 def split_diffusion_matrix(grid, dt):
@@ -875,7 +926,7 @@ class TestSplitDiffusion:
         g = Grid(dims, spacing)
         b = np.random.default_rng(seed).uniform(-1.0, 1.0, g.n_cells)
         a = split_diffusion_matrix(g, dt)
-        x = sim._diffusion_solver(g, dt).solve(b)
+        x = sim._diffusion_solver(g, dt).solve(b, Workspace(g))
         # backward error: the residual against the size of A and x
         norm_a = abs(a).sum(axis=1).max()
         assert np.abs(a @ x - b).max() <= 1e-12 * norm_a * np.abs(x).max()
@@ -901,8 +952,8 @@ class TestSplitDiffusion:
         rng = np.random.default_rng(seed)
         b = rng.uniform(0.0, 1.0, g.n_cells) * (rng.random(g.n_cells) < 0.75)
         b_up = b + rise * rng.uniform(0.0, 1.0, g.n_cells) * (rng.random(g.n_cells) < 0.5)
-        solver = sim._diffusion_solver(g, dt)
-        assert (solver.solve(b) <= solver.solve(b_up)).all()
+        solver, ws = sim._diffusion_solver(g, dt), Workspace(g)
+        assert (solver.solve(b, ws) <= solver.solve(b_up, ws)).all()
 
     @pytest.mark.parametrize("rhs", ["point source", "sparse with a zero region"])
     def test_nonnegative_and_conservative_on_24_cubed(self, rhs):
@@ -914,11 +965,11 @@ class TestSplitDiffusion:
             b[3, 17, 11] = 1.0
         else:
             b[:12] = rng.uniform(0.0, 1.0, (12, 24, 24)) * (rng.random((12, 24, 24)) < 0.05)
-        x = sim._diffusion_solver(g, 0.01).solve(b.ravel())
+        x = sim._diffusion_solver(g, 0.01).solve(b.ravel(), Workspace(g))
         assert x.min() >= 0.0
         assert abs(x.sum() - b.sum()) <= 1e-14 * b.sum()
         # constants stay constant, as under the Neumann diffusion itself
-        ones = sim._diffusion_solver(g, 0.01).solve(np.ones(g.n_cells))
+        ones = sim._diffusion_solver(g, 0.01).solve(np.ones(g.n_cells), Workspace(g))
         assert np.abs(ones - 1.0).max() <= 1e-14
 
 
