@@ -214,7 +214,7 @@ def random_levels(dims, s, controlled, seed=5):
 class TestLevelQuantities:
     @pytest.mark.parametrize("controlled", [False, True])
     @pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
-    @pytest.mark.parametrize("dims", [(17,), (9, 6), (5, 4, 3)])
+    @pytest.mark.parametrize("dims", [(17,), (9, 6), (5, 4, 3), (96, 96), (24, 24, 24)])
     def test_match_oracle_bit_for_bit(self, dims, s, controlled):
         # the one-workspace pass against fresh temporaries for every product
         p, traj = random_levels(dims, s, controlled)

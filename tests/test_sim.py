@@ -674,7 +674,7 @@ class TestWeakResidual:
         with pytest.raises(ValueError, match="shape"):
             weak_residual(traj, np.ones((traj.n_levels,) + grid.dims))
 
-    @pytest.mark.parametrize("dims", [(24,), (12, 10), (8, 6, 5)])
+    @pytest.mark.parametrize("dims", [(24,), (12, 10), (8, 6, 5), (96, 96), (24, 24, 24)])
     def test_matches_series_oracle_bit_for_bit(self, dims):
         # a controlled run off the box's symmetry, so no probe is vacuous
         g = Grid.unit_box(dims)
