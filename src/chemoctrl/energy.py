@@ -21,17 +21,10 @@ saved levels is the sum of its entries.  The audit, its pair residuals and
 only there, as arguments of the verdict.
 
 The pass reuses one workspace at every saved level (:class:`_LevelWorkspace`),
-so after the first level it allocates no array as large as a level.  The
-workspace holds ``z``, ``z``'s face gradients and their squares, one scratch
-array per face shape and a grid :class:`Workspace` for the control slice and
-the level-sized products.  The gradients and squares are computed once per
-level: the squares serve the energy and the cross term, the gradients the
-quartic term's cell gradient and the Hessian's diagonal.  Every other
-product is written in place.  Each rewrite makes the IEEE operations of
-the expression it replaces in their order, or a commutative product of
-them, and every sum reduces a C-contiguous array of the shape it had, so
-the six per-level series are the same bit for bit as with fresh
-temporaries (:func:`_level_quantities` says why, term by term).
+so after the first level it allocates no array as large as a level, and its
+face terms are the face stencil of :mod:`~chemoctrl.grid`.  The six
+per-level series are the same bit for bit as with fresh temporaries
+(:func:`_level_quantities` says why, term by term).
 """
 
 from __future__ import annotations
@@ -43,7 +36,9 @@ import numpy as np
 from .grid import (
     Workspace,
     cell_gradient_sq,
-    face_gradients,
+    compact_faces,
+    face_difference,
+    face_gradient,
     h1_seminorm,
     hessian_frobenius_sq,
     integrate,
@@ -130,14 +125,16 @@ class FittedConstants:
     K_values: np.ndarray
 
 
-def _face_weighted_cross(grid, density_pow, grads_sq, faces):
-    """Integral of ``u^s |grad z|^2`` with arithmetic face means of ``u^s``;
-    ``grads_sq`` are the squared face gradients of ``z``, and ``faces`` one
-    scratch array of each face shape."""
+def _face_weighted_cross(grid, density_pow, grads_sq, faces, scratch):
+    """Integral of ``u^s |grad z|^2`` with arithmetic face means of ``u^s``
+    (face sums, halved, made compact); ``grads_sq`` are the squared compact
+    face gradients of ``z``, ``faces`` one scratch array of each face shape
+    and ``scratch`` a flat level-sized one."""
     total = 0.0
-    for g_sq, mean_pow, (lo, hi, _) in zip(grads_sq, faces, grid.face_slices):
-        np.add(density_pow[lo], density_pow[hi], out=mean_pow)
-        mean_pow *= 0.5
+    for k, (g_sq, mean_pow) in enumerate(zip(grads_sq, faces)):
+        mean = face_difference(density_pow, k, scratch, np.add)
+        mean *= 0.5
+        compact_faces(mean, grid.dims, k, mean_pow)
         total += np.multiply(mean_pow, g_sq, out=mean_pow).sum()
     return total * grid.cell_volume
 
@@ -151,10 +148,19 @@ class _LevelWorkspace:
         self.grid, self.params, self.control = grid, params, control
         self.ws = Workspace(grid)
         self.z = np.empty(grid.dims)
+        self.gz = [np.empty(grid.n_cells) for _ in grid.dims]
         shapes = [tuple(n - (j == k) for j, n in enumerate(grid.dims))
                   for k in range(grid.ndim)]
-        self.gz, self.gz_sq, self.faces = ([np.empty(shape) for shape in shapes]
-                                           for _ in range(3))
+        self.gz_sq, self.faces = ([np.empty(shape) for shape in shapes] for _ in range(2))
+
+    def _squared_gradients(self, a, flat, out):
+        """``a``'s face arrays of gradients in ``flat`` (one flat level per axis;
+        one for all keeps the last) and their compact squares in ``out``."""
+        grads = []
+        for k, (f, o) in enumerate(zip(flat, out)):
+            grads.append(face_gradient(self.grid, a, k, f))
+            np.square(compact_faces(grads[k], self.grid.dims, k, o), out=o)
+        return grads, out
 
     def __call__(self, u, v, t):
         """``(energy, entropy, cross, hessian, quartic, control forcing)``
@@ -167,21 +173,20 @@ class _LevelWorkspace:
             np.square(self.control.slice_at(t, ws), out=cells[5]).sum() * vol
         z = np.add(v, self.params.alpha**2, out=self.z)
         np.sqrt(z, out=z)
-        gz = face_gradients(grid, z, self.gz)
-        gz_sq = [np.square(g, out=g_sq) for g, g_sq in zip(gz, self.gz_sq)]
+        gz, gz_sq = self._squared_gradients(z, self.gz, self.gz_sq)
         # g_energy refuses a negative u before any power of it is taken
         energy = s / 4.0 * integrate(grid, g_energy(u, s, cells[0], cells[1])) \
             + 0.5 * h1_seminorm(grid, z, gz_sq) ** 2
         root = np.add(u, 1.0, out=cells[0])
         root **= s / 2.0
-        entropy = h1_seminorm(grid, root, [np.square(g, out=g) for g in
-                                           face_gradients(grid, root, self.faces)]) ** 2
+        _, root_sq = self._squared_gradients(root, [ws.flat[1]] * grid.ndim, self.faces)
+        entropy = h1_seminorm(grid, root, root_sq) ** 2
         density_pow = u  # u**1 is a copy of u
         if s != 1:
             density_pow = cells[0]
             density_pow[...] = u
             density_pow **= s  # numpy's shortcuts for s = 2 included, as u**s
-        cross = _face_weighted_cross(grid, density_pow, gz_sq, self.faces)
+        cross = _face_weighted_cross(grid, density_pow, gz_sq, self.faces, ws.flat[1])
         hessian = hessian_frobenius_sq(grid, z, gz, ws).sum() * vol
         quartic = cell_gradient_sq(grid, gz, ws)
         np.square(quartic, out=quartic)
@@ -193,26 +198,22 @@ def _level_quantities(traj, params):
     """Instantaneous energy and dissipation densities at every saved level;
     the energy is ``s/4 * integral g(u) + 1/2 * integral |grad z|^2``.
 
-    One :class:`_LevelWorkspace` serves every level, so after the first level
-    no array as large as a level is allocated; it holds ``z``, ``z``'s face
-    gradients and their squares, one scratch array per face shape and a
-    :class:`Workspace` for the control slice and the level-sized products.
-    Each quantity is the same bit for bit as its expression evaluated with
-    fresh temporaries, term by term:
+    One :class:`_LevelWorkspace` serves every level; it holds ``z``, the
+    face arrays of ``z``'s gradients and their compact squares, one scratch
+    array per face shape and a :class:`Workspace` for the control slice and
+    the level-sized products.  Each quantity is the same bit for bit as its
+    expression evaluated with fresh temporaries:
 
     - ``np.sqrt(v + alpha**2)``, ``g(u)``, ``(u + 1) ** (s/2)``, ``u**s``,
       ``cell_gradient_sq(z) ** 2 / z**2`` and ``f**2`` are the same
       operations in the same order written into reused arrays; ``a **= p``
       dispatches as ``a ** p`` does, and ``u**1`` is ``u`` itself.
-    - The shared face gradients of ``z`` are what ``h1_seminorm`` would
-      compute and what ``face_gradients`` of ``z`` gives
-      ``cell_gradient_sq`` and the Hessian, and their squares are the
-      ``g**2`` of ``h1_seminorm`` and of the cross term.
-    - The cross term's ``mean * gz**2`` and face means ``0.5 * (lo + hi)``
-      are commutative products.
-    - Each face array is a C-contiguous array of the face shape, as a
-      subtraction returns, and each level-sized one C-contiguous of shape
-      ``dims``, so every ``.sum()`` reduces in the same pairwise order.
+    - ``z``'s gradients are computed once: their face arrays feed the
+      Hessian's diagonal and ``cell_gradient_sq``, their compact squares
+      ``h1_seminorm`` and the cross term, whose ``mean * gz**2`` and
+      ``0.5 * (lo + hi)`` are commutative.
+    - Every sum reduces a C-contiguous compact face array or level, the
+      layout it reduced before, in the same pairwise order.
     """
     # rows: energy, entropy, cross, hessian, quartic, control forcing
     out = np.zeros((6, traj.n_levels))

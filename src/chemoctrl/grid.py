@@ -1,14 +1,29 @@
 """Uniform cell-centered box grids with zero-flux boundary closure.
 
 The domain is an axis-aligned box in 1, 2 or 3 dimensions, discretized by a
-uniform cell-centered grid.  The operators act on plain cell arrays: they
-take face differences and close the boundary with zero flux (mirror ghost
-cells), so discrete integrals of divergence-form terms vanish identically.
-The Laplacian is the sum over the axes of one such second difference, and
-the upwind transport is one more divergence of face fluxes.  A boolean mask
-marks the subregion where the bilinear control is allowed to act.  The
-discrete norms live here too, including the space-time ``L^p`` norm with its
-trapezoid rule in time.
+uniform cell-centered grid.  A boolean mask marks the subregion where the
+bilinear control is allowed to act.  The discrete norms live here too,
+including the space-time ``L^p`` norm with its trapezoid rule in time.
+
+Every face operator is one stencil on the flat C-order cell array.  Along
+axis ``k`` the cell above cell ``i`` is ``i + s``, with the stride ``s =
+prod(dims[k+1:])``, so :func:`face_difference` forms the ``N - s`` pairs of
+neighbours in one contiguous call on ``a[s:]`` and ``a[:-s]``, and
+:func:`face_scatter` puts face values back onto the low and the high cells
+the same way; no ufunc takes a strided operand.  The pairs whose low cell
+lies in the last layer of the axis wrap from one line of cells to the next:
+the difference sets them to +0, and the scatter sets the last layer of a
+fresh divergence to +0, the zero boundary flux.  A wrapped +0 lands on a
+cell that per-axis slices leave alone, and ``x - 0`` is ``x`` while ``x +
+0`` differs from it only for ``x = -0``, a sign the kernels' next step drops
+(a square, or a sum that starts at +0).  So every kernel equals its
+per-axis-slice form (the oracles of the tests) bit for bit.  Where a sum
+needs the interior faces, :func:`compact_faces` copies them into the
+C-contiguous layout ``np.diff`` returns, so each ``.sum()`` reduces the same
+array in the same pairwise order.  The Laplacian is the sum over the axes of
+one zero-flux second difference, and the upwind transport one more
+divergence of face fluxes, so discrete integrals of divergence-form terms
+vanish identically.
 """
 
 from __future__ import annotations
@@ -107,21 +122,6 @@ class Grid:
         axes = [self.axis_centers(k) for k in range(self.ndim)]
         return np.meshgrid(*axes, indexing="ij")
 
-    @cached_property
-    def face_slices(self):
-        """Per axis, the index tuples ``(lo, hi, last)`` that select along it
-        all entries but the last, all but the first, and the last one.
-
-        On an array of shape ``dims`` they are the cells below and above each
-        interior face along the axis, and the last layer of cells.
-        """
-        out = []
-        for k in range(self.ndim):
-            lo, hi, last = ([slice(None)] * self.ndim for _ in range(3))
-            lo[k], hi[k], last[k] = slice(0, -1), slice(1, None), slice(-1, None)
-            out.append((tuple(lo), tuple(hi), tuple(last)))
-        return tuple(out)
-
     def compatible_with(self, other):
         """Whether two grids describe the same discretization (mask included)."""
         return self is other or (
@@ -199,45 +199,79 @@ class Field:
 # array-level kernels (shared with the time stepper)
 # ---------------------------------------------------------------------------
 
-def face_gradients(grid, a, out=None):
-    """Interior-face gradients per axis.
-
-    The list entry for axis ``k`` has shape ``dims`` with ``dims[k]-1`` along
-    that axis.  Boundary faces carry zero gradient by the Neumann closure and
-    are not stored.  ``a[hi] - a[lo]`` is the subtraction ``np.diff`` makes,
-    so the result equals ``np.diff(a, axis=k) / h`` bit for bit.  With
-    ``out``, one C-contiguous array of that shape per axis, the gradients are
-    written there and ``out``'s arrays are returned.
+def face_difference(a, k, out=None, op=np.subtract):
+    """``op(a[i + s], a[i])`` for every pair of neighbours along axis ``k`` of
+    the cell array ``a``: the *face array* of the axis, entry ``i`` on the
+    face above cell ``i``, wrapped pairs at +0.  With ``np.add`` it holds
+    face sums.  It fills the first ``N - s`` entries of ``out`` (a flat array
+    of ``N`` entries that is not ``a``; a new one when None) and is returned.
     """
-    return [_face_gradient(grid, a, k, None if out is None else out[k])
-            for k in range(grid.ndim)]
+    n, s = a.shape[k], math.prod(a.shape[k + 1:])
+    flat = a.reshape(-1)
+    d = op(flat[s:], flat[:-s], out=None if out is None else out[:flat.size - s])
+    if k:
+        d[(n - 1) * s:].reshape(-1, n, s)[:, 0] = 0.0
+    return d
 
 
-def _face_gradient(grid, a, k, out):
-    """The interior-face gradients of :func:`face_gradients` along axis ``k``,
-    in ``out`` (a new array when None)."""
-    lo, hi, _ = grid.face_slices[k]
-    g = np.subtract(a[hi], a[lo], out=out)
+def face_scatter(low, high, out, op=np.subtract):
+    """Face arrays back onto the cells of their pairs in the flat cell array
+    ``out``, whose size gives the stride: ``low`` onto the low cells, then
+    ``out[i + s] = op(out[i + s], high[i])`` on the high cells.
+
+    A face array ``low`` is copied and the last layer set to +0, a fresh
+    zero-flux divergence; ``low`` given as ``out`` means its low cells hold
+    their values already, and only the last layer is set; None leaves both
+    as they are, for a sum that accumulates in ``out``.  Returns ``out``.
+    """
+    s = out.size - high.size
+    if low is not None:
+        if low is not out:
+            out[:-s] = low
+        out[-s:] = 0.0
+    hi = out[s:]
+    op(hi, high, out=hi)  # one view as input and output: numpy skips its overlap check
+    return out
+
+
+def compact_faces(faces, shape, k, out=None):
+    """The interior faces of a face array of axis ``k`` on cells of ``shape``,
+    copied into ``out`` (a new array when None), the C-contiguous array of
+    ``shape`` with one entry fewer along ``k``."""
+    n, s = shape[k], math.prod(shape[k + 1:])
+    step = faces.itemsize
+    inner = np.ndarray((math.prod(shape[:k]), n - 1, s), faces.dtype, faces, 0,
+                       (n * s * step, s * step, step))
+    if out is None:
+        out = np.empty(shape[:k] + (n - 1,) + shape[k + 1:])
+    np.copyto(out.reshape(inner.shape), inner)
+    return out
+
+
+def face_gradient(grid, a, k, out=None):
+    """The face array of ``a``'s gradient along axis ``k``, into ``out`` as
+    in :func:`face_difference`."""
+    g = face_difference(a, k, out)
     g /= grid.spacing[k]
     return g
 
 
-def _second_difference(grid, k, grad, out):
-    """Second difference along axis ``k`` of the array whose face gradient
-    along the axis is ``grad`` (:func:`face_gradients`' entry ``k``): zero
-    boundary flux, then the difference of the gradients.  Summed over the
-    axes it is the discrete Laplacian, which maps a constant to exactly 0.
+def face_gradients(grid, a, out=None):
+    """Interior-face gradients per axis, :func:`face_gradient` made compact:
+    ``np.diff(a, axis=k) / h`` bit for bit.  Boundary faces carry zero
+    gradient by the Neumann closure and are not stored.  With ``out``, one
+    C-contiguous array of each face shape, they are written there."""
+    flat = np.empty(grid.n_cells)
+    return [compact_faces(face_gradient(grid, a, k, flat), grid.dims, k,
+                          None if out is None else out[k]) for k in range(grid.ndim)]
 
-    Writing the gradients into the low cells and subtracting them from the
-    high cells makes the subtractions of ``np.diff`` of the zero-padded
-    gradients, so the result equals that bit for bit, without the padded copy.
-    The result goes into ``out``, an array of shape ``dims`` that must not be
-    ``grad``, and is returned.
-    """
-    lo, hi, last = grid.face_slices[k]
-    out[lo] = grad
-    out[last] = 0.0
-    out[hi] -= grad
+
+def _second_difference(grid, k, grad, out):
+    """Zero-flux second difference along axis ``k`` of the array whose face
+    array of gradients is ``grad``: its :func:`face_scatter` over the
+    spacing, into ``out`` (shape ``dims``), returned.  Summed over the axes
+    it is the discrete Laplacian, which maps a constant to exactly 0."""
+    face_scatter(grad, grad, out.reshape(-1))
     out /= grid.spacing[k]
     return out
 
@@ -247,11 +281,10 @@ class Workspace:
 
     ``flat`` holds six float arrays of ``grid.n_cells`` entries, ``cells``
     the same six arrays shaped ``grid.dims``, and ``mask`` one bool array of
-    ``grid.n_cells`` entries; :attr:`faces` (views of ``flat``) and
-    :attr:`cross_pairs` (views of one more array) are built on first use.
-    A run builds one workspace and passes it to
-    every kernel of every step, so that a step allocates no array as large as
-    a level; every kernel that works in one requires it.  Each kernel says
+    ``grid.n_cells`` entries; :attr:`cross_pairs` (views of two more arrays)
+    is built on first use.  A run builds one workspace and passes it to every
+    kernel of every step, so that a step allocates no array as large as a
+    level; every kernel that works in one requires it.  Each kernel says
     which of its arrays it writes.  A result it returns there is overwritten
     by the next kernel given the same workspace.
     """
@@ -265,52 +298,29 @@ class Workspace:
 
     @cached_property
     def cross_pairs(self):
-        """Per axis pair ``k < l``, the edge-padded level that
-        :func:`hessian_frobenius_sq`'s cross difference reads and the four
-        views of it shifted by ``(+-1, +-1)`` along ``(k, l)``, built once per
-        workspace: ``(k, l, padded, ((1, 1), (1, -1), (-1, 1), (-1, -1))
-        views)``.  The pairs take turns in one flat array as large as the
-        largest of them (on a cube the three 3D pairs have one size)."""
+        """Per axis pair ``k < l``, ``(k, l, padded, result, shifted,
+        interior)`` for :func:`hessian_frobenius_sq`'s cross difference: the
+        edge-padded level, an array of its shape, the flat views of
+        ``padded`` at the offsets ``(++, +-, -+, --)`` of the four diagonal
+        neighbours and the view of ``result`` they combine into, and the
+        view of ``result`` at the unpadded cells.  The pairs take turns in
+        two flat arrays as large as the largest of them."""
         dims = self.grid.dims
         pairs = list(itertools.combinations(range(len(dims)), 2))
-        shapes = [_padded_shape(dims, pair) for pair in pairs]
-        flat = np.empty(max(map(math.prod, shapes), default=0))
+        shapes = [tuple(n + 2 * (j in pair) for j, n in enumerate(dims)) for pair in pairs]
+        size = max(map(math.prod, shapes), default=0)
+        levels, results = np.empty(size), np.empty(size)
         out = []
         for (k, l), shape in zip(pairs, shapes):
-            padded = flat[:math.prod(shape)].reshape(shape)
-            views = []
-            for sk, sl in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                idx = [slice(None)] * len(dims)
-                idx[k] = slice(1 + sk, (-1 + sk) or None)
-                idx[l] = slice(1 + sl, (-1 + sl) or None)
-                views.append(padded[tuple(idx)])
-            out.append((k, l, padded, tuple(views)))
-        return tuple(out)
-
-    @cached_property
-    def faces(self):
-        """Per axis ``k``, the views of ``flat`` that :func:`chemotaxis_array`
-        works on, built once per workspace.
-
-        On the flat C-order arrays the cell above cell ``i`` along axis ``k``
-        is ``i + s``, with the stride ``s = prod(dims[k+1:])``, so the face
-        differences of the axis are ``a[s:] - a[:-s]``.  Of those ``N - s``
-        pairs, the ones whose low cell is in the last layer of the axis wrap
-        from one line of cells to the next; ``wrap`` views them (None on axis
-        0, where no pair wraps).  The entry per axis is ``(s, h, wrap, dv,
-        up, down, acc_lo, acc_last, acc_hi)``: the difference, upward and
-        downward parts of length ``N - s``, and the accumulator ``flat[3]``
-        below, at and above its last ``s`` cells.
-        """
-        dims = self.grid.dims
-        diff, up, down, acc = self.flat[:4]
-        out = []
-        for k, h in enumerate(self.grid.spacing):
-            s = math.prod(dims[k + 1:])
-            m = diff.size - s
-            wrap = diff.reshape(math.prod(dims[:k]), dims[k], s)[:, -1] if k else None
-            out.append((s, h, wrap, diff[:m], up[:m], down[:m],
-                        acc[:m], acc[m:], acc[s:]))
+            padded, result = (a[:math.prod(shape)].reshape(shape) for a in (levels, results))
+            sk, sl = (math.prod(shape[j + 1:]) for j in (k, l))
+            p, r = padded.reshape(-1), result.reshape(-1)
+            m = p.size - 2 * (sk + sl)
+            shifted = tuple(p[i:i + m] for i in (2 * (sk + sl), 2 * sk, 2 * sl, 0))
+            inner = [slice(None)] * len(dims)
+            inner[k] = inner[l] = slice(1, -1)
+            out.append((k, l, padded, result, shifted + (r[sk + sl:sk + sl + m],),
+                        result[tuple(inner)]))
         return tuple(out)
 
 
@@ -325,54 +335,39 @@ def chemotaxis_array(grid, mob, v, ws):
     only cells with positive mobility: a cell with zero mobility sends no
     flux out, so it cannot lose mass and does not bound ``dt``.
 
-    The result equals minus the divergence of the donor-cell face fluxes,
-    closed with zero boundary flux, bit for bit: per axis the flux difference
-    across each cell, then ``/ h``, with the axes summed in order.  Both
-    results are the ``cells[4]`` and ``cells[5]`` of the workspace ``ws``
-    (:class:`Workspace`), and the kernel writes all six of its arrays and its
-    mask.
+    Per axis, the face stencil (module docstring) of ``v``'s gradient,
+    the donor-cell flux and rate on the face arrays, and their scatters,
+    then ``/ h``; the axes are summed in order, into accumulators that start
+    at +0.  Both results are the ``cells[4]`` and ``cells[5]`` of the
+    workspace ``ws`` (:class:`Workspace`), and the kernel writes all six of
+    its arrays and its mask.
 
     The donor flux is ``max(dv, 0) * mob[lo] + min(dv, 0) * mob[hi]`` rather
     than a per-face select: for finite ``mob`` the non-donor product is a
-    zero and ``x + 0 == x``, so only the sign of a zero can differ from the
-    select, and the accumulators start at +0, which a signed zero added to
-    them leaves as it is.  The outflow rate ``max(dv, 0) / h`` at the lo cell
+    zero and ``x + 0 == x``, so only the sign of a zero can differ, which the
+    accumulators drop; the outflow rate ``max(dv, 0) / h`` at the lo cell
     and ``-min(dv, 0) / h`` at the hi cell is exact the same way.  The final
     mobility mask stays a select, since ``rate * (mob > 0)`` would turn an
     infinite rate into NaN and hide a CFL violation.
-
-    Every pass runs on the flat arrays, shifted by the stride of the axis
-    (:attr:`Workspace.faces`), so every operation is contiguous.  The
-    differences that wrap from one line of cells to the next are set to +0
-    first.  Their fluxes and rates are then zeros for finite ``mob``: at the
-    low cell they stand where the per-axis slices write a zero, and at the
-    high cell they are added to a term that the slices leave alone, which
-    changes at most the sign of a zero term.  The accumulators start at +0
-    and drop such signs, so the results equal the per-axis slices' bit for
-    bit.
     """
-    mob, v = mob.ravel(), v.ravel()
-    acc, transport, rate = ws.flat[3:]
-    for k, (s, h, wrap, dv, to_hi, down, acc_lo, acc_last, acc_hi) in enumerate(ws.faces):
-        np.subtract(v[s:], v[:-s], out=dv)
-        if wrap is not None:
-            wrap[...] = 0.0
+    mob = mob.reshape(-1)
+    diff, up, down, acc, transport, rate = ws.flat
+    for k, h in enumerate(grid.spacing):
+        dv = face_difference(v, k, diff)
         dv /= h
-        np.maximum(dv, 0.0, out=to_hi)  # nonzero where mass flows from lo to hi
+        s = mob.size - dv.size
+        to_hi = np.maximum(dv, 0.0, out=up[:-s])  # nonzero where mass flows from lo to hi
         to_lo = np.minimum(dv, 0.0, out=dv)  # nonzero where it flows from hi to lo
         # outgoing gradient magnitude accumulates at the donor cell
-        np.divide(to_hi, h, out=acc_lo)
-        acc_last[...] = 0.0
-        acc_hi -= np.divide(to_lo, h, out=down)
+        np.divide(to_hi, h, out=acc[:-s])
+        face_scatter(acc, np.divide(to_lo, h, out=down[:-s]), acc)
         # the first axis starts the accumulator at +0, as 0 + acc would
         np.add(acc, rate if k else 0.0, out=rate)
         # the donor-cell flux
         flux = np.multiply(to_hi, mob[:-s], out=to_hi)
         flux += np.multiply(to_lo, mob[s:], out=to_lo)
         # outgoing flux minus incoming, zero flux through the boundary
-        acc_lo[...] = flux
-        acc_last[...] = 0.0
-        acc_hi -= flux
+        face_scatter(flux, flux, acc)
         acc /= h
         np.add(acc, transport if k else 0.0, out=transport)
     np.negative(transport, out=transport)
@@ -391,27 +386,27 @@ def chemotaxis_transpose(grid, mob, v, bar):
     away from the faces where the gradient of ``v`` changes sign.
 
     The mobility gradients add ``flux_bar * max(dv, 0)`` to the lo cells and
-    ``flux_bar * min(dv, 0)`` to the hi cells; for a finite ``flux_bar`` the
-    non-donor term is a zero, so the sums equal those of a per-face select
-    bit for bit, as in :func:`chemotaxis_array`.  The donor mobility in the
-    gradient with respect to ``v`` has no such exact product form and stays
-    a select.
+    ``flux_bar * min(dv, 0)`` to the hi cells, exact as in
+    :func:`chemotaxis_array`; the donor mobility in the gradient with respect
+    to ``v`` has no exact product form and stays a select.  Both gradients
+    accumulate axis after axis, in the face stencil's flat shifts.
     """
-    mob_bar = np.zeros(grid.dims)
-    v_bar = np.zeros(grid.dims)
-    for h, (lo, hi, _) in zip(grid.spacing, grid.face_slices):
-        dv = v[hi] - v[lo]
+    mob_bar, v_bar = np.zeros(grid.dims), np.zeros(grid.dims)
+    mob, flat_mob_bar, flat_v_bar = mob.reshape(-1), mob_bar.reshape(-1), v_bar.reshape(-1)
+    for k, h in enumerate(grid.spacing):
+        dv = face_difference(v, k)
         dv /= h
+        s = mob.size - dv.size
         # a face flux leaves its lo cell and enters its hi cell
-        flux_bar = bar[hi] - bar[lo]
+        flux_bar = face_difference(bar, k)
         flux_bar /= h
-        mob_bar[lo] += flux_bar * np.maximum(dv, 0.0)
-        donor = np.where(dv > 0, mob[lo], mob[hi])
-        mob_bar[hi] += flux_bar * np.minimum(dv, 0.0, out=dv)
+        flat_mob_bar[:-s] += flux_bar * np.maximum(dv, 0.0)
+        donor = np.where(dv > 0, mob[:-s], mob[s:])
+        face_scatter(None, flux_bar * np.minimum(dv, 0.0, out=dv), flat_mob_bar, np.add)
         dv_bar = np.multiply(flux_bar, donor, out=donor)
         dv_bar /= h
-        v_bar[hi] += dv_bar
-        v_bar[lo] -= dv_bar
+        face_scatter(None, dv_bar, flat_v_bar, np.add)
+        flat_v_bar[:-s] -= dv_bar
     return mob_bar, v_bar
 
 
@@ -419,18 +414,15 @@ def cell_gradient_sq(grid, grads, ws):
     """Cellwise squared gradient magnitude from averaged face gradients.
 
     Each cell averages its two face gradients per axis, a boundary face
-    counting as zero; ``grads`` are the array's :func:`face_gradients`.  The
-    face sums are formed in place of a zero-padded copy; the additions are
-    those of the padded form, so the result equals it bit for bit.  The
+    counting as zero: the :func:`face_scatter` with ``np.add`` of the
+    array's face arrays of gradients ``grads`` (:func:`face_gradient`).  The
     result is ``cells[0]`` of the workspace ``ws`` (:class:`Workspace`), with
     ``cells[1]`` as scratch; neither may hold ``grads``.
     """
     total, face_sum = ws.cells[:2]
     total[...] = 0.0
-    for g, (lo, hi, last) in zip(grads, grid.face_slices):
-        face_sum[lo] = g
-        face_sum[last] = 0.0
-        face_sum[hi] += g
+    for g in grads:
+        face_scatter(g, g, ws.flat[1], np.add)
         face_sum *= 0.5
         total += np.square(face_sum, out=face_sum)
     return total
@@ -439,18 +431,15 @@ def cell_gradient_sq(grid, grads, ws):
 def hessian_frobenius_sq(grid, a, grads, ws):
     """Cellwise squared Frobenius norm of the discrete Hessian.
 
-    Zero-flux second differences (the Laplacian's) on the diagonal, centered
-    cross differences closed with mirror ghosts off the diagonal; off-diagonal
-    pairs count twice.  The mirror ghosts of a cross difference are one
-    edge-padded copy of ``a`` filled by slice copies, which holds what
-    ``np.pad(a, mode="edge")`` holds; the arithmetic runs in the same order on
-    the same values, so the result is the same bit for bit.
-
-    ``grads`` are ``a``'s :func:`face_gradients`, from which the diagonal
-    second differences start.  The result is ``cells[0]`` of the workspace
-    ``ws`` (:class:`Workspace`), with ``cells[1]``, ``cells[2]`` and the
-    padded levels of :attr:`Workspace.cross_pairs` as scratch; none of them
-    may hold ``a`` or ``grads``.
+    The diagonal holds the zero-flux second differences of ``a``'s face
+    arrays of gradients ``grads`` (:func:`_second_difference`); off the
+    diagonal, counted twice, centered cross differences closed with mirror
+    ghosts: one edge-padded copy of ``a``, as ``np.pad(mode="edge")`` pads,
+    combined at the flat offsets of :attr:`Workspace.cross_pairs`, whose
+    interior is copied out before it joins the sum.  The result is
+    ``cells[0]`` of the workspace ``ws`` (:class:`Workspace`), with
+    ``cells[1]``, ``cells[2]`` and the arrays of :attr:`Workspace.cross_pairs`
+    as scratch; none of them may hold ``a`` or ``grads``.
     """
     total, diag, cross = ws.cells[:3]
     _second_difference(grid, 0, grads[0], total)
@@ -458,21 +447,17 @@ def hessian_frobenius_sq(grid, a, grads, ws):
     for k in range(1, grid.ndim):
         _second_difference(grid, k, grads[k], diag)
         total += np.square(diag, out=diag)
-    for k, l, padded, (pp, pm, mp, mm) in ws.cross_pairs:
+    for k, l, padded, _, (pp, pm, mp, mm, d), interior in ws.cross_pairs:
         _edge_padded(a, (k, l), padded)
-        np.subtract(pp, pm, out=cross)
-        cross -= mp
-        cross += mm
-        cross /= 4.0 * grid.spacing[k] * grid.spacing[l]
-        np.square(cross, out=cross)
-        cross *= 2.0
+        np.subtract(pp, pm, out=d)
+        d -= mp
+        d += mm
+        d /= 4.0 * grid.spacing[k] * grid.spacing[l]
+        np.square(d, out=d)
+        d *= 2.0
+        cross[...] = interior
         total += cross
     return total
-
-
-def _padded_shape(shape, axes):
-    """``shape`` with two more entries along each axis in ``axes``."""
-    return tuple(n + 2 * (j in axes) for j, n in enumerate(shape))
 
 
 def _edge_padded(a, axes, out):

@@ -57,7 +57,9 @@ from .grid import (
     Workspace,
     chemotaxis_array,
     chemotaxis_transpose,
-    face_gradients,
+    compact_faces,
+    face_difference,
+    face_gradient,
     h1_seminorm,
     integrate,
     spacetime_lp_norm,
@@ -533,15 +535,20 @@ def _adaptive_steps(advance, state, t_final, dt_max, events):
     ``advance(state, t, dt)`` returns the state one step of size ``dt`` after
     time ``t``, or raises StepSizeError; each rejection is appended to
     ``events`` and halves the step.  After 10 clean steps the step doubles
-    again, up to ``dt_max``, and the last step is clipped to ``t_final``.
-    Raises StiffnessError when the step falls below the underflow floor.
+    again, up to ``dt_max``, and the last step is clipped to ``t_final``; a
+    step that would leave only round-off, at most ``1e-9 * t_final``, for a
+    sliver step of its own is stretched to ``t_final`` instead.  Raises
+    StiffnessError when the step falls below the underflow floor.
     """
     t = 0.0
     dt = dt_max
     clean = 0
     floor = _DT_FLOOR_FACTOR * max(t_final, 1e-300)
-    while t < t_final - 1e-14 * max(t_final, 1.0):
+    end = t_final - 1e-14 * max(t_final, 1.0)
+    while t < end:
         dt_step = min(dt, t_final - t)
+        if t_final - 1e-9 * t_final <= t + dt_step < end:
+            dt_step = t_final - t
         try:
             state = advance(state, t, dt_step)
         except StepSizeError as err:
@@ -797,9 +804,11 @@ def weak_residual(traj, probe):
         raise ValueError(f"probe shape {phi.shape} does not match the grid's {grid.dims}")
 
     vol = grid.cell_volume
-    gp = face_gradients(grid, phi)
+    gp = [face_gradient(grid, phi, k) for k in range(grid.ndim)]
     # the probe's squared L^2 + H^1 norm, its space-time weight per unit time
     size = (phi**2).sum() * vol + h1_seminorm(grid, phi) ** 2
+    # each face product is formed on the face arrays and copied compact for its sum
+    mean, grad = np.empty(grid.n_cells), np.empty(grid.n_cells)
     residual = 0.0
     norm_sq = 0.0
     for n in range(traj.n_levels - 1):
@@ -809,14 +818,17 @@ def weak_residual(traj, probe):
         du = traj.u[n + 1] - traj.u[n]
         residual += (du * phi).sum() * vol
 
-        gu = face_gradients(grid, ubar)
-        gv = face_gradients(grid, vbar)
         diff_term = 0.0
         chem_term = 0.0
-        for k, (lo, hi, _) in enumerate(grid.face_slices):
-            mean_u = 0.5 * (ubar[lo] + ubar[hi])
-            diff_term += (gu[k] * gp[k]).sum() * vol
-            chem_term += (mean_u * gv[k] * gp[k]).sum() * vol
+        for k, g_phi in enumerate(gp):
+            g = face_gradient(grid, ubar, k, grad)
+            g *= g_phi
+            diff_term += compact_faces(g, grid.dims, k).sum() * vol
+            mean_u = face_difference(ubar, k, mean, np.add)
+            mean_u *= 0.5
+            mean_u *= face_gradient(grid, vbar, k, grad)
+            mean_u *= g_phi
+            chem_term += compact_faces(mean_u, grid.dims, k).sum() * vol
         residual += dt * (diff_term - chem_term)
 
         norm_sq += dt * size  # per step, not size * T: the sums differ in the last bit

@@ -244,10 +244,8 @@ class TestLevelQuantities:
         ctrl = Control(g, [0.0, 1.0], rng.uniform(-1.0, 1.0, (2,) + dims))
         level = energy._LevelWorkspace(g, params(s=s), ctrl)
         level(u, v, 0.5)  # warm-up: the workspace's cached views
-        # numpy's iterator takes a scratch buffer of getbufsize() elements
-        # (64 KiB) per strided operand, fixed in size and numpy's own; shrunk
-        # here so that the peak shows the report's own temporaries
-        bufsize = np.setbufsize(256)
+        # at numpy's own buffer size: no ufunc of the report has a strided
+        # operand, so no iterator takes a scratch buffer
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -255,7 +253,6 @@ class TestLevelQuantities:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            np.setbufsize(bufsize)
         assert peak - before < g.n_cells * 8
 
 

@@ -12,6 +12,7 @@ from chemoctrl.grid import (
     cell_gradient_sq,
     chemotaxis_array,
     chemotaxis_transpose,
+    face_gradient,
     face_gradients,
     hessian_frobenius_sq,
     trapezoid_intervals,
@@ -36,8 +37,13 @@ def random_field(grid, seed, low=-1.0, high=1.0):
 
 def laplacian(grid, a):
     """The discrete Laplacian: the second differences summed over the axes."""
-    return sum(_second_difference(grid, k, g, np.empty(grid.dims))
-               for k, g in enumerate(face_gradients(grid, a)))
+    return sum(_second_difference(grid, k, face_gradient(grid, a, k), np.empty(grid.dims))
+               for k in range(grid.ndim))
+
+
+def flat_gradients(grid, a):
+    """``a``'s face arrays of gradients, one per axis, as the kernels take them."""
+    return [face_gradient(grid, a, k) for k in range(grid.ndim)]
 
 
 class TestGridConstruction:
@@ -327,8 +333,9 @@ def dirty_workspace(grid):
     for a in ws.flat:
         a.fill(np.nan)
     ws.mask.fill(True)
-    for _, _, padded, _ in ws.cross_pairs:
+    for _, _, padded, result, _, _ in ws.cross_pairs:
         padded.fill(np.nan)
+        result.fill(np.nan)
     return ws
 
 
@@ -339,23 +346,24 @@ def nan_faces(grid):
 
 def workspace_case(kernel, oracle, kept=(), written=()):
     """The :data:`KERNEL_CASES` entry of ``kernel(g, a, grads, ws)``, called
-    with the face gradients ``grads`` of ``a`` and a :func:`dirty_workspace`
-    ``ws``, against ``oracle(g, a)``; both return lists of arrays.
+    with the face arrays of gradients ``grads`` of ``a`` (:func:`flat_gradients`)
+    and a :func:`dirty_workspace` ``ws``, against ``oracle(g, a)``; both
+    return lists of arrays.
 
     After the results come, as the call left them, the arrays that ``kept``
     names, which the kernel must leave as they were: ``"ws"``, the workspace
     arrays other than the ``cells`` whose indices ``written`` holds (and the
-    cross-pair levels unless it holds ``"pairs"``), and ``"grads"``, ``a``
-    and its gradients.  The oracle leaves them all alone.
+    cross-pair levels and results unless it holds ``"pairs"``), and
+    ``"grads"``, ``a`` and its gradients.  The oracle leaves them all alone.
     """
     def run(fn, g, a):
         ws, a = dirty_workspace(g), a.copy()
-        grads = face_gradients(g, a)
+        grads = flat_gradients(g, a)
         out = fn(g, a, grads, ws)
         if "ws" in kept:
             out += [c for i, c in enumerate(ws.cells) if i not in written] + [ws.mask]
             if "pairs" not in written:
-                out += [padded for _, _, padded, _ in ws.cross_pairs]
+                out += [x for pair in ws.cross_pairs for x in pair[2:4]]
         if "grads" in kept:
             out += [a, *grads]
         return out
@@ -472,21 +480,21 @@ class TestDerivedQuantities:
     def test_cell_gradient_matches_ramp(self):
         g = Grid.unit_box((64,))
         a = 3.0 * g.axis_centers(0)
-        gsq = cell_gradient_sq(g, face_gradients(g, a), Workspace(g))
+        gsq = cell_gradient_sq(g, flat_gradients(g, a), Workspace(g))
         # interior cells see the exact slope; boundary cells the half-stencil
         assert gsq[1:-1] == pytest.approx(9.0, rel=1e-12)
 
     def test_hessian_of_quadratic(self):
         g = Grid.unit_box((64,))
         x = g.axis_centers(0)
-        h = hessian_frobenius_sq(g, x**2, face_gradients(g, x**2), Workspace(g))
+        h = hessian_frobenius_sq(g, x**2, flat_gradients(g, x**2), Workspace(g))
         assert h[1:-1] == pytest.approx(4.0, rel=1e-10)
 
     def test_hessian_cross_term_2d(self):
         g = Grid.unit_box((32, 32))
         cx, cy = g.cell_centers()
         a = cx * cy
-        h = hessian_frobenius_sq(g, a, face_gradients(g, a), Workspace(g))
+        h = hessian_frobenius_sq(g, a, flat_gradients(g, a), Workspace(g))
         # d2/dxdy = 1 counted twice; pure second derivatives vanish
         assert h[1:-1, 1:-1] == pytest.approx(2.0, rel=1e-10)
 

@@ -46,15 +46,22 @@ def params(s=1.0, t_final=0.25, **kw):
 
 def assert_step_ladder(dt_history, events, t_final, dt_max):
     """Replay the halving / re-doubling rules over a run's steps and rejections."""
+    end = t_final - 1e-14 * max(t_final, 1.0)
+
+    def attempt(dt, t):
+        # clipped to t_final, and stretched to it over a round-off remainder
+        step = min(dt, t_final - t)
+        return t_final - t if t_final - 1e-9 * t_final <= t + step < end else step
+
     t, dt, clean = 0.0, dt_max, 0
     pending = list(events)
     for accepted in dt_history:
         while pending and pending[0]["t"] == t:
             event = pending.pop(0)
-            assert event["dt"] == min(dt, t_final - t)
+            assert event["dt"] == attempt(dt, t)
             assert event["reason"] and 0 < event["admissible_dt"] < event["dt"]
             dt, clean = 0.5 * event["dt"], 0
-        assert accepted == min(dt, t_final - t)
+        assert accepted == attempt(dt, t)
         t += accepted
         clean += 1
         if clean >= 10 and dt < dt_max:
@@ -347,6 +354,19 @@ class TestWorkspace:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("t_final, n", [(1.0, 399), (0.5, 2000), (2.0, 2000)])
+    def test_steps_of_t_final_over_n_save_n_plus_one_levels(self, t_final, n):
+        # t += dt falls short of t_final by about 1e-14 after n steps; that
+        # remainder is taken with the last step, not as a sliver step of its own
+        g = Grid.unit_box((8,))
+        p = params(t_final=t_final)
+        traj = simulate(Field.full(g, 1.0), Field.full(g, 1.0), None, p, t_final / n)
+        assert traj.n_levels == n + 1 and traj.times[-1] == t_final
+        assert traj.dt_history.min() > 0.5 * t_final / n
+        assert_step_ladder(traj.dt_history, traj.events, t_final, t_final / n)
+        comparison = solve_comparison(Field.full(g, 1.0), None, p, t_final / n)
+        assert comparison.times.size == n + 1 and comparison.times[-1] == t_final
+
     def test_grid_mismatch(self, grid):
         other = Grid.unit_box((8,))
         with pytest.raises(GridMismatchError, match="u0 and v0"):
