@@ -154,13 +154,11 @@ class _LevelWorkspace:
         self.gz_sq, self.faces = ([np.empty(shape) for shape in shapes] for _ in range(2))
 
     def _squared_gradients(self, a, flat, out):
-        """``a``'s face arrays of gradients in ``flat`` (one flat level per axis;
-        one for all keeps the last) and their compact squares in ``out``."""
-        grads = []
-        for k, (f, o) in enumerate(zip(flat, out)):
-            grads.append(face_gradient(self.grid, a, k, f))
-            np.square(compact_faces(grads[k], self.grid.dims, k, o), out=o)
-        return grads, out
+        """``a``'s face arrays of gradients, in the flat levels ``flat``, and
+        their compact squares, in ``out``."""
+        grads = [face_gradient(self.grid, a, k, f) for k, f in enumerate(flat)]
+        return grads, [np.square(compact_faces(g, self.grid.dims, k, o), out=o)
+                       for k, (g, o) in enumerate(zip(grads, out))]
 
     def __call__(self, u, v, t):
         """``(energy, entropy, cross, hessian, quartic, control forcing)``
@@ -179,7 +177,7 @@ class _LevelWorkspace:
             + 0.5 * h1_seminorm(grid, z, gz_sq) ** 2
         root = np.add(u, 1.0, out=cells[0])
         root **= s / 2.0
-        _, root_sq = self._squared_gradients(root, [ws.flat[1]] * grid.ndim, self.faces)
+        _, root_sq = self._squared_gradients(root, ws.flat[1:1 + grid.ndim], self.faces)
         entropy = h1_seminorm(grid, root, root_sq) ** 2
         density_pow = u  # u**1 is a copy of u
         if s != 1:

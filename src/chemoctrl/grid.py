@@ -201,15 +201,16 @@ class Field:
 
 def face_difference(a, k, out=None, op=np.subtract):
     """``op(a[i + s], a[i])`` for every pair of neighbours along axis ``k`` of
-    the cell array ``a``: the *face array* of the axis, entry ``i`` on the
-    face above cell ``i``, wrapped pairs at +0.  With ``np.add`` it holds
-    face sums.  It fills the first ``N - s`` entries of ``out`` (a flat array
-    of ``N`` entries that is not ``a``; a new one when None) and is returned.
+    the cell array ``a``, ``s`` the axis's flat stride: the *face array* of
+    the axis, entry ``i`` on the face above cell ``i``, wrapped pairs at +0.
+    With ``np.add`` it holds face sums.  Returned as the first ``N - s``
+    entries of ``out`` (a flat array of ``N`` that is not ``a``; new when None).
     """
-    n, s = a.shape[k], math.prod(a.shape[k + 1:])
-    flat = a.reshape(-1)
-    d = op(flat[s:], flat[:-s], out=None if out is None else out[:flat.size - s])
+    s = math.prod(a.shape[k + 1:])
+    flat = a.ravel()
+    d = op(flat[s:], flat[:-s], None if out is None else out[:flat.size - s])
     if k:
+        n = a.shape[k]
         d[(n - 1) * s:].reshape(-1, n, s)[:, 0] = 0.0
     return d
 
@@ -230,20 +231,23 @@ def face_scatter(low, high, out, op=np.subtract):
             out[:-s] = low
         out[-s:] = 0.0
     hi = out[s:]
-    op(hi, high, out=hi)  # one view as input and output: numpy skips its overlap check
+    op(hi, high, hi)  # one view as input and output: numpy skips its overlap check
     return out
 
 
 def compact_faces(faces, shape, k, out=None):
-    """The interior faces of a face array of axis ``k`` on cells of ``shape``,
-    copied into ``out`` (a new array when None), the C-contiguous array of
-    ``shape`` with one entry fewer along ``k``."""
+    """The interior faces of a face array of axis ``k`` on cells of ``shape``
+    as the C-contiguous array of ``shape`` with one entry fewer along ``k``,
+    copied into ``out``; without ``out`` a new copy, or on axis 0, where the
+    face array is that array already, a view of it."""
     n, s = shape[k], math.prod(shape[k + 1:])
+    if out is None:
+        if not k:
+            return faces.reshape((n - 1,) + shape[1:])
+        out = np.empty(shape[:k] + (n - 1,) + shape[k + 1:])
     step = faces.itemsize
     inner = np.ndarray((math.prod(shape[:k]), n - 1, s), faces.dtype, faces, 0,
                        (n * s * step, s * step, step))
-    if out is None:
-        out = np.empty(shape[:k] + (n - 1,) + shape[k + 1:])
     np.copyto(out.reshape(inner.shape), inner)
     return out
 
@@ -261,8 +265,7 @@ def face_gradients(grid, a, out=None):
     ``np.diff(a, axis=k) / h`` bit for bit.  Boundary faces carry zero
     gradient by the Neumann closure and are not stored.  With ``out``, one
     C-contiguous array of each face shape, they are written there."""
-    flat = np.empty(grid.n_cells)
-    return [compact_faces(face_gradient(grid, a, k, flat), grid.dims, k,
+    return [compact_faces(face_gradient(grid, a, k), grid.dims, k,
                           None if out is None else out[k]) for k in range(grid.ndim)]
 
 
@@ -271,7 +274,7 @@ def _second_difference(grid, k, grad, out):
     array of gradients is ``grad``: its :func:`face_scatter` over the
     spacing, into ``out`` (shape ``dims``), returned.  Summed over the axes
     it is the discrete Laplacian, which maps a constant to exactly 0."""
-    face_scatter(grad, grad, out.reshape(-1))
+    face_scatter(grad, grad, out.ravel())
     out /= grid.spacing[k]
     return out
 
@@ -350,7 +353,7 @@ def chemotaxis_array(grid, mob, v, ws):
     mobility mask stays a select, since ``rate * (mob > 0)`` would turn an
     infinite rate into NaN and hide a CFL violation.
     """
-    mob = mob.reshape(-1)
+    mob = mob.ravel()
     diff, up, down, acc, transport, rate = ws.flat
     for k, h in enumerate(grid.spacing):
         dv = face_difference(v, k, diff)
@@ -392,7 +395,7 @@ def chemotaxis_transpose(grid, mob, v, bar):
     accumulate axis after axis, in the face stencil's flat shifts.
     """
     mob_bar, v_bar = np.zeros(grid.dims), np.zeros(grid.dims)
-    mob, flat_mob_bar, flat_v_bar = mob.reshape(-1), mob_bar.reshape(-1), v_bar.reshape(-1)
+    mob, flat_mob_bar, flat_v_bar = mob.ravel(), mob_bar.ravel(), v_bar.ravel()
     for k, h in enumerate(grid.spacing):
         dv = face_difference(v, k)
         dv /= h

@@ -807,8 +807,6 @@ def weak_residual(traj, probe):
     gp = [face_gradient(grid, phi, k) for k in range(grid.ndim)]
     # the probe's squared L^2 + H^1 norm, its space-time weight per unit time
     size = (phi**2).sum() * vol + h1_seminorm(grid, phi) ** 2
-    # each face product is formed on the face arrays and copied compact for its sum
-    mean, grad = np.empty(grid.n_cells), np.empty(grid.n_cells)
     residual = 0.0
     norm_sq = 0.0
     for n in range(traj.n_levels - 1):
@@ -821,12 +819,12 @@ def weak_residual(traj, probe):
         diff_term = 0.0
         chem_term = 0.0
         for k, g_phi in enumerate(gp):
-            g = face_gradient(grid, ubar, k, grad)
+            g = face_gradient(grid, ubar, k)
             g *= g_phi
             diff_term += compact_faces(g, grid.dims, k).sum() * vol
-            mean_u = face_difference(ubar, k, mean, np.add)
+            mean_u = face_difference(ubar, k, op=np.add)
             mean_u *= 0.5
-            mean_u *= face_gradient(grid, vbar, k, grad)
+            mean_u *= face_gradient(grid, vbar, k)
             mean_u *= g_phi
             chem_term += compact_faces(mean_u, grid.dims, k).sum() * vol
         residual += dt * (diff_term - chem_term)

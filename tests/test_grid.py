@@ -37,8 +37,8 @@ def random_field(grid, seed, low=-1.0, high=1.0):
 
 def laplacian(grid, a):
     """The discrete Laplacian: the second differences summed over the axes."""
-    return sum(_second_difference(grid, k, face_gradient(grid, a, k), np.empty(grid.dims))
-               for k in range(grid.ndim))
+    return sum(_second_difference(grid, k, g, np.empty(grid.dims))
+               for k, g in enumerate(flat_gradients(grid, a)))
 
 
 def flat_gradients(grid, a):
