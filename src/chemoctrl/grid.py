@@ -272,8 +272,8 @@ def face_gradients(grid, a, out=None):
 def _second_difference(grid, k, grad, out):
     """Zero-flux second difference along axis ``k`` of the array whose face
     array of gradients is ``grad``: its :func:`face_scatter` over the
-    spacing, into ``out`` (shape ``dims``), returned.  Summed over the axes
-    it is the discrete Laplacian, which maps a constant to exactly 0."""
+    spacing, into ``out`` (C-contiguous, shape ``dims``), returned.  Summed
+    over the axes it is the discrete Laplacian; a constant maps to exactly 0."""
     face_scatter(grad, grad, out.ravel())
     out /= grid.spacing[k]
     return out
