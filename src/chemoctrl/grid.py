@@ -218,7 +218,8 @@ def face_difference(a, k, out=None, op=np.subtract):
 def face_scatter(low, high, out, op=np.subtract):
     """Face arrays back onto the cells of their pairs in the flat cell array
     ``out``, whose size gives the stride: ``low`` onto the low cells, then
-    ``out[i + s] = op(out[i + s], high[i])`` on the high cells.
+    ``out[i + s] = op(out[i + s], high[i])`` on the high cells; ``high``
+    must not share memory with ``out``.
 
     A face array ``low`` is copied and the last layer set to +0, a fresh
     zero-flux divergence; ``low`` given as ``out`` means its low cells hold
@@ -272,8 +273,8 @@ def face_gradients(grid, a, out=None):
 def _second_difference(grid, k, grad, out):
     """Zero-flux second difference along axis ``k`` of the array whose face
     array of gradients is ``grad``: its :func:`face_scatter` over the
-    spacing, into ``out`` (C-contiguous, shape ``dims``), returned.  Summed
-    over the axes it is the discrete Laplacian; a constant maps to exactly 0."""
+    spacing, into ``out`` (C-contiguous, shape ``dims``, not ``grad``),
+    returned.  Summed over the axes it is the discrete Laplacian."""
     face_scatter(grad, grad, out.ravel())
     out /= grid.spacing[k]
     return out
