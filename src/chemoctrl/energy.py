@@ -39,6 +39,7 @@ from .grid import (
     compact_faces,
     face_difference,
     face_gradient,
+    face_views,
     h1_seminorm,
     hessian_frobenius_sq,
     integrate,
@@ -125,17 +126,17 @@ class FittedConstants:
     K_values: np.ndarray
 
 
-def _face_weighted_cross(grid, density_pow, grads_sq, faces, scratch):
+def _face_weighted_cross(grid, density_pow, grads_sq, faces, ws):
     """Integral of ``u^s |grad z|^2`` with arithmetic face means of ``u^s``
     (face sums, halved, made compact); ``grads_sq`` are the squared compact
     face gradients of ``z``, ``faces`` one scratch array of each face shape
-    and ``scratch`` a flat level-sized one."""
+    and ``ws`` a :class:`Workspace` whose ``cells[1]`` takes the face sums."""
     total = 0.0
-    for k, (g_sq, mean_pow) in enumerate(zip(grads_sq, faces)):
-        mean = face_difference(density_pow, k, scratch, np.add)
+    for k, (g_sq, mean_pow, views) in enumerate(zip(grads_sq, faces, ws.faces)):
+        mean = face_difference(density_pow, k, views[1], np.add)
         mean *= 0.5
-        compact_faces(mean, grid.dims, k, mean_pow)
-        total += np.multiply(mean_pow, g_sq, out=mean_pow).sum()
+        mean = compact_faces(mean, grid.dims, k, mean_pow)
+        total += np.multiply(mean, g_sq, out=mean_pow).sum()
     return total * grid.cell_volume
 
 
@@ -148,15 +149,16 @@ class _LevelWorkspace:
         self.grid, self.params, self.control = grid, params, control
         self.ws = Workspace(grid)
         self.z = np.empty(grid.dims)
-        self.gz = [np.empty(grid.n_cells) for _ in grid.dims]
+        self.gz = [face_views(np.empty(grid.dims), k) for k in range(grid.ndim)]
         shapes = [tuple(n - (j == k) for j, n in enumerate(grid.dims))
                   for k in range(grid.ndim)]
         self.gz_sq, self.faces = ([np.empty(shape) for shape in shapes] for _ in range(2))
 
-    def _squared_gradients(self, a, flat, out):
-        """``a``'s face arrays of gradients, in the flat levels ``flat``, and
+    def _squared_gradients(self, a, views, out):
+        """``a``'s face arrays of gradients, in the levels of the
+        :class:`~chemoctrl.grid.FaceViews` ``views``, one per axis, and
         their compact squares, in ``out``."""
-        grads = [face_gradient(self.grid, a, k, f) for k, f in enumerate(flat)]
+        grads = [face_gradient(self.grid, a, k, f) for k, f in enumerate(views)]
         return grads, [np.square(compact_faces(g, self.grid.dims, k, o), out=o)
                        for k, (g, o) in enumerate(zip(grads, out))]
 
@@ -177,14 +179,15 @@ class _LevelWorkspace:
             + 0.5 * h1_seminorm(grid, z, gz_sq) ** 2
         root = np.add(u, 1.0, out=cells[0])
         root **= s / 2.0
-        _, root_sq = self._squared_gradients(root, ws.flat[1:1 + grid.ndim], self.faces)
+        _, root_sq = self._squared_gradients(
+            root, [views[1 + k] for k, views in enumerate(ws.faces)], self.faces)
         entropy = h1_seminorm(grid, root, root_sq) ** 2
         density_pow = u  # u**1 is a copy of u
         if s != 1:
             density_pow = cells[0]
             density_pow[...] = u
             density_pow **= s  # numpy's shortcuts for s = 2 included, as u**s
-        cross = _face_weighted_cross(grid, density_pow, gz_sq, self.faces, ws.flat[1])
+        cross = _face_weighted_cross(grid, density_pow, gz_sq, self.faces, ws)
         hessian = hessian_frobenius_sq(grid, z, gz, ws).sum() * vol
         quartic = cell_gradient_sq(grid, gz, ws)
         np.square(quartic, out=quartic)

@@ -10,18 +10,19 @@ axis ``k`` the cell above cell ``i`` is ``i + s``, with the stride ``s =
 prod(dims[k+1:])``, so :func:`face_difference` forms the ``N - s`` pairs of
 neighbours in one contiguous call on ``a[s:]`` and ``a[:-s]``, and
 :func:`face_scatter` puts face values back onto the low and the high cells
-the same way; no ufunc takes a strided operand.  The pairs whose low cell
-lies in the last layer of the axis wrap from one line of cells to the next:
-the difference sets them to +0, and the scatter sets the last layer of a
-fresh divergence to +0, the zero boundary flux.  A wrapped +0 lands on a
-cell that per-axis slices leave alone, and ``x - 0`` is ``x`` while ``x +
-0`` differs from it only for ``x = -0``, a sign the kernels' next step drops
-(a square, or a sum that starts at +0).  So every kernel equals its
-per-axis-slice form (the oracles of the tests) bit for bit.  Where a sum
-needs the interior faces, :func:`compact_faces` copies them into the
-C-contiguous layout ``np.diff`` returns, so each ``.sum()`` reduces the same
-array in the same pairwise order.  The Laplacian is the sum over the axes of
-one zero-flux second difference, and the upwind transport one more
+the same way, through an array's :func:`face_views`; no ufunc takes a
+strided operand.  The pairs whose low cell lies in the last layer of the
+axis wrap from one line of cells to the next: the difference sets them to
++0, and the scatter sets the last layer of a fresh divergence to +0, the
+zero boundary flux.  A wrapped +0 lands on a cell that per-axis slices
+leave alone, and ``x - 0`` is ``x`` while ``x + 0`` differs from it only
+for ``x = -0``, a sign the kernels' next step drops (a square, or a sum
+that starts at +0).  So every kernel equals its per-axis-slice form (the
+oracles of the tests) bit for bit.  Where a sum needs the interior faces,
+:func:`compact_faces` copies them into the C-contiguous layout ``np.diff``
+returns (on axis 0 the face array has it), so each ``.sum()`` reduces the
+same array in the same pairwise order.  The Laplacian is the sum over the
+axes of one zero-flux second difference, and the upwind transport one more
 divergence of face fluxes, so discrete integrals of divergence-form terms
 vanish identically.
 """
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -199,52 +201,62 @@ class Field:
 # array-level kernels (shared with the time stepper)
 # ---------------------------------------------------------------------------
 
+FaceViews = namedtuple("FaceViews", "cells low last high wrap")
+
+
+def face_views(cells, k):
+    """The C-contiguous cell array ``cells`` seen along axis ``k``, of flat
+    stride ``s``: ``(cells, low, last, high, wrap)``, with ``low``, ``last``
+    and ``high`` its flat ``[:-s]`` (where the axis's face array lives),
+    ``[-s:]`` and ``[s:]``, and ``wrap`` the entries of ``low`` whose pair
+    wraps (None on axis 0)."""
+    shape, flat = cells.shape, cells.ravel()
+    n, s = shape[k], math.prod(shape[k + 1:])
+    wrap = flat[(n - 1) * s:-s].reshape(-1, n, s)[:, 0] if k else None
+    return FaceViews(cells, flat[:-s], flat[-s:], flat[s:], wrap)
+
+
 def face_difference(a, k, out=None, op=np.subtract):
     """``op(a[i + s], a[i])`` for every pair of neighbours along axis ``k`` of
     the cell array ``a``, ``s`` the axis's flat stride: the *face array* of
     the axis, entry ``i`` on the face above cell ``i``, wrapped pairs at +0.
-    With ``np.add`` it holds face sums.  Returned as the first ``N - s``
-    entries of ``out`` (a flat array of ``N`` that is not ``a``; new when None).
+    With ``np.add`` it holds face sums.  Written into ``out``, the
+    :class:`FaceViews` of an array of ``a``'s shape that is not ``a`` (new
+    when None), and returned as its ``low``.
     """
-    s = math.prod(a.shape[k + 1:])
-    flat = a.ravel()
-    d = op(flat[s:], flat[:-s], None if out is None else out[:flat.size - s])
-    if k:
-        n = a.shape[k]
-        d[(n - 1) * s:].reshape(-1, n, s)[:, 0] = 0.0
+    _, low, last, _, wrap = face_views(np.empty(a.shape), k) if out is None else out
+    flat, s = a.ravel(), last.size
+    d = op(flat[s:], flat[:-s], low)
+    if wrap is not None:
+        wrap.fill(0.0)
     return d
 
 
 def face_scatter(low, high, out, op=np.subtract):
-    """Face arrays back onto the cells of their pairs in the flat cell array
-    ``out``, whose size gives the stride: ``low`` onto the low cells, then
-    ``out[i + s] = op(out[i + s], high[i])`` on the high cells; ``high``
-    must not share memory with ``out``.
-
-    A face array ``low`` is copied and the last layer set to +0, a fresh
-    zero-flux divergence; ``low`` given as ``out`` means its low cells hold
-    their values already, and only the last layer is set; None leaves both
-    as they are, for a sum that accumulates in ``out``.  Returns ``out``.
+    """Face arrays back onto the cells of their pairs, in ``out``, the
+    :class:`FaceViews` of a cell array: ``low`` onto the low cells and the
+    last layer at +0, a fresh zero-flux divergence, then ``out[i + s] =
+    op(out[i + s], high[i])`` on the high cells.  ``low`` may be ``out.low``
+    itself, filled by its caller; ``high`` must not share memory with
+    ``out``.  Returns ``out.cells``.
     """
-    s = out.size - high.size
-    if low is not None:
-        if low is not out:
-            out[:-s] = low
-        out[-s:] = 0.0
-    hi = out[s:]
-    op(hi, high, hi)  # one view as input and output: numpy skips its overlap check
-    return out
+    cells, low_cells, last, high_cells, _ = out
+    if low is not low_cells:
+        low_cells[...] = low
+    last.fill(0.0)
+    op(high_cells, high, high_cells)  # one view as input and output: numpy skips its overlap check
+    return cells
 
 
 def compact_faces(faces, shape, k, out=None):
     """The interior faces of a face array of axis ``k`` on cells of ``shape``
-    as the C-contiguous array of ``shape`` with one entry fewer along ``k``,
-    copied into ``out``; without ``out`` a new copy, or on axis 0, where the
-    face array is that array already, a view of it."""
+    as the C-contiguous array of ``shape`` with one entry fewer along ``k``:
+    on axis 0, where the face array has that layout already, a view of it,
+    else copied into ``out`` (a new array when None)."""
     n, s = shape[k], math.prod(shape[k + 1:])
+    if not k:
+        return faces.reshape((n - 1,) + shape[1:])
     if out is None:
-        if not k:
-            return faces.reshape((n - 1,) + shape[1:])
         out = np.empty(shape[:k] + (n - 1,) + shape[k + 1:])
     step = faces.itemsize
     inner = np.ndarray((math.prod(shape[:k]), n - 1, s), faces.dtype, faces, 0,
@@ -261,23 +273,22 @@ def face_gradient(grid, a, k, out=None):
     return g
 
 
-def face_gradients(grid, a, out=None):
+def face_gradients(grid, a):
     """Interior-face gradients per axis, :func:`face_gradient` made compact:
     ``np.diff(a, axis=k) / h`` bit for bit.  Boundary faces carry zero
-    gradient by the Neumann closure and are not stored.  With ``out``, one
-    C-contiguous array of each face shape, they are written there."""
-    return [compact_faces(face_gradient(grid, a, k), grid.dims, k,
-                          None if out is None else out[k]) for k in range(grid.ndim)]
+    gradient by the Neumann closure and are not stored."""
+    return [compact_faces(face_gradient(grid, a, k), grid.dims, k) for k in range(grid.ndim)]
 
 
 def _second_difference(grid, k, grad, out):
     """Zero-flux second difference along axis ``k`` of the array whose face
     array of gradients is ``grad``: its :func:`face_scatter` over the
-    spacing, into ``out`` (C-contiguous, shape ``dims``, not ``grad``),
-    returned.  Summed over the axes it is the discrete Laplacian."""
-    face_scatter(grad, grad, out.ravel())
-    out /= grid.spacing[k]
-    return out
+    spacing, into ``out`` (the :class:`FaceViews` along ``k`` of an array of
+    shape ``dims`` that is not ``grad``), returned as ``out.cells``.  Summed
+    over the axes it is the discrete Laplacian."""
+    cells = face_scatter(grad, grad, out)
+    cells /= grid.spacing[k]
+    return cells
 
 
 class Workspace:
@@ -285,8 +296,8 @@ class Workspace:
 
     ``flat`` holds six float arrays of ``grid.n_cells`` entries, ``cells``
     the same six arrays shaped ``grid.dims``, and ``mask`` one bool array of
-    ``grid.n_cells`` entries; :attr:`cross_pairs` (views of two more arrays)
-    is built on first use.  A run builds one workspace and passes it to every
+    ``grid.n_cells`` entries; :attr:`faces` and :attr:`cross_pairs` (views)
+    are built on first use.  A run builds one workspace and passes it to every
     kernel of every step, so that a step allocates no array as large as a
     level; every kernel that works in one requires it.  Each kernel says
     which of its arrays it writes.  A result it returns there is overwritten
@@ -299,6 +310,13 @@ class Workspace:
         self.flat = tuple(np.empty(n) for _ in range(6))
         self.cells = tuple(a.reshape(grid.dims) for a in self.flat)
         self.mask = np.empty(n, dtype=bool)
+
+    @cached_property
+    def faces(self):
+        """Per axis ``k``, the :func:`face_views` along ``k`` of ``cells[0]``
+        to ``cells[3]``, the arrays the face kernels write through them."""
+        return tuple(tuple(face_views(c, k) for c in self.cells[:4])
+                     for k in range(self.grid.ndim))
 
     @cached_property
     def cross_pairs(self):
@@ -355,32 +373,32 @@ def chemotaxis_array(grid, mob, v, ws):
     infinite rate into NaN and hide a CFL violation.
     """
     mob = mob.ravel()
-    diff, up, down, acc, transport, rate = ws.flat
-    for k, h in enumerate(grid.spacing):
+    acc, transport, rate = ws.flat[3:]
+    # outputs go in positionally, which numpy parses faster (np.maximum and np.minimum refuse it)
+    for k, (h, (diff, up, down, scatter)) in enumerate(zip(grid.spacing, ws.faces)):
         dv = face_difference(v, k, diff)
         dv /= h
-        s = mob.size - dv.size
-        to_hi = np.maximum(dv, 0.0, out=up[:-s])  # nonzero where mass flows from lo to hi
+        s = diff.last.size
+        to_hi = np.maximum(dv, 0.0, out=up.low)  # nonzero where mass flows from lo to hi
         to_lo = np.minimum(dv, 0.0, out=dv)  # nonzero where it flows from hi to lo
         # outgoing gradient magnitude accumulates at the donor cell
-        np.divide(to_hi, h, out=acc[:-s])
-        face_scatter(acc, np.divide(to_lo, h, out=down[:-s]), acc)
+        face_scatter(np.divide(to_hi, h, scatter.low), np.divide(to_lo, h, down.low), scatter)
         # the first axis starts the accumulator at +0, as 0 + acc would
-        np.add(acc, rate if k else 0.0, out=rate)
+        np.add(acc, rate if k else 0.0, rate)
         # the donor-cell flux
-        flux = np.multiply(to_hi, mob[:-s], out=to_hi)
-        flux += np.multiply(to_lo, mob[s:], out=to_lo)
+        flux = np.multiply(to_hi, mob[:-s], to_hi)
+        flux += np.multiply(to_lo, mob[s:], to_lo)
         # outgoing flux minus incoming, zero flux through the boundary
-        face_scatter(flux, flux, acc)
+        face_scatter(flux, flux, scatter)
         acc /= h
-        np.add(acc, transport if k else 0.0, out=transport)
-    np.negative(transport, out=transport)
-    immobile = np.logical_not(np.greater(mob, 0.0, out=ws.mask), out=ws.mask)
+        np.add(acc, transport if k else 0.0, transport)
+    np.negative(transport, transport)
+    immobile = np.logical_not(np.greater(mob, 0.0, ws.mask), ws.mask)
     np.copyto(rate, 0.0, where=immobile)
     return ws.cells[4], ws.cells[5]
 
 
-def chemotaxis_transpose(grid, mob, v, bar):
+def chemotaxis_transpose(grid, mob, v, bar, ws):
     """Transpose of the transport term of :func:`chemotaxis_array`.
 
     The transport is bilinear in ``(mob, v)`` once the donor-cell masks are
@@ -393,24 +411,27 @@ def chemotaxis_transpose(grid, mob, v, bar):
     ``flux_bar * min(dv, 0)`` to the hi cells, exact as in
     :func:`chemotaxis_array`; the donor mobility in the gradient with respect
     to ``v`` has no exact product form and stays a select.  Both gradients
-    accumulate axis after axis, in the face stencil's flat shifts.
+    accumulate axis after axis, into new arrays; the kernel writes
+    ``cells[0]`` and ``cells[1]`` of the workspace ``ws`` (:class:`Workspace`).
     """
     mob_bar, v_bar = np.zeros(grid.dims), np.zeros(grid.dims)
     mob, flat_mob_bar, flat_v_bar = mob.ravel(), mob_bar.ravel(), v_bar.ravel()
-    for k, h in enumerate(grid.spacing):
-        dv = face_difference(v, k)
+    for k, (h, (diff, flux, _, _)) in enumerate(zip(grid.spacing, ws.faces)):
+        dv = face_difference(v, k, diff)
         dv /= h
-        s = mob.size - dv.size
+        s = diff.last.size
+        mob_bar_lo, mob_bar_hi = flat_mob_bar[:-s], flat_mob_bar[s:]
+        v_bar_lo, v_bar_hi = flat_v_bar[:-s], flat_v_bar[s:]
         # a face flux leaves its lo cell and enters its hi cell
-        flux_bar = face_difference(bar, k)
+        flux_bar = face_difference(bar, k, flux)
         flux_bar /= h
-        flat_mob_bar[:-s] += flux_bar * np.maximum(dv, 0.0)
+        mob_bar_lo += flux_bar * np.maximum(dv, 0.0)
         donor = np.where(dv > 0, mob[:-s], mob[s:])
-        face_scatter(None, flux_bar * np.minimum(dv, 0.0, out=dv), flat_mob_bar, np.add)
-        dv_bar = np.multiply(flux_bar, donor, out=donor)
+        mob_bar_hi += flux_bar * np.minimum(dv, 0.0, out=dv)
+        dv_bar = np.multiply(flux_bar, donor, donor)
         dv_bar /= h
-        face_scatter(None, dv_bar, flat_v_bar, np.add)
-        flat_v_bar[:-s] -= dv_bar
+        v_bar_hi += dv_bar
+        v_bar_lo -= dv_bar
     return mob_bar, v_bar
 
 
@@ -423,10 +444,10 @@ def cell_gradient_sq(grid, grads, ws):
     result is ``cells[0]`` of the workspace ``ws`` (:class:`Workspace`), with
     ``cells[1]`` as scratch; neither may hold ``grads``.
     """
-    total, face_sum = ws.cells[:2]
+    total = ws.cells[0]
     total[...] = 0.0
-    for g in grads:
-        face_scatter(g, g, ws.flat[1], np.add)
+    for g, views in zip(grads, ws.faces):
+        face_sum = face_scatter(g, g, views[1], np.add)
         face_sum *= 0.5
         total += np.square(face_sum, out=face_sum)
     return total
@@ -445,12 +466,12 @@ def hessian_frobenius_sq(grid, a, grads, ws):
     ``cells[1]``, ``cells[2]`` and the arrays of :attr:`Workspace.cross_pairs`
     as scratch; none of them may hold ``a`` or ``grads``.
     """
-    total, diag, cross = ws.cells[:3]
-    _second_difference(grid, 0, grads[0], total)
+    total = _second_difference(grid, 0, grads[0], ws.faces[0][0])
     np.square(total, out=total)
     for k in range(1, grid.ndim):
-        _second_difference(grid, k, grads[k], diag)
+        diag = _second_difference(grid, k, grads[k], ws.faces[k][1])
         total += np.square(diag, out=diag)
+    cross = ws.cells[2]
     for k, l, padded, _, (pp, pm, mp, mm, d), interior in ws.cross_pairs:
         _edge_padded(a, (k, l), padded)
         np.subtract(pp, pm, out=d)

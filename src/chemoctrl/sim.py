@@ -681,7 +681,7 @@ def simulate_adjoint(traj, u_bar, v_bar):
         # u_new = (I - dt*Lap)^-1 (u + dt * transport(mobility, v_new))
         lam_u = diffusion.solve(u_bar[n + 1].ravel(), ws).reshape(grid.dims)
         u_bar[n] += lam_u
-        mob_bar, v_new_bar = chemotaxis_transpose(grid, mobility, v_new, dt * lam_u)
+        mob_bar, v_new_bar = chemotaxis_transpose(grid, mobility, v_new, dt * lam_u, ws)
         v_new_bar += v_bar[n + 1]
 
         # v_new = (I - dt*Lap)^-1 (v / d), d = 1 + dt*r, with Lap split by axis
@@ -804,6 +804,7 @@ def weak_residual(traj, probe):
         raise ValueError(f"probe shape {phi.shape} does not match the grid's {grid.dims}")
 
     vol = grid.cell_volume
+    ws = Workspace(grid)  # the face arrays of a level, reused at every level
     gp = [face_gradient(grid, phi, k) for k in range(grid.ndim)]
     # the probe's squared L^2 + H^1 norm, its space-time weight per unit time
     size = (phi**2).sum() * vol + h1_seminorm(grid, phi) ** 2
@@ -818,13 +819,13 @@ def weak_residual(traj, probe):
 
         diff_term = 0.0
         chem_term = 0.0
-        for k, g_phi in enumerate(gp):
-            g = face_gradient(grid, ubar, k)
+        for k, (g_phi, views) in enumerate(zip(gp, ws.faces)):
+            g = face_gradient(grid, ubar, k, views[0])
             g *= g_phi
             diff_term += compact_faces(g, grid.dims, k).sum() * vol
-            mean_u = face_difference(ubar, k, op=np.add)
+            mean_u = face_difference(ubar, k, views[1], np.add)
             mean_u *= 0.5
-            mean_u *= face_gradient(grid, vbar, k)
+            mean_u *= face_gradient(grid, vbar, k, views[2])
             mean_u *= g_phi
             chem_term += compact_faces(mean_u, grid.dims, k).sum() * vol
         residual += dt * (diff_term - chem_term)

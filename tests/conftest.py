@@ -161,7 +161,8 @@ def chemotaxis_array_oracle(grid, mob, v, ws=None):
     return np.negative(transport, out=transport), np.where(mob > 0, rate, 0.0)
 
 
-def chemotaxis_transpose_oracle(grid, mob, v, bar):
+def chemotaxis_transpose_oracle(grid, mob, v, bar, ws=None):
+    # ws: the workspace the reverse pass passes, unused here
     mob_bar = np.zeros(grid.dims)
     v_bar = np.zeros(grid.dims)
     for h, (lo, hi, _) in zip(grid.spacing, face_slices(grid)):

@@ -12,8 +12,10 @@ from chemoctrl.grid import (
     cell_gradient_sq,
     chemotaxis_array,
     chemotaxis_transpose,
+    compact_faces,
     face_gradient,
     face_gradients,
+    face_views,
     hessian_frobenius_sq,
     trapezoid_intervals,
     trapezoid_weights,
@@ -37,7 +39,7 @@ def random_field(grid, seed, low=-1.0, high=1.0):
 
 def laplacian(grid, a):
     """The discrete Laplacian: the second differences summed over the axes."""
-    return sum(_second_difference(grid, k, g, np.empty(grid.dims))
+    return sum(_second_difference(grid, k, g, face_views(np.empty(grid.dims), k))
                for k, g in enumerate(flat_gradients(grid, a)))
 
 
@@ -269,7 +271,7 @@ class TestChemotaxisTranspose:
         mob = rng.uniform(0.0, 2.0, dims)
         v = rng.uniform(0.0, 1.0, dims)
         bar = rng.normal(size=dims)
-        mob_bar, v_bar = chemotaxis_transpose(grid, mob, v, bar)
+        mob_bar, v_bar = chemotaxis_transpose(grid, mob, v, bar, Workspace(grid))
 
         a = rng.uniform(0.0, 1.0, dims)
         lhs = float((chemotaxis_array(grid, a, v, Workspace(grid))[0] * bar).sum())
@@ -291,7 +293,7 @@ class TestChemotaxisTranspose:
         rng = np.random.default_rng(3)
         mob_bar, v_bar = chemotaxis_transpose(grid, np.zeros(grid.dims),
                                               rng.uniform(size=grid.dims),
-                                              rng.normal(size=grid.dims))
+                                              rng.normal(size=grid.dims), Workspace(grid))
         assert np.all(v_bar == 0.0)
         assert np.any(mob_bar != 0.0)
 
@@ -344,6 +346,13 @@ def nan_faces(grid):
     return [np.full(g.shape, np.nan) for g in face_gradients(grid, np.zeros(grid.dims))]
 
 
+def face_gradients_into(g, a):
+    """:func:`face_gradients` as the energy report forms them: each face array
+    in the views of a NaN-filled level, made compact into a NaN-filled array."""
+    return [compact_faces(face_gradient(g, a, k, face_views(np.full(g.dims, np.nan), k)),
+                          g.dims, k, out) for k, out in enumerate(nan_faces(g))]
+
+
 def workspace_case(kernel, oracle, kept=(), written=()):
     """The :data:`KERNEL_CASES` entry of ``kernel(g, a, grads, ws)``, called
     with the face arrays of gradients ``grads`` of ``a`` (:func:`flat_gradients`)
@@ -372,7 +381,7 @@ def workspace_case(kernel, oracle, kept=(), written=()):
 
 
 def second_differences(g, a, grads, ws):
-    return [_second_difference(g, k, grad, np.full(g.dims, np.nan))
+    return [_second_difference(g, k, grad, face_views(np.full(g.dims, np.nan), k))
             for k, grad in enumerate(grads)]
 
 
@@ -404,13 +413,13 @@ KERNEL_CASES = {
         sim._comparison_step, comparison_step_oracle),
     "chemotaxis_array": (lambda k, g, mob, v, bar, a: k(g, mob, v, dirty_workspace(g)),
                          chemotaxis_array, chemotaxis_array_oracle),
-    "chemotaxis_transpose": (lambda k, g, mob, v, bar, a: k(g, mob, v, bar),
+    "chemotaxis_transpose": (lambda k, g, mob, v, bar, a: k(g, mob, v, bar,
+                                                             dirty_workspace(g)),
                              chemotaxis_transpose, chemotaxis_transpose_oracle),
     "face_gradients": (lambda k, g, mob, v, bar, a: k(g, a),
                        face_gradients, face_gradients_oracle),
     "face_gradients_out": (lambda k, g, mob, v, bar, a: k(g, a),
-                           lambda g, a: face_gradients(g, a, nan_faces(g)),
-                           face_gradients_oracle),
+                           face_gradients_into, face_gradients_oracle),
     "second_difference": workspace_case(second_differences, second_differences_oracle),
     "second_difference_grad_out": workspace_case(second_differences,
                                                  second_differences_oracle, ["grads"]),
