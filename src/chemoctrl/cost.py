@@ -10,6 +10,7 @@ closed form for general ``q``, and the optimizer only needs a retraction).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -55,12 +56,12 @@ class CostParams:
     M: float
 
     def __post_init__(self):
-        if min(self.gamma_u, self.gamma_v, self.gamma_f) <= 0:
-            raise ValueError("all cost weights must be positive")
-        if self.q <= 2.5:
-            raise ValueError(f"control exponent q must exceed 5/2, got {self.q}")
-        if self.M <= 0:
-            raise ValueError(f"ball radius M must be positive, got {self.M}")
+        # each check on its own (min(1.0, nan) is 1.0), so that a NaN fails
+        for name in ("gamma_u", "gamma_v", "gamma_f", "M"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 2.5 < self.q < math.inf:
+            raise ValueError(f"control exponent q must be finite, > 5/2, got {self.q}")
 
 
 @dataclass

@@ -16,9 +16,9 @@ treated as audited parameters since no closed form exists for them, and
 norm.  :func:`build_energy_report` makes the one pass over the saved levels,
 and its :class:`EnergyReport` is the one way to the dissipation integrals:
 one trapezoid integral per saved interval, so the integral over a window of
-saved levels is the sum of its entries.  The audit, its pair residuals and
-:func:`fit_constants` work from the report, and ``beta`` and ``K`` enter
-only there, as arguments of the verdict.
+saved levels is the sum of its entries.  The audit and :func:`fit_constants`
+work from the report, and ``beta`` and ``K`` enter only there, as arguments
+of the verdict.
 
 The pass reuses one workspace at every saved level (:class:`_LevelWorkspace`),
 so after the first level it allocates no array as large as a level, and its
@@ -102,19 +102,20 @@ class EnergyReport:
         C = np.concatenate(([0.0], np.cumsum(self.dissipation_cross)))
         return self.energy + beta * P + 0.25 * C
 
-    def worst_residual(self, beta, K):
-        """Worst signed inequality residual over all saved pairs at ``(beta, K)``.
-
-        Any ``K`` is accepted, so an adversarial negative one simply fails.
+    def worst_pair(self, beta, K):
+        """``(t1, t2, residual)`` of the saved pair with the worst signed
+        inequality residual at ``(beta, K)``: of the largest rises of the
+        accumulator, the one with the earliest ``t2``, then the earliest
+        ``t1``.  Without a pair ``t1`` and ``t2`` are None and the residual is
+        ``0 - K``.  Any ``K`` is accepted, so a negative one simply fails.
         """
-        return _max_rise(self._accumulator(beta)) - float(K)
-
-    def residual_pairs(self, beta, K):
-        """Rows ``(t1, t2, residual)`` over every pair of saved levels, ``t1``
-        ascending, then ``t2``."""
-        A, t = self._accumulator(beta), self.times
-        i, j = np.triu_indices(t.size, 1)
-        return list(zip(t[i].tolist(), t[j].tolist(), (A[j] - A[i] - K).tolist()))
+        A = self._accumulator(beta)
+        if A.size < 2:  # no pair, so no rise
+            return None, None, 0.0 - float(K)
+        rises = A[1:] - np.minimum.accumulate(A[:-1])
+        j = int(np.argmax(rises)) + 1
+        i = int(np.argmax(A[j] - A[:j]))
+        return float(self.times[i]), float(self.times[j]), float(rises[j - 1]) - float(K)
 
 
 @dataclass
@@ -241,13 +242,6 @@ def build_energy_report(traj, params):
     )
 
 
-def _max_rise(A):
-    """Largest ``A[j] - A[i]`` over saved pairs ``i < j``; 0 without a pair."""
-    if A.size < 2:
-        return 0.0
-    return float(np.max(A[1:] - np.minimum.accumulate(A[:-1])))
-
-
 def energy_inequality_audit(traj, params, beta, K):
     """Worst signed residual of the energy inequality over all saved pairs.
 
@@ -258,12 +252,17 @@ def energy_inequality_audit(traj, params, beta, K):
     with the dissipation integrals taken over ``(t1, t2)``.  A positive
     return value means the inequality fails at this ``(beta, K)``.
     """
-    return build_energy_report(traj, params).worst_residual(beta, K)
+    return build_energy_report(traj, params).worst_pair(beta, K)[2]
 
 
 def audit_pairs(traj, params, beta, K):
-    """Per-pair residual rows ``(t1, t2, residual)`` for plotting."""
-    return build_energy_report(traj, params).residual_pairs(beta, K)
+    """Rows ``(t1, t2, residual)`` over every pair of saved levels, ``t1``
+    ascending, then ``t2``.  No program path calls it; the benchmark's tracer
+    still wraps it (ROADMAP item 1 deletes both)."""
+    report = build_energy_report(traj, params)
+    A, t = report._accumulator(beta), report.times
+    i, j = np.triu_indices(t.size, 1)
+    return list(zip(t[i].tolist(), t[j].tolist(), (A[j] - A[i] - K).tolist()))
 
 
 # the tolerances of :func:`fit_constants` and the steps of its beta bisection
@@ -303,7 +302,7 @@ def fit_constants(trajs, params, beta_range=(1e-6, 1.0)):
 
     def K_all(beta):
         # minimal admissible K of each run: its largest pair rise, at least 0
-        return np.array([max(0.0, r.worst_residual(beta, 0.0)) for r in reports])
+        return np.array([max(0.0, r.worst_pair(beta, 0.0)[2]) for r in reports])
 
     zero_idx = np.nonzero(norms <= 1e-14)[0]
 

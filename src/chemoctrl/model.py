@@ -12,6 +12,7 @@ exponent ``s``:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical and regularization parameters of the controlled system.
+    """Physical and regularization parameters of the controlled system, all finite.
 
     Attributes
     ----------
@@ -36,23 +37,24 @@ class ModelParams:
         initial state).
     """
 
-    s: float
+    s: float = 1.0
     alpha: float = 0.1
     m: float = 8.0
     q: float = 3.0
     t_final: float = 1.0
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError(f"consumption exponent s must be >= 1, got {self.s}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.m <= 0:
-            raise ValueError(f"truncation level m must be positive, got {self.m}")
-        if self.q <= 2.5:
-            raise ValueError(f"control exponent q must exceed 5/2, got {self.q}")
-        if self.t_final < 0:
-            raise ValueError(f"t_final must be nonnegative, got {self.t_final}")
+        # written so that a NaN fails every check
+        if not 1 <= self.s < math.inf:
+            raise ValueError(f"consumption exponent s must be finite, >= 1, got {self.s}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 < self.m < math.inf:
+            raise ValueError(f"truncation level m must be positive and finite, got {self.m}")
+        if not 2.5 < self.q < math.inf:
+            raise ValueError(f"control exponent q must be finite, > 5/2, got {self.q}")
+        if not 0 <= self.t_final < math.inf:
+            raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
 
 
 def _as_nonneg(r, name):

@@ -26,6 +26,7 @@ breakdown need no further simulation either.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -80,12 +81,15 @@ class OptimizerConfig:
     control_times: int = 9
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        # written so that a NaN fails every check
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters}")
         if self.basis is not None and (len(self.basis) < 2
-                                       or any(b < 1 for b in self.basis)):
+                                       or not all(b >= 1 for b in self.basis)):
             raise ValueError("basis needs >= 1 node per dimension, (time, space...)")
-        if self.control_times < 2:
+        if not math.isfinite(self.stop_tol):
+            raise ValueError(f"stop_tol must be finite, got {self.stop_tol}")
+        if not self.control_times >= 2:
             raise ValueError("control_times must be at least 2")
 
 

@@ -47,7 +47,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -328,9 +328,9 @@ class _SplitDiffusion:
                         for k in range(len(dims) - 1)]
         self._last = self._inverses[-1]
 
-    def solve(self, b, ws, out=None):
+    def solve(self, b, ws, out):
         """The solution for the flat right-hand side ``b``, written into the
-        flat array ``out`` (a new one when None) and returned.
+        flat array ``out`` and returned.
 
         In 2D and 3D the product along each axis but the last goes to
         ``flat[0]``, then ``flat[1]``, of the workspace ``ws``, so ``b`` must
@@ -341,8 +341,6 @@ class _SplitDiffusion:
         # overhead than the matmul operator, which a 1D solve notices
         if not self._shapes:
             return np.dot(b, self._last, out=out)
-        if out is None:
-            out = np.empty(b.shape)
         x = b
         for inv, shape, buf in zip(self._inverses, self._shapes, ws.flat):
             x = np.matmul(inv, x.reshape(shape), out=buf.reshape(shape))
@@ -391,10 +389,10 @@ def _split(f, ws):
     return fpos, np.maximum(fneg, 0.0, out=fneg)
 
 
-def _mobility_and_reaction(u, fpos, fneg, params, out=None):
+def _mobility_and_reaction(u, fpos, fneg, params, out):
     """``trunc(u)`` and the reaction ``trunc(u)^s + f_- - f_+``, written into
-    ``out`` (a new array when None); shared by :func:`step` and its transpose
-    in :func:`simulate_adjoint`."""
+    ``out``; shared by :func:`step` and its transpose in
+    :func:`simulate_adjoint`."""
     # the truncation is the identity up to m, and u is nonnegative
     mobility = u if u.max() <= params.m else truncate(u, params.m)
     react = np.power(mobility, params.s, out=out)
@@ -675,17 +673,18 @@ def simulate_adjoint(traj, u_bar, v_bar):
         t0, t1 = float(traj.times[n]), float(traj.times[n + 1])
         u, v, v_new = traj.u[n], traj.v[n], traj.v[n + 1]
         fpos, fneg = _split(control.sample(t0, t1, ws), ws)
-        mobility, react = _mobility_and_reaction(u, fpos, fneg, params)
+        mobility, react = _mobility_and_reaction(u, fpos, fneg, params, out=ws.cells[4])
         diffusion = _diffusion_solver(grid, dt)
 
-        # u_new = (I - dt*Lap)^-1 (u + dt * transport(mobility, v_new))
-        lam_u = diffusion.solve(u_bar[n + 1].ravel(), ws).reshape(grid.dims)
+        # u_new = (I - dt*Lap)^-1 (u + dt * transport(mobility, v_new)); both
+        # solves go to flat[5], which the transpose (cells[0], cells[1]) keeps
+        lam_u = diffusion.solve(u_bar[n + 1].ravel(), ws, ws.flat[5]).reshape(grid.dims)
         u_bar[n] += lam_u
         mob_bar, v_new_bar = chemotaxis_transpose(grid, mobility, v_new, dt * lam_u, ws)
         v_new_bar += v_bar[n + 1]
 
         # v_new = (I - dt*Lap)^-1 (v / d), d = 1 + dt*r, with Lap split by axis
-        mu = diffusion.solve(v_new_bar.ravel(), ws).reshape(grid.dims)
+        mu = diffusion.solve(v_new_bar.ravel(), ws, ws.flat[5]).reshape(grid.dims)
         d = 1.0 + dt * react
         v_bar[n] += mu / d
         r_bar = -dt * mu * v / (d * d)
@@ -842,7 +841,7 @@ def weak_residual(traj, probe):
 # ---------------------------------------------------------------------------
 
 _EVENT_KEYS = {"t", "dt", "reason", "admissible_dt"}
-_PARAM_KEYS = ("s", "alpha", "m", "q", "t_final")
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 _MANIFEST_KEYS = ("grid", "params", "times", "dt_history", "events", "mass_trace",
                   "control_times", "created_at")
 
@@ -888,10 +887,9 @@ def trajectory_to_dir(traj, outdir):
     if traj.control is not None:
         control_times = [float(t) for t in traj.control.times]
         save_levels(os.path.join(outdir, "control.npy"), traj.control.values)
-    p = traj.params
     manifest = {
         "grid": traj.grid.header_dict(),
-        "params": {key: getattr(p, key) for key in _PARAM_KEYS},
+        "params": asdict(traj.params),
         "times": [float(t) for t in traj.times],
         "dt_history": [float(d) for d in traj.dt_history],
         "events": traj.events,

@@ -669,9 +669,13 @@ class TestEnergyAudit:
         code = run(["energy-audit", cfg_path("simulate_decay.toml"),
                     "--trajectory", decay_dir, "--output", out])
         assert code == 0
-        assert os.path.exists(os.path.join(out, "energy_residual_pairs.csv"))
+        # the verdict names its worst pair, and no file holds every pair
+        assert sorted(os.listdir(out)) == ["energy_audit.json", "energy_report.json"]
         with open(os.path.join(out, "energy_audit.json")) as fh:
-            assert json.load(fh)["passed"] is True
+            audit = json.load(fh)
+        assert audit.keys() == {"beta", "K", "t1", "t2", "worst_residual", "passed"}
+        assert audit["passed"] is True
+        assert 0.0 <= audit["t1"] < audit["t2"]
 
     def test_equilibrium_zero_residual(self, tmp_path):
         sim_out = str(tmp_path / "eq")
@@ -683,6 +687,16 @@ class TestEnergyAudit:
         assert code == 0
         with open(os.path.join(out, "energy_audit.json")) as fh:
             assert abs(json.load(fh)["worst_residual"]) <= 1e-12
+
+    def test_one_level_run_names_no_pair(self, tmp_path):
+        cfg = str(patched_config(tmp_path, "simulate_equilibrium.json",
+                                 {"model": {"t_final": 0.0}}))
+        assert run(["simulate", cfg, "--output", str(tmp_path / "eq")]) == 0
+        out = tmp_path / "audit"
+        assert run(["energy-audit", cfg, "--trajectory", str(tmp_path / "eq" / "trajectory"),
+                    "--output", str(out)]) == 0
+        audit = json.loads((out / "energy_audit.json").read_text())
+        assert (audit["t1"], audit["t2"], audit["worst_residual"]) == (None, None, 0.0)
 
     def test_adversarial_negative_K_fails(self, tmp_path):
         sim_out = str(tmp_path / "eq")

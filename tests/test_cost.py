@@ -42,6 +42,13 @@ class TestCostParams:
         with pytest.raises(ValueError):
             cost_params(grid, **{**dict(M=1.0, q=3.0), **kw})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["gamma_u", "gamma_v", "gamma_f", "q", "M"])
+    def test_non_finite_refused(self, grid, key, value):
+        # each weight is checked on its own: min(1.0, nan, 1.0) is 1.0
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            cost_params(grid, **{key: value})
+
 
 class TestSpacetimeNorm:
     def test_zero_series(self, grid):

@@ -136,19 +136,58 @@ class TestEnergyAudit:
 
     @pytest.mark.parametrize("K", [0.0, -2.5, 1e-4])
     def test_residual_pairs_are_the_pairwise_rises(self, grid, decay_run, K):
-        # every pair i < j in loop order, each residual A[j] - A[i] - K
+        # audit_pairs gives every pair i < j in loop order, each residual
+        # A[j] - A[i] - K
         p, traj = decay_run
         report = build_energy_report(traj, p)
         A, t = report._accumulator(0.3), report.times
         want = [(float(t[i]), float(t[j]), float(A[j] - A[i] - K))
                 for i in range(t.size) for j in range(i + 1, t.size)]
-        got = report.residual_pairs(0.3, K)
+        got = audit_pairs(traj, p, 0.3, K)
         assert [tuple(map(type, row)) for row in got] == [(float,) * 3] * len(want)
         assert [tuple(map(float.hex, row)) for row in got] \
             == [tuple(map(float.hex, row)) for row in want]
         p0 = params(t_final=0.0)  # one saved level, no pair
         one = simulate(Field.zeros(grid), Field.full(grid, 1.0), None, p0, 1.0)
-        assert build_energy_report(one, p0).residual_pairs(0.3, K) == []
+        assert audit_pairs(one, p0, 0.3, K) == []
+
+    @pytest.mark.parametrize("K", [0.0, -2.5, 1e-4])
+    @pytest.mark.parametrize("run", ["decay", "controlled", "one level", "ties"])
+    def test_worst_pair_is_the_first_largest_rise(self, grid, decay_run, sweep, run, K):
+        # against a loop over every pair, t2 ascending, then t1: the first
+        # strictly largest rise has the earliest t2, then the earliest t1
+        if run == "ties":
+            # rises of 1 end at t2 = 3 from t1 = 1 and 2, and at t2 = 5 from
+            # t1 = 1, 2 and 4
+            zero = np.zeros(5)
+            report = EnergyReport(np.arange(6.0), np.array([1.0, 0, 0, 1, 0, 1]),
+                                  zero, zero, zero, zero, zero)
+        else:
+            if run == "one level":
+                p = params(t_final=0.0)
+                traj = simulate(Field.zeros(grid), Field.full(grid, 1.0), None, p, 1.0)
+            else:
+                p, traj = decay_run if run == "decay" else (sweep[0], sweep[1][-1])
+            report = build_energy_report(traj, p)
+            # the audit's verdict is the pair's residual
+            assert energy_inequality_audit(traj, p, 0.3, K) \
+                == report.worst_pair(0.3, K)[2]
+        A, t = report._accumulator(0.3), report.times
+        want = (None, None, 0.0)
+        for j in range(1, t.size):
+            for i in range(j):
+                if want[0] is None or A[j] - A[i] > want[2]:
+                    want = (float(t[i]), float(t[j]), float(A[j] - A[i]))
+        want = (*want[:2], want[2] - K)
+        got = report.worst_pair(0.3, K)
+        if run == "one level":
+            assert got[:2] == (None, None)
+        else:
+            assert got[0] < got[1]
+            assert tuple(map(float.hex, got[:2])) == tuple(map(float.hex, want[:2]))
+        if run == "ties":
+            assert got[:2] == (1.0, 3.0)
+        assert float.hex(got[2]) == float.hex(want[2])
 
 
 class TestEnergyReport:
@@ -184,9 +223,9 @@ class TestEnergyReport:
         p, traj = decay_run
         report = build_energy_report(traj, p)
         with pytest.raises(ValueError, match="beta"):
-            report.worst_residual(beta, 0.0)
+            report.worst_pair(beta, 0.0)
         with pytest.raises(ValueError, match="beta"):
-            report.residual_pairs(beta, 0.0)
+            audit_pairs(traj, p, beta, 0.0)
 
 
 def random_levels(dims, s, controlled, seed=5):

@@ -30,6 +30,16 @@ class TestModelParams:
     def test_zero_horizon_allowed(self):
         assert ModelParams(s=2.0, t_final=0.0).t_final == 0.0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("key", ["s", "alpha", "m", "q", "t_final"])
+    def test_non_finite_refused(self, key, value):
+        # a NaN passes every comparison written as "refuse if below"
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            ModelParams(**{key: value})
+
+    def test_s_defaults_to_one(self):
+        assert ModelParams() == ModelParams(s=1.0)
+
 
 class TestTruncate:
     def test_identity_below_knee(self):

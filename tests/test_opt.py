@@ -77,6 +77,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(**kw)
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_iters", float("nan")), ("max_iters", 3.0), ("max_iters", float("inf")),
+        ("stop_tol", float("nan")), ("stop_tol", float("inf")),
+        ("control_times", float("nan")), ("basis", (2, float("nan"))),
+    ])
+    def test_non_finite_or_fractional_refused(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} (must|needs)"):
+            OptimizerConfig(**{key: value})
+
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(OptimizerConfig)] == \
             ["max_iters", "basis", "stop_tol", "control_times"]

@@ -264,7 +264,7 @@ class TestStep:
             def __init__(self, lu):
                 self.lu = lu
 
-            def solve(self, b, ws, out=None):
+            def solve(self, b, ws, out):
                 x = self.lu.solve(b, ws, out)
                 solves.append(b)
                 if len(solves) == ("v", "u").index(name) + 1:
@@ -333,22 +333,29 @@ class TestWorkspace:
         assert peak - before < g.n_cells * 8
 
     def test_kernels_require_their_workspace(self):
-        # a forgotten workspace is a TypeError, not a fresh level-sized one,
-        # and the solvers build their own
-        takers = []
+        # a forgotten workspace or output is a TypeError, not a fresh
+        # level-sized array, and the solvers build their own
+        takers, writers = [], []
         for module in (grid_module, sim, energy):
             for obj in vars(module).values():
                 members = [obj, *vars(obj).values()] if inspect.isclass(obj) else [obj]
                 for fn in members:
                     if not (inspect.isfunction(fn) and fn.__module__ == module.__name__):
                         continue
-                    ws = inspect.signature(fn).parameters.get("ws")
+                    parameters = inspect.signature(fn).parameters
+                    ws = parameters.get("ws")
                     if ws is not None:
                         takers.append(fn.__qualname__)
                         assert ws.default is inspect.Parameter.empty, fn.__qualname__
+                    out = parameters.get("out")
+                    if module is sim and out is not None:
+                        writers.append(fn.__qualname__)
+                        assert out.default is inspect.Parameter.empty, fn.__qualname__
         assert {"chemotaxis_array", "cell_gradient_sq", "hessian_frobenius_sq",
                 "Control.slice_at", "Control.sample", "_SplitDiffusion.solve", "step",
                 "_comparison_step"} <= set(takers)
+        assert {"_SplitDiffusion.solve", "_mobility_and_reaction", "step",
+                "_comparison_step"} <= set(writers)
         for solver in (simulate, solve_comparison):
             assert "ws" not in inspect.signature(solver).parameters
 
@@ -923,7 +930,8 @@ class TestFactorCache:
         apart._last = apart._inverses[-1]
         b = np.random.default_rng(2).uniform(0.0, 1.0, g.n_cells)
         ws = Workspace(g)
-        assert solver.solve(b, ws).tobytes() == apart.solve(b, ws).tobytes()
+        got, want = np.empty(g.n_cells), np.empty(g.n_cells)
+        assert solver.solve(b, ws, got).tobytes() == apart.solve(b, ws, want).tobytes()
 
 
 def split_diffusion_matrix(grid, dt):
@@ -946,7 +954,7 @@ class TestSplitDiffusion:
         g = Grid(dims, spacing)
         b = np.random.default_rng(seed).uniform(-1.0, 1.0, g.n_cells)
         a = split_diffusion_matrix(g, dt)
-        x = sim._diffusion_solver(g, dt).solve(b, Workspace(g))
+        x = sim._diffusion_solver(g, dt).solve(b, Workspace(g), np.empty(g.n_cells))
         # backward error: the residual against the size of A and x
         norm_a = abs(a).sum(axis=1).max()
         assert np.abs(a @ x - b).max() <= 1e-12 * norm_a * np.abs(x).max()
@@ -973,7 +981,8 @@ class TestSplitDiffusion:
         b = rng.uniform(0.0, 1.0, g.n_cells) * (rng.random(g.n_cells) < 0.75)
         b_up = b + rise * rng.uniform(0.0, 1.0, g.n_cells) * (rng.random(g.n_cells) < 0.5)
         solver, ws = sim._diffusion_solver(g, dt), Workspace(g)
-        assert (solver.solve(b, ws) <= solver.solve(b_up, ws)).all()
+        x, x_up = np.empty(g.n_cells), np.empty(g.n_cells)
+        assert (solver.solve(b, ws, x) <= solver.solve(b_up, ws, x_up)).all()
 
     @pytest.mark.parametrize("rhs", ["point source", "sparse with a zero region"])
     def test_nonnegative_and_conservative_on_24_cubed(self, rhs):
@@ -985,11 +994,12 @@ class TestSplitDiffusion:
             b[3, 17, 11] = 1.0
         else:
             b[:12] = rng.uniform(0.0, 1.0, (12, 24, 24)) * (rng.random((12, 24, 24)) < 0.05)
-        x = sim._diffusion_solver(g, 0.01).solve(b.ravel(), Workspace(g))
+        solver, ws = sim._diffusion_solver(g, 0.01), Workspace(g)
+        x = solver.solve(b.ravel(), ws, np.empty(g.n_cells))
         assert x.min() >= 0.0
         assert abs(x.sum() - b.sum()) <= 1e-14 * b.sum()
         # constants stay constant, as under the Neumann diffusion itself
-        ones = sim._diffusion_solver(g, 0.01).solve(np.ones(g.n_cells), Workspace(g))
+        ones = solver.solve(np.ones(g.n_cells), ws, np.empty(g.n_cells))
         assert np.abs(ones - 1.0).max() <= 1e-14
 
 
