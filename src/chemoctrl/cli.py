@@ -230,6 +230,12 @@ def _preset_parameters(table, name, section, what, ndim):
                 raise ConfigError(f"{field} must be at least {least}, got {value!r}")
         else:
             kw[key] = _number(value, field)
+            # a Gaussian preset's width is a positive fraction of the box, and
+            # a negative decay rate lets the target overflow
+            if key == "width" and not kw[key] > 0:
+                raise ConfigError(f"{field} must be positive, got {value!r}")
+            if key == "rate" and not kw[key] >= 0:
+                raise ConfigError(f"{field} must be at least 0, got {value!r}")
     return kw
 
 

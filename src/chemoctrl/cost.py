@@ -21,26 +21,43 @@ from .io import write_json
 from .sim import weak_residual
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesiredState:
-    """Space-time target field, evaluated lazily at trajectory times."""
+    """Space-time target field, evaluated lazily at trajectory times.
+
+    ``fn(t, grid)`` gives the target's cells at time ``t``.  ``steady`` marks
+    a target that does not depend on ``t``, which the cost evaluates once a
+    call; the constructors of such targets (:meth:`constant`,
+    :meth:`from_field`, :meth:`from_profile`) set it, and a target built from
+    ``fn`` alone is evaluated at every level.
+    """
 
     fn: callable
+    steady: bool = False
 
     def at(self, t, grid):
         vals = np.asarray(self.fn(t, grid), dtype=float)
         if vals.shape != grid.dims:
             raise ValueError(f"desired state at t={t} has shape {vals.shape}, "
                              f"not the grid's {grid.dims}")
+        if not np.all(np.isfinite(vals)):
+            bad = tuple(int(i) for i in np.argwhere(~np.isfinite(vals))[0])
+            raise ValueError(f"desired state at t={t} is not finite at cell {bad}: "
+                             f"{vals[bad]}")
         return vals
 
     @classmethod
+    def from_profile(cls, profile):
+        """The steady target whose cells on a grid are ``profile(grid)``."""
+        return cls(fn=lambda t, grid: profile(grid), steady=True)
+
+    @classmethod
     def constant(cls, value):
-        return cls(fn=lambda t, grid: np.full(grid.dims, float(value)))
+        return cls.from_profile(lambda grid: np.full(grid.dims, float(value)))
 
     @classmethod
     def from_field(cls, field):
-        return cls(fn=lambda t, grid: field.values)
+        return cls.from_profile(lambda grid: field.values)
 
 
 @dataclass
@@ -80,17 +97,17 @@ class CostBreakdown:
 
 
 def _misfits(traj, cost_params):
-    """Per saved level, ``u - u_d`` and ``v - v_d``."""
-    grid = traj.grid
-    u_diff = np.stack([
-        traj.u[i] - cost_params.u_d.at(float(t), grid)
-        for i, t in enumerate(traj.times)
-    ])
-    v_diff = np.stack([
-        traj.v[i] - cost_params.v_d.at(float(t), grid)
-        for i, t in enumerate(traj.times)
-    ])
-    return u_diff, v_diff
+    """Per saved level, ``u - u_d`` and ``v - v_d``.  A steady target is
+    evaluated once and subtracted from the whole level stack by broadcasting,
+    which gives the level-by-level differences."""
+    grid, times = traj.grid, traj.times
+
+    def misfit(levels, target):
+        if target.steady:
+            return levels - target.at(float(times[0]), grid)
+        return np.stack([levels[i] - target.at(float(t), grid)
+                         for i, t in enumerate(times)])
+    return misfit(traj.u, cost_params.u_d), misfit(traj.v, cost_params.v_d)
 
 
 def evaluate_J(traj, control, cost_params, s):

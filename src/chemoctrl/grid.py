@@ -398,25 +398,30 @@ def chemotaxis_array(grid, mob, v, ws):
     return ws.cells[4], ws.cells[5]
 
 
-def chemotaxis_transpose(grid, mob, v, bar, ws):
+def chemotaxis_transpose(grid, mob, v, bar, ws, out):
     """Transpose of the transport term of :func:`chemotaxis_array`.
 
     The transport is bilinear in ``(mob, v)`` once the donor-cell masks are
     fixed, and the masks (from the sign of each face gradient of ``v``) are
-    taken as :func:`chemotaxis_array` takes them.  Returns ``(mob_bar, v_bar)``,
-    the gradients of ``sum(bar * transport)`` with respect to ``mob`` and ``v``
-    away from the faces where the gradient of ``v`` changes sign.
+    taken as :func:`chemotaxis_array` takes them.  Writes ``(mob_bar,
+    v_bar)``, the gradients of ``sum(bar * transport)`` with respect to
+    ``mob`` and ``v`` away from the faces where the gradient of ``v`` changes
+    sign, into ``out``, a pair of C-contiguous arrays of shape ``dims`` that
+    share no memory with the inputs or the workspace, and returns it.
 
     The mobility gradients add ``flux_bar * max(dv, 0)`` to the lo cells and
     ``flux_bar * min(dv, 0)`` to the hi cells, exact as in
     :func:`chemotaxis_array`; the donor mobility in the gradient with respect
-    to ``v`` has no exact product form and stays a select.  Both gradients
-    accumulate axis after axis, into new arrays; the kernel writes
-    ``cells[0]`` and ``cells[1]`` of the workspace ``ws`` (:class:`Workspace`).
+    to ``v`` has no exact product form and stays a select (two
+    ``np.copyto``).  Both gradients accumulate axis after axis from +0; the
+    kernel writes ``cells[0]`` to ``cells[3]`` and the mask of the workspace
+    ``ws`` (:class:`Workspace`).
     """
-    mob_bar, v_bar = np.zeros(grid.dims), np.zeros(grid.dims)
+    mob_bar, v_bar = out
+    mob_bar.fill(0.0)
+    v_bar.fill(0.0)
     mob, flat_mob_bar, flat_v_bar = mob.ravel(), mob_bar.ravel(), v_bar.ravel()
-    for k, (h, (diff, flux, _, _)) in enumerate(zip(grid.spacing, ws.faces)):
+    for k, (h, (diff, flux, up, donor)) in enumerate(zip(grid.spacing, ws.faces)):
         dv = face_difference(v, k, diff)
         dv /= h
         s = diff.last.size
@@ -425,14 +430,16 @@ def chemotaxis_transpose(grid, mob, v, bar, ws):
         # a face flux leaves its lo cell and enters its hi cell
         flux_bar = face_difference(bar, k, flux)
         flux_bar /= h
-        mob_bar_lo += flux_bar * np.maximum(dv, 0.0)
-        donor = np.where(dv > 0, mob[:-s], mob[s:])
-        mob_bar_hi += flux_bar * np.minimum(dv, 0.0, out=dv)
-        dv_bar = np.multiply(flux_bar, donor, donor)
+        mob_bar_lo += np.multiply(flux_bar, np.maximum(dv, 0.0, out=up.low), up.low)
+        downhill = np.greater(dv, 0.0, ws.mask[:-s])
+        np.copyto(donor.low, mob[s:])
+        np.copyto(donor.low, mob[:-s], where=downhill)
+        mob_bar_hi += np.multiply(flux_bar, np.minimum(dv, 0.0, out=dv), dv)
+        dv_bar = np.multiply(flux_bar, donor.low, donor.low)
         dv_bar /= h
         v_bar_hi += dv_bar
         v_bar_lo -= dv_bar
-    return mob_bar, v_bar
+    return out
 
 
 def cell_gradient_sq(grid, grads, ws):

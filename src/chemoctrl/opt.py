@@ -232,7 +232,7 @@ def _masked_control(coeffs, ctx):
     """The prolonged, masked control before its retraction into the ball."""
     values = prolong_coefficients(coeffs.reshape(ctx.basis), ctx.grid,
                                   ctx.control_times)
-    return Control(ctx.grid, ctx.control_times.copy(), values)
+    return Control(ctx.grid, ctx.control_times, values)
 
 
 def control_from_coefficients(coeffs, ctx):
@@ -245,15 +245,18 @@ def control_from_coefficients(coeffs, ctx):
 class Evaluation:
     """One evaluated candidate: its objective and the run behind it.
 
-    An infeasible candidate has ``J = inf``, no breakdown and no trajectory,
-    and keeps the message of its ``StiffnessError`` or ``PositivityError``
-    (a state that overflowed) as ``reason``.
+    ``control`` is the retracted control that was simulated and ``masked``
+    the control before the retraction, which the gradient's transpose of the
+    retraction needs.  An infeasible candidate has ``J = inf``, no breakdown
+    and no trajectory, and keeps the message of its ``StiffnessError`` or
+    ``PositivityError`` (a state that overflowed) as ``reason``.
     """
 
     coeffs: np.ndarray
     J: float
     breakdown: CostBreakdown | None
     control: Control
+    masked: Control
     traj: Trajectory | None
     reason: str = ""
 
@@ -268,13 +271,14 @@ class Evaluation:
 
 
 def _evaluate(coeffs, ctx):
-    ctrl = control_from_coefficients(coeffs, ctx)
+    masked = _masked_control(coeffs, ctx)
+    ctrl = project_ball(masked, ctx.cost_params.M, ctx.cost_params.q)
     try:
         traj = simulate(ctx.u0, ctx.v0, ctrl, ctx.model_params, ctx.dt_max)
     except (StiffnessError, PositivityError) as err:
-        return Evaluation(coeffs, math.inf, None, ctrl, None, str(err))
+        return Evaluation(coeffs, math.inf, None, ctrl, masked, None, str(err))
     breakdown = evaluate_J(traj, ctrl, ctx.cost_params, ctx.model_params.s)
-    return Evaluation(coeffs, breakdown.total, breakdown, ctrl, traj)
+    return Evaluation(coeffs, breakdown.total, breakdown, ctrl, masked, traj)
 
 
 def reduced_objective(f_params, ctx):
@@ -297,11 +301,17 @@ def adjoint_gradient(coeffs, traj, ctx):
     switch, the truncation knee, the ball boundary and a change in the
     accepted step sizes.
     """
+    return _chain_gradient(traj, _masked_control(coeffs, ctx), ctx)
+
+
+def _chain_gradient(traj, masked, ctx):
+    """:func:`adjoint_gradient` of the run ``traj`` of the control ``masked``
+    before its retraction, as an :class:`Evaluation` holds both."""
     cp = ctx.cost_params
     u_bar, v_bar, f_bar = evaluate_J_gradient(traj, traj.control, cp,
                                               ctx.model_params.s)
     f_bar += simulate_adjoint(traj, u_bar, v_bar)
-    g_bar = project_ball_transpose(_masked_control(coeffs, ctx), cp.M, cp.q, f_bar)
+    g_bar = project_ball_transpose(masked, cp.M, cp.q, f_bar)
     return _prolong_transpose(ctx.prolongation, g_bar * ctx.grid.control_mask).ravel()
 
 
@@ -420,8 +430,9 @@ def _baseline(ctx):
     the zero control lies inside every ball."""
     zero = _evaluate(np.zeros(int(np.prod(ctx.basis))), ctx)
     if not math.isfinite(zero.J):
-        raise InfeasibleBaselineError(
-            f"the zero-control baseline run failed: {zero.reason}")
+        # a run that ends but whose objective overflows has no reason of its own
+        raise InfeasibleBaselineError("the zero-control baseline run failed: "
+                                      + (zero.reason or f"objective {zero.J}"))
     return zero
 
 
@@ -442,7 +453,7 @@ def _descend(config, ctx, zero, warm):
     pairs = deque(maxlen=LBFGS_MEMORY)
     prev = None
     for it in range(1, config.max_iters + 1):
-        grad = adjoint_gradient(cur.coeffs, cur.traj, ctx)
+        grad = _chain_gradient(cur.traj, cur.masked, ctx)
         if prev is not None:
             _store_pair(pairs, cur.coeffs - prev[0], grad - prev[1])
         prev = (cur.coeffs, grad)

@@ -87,7 +87,7 @@ def desired_preset(name, **kw):
     if name == "constant":
         return DesiredState.constant(kw["value"])
     if name == "gaussian_bump":
-        return DesiredState(lambda t, grid: _gaussian_values(grid, **kw))
+        return DesiredState.from_profile(lambda grid: _gaussian_values(grid, **kw))
     rate, base = kw.pop("rate"), kw.pop("base")
 
     def profile(t, grid):

@@ -106,7 +106,7 @@ CFL_SAFETY = 0.9
 _DT_FLOOR_FACTOR = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Control:
     """Space-time control on the grid, zero outside the control region.
 
@@ -115,14 +115,18 @@ class Control:
     sampling rule is :meth:`sample` and its transpose :meth:`scatter`, the
     only pair the steppers and the reverse pass call.  The discrete space-time
     L^q norm is :func:`~chemoctrl.grid.spacetime_lp_norm` on that lattice.
+    A control is immutable: the fields cannot be rebound, and ``times`` (a
+    copy) and ``values`` are read-only arrays, as ``Grid.control_mask`` is,
+    so each norm is computed once and kept.
     """
 
     grid: Grid
     times: np.ndarray
     values: np.ndarray
+    _norms: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = np.array(self.times, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("control needs at least two time levels")
         if times[0] != 0.0 or not np.all(np.isfinite(times)) \
@@ -136,8 +140,11 @@ class Control:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("control values must be finite")
-        self.times = times
-        self.values = vals * self.grid.control_mask  # enforce the 1_{Omega_c} factor
+        vals = vals * self.grid.control_mask  # enforce the 1_{Omega_c} factor
+        for a in (times, vals):
+            a.setflags(write=False)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def zero(cls, grid, t_final):
@@ -188,25 +195,30 @@ class Control:
         alone, and ``t0 + dt`` need not be ``t1`` bit for bit."""
         return self.slice_at(t1, ws)
 
-    def scatter(self, t0, t1, bar, out):
+    def scatter(self, t0, t1, bar, ws, out):
         """Add :meth:`sample`'s transpose of the slice gradient ``bar`` onto
         ``out``, shaped like :attr:`values`, in the control region only (the
-        values are masked there when built); returns ``out``."""
-        bar = bar * self.grid.control_mask
+        values are masked there when built); returns ``out``.  The products
+        go through ``cells[0]`` and ``cells[1]`` of the workspace ``ws``,
+        which must not hold ``bar``."""
+        bar = np.multiply(bar, self.grid.control_mask, ws.cells[0])
         j, w = self._bracket(t1)
         if w is None:
             out[j] += bar
         else:
-            out[j - 1] += (1.0 - w) * bar
-            out[j] += w * bar
+            out[j - 1] += np.multiply(1.0 - w, bar, ws.cells[1])
+            out[j] += np.multiply(w, bar, ws.cells[1])
         return out
 
     def lq_norm(self, q):
-        """Discrete L^q norm over (0, t_final) x domain."""
-        return spacetime_lp_norm(self.times, self.values, self.grid, q)
+        """Discrete L^q norm over (0, t_final) x domain, computed on the
+        first call for each ``q``."""
+        if q not in self._norms:
+            self._norms[q] = spacetime_lp_norm(self.times, self.values, self.grid, q)
+        return self._norms[q]
 
     def scaled(self, factor):
-        return Control(self.grid, self.times.copy(), self.values * factor)
+        return Control(self.grid, self.times, self.values * factor)
 
 
 @dataclass
@@ -660,6 +672,12 @@ def simulate_adjoint(traj, u_bar, v_bar):
     product of the commuting axis factors ``I - dt*L_k``, is symmetric, so
     each transposed diffusion reuses the cached forward solve; the reaction
     divisor ``d = 1 + dt*r`` is transposed cell by cell: two solves a step.
+
+    Like a forward run, the pass builds one
+    :class:`~chemoctrl.grid.Workspace` and two gradient arrays of one level,
+    and writes every product of a step into them, in the operand order of
+    the expressions the comments give, so a step allocates no array as large
+    as a level unless the truncation is active.
     """
     grid, params, control, dts = traj.grid, traj.params, traj.control, traj.dt_history
     if control is None:
@@ -668,6 +686,9 @@ def simulate_adjoint(traj, u_bar, v_bar):
     u_bar = np.array(u_bar, dtype=float)  # accumulated in place, level by level
     v_bar = np.array(v_bar, dtype=float)
     f_bar = np.zeros_like(control.values)
+    # the transport's transpose writes into these two, built once per pass
+    mob_bar, v_new_bar = np.empty(grid.dims), np.empty(grid.dims)
+    scratch = ws.cells[0]
     for n in range(dts.size - 1, -1, -1):
         dt = float(dts[n])
         t0, t1 = float(traj.times[n]), float(traj.times[n + 1])
@@ -677,22 +698,35 @@ def simulate_adjoint(traj, u_bar, v_bar):
         diffusion = _diffusion_solver(grid, dt)
 
         # u_new = (I - dt*Lap)^-1 (u + dt * transport(mobility, v_new)); both
-        # solves go to flat[5], which the transpose (cells[0], cells[1]) keeps
+        # solves go to flat[5], which the transpose (cells[0] to cells[3]) keeps
         lam_u = diffusion.solve(u_bar[n + 1].ravel(), ws, ws.flat[5]).reshape(grid.dims)
         u_bar[n] += lam_u
-        mob_bar, v_new_bar = chemotaxis_transpose(grid, mobility, v_new, dt * lam_u, ws)
+        bar = np.multiply(dt, lam_u, lam_u)  # dt * lam_u
+        chemotaxis_transpose(grid, mobility, v_new, bar, ws, (mob_bar, v_new_bar))
         v_new_bar += v_bar[n + 1]
 
         # v_new = (I - dt*Lap)^-1 (v / d), d = 1 + dt*r, with Lap split by axis
         mu = diffusion.solve(v_new_bar.ravel(), ws, ws.flat[5]).reshape(grid.dims)
-        d = 1.0 + dt * react
-        v_bar[n] += mu / d
-        r_bar = -dt * mu * v / (d * d)
+        d = np.multiply(dt, react, react)  # 1 + dt * r, in place of r
+        d = np.add(1.0, d, d)
+        v_bar[n] += np.divide(mu, d, scratch)
+        # r_bar = -dt * mu * v / (d * d)
+        r_bar = np.multiply(-dt, mu, mu)
+        r_bar *= v
+        r_bar /= np.multiply(d, d, d)
 
-        # r = trunc(u)^s - f, with f the control slice
-        mob_bar += params.s * mobility ** (params.s - 1.0) * r_bar
-        u_bar[n] += truncate_derivative(u, params.m) * mob_bar
-        control.scatter(t0, t1, -r_bar, f_bar)
+        # r = trunc(u)^s - f, with f the control slice:
+        # mob_bar += s * mobility ** (s - 1) * r_bar, where **= dispatches as ** does
+        np.copyto(scratch, mobility)
+        scratch **= params.s - 1.0
+        term = np.multiply(params.s, scratch, scratch)
+        mob_bar += np.multiply(term, r_bar, term)
+        if mobility is u:
+            # below the knee trunc'(u) is exactly 1, and 1.0 * x == x
+            u_bar[n] += mob_bar
+        else:
+            u_bar[n] += truncate_derivative(u, params.m) * mob_bar
+        control.scatter(t0, t1, np.negative(r_bar, r_bar), ws, f_bar)
     return f_bar
 
 

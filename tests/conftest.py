@@ -161,8 +161,8 @@ def chemotaxis_array_oracle(grid, mob, v, ws=None):
     return np.negative(transport, out=transport), np.where(mob > 0, rate, 0.0)
 
 
-def chemotaxis_transpose_oracle(grid, mob, v, bar, ws=None):
-    # ws: the workspace the reverse pass passes, unused here
+def chemotaxis_transpose_oracle(grid, mob, v, bar, ws=None, out=None):
+    # ws, out: the workspace and outputs the reverse pass passes, unused here
     mob_bar = np.zeros(grid.dims)
     v_bar = np.zeros(grid.dims)
     for h, (lo, hi, _) in zip(grid.spacing, face_slices(grid)):
@@ -320,3 +320,48 @@ def level_quantities_oracle(traj, params):
             (f**2).sum() * vol,
         )
     return tuple(out)
+
+
+def simulate_adjoint_oracle(traj, u_bar, v_bar):
+    """``sim.simulate_adjoint`` as it was before the reverse pass wrote its
+    products into a workspace, with a fresh array for every product, the
+    transpose of the transport from :func:`chemotaxis_transpose_oracle` and
+    the allocating form of ``Control.scatter``: the oracle the pass must
+    equal bit for bit."""
+    from chemoctrl.grid import Workspace
+    from chemoctrl.model import truncate_derivative
+    from chemoctrl.sim import _diffusion_solver, _mobility_and_reaction, _split
+
+    grid, params, control, dts = traj.grid, traj.params, traj.control, traj.dt_history
+    ws = Workspace(grid)
+    u_bar = np.array(u_bar, dtype=float)
+    v_bar = np.array(v_bar, dtype=float)
+    f_bar = np.zeros_like(control.values)
+    for n in range(dts.size - 1, -1, -1):
+        dt = float(dts[n])
+        t0, t1 = float(traj.times[n]), float(traj.times[n + 1])
+        u, v, v_new = traj.u[n], traj.v[n], traj.v[n + 1]
+        fpos, fneg = _split(control.sample(t0, t1, ws), ws)
+        mobility, react = _mobility_and_reaction(u, fpos, fneg, params, out=ws.cells[4])
+        diffusion = _diffusion_solver(grid, dt)
+
+        lam_u = diffusion.solve(u_bar[n + 1].ravel(), ws, ws.flat[5]).reshape(grid.dims)
+        u_bar[n] += lam_u
+        mob_bar, v_new_bar = chemotaxis_transpose_oracle(grid, mobility, v_new, dt * lam_u)
+        v_new_bar += v_bar[n + 1]
+
+        mu = diffusion.solve(v_new_bar.ravel(), ws, ws.flat[5]).reshape(grid.dims)
+        d = 1.0 + dt * react
+        v_bar[n] += mu / d
+        r_bar = -dt * mu * v / (d * d)
+
+        mob_bar += params.s * mobility ** (params.s - 1.0) * r_bar
+        u_bar[n] += truncate_derivative(u, params.m) * mob_bar
+        bar = -r_bar * grid.control_mask
+        j, w = control._bracket(t1)
+        if w is None:
+            f_bar[j] += bar
+        else:
+            f_bar[j - 1] += (1.0 - w) * bar
+            f_bar[j] += w * bar
+    return f_bar

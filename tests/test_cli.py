@@ -330,6 +330,27 @@ class TestConfigErrors:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("patch, message", [
+        # a zero-width bump centered on a cell of the 16-cell grid once ran
+        # to a NaN objective, reported as an infeasible baseline (exit 4)
+        ({"cost": {"desired_u": {"preset": "gaussian_bump", "width": 0,
+                                 "center": [0.53125]}}},
+         "cost.desired_u.width must be positive"),
+        ({"cost": {"desired_v": {"preset": "time_decaying", "width": -0.1}}},
+         "cost.desired_v.width must be positive"),
+        ({"initial": {"u": {"preset": "gaussian", "width": 0, "center": [0.53125]}}},
+         "initial.u.width must be positive"),
+        # exp(2000 t) overflows before t_final = 0.4
+        ({"cost": {"desired_u": {"preset": "time_decaying", "rate": -2000}}},
+         "cost.desired_u.rate must be at least 0"),
+    ])
+    def test_target_width_and_rate_are_checked(self, tmp_path, capsys, patch, message):
+        cfg = patched_config(tmp_path, "optimize_small.json", patch)
+        out = tmp_path / "o"
+        assert run(["optimize", str(cfg), "--output", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("times, code", [
         ([0.0, 0.05], 2),
         ([0.0, 0.4], 0),

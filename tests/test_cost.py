@@ -18,6 +18,7 @@ from chemoctrl import (
     simulate,
     spacetime_lp_norm,
 )
+from chemoctrl import cost as cost_module
 from chemoctrl.cost import evaluate_J_gradient, project_ball_transpose
 
 
@@ -286,6 +287,26 @@ class TestDesiredPresets:
         d = DesiredState.from_field(f)
         assert np.array_equal(d.at(9.9, grid), f.values)
 
+    def test_steady_targets(self, grid):
+        # the constructors say which targets do not depend on time
+        field = field_preset(grid, "random", seed=1)
+        assert DesiredState.constant(1.0).steady
+        assert DesiredState.from_field(field).steady
+        assert desired_preset("gaussian_bump").steady
+        assert not desired_preset("time_decaying").steady
+        assert not DesiredState(lambda t, g: np.zeros(g.dims)).steady
+
+    @pytest.mark.parametrize("make", [
+        lambda t, g: np.full(g.dims, np.nan),
+        lambda t, g: np.where(np.arange(g.n_cells) == 3, np.inf, 0.0).reshape(g.dims),
+        # a zero-width bump centered on a cell (0/0 there), which the config
+        # loader refuses
+        lambda t, g: desired_preset("gaussian_bump", width=0.0, center=[0.53125]).at(t, g),
+    ])
+    def test_non_finite_value_is_refused(self, grid, make):
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError, match=r"desired state at t=0\.25 is not finite at cell"):
+            DesiredState(make).at(0.25, grid)
+
     @pytest.mark.parametrize("value", [2.0, [1.0, 2.0, 3.0], "flat"])
     def test_value_of_another_shape_is_refused(self, value):
         # a scalar, a row or the flat cells: none is broadcast to the grid
@@ -296,3 +317,42 @@ class TestDesiredPresets:
         with pytest.raises(ValueError) as err:
             d.at(0.1, grid)
         assert str(shape) in str(err.value) and str(grid.dims) in str(err.value)
+
+
+def misfits_oracle(traj, cost_params):
+    """``cost._misfits`` as it was before a steady target was evaluated once:
+    each target evaluated at every saved level, and the differences
+    stacked."""
+    grid = traj.grid
+    u_diff = np.stack([traj.u[i] - cost_params.u_d.at(float(t), grid)
+                       for i, t in enumerate(traj.times)])
+    v_diff = np.stack([traj.v[i] - cost_params.v_d.at(float(t), grid)
+                       for i, t in enumerate(traj.times)])
+    return u_diff, v_diff
+
+
+class TestMisfitsMatchPerLevelForm:
+    @pytest.mark.parametrize("target", [
+        lambda g: DesiredState.constant(0.7),
+        lambda g: DesiredState.from_field(field_preset(g, "random", seed=4)),
+        lambda g: desired_preset("gaussian_bump", amplitude=0.5, base=1.2),
+        lambda g: desired_preset("time_decaying", rate=3.0, amplitude=0.8, base=0.1),
+    ], ids=["constant", "from_field", "gaussian_bump", "time_decaying"])
+    @pytest.mark.parametrize("dims", [(16,), (6, 5), (4, 3, 3)])
+    def test_cost_and_gradient_bits(self, monkeypatch, target, dims):
+        g = Grid.unit_box(dims)
+        rng = np.random.default_rng(len(dims))
+        p = ModelParams(s=2.0, t_final=0.2)
+        ctrl = Control(g, np.linspace(0, 0.2, 3), rng.uniform(-1, 1, (3,) + dims))
+        traj = simulate(Field(g, rng.uniform(0.2, 1.0, dims)),
+                        Field(g, rng.uniform(0.5, 1.5, dims)), ctrl, p, dt_max=0.05)
+        cp = cost_params(g, u_d=target(g), v_d=target(g))
+
+        def bits():
+            bd = evaluate_J(traj, ctrl, cp, p.s)
+            terms = np.array([bd.state_u, bd.state_v, bd.control])
+            return [terms.tobytes()] + [a.tobytes() for a in
+                                        evaluate_J_gradient(traj, ctrl, cp, p.s)]
+        got = bits()
+        monkeypatch.setattr(cost_module, "_misfits", misfits_oracle)
+        assert got == bits()

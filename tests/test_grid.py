@@ -271,7 +271,8 @@ class TestChemotaxisTranspose:
         mob = rng.uniform(0.0, 2.0, dims)
         v = rng.uniform(0.0, 1.0, dims)
         bar = rng.normal(size=dims)
-        mob_bar, v_bar = chemotaxis_transpose(grid, mob, v, bar, Workspace(grid))
+        mob_bar, v_bar = chemotaxis_transpose(grid, mob, v, bar, Workspace(grid),
+                                              (np.empty(dims), np.empty(dims)))
 
         a = rng.uniform(0.0, 1.0, dims)
         lhs = float((chemotaxis_array(grid, a, v, Workspace(grid))[0] * bar).sum())
@@ -293,7 +294,8 @@ class TestChemotaxisTranspose:
         rng = np.random.default_rng(3)
         mob_bar, v_bar = chemotaxis_transpose(grid, np.zeros(grid.dims),
                                               rng.uniform(size=grid.dims),
-                                              rng.normal(size=grid.dims), Workspace(grid))
+                                              rng.normal(size=grid.dims), Workspace(grid),
+                                              nan_outputs(grid))
         assert np.all(v_bar == 0.0)
         assert np.any(mob_bar != 0.0)
 
@@ -339,6 +341,27 @@ def dirty_workspace(grid):
         padded.fill(np.nan)
         result.fill(np.nan)
     return ws
+
+
+def nan_outputs(grid):
+    """Two NaN-filled arrays of shape ``dims``, a kernel's output pair."""
+    return np.full(grid.dims, np.nan), np.full(grid.dims, np.nan)
+
+
+# the workspace cells chemotaxis_transpose writes, besides its mask
+TRANSPOSE_WRITTEN = {0, 1, 2, 3}
+
+
+def transpose_case(k, g, mob, v, bar, a):
+    """``k(g, mob, v, bar, ws, out)`` on a :func:`dirty_workspace` into
+    :func:`nan_outputs`, then, as the call left them, the workspace cells
+    outside :data:`TRANSPOSE_WRITTEN` and the inputs, which the kernel must
+    leave as they were; the oracle leaves them all alone."""
+    ws = dirty_workspace(g)
+    mob, v, bar = mob.copy(), v.copy(), bar.copy()
+    out = k(g, mob, v, bar, ws, nan_outputs(g))
+    return [*out, *(c for i, c in enumerate(ws.cells) if i not in TRANSPOSE_WRITTEN),
+            mob, v, bar]
 
 
 def nan_faces(grid):
@@ -413,9 +436,8 @@ KERNEL_CASES = {
         sim._comparison_step, comparison_step_oracle),
     "chemotaxis_array": (lambda k, g, mob, v, bar, a: k(g, mob, v, dirty_workspace(g)),
                          chemotaxis_array, chemotaxis_array_oracle),
-    "chemotaxis_transpose": (lambda k, g, mob, v, bar, a: k(g, mob, v, bar,
-                                                             dirty_workspace(g)),
-                             chemotaxis_transpose, chemotaxis_transpose_oracle),
+    "chemotaxis_transpose": (transpose_case, chemotaxis_transpose,
+                             chemotaxis_transpose_oracle),
     "face_gradients": (lambda k, g, mob, v, bar, a: k(g, a),
                        face_gradients, face_gradients_oracle),
     "face_gradients_out": (lambda k, g, mob, v, bar, a: k(g, a),

@@ -9,7 +9,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import axis_laplacians, chemotaxis_array_oracle, weak_residual_oracle
+from conftest import (axis_laplacians, chemotaxis_array_oracle, simulate_adjoint_oracle,
+                      weak_residual_oracle)
 
 from chemoctrl import energy, grid as grid_module, sim
 from chemoctrl.cost import _weak_probes
@@ -28,6 +29,7 @@ from chemoctrl import (
     integrate,
     simulate,
     solve_comparison,
+    spacetime_lp_norm,
     step,
     trajectory_from_dir,
     trajectory_to_dir,
@@ -134,7 +136,7 @@ class TestControl:
             bar = rng.normal(size=dims)
             sampled = ctrl.sample(t0, t1, Workspace(g))
             assert sampled.tobytes() == ctrl.slice_at(t1, Workspace(g)).tobytes()
-            levels_bar = ctrl.scatter(t0, t1, bar, np.zeros_like(ctrl.values))
+            levels_bar = ctrl.scatter(t0, t1, bar, Workspace(g), np.zeros_like(ctrl.values))
             assert not levels_bar[:, outside].any()
             assert np.sum(sampled * bar) == \
                 pytest.approx(np.sum(ctrl.values * levels_bar), rel=1e-12, abs=1e-12)
@@ -151,6 +153,31 @@ class TestControl:
         g = Grid.unit_box((4,))
         ctrl = Control.constant(g, 2.0, 1.0)
         assert ctrl.scaled(0.5).lq_norm(3.0) == pytest.approx(1.0, rel=1e-12)
+
+    def test_values_and_times_are_frozen(self):
+        # a norm is computed once and kept, so nothing may change the control
+        g = Grid.unit_box((4,))
+        times = np.array([0.0, 0.5, 1.0])
+        ctrl = Control(g, times, np.ones((3, 4)))
+        for write in (lambda: ctrl.values.__setitem__((0, 0), 5.0),
+                      lambda: ctrl.values.__imul__(2.0),
+                      lambda: ctrl.times.__setitem__(1, 0.7)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctrl.values = np.zeros((3, 4))
+        times[1] = 0.7  # the control holds a copy of its times
+        assert ctrl.times[1] == 0.5 and times.flags.writeable
+
+    @pytest.mark.parametrize("q", [2.5, 3.0, np.inf])
+    def test_lq_norm_is_the_spacetime_norm(self, q):
+        g = Grid.unit_box((5, 3))
+        g = g.with_mask(g.box_mask([(0.0, 0.6), (0.0, 1.0)]))
+        rng = np.random.default_rng(9)
+        ctrl = Control(g, np.linspace(0.0, 0.3, 4), rng.normal(size=(4, 5, 3)))
+        want = spacetime_lp_norm(ctrl.times, ctrl.values, g, q)
+        assert np.float64(ctrl.lq_norm(q)).tobytes() == np.float64(want).tobytes()
+        assert ctrl.lq_norm(q) == want  # kept from the first call
 
 
 def full(grid, value):
@@ -351,11 +378,12 @@ class TestWorkspace:
                     if module is sim and out is not None:
                         writers.append(fn.__qualname__)
                         assert out.default is inspect.Parameter.empty, fn.__qualname__
-        assert {"chemotaxis_array", "cell_gradient_sq", "hessian_frobenius_sq",
-                "Control.slice_at", "Control.sample", "_SplitDiffusion.solve", "step",
+        assert {"chemotaxis_array", "chemotaxis_transpose", "cell_gradient_sq",
+                "hessian_frobenius_sq", "Control.slice_at", "Control.sample",
+                "Control.scatter", "_SplitDiffusion.solve", "step",
                 "_comparison_step"} <= set(takers)
         assert {"_SplitDiffusion.solve", "_mobility_and_reaction", "step",
-                "_comparison_step"} <= set(writers)
+                "_comparison_step", "Control.scatter"} <= set(writers)
         for solver in (simulate, solve_comparison):
             assert "ws" not in inspect.signature(solver).parameters
 
@@ -604,6 +632,60 @@ class TestSimulateAdjoint:
         f_bar = sim.simulate_adjoint(traj, np.zeros_like(traj.u), np.zeros_like(traj.v))
         assert f_bar.shape == ctrl.values.shape
         assert np.all(f_bar == 0.0)
+
+    @pytest.mark.parametrize("dims", [(24,), (9, 6), (5, 4, 3)])
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("m", [8.0, 0.6], ids=["below_knee", "truncated"])
+    @pytest.mark.parametrize("lattice_end", [0.2 - 1e-14, 0.35], ids=["clamped", "inside"])
+    def test_matches_allocating_oracle(self, dims, s, m, lattice_end):
+        # a partial control region; a control lattice that ends a round-off
+        # short of the horizon clamps the last step's slice to its end
+        g = Grid.unit_box(dims)
+        g = g.with_mask(g.box_mask([(0.0, 0.6)] * len(dims)))
+        rng = np.random.default_rng(len(dims))
+        r_sq = sum((c - 0.4) ** 2 for c in g.cell_centers())
+        u0 = Field(g, 1.5 * np.exp(-r_sq / 0.05))
+        v0 = Field(g, rng.uniform(0.8, 1.2, dims))
+        ctrl = Control(g, np.linspace(0.0, lattice_end, 5), rng.uniform(-2.0, 2.0, (5,) + dims))
+        traj = simulate(u0, v0, ctrl, params(s=s, m=m, t_final=0.2), dt_max=0.02)
+        assert (traj.u.max() > m) == (m < 1.0)
+        clamped = [ctrl._bracket(float(t))[1] is None for t in traj.times[1:]]
+        assert clamped[-1] == (lattice_end < 0.2) and not any(clamped[:-1])
+        u_bar, v_bar = rng.normal(size=traj.u.shape), rng.normal(size=traj.v.shape)
+        got = sim.simulate_adjoint(traj, u_bar, v_bar)
+        assert got.tobytes() == simulate_adjoint_oracle(traj, u_bar, v_bar).tobytes()
+
+    def test_reverse_steps_allocate_no_level_sized_array(self, monkeypatch):
+        dims = (24, 24, 24)
+        g = Grid.unit_box(dims)
+        g = g.with_mask(g.box_mask([(0.25, 0.75)] * len(dims)))
+        rng = np.random.default_rng(7)
+        p = params(t_final=0.004)
+        ctrl = Control(g, [0.0, p.t_final], rng.uniform(-1.0, 1.0, (2,) + dims))
+        traj = simulate(Field(g, rng.uniform(0.5, 2.0, dims)),
+                        Field(g, rng.uniform(0.9, 1.1, dims)), ctrl, p, 1e-3)
+        assert traj.u.max() <= p.m and traj.dt_history.size == 4
+        u_bar, v_bar = rng.normal(size=traj.u.shape), rng.normal(size=traj.v.shape)
+        # each reverse step starts by fetching its cached solver: mark the
+        # traced memory there, and restart the peak
+        marks, solver = [], sim._diffusion_solver
+
+        def step_start(grid, dt):
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return solver(grid, dt)
+        monkeypatch.setattr(sim, "_diffusion_solver", step_start)
+        tracemalloc.start()
+        try:
+            sim.simulate_adjoint(traj, u_bar, v_bar)
+            marks.append(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        # step i runs from mark i to mark i + 1; the first one warms the
+        # workspace's views
+        rises = [peak - current for (current, _), (_, peak) in zip(marks[1:-1], marks[2:])]
+        assert len(rises) == 3
+        assert max(rises) < g.n_cells * 8
 
 
 class TestComparison:
