@@ -82,15 +82,23 @@ class OptimizerConfig:
 
     def __post_init__(self):
         # written so that a NaN fails every check
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+        if not _is_count(self.max_iters, 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters}")
         if self.basis is not None and (len(self.basis) < 2
-                                       or not all(b >= 1 for b in self.basis)):
-            raise ValueError("basis needs >= 1 node per dimension, (time, space...)")
+                                       or not all(_is_count(b, 1) for b in self.basis)):
+            raise ValueError("basis needs an integer node count >= 1 per dimension, "
+                             f"(time, space...), got {self.basis}")
         if not math.isfinite(self.stop_tol):
             raise ValueError(f"stop_tol must be finite, got {self.stop_tol}")
-        if not self.control_times >= 2:
-            raise ValueError("control_times must be at least 2")
+        if not _is_count(self.control_times, 2):
+            raise ValueError("control_times must be an integer >= 2, "
+                             f"got {self.control_times}")
+
+
+def _is_count(value, least):
+    """Whether ``value`` is an integer, not a bool, of at least ``least``."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
 
 
 TRACE_COLUMNS = ("start", "iteration", "J", "j_state_u", "j_state_v", "j_control",
@@ -149,9 +157,14 @@ class OptimizationTrace:
             for r in self.rows))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OptimizeContext:
-    """Everything a reduced-objective evaluation needs."""
+    """Everything a reduced-objective evaluation needs, and the control space:
+    :meth:`control` maps coefficients to a masked control and
+    :meth:`coefficient_gradient` maps a control's gradient back.  Immutable,
+    with ``control_times`` a read-only copy, so the interpolation derived
+    from them once cannot go stale.
+    """
 
     grid: object
     model_params: object
@@ -162,18 +175,57 @@ class OptimizeContext:
     basis: tuple
     control_times: np.ndarray
 
-    @cached_property
-    def prolongation(self):
-        """Per lattice axis (time, then space), the fine-by-coarse matrix of
-        the prolongation's linear interpolation, built from unit vectors.
+    def __post_init__(self):
+        times = np.array(self.control_times, dtype=float)
+        times.setflags(write=False)
+        object.__setattr__(self, "control_times", times)
 
-        The prolongation is their tensor product.  Its transpose is applied
-        axis by axis: assembled, it would hold 24M entries for the basis
-        ``(3, 4, 4, 4)`` on 24^3 cells and 9 control times.
+    @cached_property
+    def _interpolation(self):
+        """Per lattice axis (time, then space), the linear interpolation at
+        the fine positions in [0, 1], the times, then the cell centers: the
+        coarse nodes ``lo`` and ``hi`` around each position, the weight ``w``
+        of ``hi``, shaped to broadcast along the axis, and the fine-by-coarse
+        matrix of the same weights.  The prolongation is the tensor product
+        of the axes' interpolations, so its transpose is applied axis by axis:
+        assembled, it would hold 24M entries for the basis ``(3, 4, 4, 4)``
+        on 24^3 cells and 9 control times.
         """
-        return [_interp_axis(np.eye(n), 0, frac)
-                for n, frac in zip(self.basis,
-                                   _lattice_fractions(self.grid, self.control_times))]
+        times, grid = self.control_times, self.grid
+        fracs = [times / (times[-1] if times[-1] > 0 else 1.0)] + [
+            grid.axis_centers(k) / grid.lengths[k] for k in range(grid.ndim)]
+        axes = []
+        for n, frac in zip(self.basis, fracs):
+            pos = np.clip(frac, 0.0, 1.0) * (n - 1)
+            lo = np.minimum(pos.astype(int), max(n - 2, 0))
+            hi = np.minimum(lo + 1, n - 1)  # on a singleton axis lo = hi and w = 0
+            w = pos - lo
+            mat = np.zeros((frac.size, n))
+            mat[np.arange(frac.size), lo] += 1.0 - w
+            mat[np.arange(frac.size), hi] += w
+            axes.append((lo, hi, w.reshape((-1,) + (1,) * grid.ndim), mat))
+        return axes
+
+    def control(self, coeffs):
+        """The multilinear prolongation of the raveled ``coeffs``, masked: the
+        control before its retraction into the ball."""
+        out = np.asarray(coeffs, dtype=float).reshape(self.basis)
+        for axis, (lo, hi, w, _) in enumerate(self._interpolation):
+            # the result keeps the strided layout of the moved axis, and
+            # Control.lq_norm sums in memory order: the same values stored
+            # C-ordered, as np.take along the axis leaves them, give a norm,
+            # a retraction and a trace that differ in the last bits
+            a = np.moveaxis(out, axis, 0)
+            out = np.moveaxis(a[lo] * (1.0 - w) + a[hi] * w, 0, axis)
+        return Control(self.grid, self.control_times, out)
+
+    def coefficient_gradient(self, bar):
+        """The transpose of :meth:`control` applied to the gradient ``bar`` of
+        a control: masked, interpolated back and raveled."""
+        out = bar * self.grid.control_mask
+        for axis, (*_, mat) in enumerate(self._interpolation):
+            out = np.moveaxis(np.tensordot(mat, out, axes=([0], [axis])), 0, axis)
+        return out.ravel()
 
 
 def make_context(config, cost_params, model_params, u0, v0, dt_max):
@@ -184,61 +236,6 @@ def make_context(config, cost_params, model_params, u0, v0, dt_max):
     return OptimizeContext(grid=u0.grid, model_params=model_params,
                            cost_params=cost_params, u0=u0, v0=v0, dt_max=dt_max,
                            basis=basis, control_times=times)
-
-
-def _interp_axis(arr, axis, frac):
-    """Linear interpolation along one axis at fractional positions in [0, 1]."""
-    n = arr.shape[axis]
-    a = np.moveaxis(arr, axis, 0)
-    if n == 1:
-        out = np.broadcast_to(a[0], (frac.size,) + a.shape[1:]).copy()
-    else:
-        pos = np.clip(frac, 0.0, 1.0) * (n - 1)
-        j = np.minimum(pos.astype(int), n - 2)
-        w = (pos - j).reshape((-1,) + (1,) * (a.ndim - 1))
-        out = a[j] * (1.0 - w) + a[j + 1] * w
-    return np.moveaxis(out, 0, axis)
-
-
-def _lattice_fractions(grid, times):
-    """Fine-lattice positions in [0, 1] per axis: the times, then the cell
-    centers along each space axis."""
-    t_final = times[-1] if times[-1] > 0 else 1.0
-    return [times / t_final] + [grid.axis_centers(k) / grid.lengths[k]
-                                for k in range(grid.ndim)]
-
-
-def prolong_coefficients(coeffs, grid, times):
-    """Multilinear prolongation of coarse lattice coefficients.
-
-    ``coeffs`` has shape ``basis`` = (time nodes, nodes per space axis...);
-    the output lives on ``(len(times), *grid.dims)``.
-    """
-    out = np.asarray(coeffs, dtype=float)
-    for axis, frac in enumerate(_lattice_fractions(grid, times)):
-        out = _interp_axis(out, axis, frac)
-    return out
-
-
-def _prolong_transpose(matrices, fine):
-    """Transpose of the prolongation, applied axis by axis."""
-    out = fine
-    for axis, mat in enumerate(matrices):
-        out = np.moveaxis(np.tensordot(mat, out, axes=([0], [axis])), 0, axis)
-    return out
-
-
-def _masked_control(coeffs, ctx):
-    """The prolonged, masked control before its retraction into the ball."""
-    values = prolong_coefficients(coeffs.reshape(ctx.basis), ctx.grid,
-                                  ctx.control_times)
-    return Control(ctx.grid, ctx.control_times, values)
-
-
-def control_from_coefficients(coeffs, ctx):
-    """Prolong, mask and retract coefficients into a feasible control."""
-    return project_ball(_masked_control(coeffs, ctx), ctx.cost_params.M,
-                        ctx.cost_params.q)
 
 
 @dataclass
@@ -271,7 +268,7 @@ class Evaluation:
 
 
 def _evaluate(coeffs, ctx):
-    masked = _masked_control(coeffs, ctx)
+    masked = ctx.control(coeffs)
     ctrl = project_ball(masked, ctx.cost_params.M, ctx.cost_params.q)
     try:
         traj = simulate(ctx.u0, ctx.v0, ctrl, ctx.model_params, ctx.dt_max)
@@ -301,7 +298,7 @@ def adjoint_gradient(coeffs, traj, ctx):
     switch, the truncation knee, the ball boundary and a change in the
     accepted step sizes.
     """
-    return _chain_gradient(traj, _masked_control(coeffs, ctx), ctx)
+    return _chain_gradient(traj, ctx.control(coeffs), ctx)
 
 
 def _chain_gradient(traj, masked, ctx):
@@ -312,7 +309,7 @@ def _chain_gradient(traj, masked, ctx):
                                               ctx.model_params.s)
     f_bar += simulate_adjoint(traj, u_bar, v_bar)
     g_bar = project_ball_transpose(masked, cp.M, cp.q, f_bar)
-    return _prolong_transpose(ctx.prolongation, g_bar * ctx.grid.control_mask).ravel()
+    return ctx.coefficient_gradient(g_bar)
 
 
 def finite_difference_gradient(fun, x, epsilon):

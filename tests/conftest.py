@@ -365,3 +365,49 @@ def simulate_adjoint_oracle(traj, u_bar, v_bar):
             f_bar[j - 1] += (1.0 - w) * bar
             f_bar[j] += w * bar
     return f_bar
+
+
+# The coefficient prolongation as first written, recomputing every axis's
+# positions, indices and weights on each call, and its transpose built from
+# unit vectors: the oracles the optimize context's control space must equal
+# byte for byte.
+
+def interp_axis_oracle(arr, axis, frac):
+    """Linear interpolation along one axis at fractional positions in [0, 1]."""
+    n = arr.shape[axis]
+    a = np.moveaxis(arr, axis, 0)
+    if n == 1:
+        out = np.broadcast_to(a[0], (frac.size,) + a.shape[1:]).copy()
+    else:
+        pos = np.clip(frac, 0.0, 1.0) * (n - 1)
+        j = np.minimum(pos.astype(int), n - 2)
+        w = (pos - j).reshape((-1,) + (1,) * (a.ndim - 1))
+        out = a[j] * (1.0 - w) + a[j + 1] * w
+    return np.moveaxis(out, 0, axis)
+
+
+def lattice_fractions_oracle(grid, times):
+    """Fine-lattice positions in [0, 1] per axis: the times, then the cell
+    centers along each space axis."""
+    t_final = times[-1] if times[-1] > 0 else 1.0
+    return [times / t_final] + [grid.axis_centers(k) / grid.lengths[k]
+                                for k in range(grid.ndim)]
+
+
+def prolong_oracle(coeffs, grid, times):
+    """Multilinear prolongation of coefficients of shape (time nodes, nodes
+    per space axis...) to ``(len(times), *grid.dims)``, unmasked."""
+    out = np.asarray(coeffs, dtype=float)
+    for axis, frac in enumerate(lattice_fractions_oracle(grid, times)):
+        out = interp_axis_oracle(out, axis, frac)
+    return out
+
+
+def prolong_transpose_oracle(basis, grid, times, fine):
+    """Transpose of :func:`prolong_oracle`, applied axis by axis with each
+    axis's interpolation matrix built from unit vectors."""
+    out = fine
+    for axis, (n, frac) in enumerate(zip(basis, lattice_fractions_oracle(grid, times))):
+        mat = interp_axis_oracle(np.eye(n), 0, frac)
+        out = np.moveaxis(np.tensordot(mat, out, axes=([0], [axis])), 0, axis)
+    return out

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chemoctrl import (
+    Control,
     CostParams,
     DesiredState,
     Field,
@@ -20,6 +21,7 @@ from chemoctrl import (
     finite_difference_gradient,
     optimize,
     ordering_experiment,
+    project_ball,
     reduced_objective,
     simulate,
 )
@@ -27,16 +29,13 @@ from chemoctrl import opt, sim
 from chemoctrl.cli import load_config
 from chemoctrl.opt import (
     _evaluate,
-    _masked_control,
-    _prolong_transpose,
     _search_direction,
     _store_pair,
     adjoint_gradient,
-    control_from_coefficients,
     lbfgs_direction,
     make_context,
-    prolong_coefficients,
 )
+from conftest import prolong_oracle, prolong_transpose_oracle
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 BUNDLED = os.path.join(CONFIGS, "optimize_small.json")
@@ -81,6 +80,8 @@ class TestConfig:
         ("max_iters", float("nan")), ("max_iters", 3.0), ("max_iters", float("inf")),
         ("stop_tol", float("nan")), ("stop_tol", float("inf")),
         ("control_times", float("nan")), ("basis", (2, float("nan"))),
+        ("basis", (2.0, 2)), ("control_times", 9.0), ("basis", (True, 2)),
+        ("control_times", True), ("max_iters", True),
     ])
     def test_non_finite_or_fractional_refused(self, key, value):
         with pytest.raises(ValueError, match=f"{key} (must|needs)"):
@@ -99,31 +100,39 @@ class TestConfig:
         assert load_config(str(path)).optimizer == load_config(BUNDLED).optimizer
 
 
+def unmasked_context(model_params, basis, control_times):
+    """A context on an unmasked grid, whose control is the prolongation."""
+    g = Grid.unit_box((16,))
+    cfg = OptimizerConfig(basis=basis, control_times=control_times)
+    return make_context(cfg, cost_params(), model_params, Field.zeros(g),
+                        Field.full(g, 1.0), dt_max=0.05)
+
+
 class TestProlongation:
-    def test_constant_coefficients(self, grid):
-        times = np.linspace(0, 1, 5)
-        vals = prolong_coefficients(np.full((2, 2), 3.0), grid, times)
-        assert vals.shape == (5,) + grid.dims
+    def test_constant_coefficients(self, model_params):
+        ctx = unmasked_context(model_params, (2, 2), 5)
+        vals = ctx.control(np.full(4, 3.0)).values
+        assert vals.shape == (5,) + ctx.grid.dims
         assert vals == pytest.approx(3.0)
 
-    def test_linear_in_time(self, grid):
-        times = np.linspace(0, 1, 5)
+    def test_linear_in_time(self, model_params):
+        ctx = unmasked_context(model_params, (2, 2), 5)
         coeffs = np.stack([np.zeros(2), np.full(2, 4.0)])
-        vals = prolong_coefficients(coeffs, grid, times)
+        vals = ctx.control(coeffs.ravel()).values
         assert vals[0] == pytest.approx(0.0)
         assert vals[2] == pytest.approx(2.0)
         assert vals[-1] == pytest.approx(4.0)
 
-    def test_linear_in_space(self, grid):
-        times = np.array([0.0, 1.0])
+    def test_linear_in_space(self, model_params):
+        ctx = unmasked_context(model_params, (2, 2), 2)
         coeffs = np.array([[0.0, 8.0], [0.0, 8.0]])
-        vals = prolong_coefficients(coeffs, grid, times)
-        x = grid.axis_centers(0)
+        vals = ctx.control(coeffs.ravel()).values
+        x = ctx.grid.axis_centers(0)
         assert vals[0] == pytest.approx(8.0 * x)
 
-    def test_singleton_axis_broadcasts(self, grid):
-        times = np.linspace(0, 1, 3)
-        vals = prolong_coefficients(np.full((1, 1), 2.0), grid, times)
+    def test_singleton_axis_broadcasts(self, model_params):
+        ctx = unmasked_context(model_params, (1, 1), 3)
+        vals = ctx.control(np.full(1, 2.0)).values
         assert vals == pytest.approx(2.0)
 
 
@@ -140,7 +149,8 @@ class TestReducedObjective:
         # coefficients blowing past M evaluate exactly like their retraction
         big = np.full(4, 50.0)
         J_big = reduced_objective(big, context)
-        ctrl = control_from_coefficients(big, context)
+        ctrl = project_ball(context.control(big), context.cost_params.M,
+                            context.cost_params.q)
         assert ctrl.lq_norm(context.cost_params.q) <= context.cost_params.M + 1e-12
         traj = simulate(context.u0, context.v0, ctrl, context.model_params,
                         context.dt_max)
@@ -154,16 +164,23 @@ class TestReducedObjective:
                                                                        context)
 
     def test_masked_coordinates_have_zero_gradient(self, grid, model_params):
-        # a basis column whose support lies outside the control region
-        cfg = OptimizerConfig(basis=(1, 2), control_times=5)
-        ctx = make_context(cfg, cost_params(), model_params, Field.zeros(grid),
-                           Field.full(grid, 1.0), dt_max=0.05)
+        def context(basis):
+            cfg = OptimizerConfig(basis=basis, control_times=5)
+            return make_context(cfg, cost_params(), model_params, Field.zeros(grid),
+                                Field.full(grid, 1.0), dt_max=0.05)
+        # with 2 space nodes, node 1's hat peaks at x = 1 but reaches into the
+        # mask (x <= 0.5), so it only weighs less than node 0
+        ctx = context((1, 2))
         fun = lambda c: reduced_objective(c, ctx)
         grad, _ = finite_difference_gradient(fun, np.zeros(2), 1e-2)
-        # right-half basis node: prolonged support is masked away entirely?
-        # node 1 peaks at x = 1 and decays to 0 at x = 0; inside the mask
-        # (x <= 0.5) its hat is nonzero, so only check the relative weights
         assert abs(grad[1]) < abs(grad[0])
+        # with 3 space nodes, node 2's hat lies in x > 0.5, outside the mask:
+        # its coordinates have exactly zero gradient
+        ctx = context((2, 3))
+        x = np.random.default_rng(8).normal(size=6)
+        grad = adjoint_gradient(x, _evaluate(x, ctx).traj, ctx).reshape(ctx.basis)
+        assert np.all(grad[:, 2] == 0.0)
+        assert np.all(grad[:, :2] != 0.0)
 
 
 class TestFiniteDifferences:
@@ -378,7 +395,25 @@ def assert_adjoint_matches_fd(ctx, x, eps):
 
 def raw_norm(x, ctx):
     """Control norm before the retraction into the ball."""
-    return _masked_control(x, ctx).lq_norm(ctx.cost_params.q)
+    return ctx.control(x).lq_norm(ctx.cost_params.q)
+
+
+def bundled_3d_context():
+    # the bundled 3D instance: 192 coefficients on 24^3 cells
+    cfg = load_config(os.path.join(CONFIGS, "optimize_3d.json"))
+    assert cfg.grid.dims == (24, 24, 24)
+    assert cfg.optimizer.basis == (3, 4, 4, 4)
+    return make_context(cfg.optimizer, cfg.cost, cfg.model, cfg.u0, cfg.v0,
+                        cfg.dt_max)
+
+
+# contexts of the bases the control space is checked on
+CONTEXTS = [
+    pytest.param(gaussian_context, id="optimize-1d"),
+    pytest.param(lambda: gaussian_context(dims=(12, 10), basis=(2, 3, 2)), id="2d"),
+    pytest.param(bundled_3d_context, id="optimize_3d"),
+    pytest.param(lambda: gaussian_context(basis=(1, 2)), id="singleton"),
+]
 
 
 class TestAdjointGradient:
@@ -446,21 +481,71 @@ class TestAdjointGradient:
         got = adjoint_gradient(x, traj, ctx)
         assert np.abs(got - fd).max() <= 1e-6 * np.abs(fd).max()
 
-    def test_prolongation_transpose_3d(self):
-        # the bundled 3D instance: 192 coefficients on 24^3 cells
-        cfg = load_config(os.path.join(CONFIGS, "optimize_3d.json"))
-        assert cfg.grid.dims == (24, 24, 24)
-        assert cfg.optimizer.basis == (3, 4, 4, 4)
-        ctx = make_context(cfg.optimizer, cfg.cost, cfg.model, cfg.u0, cfg.v0,
-                           cfg.dt_max)
+    @pytest.mark.parametrize("make", CONTEXTS)
+    def test_prolongation_transpose(self, make):
+        ctx = make()
         rng = np.random.default_rng(5)
         c = rng.normal(size=ctx.basis)
         y = rng.normal(size=(ctx.control_times.size,) + ctx.grid.dims)
-        fine = prolong_coefficients(c, ctx.grid, ctx.control_times)
-        coarse = _prolong_transpose(ctx.prolongation, y)
-        assert coarse.shape == ctx.basis
+        fine = ctx.control(c.ravel()).values
+        coarse = ctx.coefficient_gradient(y).reshape(ctx.basis)
         assert float((fine * y).sum()) == pytest.approx(float((c * coarse).sum()),
                                                         rel=1e-12)
+
+
+def oracle_control(ctx, coeffs):
+    """The control of ``coeffs`` through the prolongation oracle."""
+    fine = prolong_oracle(coeffs.reshape(ctx.basis), ctx.grid, ctx.control_times)
+    return Control(ctx.grid, ctx.control_times, fine)
+
+
+def oracle_coefficient_gradient(ctx, bar):
+    """The coefficient gradient of ``bar`` through the transpose oracle."""
+    return prolong_transpose_oracle(ctx.basis, ctx.grid, ctx.control_times,
+                                    bar * ctx.grid.control_mask).ravel()
+
+
+class TestControlSpace:
+    """The context's prolongation and its transpose against conftest's
+    oracles, the code they replaced, byte for byte."""
+
+    @pytest.mark.parametrize("make", CONTEXTS)
+    def test_control_matches_oracle(self, make):
+        ctx = make()
+        c = np.random.default_rng(9).normal(size=int(np.prod(ctx.basis)))
+        got, want = ctx.control(c).values, oracle_control(ctx, c).values
+        assert got.tobytes() == want.tobytes()
+        # Control.lq_norm sums in memory order, so the layout counts too
+        assert got.strides == want.strides
+
+    @pytest.mark.parametrize("make", CONTEXTS)
+    def test_gradient_matches_oracle(self, make):
+        ctx = make()
+        y = np.random.default_rng(10).normal(
+            size=(ctx.control_times.size,) + ctx.grid.dims)
+        assert ctx.coefficient_gradient(y).tobytes() == \
+            oracle_coefficient_gradient(ctx, y).tobytes()
+
+    def test_descent_matches_oracle(self, monkeypatch):
+        # every trace field, bit for bit, of a descent through the oracles
+        def hex_rows(trace):
+            return [[v.hex() if isinstance(v, float) else v
+                     for v in dataclasses.astuple(r)] for r in trace.rows]
+        cfg = load_config(BUNDLED)
+        args = (cfg.optimizer, cfg.cost, cfg.model, cfg.u0, cfg.v0, cfg.dt_max)
+        ctrl, trace = optimize(*args)
+        monkeypatch.setattr(opt.OptimizeContext, "control", oracle_control)
+        monkeypatch.setattr(opt.OptimizeContext, "coefficient_gradient",
+                            oracle_coefficient_gradient)
+        want_ctrl, want = optimize(*args)
+        assert hex_rows(trace) == hex_rows(want)
+        assert ctrl.values.tobytes() == want_ctrl.values.tobytes()
+
+    def test_context_is_frozen(self, context):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            context.basis = (3, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            context.control_times[0] = 1.0
 
 
 class TestDescentUsesAdjoint:
