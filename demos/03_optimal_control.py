@@ -22,7 +22,7 @@ cfg = load_config(cfg_path)
 
 print("baseline (zero control) ...")
 base_traj = simulate(cfg.u0, cfg.v0, None, cfg.model, cfg.dt_max)
-base = evaluate_J(base_traj, None, cfg.cost, cfg.model.s)
+base = evaluate_J(base_traj, base_traj.control, cfg.cost, cfg.model.s)
 print(f"  J = {base.total:.6f} "
       f"(state_u {base.state_u:.2e}, state_v {base.state_v:.6f})")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -26,7 +25,7 @@ from .model import ModelParams
 from .opt import SHRINK, STEP0, InfeasibleBaselineError, OptimizerConfig, \
     optimize, ordering_experiment
 from .presets import CONTROL_PRESETS, DESIRED_PRESETS, FIELD_PRESETS, \
-    control_preset, desired_preset, field_preset
+    checked_number, control_preset, desired_preset, field_preset, preset_parameters
 from .sim import Control, PositivityError, StiffnessError, TrajectoryFormatError, \
     check_nonnegative, simulate, solve_comparison, trajectory_from_dir, \
     trajectory_to_dir
@@ -70,7 +69,7 @@ class RunConfig:
     model: ModelParams
     u0: Field
     v0: Field
-    control: Control | None
+    control: Control
     dt_max: float
     cost: CostParams | None
     optimizer: OptimizerConfig | None
@@ -79,22 +78,8 @@ class RunConfig:
     m_sweep: list
 
 
-def _number(value, name, integral=False):
-    """``value`` as a finite float, or as an int when ``integral``.
-
-    Bools, strings and other non-numbers, NaN, infinities and, with
-    ``integral``, values with a fractional part raise :class:`ConfigError`
-    naming the field ``name``.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    if integral:
-        if value != int(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        return int(value)
-    return float(value)
+# a config value as a finite float, or an int with integral=True, else a ConfigError
+_number = functools.partial(checked_number, error=ConfigError)
 
 
 # the keys each config table reads; any other key is a config error
@@ -203,39 +188,14 @@ def _build_grid(section, base_dir):
 
 
 def _preset_parameters(table, name, section, what, ndim):
-    """The parameters of preset ``name`` in a config ``section``, each checked.
-
-    A key the preset does not take, or a value outside its kind, raises
-    :class:`ConfigError` naming ``what.key``.
-    """
-    if name not in table:
-        raise ConfigError(f"{what}.preset must be one of {sorted(table)}, got {name!r}")
-    kw = {}
-    for key, value in section.items():
-        if key == "preset":
-            continue
-        field = f"{what}.{key}"
-        if key not in table[name]:
-            raise ConfigError(f"{field} is not a parameter of the {name!r} preset, "
-                              f"which takes {sorted(table[name])}")
-        if key in ("center", "modes"):
-            if not isinstance(value, list) or len(value) != ndim:
-                raise ConfigError(f"{field} needs one entry per axis ({ndim}), "
-                                  f"got {value!r}")
-            kw[key] = [_number(x, field) for x in value]
-        elif key in ("seed", "times"):
-            kw[key] = _number(value, field, integral=True)
-            least = 2 if key == "times" else 0
-            if kw[key] < least:
-                raise ConfigError(f"{field} must be at least {least}, got {value!r}")
-        else:
-            kw[key] = _number(value, field)
-            # a Gaussian preset's width is a positive fraction of the box, and
-            # a negative decay rate lets the target overflow
-            if key == "width" and not kw[key] > 0:
-                raise ConfigError(f"{field} must be positive, got {value!r}")
-            if key == "rate" and not kw[key] >= 0:
-                raise ConfigError(f"{field} must be at least 0, got {value!r}")
+    """The parameters of preset ``name`` in a config ``section``, checked by
+    :func:`~chemoctrl.presets.preset_parameters` on ``ndim`` axes; a refused
+    one raises :class:`ConfigError` naming ``what.key``."""
+    kw = {key: value for key, value in section.items() if key != "preset"}
+    try:
+        preset_parameters(table, name, kw, ndim)
+    except ValueError as err:
+        raise ConfigError(f"{what}.{err}") from None
     return kw
 
 
@@ -252,17 +212,11 @@ def _build_field(grid, section, base_dir, what):
 
 
 def _build_control(grid, section, t_final, base_dir):
-    if section is None:
-        return None
-    if _require_table(section, "control").get("preset") == "none":
-        extra = sorted(set(section) - {"preset"})
-        if extra:
-            raise ConfigError(f"control.{extra[0]} is not a parameter of the "
-                              f"'none' preset, which takes none")
-        return None
+    """The config's control; without one, the zero control."""
+    section = _require_table({} if section is None else section, "control")
     if "npy" in section:
         times = np.array([_number(t, "control.times")
-                          for t in section.get("times", [0.0, t_final])])
+                          for t in section.get("times", Control.lattice(t_final, 2))])
         control = Control(grid, times, _npy_levels(
             section, base_dir, "control", (times.size, *grid.dims), keys=("npy", "times")))
         # the tolerance simulate allows
@@ -443,13 +397,20 @@ def cmd_energy_audit(cfg, traj_dir, out_dir, alpha_sweep=None):
     return EXIT_OK if passed else EXIT_AUDIT_FAIL
 
 
+def _check_optimizable(cfg, command):
+    """Refuse ``command`` without cost and optimizer sections, or at ``t_final = 0``."""
+    if cfg.cost is None or cfg.optimizer is None:
+        raise ConfigError(f"{command} needs cost and optimizer config sections")
+    if not cfg.model.t_final > 0:
+        raise ConfigError(f"{command} needs model.t_final > 0, got {cfg.model.t_final}")
+
+
 def cmd_optimize(cfg, out_dir):
     """Run the descent, export the best control, trace and admissibility report.
 
     The report and the cost breakdown reuse the best control's run from descent.
     """
-    if cfg.cost is None or cfg.optimizer is None:
-        raise ConfigError("optimize needs cost and optimizer config sections")
+    _check_optimizable(cfg, "optimize")
     ctrl, trace = optimize(cfg.optimizer, cfg.cost, cfg.model, cfg.u0, cfg.v0,
                            cfg.dt_max)
     os.makedirs(out_dir, exist_ok=True)
@@ -470,8 +431,7 @@ def cmd_optimize(cfg, out_dir):
 
 def cmd_sweep(cfg, out_dir):
     """Objective-versus-radius table over the config's ``m_sweep`` radii."""
-    if cfg.cost is None or cfg.optimizer is None:
-        raise ConfigError("sweep needs cost and optimizer config sections")
+    _check_optimizable(cfg, "sweep")
     if len(cfg.m_sweep) < 2:
         raise ConfigError("sweep needs at least two M values (config m_sweep)")
     table = ordering_experiment(cfg.m_sweep, cfg.optimizer, cfg.cost, cfg.model,

@@ -125,11 +125,8 @@ def evaluate_J(traj, control, cost_params, s):
         * spacetime_lp_norm(traj.times, u_diff, grid, pu) ** pu
     term_v = cost_params.gamma_v / 2.0 \
         * spacetime_lp_norm(traj.times, v_diff, grid, 2.0) ** 2
-    if control is None:
-        term_f = 0.0
-    else:
-        term_f = cost_params.gamma_f / cost_params.q \
-            * control.lq_norm(cost_params.q) ** cost_params.q
+    term_f = cost_params.gamma_f / cost_params.q \
+        * control.lq_norm(cost_params.q) ** cost_params.q
     return CostBreakdown(state_u=term_u, state_v=term_v, control=term_f)
 
 
@@ -253,7 +250,7 @@ def check_admissible(traj, control, cost_params, params, beta, K):
     squared spacing and the largest state value.  Report-only: nothing raises
     on failure.
     """
-    norm = control.lq_norm(cost_params.q) if control is not None else 0.0
+    norm = control.lq_norm(cost_params.q)
     in_ball = norm <= cost_params.M * (1.0 + 1e-12) + 1e-12
 
     tol = _default_weak_tol(traj)

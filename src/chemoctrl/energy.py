@@ -170,8 +170,7 @@ class _LevelWorkspace:
         vol = grid.cell_volume
         cells = ws.cells
         # first, while cells[4] and cells[5] are free for the slice
-        forcing = 0.0 if self.control is None else \
-            np.square(self.control.slice_at(t, ws), out=cells[5]).sum() * vol
+        forcing = np.square(self.control.slice_at(t, ws), out=cells[5]).sum() * vol
         z = np.add(v, self.params.alpha**2, out=self.z)
         np.sqrt(z, out=z)
         gz, gz_sq = self._squared_gradients(z, self.gz, self.gz_sq)
@@ -294,10 +293,7 @@ def fit_constants(trajs, params, beta_range=(1e-6, 1.0)):
     trajs = list(trajs)
     if not trajs:
         raise ValueError("need at least one trajectory")
-    norms = np.array([
-        t.control.lq_norm(params.q) if t.control is not None else 0.0
-        for t in trajs
-    ])
+    norms = np.array([t.control.lq_norm(params.q) for t in trajs])
     reports = [build_energy_report(t, params) for t in trajs]
 
     def K_all(beta):

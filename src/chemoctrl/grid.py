@@ -65,6 +65,8 @@ class Grid:
     control_mask: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
+        if any(isinstance(n, (bool, np.bool_)) or n != int(n) for n in self.dims):
+            raise ValueError(f"dims must be integers, got {self.dims}")
         dims = tuple(int(n) for n in self.dims)
         spacing = tuple(float(h) for h in self.spacing)
         if len(dims) not in (1, 2, 3):

@@ -232,7 +232,9 @@ def make_context(config, cost_params, model_params, u0, v0, dt_max):
     basis = tuple(config.basis or (2,) * (u0.grid.ndim + 1))  # time, then each axis
     if len(basis) != u0.grid.ndim + 1:
         raise ValueError(f"basis needs {u0.grid.ndim + 1} entries, got {basis}")
-    times = np.linspace(0.0, model_params.t_final, config.control_times)
+    if not model_params.t_final > 0:
+        raise ValueError(f"t_final must be positive to optimize, got {model_params.t_final}")
+    times = Control.lattice(model_params.t_final, config.control_times)
     return OptimizeContext(grid=u0.grid, model_params=model_params,
                            cost_params=cost_params, u0=u0, v0=v0, dt_max=dt_max,
                            basis=basis, control_times=times)
@@ -414,7 +416,8 @@ def optimize(config, cost_params, model_params, u0, v0, dt_max):
     Raises
     ------
     ValueError
-        If ``config.basis`` does not have ``grid.ndim + 1`` entries.
+        If ``config.basis`` does not have ``grid.ndim + 1`` entries, or
+        ``t_final`` is 0, where every control gives the same objective.
     InfeasibleBaselineError
         If the zero-control run itself fails.
     """

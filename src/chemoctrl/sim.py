@@ -22,10 +22,12 @@ same concentration stage with the reaction ``-f_+``, whose divisor is never
 larger than the concentration's, so a paired comparison solution dominates
 the concentration exactly, not up to round-off.  The one sampling rule is
 the pair :meth:`Control.sample` (the slice a step sees) and its transpose
-:meth:`Control.scatter`.  The density update is in conservative flux form
-and each axis factor has columns summing to one, so the discrete cell mass
-is conserved to round-off at every step.  The scheme is first order in
-time, like backward Euler.
+:meth:`Control.scatter`, for every run: an uncontrolled run is the run under
+:meth:`Control.zero`, which :func:`simulate` and :func:`solve_comparison`
+build on entry when given ``None``.  The density update is in conservative
+flux form and each axis factor has columns summing to one, so the discrete
+cell mass is conserved to round-off at every step.  The scheme is first
+order in time, like backward Euler.
 
 The stepper works on plain cell arrays.  Inputs are validated once, when
 :func:`simulate` or :func:`solve_comparison` is entered: a ``Field`` or
@@ -146,15 +148,21 @@ class Control:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", vals)
 
+    @staticmethod
+    def lattice(t_final, n):
+        """``n`` equally spaced times on ``[0, t_final]``, with a horizon of 0
+        clamped to ``1e-300``, so that a run of horizon 0 has a lattice too."""
+        return np.linspace(0.0, max(t_final, 1e-300), n)
+
     @classmethod
     def zero(cls, grid, t_final):
-        return cls(grid, np.array([0.0, max(t_final, 1e-300)]),
-                   np.zeros((2,) + grid.dims))
+        """``f = 0`` on ``[0, t_final]``, the control of an uncontrolled run."""
+        return cls(grid, cls.lattice(t_final, 2), np.zeros((2,) + grid.dims))
 
     @classmethod
     def constant(cls, grid, amplitude, t_final):
         vals = np.broadcast_to(float(amplitude), (2,) + grid.dims).copy()
-        return cls(grid, np.array([0.0, t_final]), vals)
+        return cls(grid, cls.lattice(t_final, 2), vals)
 
     @property
     def t_final(self):
@@ -233,7 +241,7 @@ class Trajectory:
     v: np.ndarray
     dt_history: np.ndarray
     mass_trace: np.ndarray
-    control: Control | None = None
+    control: Control
     events: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -580,16 +588,18 @@ def _adaptive_steps(advance, state, t_final, dt_max, events):
             clean = 0
 
 
-def _check_control(grid, control, horizon):
-    """The entry checks of a control (None passes): a ``GridMismatchError``
-    unless it lives on ``grid``, a ``ValueError`` unless its time lattice
-    reaches ``horizon``, to a relative ``1e-12``."""
+def _entry_control(grid, control, horizon):
+    """The control a run uses: ``control`` checked, or :meth:`Control.zero`
+    up to ``horizon`` for ``None``.  A ``GridMismatchError`` unless it lives
+    on ``grid``, a ``ValueError`` unless its time lattice reaches
+    ``horizon``, to a relative ``1e-12``."""
     if control is None:
-        return
+        return Control.zero(grid, horizon)
     if not grid.compatible_with(control.grid):
         raise GridMismatchError("control lives on a different grid")
     if control.t_final < horizon - 1e-12 * max(1.0, horizon):
         raise ValueError("control time lattice does not cover the horizon")
+    return control
 
 
 def simulate(u0, v0, control, params, dt_max):
@@ -607,7 +617,8 @@ def simulate(u0, v0, control, params, dt_max):
     u0, v0 : Field
         Nonnegative initial states on the same grid.
     control : Control or None
-        ``None`` means the uncontrolled system.
+        ``None`` means the uncontrolled system, run as :meth:`Control.zero`
+        up to ``params.t_final``: the returned trajectory holds that control.
     params : ModelParams
     dt_max : float
         Upper bound for the adaptive step.
@@ -623,16 +634,15 @@ def simulate(u0, v0, control, params, dt_max):
         raise GridMismatchError("u0 and v0 live on different grids")
     check_nonnegative("u0", u0.values)
     check_nonnegative("v0", v0.values)
-    _check_control(grid, control, params.t_final)
+    control = _entry_control(grid, control, params.t_final)
     ws = Workspace(grid)
 
     rows = _rows_without_rejections(params.t_final, dt_max)
     us = _LevelStack(u0.values, rows)
     vs = _LevelStack(v0.values, rows)
-    zero = np.zeros(grid.dims)
 
     def advance(state, t, dt_step):
-        f = zero if control is None else control.sample(t, t + dt_step, ws)
+        f = control.sample(t, t + dt_step, ws)
         return step(grid, *state, f, params, dt_step, ws, (us.next_row(), vs.next_row()))
 
     times = [0.0]
@@ -656,7 +666,7 @@ def simulate(u0, v0, control, params, dt_max):
 
 
 def simulate_adjoint(traj, u_bar, v_bar):
-    """Reverse pass of :func:`simulate` over one of its controlled runs.
+    """Reverse pass of :func:`simulate` over one of its runs.
 
     ``u_bar`` and ``v_bar`` hold the derivatives of an objective with respect
     to the saved levels (shaped like ``traj.u`` and ``traj.v``).  Returns its
@@ -680,8 +690,6 @@ def simulate_adjoint(traj, u_bar, v_bar):
     as a level unless the truncation is active.
     """
     grid, params, control, dts = traj.grid, traj.params, traj.control, traj.dt_history
-    if control is None:
-        raise ValueError("the reverse pass needs a controlled run")
     ws = Workspace(grid)
     u_bar = np.array(u_bar, dtype=float)  # accumulated in place, level by level
     v_bar = np.array(v_bar, dtype=float)
@@ -759,8 +767,9 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     Without either, the solver runs its own adaptive stepping to
     ``params.t_final`` and records its step rejections in ``events``.  The
     control must live on ``w0``'s grid and reach the horizon, the last
-    paired time or ``params.t_final``, as :func:`simulate` checks it.  The
-    solve builds its own workspace, as :func:`simulate` does.
+    paired time or ``params.t_final``, as :func:`simulate` checks it;
+    ``None`` means :meth:`Control.zero` up to that horizon.  The solve builds
+    its own workspace, as :func:`simulate` does.
 
     Returns
     -------
@@ -771,10 +780,9 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     if times is not None and dt_history is not None:
         raise ValueError("give either paired times or a dt history, not both")
     ws = Workspace(grid)
-    zero = np.zeros(grid.dims)
 
     def comparison_step(w, t0, t1, dt):
-        f_tilde = zero if control is None else _split(control.sample(t0, t1, ws), ws)[0]
+        f_tilde = _split(control.sample(t0, t1, ws), ws)[0]
         return _comparison_step(grid, w, f_tilde, dt, ws, levels.next_row())
 
     if dt_history is not None:
@@ -787,7 +795,8 @@ def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
         if times.size < 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError("paired times must increase strictly from 0")
         dts = np.diff(times)
-    _check_control(grid, control, params.t_final if times is None else float(times[-1]))
+    control = _entry_control(grid, control,
+                             params.t_final if times is None else float(times[-1]))
 
     def paired_steps(w):
         for t0, t1, dt in zip(times, times[1:], dts):
@@ -907,20 +916,15 @@ def trajectory_to_dir(traj, outdir):
     Each ``.npy`` is a level stack (:func:`chemoctrl.io.save_levels`).  The
     control mask is one stack of shape ``dims`` holding 1.0 in the control
     region and 0.0 elsewhere; the manifest's ``grid`` holds only ``dims`` and
-    ``spacing``.  The control stack is written only when the run has a
-    control, and a ``control.npy`` that an earlier trajectory left in
-    ``outdir`` is removed when it has none.  No other file is touched.
+    ``spacing``, and its ``control_times`` the control's time lattice.  Every
+    run has a control, an uncontrolled one :meth:`Control.zero`, so every
+    directory holds the same five files.  No other file is touched.
     """
     os.makedirs(outdir, exist_ok=True)
-    if traj.control is None and "control.npy" in os.listdir(outdir):
-        os.remove(os.path.join(outdir, "control.npy"))
     save_levels(os.path.join(outdir, "u.npy"), traj.u)
     save_levels(os.path.join(outdir, "v.npy"), traj.v)
     save_levels(os.path.join(outdir, "control_mask.npy"), traj.grid.control_mask)
-    control_times = None
-    if traj.control is not None:
-        control_times = [float(t) for t in traj.control.times]
-        save_levels(os.path.join(outdir, "control.npy"), traj.control.values)
+    save_levels(os.path.join(outdir, "control.npy"), traj.control.values)
     manifest = {
         "grid": traj.grid.header_dict(),
         "params": asdict(traj.params),
@@ -928,7 +932,7 @@ def trajectory_to_dir(traj, outdir):
         "dt_history": [float(d) for d in traj.dt_history],
         "events": traj.events,
         "mass_trace": [float(m) for m in traj.mass_trace],
-        "control_times": control_times,
+        "control_times": [float(t) for t in traj.control.times],
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     write_json(os.path.join(outdir, "manifest.json"), manifest)
@@ -943,7 +947,8 @@ def trajectory_from_dir(path):
     :class:`~chemoctrl.grid.Grid` checks; the step and mass records must fit
     the levels, as :class:`Trajectory` checks.  A manifest whose ``grid``
     still holds the mask as a list, the format before ``control_mask.npy``,
-    is refused, and so is ``control_times: null`` beside a ``control.npy``.
+    is refused, and so is ``control_times: null``, the format of an
+    uncontrolled run before every run stored its control.
     """
     manifest_path = os.path.join(path, "manifest.json")
     try:
@@ -994,21 +999,11 @@ def trajectory_from_dir(path):
             grid = grid.with_mask(mask)
         except ValueError as err:
             raise TrajectoryFormatError(f"{mask_path}: {err}") from None
-        control = None
-        control_path = os.path.join(path, "control.npy")
-        if manifest["control_times"] is not None:
-            ctimes = _numbers(manifest_path, "control_times", manifest["control_times"])
-            cvals = load_levels(control_path, (ctimes.size,) + grid.dims)
-            control = Control(grid, ctimes, cvals)
-        elif os.path.exists(control_path):
-            raise TrajectoryFormatError(
-                f"{manifest_path}: control_times is null beside {control_path}")
-        return Trajectory(
-            grid=grid, params=params, times=times,
-            u=u, v=v, control=control,
-            dt_history=dt_history, events=events,
-            mass_trace=mass_trace,
-        )
+        ctimes = _numbers(manifest_path, "control_times", manifest["control_times"])
+        control = Control(grid, ctimes, load_levels(os.path.join(path, "control.npy"),
+                                                    (ctimes.size,) + grid.dims))
+        return Trajectory(grid=grid, params=params, times=times, u=u, v=v, control=control,
+                          dt_history=dt_history, events=events, mass_trace=mass_trace)
     except TrajectoryFormatError:
         raise
     except (OSError, KeyError, TypeError, ValueError, IndexError, OverflowError) as err:

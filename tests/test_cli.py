@@ -1027,6 +1027,46 @@ class TestOptimize:
             assert first == second
 
 
+class TestHorizonZero:
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_optimize_and_sweep_are_config_errors(self, tmp_path, capsys, command):
+        # both once ended in a traceback (exit 1) from the control lattice
+        cfg = patched_config(tmp_path, "optimize_small.json",
+                             {"model": {"t_final": 0.0}, "m_sweep": [0.5, 1.0]})
+        out = tmp_path / "o"
+        assert run([command, str(cfg), "--output", str(out)]) == 2
+        assert f"{command} needs model.t_final > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("control", [
+        None, {"preset": "none"}, {"preset": "zero"},
+        {"preset": "constant", "amplitude": 2.0},
+        {"preset": "random", "seed": 4, "amplitude": 1.0, "times": 5},
+        {"npy": "f.npy"},  # on the default times, the zero control's lattice
+    ])
+    def test_compare_writes_one_level_under_every_preset(self, tmp_path, control):
+        save_levels(tmp_path / "f.npy", np.full((2, 32), 0.5))
+        patch = {"model": {"t_final": 0.0}}
+        if control is not None:
+            patch["control"] = control
+        cfg = patched_config(tmp_path, "simulate_equilibrium.json", patch)
+        out = tmp_path / "o"
+        assert run(["compare", str(cfg), "--output", str(out)]) == 0
+        traj = trajectory_from_dir(out / "trajectory")
+        assert traj.times.tolist() == [0.0]
+        assert traj.control.t_final == 1e-300
+        with open(out / "comparison_max_w.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 1
+
+    def test_desired_center_length_is_checked_at_load(self, tmp_path, capsys):
+        # a desired state is built without a grid, so the loader checks it
+        cfg = patched_config(tmp_path, "optimize_small.json", {"cost": {
+            "desired_u": {"preset": "gaussian_bump", "center": [0.5, 0.5]}}})
+        assert run(["optimize", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        assert "cost.desired_u.center needs one entry per axis (1)" \
+            in capsys.readouterr().err
+
+
 class TestSweep:
     def test_table_monotone(self, tmp_path):
         out = str(tmp_path / "sweep")

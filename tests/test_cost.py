@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from chemoctrl import (
     Grid,
     ModelParams,
     check_admissible,
+    control_preset,
     desired_preset,
     evaluate_J,
     field_preset,
@@ -91,7 +93,7 @@ class TestEvaluateJ:
         traj = simulate(Field.zeros(grid), Field.full(grid, 1.0), None, p, 0.02)
         cp = cost_params(grid, u_d=DesiredState.constant(0.0),
                          v_d=DesiredState.constant(1.0))
-        bd = evaluate_J(traj, None, cp, p.s)
+        bd = evaluate_J(traj, traj.control, cp, p.s)
         assert bd.total == pytest.approx(0.0, abs=1e-13)
 
     def test_pure_control_term(self, grid):
@@ -116,7 +118,7 @@ class TestEvaluateJ:
         traj = simulate(u0, v0, None, p, 0.01)
         gamma_u = 2.0
         cp = cost_params(grid, gamma_u=gamma_u)
-        bd = evaluate_J(traj, None, cp, s)
+        bd = evaluate_J(traj, traj.control, cp, s)
 
         # independent direct summation of the iterated integral
         pu = 5.0 * s / 3.0
@@ -143,7 +145,7 @@ class TestEvaluateJ:
         p = ModelParams(s=1.0, t_final=0.1)
         traj = simulate(Field.zeros(grid), Field.full(grid, 1.0), None, p, 0.01)
         cp = cost_params(grid, v_d=DesiredState.constant(1.0))
-        bd = evaluate_J(traj, None, cp, p.s)
+        bd = evaluate_J(traj, traj.control, cp, p.s)
         assert bd.total >= 0.0
         assert (abs(bd.total) <= 1e-14) == all(
             abs(t) <= 1e-14 for t in (bd.state_u, bd.state_v, bd.control))
@@ -233,7 +235,7 @@ class TestCheckAdmissible:
     def test_equilibrium_passes(self, grid):
         p = ModelParams(s=1.0, t_final=0.2)
         traj = simulate(Field.zeros(grid), Field.full(grid, 2.0), None, p, 0.02)
-        report = check_admissible(traj, None, cost_params(grid), p, beta=1e-3, K=0.0)
+        report = check_admissible(traj, traj.control, cost_params(grid), p, beta=1e-3, K=0.0)
         assert report.passed
         assert report.in_ball and report.weak_pass and report.energy_pass
 
@@ -251,19 +253,55 @@ class TestCheckAdmissible:
         u0 = field_preset(grid, "gaussian", amplitude=1.0, base=0.2, width=0.15)
         v0 = field_preset(grid, "cosine", base=1.0, amplitude=0.3)
         traj = simulate(u0, v0, None, p, 0.005)
-        report = check_admissible(traj, None, cost_params(grid), p, beta=1e-3, K=0.0)
+        report = check_admissible(traj, traj.control, cost_params(grid), p, beta=1e-3, K=0.0)
         assert report.weak_pass
         assert report.weak_res <= report.weak_tol
 
     def test_report_json(self, grid, tmp_path):
         p = ModelParams(s=1.0, t_final=0.1)
         traj = simulate(Field.zeros(grid), Field.full(grid, 1.0), None, p, 0.02)
-        report = check_admissible(traj, None, cost_params(grid), p, beta=1e-3, K=0.0)
+        report = check_admissible(traj, traj.control, cost_params(grid), p, beta=1e-3, K=0.0)
         path = tmp_path / "adm.json"
         report.to_json(path)
         import json
         with open(path) as fh:
             assert json.load(fh)["passed"] is True
+
+
+class TestPresetParameters:
+    """The preset builders refuse what the config loader refuses, with the
+    message it prefixes with the config section."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda g: field_preset(g, "gaussian", center=[0.5]),
+         "center needs one entry per axis (2), got [0.5]"),
+        (lambda g: field_preset(g, "gaussian", width=0.0), "width must be positive"),
+        (lambda g: field_preset(g, "gaussian", width="0.1"), "width must be a number"),
+        (lambda g: field_preset(g, "random", seed=1.5), "seed must be an integer"),
+        (lambda g: field_preset(g, "random", seed=-1), "seed must be at least 0"),
+        (lambda g: field_preset(g, "random", high=True), "high must be a number"),
+        (lambda g: field_preset(g, "cosine", modes=[1, np.nan]), "modes must be finite"),
+        (lambda g: field_preset(g, "gauss"), "preset must be one of"),
+        (lambda g: field_preset(g, "zero", value=1.0),
+         "value is not a parameter of the 'zero' preset"),
+        (lambda g: control_preset(g, "random", 1.0, times=2.5), "times must be an integer"),
+        (lambda g: control_preset(g, "random", 1.0, times=1), "times must be at least 2"),
+        (lambda g: control_preset(g, "constant", 1.0, amplitude=np.inf),
+         "amplitude must be finite"),
+        (lambda g: desired_preset("gaussian_bump", width=0.0), "width must be positive"),
+        (lambda g: desired_preset("gaussian_bump", center=0.5),
+         "center needs one entry per axis"),
+        (lambda g: desired_preset("time_decaying", rate=-1.0), "rate must be at least 0"),
+    ])
+    def test_refused_as_the_config_loader_refuses(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(Grid.unit_box((8, 6)))
+
+    def test_checked_values_build_as_given(self):
+        g = Grid.unit_box((8, 6))
+        got = field_preset(g, "random", seed=3.0, low=0, high=2)
+        want = field_preset(g, "random", seed=3, low=0.0, high=2.0)
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestDesiredPresets:
@@ -299,9 +337,9 @@ class TestDesiredPresets:
     @pytest.mark.parametrize("make", [
         lambda t, g: np.full(g.dims, np.nan),
         lambda t, g: np.where(np.arange(g.n_cells) == 3, np.inf, 0.0).reshape(g.dims),
-        # a zero-width bump centered on a cell (0/0 there), which the config
-        # loader refuses
-        lambda t, g: desired_preset("gaussian_bump", width=0.0, center=[0.53125]).at(t, g),
+        # a zero-width bump centered on cell 8 (0/0 there), which the presets
+        # refuse, so its values are given here
+        lambda t, g: np.exp(-0.5 * ((g.axis_centers(0) - 0.53125) / 0.0) ** 2),
     ])
     def test_non_finite_value_is_refused(self, grid, make):
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError, match=r"desired state at t=0\.25 is not finite at cell"):

@@ -231,8 +231,8 @@ class TestEnergyReport:
 def random_levels(dims, s, controlled, seed=5):
     """A hand-built trajectory of four random levels on a grid of uneven
     spacing, off every symmetry.  ``u`` holds exact zeros of both signs in
-    every level and ``v`` exact zeros; the control is sampled between the
-    points of its own time lattice."""
+    every level and ``v`` exact zeros; the control, the zero control unless
+    ``controlled``, is sampled between the points of its own time lattice."""
     rng = np.random.default_rng(seed)
     g = Grid(dims, tuple(rng.uniform(0.05, 1.5, len(dims))))
     g = g.with_mask(rng.uniform(size=dims) < 0.6)
@@ -243,7 +243,7 @@ def random_levels(dims, s, controlled, seed=5):
     v = rng.uniform(0.0, 2.0, u.shape)
     v[rng.uniform(size=v.shape) < 0.1] = 0.0
     ctrl = Control(g, [0.0, 0.15, 0.5], rng.uniform(-2.0, 2.0, (3,) + dims)) \
-        if controlled else None
+        if controlled else Control.zero(g, 0.4)
     p = params(s=s, t_final=0.4)
     return p, Trajectory(grid=g, params=p, times=times, u=u, v=v,
                          dt_history=np.diff(times), mass_trace=np.zeros(times.size),

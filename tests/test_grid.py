@@ -53,6 +53,23 @@ class TestGridConstruction:
         with pytest.raises(ValueError, match="at least 2 cells"):
             Grid((1, 4), (0.1, 0.1))
 
+    # a fractional count was once truncated (16.5 cells became 16) and a bool
+    # read as 1 cell; both are refused for what they are
+    @pytest.mark.parametrize("make", [
+        lambda: Grid((16.5,), (1 / 16,)),
+        lambda: Grid.unit_box((16.5,)),
+        lambda: Grid((True, 4), (0.5, 0.25)),
+        lambda: Grid((4, np.True_), (0.25, 0.5)),
+        lambda: Grid(("4",), (0.25,)),
+    ])
+    def test_rejects_non_integral_or_bool_axis(self, make):
+        with pytest.raises(ValueError, match="dims must be integers"):
+            make()
+
+    def test_accepts_numpy_integer_axes(self):
+        g = Grid((np.int64(16), np.int32(4)), (1 / 16, 0.25))
+        assert g.dims == (16, 4) and all(type(n) is int for n in g.dims)
+
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError, match="spacing"):
             Grid((4,), (0.0,))

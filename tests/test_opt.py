@@ -141,7 +141,7 @@ class TestReducedObjective:
         J = reduced_objective(np.zeros(4), context)
         traj = simulate(context.u0, context.v0, None, context.model_params,
                         context.dt_max)
-        base = evaluate_J(traj, None, context.cost_params,
+        base = evaluate_J(traj, traj.control, context.cost_params,
                           context.model_params.s).total
         assert J == pytest.approx(base, rel=1e-12)
 
@@ -320,6 +320,24 @@ class TestOptimize:
         c2, t2 = optimize(*args, dt_max=0.05)
         assert np.array_equal(c1.values, c2.values)
         assert [r.J for r in t1.rows] == [r.J for r in t2.rows]
+
+
+class TestHorizonZero:
+    """At ``t_final = 0`` every control gives the same objective, so there is
+    nothing to optimize: both entry points refuse it before any run."""
+
+    @pytest.mark.parametrize("entry", ["optimize", "ordering_experiment"])
+    def test_refused_before_any_run(self, grid, count_calls, entry):
+        calls = count_calls(sim.simulate)
+        p = ModelParams(s=2.0, t_final=0.0)
+        args = (OptimizerConfig(), cost_params(), p, Field.zeros(grid),
+                Field.full(grid, 1.0), 0.05)
+        with pytest.raises(ValueError, match="t_final must be positive"):
+            if entry == "optimize":
+                optimize(*args)
+            else:
+                ordering_experiment([0.5, 1.0], *args)
+        assert sum(calls.values()) == 0
 
 
 class TestOrdering:

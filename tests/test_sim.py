@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import (axis_laplacians, chemotaxis_array_oracle, simulate_adjoint
                       weak_residual_oracle)
 
 from chemoctrl import energy, grid as grid_module, sim
-from chemoctrl.cost import _weak_probes
+from chemoctrl.cost import CostParams, DesiredState, _weak_probes, evaluate_J
 from chemoctrl.grid import Workspace, chemotaxis_array
 from chemoctrl import (
     Control,
@@ -611,7 +612,7 @@ class TestSimulate:
 
 
 class TestSimulateAdjoint:
-    def test_needs_controlled_run_saved_every_step(self, grid):
+    def test_needs_run_saved_every_step(self, grid):
         p = params(t_final=0.1)
         u0, v0 = Field.full(grid, 0.5), Field.full(grid, 1.0)
         ctrl = Control.constant(grid, 0.3, 0.1)
@@ -621,9 +622,20 @@ class TestSimulateAdjoint:
         with pytest.raises(ValueError, match="dt_history must hold one step per saved"):
             dataclasses.replace(full, times=full.times[::3], u=full.u[::3],
                                 v=full.v[::3])
-        traj = simulate(u0, v0, None, p, 0.01)
-        with pytest.raises(ValueError, match="needs a controlled run"):
-            sim.simulate_adjoint(traj, np.zeros_like(traj.u), np.zeros_like(traj.v))
+
+    def test_uncontrolled_pass_is_the_zero_control_pass(self, grid):
+        # the pass once refused an uncontrolled run; that run is now the run
+        # under the zero control, and so is its reverse pass, bit for bit
+        p = params(t_final=0.1)
+        u0 = field_preset(grid, "gaussian", amplitude=2.0, width=0.15, base=0.1)
+        v0 = Field.full(grid, 1.0)
+        runs = [simulate(u0, v0, control, p, 0.01)
+                for control in (None, Control.zero(grid, 0.1))]
+        u_bar, v_bar = np.random.default_rng(5).normal(size=(2,) + runs[0].u.shape)
+        passes = [sim.simulate_adjoint(traj, u_bar, v_bar) for traj in runs]
+        assert passes[0].shape == (2,) + grid.dims
+        assert np.any(passes[0] != 0.0)
+        assert passes[0].tobytes() == passes[1].tobytes()
 
     def test_zero_seed_gives_zero_gradient(self, grid):
         p = params(t_final=0.1)
@@ -817,17 +829,19 @@ class TestTrajectoryIO:
         assert np.array_equal(back.control.values, traj.control.values)
         assert back.params == traj.params
 
-    def test_uncontrolled_roundtrip_writes_no_control(self, tmp_path, grid):
+    def test_uncontrolled_roundtrip_writes_the_zero_control(self, tmp_path, grid):
         traj = simulate(Field.full(grid, 0.5), Field.full(grid, 1.0), None,
                         params(t_final=0.1), 0.02)
         out = tmp_path / "traj"
         trajectory_to_dir(traj, out)
-        assert not (out / "control.npy").exists()
+        assert np.load(out / "control.npy").tobytes() == np.zeros((2, 32)).tobytes()
         back = trajectory_from_dir(out)
-        assert back.control is None
+        assert back.control.times.tolist() == [0.0, 0.1]
+        assert back.control.values.tobytes() == np.zeros((2, 32)).tobytes()
         assert np.array_equal(back.u, traj.u) and np.array_equal(back.v, traj.v)
 
     def test_uncontrolled_over_controlled_removes_the_old_control(self, tmp_path, grid):
+        # the zero control overwrites the old control
         ctrl = control_preset(grid, "random", 0.1, seed=4, amplitude=1.0, times=3)
         out = tmp_path / "traj"
         for control in (ctrl, None):
@@ -835,8 +849,10 @@ class TestTrajectoryIO:
                             params(t_final=0.1), 0.02)
             trajectory_to_dir(traj, out)
         assert sorted(p.name for p in out.iterdir()) == \
-            ["control_mask.npy", "manifest.json", "u.npy", "v.npy"]
-        assert trajectory_from_dir(out).control is None
+            ["control.npy", "control_mask.npy", "manifest.json", "u.npy", "v.npy"]
+        back = trajectory_from_dir(out).control
+        assert back.times.tolist() == [0.0, 0.1]
+        assert back.values.tobytes() == np.zeros((2, 32)).tobytes()
 
     def test_files_it_does_not_write_are_kept(self, tmp_path, grid):
         out = tmp_path / "traj"
@@ -847,7 +863,8 @@ class TestTrajectoryIO:
                         params(t_final=0.1), 0.02)
         trajectory_to_dir(traj, out)
         assert sorted(p.name for p in out.iterdir()) == \
-            ["control_mask.npy", "manifest.json", "notes.txt", "u.npy", "v.npy", "w.npy"]
+            ["control.npy", "control_mask.npy", "manifest.json", "notes.txt", "u.npy",
+             "v.npy", "w.npy"]
         assert (out / "notes.txt").read_text() == "old\n"
 
     @pytest.mark.parametrize("dims, bounds", [
@@ -897,6 +914,8 @@ class TestTrajectoryIO:
             trajectory_from_dir(out)
 
     def test_null_control_times_beside_a_control_is_refused(self, tmp_path, grid):
+        # null was an uncontrolled run's control_times, before every run
+        # stored its control; it is refused beside a control.npy and alone
         ctrl = control_preset(grid, "constant", 0.1, amplitude=2.0)
         traj = simulate(Field.full(grid, 0.5), Field.full(grid, 1.0), ctrl,
                         params(t_final=0.1), 0.02)
@@ -905,8 +924,11 @@ class TestTrajectoryIO:
         manifest = json.loads((out / "manifest.json").read_text())
         manifest["control_times"] = None
         (out / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(TrajectoryFormatError, match="control_times is null beside"):
-            trajectory_from_dir(out)
+        for _ in range(2):
+            with pytest.raises(TrajectoryFormatError,
+                               match="control_times must be a list of finite numbers"):
+                trajectory_from_dir(out)
+            (out / "control.npy").unlink(missing_ok=True)
 
     def test_malformed_rejected(self, tmp_path):
         d = tmp_path / "broken"
@@ -940,6 +962,46 @@ class TestTrajectoryIO:
         corrupt_npy(out / name, kind)
         with pytest.raises(TrajectoryFormatError, match=name):
             trajectory_from_dir(out)
+
+
+class TestUncontrolledRun:
+    """An uncontrolled run is the run under the zero control: ``None`` is
+    turned into ``Control.zero`` once, on entry, and every output follows."""
+
+    @pytest.mark.parametrize("dims", [(64,), (32, 24), (24, 24, 24)])
+    def test_none_is_the_zero_control(self, tmp_path, dims):
+        g = Grid.unit_box(dims)
+        if len(dims) == 2:
+            g = g.with_mask(g.box_mask([(0.25, 0.75), (0.0, 0.5)]))
+        p = params(s=2.0 if len(dims) == 2 else 1.0, t_final=0.02)
+        u0 = field_preset(g, "gaussian", amplitude=2.0, width=0.15)
+        v0 = field_preset(g, "random", seed=3, low=0.9, high=1.1)
+        cost = CostParams(gamma_u=1.0, gamma_v=1.0, gamma_f=0.1, q=3.0, M=3.0,
+                          u_d=DesiredState.constant(0.0), v_d=DesiredState.constant(1.5))
+        outputs = []
+        for name, control in (("none", None), ("zero", Control.zero(g, p.t_final))):
+            traj = simulate(u0, v0, control, p, 0.005)
+            paired = solve_comparison(v0, control, p, 0.005, dt_history=traj.dt_history)
+            adaptive = solve_comparison(v0, control, p, 0.005)
+            report = energy.build_energy_report(traj, p)
+            J = evaluate_J(traj, traj.control, cost, p.s)
+            trajectory_to_dir(traj, tmp_path / name)
+            outputs.append([
+                traj.times, traj.u, traj.v, traj.dt_history, traj.mass_trace,
+                traj.control.times, traj.control.values, paired.times, paired.w,
+                adaptive.times, adaptive.w, report.energy,
+                *(getattr(report, key) for key in energy._INTEGRALS),
+                np.array([J.state_u, J.state_v, J.control])])
+        for got, want in zip(*outputs):
+            assert got.tobytes() == want.tobytes()
+        names = sorted(path.name for path in (tmp_path / "none").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "zero").iterdir())
+        assert len(names) == 5
+        for name in names:
+            got, want = ((tmp_path / run / name).read_bytes() for run in ("none", "zero"))
+            if name == "manifest.json":
+                got, want = (re.sub(rb'"created_at": "[^"]*"', b"", m) for m in (got, want))
+            assert got == want, name
 
 
 class TestTracedNames:
