@@ -219,8 +219,7 @@ def _build_control(grid, section, t_final, base_dir):
                           for t in section.get("times", Control.lattice(t_final, 2))])
         control = Control(grid, times, _npy_levels(
             section, base_dir, "control", (times.size, *grid.dims), keys=("npy", "times")))
-        # the tolerance simulate allows
-        if control.t_final < t_final - 1e-12 * max(1.0, t_final):
+        if not control.covers(t_final):
             raise ConfigError(f"control.times end at {control.t_final!r}, before "
                               f"model.t_final {t_final!r}")
         return control

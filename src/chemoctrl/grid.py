@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -65,7 +66,8 @@ class Grid:
     control_mask: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if any(isinstance(n, (bool, np.bool_)) or n != int(n) for n in self.dims):
+        if any(isinstance(n, (bool, np.bool_)) or not isinstance(n, numbers.Real)
+               or not float(n).is_integer() for n in self.dims):
             raise ValueError(f"dims must be integers, got {self.dims}")
         dims = tuple(int(n) for n in self.dims)
         spacing = tuple(float(h) for h in self.spacing)

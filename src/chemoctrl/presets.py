@@ -87,9 +87,16 @@ def preset_parameters(table, name, kw, ndim=None):
     return checked
 
 
+def _per_axis(grid, key, value, default):
+    """``value``, one entry per axis, or ``default`` on every axis for ``None``."""
+    if value is not None and len(value) != grid.ndim:
+        raise ValueError(f"{key} needs one entry per axis ({grid.ndim}), got {value!r}")
+    return [default] * grid.ndim if value is None else value
+
+
 def _gaussian_values(grid, amplitude, center, width, base):
     centers = grid.cell_centers()
-    center = [0.5] * grid.ndim if center is None else center
+    center = _per_axis(grid, "center", center, 0.5)
     r_sq = np.zeros(grid.dims)
     for k in range(grid.ndim):
         c = center[k] * grid.lengths[k]
@@ -100,7 +107,7 @@ def _gaussian_values(grid, amplitude, center, width, base):
 
 def _cosine_values(grid, base, amplitude, modes):
     centers = grid.cell_centers()
-    modes = [1] * grid.ndim if modes is None else modes
+    modes = _per_axis(grid, "modes", modes, 1)
     prof = np.ones(grid.dims)
     for k in range(grid.ndim):
         prof *= np.cos(modes[k] * np.pi * centers[k] / grid.lengths[k])
@@ -123,8 +130,8 @@ def field_preset(grid, name, **kw):
 
 
 def desired_preset(name, **kw):
-    """Desired-state presets of :data:`DESIRED_PRESETS`.  A target is built
-    without a grid, so the length of a ``center`` is not checked here."""
+    """Desired-state presets of :data:`DESIRED_PRESETS`.  A target has no
+    grid until it is evaluated, which checks the length of a ``center``."""
     kw = preset_parameters(DESIRED_PRESETS, name, kw)
     if name == "constant":
         return DesiredState.constant(kw["value"])

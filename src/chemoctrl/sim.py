@@ -66,7 +66,7 @@ from .grid import (
     integrate,
     spacetime_lp_norm,
 )
-from .io import load_levels, save_levels, write_json
+from .io import LevelStackError, load_levels, save_levels, write_json
 from .model import ModelParams, truncate, truncate_derivative
 
 
@@ -168,6 +168,10 @@ class Control:
     def t_final(self):
         return float(self.times[-1])
 
+    def covers(self, horizon):
+        """True if the time lattice reaches ``horizon``, to a relative ``1e-12``."""
+        return self.t_final >= horizon - 1e-12 * max(1.0, horizon)
+
     def _bracket(self, t):
         """Where ``t`` falls on the time lattice, as ``(j, w)``.
 
@@ -229,31 +233,40 @@ class Control:
         return Control(self.grid, self.times, self.values * factor)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Saved states of one run plus the control and stepping metadata: one
-    step per saved interval and one mass per saved level, checked."""
+    """Saved states of one run plus the control and stepping metadata, frozen
+    as a :class:`Control` is.  The read-only ``dt_history`` is the one record
+    of the clock: :attr:`times` and :attr:`mass_trace` derive on first read."""
 
     grid: Grid
     params: ModelParams
-    times: np.ndarray
     u: np.ndarray
     v: np.ndarray
     dt_history: np.ndarray
-    mass_trace: np.ndarray
     control: Control
     events: list = field(default_factory=list)
 
     def __post_init__(self):
-        n = np.size(self.times)
-        for name, size, what in (("dt_history", n - 1, "step per saved interval"),
-                                 ("mass_trace", n, "entry per saved level")):
-            if (shape := np.shape(getattr(self, name))) != (size,):
-                raise ValueError(f"{name} must hold one {what} ({size}), found {shape}")
+        dts = np.array(self.dt_history, dtype=float)
+        dts.setflags(write=False)
+        object.__setattr__(self, "dt_history", dts)
+        for name in ("u", "v"):
+            if (shape := np.shape(getattr(self, name))) != (dts.size + 1, *self.grid.dims):
+                raise ValueError(f"{name} must hold {dts.size + 1} levels of {self.grid.dims}, "
+                                 f"one more than the steps of dt_history, found shape {shape}")
 
     @property
     def n_levels(self):
-        return int(self.times.size)
+        return self.dt_history.size + 1
+
+    @functools.cached_property
+    def times(self):
+        return np.concatenate(([0.0], np.cumsum(self.dt_history)))  # t += dt, in order
+
+    @functools.cached_property
+    def mass_trace(self):
+        return np.array([integrate(self.grid, u) for u in self.u])
 
 
 @dataclass
@@ -591,13 +604,13 @@ def _adaptive_steps(advance, state, t_final, dt_max, events):
 def _entry_control(grid, control, horizon):
     """The control a run uses: ``control`` checked, or :meth:`Control.zero`
     up to ``horizon`` for ``None``.  A ``GridMismatchError`` unless it lives
-    on ``grid``, a ``ValueError`` unless its time lattice reaches
-    ``horizon``, to a relative ``1e-12``."""
+    on ``grid``, a ``ValueError`` unless it :meth:`~Control.covers`
+    ``horizon``."""
     if control is None:
         return Control.zero(grid, horizon)
     if not grid.compatible_with(control.grid):
         raise GridMismatchError("control lives on a different grid")
-    if control.t_final < horizon - 1e-12 * max(1.0, horizon):
+    if not control.covers(horizon):
         raise ValueError("control time lattice does not cover the horizon")
     return control
 
@@ -645,24 +658,16 @@ def simulate(u0, v0, control, params, dt_max):
         f = control.sample(t, t + dt_step, ws)
         return step(grid, *state, f, params, dt_step, ws, (us.next_row(), vs.next_row()))
 
-    times = [0.0]
     dts = []
-    masses = [integrate(grid, u0.values)]
     events = []
-    for t, dt_step, (u, v) in _adaptive_steps(advance, (u0.values, v0.values),
-                                              params.t_final, dt_max, events):
-        times.append(t)
+    for _, dt_step, _ in _adaptive_steps(advance, (u0.values, v0.values),
+                                         params.t_final, dt_max, events):
         us.commit()
         vs.commit()
         dts.append(dt_step)
-        masses.append(integrate(grid, u))
 
-    return Trajectory(
-        grid=grid, params=params,
-        times=np.asarray(times), u=us.stack(), v=vs.stack(),
-        control=control, dt_history=np.asarray(dts), events=events,
-        mass_trace=np.asarray(masses),
-    )
+    return Trajectory(grid=grid, params=params, u=us.stack(), v=vs.stack(),
+                      control=control, dt_history=dts, events=events)
 
 
 def simulate_adjoint(traj, u_bar, v_bar):
@@ -885,8 +890,7 @@ def weak_residual(traj, probe):
 
 _EVENT_KEYS = {"t", "dt", "reason", "admissible_dt"}
 _PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
-_MANIFEST_KEYS = ("grid", "params", "times", "dt_history", "events", "mass_trace",
-                  "control_times", "created_at")
+_MANIFEST_KEYS = ("grid", "params", "dt_history", "events", "control_times", "created_at")
 
 
 def _finite(x):
@@ -928,10 +932,8 @@ def trajectory_to_dir(traj, outdir):
     manifest = {
         "grid": traj.grid.header_dict(),
         "params": asdict(traj.params),
-        "times": [float(t) for t in traj.times],
         "dt_history": [float(d) for d in traj.dt_history],
         "events": traj.events,
-        "mass_trace": [float(m) for m in traj.mass_trace],
         "control_times": [float(t) for t in traj.control.times],
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -944,11 +946,11 @@ def trajectory_from_dir(path):
     The manifest must hold exactly the keys :func:`trajectory_to_dir` writes.
     Every number in it must be a finite JSON number, ``grid.dims``
     integers, and every entry of ``control_mask.npy`` exactly 0 or 1, as
-    :class:`~chemoctrl.grid.Grid` checks; the step and mass records must fit
-    the levels, as :class:`Trajectory` checks.  A manifest whose ``grid``
-    still holds the mask as a list, the format before ``control_mask.npy``,
-    is refused, and so is ``control_times: null``, the format of an
-    uncontrolled run before every run stored its control.
+    :class:`~chemoctrl.grid.Grid` checks; the steps must advance a finite
+    clock and fit the levels, as :class:`Trajectory` checks.  Older formats
+    are refused: a ``grid`` holding the mask as a list, ``control_times:
+    null`` for an uncontrolled run, and the ``times`` and ``mass_trace``
+    that :class:`Trajectory` now derives.
     """
     manifest_path = os.path.join(path, "manifest.json")
     try:
@@ -976,22 +978,18 @@ def trajectory_from_dir(path):
                 raise TrajectoryFormatError(
                     f"{manifest_path}: params.{key} must be a finite number, got {pd[key]!r}")
         params = ModelParams(**{key: pd[key] for key in _PARAM_KEYS})
-        times = _numbers(manifest_path, "times", manifest["times"])
-        if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise TrajectoryFormatError(
-                f"{manifest_path}: times must start at 0 and increase strictly")
         dt_history = _numbers(manifest_path, "dt_history", manifest["dt_history"])
-        if np.any(dt_history <= 0):
-            raise TrajectoryFormatError(f"{manifest_path}: dt_history must hold steps > 0")
-        mass_trace = _numbers(manifest_path, "mass_trace", manifest["mass_trace"])
         events = manifest["events"]
         if not isinstance(events, list) or not all(map(_valid_event, events)):
             raise TrajectoryFormatError(
                 f"{manifest_path}: events must be objects with finite t >= 0, "
                 "finite dt > 0, a string reason and a finite admissible_dt")
-        shape = (times.size, *dims)
-        u = load_levels(os.path.join(path, "u.npy"), shape, nonnegative=True)
-        v = load_levels(os.path.join(path, "v.npy"), shape, nonnegative=True)
+        shape = (dt_history.size + 1, *dims)
+        try:
+            u = load_levels(os.path.join(path, "u.npy"), shape, nonnegative=True)
+            v = load_levels(os.path.join(path, "v.npy"), shape, nonnegative=True)
+        except LevelStackError as err:  # the level count is one more than the steps
+            raise TrajectoryFormatError(f"{err}; dt_history has {dt_history.size} steps") from None
         grid = Grid(tuple(dims), tuple(spacing))
         mask_path = os.path.join(path, "control_mask.npy")
         mask = load_levels(mask_path, grid.dims)
@@ -1002,8 +1000,13 @@ def trajectory_from_dir(path):
         ctimes = _numbers(manifest_path, "control_times", manifest["control_times"])
         control = Control(grid, ctimes, load_levels(os.path.join(path, "control.npy"),
                                                     (ctimes.size,) + grid.dims))
-        return Trajectory(grid=grid, params=params, times=times, u=u, v=v, control=control,
-                          dt_history=dt_history, events=events, mass_trace=mass_trace)
+        traj = Trajectory(grid=grid, params=params, u=u, v=v, control=control,
+                          dt_history=dt_history, events=events)
+        with np.errstate(over="ignore"):  # a clock that overflows ends at inf
+            if not (math.isfinite(traj.times[-1]) and np.all(np.diff(traj.times) > 0)):
+                raise TrajectoryFormatError(
+                    f"{manifest_path}: dt_history must hold steps > 0 that advance the clock")
+        return traj
     except TrajectoryFormatError:
         raise
     except (OSError, KeyError, TypeError, ValueError, IndexError, OverflowError) as err:

@@ -29,9 +29,9 @@ README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 STACK_ONLY_DEFECTS = ["big-endian", "object", "fortran order"]
 
 # manifest defects a trajectory loader rejects; the first word names the field
-MANIFEST_DEFECTS = ["times reversed", "times repeated", "times nan", "times infinite",
-                    "times string", "dt_history zero", "dt_history nan", "dt_history short",
-                    "mass_trace short", "mass_trace long", "mass_trace infinite",
+MANIFEST_DEFECTS = ["times old format", "mass_trace old format",
+                    "dt_history zero", "dt_history nan", "dt_history short",
+                    "dt_history absorbed", "dt_history overflowing",
                     "control_times string",
                     "params.s string", "params.s bool", "params.t_final null",
                     "grid list", "grid.spacing string", "grid.dims fractional",
@@ -45,30 +45,25 @@ GOOD_EVENT = {"t": 0.1, "dt": 0.02, "reason": "chemotaxis CFL violated",
 
 def corrupt_manifest(manifest, kind):
     """Plant one defect of ``kind`` in a loaded trajectory manifest."""
-    times, dts, masses = manifest["times"], manifest["dt_history"], manifest["mass_trace"]
-    if kind == "times reversed":
-        times.reverse()
-    elif kind == "times repeated":
-        times[2] = times[1]
-    elif kind == "times nan":
-        times[0] = math.nan
-    elif kind == "times infinite":
-        times[-1] = math.inf
+    dts = manifest["dt_history"]
+    if kind == "times old format":
+        # the format before dt_history was the one record of the clock
+        manifest["times"] = [0.0, *np.cumsum(dts).tolist()]
+    elif kind == "mass_trace old format":
+        manifest["mass_trace"] = [1.0] * (len(dts) + 1)
     elif kind == "dt_history zero":
         dts[0] = 0.0
     elif kind == "dt_history nan":
         dts[-1] = math.nan
     elif kind == "dt_history short":
-        # the step and mass records agree with each other, not with times
-        del dts[2:], masses[3:]
-    elif kind == "mass_trace short":
-        masses.pop()
-    elif kind == "mass_trace long":
-        masses.append(masses[-1])
-    elif kind == "mass_trace infinite":
-        masses[1] = math.inf
-    elif kind == "times string":
-        manifest["times"] = [str(t) for t in times]
+        # fewer steps than the level stacks have intervals
+        del dts[2:]
+    elif kind == "dt_history absorbed":
+        # a step too small to move the clock: two saved levels at one time
+        dts[1] = 1e-300
+    elif kind == "dt_history overflowing":
+        # finite steps whose sum is not
+        dts[:2] = [1e308, 1e308]
     elif kind == "control_times string":
         manifest["control_times"] = [str(t) for t in manifest["control_times"]]
     elif kind == "params.s string":
@@ -806,6 +801,24 @@ class TestEnergyAudit:
             assert "0.5 at (3,)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["times", "mass_trace"])
+    def test_old_format_clock_is_data_error(self, decay_dir, tmp_path, capsys, key):
+        # the format before dt_history was the one record of the clock also
+        # stored the saved times and the mass trace, which nothing checked
+        # against the steps; either key marks that format, which is refused
+        broken = tmp_path / "trajectory"
+        shutil.copytree(decay_dir, broken)
+        manifest = broken / "manifest.json"
+        content = json.loads(manifest.read_text())
+        content[key] = getattr(trajectory_from_dir(decay_dir), key).tolist()
+        manifest.write_text(json.dumps(content))
+        out = tmp_path / "audit"
+        code = run(["energy-audit", cfg_path("simulate_decay.toml"),
+                    "--trajectory", str(broken), "--output", str(out)])
+        assert code == 3
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_trajectory_makes_no_output_dir(self, tmp_path, capsys):
         out = tmp_path / "audit"
         code = run(["energy-audit", cfg_path("simulate_decay.toml"),
@@ -871,7 +884,7 @@ class TestEnergyAudit:
         manifest = broken / "manifest.json"
         content = json.loads(manifest.read_text())
         content["state_files"] = [f"state_{i:05d}.csv"
-                                  for i in range(len(content["times"]))]
+                                  for i in range(len(content["dt_history"]) + 1)]
         manifest.write_text(json.dumps(content))
         code = run(["energy-audit", cfg_path("simulate_decay.toml"),
                     "--trajectory", str(broken), "--output", str(tmp_path / "a")])

@@ -20,7 +20,7 @@ from chemoctrl import (
     simulate,
     spacetime_lp_norm,
 )
-from chemoctrl import cost as cost_module
+from chemoctrl import cost as cost_module, presets
 from chemoctrl.cost import evaluate_J_gradient, project_ball_transpose
 
 
@@ -292,6 +292,14 @@ class TestPresetParameters:
         (lambda g: desired_preset("gaussian_bump", center=0.5),
          "center needs one entry per axis"),
         (lambda g: desired_preset("time_decaying", rate=-1.0), "rate must be at least 0"),
+        # a target has no grid until it is evaluated, which checks its center;
+        # a field's profile checks its modes as well
+        (lambda g: desired_preset("gaussian_bump", center=[0.25]).at(0.0, g),
+         "center needs one entry per axis (2), got [0.25]"),
+        (lambda g: desired_preset("time_decaying", center=[0.5, 0.5, 0.9]).at(0.0, g),
+         "center needs one entry per axis (2), got [0.5, 0.5, 0.9]"),
+        (lambda g: presets._cosine_values(g, 1.0, 0.5, [1, 1, 1]),
+         "modes needs one entry per axis (2), got [1, 1, 1]"),
     ])
     def test_refused_as_the_config_loader_refuses(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -236,8 +236,8 @@ def random_levels(dims, s, controlled, seed=5):
     rng = np.random.default_rng(seed)
     g = Grid(dims, tuple(rng.uniform(0.05, 1.5, len(dims))))
     g = g.with_mask(rng.uniform(size=dims) < 0.6)
-    times = np.array([0.0, 0.1, 0.25, 0.4])
-    u = rng.uniform(0.0, 3.0, (times.size,) + dims)
+    dt_history = [0.1, 0.15, 0.15]
+    u = rng.uniform(0.0, 3.0, (len(dt_history) + 1,) + dims)
     u[rng.uniform(size=u.shape) < 0.2] = 0.0
     u[rng.uniform(size=u.shape) < 0.1] = -0.0
     v = rng.uniform(0.0, 2.0, u.shape)
@@ -245,9 +245,7 @@ def random_levels(dims, s, controlled, seed=5):
     ctrl = Control(g, [0.0, 0.15, 0.5], rng.uniform(-2.0, 2.0, (3,) + dims)) \
         if controlled else Control.zero(g, 0.4)
     p = params(s=s, t_final=0.4)
-    return p, Trajectory(grid=g, params=p, times=times, u=u, v=v,
-                         dt_history=np.diff(times), mass_trace=np.zeros(times.size),
-                         control=ctrl)
+    return p, Trajectory(grid=g, params=p, u=u, v=v, dt_history=dt_history, control=ctrl)
 
 
 class TestLevelQuantities:

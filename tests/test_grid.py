@@ -61,6 +61,9 @@ class TestGridConstruction:
         lambda: Grid((True, 4), (0.5, 0.25)),
         lambda: Grid((4, np.True_), (0.25, 0.5)),
         lambda: Grid(("4",), (0.25,)),
+        lambda: Grid((float("inf"),), (0.1,)),
+        lambda: Grid((4, float("nan")), (0.25, 0.1)),
+        lambda: Grid((None,), (0.1,)),
     ])
     def test_rejects_non_integral_or_bool_axis(self, make):
         with pytest.raises(ValueError, match="dims must be integers"):

@@ -40,14 +40,13 @@ class TestByteIdentity:
     def test_trajectory_files(self, tmp_path, dims):
         grid = Grid.unit_box(dims)
         grid = grid.with_mask(special_values(dims, 4) > 1e-3)
-        times = np.array([0.0, 0.05, 0.1])
         ctrl_vals = special_values((4,) + dims, 2)
         ctrl_vals.reshape(-1)[1::2] *= -1.0  # controls may be negative
         control = Control(grid, np.array([0.0, 0.03, 0.07, 0.1]), ctrl_vals)
-        traj = Trajectory(grid=grid, params=ModelParams(s=1.0, t_final=0.1), times=times,
+        traj = Trajectory(grid=grid, params=ModelParams(s=1.0, t_final=0.1),
                           u=special_values((3,) + dims, 0),
                           v=special_values((3,) + dims, 1), control=control,
-                          dt_history=np.diff(times), mass_trace=np.ones(3))
+                          dt_history=[0.05, 0.05])
         out = tmp_path / "traj"
         trajectory_to_dir(traj, out)
         assert sorted(p.name for p in out.iterdir()) == \
@@ -193,18 +192,18 @@ def test_trajectory_roundtrip_is_bit_exact(tmp_path_factory, data, dims, n_level
     grid = Grid.unit_box(tuple(max(n, 2) for n in dims))
     dims = grid.dims
     gaps = data.draw(arrays(np.float64, n_levels - 1, elements=st.floats(1e-6, 1.0)))
-    times = np.concatenate(([0.0], np.cumsum(gaps)))
     control = Control(grid, np.arange(float(n_control)),
                       data.draw(arrays(np.float64, (n_control,) + dims, elements=finite)))
-    traj = Trajectory(grid=grid, params=ModelParams(s=1.0, t_final=1.0), times=times,
+    traj = Trajectory(grid=grid, params=ModelParams(s=1.0, t_final=1.0),
                       u=data.draw(arrays(np.float64, (n_levels,) + dims,
                                          elements=nonnegative)),
                       v=data.draw(arrays(np.float64, (n_levels,) + dims,
                                          elements=nonnegative)),
-                      control=control, dt_history=gaps, mass_trace=np.ones(n_levels))
+                      control=control, dt_history=gaps)
     out = tmp_path_factory.mktemp("traj")
     trajectory_to_dir(traj, out)
     back = trajectory_from_dir(out)
+    assert np.array_equal(bits(back.dt_history), bits(gaps))
     assert np.array_equal(bits(back.times), bits(traj.times))
     assert np.array_equal(bits(back.u), bits(traj.u))
     assert np.array_equal(bits(back.v), bits(traj.v))

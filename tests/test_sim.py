@@ -191,6 +191,13 @@ def fresh_step(grid, u, v, f, p, dt):
                 (np.empty(grid.dims), np.empty(grid.dims)))
 
 
+    def test_covers_the_horizon_to_a_relative_1e_12(self, grid):
+        # the one rule simulate and the config loader hold a control to
+        ctrl = Control.zero(grid, 2.0)
+        assert ctrl.covers(0.0) and ctrl.covers(2.0) and ctrl.covers(2.0 * (1 + 5e-13))
+        assert not ctrl.covers(2.0 * (1 + 2e-12))
+
+
 class TestStep:
     def test_empty_domain_equilibrium(self, grid):
         # no cells: constant concentration is a fixed point without control
@@ -611,6 +618,59 @@ class TestSimulate:
                      params(t_final=0.5), 0.01)
 
 
+class TestTrajectory:
+    @pytest.mark.parametrize("dims", [(32,), (12, 10), (6, 5, 4)])
+    def test_clock_and_mass_trace_are_the_steppers(self, monkeypatch, dims):
+        # a steep chemical ramp rejects the first steps, and a horizon off
+        # the step ladder clips the last one.  The derived times are the
+        # stepper's own t += dt and the mass trace the integral of each level
+        # as it was accepted, the values simulate once stored, bit for bit
+        g = Grid.unit_box(dims)
+        clock, masses = [0.0], []
+        adaptive_steps = sim._adaptive_steps
+
+        def recording(advance, state, *args):
+            masses.append(integrate(g, state[0]))
+            for t, dt, new in adaptive_steps(advance, state, *args):
+                clock.append(t)
+                masses.append(integrate(g, new[0]))
+                yield t, dt, new
+
+        monkeypatch.setattr(sim, "_adaptive_steps", recording)
+        ramp = 20.0 * g.cell_centers()[0]
+        traj = simulate(Field.full(g, 1.0), Field(g, ramp), None, params(t_final=0.053),
+                        0.02)
+        halvings = np.log2(0.02 / traj.dt_history[-1])
+        assert traj.events and halvings != round(halvings)  # clipped: off the ladder
+        assert traj.times.tobytes() == np.array(clock).tobytes()
+        assert traj.mass_trace.tobytes() == np.array(masses).tobytes()
+
+    def test_frozen_with_a_read_only_clock_derived_once(self, grid):
+        traj = simulate(Field.full(grid, 1.0), Field.full(grid, 1.0), None,
+                        params(t_final=0.1), 0.02)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.dt_history = traj.dt_history[:2]
+        with pytest.raises(ValueError, match="read-only"):
+            traj.dt_history[-1] = 0.0
+        assert traj.times is traj.times and traj.mass_trace is traj.mass_trace
+        # a trajectory keeps its own copy of the steps it is given
+        steps = [0.02] * 5
+        built = dataclasses.replace(traj, dt_history=steps)
+        steps[0] = 1.0
+        assert built.dt_history.tolist() == [0.02] * 5
+
+    @pytest.mark.parametrize("name", ["u", "v"])
+    @pytest.mark.parametrize("shape", [(5, 32), (7, 32), (6, 31), (6,)])
+    def test_levels_must_be_one_more_than_the_steps(self, grid, name, shape):
+        traj = simulate(Field.full(grid, 1.0), Field.full(grid, 1.0), None,
+                        params(t_final=0.1), 0.02)
+        assert traj.dt_history.size == 5
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must hold 6 levels of (32,), one more than the steps of "
+                f"dt_history, found shape {shape}")):
+            dataclasses.replace(traj, **{name: np.ones(shape)})
+
+
 class TestSimulateAdjoint:
     def test_needs_run_saved_every_step(self, grid):
         p = params(t_final=0.1)
@@ -619,9 +679,8 @@ class TestSimulateAdjoint:
         full = simulate(u0, v0, ctrl, p, 0.01)
         # a trajectory saved every third step, as an older version wrote it,
         # is refused when it is built: it has more steps than intervals
-        with pytest.raises(ValueError, match="dt_history must hold one step per saved"):
-            dataclasses.replace(full, times=full.times[::3], u=full.u[::3],
-                                v=full.v[::3])
+        with pytest.raises(ValueError, match="one more than the steps of dt_history"):
+            dataclasses.replace(full, u=full.u[::3], v=full.v[::3])
 
     def test_uncontrolled_pass_is_the_zero_control_pass(self, grid):
         # the pass once refused an uncontrolled run; that run is now the run
@@ -895,7 +954,9 @@ class TestTrajectoryIO:
         corrupt_npy(out / "control.npy", "negative")
         assert trajectory_from_dir(out).control.values.reshape(-1)[-1] == -5e-324
 
-    @pytest.mark.parametrize("key", [*sim._MANIFEST_KEYS, "note"])
+    # times and mass_trace are keys of the format before dt_history was the
+    # one record of the clock; they are refused as unknown
+    @pytest.mark.parametrize("key", [*sim._MANIFEST_KEYS, "note", "times", "mass_trace"])
     def test_manifest_holds_exactly_the_keys_written(self, tmp_path, grid, key):
         # a manifest without control_times once loaded as an uncontrolled run
         ctrl = control_preset(grid, "constant", 0.1, amplitude=2.0)
