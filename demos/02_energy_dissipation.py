@@ -7,7 +7,6 @@ control norm to the smallest admissible forcing constant, which comes out
 nondecreasing.  Artifacts land in ``demo_out/energy/``.
 """
 
-import csv
 import os
 
 import numpy as np
@@ -22,6 +21,7 @@ from chemoctrl import (
     fit_constants,
     simulate,
 )
+from chemoctrl.io import write_csv
 
 OUT = os.path.join("demo_out", "energy")
 os.makedirs(OUT, exist_ok=True)
@@ -50,11 +50,8 @@ res = energy_inequality_audit(traj, params, beta=1e-3, K=0.0)
 print(f"  audit residual at beta=1e-3, K=0: {res:.3e} "
       "(nonpositive means the inequality holds)")
 
-with open(os.path.join(OUT, "energy_trace.csv"), "w", newline="") as fh:
-    writer = csv.writer(fh)
-    writer.writerow(["t", "energy"])
-    for t, e in zip(report.times, report.energy):
-        writer.writerow([repr(float(t)), repr(float(e))])
+write_csv(os.path.join(OUT, "energy_trace.csv"), ["t", "energy"],
+          zip(report.times.tolist(), report.energy.tolist()))
 
 print("\nfitting the forcing constant over a control-amplitude sweep ...")
 mask_grid = grid.with_mask(grid.box_mask([(0.0, 0.25)]))
@@ -70,10 +67,8 @@ for lam in (0.0, 1.0, 2.0, 4.0):
 
 fitted = fit_constants(trajs, sweep_params)
 print(f"  fitted beta: {fitted.beta:.6g}")
-with open(os.path.join(OUT, "fitted_K.csv"), "w", newline="") as fh:
-    writer = csv.writer(fh)
-    writer.writerow(["control_norm", "K"])
-    for norm, K in zip(fitted.control_norms, fitted.K_values):
-        writer.writerow([repr(float(norm)), repr(float(K))])
-        print(f"  |f|_q = {norm:8.4f}  ->  K = {K:.6g}")
+rows = list(zip(fitted.control_norms.tolist(), fitted.K_values.tolist()))
+for norm, K in rows:
+    print(f"  |f|_q = {norm:8.4f}  ->  K = {K:.6g}")
+write_csv(os.path.join(OUT, "fitted_K.csv"), ["control_norm", "K"], rows)
 print(f"artifacts written to {OUT}")

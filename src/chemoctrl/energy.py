@@ -230,9 +230,9 @@ def build_energy_report(traj, params):
     The only pass over the saved levels; every audit quantity derives from it.
     """
     E, ent, cross, hess, quart, forc = _level_quantities(traj, params)
-    times = traj.times
+    times = traj.times  # read-only, so the report can share it
     return EnergyReport(
-        times=times.copy(), energy=E,
+        times=times, energy=E,
         dissipation_entropy=trapezoid_intervals(times, ent),
         dissipation_cross=trapezoid_intervals(times, cross),
         dissipation_hessian=trapezoid_intervals(times, hess),

@@ -19,8 +19,9 @@ and the solve is monotone in its right-hand side.  Only numpy is needed.
 Every reaction divisor is at least ``1 - dt*max(f_+)``, which is positive
 whenever ``dt * max(f_+) < 1`` (checked).  The comparison problem runs the
 same concentration stage with the reaction ``-f_+``, whose divisor is never
-larger than the concentration's, so a paired comparison solution dominates
-the concentration exactly, not up to round-off.  The one sampling rule is
+larger than the concentration's, so a comparison solve that replays a
+run's steps as the run took them dominates its concentration exactly, not
+up to round-off.  The one sampling rule is
 the pair :meth:`Control.sample` (the slice a step sees) and its transpose
 :meth:`Control.scatter`, for every run: an uncontrolled run is the run under
 :meth:`Control.zero`, which :func:`simulate` and :func:`solve_comparison`
@@ -38,7 +39,9 @@ and that each new level is finite and exactly nonnegative.  A run builds one
 to every kernel, so a step allocates no array as large as a level; the two
 diffusion solves write each new level straight into its row of the run's
 level stack, which holds the levels of a run without rejections from the
-start and grows only when rejections add steps.
+start and grows only when rejections add steps.  A run and a comparison
+solve are recorded alike: frozen, with read-only levels, and with their
+steps ``dt_history`` the one record of their clock.
 """
 
 from __future__ import annotations
@@ -233,11 +236,50 @@ class Control:
         return Control(self.grid, self.times, self.values * factor)
 
 
+def _clock(dt_history):
+    """The read-only clock ``t += dt`` of the float array ``dt_history``, from
+    0; a ValueError unless its steps are > 0 and advance a finite clock."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a bad clock ends at inf or NaN
+        times = np.concatenate(([0.0], np.cumsum(dt_history)))
+    # a clock that ends finite is finite throughout
+    if dt_history.ndim != 1 or not (math.isfinite(times[-1]) and np.all(np.diff(times) > 0)):
+        raise ValueError("dt_history must hold steps > 0 that advance the clock")
+    times.setflags(write=False)
+    return times
+
+
+class _LevelRecord:
+    """Read-only views of the level stacks ``_LEVELS``, each one level longer
+    than the read-only steps ``dt_history``, whose :attr:`times` derive once."""
+
+    _LEVELS = ()
+
+    def __post_init__(self):
+        dts = np.array(self.dt_history, dtype=float)
+        dts.setflags(write=False)
+        object.__setattr__(self, "dt_history", dts)
+        for name in self._LEVELS:
+            levels = np.asarray(getattr(self, name)).view()
+            if (shape := levels.shape) != (dts.size + 1, *self.grid.dims):
+                raise ValueError(f"{name} must hold {dts.size + 1} levels of {self.grid.dims}, "
+                                 f"one more than the steps of dt_history, found shape {shape}")
+            levels.setflags(write=False)
+            object.__setattr__(self, name, levels)
+
+    @property
+    def n_levels(self):
+        return self.dt_history.size + 1
+
+    @functools.cached_property
+    def times(self):
+        return _clock(self.dt_history)
+
+
 @dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(_LevelRecord):
     """Saved states of one run plus the control and stepping metadata, frozen
-    as a :class:`Control` is.  The read-only ``dt_history`` is the one record
-    of the clock: :attr:`times` and :attr:`mass_trace` derive on first read."""
+    as a :class:`Control` is.  ``dt_history`` is the one record of the clock:
+    :attr:`times` and :attr:`mass_trace` derive on first read."""
 
     grid: Grid
     params: ModelParams
@@ -247,40 +289,26 @@ class Trajectory:
     control: Control
     events: list = field(default_factory=list)
 
-    def __post_init__(self):
-        dts = np.array(self.dt_history, dtype=float)
-        dts.setflags(write=False)
-        object.__setattr__(self, "dt_history", dts)
-        for name in ("u", "v"):
-            if (shape := np.shape(getattr(self, name))) != (dts.size + 1, *self.grid.dims):
-                raise ValueError(f"{name} must hold {dts.size + 1} levels of {self.grid.dims}, "
-                                 f"one more than the steps of dt_history, found shape {shape}")
-
-    @property
-    def n_levels(self):
-        return self.dt_history.size + 1
-
-    @functools.cached_property
-    def times(self):
-        return np.concatenate(([0.0], np.cumsum(self.dt_history)))  # t += dt, in order
+    _LEVELS = ("u", "v")
 
     @functools.cached_property
     def mass_trace(self):
-        return np.array([integrate(self.grid, u) for u in self.u])
+        mass = np.array([integrate(self.grid, u) for u in self.u])
+        mass.setflags(write=False)
+        return mass
 
 
-@dataclass
-class ComparisonTrajectory:
-    """Solution levels of the dominating linear problem.
-
-    ``events`` lists the step rejections of an adaptive solve, as
-    :attr:`Trajectory.events` does; a paired solve rejects none.
-    """
+@dataclass(frozen=True, eq=False)
+class ComparisonTrajectory(_LevelRecord):
+    """Levels ``w`` of the dominating linear problem, recorded as a run is; an
+    adaptive solve lists its step rejections in ``events``."""
 
     grid: Grid
-    times: np.ndarray
     w: np.ndarray
+    dt_history: np.ndarray
     events: list = field(default_factory=list)
+
+    _LEVELS = ("w",)
 
 
 # ---------------------------------------------------------------------------
@@ -757,73 +785,61 @@ def _comparison_step(grid, w, f_tilde, dt, ws, out):
 def solve_comparison(w0, control, params, dt_max, times=None, dt_history=None):
     """Solve the dominating linear problem driven by the positive control part.
 
-    The reaction uses ``f~ = max(f, 0)`` of the slice :meth:`Control.sample`
-    gives each step, and the same split scheme: ``w* = w / (1 - dt*f~)``,
-    then ``prod_k (I - dt*L_k) w_new = w*`` on the same cached inverses.  Pairing
-    it with a run of :func:`simulate` makes the cellwise domination of the
-    concentration exact in floating point: each step's divisor is never
-    larger than the concentration's, and division and the products with
-    the nonnegative axis inverses are all monotone.  Pass the run's accepted
-    step sizes ``dt_history``: the solver then advances ``t += dt`` exactly
-    as the run did, and returns every step.  The ``times`` of its saved
-    levels pair the steps only up to round-off, since ``np.diff(times)``
-    need not reproduce the step sizes bit for bit, so the domination then
-    holds to round-off and each shifted step size builds its own inverses.
-    Without either, the solver runs its own adaptive stepping to
-    ``params.t_final`` and records its step rejections in ``events``.  The
-    control must live on ``w0``'s grid and reach the horizon, the last
-    paired time or ``params.t_final``, as :func:`simulate` checks it;
-    ``None`` means :meth:`Control.zero` up to that horizon.  The solve builds
-    its own workspace, as :func:`simulate` does.
-
-    Returns
-    -------
-    ComparisonTrajectory
+    The reaction uses ``f~ = max(f, 0)`` of each step's :meth:`Control.sample`
+    slice in the same split scheme: ``w* = w / (1 - dt*f~)``, then
+    ``prod_k (I - dt*L_k) w_new = w*`` on the same cached inverses.  Paired
+    with a run of :func:`simulate` by its steps ``dt_history``, the solve
+    replays them, ``t += dt``, and dominates the concentration exactly, cell
+    by cell: each divisor is never larger than the concentration's, and the
+    division and the products with the nonnegative inverses are monotone.
+    The ``times`` of the run's levels pair as their steps ``np.diff(times)``,
+    which may differ from the run's in the last bit.  Steps that are not > 0
+    or do not advance a finite clock are refused before the control is
+    built.  Unpaired, the solve steps adaptively to ``params.t_final`` and
+    records its step rejections in ``events``; a paired solve rejects none.
+    The control must live on ``w0``'s grid and reach the horizon, as
+    :func:`simulate` checks it; ``None`` means :meth:`Control.zero`.  The
+    solve builds its own workspace, as :func:`simulate` does.
     """
     grid = w0.grid
     check_nonnegative("w0", w0.values)
     if times is not None and dt_history is not None:
         raise ValueError("give either paired times or a dt history, not both")
-    ws = Workspace(grid)
-
-    def comparison_step(w, t0, t1, dt):
-        f_tilde = _split(control.sample(t0, t1, ws), ws)[0]
-        return _comparison_step(grid, w, f_tilde, dt, ws, levels.next_row())
-
-    if dt_history is not None:
-        dts = np.asarray(dt_history, dtype=float)
-        if dts.ndim != 1 or np.any(~(dts > 0)):
-            raise ValueError("dt history must hold positive step sizes")
-        times = np.concatenate(([0.0], np.cumsum(dts)))  # t += dt, in order
-    elif times is not None:
+    if times is not None:
         times = np.array(times, dtype=float)
-        if times.size < 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise ValueError("paired times must increase strictly from 0")
-        dts = np.diff(times)
-    control = _entry_control(grid, control,
-                             params.t_final if times is None else float(times[-1]))
-
-    def paired_steps(w):
-        for t0, t1, dt in zip(times, times[1:], dts):
-            w = comparison_step(w, t0, t1, dt)
-            yield t1, dt, w
-
-    events = []
-    if times is None:
-        if not (dt_max > 0 and math.isfinite(dt_max)):
-            raise ValueError(f"dt_max must be positive, got {dt_max}")
-        levels = _LevelStack(w0.values, _rows_without_rejections(params.t_final, dt_max))
-        steps = _adaptive_steps(lambda w, t, dt: comparison_step(w, t, t + dt, dt),
-                                w0.values, params.t_final, dt_max, events)
+        if times.ndim != 1 or times.size < 1 or times[0] != 0.0 \
+                or not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ValueError("paired times must be finite and increase strictly from 0")
+        dt_history = np.diff(times)
+    if dt_history is not None:
+        dt_history = np.array(dt_history, dtype=float)
+        horizon, rows = float(_clock(dt_history)[-1]), dt_history.size + 1
+    elif not (dt_max > 0 and math.isfinite(dt_max)):
+        raise ValueError(f"dt_max must be positive, got {dt_max}")
     else:
-        levels = _LevelStack(w0.values, times.size)
-        steps = paired_steps(w0.values)
-    out_times = [0.0]
-    for t, _, w in steps:
-        out_times.append(t)
-        levels.commit()
-    return ComparisonTrajectory(grid=grid, times=np.asarray(out_times),
-                                w=levels.stack(), events=events)
+        horizon, rows = params.t_final, _rows_without_rejections(params.t_final, dt_max)
+    control = _entry_control(grid, control, horizon)
+    ws = Workspace(grid)
+    levels = _LevelStack(w0.values, rows)
+    events, taken = [], []
+
+    def advance(w, t, dt):
+        f_tilde = _split(control.sample(t, t + dt, ws), ws)[0]
+        w = _comparison_step(grid, w, f_tilde, dt, ws, levels.next_row())
+        levels.commit()  # a step that returns is accepted
+        taken.append(dt)
+        return w
+
+    if dt_history is None:
+        for _ in _adaptive_steps(advance, w0.values, params.t_final, dt_max, events):
+            pass
+    else:
+        w, t = w0.values, 0.0
+        for dt in dt_history.tolist():
+            w = advance(w, t, dt)
+            t += dt
+    return ComparisonTrajectory(grid=grid, w=levels.stack(), dt_history=taken,
+                                events=events)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,10 +1018,10 @@ def trajectory_from_dir(path):
                                                     (ctimes.size,) + grid.dims))
         traj = Trajectory(grid=grid, params=params, u=u, v=v, control=control,
                           dt_history=dt_history, events=events)
-        with np.errstate(over="ignore"):  # a clock that overflows ends at inf
-            if not (math.isfinite(traj.times[-1]) and np.all(np.diff(traj.times) > 0)):
-                raise TrajectoryFormatError(
-                    f"{manifest_path}: dt_history must hold steps > 0 that advance the clock")
+        try:
+            traj.times  # derived here, so that a bad clock is refused on loading
+        except ValueError as err:
+            raise TrajectoryFormatError(f"{manifest_path}: {err}") from None
         return traj
     except TrajectoryFormatError:
         raise

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -264,7 +265,11 @@ class TestLevelQuantities:
     @pytest.mark.parametrize("s", [1.0, 1.5])
     def test_negative_density_is_refused(self, s):
         p, traj = random_levels((9, 6), s, True)
-        traj.u[2, 3, 1] = -5e-324
+        # a trajectory's levels are read-only: the negative cell goes into a
+        # copy, from which a new trajectory is built
+        u = traj.u.copy()
+        u[2, 3, 1] = -5e-324
+        traj = dataclasses.replace(traj, u=u)
         with pytest.raises(ValueError) as want:
             level_quantities_oracle(traj, p)
         with pytest.raises(ValueError, match="entropy argument must be nonnegative") as got:

@@ -671,6 +671,37 @@ class TestTrajectory:
             dataclasses.replace(traj, **{name: np.ones(shape)})
 
 
+    def test_levels_and_derived_records_are_read_only_views(self, grid):
+        traj = simulate(Field.full(grid, 1.0), Field.full(grid, 1.0), None,
+                        params(t_final=0.1), 0.02)
+        mass = traj.mass_trace[-1]
+        for name in ("u", "v", "times", "mass_trace"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(traj, name)[-1] *= 2.0
+        # no write reached a level, so the cached trace still holds
+        assert traj.mass_trace[-1] == mass == integrate(grid, traj.u[-1])
+        # the levels are views of the caller's arrays, which stay writable
+        u, v = np.array(traj.u), np.array(traj.v)
+        built = dataclasses.replace(traj, u=u, v=v)
+        assert np.shares_memory(built.u, u) and np.shares_memory(built.v, v)
+        assert not built.u.flags.writeable and u.flags.writeable and v.flags.writeable
+        u[-1] *= 2.0
+        assert built.u[-1].tobytes() == u[-1].tobytes()
+
+    @pytest.mark.parametrize("steps", [[0.5, np.inf], [1.0, 1e-17], [0.1, 0.0],
+                                       [0.1, -0.05, 0.1], [0.1, np.nan], [1e308, 1e308]],
+                             ids=["infinite", "absorbed", "zero", "negative", "nan",
+                                  "overflowing"])
+    def test_clock_refuses_steps_that_do_not_advance_it(self, grid, steps):
+        traj = simulate(Field.full(grid, 1.0), Field.full(grid, 1.0), None,
+                        params(t_final=0.1), 0.02)
+        built = dataclasses.replace(traj, dt_history=steps,
+                                    u=traj.u[:len(steps) + 1], v=traj.v[:len(steps) + 1])
+        with pytest.raises(ValueError, match=re.escape(
+                "dt_history must hold steps > 0 that advance the clock")):
+            built.times
+
+
 class TestSimulateAdjoint:
     def test_needs_run_saved_every_step(self, grid):
         p = params(t_final=0.1)
@@ -813,6 +844,56 @@ class TestComparison:
             paired = {key: value[:6 - (key == "dt_history")]
                       for key, value in pairing.items()}
             assert solve_comparison(w0, short, p, 0.1, **paired).times.size == 6
+
+
+    @pytest.mark.parametrize("dims", [(32,), (12, 10), (6, 5, 4)])
+    def test_times_and_steps_pair_alike(self, dims):
+        # a steep chemical ramp rejects the first steps and a horizon off the
+        # step ladder clips the last one; pairing by the run's times is
+        # pairing by their steps, and either replays the run's clock
+        g = Grid.unit_box(dims)
+        g = g.with_mask(g.box_mask([(0.0, 0.5)] * len(dims)))
+        p = params(s=2.0, t_final=0.053)
+        ctrl = control_preset(g, "random", p.t_final, seed=len(dims), amplitude=3.0,
+                              times=4)
+        v0 = Field(g, 20.0 * g.cell_centers()[0])
+        traj = simulate(Field.full(g, 1.0), v0, ctrl, p, 0.02)
+        assert traj.events
+        by_times = solve_comparison(v0, ctrl, p, 0.02, times=traj.times)
+        by_steps = solve_comparison(v0, ctrl, p, 0.02, dt_history=np.diff(traj.times))
+        assert by_times.w.tobytes() == by_steps.w.tobytes()
+        assert by_times.times.tobytes() == by_steps.times.tobytes() == traj.times.tobytes()
+        assert (traj.v - by_times.w).max() <= 0.0
+
+    @pytest.mark.parametrize("pairing, message", [
+        ({"times": [0.0, np.nan]}, "paired times must be finite and increase strictly from 0"),
+        ({"dt_history": [0.5, np.inf]}, "dt_history must hold steps > 0 that advance the clock"),
+        ({"dt_history": [1.0, 1e-17]}, "dt_history must hold steps > 0 that advance the clock"),
+    ], ids=["times_nan", "dt_history_infinite", "dt_history_absorbed"])
+    def test_bad_pairing_is_refused_before_the_control(self, monkeypatch, grid, pairing,
+                                                       message):
+        # the error names the pairing, not a control the caller never gave
+        def no_control(*args):
+            raise AssertionError("a control was built for a bad pairing")
+
+        monkeypatch.setattr(sim, "_entry_control", no_control)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_comparison(Field.full(grid, 1.0), None, params(), 0.1, **pairing)
+
+    def test_record_is_frozen_with_read_only_levels(self, grid):
+        w = solve_comparison(Field.full(grid, 1.0), None, params(t_final=0.1), 0.02)
+        assert w.dt_history.size == 5 and w.w.shape == (6, 32)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.w = w.w[:2]
+        for name in ("w", "dt_history", "times"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(w, name)[-1] *= 2.0
+        assert w.times is w.times
+        for shape in [(5, 32), (7, 32), (6, 31)]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"w must hold 6 levels of (32,), one more than the steps of "
+                    f"dt_history, found shape {shape}")):
+                dataclasses.replace(w, w=np.ones(shape))
 
 
 class TestWeakResidual:
